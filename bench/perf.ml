@@ -1,13 +1,14 @@
 (** [main.exe perf [--quick]]: the performance trajectory benchmark.
 
-    Measures the fast-path layers (threaded-code interpreter, fused
-    single-pass profiling, profile cache, domain pool) and writes the
-    numbers to [BENCH_psaflow.json]:
+    Measures the fast-path layers (bytecode VM, fused single-pass
+    profiling, profile cache, domain pool) and writes the numbers to
+    [BENCH_psaflow.json]:
 
     - interpreter throughput on the heaviest benchmark, before (slot-IR
-      tree walker, {!Minic_interp.Eval.run_ir}) and after (threaded
-      code, {!Minic_interp.Eval.run_compiled}), checking the two produce
-      bit-identical profiles;
+      tree walker, {!Minic_interp.Eval.run_ir}) and after (the bytecode
+      VM, {!Minic_interp.Eval.run_vm}) — the VM both on the raw slot IR
+      and on the optimized IR, so the optimizer's share shows — checking
+      that all of them produce bit-identical profiles;
     - the repeated-analysis path, cold (cache disabled, every analysis
       re-interprets) vs cached (all analyses project one fused run);
     - the uninformed 5-benchmark evaluation: cold (sequential, cache
@@ -108,7 +109,7 @@ let run ~quick () =
     (if quick then "quick" else "full")
     cores;
 
-  (* -- interpreter throughput: walker vs threaded vs optimized ------ *)
+  (* -- interpreter throughput: walker vs unoptimized vs optimized VM - *)
   (* --quick runs every leg below — including the per-pass optimizer
      identity checks — with fewer timing repetitions, never skipping a
      section: a partial rerun must overwrite every BENCH field. *)
@@ -129,7 +130,7 @@ let run ~quick () =
   in
   let heavy_p = Benchmarks.Bench_app.program heavy ~n:heavy.profile_n in
   let heavy_ir = Minic_interp.Resolve.compile heavy_p in
-  (* the production path ([Eval.compile] = resolve + optimize + thread);
+  (* the production path ([Eval.compile] = resolve + optimize + lower);
      compiled first so the published opt_* pass counters are its own *)
   let compiled = Minic_interp.Eval.compile heavy_p in
   let opt_counters =
@@ -139,21 +140,14 @@ let run ~quick () =
       [
         "opt_consts_folded";
         "opt_ops_strength_reduced";
-        "opt_slots_eliminated";
-        "opt_exprs_hoisted";
         "opt_kernels_specialized";
       ]
   in
   let unoptimized = Minic_interp.Eval.compile_resolved heavy_ir in
   let before_s, before_run = best (fun () -> Minic_interp.Eval.run_ir heavy_ir) in
   let unopt_s, unopt_run =
-    best (fun () -> Minic_interp.Eval.run_threaded unoptimized)
+    best (fun () -> Minic_interp.Eval.run_vm unoptimized)
   in
-  let after_s, after_run =
-    best (fun () -> Minic_interp.Eval.run_threaded compiled)
-  in
-  (* the bytecode VM on the same optimized IR — the production engine
-     unless PSAFLOW_NO_VM selects the threaded closures above *)
   let vm_s, vm_run = best (fun () -> Minic_interp.Eval.run_vm compiled) in
   let vm_counters =
     List.map
@@ -185,8 +179,6 @@ let run ~quick () =
     [
       ("fold", { no_p with Minic_interp.Opt.fold = true });
       ("strength", { no_p with Minic_interp.Opt.strength = true });
-      ("dead", { no_p with Minic_interp.Opt.dead = true });
-      ("hoist", { no_p with Minic_interp.Opt.hoist = true });
       ("specialize", { no_p with Minic_interp.Opt.specialize = true });
       ("composed", Minic_interp.Opt.all_passes);
     ]
@@ -195,23 +187,21 @@ let run ~quick () =
     List.map
       (fun (name, config) ->
         let r =
-          Minic_interp.Eval.run_compiled
+          Minic_interp.Eval.run_vm
             (Minic_interp.Eval.compile_resolved
                (Minic_interp.Opt.optimize ~config heavy_ir))
         in
         (name, fingerprint r = walker_fp))
       pass_legs
   in
-  let threaded_identical =
+  let interp_identical =
     fingerprint unopt_run = walker_fp
-    && fingerprint after_run = walker_fp
     && fingerprint vm_run = walker_fp
     && List.for_all snd pass_identical
   in
-  let mcycles = after_run.profile.cycles /. 1e6 in
+  let mcycles = vm_run.profile.cycles /. 1e6 in
   let before_rate = mcycles /. before_s
   and unopt_rate = mcycles /. unopt_s
-  and after_rate = mcycles /. after_s
   and vm_rate = mcycles /. vm_s in
   let bulk_mcycles =
     match
@@ -222,18 +212,18 @@ let run ~quick () =
     | None -> 0.0
   in
   Printf.printf
-    "interp   %-12s ir-walker %8.4f s (%.1f Mcycles/s)   threaded %8.4f s \
-     (%.1f Mcycles/s)   optimized %8.4f s (%.1f Mcycles/s)   bytecode %8.4f s \
-     (%.1f Mcycles/s)   speedup %.1fx   outputs identical: %b\n%!"
-    heavy.id before_s before_rate unopt_s unopt_rate after_s after_rate vm_s
-    vm_rate (before_s /. vm_s) threaded_identical;
+    "interp   %-12s ir-walker %8.4f s (%.1f Mcycles/s)   unoptimized %8.4f \
+     s (%.1f Mcycles/s)   bytecode %8.4f s (%.1f Mcycles/s)   speedup %.1fx   \
+     outputs identical: %b\n%!"
+    heavy.id before_s before_rate unopt_s unopt_rate vm_s vm_rate
+    (before_s /. vm_s) interp_identical;
   Printf.printf "         passes: %s   bulk %.1f of %.1f Mcycles\n%!"
     (String.concat "  "
        (List.map
           (fun (n, ok) -> Printf.sprintf "%s=%s" n (if ok then "ok" else "DIVERGES"))
           pass_identical))
     bulk_mcycles mcycles;
-  if not threaded_identical then
+  if not interp_identical then
     prerr_endline "ERROR: an engine's profile diverges from the IR walker!";
 
   (* -- domain-parallel loop execution ------------------------------- *)
@@ -451,21 +441,14 @@ int main() {
                     ("run_s", Float before_s);
                     ("mcycles_per_s", Float before_rate);
                   ] );
-              (* production path: slot IR optimized, then threaded *)
-              ( "threaded",
-                Obj
-                  [
-                    ("run_s", Float after_s);
-                    ("mcycles_per_s", Float after_rate);
-                  ] );
+              (* the optimizer's share: the VM on the raw slot IR; the
+                 optimized side is the "bytecode" leg below *)
               ( "optimized",
                 Obj
                   ([
                      ("unoptimized_run_s", Float unopt_s);
                      ("unoptimized_mcycles_per_s", Float unopt_rate);
-                     ("run_s", Float after_s);
-                     ("mcycles_per_s", Float after_rate);
-                     ("speedup_vs_unoptimized", Float (unopt_s /. after_s));
+                     ("speedup_vs_unoptimized", Float (unopt_s /. vm_s));
                      ("bulk_mcycles_charged", Float bulk_mcycles);
                      ( "passes_identical",
                        Obj
@@ -474,20 +457,15 @@ int main() {
                             pass_identical) );
                    ]
                   @ List.map (fun (n, v) -> (n, Int v)) opt_counters) );
-              (* the register-bytecode VM (production engine): same
-                 optimized IR, flat instruction arrays + fused kernel
+              (* the register-bytecode VM (production engine) on the
+                 optimized IR: flat instruction arrays + fused kernel
                  micro-ops *)
               ( "bytecode",
                 Obj
-                  ([
-                     ("run_s", Float vm_s);
-                     ("mcycles_per_s", Float vm_rate);
-                     ("speedup_vs_threaded", Float (after_s /. vm_s));
-                   ]
+                  ([ ("run_s", Float vm_s); ("mcycles_per_s", Float vm_rate) ]
                   @ List.map (fun (n, v) -> (n, Int v)) vm_counters) );
-              ("speedup", Float (before_s /. after_s));
-              ("speedup_total", Float (before_s /. vm_s));
-              ("outputs_identical", Bool threaded_identical);
+              ("speedup", Float (before_s /. vm_s));
+              ("outputs_identical", Bool interp_identical);
             ] );
         ( "parallel",
           Obj
@@ -602,5 +580,5 @@ int main() {
   Printf.printf "wrote %s\n%!" json_out;
   if
     not
-      (identical && threaded_identical && parallel_identical && dse_identical)
+      (identical && interp_identical && parallel_identical && dse_identical)
   then exit 1

@@ -61,7 +61,6 @@ let commit_id () =
     simply absent from the datapoint — the gate skips them. *)
 let gated_paths =
   [
-    [ "interp"; "threaded"; "mcycles_per_s" ];
     [ "interp"; "bytecode"; "mcycles_per_s" ];
     [ "parallel"; "virtual_mcycles" ];
     [ "dse"; "simulate_call_reduction" ];
@@ -112,7 +111,6 @@ let history_append ~quick () : Perf_history.datapoint =
    not 5% drift (the trend table is for reading drift). *)
 let gate_specs =
   [
-    ("interp.threaded.mcycles_per_s", Perf_history.Higher_better, 0.7);
     ("interp.bytecode.mcycles_per_s", Perf_history.Higher_better, 0.7);
     (* call counts are deterministic, so the guided-DSE saving may never
        shrink below ~the rolling median (0.9 tolerates winner-set churn

@@ -243,13 +243,9 @@ let perf_section () : Json.t * string list =
         ("flow_speedup", pick bench [ "flow"; "speedup" ]);
         ("cached_vs_uncached_flow", pick bench [ "flow"; "cached_vs_uncached_flow" ]);
         ("outputs_identical", pick bench [ "flow"; "outputs_identical" ]);
-        ( "interp_mcycles_per_s",
-          pick bench [ "interp"; "threaded"; "mcycles_per_s" ] );
         ("interp_optimized", pick bench [ "interp"; "optimized" ]);
         ( "interp_bytecode_mcycles_per_s",
           pick bench [ "interp"; "bytecode"; "mcycles_per_s" ] );
-        ( "interp_bytecode_speedup_vs_threaded",
-          pick bench [ "interp"; "bytecode"; "speedup_vs_threaded" ] );
         ("parallel_outputs_identical", pick bench [ "parallel"; "outputs_identical" ]);
         (* surrogate-guided DSE: exhaustive vs guided-warm analytic-model
            call counts, the resulting saving, and the winner-identity

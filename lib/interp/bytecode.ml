@@ -3,7 +3,7 @@
     {!lower} compiles a resolved (and usually {!Opt}-optimized) program
     into dense instruction arrays with integer-register operands — the
     VM executor in {!Eval} dispatches over them with a single [match]
-    per instruction instead of one OCaml closure call per IR node.
+    per instruction.
     Frames are flat [Value.t array]s laid out [slots | consts | temps]:
     variable slots keep their {!Resolve} indices, literal operands are
     blitted from a per-function constant pool at call entry, and
@@ -32,9 +32,8 @@
     writes it at all) can have its iteration space split across
     domains — the remaining per-region memory checks are done at run
     time by the executor.  Everything observable (cycles, counters,
-    fuel, loop stats) is charged in bulk on the calling domain exactly
-    like the threaded engine's kernel protocol, so outputs stay
-    bit-identical for every domain count.
+    fuel, loop stats) is charged in bulk on the calling domain, so
+    outputs stay bit-identical for every domain count.
 
     Selector and lowering statistics are published to
     {!Flow_obs.Metrics.global} as [vm_*] counters. *)
@@ -140,7 +139,7 @@ type ckind = KDyn | KFlt | KInt
     [tgt] fields hold label ids during lowering and absolute pcs after
     {!lower} resolves them.  Every instruction replays the exact
     charges, counter bumps, fuel spends and error points of the
-    threaded engine (see DESIGN.md §14). *)
+    reference walker (see DESIGN.md §14). *)
 type instr =
   | IFuel
   | ICharge of float
@@ -169,17 +168,6 @@ type instr =
   | ICastB of int * int
   | IIndex of { d : int; a : int; i : int }
   | IFolded of { d : int; fval : Value.t; f_flops : int; f_int_ops : int; f_dyn : float }
-  | IHoisted of {
-      glob : bool;
-      hslot : int;
-      h_flops : int;
-      h_sfu : int;
-      h_dyn : float;
-      d : int;
-      tgt : int;
-    }  (** cache hit: replay effects, jump [tgt]; miss: fall through *)
-  | IHoistSave of { glob : bool; hslot : int; d : int; src : int }
-  | IHoistReset of { glob : bool; slots : int array }
   | IAndTest of { d : int; src : int; bcost : float; tgt : int }
   | IOrTest of { d : int; src : int; bcost : float; tgt : int }
   | ICallUser of { d : int; fidx : int; args : int array }
@@ -196,9 +184,8 @@ type instr =
   | IApplyAssign of { d : int; aop : Minic.Ast.assign_op; old : int; rhs : int }
   | IStore of { arr : int; idx : int; src : int }
   | IStoreOp of { aop : Minic.Ast.assign_op; arr : int; idx : int; src : int }
-  | IDropChk of { co : Minic.Ast.typ; src : int }
   | IRet of int
-  | IRetRaise of int  (** [return] in the globals block: raise like both engines *)
+  | IRetRaise of int  (** [return] in the globals block: raise like the walker *)
   | ILoopEnterW of { lidx : int; sid : int; t0 : int; trips : int }
   | ILoopEnterF of { lidx : int; sid : int; t0 : int; trips : int; icost : float }
   | IWhileIter of { src : int; lidx : int; sid : int; trips : int; tgt : int }
@@ -694,7 +681,7 @@ let fresh_loop ctx =
   l
 
 (* In the globals block the running frame IS the global frame, so the
-   optimizer's [Local] references (hoist slots, kernel slots) resolve
+   optimizer's [Local] references (kernel slots) resolve
    through [garray]. *)
 let eff ctx vr =
   if ctx.glob then match vr with R.Local i -> R.Global i | x -> x else vr
@@ -733,7 +720,6 @@ let rec scan_e f (e : R.expr) =
       List.iter (scan_e f) cargs;
       f Value.VUnit  (* builtin/error dummy results *)
   | R.EFolded _ -> ()
-  | R.EHoisted { horig; _ } -> scan_e f horig
 
 let rec scan_s f = function
   | R.SDeclVar { typ; init; _ } -> (
@@ -761,8 +747,6 @@ let rec scan_s f = function
       scan_b f body
   | R.SReturn eo -> Option.iter (scan_e f) eo
   | R.SBlock b -> scan_b f b
-  | R.SDrop { drhs; _ } -> Option.iter (scan_e f) drhs
-  | R.SHoistReset _ -> ()
   | R.SFused { forig; _ } -> scan_s f forig
 
 and scan_b f (b : R.block) =
@@ -776,7 +760,7 @@ and scan_b f (b : R.block) =
    result.  Literals resolve to constant-pool registers (no code);
    locals resolve to their slot register directly — valid because no
    MiniC construct writes a local slot mid-expression (assignments are
-   statements and the optimizer's hoist slots are never [EVar]'d) —
+   statements) —
    while globals are snapshotted into a temp at their evaluation point
    (a user call later in the expression may overwrite them). *)
 let rec lx ctx (e : R.expr) : int =
@@ -907,15 +891,6 @@ let rec lx ctx (e : R.expr) : int =
       let t = tmp ctx in
       emit ctx (IFolded { d = t; fval; f_flops; f_int_ops; f_dyn });
       t
-  | R.EHoisted { hslot; h_flops; h_sfu; h_dyn; horig } ->
-      let d = tmp ctx in
-      let l = fresh_lab ctx in
-      emit ctx
-        (IHoisted { glob = ctx.glob; hslot; h_flops; h_sfu; h_dyn; d; tgt = l });
-      let rh = lx ctx horig in
-      emit ctx (IHoistSave { glob = ctx.glob; hslot; d; src = rh });
-      place ctx l;
-      d
 
 (* Arguments lower left to right (an explicit fold: the emission order
    is the evaluation order). *)
@@ -1020,8 +995,8 @@ and store_slot ctx vr src =
   | R.Unbound n -> emit ctx (IErrVar n)
 
 (* Declaration-initializer store: the coercion (and its error) happens
-   before an unbound-variable error, exactly like [co (ce ...)] feeding
-   the failing setter in the threaded engine. *)
+   before an unbound-variable error, exactly like the walker's
+   [coerce] feeding its failing [set_var]. *)
 and store_coerced ctx vr typ src =
   match typ with
   | Minic.Ast.Tint | Minic.Ast.Tfloat | Minic.Ast.Tdouble | Minic.Ast.Tbool
@@ -1146,20 +1121,6 @@ and ls ctx (s : R.stmt) =
   | R.SBlock b ->
       emit ctx IFuel;
       lb ctx b
-  | R.SDrop { dtyp; drhs } -> (
-      emit ctx IFuel;
-      match drhs with
-      | None -> ()
-      | Some e -> (
-          let rv = lx ctx e in
-          match dtyp with
-          | Some
-              ((Minic.Ast.Tint | Minic.Ast.Tfloat | Minic.Ast.Tdouble
-               | Minic.Ast.Tbool) as t) ->
-              emit ctx (IDropChk { co = t; src = rv })
-          | Some _ | None -> ()))
-  | R.SHoistReset slots ->
-      emit ctx (IHoistReset { glob = ctx.glob; slots = Array.of_list slots })
   | R.SFused { forig; kern } -> (
       match forig with
       | R.SFor { fsid; slot; init; bound; inclusive; step; body } ->
@@ -1213,7 +1174,6 @@ let patch lp = function
   | IBrCmp r -> IBrCmp { r with tgt = lp.(r.tgt) }
   | IAndTest r -> IAndTest { r with tgt = lp.(r.tgt) }
   | IOrTest r -> IOrTest { r with tgt = lp.(r.tgt) }
-  | IHoisted r -> IHoisted { r with tgt = lp.(r.tgt) }
   | IWhileIter r -> IWhileIter { r with tgt = lp.(r.tgt) }
   | IForTest r -> IForTest { r with tgt = lp.(r.tgt) }
   | IKernel r -> IKernel { r with tgt = lp.(r.tgt) }

@@ -8,19 +8,16 @@
 
     Programs are first lowered to the slot IR of {!Resolve} (array-indexed
     variable slots, pre-resolved callees, per-group batched static cycle
-    charges), and the IR is then compiled once more into {e threaded
-    code}: a tree of pre-bound OCaml closures, one per statement and
-    expression node, so the hot loop performs no per-statement constructor
-    dispatch at all.  Two code variants are compiled lazily per program —
-    a non-focus fast path whose memory accessors carry no kernel-tracking
-    test, and a focus-tracking variant — so profiling runs without a
-    focus pay nothing for the offload instrumentation.
+    charges), optimized by {!Opt}, and lowered once more to the flat
+    register bytecode of {!Bytecode}, which {!run_vm} executes.  The
+    VM's memory accessors are chosen per run: a run without a focus
+    pays nothing for the offload instrumentation.
 
-    The original tree walker over the slot IR is kept as {!run_ir}: a
-    reference implementation the test suite (and the perf harness's
-    before/after comparison) checks the threaded code against,
-    bit-identically — same charge order, same counter updates, same fuel
-    accounting, same error points.
+    The tree walker over the slot IR is kept as {!run_ir}: a reference
+    implementation the test suite (and the perf harness's before/after
+    comparison) checks the VM against, bit-identically — same charge
+    order, same counter updates, same fuel accounting, same error
+    points.
 
     Determinism: [rand01]/[rand_int] use a fixed-seed LCG, so repeated
     runs (and runs of instrumented variants) see identical inputs — the
@@ -73,9 +70,9 @@ type state = {
   mutable fuel : int;  (** remaining statement budget, guards against hangs *)
   mutable loop_cache : Profile.loop_stat option array;
       (** per-run memo of {!Profile.loop_stat} records, indexed by the
-          dense loop number threaded code assigns at compile time — the
+          dense loop number the bytecode lowering assigns — the
           profile's Hashtbl is only consulted on a loop's first
-          invocation.  Sized by {!run_compiled}; unused (empty) on the
+          invocation.  Sized by {!run_vm}; unused (empty) on the
           reference walker path. *)
   mutable bulk_cycles : float;
       (** virtual cycles charged in bulk by specialized loop kernels
@@ -397,1028 +394,23 @@ let counters_snapshot st =
     st.prof.bytes_read,
     st.prof.bytes_written )
 
-(* ================================================================== *)
-(* Threaded-code compilation                                           *)
-(* ================================================================== *)
-
 (* Raised by a specialized kernel's entry protocol — strictly before any
    state mutation — when a precondition fails (non-numeric bounds,
    non-float region, out-of-range access, insufficient fuel).  The
-   fused statement then falls back to its faithfully compiled loop. *)
+   fused statement then falls back to its generic loop. *)
 exception Kernel_unfit
-
-(* Compiled expression / statement: a pre-bound closure over the run
-   state and the current frame.  Compilation happens once per program;
-   execution performs no constructor dispatch. *)
-type ecode = state -> Value.t array -> Value.t
-type scode = state -> Value.t array -> unit
-
-(** One compiled code variant: per-function body closures plus the
-    globals block.  [v_nloops] is the number of loop statements the
-    variant numbered (densely, in compilation order) for the per-run
-    loop-stat cache. *)
-type variant = { v_bodies : scode array; v_globals : scode; v_nloops : int }
-
-(** A threaded-code program: the slot IR plus its two lazily compiled
-    closure variants.  [plain] is the non-focus fast path — its memory
-    accessors carry no kernel-tracking test and its call sites no focus
-    check; [tracking] is used whenever a run has a focus function. *)
-type compiled = {
-  cp : Resolve.t;
-  plain : variant Lazy.t;
-  tracking : variant Lazy.t;
-  vm : Bytecode.program Lazy.t;
-      (** flat register-bytecode lowering, the {!run_compiled} default
-          engine unless [PSAFLOW_NO_VM] is set *)
-}
-
-let seq2 s1 s2 st fr = s1 st fr; s2 st fr
-
-let rec seq_codes : scode list -> scode = function
-  | [] -> fun _ _ -> ()
-  | [ s ] -> s
-  | [ s1; s2 ] -> fun st fr -> s1 st fr; s2 st fr
-  | [ s1; s2; s3 ] ->
-      fun st fr ->
-        s1 st fr;
-        s2 st fr;
-        s3 st fr
-  | [ s1; s2; s3; s4 ] ->
-      fun st fr ->
-        s1 st fr;
-        s2 st fr;
-        s3 st fr;
-        s4 st fr
-  | s1 :: s2 :: s3 :: s4 :: rest ->
-      let k = seq_codes rest in
-      fun st fr ->
-        s1 st fr;
-        s2 st fr;
-        s3 st fr;
-        s4 st fr;
-        k st fr
-
-(* Evaluate a compiled argument list left to right, exactly like the
-   reference walker's [List.map]. *)
-let rec eval_args (cs : ecode list) st fr =
-  match cs with
-  | [] -> []
-  | c :: rest ->
-      let v = c st fr in
-      v :: eval_args rest st fr
-
-let getter = function
-  | Resolve.Local i -> fun _st fr -> Array.unsafe_get fr i
-  | Resolve.Global i -> fun st _fr -> Array.unsafe_get st.garray i
-  | Resolve.Unbound n ->
-      fun _ _ -> err "undefined variable '%s'" n
-
-let setter = function
-  | Resolve.Local i -> fun _st fr v -> Array.unsafe_set fr i v
-  | Resolve.Global i -> fun st _fr v -> Array.unsafe_set st.garray i v
-  | Resolve.Unbound n -> fun _ _ _ -> err "undefined variable '%s'" n
 
 let vtrue = VBool true
 let vfalse = VBool false
 let vbool b = if b then vtrue else vfalse
 
-let compile_variant (cp : Resolve.t) ~track : variant =
-  (* filled below; [User] call sites look their callee up at run time so
-     recursion needs no compile-time knot *)
-  let bodies = Array.make (Array.length cp.cfuncs) (fun _ _ -> ()) in
-  (* dense loop numbering for the per-run loop-stat cache; plain and
-     tracking variants compile the same IR in the same order, so their
-     numberings agree *)
-  let nloops = ref 0 in
-  let fresh_loop_idx () =
-    let i = !nloops in
-    incr nloops;
-    i
-  in
-  let load_at : state -> Memory.region -> int -> Value.t =
-    if track then load_r_tracked else load_r
-  in
-  let store_at : state -> Memory.region -> int -> Value.t -> unit =
-    if track then store_r_tracked else store_r
-  in
-  let rec cexpr (e : Resolve.expr) : ecode =
-    match e.e with
-    | ELit v -> fun _ _ -> v
-    | EVar r -> getter r
-    | ENeg a ->
-        let ca = cexpr a in
-        fun st fr -> (
-          match ca st fr with
-          | VInt n -> VInt (-n)
-          | VFloat f ->
-              st.prof.flops <- st.prof.flops + 1;
-              VFloat (-.f)
-          | _ -> err "negation of a non-numeric value")
-    | ENot a ->
-        let ca = cexpr a in
-        fun st fr -> vbool (not (to_bool (ca st fr)))
-    | EArith (op, fresid, a, b) ->
-        let ca = cexpr a and cb = cexpr b in
-        (match op with
-        | Minic.Ast.Add ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              if is_float va || is_float vb then (
-                if fresid <> 0.0 then charge st fresid;
-                st.prof.flops <- st.prof.flops + 1;
-                VFloat (to_float va +. to_float vb))
-              else (
-                st.prof.int_ops <- st.prof.int_ops + 1;
-                VInt (to_int va + to_int vb))
-        | Minic.Ast.Sub ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              if is_float va || is_float vb then (
-                if fresid <> 0.0 then charge st fresid;
-                st.prof.flops <- st.prof.flops + 1;
-                VFloat (to_float va -. to_float vb))
-              else (
-                st.prof.int_ops <- st.prof.int_ops + 1;
-                VInt (to_int va - to_int vb))
-        | Minic.Ast.Mul ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              if is_float va || is_float vb then (
-                if fresid <> 0.0 then charge st fresid;
-                st.prof.flops <- st.prof.flops + 1;
-                VFloat (to_float va *. to_float vb))
-              else (
-                st.prof.int_ops <- st.prof.int_ops + 1;
-                VInt (to_int va * to_int vb))
-        | op ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              do_arith st op fresid va vb)
-    | EDiv (a, b) ->
-        let ca = cexpr a and cb = cexpr b in
-        fun st fr ->
-          let va = ca st fr in
-          let vb = cb st fr in
-          do_div st va vb
-    | EMod (a, b) ->
-        let ca = cexpr a and cb = cexpr b in
-        fun st fr ->
-          let va = ca st fr in
-          let vb = cb st fr in
-          do_mod st va vb
-    | ECmp (op, a, b) -> (
-        let ca = cexpr a and cb = cexpr b in
-        match op with
-        | Minic.Ast.Lt ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool
-                (if is_float va || is_float vb then to_float va < to_float vb
-                 else to_int va < to_int vb)
-        | Minic.Ast.Le ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool
-                (if is_float va || is_float vb then to_float va <= to_float vb
-                 else to_int va <= to_int vb)
-        | Minic.Ast.Gt ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool
-                (if is_float va || is_float vb then to_float va > to_float vb
-                 else to_int va > to_int vb)
-        | Minic.Ast.Ge ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool
-                (if is_float va || is_float vb then to_float va >= to_float vb
-                 else to_int va >= to_int vb)
-        | Minic.Ast.Eq ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool
-                (if is_float va || is_float vb then to_float va = to_float vb
-                 else to_int va = to_int vb)
-        | Minic.Ast.Ne ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool
-                (if is_float va || is_float vb then to_float va <> to_float vb
-                 else to_int va <> to_int vb)
-        | op ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (do_cmp op (is_float va || is_float vb) va vb))
-    | EAnd (a, b) ->
-        (* && and || short-circuit like C *)
-        let ca = cexpr a and cb = cexpr b in
-        let bcost = b.ecost in
-        fun st fr ->
-          if to_bool (ca st fr) then (
-            charge st bcost;
-            vbool (to_bool (cb st fr)))
-          else vfalse
-    | EOr (a, b) ->
-        let ca = cexpr a and cb = cexpr b in
-        let bcost = b.ecost in
-        fun st fr ->
-          if to_bool (ca st fr) then vtrue
-          else (
-            charge st bcost;
-            vbool (to_bool (cb st fr)))
-    | EIndex (a, i) ->
-        let ca = cexpr a and ci = cexpr i in
-        fun st fr ->
-          let p = to_ptr (ca st fr) in
-          let i = to_int (ci st fr) in
-          load_at st (Memory.region st.mem p.mem_id) (p.off + i)
-    | ECast (t, a) -> (
-        let ca = cexpr a in
-        match t with
-        | Minic.Ast.Tint -> fun st fr -> VInt (to_int (ca st fr))
-        | Minic.Ast.Tfloat | Minic.Ast.Tdouble ->
-            fun st fr -> VFloat (to_float (ca st fr))
-        | Minic.Ast.Tbool -> fun st fr -> vbool (to_bool (ca st fr))
-        | _ -> ca)
-    | ECall { callee; cargs } -> ccall callee cargs
-    | EFolded { fval; f_flops; f_int_ops; f_dyn } ->
-        (* optimizer-built: yield the folded constant while replaying
-           the folded subtree's exact counter bumps and charges *)
-        fun st _fr ->
-          if f_dyn <> 0.0 then charge st f_dyn;
-          if f_flops <> 0 then st.prof.flops <- st.prof.flops + f_flops;
-          if f_int_ops <> 0 then st.prof.int_ops <- st.prof.int_ops + f_int_ops;
-          fval
-    | EArithF (op, fresid, a, b) -> (
-        let ca = cexpr a and cb = cexpr b in
-        match op with
-        | Minic.Ast.Add ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              if fresid <> 0.0 then charge st fresid;
-              st.prof.flops <- st.prof.flops + 1;
-              VFloat (to_float va +. to_float vb)
-        | Minic.Ast.Sub ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              if fresid <> 0.0 then charge st fresid;
-              st.prof.flops <- st.prof.flops + 1;
-              VFloat (to_float va -. to_float vb)
-        | Minic.Ast.Mul ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              if fresid <> 0.0 then charge st fresid;
-              st.prof.flops <- st.prof.flops + 1;
-              VFloat (to_float va *. to_float vb)
-        | _ -> assert false)
-    | EArithI (op, a, b) -> (
-        let ca = cexpr a and cb = cexpr b in
-        match op with
-        | Minic.Ast.Add ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              st.prof.int_ops <- st.prof.int_ops + 1;
-              VInt (to_int va + to_int vb)
-        | Minic.Ast.Sub ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              st.prof.int_ops <- st.prof.int_ops + 1;
-              VInt (to_int va - to_int vb)
-        | Minic.Ast.Mul ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              st.prof.int_ops <- st.prof.int_ops + 1;
-              VInt (to_int va * to_int vb)
-        | _ -> assert false)
-    | EDivF (a, b) ->
-        let ca = cexpr a and cb = cexpr b in
-        fun st fr ->
-          let va = ca st fr in
-          let vb = cb st fr in
-          charge st Profile.Cost.float_div;
-          st.prof.flops <- st.prof.flops + 1;
-          VFloat (to_float va /. to_float vb)
-    | EDivI (a, b) ->
-        let ca = cexpr a and cb = cexpr b in
-        fun st fr ->
-          let va = ca st fr in
-          let vb = cb st fr in
-          charge st Profile.Cost.int_op;
-          st.prof.int_ops <- st.prof.int_ops + 1;
-          let d = to_int vb in
-          if d = 0 then err "integer division by zero";
-          VInt (to_int va / d)
-    | ECmpF (op, a, b) -> (
-        let ca = cexpr a and cb = cexpr b in
-        match op with
-        | Minic.Ast.Lt ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_float va < to_float vb)
-        | Minic.Ast.Le ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_float va <= to_float vb)
-        | Minic.Ast.Gt ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_float va > to_float vb)
-        | Minic.Ast.Ge ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_float va >= to_float vb)
-        | Minic.Ast.Eq ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_float va = to_float vb)
-        | Minic.Ast.Ne ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_float va <> to_float vb)
-        | _ -> assert false)
-    | ECmpI (op, a, b) -> (
-        let ca = cexpr a and cb = cexpr b in
-        match op with
-        | Minic.Ast.Lt ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_int va < to_int vb)
-        | Minic.Ast.Le ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_int va <= to_int vb)
-        | Minic.Ast.Gt ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_int va > to_int vb)
-        | Minic.Ast.Ge ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_int va >= to_int vb)
-        | Minic.Ast.Eq ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_int va = to_int vb)
-        | Minic.Ast.Ne ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              vbool (to_int va <> to_int vb)
-        | _ -> assert false)
-    | EHoisted { hslot; h_flops; h_sfu; h_dyn; horig } -> (
-        let ch = cexpr horig in
-        fun st fr ->
-          match Array.unsafe_get fr hslot with
-          | VFloat _ as v ->
-              (* cache hit: replay the subtree's counted effects *)
-              if h_dyn <> 0.0 then charge st h_dyn;
-              if h_flops <> 0 then st.prof.flops <- st.prof.flops + h_flops;
-              if h_sfu <> 0 then st.prof.sfu_ops <- st.prof.sfu_ops + h_sfu;
-              v
-          | _ ->
-              (* first evaluation this loop invocation; errors are never
-                 cached, so a failing subtree fails on every iteration *)
-              let v = ch st fr in
-              Array.unsafe_set fr hslot v;
-              v)
-  and ccall callee cargs : ecode =
-    let cas = List.map cexpr cargs in
-    match callee with
-    | Resolve.User idx -> (
-        let f = cp.cfuncs.(idx) in
-        if List.length cargs <> List.length f.cf_params then
-          (* static arity mismatch: fails when (and only when) executed,
-             like the reference walker *)
-          fun st fr ->
-           ignore (eval_args cas st fr);
-           err "call to '%s' with wrong arity" f.cf_name
-        else
-          let nslots = max 1 f.cf_nslots in
-          let param_slots = f.cf_param_slots in
-          let bind frame args =
-            List.iteri
-              (fun i v ->
-                Array.unsafe_set frame (Array.unsafe_get param_slots i) v)
-              args
-          in
-          if not track then fun st fr ->
-            (* non-focus fast path: no focus test per call *)
-            let args = eval_args cas st fr in
-            let frame = Array.make nslots VUnit in
-            bind frame args;
-            try
-              (Array.unsafe_get bodies idx) st frame;
-              VUnit
-            with Return_exc v -> v
-          else fun st fr ->
-            let args = eval_args cas st fr in
-            let frame = Array.make nslots VUnit in
-            bind frame args;
-            let is_focus = idx = st.focus_idx && st.focus_depth = 0 in
-            if is_focus then enter_focus st f args;
-            let snapshot = counters_snapshot st in
-            let result =
-              try
-                (Array.unsafe_get bodies idx) st frame;
-                VUnit
-              with Return_exc v -> v
-            in
-            if is_focus then exit_focus st snapshot;
-            result)
-    | Resolve.Math { mimpl = M1 g; mflops } -> (
-        match cas with
-        | [ ca ] ->
-            fun st fr ->
-              let v = ca st fr in
-              st.prof.sfu_ops <- st.prof.sfu_ops + 1;
-              st.prof.flops <- st.prof.flops + mflops;
-              VFloat (g (to_float v))
-        | _ -> (
-            fun st fr ->
-              let args = eval_args cas st fr in
-              st.prof.sfu_ops <- st.prof.sfu_ops + 1;
-              st.prof.flops <- st.prof.flops + mflops;
-              match args with
-              | a :: _ -> VFloat (g (to_float a))
-              | [] -> err "math builtin called with too few arguments"))
-    | Resolve.Math { mimpl = M2 g; mflops } -> (
-        match cas with
-        | [ ca; cb ] ->
-            fun st fr ->
-              let va = ca st fr in
-              let vb = cb st fr in
-              st.prof.sfu_ops <- st.prof.sfu_ops + 1;
-              st.prof.flops <- st.prof.flops + mflops;
-              VFloat (g (to_float va) (to_float vb))
-        | _ -> (
-            fun st fr ->
-              let args = eval_args cas st fr in
-              st.prof.sfu_ops <- st.prof.sfu_ops + 1;
-              st.prof.flops <- st.prof.flops + mflops;
-              match args with
-              | a :: b :: _ -> VFloat (g (to_float a) (to_float b))
-              | _ -> err "math builtin called with too few arguments"))
-    | Resolve.Math_unimpl base ->
-        fun st fr ->
-          ignore (eval_args cas st fr);
-          err "unimplemented math builtin '%s'" base
-    | Resolve.Rand01 ->
-        fun st fr ->
-          ignore (eval_args cas st fr);
-          VFloat (rand01 st)
-    | Resolve.Rand_int -> (
-        match cas with
-        | [ ca ] ->
-            fun st fr ->
-              let v = ca st fr in
-              VInt (rand_int st (to_int v))
-        | _ ->
-            fun st fr ->
-              VInt (rand_int st (to_int (List.hd (eval_args cas st fr)))))
-    | Resolve.Print_int -> (
-        match cas with
-        | [ ca ] ->
-            fun st fr ->
-              let v = ca st fr in
-              Buffer.add_string st.out (string_of_int (to_int v) ^ "\n");
-              VUnit
-        | _ ->
-            fun st fr ->
-              Buffer.add_string st.out
-                (string_of_int (to_int (List.hd (eval_args cas st fr))) ^ "\n");
-              VUnit)
-    | Resolve.Print_float -> (
-        match cas with
-        | [ ca ] ->
-            fun st fr ->
-              let v = ca st fr in
-              Buffer.add_string st.out (Printf.sprintf "%.6g\n" (to_float v));
-              VUnit
-        | _ ->
-            fun st fr ->
-              Buffer.add_string st.out
-                (Printf.sprintf "%.6g\n"
-                   (to_float (List.hd (eval_args cas st fr))));
-              VUnit)
-    | Resolve.Timer_start -> (
-        match cas with
-        | [ ca ] ->
-            fun st fr ->
-              let v = ca st fr in
-              sync_cycles st;
-              Profile.timer_start st.prof (to_int v);
-              VUnit
-        | _ ->
-            fun st fr ->
-              let v = List.hd (eval_args cas st fr) in
-              sync_cycles st;
-              Profile.timer_start st.prof (to_int v);
-              VUnit)
-    | Resolve.Timer_stop -> (
-        match cas with
-        | [ ca ] ->
-            fun st fr ->
-              let v = ca st fr in
-              sync_cycles st;
-              Profile.timer_stop st.prof (to_int v);
-              VUnit
-        | _ ->
-            fun st fr ->
-              let v = List.hd (eval_args cas st fr) in
-              sync_cycles st;
-              Profile.timer_stop st.prof (to_int v);
-              VUnit)
-    | Resolve.Unknown fname ->
-        fun st fr ->
-          ignore (eval_args cas st fr);
-          err "call to unknown function '%s'" fname
-  and cstmt (s : Resolve.stmt) : scode =
-    match s with
-    | SDeclVar { slot; typ; init } -> (
-        let set = setter slot in
-        match init with
-        | Some e ->
-            let ce = cexpr e in
-            let co =
-              match typ with
-              | Minic.Ast.Tint -> fun v -> VInt (to_int v)
-              | Minic.Ast.Tfloat | Minic.Ast.Tdouble ->
-                  fun v -> VFloat (to_float v)
-              | Minic.Ast.Tbool -> fun v -> vbool (to_bool v)
-              | _ -> Fun.id
-            in
-            fun st fr ->
-              spend_fuel st;
-              set st fr (co (ce st fr))
-        | None ->
-            let z = Value.zero_of_typ typ in
-            fun st fr ->
-              spend_fuel st;
-              set st fr z)
-    | SDeclArr { slot; typ; name; size } ->
-        let set = setter slot in
-        let csize = cexpr size in
-        fun st fr ->
-          spend_fuel st;
-          let n = to_int (csize st fr) in
-          set st fr (Memory.alloc st.mem ~name ~elem_typ:typ n)
-    | SAssign { slot; aop; rhs } -> (
-        let set = setter slot in
-        let crhs = cexpr rhs in
-        match aop with
-        | Minic.Ast.Set ->
-            fun st fr ->
-              spend_fuel st;
-              set st fr (crhs st fr)
-        | aop ->
-            let get = getter slot in
-            fun st fr ->
-              spend_fuel st;
-              let rhs = crhs st fr in
-              set st fr (apply_assign st aop (get st fr) rhs))
-    | SStore { arr; idx; aop; rhs } -> (
-        let crhs = cexpr rhs and carr = cexpr arr and cidx = cexpr idx in
-        match aop with
-        | Minic.Ast.Set ->
-            fun st fr ->
-              spend_fuel st;
-              let rhs = crhs st fr in
-              let p = to_ptr (carr st fr) in
-              let i = to_int (cidx st fr) in
-              let r = Memory.region st.mem p.mem_id in
-              store_at st r (p.off + i) (coerce r.elem_typ rhs)
-        | aop ->
-            fun st fr ->
-              spend_fuel st;
-              let rhs = crhs st fr in
-              let p = to_ptr (carr st fr) in
-              let i = to_int (cidx st fr) in
-              let r = Memory.region st.mem p.mem_id in
-              let off = p.off + i in
-              let v = apply_assign st aop (load_at st r off) rhs in
-              store_at st r off v)
-    | SExpr e ->
-        let ce = cexpr e in
-        fun st fr ->
-          spend_fuel st;
-          ignore (ce st fr)
-    | SIf (c, b1, b2) -> (
-        let cc = cexpr c in
-        let cb1 = cblock b1 in
-        match b2 with
-        | None ->
-            fun st fr ->
-              spend_fuel st;
-              if to_bool (cc st fr) then cb1 st fr
-        | Some b2 ->
-            let cb2 = cblock b2 in
-            fun st fr ->
-              spend_fuel st;
-              if to_bool (cc st fr) then cb1 st fr else cb2 st fr)
-    | SWhile { wsid; cond; body } ->
-        let lidx = fresh_loop_idx () in
-        let ccond = cexpr cond in
-        let cbody = cblock body in
-        let ccost = cond.ecost in
-        let iter_cost = Profile.Cost.loop_iter +. Profile.Cost.branch in
-        fun st fr ->
-          spend_fuel st;
-          let stat = cached_loop_stat st lidx wsid in
-          stat.invocations <- stat.invocations + 1;
-          let t0 = cycles st in
-          let trips = ref 0 in
-          charge st Profile.Cost.branch;
-          while
-            charge st ccost;
-            to_bool (ccond st fr)
-          do
-            incr trips;
-            stat.iterations <- stat.iterations + 1;
-            spend_fuel st;
-            charge st iter_cost;
-            cbody st fr
-          done;
-          stat.min_trip <- min stat.min_trip !trips;
-          stat.max_trip <- max stat.max_trip !trips;
-          stat.cycles <- stat.cycles +. (cycles st -. t0)
-    | SFor { fsid; slot; init; bound; inclusive; step; body } ->
-        compile_for (fresh_loop_idx ()) ~fsid ~slot ~init ~bound ~inclusive
-          ~step ~body
-    | SReturn eo -> (
-        match eo with
-        | Some e ->
-            let ce = cexpr e in
-            fun st fr ->
-              spend_fuel st;
-              raise (Return_exc (ce st fr))
-        | None ->
-            fun st _fr ->
-              spend_fuel st;
-              raise (Return_exc VUnit))
-    | SBlock b ->
-        let cb = cblock b in
-        fun st fr ->
-          spend_fuel st;
-          cb st fr
-    | SDrop { dtyp; drhs } -> (
-        (* optimizer-built residue of a dead write: evaluate the rhs for
-           its effects, replay the declaration coercion's error check,
-           discard the value *)
-        match drhs with
-        | None -> fun st _fr -> spend_fuel st
-        | Some e ->
-            let ce = cexpr e in
-            let chk : Value.t -> unit =
-              match dtyp with
-              | Some Minic.Ast.Tint -> fun v -> ignore (to_int v)
-              | Some (Minic.Ast.Tfloat | Minic.Ast.Tdouble) ->
-                  fun v -> ignore (to_float v)
-              | Some Minic.Ast.Tbool -> fun v -> ignore (to_bool v)
-              | Some _ | None -> ignore
-            in
-            fun st fr ->
-              spend_fuel st;
-              chk (ce st fr))
-    | SHoistReset slots ->
-        (* synthetic bookkeeping: invalidate {!EHoisted} caches — free
-           of fuel and cycles, invisible to the profile *)
-        let slots = Array.of_list slots in
-        fun _st fr ->
-          Array.iter (fun i -> Array.unsafe_set fr i VUnit) slots
-    | SFused { forig; kern } -> (
-        match forig with
-        | SFor { fsid; slot; init; bound; inclusive; step; body } ->
-            (* the kernel and its fallback loop share one loop-stat
-               identity (and one dense cache index) *)
-            let lidx = fresh_loop_idx () in
-            let generic =
-              compile_for lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body
-            in
-            let kexec = ckernel lidx kern in
-            fun st fr -> (
-              try kexec st fr with Kernel_unfit -> generic st fr)
-        | s ->
-            (* the optimizer only fuses for-loops *)
-            cstmt s)
-  and compile_for lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body : scode
-      =
-    let cinit = cexpr init
-    and cbound = cexpr bound
-    and cstep = cexpr step in
-    let cbody = cblock body in
-    let get = getter slot and set = setter slot in
-    let icost = (init : Resolve.expr).ecost
-    and bcost = Profile.Cost.branch +. (bound : Resolve.expr).ecost
-    and scost = (step : Resolve.expr).ecost in
-    let iter_cost = Profile.Cost.loop_iter +. Profile.Cost.int_op in
-    fun st fr ->
-      spend_fuel st;
-      let stat = cached_loop_stat st lidx fsid in
-      stat.invocations <- stat.invocations + 1;
-      let t0 = cycles st in
-      charge st icost;
-      let i0 = to_int (cinit st fr) in
-      set st fr (VInt i0);
-      let trips = ref 0 in
-      while
-        charge st bcost;
-        let b = to_int (cbound st fr) in
-        let i = to_int (get st fr) in
-        if inclusive then i <= b else i < b
-      do
-        incr trips;
-        stat.iterations <- stat.iterations + 1;
-        spend_fuel st;
-        charge st iter_cost;
-        cbody st fr;
-        charge st scost;
-        let stepv = to_int (cstep st fr) in
-        set st fr (VInt (to_int (get st fr) + stepv))
-      done;
-      stat.min_trip <- min stat.min_trip !trips;
-      stat.max_trip <- max stat.max_trip !trips;
-      stat.cycles <- stat.cycles +. (cycles st -. t0)
-  and ckernel lidx (k : Resolve.kernel) : scode =
-    let iter_cost = Profile.Cost.loop_iter +. Profile.Cost.int_op in
-    let per_iter =
-      k.k_bcost +. iter_cost +. k.k_gcost +. k.k_dyn_cycles +. k.k_scost
-    in
-    let body = k.k_body in
-    let nbody = Array.length body in
-    let nsites = Array.length k.k_sites in
-    let loads_per_iter = Array.fold_left ( + ) 0 k.k_site_loads in
-    let stores_per_iter = Array.fold_left ( + ) 0 k.k_site_stores in
-    let fuel_per_iter = 1 + k.k_nstmts in
-    fun st fr ->
-      (* ---- entry protocol: every check aborts with [Kernel_unfit]
-         strictly before any state mutation, so the generic fallback
-         reproduces semantics (and error points) exactly ---- *)
-      let rec ieval iv (ie : Resolve.iexpr) =
-        match ie with
-        | Resolve.ILit n -> n
-        | Resolve.IIdx -> iv
-        | Resolve.ISlot i -> (
-            (* the optimizer typed this slot int/bool; anything else
-               means the static claim misfired — fall back *)
-            match Array.unsafe_get fr i with
-            | VInt n -> n
-            | VBool b -> if b then 1 else 0
-            | VFloat _ | VUnit | VPtr _ -> raise Kernel_unfit)
-        | Resolve.IAdd (a, b) -> ieval iv a + ieval iv b
-        | Resolve.ISub (a, b) -> ieval iv a - ieval iv b
-        | Resolve.IMul (a, b) -> ieval iv a * ieval iv b
-        | Resolve.INeg a -> -ieval iv a
-      in
-      let i0 = ieval 0 k.k_init in
-      let b = ieval 0 k.k_bound in
-      let s = ieval 0 k.k_step in
-      (* keep index arithmetic far from native-int wrap so the closed
-         forms below are exact *)
-      let sane v = -0x4000_0000_0000 < v && v < 0x4000_0000_0000 in
-      if s <= 0 || not (sane i0 && sane b && sane s) then raise Kernel_unfit;
-      let n =
-        if k.k_inclusive then if i0 <= b then ((b - i0) / s) + 1 else 0
-        else if i0 < b then (b - i0 + s - 1) / s
-        else 0
-      in
-      if n >= st.fuel then raise Kernel_unfit;
-      let fuel_used = 1 + (n * fuel_per_iter) in
-      (* the generic loop errs out of fuel iff it starts with <= D;
-         reproduce the exact exhaustion point there *)
-      if st.fuel <= fuel_used then raise Kernel_unfit;
-      if n = 0 then (
-        (* empty loop: init + one failing bound check *)
-        st.fuel <- st.fuel - 1;
-        let stat = cached_loop_stat st lidx k.k_fsid in
-        stat.invocations <- stat.invocations + 1;
-        let t0 = cycles st in
-        charge st (k.k_icost +. k.k_bcost);
-        st.prof.int_ops <-
-          st.prof.int_ops + k.k_init_int_ops + k.k_bound_int_ops;
-        Array.unsafe_set fr k.k_idx_slot (VInt i0);
-        stat.min_trip <- min stat.min_trip 0;
-        stat.max_trip <- max stat.max_trip 0;
-        stat.cycles <- stat.cycles +. (cycles st -. t0))
-      else (
-        (* resolve each access site: float region, first and last
-           touched offsets in bounds, per-iteration stride *)
-        let datas = Array.make nsites [||] in
-        let offs = Array.make nsites 0 in
-        let deltas = Array.make nsites 0 in
-        let elems = Array.make nsites 0 in
-        let ids = Array.make nsites 0 in
-        let bytes_r = ref 0 and bytes_w = ref 0 in
-        for si = 0 to nsites - 1 do
-          let site = k.k_sites.(si) in
-          match Array.unsafe_get fr site.Resolve.ks_base with
-          | VPtr p ->
-              if p.mem_id < 0 || p.mem_id >= st.mem.Memory.next_id then
-                raise Kernel_unfit;
-              let r = Array.unsafe_get st.mem.Memory.regions p.mem_id in
-              (match r.Memory.elem_typ with
-              | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> ()
-              | _ -> raise Kernel_unfit);
-              let len = Array.length r.Memory.data in
-              let o0 = p.off + ieval i0 site.Resolve.ks_idx in
-              let olast =
-                p.off + ieval (i0 + ((n - 1) * s)) site.Resolve.ks_idx
-              in
-              if o0 < 0 || o0 >= len || olast < 0 || olast >= len then
-                raise Kernel_unfit;
-              datas.(si) <- r.Memory.data;
-              offs.(si) <- o0;
-              deltas.(si) <-
-                (if n > 1 then p.off + ieval (i0 + s) site.Resolve.ks_idx - o0
-                 else 0);
-              elems.(si) <- r.Memory.elem_bytes;
-              ids.(si) <- p.mem_id;
-              bytes_r := !bytes_r + (k.k_site_loads.(si) * r.Memory.elem_bytes);
-              bytes_w := !bytes_w + (k.k_site_stores.(si) * r.Memory.elem_bytes)
-          | _ -> raise Kernel_unfit
-        done;
-        let fregs = Array.make (max 1 k.k_nfregs) 0.0 in
-        Array.iter
-          (fun (slot, reg) ->
-            match Array.unsafe_get fr slot with
-            | VFloat f -> Array.unsafe_set fregs reg f
-            | VInt n -> Array.unsafe_set fregs reg (float_of_int n)
-            | VBool b -> Array.unsafe_set fregs reg (if b then 1.0 else 0.0)
-            | VUnit | VPtr _ -> raise Kernel_unfit)
-          k.k_in;
-        (* ---- committed: bulk accounting, then the fused body ---- *)
-        st.fuel <- st.fuel - fuel_used;
-        let stat = cached_loop_stat st lidx k.k_fsid in
-        stat.invocations <- stat.invocations + 1;
-        let t0 = cycles st in
-        let total = k.k_icost +. k.k_bcost +. (float_of_int n *. per_iter) in
-        charge st total;
-        st.bulk_cycles <- st.bulk_cycles +. total;
-        st.prof.int_ops <-
-          st.prof.int_ops + k.k_init_int_ops
-          + ((n + 1) * k.k_bound_int_ops)
-          + (n * (k.k_step_int_ops + k.k_int_ops));
-        st.prof.flops <- st.prof.flops + (n * k.k_flops);
-        if k.k_sfu > 0 then st.prof.sfu_ops <- st.prof.sfu_ops + (n * k.k_sfu);
-        if loads_per_iter > 0 then (
-          st.prof.loads <- st.prof.loads + (n * loads_per_iter);
-          st.prof.bytes_read <- st.prof.bytes_read + (n * !bytes_r));
-        if stores_per_iter > 0 then (
-          st.prof.stores <- st.prof.stores + (n * stores_per_iter);
-          st.prof.bytes_written <- st.prof.bytes_written + (n * !bytes_w));
-        stat.iterations <- stat.iterations + n;
-        let do_track = track && st.focus_depth > 0 in
-        (* read-modify-write store, tracking in the generic order:
-           read, track read, write, track write *)
-        let rmw fop si r =
-          let off = Array.unsafe_get offs si in
-          let data = Array.unsafe_get datas si in
-          let old =
-            match Array.unsafe_get data off with
-            | VFloat f -> f
-            | v -> to_float v
-          in
-          if do_track then
-            track_focus_access st ~write:false (Array.unsafe_get ids si) off
-              (Array.unsafe_get elems si);
-          Array.unsafe_set data off
-            (VFloat (fop old (Array.unsafe_get fregs r)));
-          if do_track then
-            track_focus_access st ~write:true (Array.unsafe_get ids si) off
-              (Array.unsafe_get elems si)
-        in
-        let iv = ref i0 in
-        for _ = 1 to n do
-          for pc = 0 to nbody - 1 do
-            match Array.unsafe_get body pc with
-            | Resolve.KLit (d, x) -> Array.unsafe_set fregs d x
-            | Resolve.KMov (d, a) ->
-                Array.unsafe_set fregs d (Array.unsafe_get fregs a)
-            | Resolve.KAdd (d, a, b) ->
-                Array.unsafe_set fregs d
-                  (Array.unsafe_get fregs a +. Array.unsafe_get fregs b)
-            | Resolve.KSub (d, a, b) ->
-                Array.unsafe_set fregs d
-                  (Array.unsafe_get fregs a -. Array.unsafe_get fregs b)
-            | Resolve.KMul (d, a, b) ->
-                Array.unsafe_set fregs d
-                  (Array.unsafe_get fregs a *. Array.unsafe_get fregs b)
-            | Resolve.KDiv (d, a, b) ->
-                Array.unsafe_set fregs d
-                  (Array.unsafe_get fregs a /. Array.unsafe_get fregs b)
-            | Resolve.KNeg (d, a) ->
-                Array.unsafe_set fregs d (-.Array.unsafe_get fregs a)
-            | Resolve.KItoF d ->
-                Array.unsafe_set fregs d (float_of_int !iv)
-            | Resolve.KMath1 (d, g, a) ->
-                Array.unsafe_set fregs d (g (Array.unsafe_get fregs a))
-            | Resolve.KMath2 (d, g, a, b) ->
-                Array.unsafe_set fregs d
-                  (g (Array.unsafe_get fregs a) (Array.unsafe_get fregs b))
-            | Resolve.KLoad (d, si) ->
-                let off = Array.unsafe_get offs si in
-                (match Array.unsafe_get (Array.unsafe_get datas si) off with
-                | VFloat f -> Array.unsafe_set fregs d f
-                | v -> Array.unsafe_set fregs d (to_float v));
-                if do_track then
-                  track_focus_access st ~write:false (Array.unsafe_get ids si)
-                    off (Array.unsafe_get elems si)
-            | Resolve.KStore (si, r) ->
-                let off = Array.unsafe_get offs si in
-                Array.unsafe_set (Array.unsafe_get datas si) off
-                  (VFloat (Array.unsafe_get fregs r));
-                if do_track then
-                  track_focus_access st ~write:true (Array.unsafe_get ids si)
-                    off (Array.unsafe_get elems si)
-            | Resolve.KStoreAdd (si, r) -> rmw ( +. ) si r
-            | Resolve.KStoreSub (si, r) -> rmw ( -. ) si r
-            | Resolve.KStoreMul (si, r) -> rmw ( *. ) si r
-            | Resolve.KStoreDiv (si, r) -> rmw ( /. ) si r
-          done;
-          for si = 0 to nsites - 1 do
-            Array.unsafe_set offs si
-              (Array.unsafe_get offs si + Array.unsafe_get deltas si)
-          done;
-          iv := !iv + s
-        done;
-        Array.iter
-          (fun (slot, reg) ->
-            Array.unsafe_set fr slot (VFloat (Array.unsafe_get fregs reg)))
-          k.k_out;
-        Array.unsafe_set fr k.k_idx_slot (VInt (i0 + (n * s)));
-        stat.min_trip <- min stat.min_trip n;
-        stat.max_trip <- max stat.max_trip n;
-        stat.cycles <- stat.cycles +. (cycles st -. t0))
-  and cgroup (g : Resolve.group) : scode =
-    let body = seq_codes (List.map cstmt g.gstmts) in
-    if g.gcost = 0.0 then body
-    else
-      let c = g.gcost in
-      fun st fr ->
-        charge st c;
-        body st fr
-  and cblock (b : Resolve.block) : scode = seq_codes (List.map cgroup b) in
-  Array.iteri (fun i (f : Resolve.cfunc) -> bodies.(i) <- cblock f.cf_body) cp.cfuncs;
-  let globals = cblock cp.cglobals in
-  { v_bodies = bodies; v_globals = globals; v_nloops = !nloops }
-
-let _ = seq2 (* grouped chaining helper kept for clarity of intent *)
-
-(* Call a compiled function through a variant: the entry path for [main]
-   (expression call sites use their own pre-bound closures). *)
-let call_user (v : variant) st idx args =
-  let f = st.cprog.cfuncs.(idx) in
-  if List.length args <> List.length f.cf_params then
-    err "call to '%s' with wrong arity" f.cf_name;
-  let frame = Array.make (max 1 f.cf_nslots) VUnit in
-  List.iteri (fun i x -> frame.(f.cf_param_slots.(i)) <- x) args;
-  let is_focus = idx = st.focus_idx && st.focus_depth = 0 in
-  if is_focus then enter_focus st f args;
-  let snapshot = counters_snapshot st in
-  let result =
-    try
-      v.v_bodies.(idx) st frame;
-      VUnit
-    with Return_exc r -> r
-  in
-  if is_focus then exit_focus st snapshot;
-  result
-
 (* ================================================================== *)
 (* Reference tree walker over the slot IR                              *)
 (* ================================================================== *)
 
-(* The pre-threaded-code interpreter, kept verbatim as the semantic
-   reference: the test suite asserts the threaded code reproduces its
-   profiles bit-identically, and the perf harness reports its throughput
-   as the "before" number. *)
+(* The semantic reference: the test suite asserts the bytecode VM
+   reproduces its profiles bit-identically, and the perf harness reports
+   its throughput as the "before" number. *)
 module Ir_walk = struct
   let rec eval_expr st frame (e : Resolve.expr) : Value.t =
     match e.e with
@@ -1543,17 +535,6 @@ module Ir_walk = struct
         let va = eval_expr st frame a in
         let vb = eval_expr st frame b in
         VBool (do_cmp op false va vb)
-    | EHoisted { hslot; h_flops; h_sfu; h_dyn; horig } -> (
-        match frame.(hslot) with
-        | VFloat _ as v ->
-            if h_dyn <> 0.0 then charge st h_dyn;
-            if h_flops <> 0 then st.prof.flops <- st.prof.flops + h_flops;
-            if h_sfu <> 0 then st.prof.sfu_ops <- st.prof.sfu_ops + h_sfu;
-            v
-        | _ ->
-            let v = eval_expr st frame horig in
-            frame.(hslot) <- v;
-            v)
 
   and eval_user_call st idx args =
     (* the call's [Cost.call] cycles were batched by the caller's group
@@ -1577,9 +558,6 @@ module Ir_walk = struct
 
   and exec_stmt st frame (s : Resolve.stmt) =
     match s with
-    | SHoistReset slots ->
-        (* synthetic bookkeeping: free of fuel and cycles *)
-        List.iter (fun i -> frame.(i) <- VUnit) slots
     | SFused { forig; _ } ->
         (* the walker is the semantic reference: always run the loop *)
         exec_stmt st frame forig
@@ -1672,13 +650,7 @@ module Ir_walk = struct
         in
         raise (Return_exc v)
     | SBlock b -> exec_block st frame b
-    | SDrop { dtyp; drhs } -> (
-        match drhs with
-        | None -> ()
-        | Some e -> (
-            let v = eval_expr st frame e in
-            match dtyp with Some t -> ignore (coerce t v) | None -> ()))
-    | SHoistReset _ | SFused _ ->
+    | SFused _ ->
         (* dispatched fuel-free by [exec_stmt] *)
         assert false
 
@@ -1695,13 +667,6 @@ end
 (* ================================================================== *)
 
 module B = Bytecode
-
-(* [PSAFLOW_NO_VM] kill switch, following the [Env.flag] grammar like
-   [PSAFLOW_NO_OPT]: when set, {!run_compiled} dispatches to the PR-5
-   threaded-code engine bit-for-bit. *)
-let vm_enabled = ref (not (Flow_obs.Env.flag ~name:"PSAFLOW_NO_VM" ()))
-let set_vm_enabled b = vm_enabled := b
-let vm_is_enabled () = !vm_enabled
 
 (* Domain budget for sharded kernel execution: explicit override (used
    by tests and the bench harness), then [PSAFLOW_VM_DOMAINS], then the
@@ -1923,13 +888,12 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
     iv := !iv + step
   done
 
-(* Specialized-kernel execution for the VM.  The entry protocol, the
-   bulk accounting and every [Kernel_unfit] abort point are copied
-   verbatim from the threaded engine's [ckernel]; only the committed
-   body differs — the fused micro-program runs instead of the kinstr
-   loop (and, when safe, is split across domains).  The focus-tracking
-   path needs per-access hooks in generic order, so it runs the
-   original kinstr body exactly like [ckernel]. *)
+(* Specialized-kernel execution for the VM.  The entry protocol checks
+   every precondition and aborts with [Kernel_unfit] strictly before any
+   state mutation; the committed body charges the whole loop in bulk and
+   runs the fused micro-program (split across domains when safe).  The
+   focus-tracking path needs per-access hooks in generic order, so it
+   runs the original kinstr body instead. *)
 let vkernel st ~track fr lidx (kp : B.kprog) =
   let k = kp.B.kp_kern in
   let iter_cost = Profile.Cost.loop_iter +. Profile.Cost.int_op in
@@ -2028,9 +992,9 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
         | VBool b -> Array.unsafe_set fregs reg (if b then 1.0 else 0.0)
         | VUnit | VPtr _ -> raise Kernel_unfit)
       k.Resolve.k_in;
-    (* ---- committed: bulk accounting on the calling domain, exactly
-       like [ckernel] — execution below moves no observable, so the
-       profile is bit-identical for any shard count ---- *)
+    (* ---- committed: bulk accounting on the calling domain —
+       execution below moves no observable, so the profile is
+       bit-identical for any shard count ---- *)
     st.fuel <- st.fuel - fuel_used;
     let stat = cached_loop_stat st lidx k.Resolve.k_fsid in
     stat.invocations <- stat.invocations + 1;
@@ -2057,7 +1021,7 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
     let do_track = track && st.focus_depth > 0 in
     if do_track then (
       (* focus tracking: run the original kinstr body with per-access
-         hooks in generic order, verbatim from [ckernel] *)
+         hooks in generic order *)
       let rmw fop si r =
         let off = Array.unsafe_get offs si in
         let data = Array.unsafe_get datas si in
@@ -2207,9 +1171,9 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
     stat.cycles <- stat.cycles +. (cycles st -. t0))
 
 (* VM driver: a flat tail-recursive dispatch loop over the instruction
-   array.  Every arm replays the matching threaded-engine closure's
-   charges, counter bumps, fuel spends and error points — the test
-   suite asserts fingerprint identity against both engines. *)
+   array.  Every arm replays the reference walker's charges, counter
+   bumps, fuel spends and error points for the matching IR node — the
+   test suite asserts fingerprint identity against {!run_ir}. *)
 
 let vset_slot st regs (slot : Resolve.var_ref) v =
   match slot with
@@ -2350,25 +1314,6 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
         if f_int_ops <> 0 then st.prof.int_ops <- st.prof.int_ops + f_int_ops;
         Array.unsafe_set regs d fval;
         go (pc + 1)
-    | B.IHoisted { glob; hslot; h_flops; h_sfu; h_dyn; d; tgt } -> (
-        let bank = if glob then st.garray else regs in
-        match Array.unsafe_get bank hslot with
-        | VFloat _ as v ->
-            if h_dyn <> 0.0 then charge st h_dyn;
-            if h_flops <> 0 then st.prof.flops <- st.prof.flops + h_flops;
-            if h_sfu <> 0 then st.prof.sfu_ops <- st.prof.sfu_ops + h_sfu;
-            Array.unsafe_set regs d v;
-            go tgt
-        | _ -> go (pc + 1))
-    | B.IHoistSave { glob; hslot; d; src } ->
-        let v = Array.unsafe_get regs src in
-        (if glob then st.garray else regs).(hslot) <- v;
-        Array.unsafe_set regs d v;
-        go (pc + 1)
-    | B.IHoistReset { glob; slots } ->
-        let bank = if glob then st.garray else regs in
-        Array.iter (fun i -> Array.unsafe_set bank i VUnit) slots;
-        go (pc + 1)
     | B.IAndTest { d; src; bcost; tgt } ->
         if to_bool (Array.unsafe_get regs src) then (
           charge st bcost;
@@ -2463,14 +1408,6 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
         let v = apply_assign st aop (load_at st r off) rhs in
         store_at st r off v;
         go (pc + 1)
-    | B.IDropChk { co; src } ->
-        let v = Array.unsafe_get regs src in
-        (match co with
-        | Minic.Ast.Tint -> ignore (to_int v)
-        | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> ignore (to_float v)
-        | Minic.Ast.Tbool -> ignore (to_bool v)
-        | _ -> ());
-        go (pc + 1)
     | B.IRet src -> Array.unsafe_get regs src
     | B.IRetRaise src -> raise (Return_exc (Array.unsafe_get regs src))
     | B.ILoopEnterW { lidx; sid; t0; trips } ->
@@ -2556,9 +1493,9 @@ and vcall st (bp : B.program) ~track fidx (argr : int array)
     result
   end
 
-(* Entry path for [main] — mirrors [call_user]: arity check, focus
-   bracketing even when the run has no focus (the test is cheap and
-   happens once). *)
+(* Entry path for [main] — mirrors the walker's [eval_user_call]:
+   arity check, focus bracketing even when the run has no focus (the
+   test is cheap and happens once). *)
 let vcall_main st (bp : B.program) ~track idx : Value.t =
   let f = st.cprog.cfuncs.(idx) in
   if List.length f.Resolve.cf_params <> 0 then
@@ -2586,6 +1523,10 @@ type run = {
   return_value : Value.t;
 }
 
+(** A compiled program: the slot IR plus its register-bytecode
+    lowering. *)
+type compiled = { cp : Resolve.t; vm : Bytecode.program }
+
 (** Compile an already-resolved slot IR, without running the
     optimizer — the entry point for per-pass identity tests that supply
     their own (partially) optimized IR.
@@ -2595,17 +1536,11 @@ type run = {
       loop with that statement id is worth rewriting (default: all
       hot).  See {!Bytecode.hot_of_profile}. *)
 let compile_resolved ?vm_hot (cp : Resolve.t) : compiled =
-  {
-    cp;
-    plain = lazy (compile_variant cp ~track:false);
-    tracking = lazy (compile_variant cp ~track:true);
-    vm = lazy (Bytecode.lower ?hot:vm_hot cp);
-  }
+  { cp; vm = Bytecode.lower ?hot:vm_hot cp }
 
 (** Compile a program once; the result can be executed many times with
-    {!run_compiled}.  The slot IR is optimized by {!Opt.optimize} first
-    unless [PSAFLOW_NO_OPT] is set.  All engine variants (threaded
-    closures and register bytecode) are compiled lazily on first use.
+    {!run_vm}.  The slot IR is optimized by {!Opt.optimize} first
+    unless [PSAFLOW_NO_OPT] is set, then lowered to register bytecode.
 
     @param vm_profile a profile from a previous run of the same
       program; when given, the bytecode superinstruction selector only
@@ -2617,16 +1552,6 @@ let compile ?vm_profile p : compiled =
       compile_resolved
         ?vm_hot:(Option.map Bytecode.hot_of_profile vm_profile)
         cp)
-
-(** Force every lazily compiled engine variant.  [Lazy.force] is not
-    safe under concurrent domains, so a [compiled] value that will be
-    shared across domains (the compile-stage memo in
-    {!Profile_cache}) must have its variants forced eagerly by the
-    publishing domain before the value becomes visible to others. *)
-let force_engines (c : compiled) : unit =
-  ignore (Lazy.force c.plain);
-  ignore (Lazy.force c.tracking);
-  ignore (Lazy.force c.vm)
 
 let make_state ?focus ~fuel (cp : Resolve.t) =
   let focus_idx =
@@ -2654,43 +1579,17 @@ let make_state ?focus ~fuel (cp : Resolve.t) =
     cyc = [| 0.0 |];
   }
 
-(** Run an already-compiled program from [main] through the threaded
-    closures — the PR-5 engine, kept verbatim and reachable directly
-    (or as the [PSAFLOW_NO_VM] fallback of {!run_compiled}). *)
-let run_threaded ?focus ?(fuel = 200_000_000) (c : compiled) : run =
-  Flow_obs.Trace.with_span ~cat:"interp" "interp.eval" @@ fun () ->
-  let st = make_state ?focus ~fuel c.cp in
-  let variant =
-    Lazy.force (if st.focus_idx >= 0 then c.tracking else c.plain)
-  in
-  st.loop_cache <- Array.make (max 1 variant.v_nloops) None;
-  (* globals evaluate in the global frame *)
-  variant.v_globals st st.garray;
-  if c.cp.main_idx < 0 then err "program has no 'main' function";
-  charge st Profile.Cost.call;
-  let return_value = call_user variant st c.cp.main_idx [] in
-  sync_cycles st;
-  Flow_obs.Metrics.incr Flow_obs.Metrics.global "interp_runs";
-  Flow_obs.Metrics.observe Flow_obs.Metrics.global "interp_virtual_cycles"
-    st.prof.cycles;
-  if st.bulk_cycles > 0.0 then
-    Flow_obs.Metrics.observe Flow_obs.Metrics.global "interp_bulk_cycles"
-      st.bulk_cycles;
-  Flow_obs.Trace.add_args
-    [ ("virtual_cycles", Flow_obs.Attr.Float st.prof.cycles) ];
-  { profile = st.prof; output = Buffer.contents st.out; return_value }
-
 (** Run an already-compiled program from [main] through the register
-    bytecode VM (same observable semantics as {!run_threaded} and
-    {!run_ir}, bit for bit — output, return value, full profile). *)
+    bytecode VM (same observable semantics as {!run_ir}, bit for bit —
+    output, return value, full profile). *)
 let run_vm ?focus ?(fuel = 200_000_000) (c : compiled) : run =
   Flow_obs.Trace.with_span ~cat:"interp" "interp.eval" @@ fun () ->
   let st = make_state ?focus ~fuel c.cp in
-  let bp = Lazy.force c.vm in
+  let bp = c.vm in
   st.loop_cache <- Array.make (max 1 bp.Bytecode.bc_nloops) None;
   let track = st.focus_idx >= 0 in
   (* globals evaluate in the global frame; a stray [return] there
-     escapes as [Return_exc], exactly like both reference engines *)
+     escapes as [Return_exc], exactly like the reference walker *)
   let g = bp.Bytecode.bc_globals in
   let gregs = Array.make g.Bytecode.bc_nregs VUnit in
   Array.blit g.Bytecode.bc_cvals 0 gregs g.Bytecode.bc_cbase
@@ -2703,7 +1602,6 @@ let run_vm ?focus ?(fuel = 200_000_000) (c : compiled) : run =
   let return_value = vcall_main st bp ~track c.cp.main_idx in
   sync_cycles st;
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "interp_runs";
-  Flow_obs.Metrics.incr Flow_obs.Metrics.global "interp_vm_runs";
   Flow_obs.Metrics.observe Flow_obs.Metrics.global "interp_virtual_cycles"
     st.prof.cycles;
   if st.bulk_cycles > 0.0 then
@@ -2712,12 +1610,6 @@ let run_vm ?focus ?(fuel = 200_000_000) (c : compiled) : run =
   Flow_obs.Trace.add_args
     [ ("virtual_cycles", Flow_obs.Attr.Float st.prof.cycles) ];
   { profile = st.prof; output = Buffer.contents st.out; return_value }
-
-(** Run an already-compiled program from [main]: the bytecode VM unless
-    [PSAFLOW_NO_VM] disables it, then the threaded closures. *)
-let run_compiled ?focus ?fuel (c : compiled) : run =
-  if vm_is_enabled () then run_vm ?focus ?fuel c
-  else run_threaded ?focus ?fuel c
 
 (** Run the slot IR through the reference tree walker.  Counted as
     [interp_ir_runs] (not [interp_runs]): this path exists for
@@ -2740,4 +1632,4 @@ let run_ir ?focus ?(fuel = 200_000_000) (cp : Resolve.t) : run =
     @param fuel statement-execution budget; the default (200 million) is a
       safety net against accidental infinite loops in transformed code *)
 let run ?focus ?fuel (program : Minic.Ast.program) : run =
-  run_compiled ?focus ?fuel (compile program)
+  run_vm ?focus ?fuel (compile program)

@@ -22,7 +22,8 @@
 
     The run behind a fused profile executes on the production engine —
     slot IR optimized by {!Opt} (constant folding through kernel
-    specialization), then threaded ({!Eval.compile}).  Every optimizer
+    specialization), then lowered to register bytecode
+    ({!Eval.compile}) and run by the VM.  Every optimizer
     pass preserves bit-identity with the reference walker
     ({!Eval.run_ir}), so the projections are unaffected by
     [PSAFLOW_NO_OPT] and by which passes ran — asserted per benchmark

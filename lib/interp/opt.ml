@@ -1,7 +1,7 @@
-(** Slot-IR optimizer: the stage between {!Resolve} and the threaded-code
-    compiler of {!Eval}.
+(** Slot-IR optimizer: the stage between {!Resolve} and the bytecode
+    lowering of {!Bytecode}.
 
-    Five passes, each individually toggleable and each carrying a
+    Three passes, each individually toggleable and each carrying a
     bit-identity obligation against the reference walker
     ([Eval.run_ir] over the {e unoptimized} IR): same virtual-cycle
     totals, same counter values, same memory effects and focus ranges,
@@ -14,14 +14,6 @@
     - {b strength reduction}: arithmetic/comparison/division nodes whose
       int-vs-float path is statically known lose their runtime
       [is_float] dispatch ([EArithF]/[EArithI]/...).
-    - {b dead-slot elimination}: [Set]-writes to local slots never read
-      anywhere in their function become {!Resolve.SDrop}s — the rhs is
-      still evaluated and the declaration coercion's error check is
-      still applied, but nothing is stored.
-    - {b loop-invariant hoisting}: pure float subtrees inside loop
-      bodies whose free slots the body never writes are memoized in
-      hidden frame slots ({!Resolve.EHoisted}), invalidated per loop
-      invocation by a {!Resolve.SHoistReset}.
     - {b kernel specialization}: innermost counted loops whose bodies
       are straight-line float arithmetic over affine memory sites
       (elementwise maps, scaled accumulates/reductions, stencil reads)
@@ -40,25 +32,10 @@ module R = Resolve
 module C = Profile.Cost
 open Value
 
-type config = {
-  fold : bool;
-  strength : bool;
-  dead : bool;
-  hoist : bool;
-  specialize : bool;
-}
+type config = { fold : bool; strength : bool; specialize : bool }
 
-let all_passes =
-  { fold = true; strength = true; dead = true; hoist = true; specialize = true }
-
-let no_passes =
-  {
-    fold = false;
-    strength = false;
-    dead = false;
-    hoist = false;
-    specialize = false;
-  }
+let all_passes = { fold = true; strength = true; specialize = true }
+let no_passes = { fold = false; strength = false; specialize = false }
 
 let enabled = ref (not (Flow_obs.Env.flag ~name:"PSAFLOW_NO_OPT" ()))
 
@@ -70,8 +47,6 @@ let is_enabled () = !enabled
 type stats = {
   mutable consts_folded : int;
   mutable ops_strength_reduced : int;
-  mutable slots_eliminated : int;
-  mutable exprs_hoisted : int;
   mutable kernels_specialized : int;
 }
 
@@ -166,7 +141,6 @@ let rec ety (env : tenv) (lt : ty array) (e : R.expr) : ty =
       | VBool _ -> TBool
       | VUnit -> TUnit
       | VPtr _ -> Top)
-  | R.EHoisted _ -> TFloat
 
 (* Iterate every expression of a statement (sub-expressions excluded —
    callers recurse via [iter_expr] when needed). *)
@@ -182,8 +156,6 @@ let rec stmt_exprs (s : R.stmt) : R.expr list =
   | R.SFor { init; bound; step; _ } -> [ init; bound; step ]
   | R.SReturn eo -> Option.to_list eo
   | R.SBlock _ -> []
-  | R.SDrop { drhs; _ } -> Option.to_list drhs
-  | R.SHoistReset _ -> []
   | R.SFused { forig; _ } -> stmt_exprs forig
 
 let rec sub_blocks (s : R.stmt) : R.block list =
@@ -216,7 +188,6 @@ let rec iter_expr f (e : R.expr) =
       iter_expr f b
   | R.ECall { cargs; _ } -> List.iter (iter_expr f) cargs
   | R.EFolded _ -> ()
-  | R.EHoisted h -> iter_expr f h.horig
 
 let rec iter_stmts f (b : R.block) =
   List.iter
@@ -312,7 +283,7 @@ let type_program (cp : R.t) : tenv =
 
 (* Rewrite every top-level expression and statement of a function body,
    preserving group structure and group costs (no pass changes any
-   static cost; dropped/folded work is replayed dynamically). *)
+   static cost; folded work is replayed dynamically). *)
 let map_block ~(fe : R.expr -> R.expr) ~(fs : R.stmt -> R.stmt option) :
     R.block -> R.block =
   let rec go_stmt (s : R.stmt) : R.stmt =
@@ -337,8 +308,6 @@ let map_block ~(fe : R.expr -> R.expr) ~(fs : R.stmt -> R.stmt option) :
             }
       | R.SReturn eo -> R.SReturn (Option.map fe eo)
       | R.SBlock b -> R.SBlock (go_block b)
-      | R.SDrop d -> R.SDrop { d with drhs = Option.map fe d.drhs }
-      | R.SHoistReset _ -> s
       | R.SFused f -> R.SFused { f with forig = go_stmt f.forig }
     in
     match fs s with Some s' -> s' | None -> s
@@ -419,7 +388,7 @@ let fold_pass (stats : stats) (cp : R.t) : R.t =
     let reify1 (child, c) = reify child c in
     match e.e with
     | R.ELit v -> (e, Some { cv = v; c_flops = 0; c_int_ops = 0; c_dyn = 0.0 })
-    | R.EVar _ | R.EFolded _ | R.EHoisted _ -> (e, None)
+    | R.EVar _ | R.EFolded _ -> (e, None)
     | R.ENeg a -> (
         let a', ca = fold a in
         match ca with
@@ -689,7 +658,6 @@ let strength_pass (stats : stats) (cp : R.t) : R.t =
       | R.EDivI (a, b) -> mk (R.EDivI (fe a, fe b))
       | R.ECmpF (op, a, b) -> mk (R.ECmpF (op, fe a, fe b))
       | R.ECmpI (op, a, b) -> mk (R.ECmpI (op, fe a, fe b))
-      | R.EHoisted h -> mk (R.EHoisted { h with horig = fe h.horig })
     in
     map_block ~fe ~fs:keep
   in
@@ -704,262 +672,21 @@ let strength_pass (stats : stats) (cp : R.t) : R.t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Pass 3: dead-slot elimination                                       *)
+(* Pass 3: kernel specialization                                       *)
 (* ------------------------------------------------------------------ *)
 
-let dead_pass (stats : stats) (cp : R.t) : R.t =
-  let rewrite_func (f : R.cfunc) : R.cfunc =
-    let read = Array.make (max 1 f.cf_nslots) false in
-    (* parameters are bound at every call: treat them as read so a
-       dead-parameter frame slot still receives its value (harmless) —
-       only non-parameter temporaries are eligible *)
-    Array.iter (fun s -> read.(s) <- true) f.cf_param_slots;
-    let mark (e : R.expr) =
-      iter_expr
-        (fun (e : R.expr) ->
-          match e.e with
-          | R.EVar (R.Local i) -> read.(i) <- true
-          | R.EHoisted h -> read.(h.hslot) <- true
-          | _ -> ())
-        e
-    in
-    iter_stmts
-      (fun s ->
-        List.iter mark (stmt_exprs s);
-        match s with
-        | R.SAssign { slot = R.Local i; aop; _ } when aop <> Minic.Ast.Set ->
-            read.(i) <- true (* compound assign reads its own slot *)
-        | R.SFor { slot = R.Local i; _ } -> read.(i) <- true
-        | R.SFused { kern; _ } ->
-            (* conservative: everything a kernel touches counts as read *)
-            read.(kern.R.k_idx_slot) <- true;
-            Array.iter (fun (s, _) -> read.(s) <- true) kern.R.k_in;
-            Array.iter (fun (s, _) -> read.(s) <- true) kern.R.k_out;
-            Array.iter (fun (site : R.ksite) -> read.(site.R.ks_base) <- true) kern.R.k_sites
-        | _ -> ())
-      f.cf_body;
-    let fs (s : R.stmt) : R.stmt option =
-      match s with
-      | R.SDeclVar { slot = R.Local i; typ; init } when not read.(i) ->
-          stats.slots_eliminated <- stats.slots_eliminated + 1;
-          Some
-            (match init with
-            | Some e -> R.SDrop { dtyp = Some typ; drhs = Some e }
-            | None -> R.SDrop { dtyp = None; drhs = None })
-      | R.SAssign { slot = R.Local i; aop = Minic.Ast.Set; rhs } when not read.(i)
-        ->
-          stats.slots_eliminated <- stats.slots_eliminated + 1;
-          Some (R.SDrop { dtyp = None; drhs = Some rhs })
-      | _ -> None
-    in
-    { f with R.cf_body = map_block ~fe:Fun.id ~fs f.cf_body }
-  in
-  { cp with R.cfuncs = Array.map rewrite_func cp.cfuncs }
+(* Statically counted per-iteration effects of a kernel body: counter
+   bumps and dynamic cycle charges, charged in bulk on kernel entry. *)
+type counted = { n_flops : int; n_sfu : int; n_dyn : float }
 
-(* ------------------------------------------------------------------ *)
-(* Pass 4 helper: static counting of float-pure expressions            *)
-(* ------------------------------------------------------------------ *)
-
-(* Shared by hoisting and specialization: an expression is "counted
-   float-pure" when its evaluation provably takes only float paths whose
-   counter bumps and dynamic charges are statically known, touches no
-   memory and calls nothing but implemented math builtins. *)
-type counted = { n_flops : int; n_sfu : int; n_dyn : float; n_ops : int }
-
-let czero = { n_flops = 0; n_sfu = 0; n_dyn = 0.0; n_ops = 0 }
+let czero = { n_flops = 0; n_sfu = 0; n_dyn = 0.0 }
 
 let cadd a b =
   {
     n_flops = a.n_flops + b.n_flops;
     n_sfu = a.n_sfu + b.n_sfu;
     n_dyn = a.n_dyn +. b.n_dyn;
-    n_ops = a.n_ops + b.n_ops;
   }
-
-exception Not_pure
-
-(* [slot_ok i] decides whether reading local slot [i] is allowed (e.g.
-   "not written by the loop body" for hoisting). *)
-let count_float_pure env lt ~slot_ok (e : R.expr) : counted =
-  let rec go (e : R.expr) : counted =
-    match e.e with
-    | R.ELit (VInt _ | VFloat _ | VBool _) -> czero
-    | R.EVar (R.Local i) -> (
-        if not (slot_ok i) then raise Not_pure
-        else
-          match lt.(i) with
-          | TFloat | TInt | TBool -> czero
-          | _ -> raise Not_pure)
-    | R.EArith (_, fresid, a, b) | R.EArithF (_, fresid, a, b) ->
-        let ta = ety env lt a and tb = ety env lt b in
-        if not (is_f ta || is_f tb) then raise Not_pure;
-        cadd
-          (cadd (go a) (go b))
-          { n_flops = 1; n_sfu = 0; n_dyn = fresid; n_ops = 1 }
-    | R.EDiv (a, b) | R.EDivF (a, b) ->
-        let ta = ety env lt a and tb = ety env lt b in
-        if not (is_f ta || is_f tb) then raise Not_pure;
-        cadd
-          (cadd (go a) (go b))
-          { n_flops = 1; n_sfu = 0; n_dyn = C.float_div; n_ops = 1 }
-    | R.ENeg a ->
-        if not (is_f (ety env lt a)) then raise Not_pure;
-        cadd (go a) { n_flops = 1; n_sfu = 0; n_dyn = 0.0; n_ops = 1 }
-    | R.ECast ((Minic.Ast.Tfloat | Minic.Ast.Tdouble), a) -> (
-        match ety env lt a with
-        | TFloat | TInt | TBool -> go a
-        | _ -> raise Not_pure)
-    | R.ECall { callee = R.Math { mimpl; mflops }; cargs } ->
-        let arity = match mimpl with R.M1 _ -> 1 | R.M2 _ -> 2 in
-        if List.length cargs <> arity then raise Not_pure;
-        List.fold_left
-          (fun acc a -> cadd acc (go a))
-          { n_flops = mflops; n_sfu = 1; n_dyn = 0.0; n_ops = 1 }
-          cargs
-    | _ -> raise Not_pure
-  in
-  go e
-
-(* ------------------------------------------------------------------ *)
-(* Pass 4: loop-invariant hoisting                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Local slots written by a statement (transitively, through nested
-   blocks); used for loop-body invariance. *)
-let stmt_writes (b : R.block) : (int, unit) Hashtbl.t =
-  let w = Hashtbl.create 16 in
-  let add = function R.Local i -> Hashtbl.replace w i () | _ -> () in
-  iter_stmts
-    (fun s ->
-      match s with
-      | R.SDeclVar { slot; _ } | R.SDeclArr { slot; _ } | R.SAssign { slot; _ }
-        ->
-          add slot
-      | R.SFor { slot; _ } -> add slot
-      | R.SHoistReset slots -> List.iter (fun i -> Hashtbl.replace w i ()) slots
-      | R.SFused { kern; forig = _ } ->
-          Hashtbl.replace w kern.R.k_idx_slot ();
-          Array.iter (fun (s, _) -> Hashtbl.replace w s ()) kern.R.k_out
-      | _ -> ())
-    b;
-  w
-
-let hoist_pass (stats : stats) (cp : R.t) : R.t =
-  let env = type_program cp in
-  let rewrite_func fi (f : R.cfunc) : R.cfunc =
-    let lt = env.locals.(fi) in
-    let nslots = ref f.cf_nslots in
-    (* hoist within one loop body: wrap maximal eligible subtrees.
-       [extra] carries slots written by the looping statement itself —
-       an [SFor]'s induction variable is updated by the loop header, not
-       by any statement inside the body, so [stmt_writes body] alone
-       would wrongly treat index-dependent expressions as invariant. *)
-    let hoist_in_body ~(extra : R.var_ref list) (body : R.block) :
-        R.block * int list =
-      let writes = stmt_writes body in
-      List.iter
-        (function R.Local i -> Hashtbl.replace writes i () | _ -> ())
-        extra;
-      let slot_ok i =
-        (not (Hashtbl.mem writes i)) && i < Array.length lt
-      in
-      let fresh = ref [] in
-      let rec fe (e : R.expr) : R.expr =
-        match e.e with
-        (* only float-typed subtrees are cacheable (the cache slot
-           discriminates hit/miss on the VFloat constructor) *)
-        | R.EHoisted _ | R.EFolded _ | R.ELit _ | R.EVar _ -> e
-        | _ -> (
-            match
-              (try
-                 if is_f (ety env lt e) then
-                   Some (count_float_pure env lt ~slot_ok e)
-                 else None
-               with Not_pure -> None)
-            with
-            | Some c when c.n_ops >= 2 ->
-                let hslot = !nslots in
-                incr nslots;
-                fresh := hslot :: !fresh;
-                stats.exprs_hoisted <- stats.exprs_hoisted + 1;
-                {
-                  e with
-                  R.e =
-                    R.EHoisted
-                      {
-                        hslot;
-                        h_flops = c.n_flops;
-                        h_sfu = c.n_sfu;
-                        h_dyn = c.n_dyn;
-                        horig = e;
-                      };
-                }
-            | _ -> descend e)
-      and descend (e : R.expr) : R.expr =
-        let mk en = { e with R.e = en } in
-        match e.e with
-        | R.ELit _ | R.EVar _ | R.EFolded _ | R.EHoisted _ -> e
-        | R.ENeg a -> mk (R.ENeg (fe a))
-        | R.ENot a -> mk (R.ENot (fe a))
-        | R.ECast (t, a) -> mk (R.ECast (t, fe a))
-        | R.EArith (op, fr, a, b) -> mk (R.EArith (op, fr, fe a, fe b))
-        | R.EArithF (op, fr, a, b) -> mk (R.EArithF (op, fr, fe a, fe b))
-        | R.EArithI (op, a, b) -> mk (R.EArithI (op, fe a, fe b))
-        | R.EDiv (a, b) -> mk (R.EDiv (fe a, fe b))
-        | R.EDivF (a, b) -> mk (R.EDivF (fe a, fe b))
-        | R.EDivI (a, b) -> mk (R.EDivI (fe a, fe b))
-        | R.EMod (a, b) -> mk (R.EMod (fe a, fe b))
-        | R.ECmp (op, a, b) -> mk (R.ECmp (op, fe a, fe b))
-        | R.ECmpF (op, a, b) -> mk (R.ECmpF (op, fe a, fe b))
-        | R.ECmpI (op, a, b) -> mk (R.ECmpI (op, fe a, fe b))
-        | R.EAnd (a, b) -> mk (R.EAnd (fe a, fe b))
-        | R.EOr (a, b) -> mk (R.EOr (fe a, fe b))
-        | R.EIndex (a, b) -> mk (R.EIndex (fe a, fe b))
-        | R.ECall c -> mk (R.ECall { c with cargs = List.map fe c.cargs })
-      in
-      let body' = map_block ~fe ~fs:keep body in
-      (body', !fresh)
-    in
-    (* rewrite loops bottom-up is unnecessary: each loop's body is
-       hoisted against its own write set, outer loops first, and already
-       wrapped [EHoisted] nodes are opaque to inner scans *)
-    let rec go_block (b : R.block) : R.block =
-      List.map
-        (fun (g : R.group) ->
-          {
-            g with
-            R.gstmts = List.concat_map go_stmt g.gstmts;
-          })
-        b
-    and go_stmt (s : R.stmt) : R.stmt list =
-      match s with
-      | R.SFor sf ->
-          let body', fresh = hoist_in_body ~extra:[ sf.slot ] sf.body in
-          let body' = go_block body' in
-          let s' = R.SFor { sf with body = body' } in
-          if fresh = [] then [ s' ]
-          else [ R.SHoistReset fresh; s' ]
-      | R.SWhile sw ->
-          let body', fresh = hoist_in_body ~extra:[] sw.body in
-          let body' = go_block body' in
-          let s' = R.SWhile { sw with body = body' } in
-          if fresh = [] then [ s' ]
-          else [ R.SHoistReset fresh; s' ]
-      | R.SIf (c, b1, b2) -> [ R.SIf (c, go_block b1, Option.map go_block b2) ]
-      | R.SBlock b -> [ R.SBlock (go_block b) ]
-      | R.SFused _ ->
-          (* specialized kernels stay as-is: their fallback body must
-             keep matching the kernel's static counts *)
-          [ s ]
-      | s -> [ s ]
-    in
-    { f with R.cf_body = go_block f.cf_body; cf_nslots = !nslots }
-  in
-  { cp with R.cfuncs = Array.mapi rewrite_func cp.cfuncs }
-
-(* ------------------------------------------------------------------ *)
-(* Pass 5: kernel specialization                                       *)
-(* ------------------------------------------------------------------ *)
 
 exception Not_kernel
 
@@ -1152,7 +879,7 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                   | Minic.Ast.Sub -> emit (R.KSub (rd, ra, rb))
                   | Minic.Ast.Mul -> emit (R.KMul (rd, ra, rb))
                   | _ -> raise Not_kernel);
-                  bump { n_flops = 1; n_sfu = 0; n_dyn = fresid; n_ops = 0 };
+                  bump { n_flops = 1; n_sfu = 0; n_dyn = fresid };
                   rd
               | R.EDiv (a, b) | R.EDivF (a, b) ->
                   let ta = ety env lt a and tb = ety env lt b in
@@ -1161,14 +888,14 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                   let rb = cf b in
                   let rd = fresh_reg () in
                   emit (R.KDiv (rd, ra, rb));
-                  bump { n_flops = 1; n_sfu = 0; n_dyn = C.float_div; n_ops = 0 };
+                  bump { n_flops = 1; n_sfu = 0; n_dyn = C.float_div };
                   rd
               | R.ENeg a ->
                   if not (is_f (ety env lt a)) then raise Not_kernel;
                   let ra = cf a in
                   let rd = fresh_reg () in
                   emit (R.KNeg (rd, ra));
-                  bump { n_flops = 1; n_sfu = 0; n_dyn = 0.0; n_ops = 0 };
+                  bump { n_flops = 1; n_sfu = 0; n_dyn = 0.0 };
                   rd
               | R.ECast ((Minic.Ast.Tfloat | Minic.Ast.Tdouble), a) -> (
                   match a.e with
@@ -1200,7 +927,7 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                       let rd = fresh_reg () in
                       emit (R.KMath1 (rd, g, ra));
                       bump
-                        { n_flops = mflops; n_sfu = 1; n_dyn = 0.0; n_ops = 0 };
+                        { n_flops = mflops; n_sfu = 1; n_dyn = 0.0 };
                       rd
                   | _ -> raise Not_kernel)
               | R.ECall { callee = R.Math { mimpl = R.M2 g; mflops }; cargs }
@@ -1212,7 +939,7 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                       let rd = fresh_reg () in
                       emit (R.KMath2 (rd, g, ra, rb));
                       bump
-                        { n_flops = mflops; n_sfu = 1; n_dyn = 0.0; n_ops = 0 };
+                        { n_flops = mflops; n_sfu = 1; n_dyn = 0.0 };
                       rd
                   | _ -> raise Not_kernel)
               | R.EIndex (a, idx_e) -> (
@@ -1238,7 +965,6 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                           n_flops = f_flops;
                           n_sfu = 0;
                           n_dyn = f_dyn;
-                          n_ops = 0;
                         };
                       int_ops := !int_ops + f_int_ops;
                       r
@@ -1250,7 +976,6 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                           n_flops = f_flops;
                           n_sfu = 0;
                           n_dyn = f_dyn;
-                          n_ops = 0;
                         };
                       int_ops := !int_ops + f_int_ops;
                       r
@@ -1288,13 +1013,13 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                       (match aop with
                       | Minic.Ast.AddEq ->
                           emit (R.KAdd (rd, rd, r));
-                          bump { n_flops = 1; n_sfu = 0; n_dyn = 0.0; n_ops = 0 }
+                          bump { n_flops = 1; n_sfu = 0; n_dyn = 0.0 }
                       | Minic.Ast.SubEq ->
                           emit (R.KSub (rd, rd, r));
-                          bump { n_flops = 1; n_sfu = 0; n_dyn = 0.0; n_ops = 0 }
+                          bump { n_flops = 1; n_sfu = 0; n_dyn = 0.0 }
                       | Minic.Ast.MulEq ->
                           emit (R.KMul (rd, rd, r));
-                          bump { n_flops = 1; n_sfu = 0; n_dyn = 0.0; n_ops = 0 }
+                          bump { n_flops = 1; n_sfu = 0; n_dyn = 0.0 }
                       | Minic.Ast.DivEq ->
                           emit (R.KDiv (rd, rd, r));
                           bump
@@ -1302,7 +1027,6 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                               n_flops = 1;
                               n_sfu = 0;
                               n_dyn = C.float_div;
-                              n_ops = 0;
                             }
                       | Minic.Ast.Set -> assert false);
                       mark_written s)
@@ -1329,7 +1053,6 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                                   n_flops = 1;
                                   n_sfu = 0;
                                   n_dyn = 0.0;
-                                  n_ops = 0;
                                 }
                           | Minic.Ast.SubEq ->
                               emit (R.KStoreSub (n, r));
@@ -1340,7 +1063,6 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                                   n_flops = 1;
                                   n_sfu = 0;
                                   n_dyn = 0.0;
-                                  n_ops = 0;
                                 }
                           | Minic.Ast.MulEq ->
                               emit (R.KStoreMul (n, r));
@@ -1351,7 +1073,6 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                                   n_flops = 1;
                                   n_sfu = 0;
                                   n_dyn = 0.0;
-                                  n_ops = 0;
                                 }
                           | Minic.Ast.DivEq ->
                               emit (R.KStoreDiv (n, r));
@@ -1362,7 +1083,6 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                                   n_flops = 1;
                                   n_sfu = 0;
                                   n_dyn = C.float_div;
-                                  n_ops = 0;
                                 })
                       | _ -> raise Not_kernel)
                   | _ -> raise Not_kernel)
@@ -1480,8 +1200,6 @@ let publish (s : stats) =
   let bump name v = if v > 0 then Flow_obs.Metrics.incr ~by:v m name in
   bump "opt_consts_folded" s.consts_folded;
   bump "opt_ops_strength_reduced" s.ops_strength_reduced;
-  bump "opt_slots_eliminated" s.slots_eliminated;
-  bump "opt_exprs_hoisted" s.exprs_hoisted;
   bump "opt_kernels_specialized" s.kernels_specialized
 
 let optimize ?(config = all_passes) (cp : R.t) : R.t =
@@ -1489,16 +1207,12 @@ let optimize ?(config = all_passes) (cp : R.t) : R.t =
     {
       consts_folded = 0;
       ops_strength_reduced = 0;
-      slots_eliminated = 0;
-      exprs_hoisted = 0;
       kernels_specialized = 0;
     }
   in
   let cp = if config.fold then fold_pass stats cp else cp in
   let cp = if config.strength then strength_pass stats cp else cp in
-  let cp = if config.dead then dead_pass stats cp else cp in
   let cp = if config.specialize then specialize_pass stats cp else cp in
-  let cp = if config.hoist then hoist_pass stats cp else cp in
   publish stats;
   cp
 

@@ -41,7 +41,7 @@
     span carrying its [hit] outcome.
 
     A second cache level backs the misses: compiled programs (slot IR
-    resolved, optimized, all engine variants forced) are memoized per
+    resolved, optimized, lowered to bytecode) are memoized per
     (program digest, optimizer fingerprint) so a profile-stage miss
     that only differs in [focus] — or arrives after an eviction — skips
     resolve/optimize/lower and pays only the interpreter run.  The
@@ -135,17 +135,15 @@ let key ?focus (p : Minic.Ast.program) =
   Digest.string (Buffer.contents buf)
 
 (** Like {!Eval.compile}, but memoized per (program digest, optimizer
-    fingerprint), with every engine variant forced so the value is
-    safe to share across domains.  Only the no-[vm_profile] compile is
-    cacheable — exactly the one {!Eval.run} performs. *)
+    fingerprint).  A compiled value is never mutated after lowering,
+    so it is safe to share across domains.  Only the no-[vm_profile]
+    compile is cacheable — exactly the one {!Eval.run} performs. *)
 let compile (p : Minic.Ast.program) : Eval.compiled =
   let k =
     Printf.sprintf "%s|opt=%b" (Digest.to_hex (key p)) (Opt.is_enabled ())
   in
   Flow_memo.Cache.find_or_compute compile_cache ~key:k (fun () ->
-      let c = Eval.compile p in
-      Eval.force_engines c;
-      c)
+      Eval.compile p)
 
 (** Like {!Eval.run}, but memoized.  Only the default fuel budget is
     cacheable; callers that restrict fuel must use {!Eval.run}
@@ -158,4 +156,4 @@ let run ?focus (p : Minic.Ast.program) : Eval.run =
     Flow_memo.Cache.find_or_compute cache ~key:k
       ~on:(fun hit ->
         Flow_obs.Trace.add_args [ ("hit", Flow_obs.Attr.Bool hit) ])
-      (fun () -> Eval.run_compiled ?focus (compile p))
+      (fun () -> Eval.run_vm ?focus (compile p))

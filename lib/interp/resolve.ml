@@ -62,7 +62,7 @@ type callee =
 
 (* The constructors and kernel types below are never produced by
    [compile]; only the slot-IR optimizer ({!Opt}) builds them.  Both
-   execution engines (the threaded compiler and the reference walker in
+   execution engines (the bytecode VM and the reference walker in
    {!Eval}) interpret them, and every one carries enough statically
    counted information to replay the exact counter bumps and dynamic
    cycle charges of the unoptimized form — see DESIGN.md §13. *)
@@ -173,16 +173,6 @@ and enode =
   | EDivI of expr * expr
   | ECmpF of Minic.Ast.binop * expr * expr
   | ECmpI of Minic.Ast.binop * expr * expr
-  | EHoisted of {
-      hslot : int;  (** hidden cache slot, reset by {!SHoistReset} *)
-      h_flops : int;
-      h_sfu : int;
-      h_dyn : float;
-      horig : expr;
-    }
-      (** loop-invariant float subtree: first evaluation per loop
-          invocation runs [horig] and caches the result; later ones
-          replay the counted bumps and return the cached value *)
 
 type stmt =
   | SDeclVar of { slot : var_ref; typ : Minic.Ast.typ; init : expr option }
@@ -213,12 +203,6 @@ type stmt =
     }
   | SReturn of expr option
   | SBlock of block
-  | SDrop of { dtyp : Minic.Ast.typ option; drhs : expr option }
-      (** dead write, kept for its observable effects only: spends one
-          fuel unit, evaluates [drhs], and replays the declaration
-          coercion's error check without storing the value *)
-  | SHoistReset of int list
-      (** invalidate {!EHoisted} cache slots; free of fuel and cycles *)
   | SFused of { forig : stmt; kern : kernel }
       (** specialized loop: [kern] runs when its entry preconditions
           hold, else the faithfully compiled [forig] (an {!SFor}) runs;
@@ -298,7 +282,6 @@ let rec expr_may_time mt (e : expr) =
   | ELit _ | EVar _ -> false
   | ENeg a | ENot a | ECast (_, a) -> expr_may_time mt a
   | EFolded _ -> false
-  | EHoisted h -> expr_may_time mt h.horig
   | EArith (_, _, a, b)
   | EArithF (_, _, a, b)
   | EArithI (_, a, b)

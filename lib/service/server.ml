@@ -207,7 +207,17 @@ let handle_connection t fd =
         Protocol.write_response fd resp;
         if req = Protocol.Shutdown then begin_shutdown t else loop ()
   in
-  (try loop () with
+  (* the slot and the socket are released whatever the handler raises *)
+  let release () =
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Mutex.lock t.stop_lock;
+    t.connections <- t.connections - 1;
+    Metrics.set_gauge t.metrics "connections_active"
+      (float_of_int t.connections);
+    Mutex.unlock t.stop_lock
+  in
+  Fun.protect ~finally:release @@ fun () ->
+  try loop () with
   | Protocol.Frame_error fe -> (
       Metrics.incr t.metrics "requests_malformed";
       try
@@ -215,12 +225,7 @@ let handle_connection t fd =
           (Protocol.Error
              (Protocol.Bad_request (Protocol.frame_error_message fe)))
       with _ -> ())
-  | Unix.Unix_error _ | Sys_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.stop_lock;
-  t.connections <- t.connections - 1;
-  Metrics.set_gauge t.metrics "connections_active" (float_of_int t.connections);
-  Mutex.unlock t.stop_lock
+  | Unix.Unix_error _ | Sys_error _ -> ()
 
 (* Over the cap: answer the very first frame with [Server_busy] and
    close.  The client sees a typed error, not a hang or a reset. *)

@@ -271,7 +271,7 @@ let check_fused_focus (b : Benchmarks.Bench_app.t) () =
     "kernel observations identical" true
     (legacy.profile.kernel = I.Fused_profile.kernel_obs fused);
   (* project each analysis from the legacy walker run and compare with
-     the production (threaded, cached) analysis entry points *)
+     the production (VM, cached) analysis entry points *)
   let of_legacy = I.Fused_profile.of_run ~focus:kernel ex legacy in
   let dio = with_cache_off (fun () -> Analysis.Data_inout.analyze ex ~kernel) in
   Alcotest.(check bool)
@@ -296,7 +296,7 @@ let fused_tests =
     Benchmarks.Registry.all
 
 (* ------------------------------------------------------------------ *)
-(* Threaded code = reference walker (qcheck over generated programs)   *)
+(* Production engine = reference walker (qcheck, generated programs)  *)
 (* ------------------------------------------------------------------ *)
 
 (* Random MiniC kernels exercising scalar and array arithmetic, casts,
@@ -506,24 +506,25 @@ int main() {
 
 let program_arb = QCheck.make ~print:Fun.id program_gen
 
-(* The threaded-code engine must be indistinguishable from the reference
-   tree walker — identical profile, counters, loop stats, kernel
-   observations, output and return value — bare and kernel-focused; and
-   timer instrumentation must cost nothing on either engine. *)
+(* The production engine ([Eval.run]: optimized IR on the bytecode VM)
+   must be indistinguishable from the reference tree walker — identical
+   profile, counters, loop stats, kernel observations, output and return
+   value — bare and kernel-focused; and timer instrumentation must cost
+   nothing on either engine. *)
 let engine_equivalence_prop =
-  QCheck.Test.make ~count:30 ~name:"threaded = walker on generated programs"
+  QCheck.Test.make ~count:30 ~name:"engine = walker on generated programs"
     program_arb (fun src ->
       let p = Minic.Parser.parse_program src in
       let walker = I.Eval.run_ir (I.Resolve.compile p) in
-      let threaded = I.Eval.run p in
-      let bare_ok = run_fingerprint walker = run_fingerprint threaded in
+      let engine = I.Eval.run p in
+      let bare_ok = run_fingerprint walker = run_fingerprint engine in
       let fwalker = I.Eval.run_ir ~focus:"work" (I.Resolve.compile p) in
-      let fthreaded = I.Eval.run ~focus:"work" p in
-      let focus_ok = run_fingerprint fwalker = run_fingerprint fthreaded in
+      let fengine = I.Eval.run ~focus:"work" p in
+      let focus_ok = run_fingerprint fwalker = run_fingerprint fengine in
       let instr = I.Eval.run (Analysis.Hotspot.instrument p) in
       let instr_ok =
-        instr.profile.cycles = threaded.profile.cycles
-        && instr.output = threaded.output
+        instr.profile.cycles = engine.profile.cycles
+        && instr.output = engine.output
       in
       if not bare_ok then QCheck.Test.fail_report "bare run diverges";
       if not focus_ok then QCheck.Test.fail_report "focused run diverges";
@@ -557,8 +558,6 @@ let pass_configs =
   [
     ("fold", { no_p with I.Opt.fold = true });
     ("strength", { no_p with I.Opt.strength = true });
-    ("dead", { no_p with I.Opt.dead = true });
-    ("hoist", { no_p with I.Opt.hoist = true });
     ("specialize", { no_p with I.Opt.specialize = true });
     ("composed", I.Opt.all_passes);
   ]
@@ -577,14 +576,14 @@ let check_opt_identity (b : Benchmarks.Bench_app.t) () =
   List.iter
     (fun (name, config) ->
       let bare =
-        I.Eval.run_compiled
+        I.Eval.run_vm
           (I.Eval.compile_resolved (I.Opt.optimize ~config ir))
       in
       Alcotest.(check bool)
         (name ^ ": bare run identical") true
         (run_fingerprint bare = walker);
       let focused =
-        I.Eval.run_compiled ~focus:kernel
+        I.Eval.run_vm ~focus:kernel
           (I.Eval.compile_resolved (I.Opt.optimize ~config fir))
       in
       Alcotest.(check bool)
@@ -619,10 +618,10 @@ let opt_kill_switch () =
   in
   I.Opt.set_enabled false;
   let c0 = specialized () in
-  let off = I.Eval.run_compiled (I.Eval.compile p) in
+  let off = I.Eval.run_vm (I.Eval.compile p) in
   Alcotest.(check int) "optimizer skipped when disabled" c0 (specialized ());
   I.Opt.set_enabled true;
-  let on = I.Eval.run_compiled (I.Eval.compile p) in
+  let on = I.Eval.run_vm (I.Eval.compile p) in
   Alcotest.(check bool) "optimizer ran when enabled" true (specialized () > c0);
   Alcotest.(check bool)
     "disabled run = walker" true
@@ -643,10 +642,10 @@ let opt_equivalence_prop =
           let compiled =
             I.Eval.compile_resolved (I.Opt.optimize ~config ir)
           in
-          if run_fingerprint (I.Eval.run_compiled compiled) <> walker then
+          if run_fingerprint (I.Eval.run_vm compiled) <> walker then
             QCheck.Test.fail_reportf "%s: bare run diverges" name;
           if
-            run_fingerprint (I.Eval.run_compiled ~focus:"work" compiled)
+            run_fingerprint (I.Eval.run_vm ~focus:"work" compiled)
             <> fwalker
           then QCheck.Test.fail_reportf "%s: focused run diverges" name;
           true)
@@ -666,9 +665,10 @@ let opt_tests =
 (* Register-bytecode VM (Eval.run_vm / Bytecode)                       *)
 (* ================================================================== *)
 
-(* The VM obligation over generated programs: both lowered engines —
-   the bytecode VM and the threaded closures — must match the reference
-   walker on every observable, bare and kernel-focused. *)
+(* The VM obligation over generated programs, on the raw slot IR (the
+   optimized path is covered by [engine_equivalence_prop]): the bytecode
+   VM must match the reference walker on every observable, bare and
+   kernel-focused. *)
 let vm_equivalence_prop =
   QCheck.Test.make ~count:30
     ~name:"bytecode VM = walker on generated programs" program_arb
@@ -682,10 +682,6 @@ let vm_equivalence_prop =
         QCheck.Test.fail_report "vm: bare run diverges";
       if run_fingerprint (I.Eval.run_vm ~focus:"work" c) <> fwalker then
         QCheck.Test.fail_report "vm: focused run diverges";
-      if run_fingerprint (I.Eval.run_threaded c) <> walker then
-        QCheck.Test.fail_report "threaded: bare run diverges";
-      if run_fingerprint (I.Eval.run_threaded ~focus:"work" c) <> fwalker
-      then QCheck.Test.fail_report "threaded: focused run diverges";
       true)
 
 (* Per-benchmark bit-identity of the VM against the walker, across the
@@ -808,33 +804,6 @@ let vm_hot_of_profile () =
   let empty = I.Bytecode.hot_of_profile (I.Profile.create ()) in
   Alcotest.(check bool) "no cycle data: everything hot" true (empty dominant)
 
-(* [PSAFLOW_NO_VM] mirrors [PSAFLOW_NO_OPT]: [Eval.set_vm_enabled false]
-   routes [run_compiled] back to the threaded closures — observable
-   through the [interp_vm_runs] counter — without changing any run
-   observable.  (The shared 1/true/yes flag grammar is covered by
-   [opt_kill_switch].) *)
-let vm_kill_switch () =
-  let was = I.Eval.vm_is_enabled () in
-  Fun.protect ~finally:(fun () -> I.Eval.set_vm_enabled was) @@ fun () ->
-  let b = List.nth Benchmarks.Registry.all 1 (* nbody *) in
-  let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
-  let walker = run_fingerprint (I.Eval.run_ir (I.Resolve.compile p)) in
-  let c = I.Eval.compile p in
-  let vm_runs () =
-    Flow_obs.Metrics.counter_value Flow_obs.Metrics.global "interp_vm_runs"
-  in
-  I.Eval.set_vm_enabled false;
-  let c0 = vm_runs () in
-  let off = I.Eval.run_compiled c in
-  Alcotest.(check int) "VM skipped when disabled" c0 (vm_runs ());
-  I.Eval.set_vm_enabled true;
-  let on = I.Eval.run_compiled c in
-  Alcotest.(check bool) "VM ran when enabled" true (vm_runs () > c0);
-  Alcotest.(check bool)
-    "disabled run = walker" true
-    (run_fingerprint off = walker);
-  Alcotest.(check bool) "enabled run = walker" true (run_fingerprint on = walker)
-
 let vm_tests =
   List.map
     (fun (b : Benchmarks.Bench_app.t) ->
@@ -844,7 +813,6 @@ let vm_tests =
   @ [
       Alcotest.test_case "selector fuses hot kernels" `Quick vm_selector_fuses;
       Alcotest.test_case "hot_of_profile thresholds" `Quick vm_hot_of_profile;
-      Alcotest.test_case "kill switch" `Quick vm_kill_switch;
       QCheck_alcotest.to_alcotest vm_equivalence_prop;
     ]
 

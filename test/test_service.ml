@@ -1260,6 +1260,66 @@ let test_connection_cap () =
       in
       check "slot freed and rejection counted" true freed)
 
+(* An uninformed rush_larsen flow models its FPGA designs at infinite
+   seconds.  JSON has no infinity, so the result must carry those as
+   display strings; and a connection handler must release its slot and
+   socket whatever it raises.  [connections_active] is read over a
+   connection of its own, so a daemon with no leaked slot reports 1. *)
+let test_nonfinite_result () =
+  let app = Benchmarks.Registry.find "rush_larsen" in
+  let src = app.source ~n:app.profile_n in
+  with_daemon (fun addr ->
+      let rpc req = Client.rpc ~timeout_ms:20_000 addr req in
+      let job_id =
+        match
+          rpc
+            (Protocol.Submit_flow
+               (Protocol.submission ~mode:Protocol.Uninformed
+                  (Protocol.Inline src)))
+        with
+        | Protocol.Submitted { job_id; _ } -> job_id
+        | other ->
+            Alcotest.failf "unexpected submit response: %s"
+              (Json.to_string (Protocol.response_to_json other))
+      in
+      let rec fetch () =
+        match rpc (Protocol.Fetch_result job_id) with
+        | Protocol.Result (view, r) -> (view, r)
+        | Protocol.Status { state = Protocol.Failed msg; _ } ->
+            Alcotest.failf "job failed: %s" msg
+        | Protocol.Status _ ->
+            Thread.delay 0.05;
+            fetch ()
+        | other ->
+            Alcotest.failf "unexpected fetch response: %s"
+              (Json.to_string (Protocol.response_to_json other))
+      in
+      let view, r = fetch () in
+      check "job done" true (view.Protocol.state = Protocol.Done);
+      let designs =
+        match Json.member "designs" r.Protocol.data with
+        | Some (Json.List ds) -> ds
+        | _ -> Alcotest.fail "result carries no designs"
+      in
+      check "designs returned" true (designs <> []);
+      check "infinite seconds travel as a string" true
+        (List.exists
+           (fun d -> Json.member "seconds" d = Some (Json.String "inf"))
+           designs);
+      (* the stored result re-encodes on a second fetch, on a new
+         connection *)
+      (match rpc (Protocol.Fetch_result job_id) with
+      | Protocol.Result _ -> ()
+      | _ -> Alcotest.fail "second fetch not served");
+      let active () =
+        match rpc Protocol.Metrics with
+        | Protocol.Metrics_data m ->
+            Option.bind (Json.member "connections_active" m) Json.to_float_opt
+        | _ -> None
+      in
+      check "every finished connection released its slot" true
+        (wait_until (fun () -> active () = Some 1.0)))
+
 let test_job_listing_and_unknown_job () =
   with_daemon (fun addr ->
       (match Client.rpc addr (Protocol.Job_status 42) with
@@ -1414,6 +1474,8 @@ let () =
           Alcotest.test_case "batch end-to-end" `Quick test_batch_end_to_end;
           Alcotest.test_case "client receive timeout" `Quick test_client_timeout;
           Alcotest.test_case "connection cap" `Quick test_connection_cap;
+          Alcotest.test_case "non-finite result is served" `Quick
+            test_nonfinite_result;
           Alcotest.test_case "request-id trace end-to-end" `Quick
             test_request_id_trace_end_to_end;
           Alcotest.test_case "end-to-end vs direct flow" `Slow test_end_to_end;
