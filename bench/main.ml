@@ -52,7 +52,7 @@ let collect_one (app : Benchmarks.Bench_app.t) : collected =
 
 let collected : collected list Lazy.t =
   lazy
-    (Dse.Pool.map
+    (Flow_par.Pool.map
        (fun (app : Benchmarks.Bench_app.t) ->
          Printf.eprintf "profiling %s...\n%!" app.id;
          collect_one app)

@@ -63,8 +63,6 @@ let gated_paths =
   [
     [ "interp"; "bytecode"; "mcycles_per_s" ];
     [ "parallel"; "virtual_mcycles" ];
-    [ "dse"; "simulate_call_reduction" ];
-    [ "dse"; "guided_warm"; "simulate_calls" ];
     [ "service"; "throughput_rps" ];
     [ "service"; "p50_ms" ];
     [ "service"; "p99_ms" ];
@@ -112,10 +110,6 @@ let history_append ~quick () : Perf_history.datapoint =
 let gate_specs =
   [
     ("interp.bytecode.mcycles_per_s", Perf_history.Higher_better, 0.7);
-    (* call counts are deterministic, so the guided-DSE saving may never
-       shrink below ~the rolling median (0.9 tolerates winner-set churn
-       as benchmarks evolve, not measurement noise) *)
-    ("dse.simulate_call_reduction", Perf_history.Higher_better, 0.9);
     ("service.throughput_rps", Perf_history.Higher_better, 0.5);
     ("service.p99_ms", Perf_history.Lower_better, 4.0);
     (* the memo hit rate is near-deterministic (same schedule, same

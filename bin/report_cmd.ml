@@ -40,7 +40,7 @@ let collect_one (app : Benchmarks.Bench_app.t) : collected =
     decision = Psa.Strategy.fig3_explain c0;
   }
 
-let collect () = Dse.Pool.map collect_one Benchmarks.Registry.all
+let collect () = Flow_par.Pool.map collect_one Benchmarks.Registry.all
 
 let find_result (c : collected) name =
   List.find_opt
@@ -238,29 +238,15 @@ let perf_section () : Json.t * string list =
         ("cores", pick bench [ "cores" ]);
         ("jobs", pick bench [ "jobs" ]);
         ("sequential_uncached_s", pick bench [ "flow"; "sequential_uncached_s" ]);
-        ("parallel_cached_s", pick bench [ "flow"; "parallel_cached_s" ]);
-        (* parallel speedup: bounded by [cores], ~1x on one core *)
-        ("flow_speedup", pick bench [ "flow"; "speedup" ]);
         ("cached_vs_uncached_flow", pick bench [ "flow"; "cached_vs_uncached_flow" ]);
         ("outputs_identical", pick bench [ "flow"; "outputs_identical" ]);
         ("interp_optimized", pick bench [ "interp"; "optimized" ]);
         ( "interp_bytecode_mcycles_per_s",
           pick bench [ "interp"; "bytecode"; "mcycles_per_s" ] );
         ("parallel_outputs_identical", pick bench [ "parallel"; "outputs_identical" ]);
-        (* surrogate-guided DSE: exhaustive vs guided-warm analytic-model
-           call counts, the resulting saving, and the winner-identity
-           check (all from the perf bench's "dse" legs) *)
-        ( "dse_simulate_calls_exhaustive",
-          pick bench [ "dse"; "exhaustive"; "simulate_calls" ] );
-        ( "dse_simulate_calls_guided",
-          pick bench [ "dse"; "guided_warm"; "simulate_calls" ] );
-        ( "dse_simulate_call_reduction",
-          pick bench [ "dse"; "simulate_call_reduction" ] );
-        ("dse_outputs_identical", pick bench [ "dse"; "outputs_identical" ]);
-        ( "surrogate_predictions",
-          pick bench [ "dse"; "guided_warm"; "predictions" ] );
-        ("surrogate_fallbacks", pick bench [ "dse"; "guided_warm"; "fallbacks" ]);
-        ("surrogate_hit_topk", pick bench [ "dse"; "guided_warm"; "hit_topk" ]);
+        (* exhaustive DSE: analytic-model calls of the perf bench's
+           "dse" leg over all five benchmarks *)
+        ("dse_simulate_calls", pick bench [ "dse"; "simulate_calls" ]);
       ]
   in
   (fields, List.rev !warnings)

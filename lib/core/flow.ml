@@ -120,14 +120,11 @@ let rec run (flow : t) (ctx : Context.t) : Context.t list =
             Context.logf ctx "branch %s: uninformed, all %d paths" bp.bp_name
               (List.length bp.paths)
           in
-          (* the uninformed fan-out explores every path: independent
-             sub-flows, evaluated by the domain pool (order-preserving,
-             so results are identical to the sequential traversal) *)
-          List.concat
-            (Dse.Pool.map
-               (fun (name, f) ->
-                 run f (Context.logf ctx "branch %s -> %s" bp.bp_name name))
-               bp.paths)
+          (* the uninformed fan-out explores every path, in order *)
+          List.concat_map
+            (fun (name, f) ->
+              run f (Context.logf ctx "branch %s -> %s" bp.bp_name name))
+            bp.paths
       | Paths names ->
           let selected =
             List.map
@@ -137,13 +134,11 @@ let rec run (flow : t) (ctx : Context.t) : Context.t list =
                 | Some f -> (name, f))
               names
           in
-          List.concat
-            (Dse.Pool.map
-               (fun (name, f) ->
-                 run f
-                   (Context.logf ctx "branch %s: PSA selected %s" bp.bp_name
-                      name))
-               selected))
+          List.concat_map
+            (fun (name, f) ->
+              run f
+                (Context.logf ctx "branch %s: PSA selected %s" bp.bp_name name))
+            selected)
 
 (** All tasks mentioned in a flow, in definition order (the "repository"
     listing of Fig. 4). *)

@@ -57,37 +57,23 @@ let ensure_features (ctx : Context.t) : Context.t =
       let f1, eval_features =
         match (ctx.secondary, ctx.eval_n) with
         | Some (n2, p2), Some n_eval when ctx.profile_n > 0 ->
-            (* the profile-size and secondary-size analysis chains are
-               independent: evaluate both on the domain pool *)
-            let f1, f2 =
-              match
-                Dse.Pool.map
-                  (fun thunk -> thunk ())
-                  [
-                    (fun () -> Analysis.Features.analyze ctx.program ~kernel);
-                    (fun () ->
-                      (* reuse the profile-size hotspot decision on the
-                         secondary copy (same source template, same loop
-                         ordinal) instead of re-profiling it.  Falls
-                         back to a fresh detection if the transfer is
-                         structurally impossible. *)
-                      let p2' =
-                        match ctx.hotspot with
-                        | Some h -> (
-                            try fst (prepare_kernel_at p2 ~hotspot:h)
-                            with Transforms.Extract.Not_extractable _ ->
-                              let p2', _, _ = prepare_kernel p2 in
-                              p2')
-                        | None ->
-                            let p2', _, _ = prepare_kernel p2 in
-                            p2'
-                      in
-                      Analysis.Features.analyze p2' ~kernel);
-                  ]
-              with
-              | [ f1; f2 ] -> (f1, f2)
-              | _ -> assert false
+            let f1 = Analysis.Features.analyze ctx.program ~kernel in
+            (* reuse the profile-size hotspot decision on the secondary
+               copy (same source template, same loop ordinal) instead of
+               re-profiling it.  Falls back to a fresh detection if the
+               transfer is structurally impossible. *)
+            let p2' =
+              match ctx.hotspot with
+              | Some h -> (
+                  try fst (prepare_kernel_at p2 ~hotspot:h)
+                  with Transforms.Extract.Not_extractable _ ->
+                    let p2', _, _ = prepare_kernel p2 in
+                    p2')
+              | None ->
+                  let p2', _, _ = prepare_kernel p2 in
+                  p2'
             in
+            let f2 = Analysis.Features.analyze p2' ~kernel in
             ( f1,
               Some
                 (Analysis.Extrapolate.features ~n1:ctx.profile_n f1 ~n2 f2
@@ -210,19 +196,13 @@ module Repository = struct
         let d = Codegen.Openmp_gen.generate ctx.program ~kernel in
         with_current ctx d)
 
-  (* Surrogate-guided sweeps report how they chose (branch "D.<design>"
-     in [psaflow explain]); exhaustive sweeps record nothing, so
-     PSAFLOW_NO_SURROGATE reproduces today's provenance bit-for-bit. *)
-  let record_dse_decision decision ctx =
-    match decision with
-    | Some d -> Context.record_decision d ctx
-    | None -> ctx
-
   let omp_threads_dse =
     Task.make "OMP Num. Threads DSE" Task.Optimisation (fun ctx ->
         let d = current_exn ctx in
         let r = Dse.Threads_dse.run d (Context.eval_features_exn ctx) in
-        let ctx = record_dse_decision r.decision (with_current ctx r.design) in
+        let ctx =
+          Context.record_decision r.decision (with_current ctx r.design)
+        in
         logf ctx "threads DSE chose %d threads" r.chosen_threads)
 
   (* ---------------- GPU path ---------------- *)
@@ -275,7 +255,9 @@ module Repository = struct
           { d with Codegen.Design.device_id; name = "hip_" ^ device_id }
         in
         let r = Dse.Blocksize_dse.run d (Context.eval_features_exn ctx) in
-        let ctx = record_dse_decision r.decision (with_current ctx r.design) in
+        let ctx =
+          Context.record_decision r.decision (with_current ctx r.design)
+        in
         logf ctx "%s blocksize DSE chose %d" label r.chosen_blocksize)
 
   (* ---------------- FPGA path ---------------- *)
@@ -328,7 +310,9 @@ module Repository = struct
           { d with Codegen.Design.device_id; name = "oneapi_" ^ device_id }
         in
         let r = Dse.Unroll_dse.run d (Context.eval_features_exn ctx) in
-        let ctx = record_dse_decision r.decision (with_current ctx r.design) in
+        let ctx =
+          Context.record_decision r.decision (with_current ctx r.design)
+        in
         if r.synthesizable then
           logf ctx "%s unroll DSE chose factor %d (%d steps)" label
             r.chosen_factor (List.length r.steps)
@@ -345,17 +329,6 @@ module Repository = struct
         let d = current_exn ctx in
         let f = Context.eval_features_exn ctx in
         let r = Devices.Simulate.run d f in
-        (* train the surrogate on the finalized design's real outcome
-           too — into a per-design "final" model, never the sweep
-           models, so sweep memos stay authoritative for their own
-           objective *)
-        if Flow_surrogate.Surrogate.active () then
-          Flow_surrogate.Surrogate.observe ("final:" ^ d.name)
-            ~x:
-              (Flow_surrogate.Featvec.extract ~design:d ~unroll:d.unroll_factor
-                 ~blocksize:d.blocksize ~threads:d.num_threads f)
-            ~y:(Flow_surrogate.Surrogate.y_of_seconds r.seconds)
-            ~payload:[| r.seconds; r.speedup |];
         let ctx =
           logf ctx "%s: %.4g s, speedup %.1fx%s" d.name r.seconds r.speedup
             (if r.feasible then "" else " (not synthesizable)")

@@ -16,8 +16,7 @@ type result = {
   design : Codegen.Design.t;  (** with the chosen blocksize *)
   chosen_blocksize : int;
   steps : step list;
-  decision : Flow_obs.Provenance.decision option;
-      (** surrogate sweep provenance; [None] on exhaustive sweeps *)
+  decision : Flow_obs.Provenance.decision;  (** the sweep's provenance *)
 }
 
 (** The swept blocksizes (filtered to the device maximum at run time). *)

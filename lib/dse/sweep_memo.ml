@@ -1,15 +1,11 @@
-(** Memoized DSE sweep outcomes.
+(** Memoized DSE sweep outcomes, and the provenance every sweep records.
 
     A sweep's result is a pure function of the device spec, the
-    candidate set and the analytic model inputs: the feature vector of
-    {!Flow_surrogate.Featvec} is a verified superset of every device
-    model's inputs, so (sweep name, device id, design name, base
-    feature vector, candidate set) fully determines the chosen knob
-    value, the step trajectory and the decision provenance — in every
-    state of surrogate training, because guided sweeps reconstruct the
-    exhaustive trajectory over authoritative values.  Budget or
-    strategy variants of a request therefore replay sweeps without
-    re-simulating.
+    candidate set and the analytic model inputs ({!model_inputs}), so
+    (sweep name, device id, design name, model inputs, candidate set)
+    fully determines the chosen knob value, the step trajectory and the
+    decision provenance.  Budget or strategy variants of a request
+    therefore replay sweeps without re-simulating.
 
     Only the knob choice, steps and decision are cached — never the
     design itself.  A hit re-applies the chosen knob to the *incoming*
@@ -19,13 +15,11 @@
 
     The caches follow the hierarchy rules ([PSAFLOW_NO_MEMO],
     [PSAFLOW_MEMO_CAP], [PSAFLOW_MEMO_SHARDS], tracer bypass, metrics
-    under [memo_dse_*]).  A hit skips the analytic model calls and the
-    surrogate observations of the sweep, so [dse_simulate_calls] and
-    the surrogate training counters advance only on misses —
-    harnesses that *measure* sweep cost (the perf bench's DSE section,
-    the surrogate test-suite) disable the sweep memo via
-    {!set_enabled} so their counter arithmetic keeps measuring the
-    model, not the cache. *)
+    under [memo_dse_*]).  A hit skips the analytic model calls of the
+    sweep, so [dse_simulate_calls] advances only on misses — harnesses
+    that *measure* sweep cost (the perf bench's DSE section, the
+    simulate-call tests) disable the sweep memo via {!set_enabled} so
+    their counter arithmetic keeps measuring the model, not the cache. *)
 
 let switches : (bool -> unit) list ref = ref []
 let clearers : (unit -> unit) list ref = ref []
@@ -44,16 +38,73 @@ let set_enabled b = List.iter (fun f -> f b) !switches
 (** Drop all sweep entries. *)
 let clear () = List.iter (fun f -> f ()) !clearers
 
+(* Every input an analytic device model reads: the swept knobs, the
+   design's optimisation flags and the kernel facts the CPU, GPU and
+   FPGA models price.  Statement ids and names are left out — they
+   depend on how the program was parsed and feed no model. *)
+let model_inputs (d : Codegen.Design.t) (f : Analysis.Features.t) =
+  let fi = float_of_int and b v = if v then 1.0 else 0.0 in
+  let ops (o : Analysis.Opcount.t) =
+    [ o.fadd; o.fmul; o.fdiv; o.sqrt; o.exp_log; o.trig; o.power; o.int_ops;
+      o.loads; o.stores; o.cheap_math ]
+  in
+  let loops = f.inner_loops in
+  let count p = fi (List.length (List.filter p loops)) in
+  let fold g = List.fold_left g 0.0 loops in
+  let gathered =
+    List.fold_left
+      (fun acc (a : Analysis.Features.arg_feat) ->
+        if List.mem a.af_name f.gathered_args then acc + a.af_footprint
+        else acc)
+      0 f.args
+  in
+  [ fi d.unroll_factor; fi d.blocksize; fi d.num_threads;
+    b d.single_precision; b d.pinned_memory; b d.shared_mem;
+    b d.gpu_intrinsics; b d.zero_copy; b d.reductions_removed;
+    fi f.calls; f.outer_trip; f.cpu_cycles_per_call; f.flops_per_call;
+    f.sfu_per_call; f.bytes_accessed_per_call; f.bytes_in_per_call;
+    f.bytes_out_per_call; fi f.inner_read_bytes; fi f.regs_estimate;
+    fi f.locals_count; f.gather_fraction; fi gathered; b f.outer_parallel;
+    b f.outer_has_reductions; b f.no_alias;
+    f.intensity.Analysis.Intensity.flops_per_byte ]
+  @ ops f.ops_per_iter @ ops f.hw_ops_per_iter
+  @ [ fi (List.length loops);
+      count (fun (l : Analysis.Features.inner_loop) -> l.il_innermost);
+      count (fun l -> l.il_parallel);
+      count (fun l -> l.il_has_reduction);
+      count (fun l -> l.il_fully_unrollable);
+      fold (fun s l -> s +. l.il_iters_per_outer);
+      fold (fun m l -> Float.max m l.il_mean_trip);
+      fi (List.length f.args) ]
+
 (** Content key of one sweep request.  [candidates] is any exact
     printout of the candidate set (it is device-derived, but keying it
-    explicitly keeps the entry safe against spec changes at runtime). *)
+    explicitly keeps the entry safe against spec changes at runtime).
+    Model inputs are printed as exact hex floats. *)
 let key ~sweep ~(design : Codegen.Design.t) (features : Analysis.Features.t)
     ~candidates : string =
-  let fv =
-    Flow_surrogate.Featvec.extract ~design ~unroll:design.unroll_factor
-      ~blocksize:design.blocksize ~threads:design.num_threads features
+  let inputs =
+    String.concat ","
+      (List.map (Printf.sprintf "%h") (model_inputs design features))
   in
-  Printf.sprintf "%s:%s:%s:%s:surr=%b" sweep design.device_id design.name
-    (Digest.to_hex
-       (Digest.string (Flow_surrogate.Featvec.key fv ^ "|" ^ candidates)))
-    (Flow_surrogate.Surrogate.enabled ())
+  Printf.sprintf "%s:%s:%s:%s" sweep design.device_id design.name
+    (Digest.to_hex (Digest.string (inputs ^ "|" ^ candidates)))
+
+(** The [branch D.<design>] provenance record of one exhaustive sweep:
+    which knob was swept on which device, over how many candidates, what
+    won, and the sweep's own [evidence]. *)
+let decision ~(design : Codegen.Design.t) ~sweep ~candidates ~chosen ~evidence
+    : Flow_obs.Provenance.decision =
+  {
+    Flow_obs.Provenance.branch = "D." ^ design.name;
+    strategy = "exhaustive";
+    selected = [ chosen ];
+    reason = None;
+    evidence =
+      [
+        ("sweep", Flow_obs.Attr.String sweep);
+        ("device", Flow_obs.Attr.String design.device_id);
+        ("candidates", Flow_obs.Attr.Int candidates);
+      ]
+      @ evidence;
+  }

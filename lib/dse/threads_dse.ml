@@ -3,18 +3,8 @@
     Sweeps the OpenMP thread count from 1 to the core count and keeps the
     fastest.  For the paper's embarrassingly parallel benchmarks this
     selects the maximum available threads (32 on the EPYC 7543), yielding
-    the 28-30x Fig. 5 CPU bars.
-
-    When the surrogate is active ({!Flow_surrogate.Surrogate.active})
-    the sweep is guided: every candidate is scored by the learned model
-    first and the analytic CPU model runs only for the surrogate-ranked
-    top-k plus every candidate without a certain (memo-exact)
-    prediction.  Skipped candidates replay their memoized outcome
-    bit-for-bit, so [steps], the winner and the tie-break are identical
-    to the exhaustive sweep in every state of training. *)
-
-module Surrogate = Flow_surrogate.Surrogate
-module Featvec = Flow_surrogate.Featvec
+    the 28-30x Fig. 5 CPU bars.  The analytic CPU model takes
+    microseconds, so every candidate is evaluated, in order. *)
 
 type step = { threads : int; seconds : float; speedup : float }
 
@@ -22,8 +12,7 @@ type result = {
   design : Codegen.Design.t;  (** with the chosen thread count *)
   chosen_threads : int;
   steps : step list;
-  decision : Flow_obs.Provenance.decision option;
-      (** surrogate sweep provenance; [None] on exhaustive sweeps *)
+  decision : Flow_obs.Provenance.decision;  (** the sweep's provenance *)
 }
 
 (* Doubling ladder 1, 2, 4, ... capped at the device's core count. *)
@@ -38,8 +27,7 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
     result =
   let cpu = Devices.Spec.find_cpu design.device_id in
   let candidates = candidate_threads cpu in
-  let mname = "threads:" ^ design.device_id in
-  let eval ?x t =
+  let eval t =
     Flow_obs.Trace.with_span ~cat:"dse" "dse.threads_candidate"
       ~args:[ ("threads", Flow_obs.Attr.Int t) ]
     @@ fun () ->
@@ -48,58 +36,10 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
     Flow_obs.Metrics.incr m "dse_simulate_calls";
     let r = Devices.Cpu_model.time cpu features ~threads:t in
     Flow_obs.Trace.add_args [ ("seconds", Flow_obs.Attr.Float r.t_parallel) ];
-    (match x with
-    | Some x ->
-        Surrogate.observe mname ~x
-          ~y:(Surrogate.y_of_seconds r.t_parallel)
-          ~payload:[| r.t_parallel; r.speedup |]
-    | None -> ());
     { threads = t; seconds = r.t_parallel; speedup = r.speedup }
   in
-  let guided = Surrogate.active () in
-  let steps, plan_info =
-    if not guided then
-      (* candidate evaluations are independent: sweep them on the pool
-         (order-preserving, so the first-best tie-break is unchanged) *)
-      (Pool.map (fun t -> eval t) candidates, None)
-    else begin
-      let cand = Array.of_list candidates in
-      let xs =
-        Array.map
-          (fun t ->
-            Featvec.extract ~design ~unroll:design.unroll_factor
-              ~blocksize:design.blocksize ~threads:t features)
-          cand
-      in
-      let preds = Array.map (Surrogate.predict mname) xs in
-      let scored =
-        Array.map
-          (fun p ->
-            ( p,
-              match p with
-              | Surrogate.Exact payload -> Surrogate.y_of_seconds payload.(0)
-              | Surrogate.Estimate v -> v
-              | Surrogate.Cold -> infinity ))
-          preds
-      in
-      let k = Surrogate.topk () in
-      let plan = Surrogate.plan ~k scored in
-      if plan.Surrogate.fallback then
-        Flow_obs.Metrics.incr Flow_obs.Metrics.global "surrogate_fallbacks";
-      let steps =
-        Pool.map
-          (fun i ->
-            if plan.Surrogate.simulate.(i) then eval ~x:xs.(i) cand.(i)
-            else
-              match preds.(i) with
-              | Surrogate.Exact p ->
-                  { threads = cand.(i); seconds = p.(0); speedup = p.(1) }
-              | _ -> assert false)
-          (List.init (Array.length cand) Fun.id)
-      in
-      (steps, Some (plan, cand))
-    end
-  in
+  let steps = List.map eval candidates in
+  (* first-best: a later candidate wins only when strictly faster *)
   let best =
     List.fold_left
       (fun acc s ->
@@ -109,36 +49,18 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
       None steps
   in
   let chosen = match best with Some s -> s.threads | None -> cpu.cores in
-  (match (plan_info, best) with
-  | Some (plan, cand), Some b ->
-      let won = ref false in
-      Array.iteri
-        (fun i t ->
-          if t = b.threads && plan.Surrogate.in_topk.(i) then won := true)
-        cand;
-      if !won then
-        Flow_obs.Metrics.incr Flow_obs.Metrics.global "surrogate_hit_topk"
-  | _ -> ());
-  (* recorded whenever the knob is on — including traced runs, where the
-     sweep itself stays exhaustive — so explain output depends only on
-     configuration, never on tracing or model warmth *)
-  let decision =
-    if not (Surrogate.enabled ()) then None
-    else
-      Some
-        (Surrogate.decision ~design_name:design.name ~sweep:"threads"
-           ~device:design.device_id ~candidates:(List.length candidates)
-           ~chosen:(Printf.sprintf "%d threads" chosen)
-           ~evidence:
-             (match best with
-             | Some b -> [ ("seconds", Flow_obs.Attr.Float b.seconds) ]
-             | None -> []))
-  in
   {
     design = Codegen.Openmp_gen.set_num_threads design chosen;
     chosen_threads = chosen;
     steps;
-    decision;
+    decision =
+      Sweep_memo.decision ~design ~sweep:"threads"
+        ~candidates:(List.length candidates)
+        ~chosen:(Printf.sprintf "%d threads" chosen)
+        ~evidence:
+          (match best with
+          | Some b -> [ ("seconds", Flow_obs.Attr.Float b.seconds) ]
+          | None -> []);
   }
 
 (* Sweep memo: knob choice, trajectory and provenance cached; the
@@ -147,7 +69,7 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
 type cached = {
   c_threads : int;
   c_steps : step list;
-  c_decision : Flow_obs.Provenance.decision option;
+  c_decision : Flow_obs.Provenance.decision;
 }
 
 let cache : cached Flow_memo.Cache.t = Sweep_memo.create ~name:"dse_threads" ()

@@ -11,8 +11,7 @@ type result = {
   design : Codegen.Design.t;  (** with the chosen thread count *)
   chosen_threads : int;
   steps : step list;
-  decision : Flow_obs.Provenance.decision option;
-      (** surrogate sweep provenance; [None] on exhaustive sweeps *)
+  decision : Flow_obs.Provenance.decision;  (** the sweep's provenance *)
 }
 
 (** Run the DSE for an OpenMP design on its CPU device. *)

@@ -19,8 +19,7 @@ type result = {
   chosen_factor : int;
   synthesizable : bool;
   steps : step list;  (** DSE trajectory, in exploration order *)
-  decision : Flow_obs.Provenance.decision option;
-      (** surrogate sweep provenance; [None] on exhaustive sweeps *)
+  decision : Flow_obs.Provenance.decision;  (** the sweep's provenance *)
 }
 
 (** Upper bound on explored factors (runaway guard). *)

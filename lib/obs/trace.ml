@@ -15,7 +15,7 @@
     [Unix.gettimeofday]), and a pair of global sequence numbers taken at
     open and close.  The sequence numbers drive the [~normalize:true]
     export, which is byte-deterministic for a deterministic execution
-    (e.g. with [PSAFLOW_JOBS=1]) regardless of timer resolution.
+    (a flow runs in one domain) regardless of timer resolution.
 
     Independently of the global recording, a thread can open a
     {e request recording} ({!request_begin} / {!request_end}): every

@@ -16,6 +16,13 @@
     [shutdown] drains gracefully: no new submissions are accepted, the
     queue is run to empty, workers are joined.
 
+    Finished jobs (done, failed, and cached submissions, which finish
+    when submitted) stay fetchable until {!max_finished} newer ones have
+    finished; then the oldest is dropped and its id answers like an
+    unknown one.  Queued and running jobs are never dropped.  A job's
+    [run] closure, which holds its parsed request, is released once the
+    job starts.
+
     Worker count defaults to [PSAFLOW_SERVICE_WORKERS] if set.  Workers
     are OCaml 5 [Domain]s spawned through {!Flow_par.Pool}, so N jobs
     execute truly in parallel on multi-core hosts — systhread workers
@@ -39,7 +46,8 @@ type job = {
   request_id : string;
       (** the submitting request's id; a coalesced submission keeps the
           first requester's id (one execution, one trace) *)
-  run : unit -> Protocol.job_result;
+  mutable run : (unit -> Protocol.job_result) option;
+      (** [None] once started (and for cached submissions) *)
   mutable state : Protocol.job_state;
   mutable started_at : float option;
   mutable finished_at : float option;
@@ -54,6 +62,7 @@ type t = {
   queue : job Queue.t;
   queue_capacity : int;
   jobs : (int, job) Hashtbl.t;
+  finished : int Queue.t;  (** ids of finished jobs, oldest first *)
   active_by_key : (string, job) Hashtbl.t;  (** queued/running only *)
   store : Protocol.job_result Store.t;
   metrics : Metrics.t;
@@ -73,6 +82,9 @@ let default_workers () =
     ~default:(max 2 (min 8 (Domain.recommended_domain_count ())))
     ~min:1 ()
 
+(** Finished jobs kept fetchable: 16 full batches. *)
+let max_finished = 16 * Protocol.max_batch_jobs
+
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -81,6 +93,14 @@ let now () = Unix.gettimeofday ()
 
 let set_queue_gauge_locked t =
   Metrics.set_gauge t.metrics "queue_depth" (float_of_int (Queue.length t.queue))
+
+(* Record [id] as finished, dropping the oldest finished jobs past
+   [max_finished]. *)
+let retire_locked t id =
+  Queue.push id t.finished;
+  while Queue.length t.finished > max_finished do
+    Hashtbl.remove t.jobs (Queue.pop t.finished)
+  done
 
 let finish_locked t job outcome =
   job.finished_at <- Some (now ());
@@ -112,6 +132,7 @@ let finish_locked t job outcome =
           Flow_obs.Attr.String (Protocol.state_to_string job.state) );
       ];
   Hashtbl.remove t.active_by_key job.key;
+  retire_locked t job.id;
   t.running <- t.running - 1;
   Condition.broadcast t.idle
 
@@ -130,6 +151,8 @@ let worker_loop t (_worker : int) =
         Mutex.unlock t.lock;
         ()
     | Some job ->
+        let run = Option.get job.run in
+        job.run <- None;
         job.state <- Protocol.Running;
         job.started_at <- Some (now ());
         t.running <- t.running + 1;
@@ -148,7 +171,7 @@ let worker_loop t (_worker : int) =
                   ("request_id", Flow_obs.Attr.String job.request_id);
                 ];
             let outcome =
-              match job.run () with
+              match run () with
               | r -> Ok r
               | exception e -> Error (Printexc.to_string e)
             in
@@ -171,6 +194,7 @@ let create ?(workers = default_workers ()) ?(queue_capacity = 64)
       queue = Queue.create ();
       queue_capacity;
       jobs = Hashtbl.create 64;
+      finished = Queue.create ();
       active_by_key = Hashtbl.create 64;
       store = Store.create ?shards:store_shards ~capacity:store_capacity ();
       metrics;
@@ -240,7 +264,7 @@ let submit t ~key ~label ~mode ~strategy ~request_id run :
                 strategy;
                 cached;
                 request_id;
-                run;
+                run = (if cached then None else Some run);
                 state;
                 started_at = None;
                 finished_at = None;
@@ -254,6 +278,7 @@ let submit t ~key ~label ~mode ~strategy ~request_id run :
                   fresh ~cached:true ~result:(Some r) ~state:Protocol.Done
                 in
                 Hashtbl.add t.jobs job.id job;
+                retire_locked t job.id;
                 submitted `Cached job.id
             | None ->
                 if Queue.length t.queue >= t.queue_capacity then

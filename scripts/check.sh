@@ -74,16 +74,16 @@ for b in rush_larsen nbody bezier adpredictor kmeans; do
     || { echo "FAIL: $b: explain reports no branch A decision"; exit 1; }
   grep -q 'outcome:' "$TMP/$b.explain.txt" \
     || { echo "FAIL: $b: explain reports no outcome"; exit 1; }
-  # the surrogate records one sweep decision per design (branch D.*);
-  # the flow's winner must be backed by such a decision — i.e. the
-  # design the outcome names went through a provenance-recorded sweep
+  # every sweep records one decision per design (branch D.*); the
+  # flow's winner must be backed by such a decision — i.e. the design
+  # the outcome names went through a provenance-recorded sweep
   grep -q 'branch D\.' "$TMP/$b.explain.txt" \
-    || { echo "FAIL: $b: explain reports no surrogate sweep decision"; exit 1; }
+    || { echo "FAIL: $b: explain reports no sweep decision"; exit 1; }
   WINNER=$(sed -n 's/^outcome: \([^ ]*\).*/\1/p' "$TMP/$b.explain.txt" | head -n1)
   [ -n "$WINNER" ] \
     || { echo "FAIL: $b: outcome names no winning design"; exit 1; }
-  grep -q "branch D\\.$WINNER \\[surrogate\\]" "$TMP/$b.explain.txt" \
-    || { echo "FAIL: $b: winner $WINNER has no surrogate sweep decision"; exit 1; }
+  grep -q "branch D\\.$WINNER \\[exhaustive\\]" "$TMP/$b.explain.txt" \
+    || { echo "FAIL: $b: winner $WINNER has no sweep decision"; exit 1; }
 done
 
 echo "== service smoke (psaflow serve/submit/svc-metrics) =="
@@ -143,8 +143,6 @@ for m in memo_ast_hits memo_extract_hits memo_features_hits; do
 done
 grep -q dse_simulate_calls "$TMP/metrics.json" \
   || { echo "FAIL: engine registry missing dse_simulate_calls"; exit 1; }
-grep -q surrogate_predictions "$TMP/metrics.json" \
-  || { echo "FAIL: engine registry missing surrogate counters"; exit 1; }
 
 # the executed submission's trace must be retrievable with its request
 # id intact: the first fresh job of a daemon is always sampled

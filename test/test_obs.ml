@@ -348,20 +348,14 @@ let nesting_prop =
 
 let bezier = List.nth Benchmarks.Registry.all 2 (* smallest benchmark *)
 
-(* One informed flow run under the tracer, pinned to a deterministic
-   execution (one pool worker, cold profile cache), returning the
-   normalized export plus the outcome.  The context is built by the
-   caller: statement ids are assigned by a global parser counter, so
-   byte-determinism holds per parsed workload (each [psaflow run]
-   invocation is a fresh process and parses identically). *)
+(* One informed flow run under the tracer from a cold profile cache,
+   returning the normalized export plus the outcome.  The context is
+   built by the caller: statement ids are assigned by a global parser
+   counter, so byte-determinism holds per parsed workload (each
+   [psaflow run] invocation is a fresh process and parses
+   identically). *)
 let traced_informed_run ctx =
-  let saved = !Dse.Pool.override in
-  Dse.Pool.override := Some 1;
-  Fun.protect
-    ~finally:(fun () ->
-      Dse.Pool.override := saved;
-      Trace.stop ())
-  @@ fun () ->
+  Fun.protect ~finally:Trace.stop @@ fun () ->
   Minic_interp.Profile_cache.clear ();
   Trace.start ();
   let outcome = Psa.Std_flow.run_informed ctx in
@@ -541,7 +535,7 @@ let test_env_production_knobs () =
   Fun.protect
     ~finally:(fun () -> Unix.putenv "PSAFLOW_JOBS" "1")
     (fun () ->
-      check_int "PSAFLOW_JOBS=0 clamps to 1 job" 1 (Dse.Pool.jobs ()))
+      check_int "PSAFLOW_JOBS=0 clamps to 1 job" 1 (Flow_par.Pool.jobs ()))
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,25 +1,19 @@
 (** Fast-path safety nets: the shared profile cache must be invisible to
-    every analysis, and the domain pool must be invisible to every DSE
-    sweep and flow fan-out. *)
+    every analysis, every DSE sweep must match a naive reference sweep,
+    and a flow must run in the calling domain. *)
 
 let cache = Minic_interp.Profile_cache.clear
 let set_cache = Minic_interp.Profile_cache.set_enabled
 
-(* This binary measures sweep internals (simulate-call counts, explicit
-   surrogate fallbacks); the cross-request sweep memo would serve
-   repeated sweeps from cache and zero those counters out.  The memo's
-   own behavior is covered by test_memo. *)
+(* This binary counts simulate calls; the cross-request sweep memo
+   would serve repeated sweeps from cache and zero those counters out.
+   The memo's own behavior is covered by test_memo. *)
 let () = Dse.Sweep_memo.set_enabled false
 
 let with_cache_off f =
   cache ();
   set_cache false;
   Fun.protect ~finally:(fun () -> set_cache true; cache ()) f
-
-let with_jobs n f =
-  let saved = !Dse.Pool.override in
-  Dse.Pool.override := Some n;
-  Fun.protect ~finally:(fun () -> Dse.Pool.override := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Cached vs uncached analyses                                         *)
@@ -130,22 +124,26 @@ let pool_order () =
       Alcotest.(check (list int))
         (Printf.sprintf "map with %d jobs preserves order" jobs)
         expect
-        (Dse.Pool.map ~jobs (fun x -> (2 * x) + 1) xs))
+        (Flow_par.Pool.map ~jobs (fun x -> (2 * x) + 1) xs))
     [ 1; 2; 4; 7 ]
 
 let pool_exception () =
   Alcotest.check_raises "exception propagates" (Failure "boom") (fun () ->
       ignore
-        (Dse.Pool.map ~jobs:4
+        (Flow_par.Pool.map ~jobs:4
            (fun x -> if x = 13 then failwith "boom" else x)
            (List.init 20 Fun.id)))
 
 let pool_jobs_env () =
-  with_jobs 3 (fun () ->
-      Alcotest.(check int) "override wins" 3 (Dse.Pool.jobs ()))
+  let saved = !Flow_par.Pool.override in
+  Flow_par.Pool.override := Some 3;
+  Fun.protect
+    ~finally:(fun () -> Flow_par.Pool.override := saved)
+    (fun () ->
+      Alcotest.(check int) "override wins" 3 (Flow_par.Pool.jobs ()))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel DSE = sequential DSE (qcheck)                              *)
+(* DSE sweeps = naive reference sweeps (qcheck)                        *)
 (* ------------------------------------------------------------------ *)
 
 let features_gen =
@@ -167,38 +165,142 @@ let features_arb =
         f.regs_estimate)
     features_gen
 
-(* Each DSE must visit the same candidate set, pick the same winner and
-   produce the same annotated design no matter how many domains sweep
-   the candidates. *)
-let dse_prop name run_dse =
-  QCheck.Test.make ~count:25 ~name features_arb (fun features ->
-      let seq = with_jobs 1 (fun () -> run_dse features) in
-      let par = with_jobs 4 (fun () -> run_dse features) in
-      seq = par)
+(* The candidate ladders, restated independently of the sweeps. *)
+let unroll_ladder =
+  let rec go n =
+    if n > Dse.Unroll_dse.max_factor then [ n ] else n :: go (2 * n)
+  in
+  go 1
 
+let thread_ladder (cpu : Devices.Spec.cpu) =
+  let rec go n = if n >= cpu.cores then [ cpu.cores ] else n :: go (2 * n) in
+  go 1
+
+let blocksize_ladder (gpu : Devices.Spec.gpu) =
+  List.filter
+    (fun bs -> bs <= gpu.max_blocksize)
+    Dse.Blocksize_dse.candidate_blocksizes
+
+(* First-best argmin: the earliest candidate among the fastest. *)
+let argmin seconds steps =
+  List.fold_left
+    (fun best s ->
+      match best with
+      | Some b when seconds b <= seconds s -> best
+      | _ -> Some s)
+    None steps
+
+(* Each DSE must visit the same candidates, pick the same winner and
+   produce the same annotated design as the reference sweep. *)
+let dse_prop name run_dse reference =
+  QCheck.Test.make ~count:25 ~name features_arb (fun features ->
+      run_dse features = reference features)
+
+let fpga_design () =
+  Feat_fixtures.design ~target:Codegen.Design.Fpga_oneapi ~device_id:"arria10"
+    ()
+
+(* The paper's Fig. 2 meta-program, step by step: double the factor
+   until the device overmaps, keeping the last fitting factor. *)
 let unroll_prop =
-  dse_prop "unroll" (fun f ->
-      let d =
-        Feat_fixtures.design ~target:Codegen.Design.Fpga_oneapi
-          ~device_id:"arria10" ()
-      in
-      let r = Dse.Unroll_dse.run d f in
+  dse_prop "unroll"
+    (fun f ->
+      let r = Dse.Unroll_dse.run (fpga_design ()) f in
       (r.chosen_factor, r.synthesizable, r.steps, r.design.unroll_factor))
+    (fun f ->
+      let d = fpga_design () in
+      let fpga = Devices.Spec.find_fpga d.device_id in
+      let rec walk n best steps =
+        let r = Devices.Fpga_model.resources fpga d f ~unroll:n in
+        let steps =
+          {
+            Dse.Unroll_dse.factor = n;
+            utilization = r.utilization;
+            alm_util = r.alm_util;
+            dsp_util = r.dsp_util;
+            overmapped = r.overmapped;
+          }
+          :: steps
+        in
+        if r.overmapped || n > Dse.Unroll_dse.max_factor then
+          (best, List.rev steps)
+        else walk (2 * n) (Some n) steps
+      in
+      match walk 1 None [] with
+      | Some n, steps -> (n, true, steps, n)
+      | None, steps ->
+          ( 1,
+            (Devices.Fpga_model.resources fpga d f ~unroll:1).fits,
+            steps,
+            1 ))
+
+let gpu_design () =
+  Feat_fixtures.design ~target:Codegen.Design.Gpu_hip ~device_id:"gtx1080ti" ()
 
 let blocksize_prop =
-  dse_prop "blocksize" (fun f ->
-      let d = Feat_fixtures.design ~target:Codegen.Design.Gpu_hip ~device_id:"gtx1080ti" () in
-      let r = Dse.Blocksize_dse.run d f in
+  dse_prop "blocksize"
+    (fun f ->
+      let r = Dse.Blocksize_dse.run (gpu_design ()) f in
       (r.chosen_blocksize, r.steps, r.design.blocksize))
+    (fun f ->
+      let d = gpu_design () in
+      let gpu = Devices.Spec.find_gpu d.device_id in
+      let steps =
+        List.map
+          (fun bs ->
+            let r =
+              Devices.Gpu_model.time gpu
+                { d with Codegen.Design.blocksize = bs }
+                f
+            in
+            {
+              Dse.Blocksize_dse.blocksize = bs;
+              occupancy = r.occupancy;
+              seconds = r.total;
+              feasible = r.feasible;
+            })
+          (blocksize_ladder gpu)
+      in
+      let feasible =
+        List.filter (fun (s : Dse.Blocksize_dse.step) -> s.feasible) steps
+      in
+      let bs =
+        match
+          argmin (fun (s : Dse.Blocksize_dse.step) -> s.seconds) feasible
+        with
+        | Some s -> s.blocksize
+        | None -> d.blocksize
+      in
+      (bs, steps, bs))
+
+let cpu_design () =
+  Feat_fixtures.design ~target:Codegen.Design.Cpu_openmp ~device_id:"epyc7543"
+    ()
 
 let threads_prop =
-  dse_prop "threads" (fun f ->
-      let d =
-        Feat_fixtures.design ~target:Codegen.Design.Cpu_openmp
-          ~device_id:"epyc7543" ()
-      in
-      let r = Dse.Threads_dse.run d f in
+  dse_prop "threads"
+    (fun f ->
+      let r = Dse.Threads_dse.run (cpu_design ()) f in
       (r.chosen_threads, r.steps, r.design.num_threads))
+    (fun f ->
+      let cpu = Devices.Spec.find_cpu (cpu_design ()).device_id in
+      let steps =
+        List.map
+          (fun t ->
+            let r = Devices.Cpu_model.time cpu f ~threads:t in
+            {
+              Dse.Threads_dse.threads = t;
+              seconds = r.t_parallel;
+              speedup = r.speedup;
+            })
+          (thread_ladder cpu)
+      in
+      let t =
+        match argmin (fun (s : Dse.Threads_dse.step) -> s.seconds) steps with
+        | Some s -> s.threads
+        | None -> cpu.cores
+      in
+      (t, steps, t))
 
 (* ------------------------------------------------------------------ *)
 (* Fused single-pass profile = legacy per-analysis interpreter runs    *)
@@ -531,23 +633,36 @@ let engine_equivalence_prop =
       if not instr_ok then QCheck.Test.fail_report "instrumented run diverges";
       true)
 
-(* The flow's branch fan-out must produce the same designs in the same
-   order with and without worker domains. *)
-let uninformed_parallel_identical () =
-  let app = List.nth Benchmarks.Registry.all 2 (* bezier: smallest *) in
-  let fingerprint (o : Psa.Std_flow.outcome) =
-    List.map
-      (fun (r : Devices.Simulate.result) ->
-        (r.design.name, r.seconds, r.speedup, r.feasible))
-      o.results
-  in
-  let run () =
-    fingerprint
-      (Psa.Std_flow.run_uninformed (Benchmarks.Bench_app.context app))
-  in
-  let seq = with_cache_off (fun () -> with_jobs 1 run) in
-  let par = with_cache_off (fun () -> with_jobs 4 run) in
-  Alcotest.(check bool) "sequential = parallel designs" true (seq = par)
+let counter name = Flow_obs.Metrics.counter_value Flow_obs.Metrics.global name
+
+(* A flow runs in the calling domain: an uninformed flow of every paper
+   benchmark maps nothing on the domain pool, and each of its sweeps
+   simulates its full candidate ladder exactly once. *)
+let flow_spawns_no_domains () =
+  List.iter
+    (fun (app : Benchmarks.Bench_app.t) ->
+      let items0 = counter "pool_items" in
+      let calls0 = counter "dse_simulate_calls" in
+      let o = Psa.Std_flow.run_uninformed (Benchmarks.Bench_app.context app) in
+      let ladder (r : Devices.Simulate.result) =
+        let d = r.design in
+        match d.target with
+        | Codegen.Design.Cpu_openmp ->
+            List.length (thread_ladder (Devices.Spec.find_cpu d.device_id))
+        | Codegen.Design.Gpu_hip ->
+            List.length (blocksize_ladder (Devices.Spec.find_gpu d.device_id))
+        | Codegen.Design.Fpga_oneapi -> List.length unroll_ladder
+      in
+      Alcotest.(check int)
+        (app.id ^ ": no pool items") 0
+        (counter "pool_items" - items0);
+      Alcotest.(check int)
+        (app.id ^ ": five designs") 5 (List.length o.results);
+      Alcotest.(check int)
+        (app.id ^ ": simulate calls = full ladders")
+        (List.fold_left (fun n r -> n + ladder r) 0 o.results)
+        (counter "dse_simulate_calls" - calls0))
+    Benchmarks.Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Slot-IR optimizer: per-pass bit-identity vs the reference walker    *)
@@ -816,146 +931,6 @@ let vm_tests =
       QCheck_alcotest.to_alcotest vm_equivalence_prop;
     ]
 
-(* ================================================================== *)
-(* Surrogate-guided DSE = exhaustive DSE                               *)
-(* ================================================================== *)
-
-module Surrogate = Flow_surrogate.Surrogate
-
-(* Pin the surrogate configuration for [f]: fresh models, an explicit
-   enabled/topk override, and full restoration afterwards so the other
-   suites (which run flows with the surrogate in its default state) are
-   untouched. *)
-let with_surrogate ~enabled ?topk f =
-  Surrogate.reset ();
-  Surrogate.set_enabled (Some enabled);
-  Surrogate.set_topk topk;
-  Fun.protect
-    ~finally:(fun () ->
-      Surrogate.set_enabled None;
-      Surrogate.set_topk None;
-      Surrogate.reset ())
-    f
-
-let counter name = Flow_obs.Metrics.counter_value Flow_obs.Metrics.global name
-
-(* Every sweep of every device, on generated MiniC kernels: the guided
-   winner and the full trajectory must equal the exhaustive sweep's,
-   both on a cold model (where the explicit uncertain-fallback simulates
-   everything) and on a warm one (where only the top-k is fresh). *)
-let surrogate_winner_prop =
-  QCheck.Test.make ~count:15
-    ~name:"guided DSE winner = exhaustive on generated programs" program_arb
-    (fun src ->
-      let p = Minic.Parser.parse_program src in
-      match Psa.Std_flow.prepare_kernel p with
-      | exception Transforms.Extract.Not_extractable _ ->
-          (* no extractable kernel, hence no DSE to compare *)
-          true
-      | ex, kernel, _ ->
-      let features = Analysis.Features.analyze ex ~kernel in
-      let winners () =
-        let u =
-          Dse.Unroll_dse.run
-            (Feat_fixtures.design ~target:Codegen.Design.Fpga_oneapi
-               ~device_id:"arria10" ())
-            features
-        in
-        let b =
-          Dse.Blocksize_dse.run
-            (Feat_fixtures.design ~target:Codegen.Design.Gpu_hip
-               ~device_id:"gtx1080ti" ())
-            features
-        in
-        let t =
-          Dse.Threads_dse.run
-            (Feat_fixtures.design ~target:Codegen.Design.Cpu_openmp
-               ~device_id:"epyc7543" ())
-            features
-        in
-        ( (u.chosen_factor, u.synthesizable, u.steps),
-          (b.chosen_blocksize, b.steps),
-          (t.chosen_threads, t.steps) )
-      in
-      let exhaustive = with_surrogate ~enabled:false winners in
-      with_surrogate ~enabled:true (fun () ->
-          let f0 = counter "surrogate_fallbacks" in
-          let cold = winners () in
-          let cold_fallbacks = counter "surrogate_fallbacks" - f0 in
-          let warm = winners () in
-          let warm_fallbacks = counter "surrogate_fallbacks" - f0 - cold_fallbacks in
-          if cold <> exhaustive then
-            QCheck.Test.fail_report "cold guided sweep diverges";
-          if cold_fallbacks <> 3 then
-            QCheck.Test.fail_reportf
-              "cold model: expected every sweep to take the explicit \
-               uncertain-fallback (3), got %d"
-              cold_fallbacks;
-          if warm <> exhaustive then
-            QCheck.Test.fail_report "warm guided sweep diverges";
-          if warm_fallbacks <> 0 then
-            QCheck.Test.fail_reportf
-              "warm model: expected no fallback, got %d" warm_fallbacks;
-          true))
-
-(* Full-flow identity per benchmark: the surrogate knob and every top-k
-   width must be invisible in the flow's outcome; the warm top-1 pass
-   must also clear the >= 10x simulate-call saving the bench gates. *)
-let outcome_fingerprint (o : Psa.Std_flow.outcome) =
-  List.map
-    (fun (r : Devices.Simulate.result) ->
-      ( r.design.name,
-        r.design.unroll_factor,
-        r.design.blocksize,
-        r.design.num_threads,
-        r.seconds,
-        r.speedup,
-        r.feasible ))
-    o.results
-
-let check_surrogate_identity (b : Benchmarks.Bench_app.t) () =
-  let run () =
-    let c0 = counter "dse_simulate_calls" in
-    let fp =
-      outcome_fingerprint
-        (Psa.Std_flow.run_uninformed (Benchmarks.Bench_app.context b))
-    in
-    (fp, counter "dse_simulate_calls" - c0)
-  in
-  let off, off_calls = with_surrogate ~enabled:false run in
-  List.iter
-    (fun k ->
-      let (cold, _), (warm, warm_calls) =
-        with_surrogate ~enabled:true ~topk:k (fun () ->
-            let cold = run () in
-            let warm = run () in
-            (cold, warm))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "top-%d cold = exhaustive" k)
-        true (cold = off);
-      Alcotest.(check bool)
-        (Printf.sprintf "top-%d warm = exhaustive" k)
-        true (warm = off);
-      if k = 1 then
-        Alcotest.(check bool)
-          (Printf.sprintf
-             "top-1 warm simulates >= 10x less (%d vs %d exhaustive calls)"
-             warm_calls off_calls)
-          true
-          (warm_calls * 10 <= off_calls))
-    [ 1; 4; 16 ]
-
-let surrogate_tests =
-  List.map
-    (fun (b : Benchmarks.Bench_app.t) ->
-      Alcotest.test_case
-        (b.id ^ " on/off x topk identity")
-        `Slow
-        (check_surrogate_identity b))
-    Benchmarks.Registry.all
-  @ [ QCheck_alcotest.to_alcotest surrogate_winner_prop ]
-
 let () =
   Alcotest.run "perf"
     [
@@ -976,13 +951,13 @@ let () =
       ("optimizer", opt_tests);
       ("engine", [ QCheck_alcotest.to_alcotest engine_equivalence_prop ]);
       ("vm", vm_tests);
+      (* the suite name predates in-order sweeps; the ids stay stable *)
       ( "dse-parallel",
         [
           QCheck_alcotest.to_alcotest unroll_prop;
           QCheck_alcotest.to_alcotest blocksize_prop;
           QCheck_alcotest.to_alcotest threads_prop;
-          Alcotest.test_case "uninformed flow fan-out" `Slow
-            uninformed_parallel_identical;
+          Alcotest.test_case "flow spawns no domains" `Slow
+            flow_spawns_no_domains;
         ] );
-      ("surrogate", surrogate_tests);
     ]

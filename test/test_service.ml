@@ -752,6 +752,56 @@ let test_scheduler_failure () =
   Scheduler.shutdown sched;
   check_int "jobs_failed counted" 1 (Metrics.counter_value metrics "jobs_failed")
 
+(* Finished jobs are bounded; queued and running jobs never pruned.  A
+   cached submission finishes on submit, so duplicates of one stored
+   key fill the finished table without running anything. *)
+let test_scheduler_prunes_finished () =
+  let metrics = Metrics.create () in
+  let sched = Scheduler.create ~workers:1 ~queue_capacity:4 ~metrics () in
+  let submit ?(run = fun () -> dummy_result "ok") key =
+    Result.get_ok
+      (Scheduler.submit sched ~key ~label:key ~mode:Protocol.Informed
+         ~strategy:Protocol.Fig3 ~request_id:"rq-prune" run)
+  in
+  let in_state id st () =
+    match Scheduler.status sched id with
+    | Some v -> v.Protocol.state = st
+    | None -> false
+  in
+  let first, _ = submit "A" in
+  check "A done" true (wait_until (in_state first Protocol.Done));
+  let gate = Mutex.create () in
+  Mutex.lock gate;
+  let running, _ =
+    submit "B" ~run:(fun () ->
+        Mutex.lock gate;
+        Mutex.unlock gate;
+        dummy_result "B")
+  in
+  check "B running" true (wait_until (in_state running Protocol.Running));
+  let queued, _ = submit "Q" in
+  let n = 3 in
+  let cached =
+    List.init (Scheduler.max_finished + n - 1) (fun _ ->
+        let id, d = submit "A" in
+        if d <> `Cached then Alcotest.fail "duplicate should be a store hit";
+        id)
+  in
+  let pruned = first :: List.filteri (fun i _ -> i < n - 1) cached in
+  List.iter
+    (fun id ->
+      check (Printf.sprintf "job #%d pruned" id) true
+        (Scheduler.status sched id = None && Scheduler.result sched id = None))
+    pruned;
+  check "oldest survivor kept" true
+    (Scheduler.status sched (List.nth cached (n - 1)) <> None);
+  check "running job kept" true (in_state running Protocol.Running ());
+  check "queued job kept" true (in_state queued Protocol.Queued ());
+  Mutex.unlock gate;
+  check "queued job completes" true
+    (wait_until (in_state queued Protocol.Done));
+  Scheduler.shutdown sched
+
 (* ------------------------------------------------------------------ *)
 (* Request-trace capture (Req_trace)                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1329,6 +1379,57 @@ let test_job_listing_and_unknown_job () =
       | Protocol.Jobs [] -> ()
       | _ -> Alcotest.fail "expected empty job list")
 
+(* Over the wire, a pruned job id answers the same typed error as an id
+   that never existed, on every fetch path. *)
+let test_pruned_job_is_unknown () =
+  with_daemon (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let sub = Protocol.submission (Protocol.Inline (inline_kernel 7)) in
+      let first =
+        match snd (Client.submit c sub) with
+        | Ok (id, _) -> id
+        | Error e -> Alcotest.failf "submit: %s" (Protocol.error_message e)
+      in
+      check "first job done" true
+        (wait_until (fun () ->
+             match Client.fetch_batch c [ first ] with
+             | [ Ok ({ Protocol.state = Protocol.Done; _ }, Some _) ] -> true
+             | _ -> false));
+      (* every duplicate is a store hit: one finished job each *)
+      let rec fill acc left =
+        if left = 0 then List.rev acc
+        else
+          let k = min left Protocol.max_batch_jobs in
+          let ids =
+            List.map
+              (function
+                | Ok (id, `Cached) -> id
+                | _ -> Alcotest.fail "duplicate should be a store hit")
+              (Client.submit_batch c (List.init k (fun _ -> sub)))
+          in
+          fill (List.rev_append ids acc) (left - k)
+      in
+      let n = 2 in
+      let cached = fill [] (Scheduler.max_finished + n - 1) in
+      let oldest = [ first; List.hd cached ] in
+      List.iter
+        (fun id ->
+          (match Client.request c (Protocol.Fetch_result id) with
+          | Protocol.Error (Protocol.Unknown_job i) when i = id -> ()
+          | _ -> Alcotest.failf "fetch of pruned job #%d" id);
+          match Client.request c (Protocol.Job_status id) with
+          | Protocol.Error (Protocol.Unknown_job i) when i = id -> ()
+          | _ -> Alcotest.failf "status of pruned job #%d" id)
+        oldest;
+      (match Client.fetch_batch c oldest with
+      | [ Error (Protocol.Unknown_job _); Error (Protocol.Unknown_job _) ] -> ()
+      | _ -> Alcotest.fail "batch fetch of pruned jobs");
+      let newest = List.nth cached (List.length cached - 1) in
+      match Client.request c (Protocol.Fetch_result newest) with
+      | Protocol.Result _ -> ()
+      | _ -> Alcotest.fail "newest job should be fetchable")
+
 (* The client-minted request id must survive the full path — protocol
    frame, server, scheduler job, flow-exec root span — and come back
    attached to the retained trace served by svc_trace.  The first
@@ -1449,6 +1550,8 @@ let () =
           Alcotest.test_case "backpressure + drain" `Quick
             test_scheduler_backpressure;
           Alcotest.test_case "failure isolation" `Quick test_scheduler_failure;
+          Alcotest.test_case "finished jobs bounded" `Quick
+            test_scheduler_prunes_finished;
         ] );
       ( "req_trace",
         [
@@ -1472,6 +1575,8 @@ let () =
           Alcotest.test_case "empty daemon" `Quick
             test_job_listing_and_unknown_job;
           Alcotest.test_case "batch end-to-end" `Quick test_batch_end_to_end;
+          Alcotest.test_case "pruned job is unknown" `Quick
+            test_pruned_job_is_unknown;
           Alcotest.test_case "client receive timeout" `Quick test_client_timeout;
           Alcotest.test_case "connection cap" `Quick test_connection_cap;
           Alcotest.test_case "non-finite result is served" `Quick
