@@ -3,85 +3,19 @@
     sockets, and record throughput and latency percentiles into the
     [service] section of [BENCH_psaflow.json].
 
-    Two measurements are published:
-
-    - the replay itself: >= 20k mixed submissions (hot duplicates, cold
-      misses, MiniC-error poison, queue-full storms) through
-      [connections] concurrent clients, with full-array p50/p90/p99 and
-      a byte-identity check of sampled results against direct
-      {!Flow_exec} execution — the harness {e fails} (exit 1) if any
-      sampled daemon result differs from the direct bytes;
-    - a store microbenchmark: hot-leg [Store.find] throughput of the
-      digest-sharded store vs the single-mutex (shards=1) configuration
-      under domain concurrency, recorded with the [cores] count so a
-      1-core container's numbers read as what they are. *)
+    The replay sends >= 20k mixed submissions (hot duplicates, cold
+    misses, MiniC-error poison, queue-full storms) through [connections]
+    concurrent clients, with full-array p50/p90/p99 and a byte-identity
+    check of sampled results against direct {!Flow_exec} execution —
+    the harness {e fails} (exit 1) if any sampled daemon result differs
+    from the direct bytes. *)
 
 module Json = Flow_service.Json
 module Protocol = Flow_service.Protocol
 module Server = Flow_service.Server
 module Client = Flow_service.Client
-module Store = Flow_service.Store
 
 let json_out = "BENCH_psaflow.json"
-
-(* ------------------------------------------------------------------ *)
-(* Store hot-leg microbenchmark: sharded vs single mutex               *)
-(* ------------------------------------------------------------------ *)
-
-let store_hot_leg ~shards ~domains ~keys ~rounds =
-  let store = Store.create ~shards ~capacity:(Array.length keys) () in
-  Array.iteri (fun i k -> Store.add store k i) keys;
-  let t0 = Unix.gettimeofday () in
-  let worker d =
-    let n = Array.length keys in
-    (* every domain walks the whole key set from its own offset, so all
-       shards stay hot and domains collide on locks realistically *)
-    for r = 0 to rounds - 1 do
-      for i = 0 to n - 1 do
-        ignore (Store.find store keys.((i + (d * 17) + r) mod n))
-      done
-    done
-  in
-  let ds = Array.init (domains - 1) (fun d -> Domain.spawn (fun () -> worker (d + 1))) in
-  worker 0;
-  Array.iter Domain.join ds;
-  let wall = Unix.gettimeofday () -. t0 in
-  let ops = domains * rounds * Array.length keys in
-  (wall, float_of_int ops /. wall)
-
-let store_bench ~quick ~cores : Json.t =
-  let keys =
-    (* hex digests, like real store keys, so sharding spreads them *)
-    Array.init 512 (fun i -> Digest.to_hex (Digest.string (string_of_int i)))
-  in
-  let domains = max 2 (min 4 cores) in
-  let rounds = if quick then 50 else 400 in
-  let single_s, single_rate = store_hot_leg ~shards:1 ~domains ~keys ~rounds in
-  let sharded_s, sharded_rate = store_hot_leg ~shards:8 ~domains ~keys ~rounds in
-  Printf.printf
-    "store hot leg: %d domains, %d keys x %d rounds: single-mutex %.0f ops/s, \
-     8 shards %.0f ops/s (%.2fx)\n\
-     %!"
-    domains (Array.length keys) rounds single_rate sharded_rate
-    (single_s /. sharded_s);
-  Json.Obj
-    [
-      ("domains", Json.Int domains);
-      ("cores", Json.Int cores);
-      ("keys", Json.Int (Array.length keys));
-      ("rounds", Json.Int rounds);
-      ( "single_mutex",
-        Json.Obj
-          [ ("wall_s", Json.Float single_s); ("finds_per_s", Json.Float single_rate) ] );
-      ( "sharded",
-        Json.Obj
-          [
-            ("shards", Json.Int 8);
-            ("wall_s", Json.Float sharded_s);
-            ("finds_per_s", Json.Float sharded_rate);
-          ] );
-      ("speedup", Json.Float (single_s /. sharded_s));
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Daemon replay                                                       *)
@@ -288,7 +222,6 @@ let run ~quick () =
         ("other_errors", Json.Int o.other_errors);
         ("identity_checked", Json.Int o.identity_checked);
         ("outputs_identical", Json.Bool o.identity_ok);
-        ("store_hot_leg", store_bench ~quick ~cores);
       ]
   in
   (* keep a previously measured variants leg when re-running the

@@ -368,15 +368,6 @@ let serve_cmd =
       & info [ "store-cap" ] ~docv:"N"
           ~doc:"Result-store capacity (LRU-evicted beyond it).")
   in
-  let store_shards =
-    Arg.(
-      value
-      & opt int (Flow_service.Store.default_shards ())
-      & info [ "store-shards" ] ~docv:"N"
-          ~doc:
-            "Result-store shard count (default $(b,PSAFLOW_STORE_SHARDS) or \
-             8); 1 restores the single-mutex store.")
-  in
   let max_conns =
     Arg.(
       value
@@ -387,7 +378,7 @@ let serve_cmd =
              $(b,PSAFLOW_MAX_CONNECTIONS) or 64); connections beyond it are \
              rejected with server_busy.")
   in
-  let run () socket workers queue_cap store_cap store_shards max_conns =
+  let run () socket workers queue_cap store_cap max_conns =
     protect @@ fun () ->
     let addr = addr_of socket in
     Format.printf "psaflow daemon listening on %s (%d workers)@."
@@ -396,10 +387,10 @@ let serve_cmd =
     Flow_service.Server.serve
       ~config:
         {
-          Flow_service.Server.workers;
+          (Flow_service.Server.default_config ()) with
+          workers;
           queue_capacity = queue_cap;
           store_capacity = store_cap;
-          store_shards;
           max_connections = max_conns;
         }
       addr;
@@ -409,7 +400,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Run the flow daemon (blocks until svc-shutdown).")
     Term.(
       const run $ log_term $ socket_arg $ workers $ queue_cap $ store_cap
-      $ store_shards $ max_conns)
+      $ max_conns)
 
 let pp_job_line (j : Protocol.job_view) =
   Format.printf "job #%d  %-12s %-10s %-12s %-7s%s%s@." j.job_id j.label

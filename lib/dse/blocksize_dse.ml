@@ -28,20 +28,18 @@ let candidate_blocksizes = [ 32; 64; 96; 128; 192; 256; 384; 512; 768; 1024 ]
 let candidates (gpu : Devices.Spec.gpu) =
   List.filter (fun bs -> bs <= gpu.max_blocksize) candidate_blocksizes
 
-let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
-    result =
-  let gpu = Devices.Spec.find_gpu design.device_id in
-  let candidates = candidates gpu in
+let sweep = "blocksize"
+let candidate = Sweep_memo.candidate ~sweep ~knob:"blocksize"
+
+(* The sweep proper; chooses the blocksize. *)
+let explore (design : Codegen.Design.t) (features : Analysis.Features.t) gpu
+    candidates : (int, step) Sweep_memo.outcome =
   let eval bs =
-    Flow_obs.Trace.with_span ~cat:"dse" "dse.blocksize_candidate"
-      ~args:[ ("blocksize", Flow_obs.Attr.Int bs) ]
-    @@ fun () ->
-    let m = Flow_obs.Metrics.global in
-    Flow_obs.Metrics.incr m "dse_candidates";
-    Flow_obs.Metrics.incr m "dse_simulate_calls";
+    candidate bs @@ fun () ->
     let d = { design with Codegen.Design.blocksize = bs } in
     let r = Devices.Gpu_model.time gpu d features in
-    if not r.feasible then Flow_obs.Metrics.incr m "dse_rejected";
+    if not r.feasible then
+      Flow_obs.Metrics.incr Flow_obs.Metrics.global "dse_rejected";
     Flow_obs.Trace.add_args
       [
         ("seconds", Flow_obs.Attr.Float r.total);
@@ -69,11 +67,10 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
     match best with Some s -> s.blocksize | None -> design.blocksize
   in
   {
-    design = Codegen.Hip_gen.set_blocksize design chosen;
-    chosen_blocksize = chosen;
+    chosen;
     steps;
     decision =
-      Sweep_memo.decision ~design ~sweep:"blocksize"
+      Sweep_memo.decision ~design ~sweep
         ~candidates:(List.length candidates)
         ~chosen:(Printf.sprintf "blocksize %d" chosen)
         ~evidence:
@@ -86,44 +83,20 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
           | None -> []);
   }
 
-(* Sweep memo: knob choice, trajectory and provenance cached; the
-   design is rebuilt from the incoming design with the same setter the
-   sweep applies (see {!Sweep_memo}). *)
-type cached = {
-  c_blocksize : int;
-  c_steps : step list;
-  c_decision : Flow_obs.Provenance.decision;
-}
-
-let cache : cached Flow_memo.Cache.t =
-  Sweep_memo.create ~name:"dse_blocksize" ()
+let cache = Sweep_memo.create ~name:"dse_blocksize" ()
 
 (** Run the DSE for [design] on its GPU device (memoized per sweep
     key — see {!Sweep_memo}). *)
 let run (design : Codegen.Design.t) (features : Analysis.Features.t) : result =
   let gpu = Devices.Spec.find_gpu design.device_id in
-  let fresh = ref None in
-  let e =
-    Flow_memo.Cache.find_or_compute cache
-      ~key:
-        (Sweep_memo.key ~sweep:"blocksize" ~design features
-           ~candidates:
-             (String.concat "," (List.map string_of_int (candidates gpu))))
-      (fun () ->
-        let r = run_uncached design features in
-        fresh := Some r;
-        {
-          c_blocksize = r.chosen_blocksize;
-          c_steps = r.steps;
-          c_decision = r.decision;
-        })
+  let candidates = candidates gpu in
+  let o =
+    Sweep_memo.run cache ~sweep ~design features ~candidates (fun () ->
+        explore design features gpu candidates)
   in
-  match !fresh with
-  | Some r -> r
-  | None ->
-      {
-        design = Codegen.Hip_gen.set_blocksize design e.c_blocksize;
-        chosen_blocksize = e.c_blocksize;
-        steps = e.c_steps;
-        decision = e.c_decision;
-      }
+  {
+    design = Codegen.Hip_gen.set_blocksize design o.chosen;
+    chosen_blocksize = o.chosen;
+    steps = o.steps;
+    decision = o.decision;
+  }

@@ -7,11 +7,11 @@
     decision provenance.  Budget or strategy variants of a request
     therefore replay sweeps without re-simulating.
 
-    Only the knob choice, steps and decision are cached — never the
-    design itself.  A hit re-applies the chosen knob to the *incoming*
-    design with the same setter the sweep would have used, so the
-    returned design is built from the caller's artifacts, not a
-    previous request's.
+    Only the {!outcome} — knob choice, steps and decision — is cached,
+    never the design itself.  Each sweep's [run] is one {!run} call
+    plus one rebuild that applies the chosen knob to the *incoming*
+    design, for hits and misses alike, so the returned design is built
+    from the caller's artifacts, not a previous request's.
 
     The caches follow the hierarchy rules ([PSAFLOW_NO_MEMO],
     [PSAFLOW_MEMO_CAP], [PSAFLOW_MEMO_SHARDS], tracer bypass, metrics
@@ -21,11 +21,21 @@
     simulate-call tests) disable the sweep memo via {!set_enabled} so
     their counter arithmetic keeps measuring the model, not the cache. *)
 
+(** What a sweep decides: the chosen knob, the exploration trajectory
+    and the provenance record. *)
+type ('knob, 'step) outcome = {
+  chosen : 'knob;
+  steps : 'step list;
+  decision : Flow_obs.Provenance.decision;
+}
+
+type ('knob, 'step) cache = ('knob, 'step) outcome Flow_memo.Cache.t
+
 let switches : (bool -> unit) list ref = ref []
 let clearers : (unit -> unit) list ref = ref []
 
 (** Create one sweep cache and register it for {!set_enabled}/{!clear}. *)
-let create ~name () =
+let create ~name () : (_, _) cache =
   let c = Flow_memo.Cache.create ~name () in
   switches := Flow_memo.Cache.set_enabled c :: !switches;
   clearers := (fun () -> Flow_memo.Cache.clear c) :: !clearers;
@@ -77,19 +87,6 @@ let model_inputs (d : Codegen.Design.t) (f : Analysis.Features.t) =
       fold (fun m l -> Float.max m l.il_mean_trip);
       fi (List.length f.args) ]
 
-(** Content key of one sweep request.  [candidates] is any exact
-    printout of the candidate set (it is device-derived, but keying it
-    explicitly keeps the entry safe against spec changes at runtime).
-    Model inputs are printed as exact hex floats. *)
-let key ~sweep ~(design : Codegen.Design.t) (features : Analysis.Features.t)
-    ~candidates : string =
-  let inputs =
-    String.concat ","
-      (List.map (Printf.sprintf "%h") (model_inputs design features))
-  in
-  Printf.sprintf "%s:%s:%s:%s" sweep design.device_id design.name
-    (Digest.to_hex (Digest.string (inputs ^ "|" ^ candidates)))
-
 (** The [branch D.<design>] provenance record of one exhaustive sweep:
     which knob was swept on which device, over how many candidates, what
     won, and the sweep's own [evidence]. *)
@@ -108,3 +105,36 @@ let decision ~(design : Codegen.Design.t) ~sweep ~candidates ~chosen ~evidence
       ]
       @ evidence;
   }
+
+(** [run cache ~sweep ~design features ~candidates sweep_fn] is
+    [sweep_fn ()], memoized under (sweep, device, design name, digest
+    of the {!model_inputs} as exact hex floats and of the [candidates]
+    ladder).  The ladder is device-derived, but keying it keeps an
+    entry safe against spec changes at runtime. *)
+let run (cache : ('k, 's) cache) ~sweep ~(design : Codegen.Design.t)
+    features ~candidates (sweep_fn : unit -> ('k, 's) outcome) :
+    ('k, 's) outcome =
+  let inputs =
+    String.concat ","
+      (List.map (Printf.sprintf "%h") (model_inputs design features))
+  in
+  let ladder = String.concat "," (List.map string_of_int candidates) in
+  Flow_memo.Cache.find_or_compute cache
+    ~key:
+      (Printf.sprintf "%s:%s:%s:%s" sweep design.device_id design.name
+         (Digest.to_hex (Digest.string (inputs ^ "|" ^ ladder))))
+    sweep_fn
+
+(** [candidate ~sweep ~knob] evaluates one candidate [n] with [f]
+    inside a [dse.<sweep>_candidate] span carrying [(knob, n)], and
+    counts it in [dse_candidates] and [dse_simulate_calls]. *)
+let candidate ~sweep ~knob =
+  let span = "dse." ^ sweep ^ "_candidate" in
+  fun n f ->
+    Flow_obs.Trace.with_span ~cat:"dse" span
+      ~args:[ (knob, Flow_obs.Attr.Int n) ]
+    @@ fun () ->
+    let m = Flow_obs.Metrics.global in
+    Flow_obs.Metrics.incr m "dse_candidates";
+    Flow_obs.Metrics.incr m "dse_simulate_calls";
+    f ()

@@ -23,17 +23,14 @@ let candidate_threads (cpu : Devices.Spec.cpu) =
   in
   doubling 1 []
 
-let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
-    result =
-  let cpu = Devices.Spec.find_cpu design.device_id in
-  let candidates = candidate_threads cpu in
+let sweep = "threads"
+let candidate = Sweep_memo.candidate ~sweep ~knob:"threads"
+
+(* The sweep proper; chooses the thread count. *)
+let explore (design : Codegen.Design.t) (features : Analysis.Features.t) cpu
+    candidates : (int, step) Sweep_memo.outcome =
   let eval t =
-    Flow_obs.Trace.with_span ~cat:"dse" "dse.threads_candidate"
-      ~args:[ ("threads", Flow_obs.Attr.Int t) ]
-    @@ fun () ->
-    let m = Flow_obs.Metrics.global in
-    Flow_obs.Metrics.incr m "dse_candidates";
-    Flow_obs.Metrics.incr m "dse_simulate_calls";
+    candidate t @@ fun () ->
     let r = Devices.Cpu_model.time cpu features ~threads:t in
     Flow_obs.Trace.add_args [ ("seconds", Flow_obs.Attr.Float r.t_parallel) ];
     { threads = t; seconds = r.t_parallel; speedup = r.speedup }
@@ -50,11 +47,10 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
   in
   let chosen = match best with Some s -> s.threads | None -> cpu.cores in
   {
-    design = Codegen.Openmp_gen.set_num_threads design chosen;
-    chosen_threads = chosen;
+    chosen;
     steps;
     decision =
-      Sweep_memo.decision ~design ~sweep:"threads"
+      Sweep_memo.decision ~design ~sweep
         ~candidates:(List.length candidates)
         ~chosen:(Printf.sprintf "%d threads" chosen)
         ~evidence:
@@ -63,44 +59,20 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
           | None -> []);
   }
 
-(* Sweep memo: knob choice, trajectory and provenance cached; the
-   design is rebuilt from the incoming design with the same setter the
-   sweep applies (see {!Sweep_memo}). *)
-type cached = {
-  c_threads : int;
-  c_steps : step list;
-  c_decision : Flow_obs.Provenance.decision;
-}
-
-let cache : cached Flow_memo.Cache.t = Sweep_memo.create ~name:"dse_threads" ()
+let cache = Sweep_memo.create ~name:"dse_threads" ()
 
 (** Run the DSE for [design] on its CPU device (memoized per sweep
     key — see {!Sweep_memo}). *)
 let run (design : Codegen.Design.t) (features : Analysis.Features.t) : result =
   let cpu = Devices.Spec.find_cpu design.device_id in
-  let fresh = ref None in
-  let e =
-    Flow_memo.Cache.find_or_compute cache
-      ~key:
-        (Sweep_memo.key ~sweep:"threads" ~design features
-           ~candidates:
-             (String.concat ","
-                (List.map string_of_int (candidate_threads cpu))))
-      (fun () ->
-        let r = run_uncached design features in
-        fresh := Some r;
-        {
-          c_threads = r.chosen_threads;
-          c_steps = r.steps;
-          c_decision = r.decision;
-        })
+  let candidates = candidate_threads cpu in
+  let o =
+    Sweep_memo.run cache ~sweep ~design features ~candidates (fun () ->
+        explore design features cpu candidates)
   in
-  match !fresh with
-  | Some r -> r
-  | None ->
-      {
-        design = Codegen.Openmp_gen.set_num_threads design e.c_threads;
-        chosen_threads = e.c_threads;
-        steps = e.c_steps;
-        decision = e.c_decision;
-      }
+  {
+    design = Codegen.Openmp_gen.set_num_threads design o.chosen;
+    chosen_threads = o.chosen;
+    steps = o.steps;
+    decision = o.decision;
+  }

@@ -35,18 +35,18 @@ let factors =
   in
   go 1 []
 
-let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
-    result =
+let sweep = "unroll"
+let candidate = Sweep_memo.candidate ~sweep ~knob:"factor"
+
+(* The sweep proper; chooses (factor, synthesizable). *)
+let explore (design : Codegen.Design.t) (features : Analysis.Features.t) :
+    (int * bool, step) Sweep_memo.outcome =
   let fpga = Devices.Spec.find_fpga design.device_id in
   let eval n =
-    Flow_obs.Trace.with_span ~cat:"dse" "dse.unroll_candidate"
-      ~args:[ ("factor", Flow_obs.Attr.Int n) ]
-    @@ fun () ->
-    let m = Flow_obs.Metrics.global in
-    Flow_obs.Metrics.incr m "dse_candidates";
-    Flow_obs.Metrics.incr m "dse_simulate_calls";
+    candidate n @@ fun () ->
     let r = Devices.Fpga_model.resources fpga design features ~unroll:n in
-    if r.overmapped then Flow_obs.Metrics.incr m "dse_rejected";
+    if r.overmapped then
+      Flow_obs.Metrics.incr Flow_obs.Metrics.global "dse_rejected";
     Flow_obs.Trace.add_args
       [
         ("utilization", Flow_obs.Attr.Float r.utilization);
@@ -61,8 +61,8 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
     }
   in
   (* The model is pure, so evaluating the ladder past the stopping point
-     is unobservable: [chosen_factor] and [steps] are those of the
-     incremental doubling-until-overmap exploration. *)
+     is unobservable: [chosen] and [steps] are those of the incremental
+     doubling-until-overmap exploration. *)
   let evaluated = List.map eval factors in
   let rec walk best steps = function
     | [] -> (best, steps)
@@ -72,7 +72,6 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
         else walk (Some s.factor) steps rest
   in
   let best, steps = walk None [] evaluated in
-  let steps = List.rev steps in
   let chosen, synthesizable =
     match best with
     | Some factor -> (factor, true)
@@ -84,14 +83,11 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
            ladder, so its utilisation is already known. *)
         (1, (List.hd evaluated).utilization <= 1.0)
   in
-  let d = Codegen.Oneapi_gen.set_unroll_factor design chosen in
   {
-    design = { d with Codegen.Design.synthesizable };
-    chosen_factor = chosen;
-    synthesizable;
-    steps;
+    chosen = (chosen, synthesizable);
+    steps = List.rev steps;
     decision =
-      Sweep_memo.decision ~design ~sweep:"unroll"
+      Sweep_memo.decision ~design ~sweep
         ~candidates:(List.length factors)
         ~chosen:
           (if synthesizable then Printf.sprintf "unroll factor %d" chosen
@@ -99,48 +95,21 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
         ~evidence:[ ("synthesizable", Flow_obs.Attr.Bool synthesizable) ];
   }
 
-(* Sweep memo: the knob choice, trajectory and provenance are cached;
-   the design is always rebuilt from the *incoming* design with the
-   same setter the sweep applies.  Designs reach this DSE with
-   [synthesizable = true] (nothing earlier in the flow clears it), so
-   re-asserting the cached flag reproduces both exit branches of
-   [run_uncached] exactly. *)
-type cached = {
-  c_factor : int;
-  c_synth : bool;
-  c_steps : step list;
-  c_decision : Flow_obs.Provenance.decision;
-}
-
-let cache : cached Flow_memo.Cache.t = Sweep_memo.create ~name:"dse_unroll" ()
+let cache = Sweep_memo.create ~name:"dse_unroll" ()
 
 (** Run the DSE for [design] on its FPGA device (memoized per sweep
     key — see {!Sweep_memo}). *)
 let run (design : Codegen.Design.t) (features : Analysis.Features.t) : result =
-  let fresh = ref None in
-  let e =
-    Flow_memo.Cache.find_or_compute cache
-      ~key:
-        (Sweep_memo.key ~sweep:"unroll" ~design features
-           ~candidates:(String.concat "," (List.map string_of_int factors)))
-      (fun () ->
-        let r = run_uncached design features in
-        fresh := Some r;
-        {
-          c_factor = r.chosen_factor;
-          c_synth = r.synthesizable;
-          c_steps = r.steps;
-          c_decision = r.decision;
-        })
+  let o =
+    Sweep_memo.run cache ~sweep ~design features ~candidates:factors
+      (fun () -> explore design features)
   in
-  match !fresh with
-  | Some r -> r
-  | None ->
-      let d = Codegen.Oneapi_gen.set_unroll_factor design e.c_factor in
-      {
-        design = { d with Codegen.Design.synthesizable = e.c_synth };
-        chosen_factor = e.c_factor;
-        synthesizable = e.c_synth;
-        steps = e.c_steps;
-        decision = e.c_decision;
-      }
+  let factor, synthesizable = o.chosen in
+  let d = Codegen.Oneapi_gen.set_unroll_factor design factor in
+  {
+    design = { d with Codegen.Design.synthesizable };
+    chosen_factor = factor;
+    synthesizable;
+    steps = o.steps;
+    decision = o.decision;
+  }

@@ -26,7 +26,7 @@
     iterations equal [n] individually charged ones bit-for-bit.
 
     [PSAFLOW_NO_OPT=1] disables the whole stage (mirroring
-    [PSAFLOW_NO_CACHE]); {!set_enabled} does the same programmatically. *)
+    [PSAFLOW_NO_MEMO]); {!set_enabled} does the same programmatically. *)
 
 module R = Resolve
 module C = Profile.Cost

@@ -14,7 +14,9 @@
     features, compiled program, fused profile run, DSE sweep outcome)
     creates one ['a Cache.t] instance holding its typed artifacts;
     stage keys are digests of everything the stage output depends on
-    (see DESIGN.md §18 for the key scheme per stage).
+    (see DESIGN.md §18 for the key scheme per stage).  The daemon's
+    whole-result store is one more instance, filled with plain
+    {!Cache.add} after a job finishes and read with {!Cache.find}.
 
     Semantics and invariants:
 
@@ -23,16 +25,17 @@
       values (MiniC ASTs carry no mutable fields; [Eval.run] profiles
       are treated as read-only by every consumer).
     - Eviction is true LRU: every hit re-stamps the entry, using a
-      lazy-deletion stamp queue so hits cost O(1) amortized.
+      lazy-deletion stamp queue so hits cost O(1) amortized and the
+      queue stays within a constant factor of the live entries.
     - Caches whose artifacts would swallow trace spans (everything
       except the fused-profile stage, whose span structure predates
       this module) bypass themselves while the global tracer is
       recording, so a [--trace] run's span tree is byte-identical to
       an unmemoized run.
     - [PSAFLOW_NO_MEMO=1] disables every cache except those created
-      with [~no_memo_exempt:true] (the fused-profile stage, which
-      predates the hierarchy and keeps its own [PSAFLOW_NO_CACHE]
-      kill-switch), restoring pre-memoization behavior bit-for-bit.
+      with [~no_memo_exempt:true] (the fused-profile stage and the
+      result store, which predate the hierarchy), restoring
+      pre-memoization behavior bit-for-bit.
     - [PSAFLOW_MEMO_CAP] (default 512) bounds each cache's entry
       count; [PSAFLOW_MEMO_SHARDS] (default 8) sets the lock-striping
       width.  Both follow the hardened {!Flow_obs.Env} grammar.
@@ -114,8 +117,9 @@ module Cache = struct
       [trace_bypass] (default true) computes fresh while the global
       tracer records so memo hits cannot swallow spans;
       [no_memo_exempt] (default false) opts the cache out of
-      [PSAFLOW_NO_MEMO] (only the pre-existing fused-profile stage
-      does this — it keeps its own kill-switch). *)
+      [PSAFLOW_NO_MEMO] (the fused-profile stage and the result store
+      do this: switching them off would not restore pre-memoization
+      behavior, it would regress it). *)
   let create ~name ?cap ?shards ?(trace_bypass = true)
       ?(no_memo_exempt = false) ?metric_prefix () : 'a t =
     let cap = match cap with Some c -> max 1 c | None -> env_capacity () in
@@ -143,7 +147,7 @@ module Cache = struct
     && (t.no_memo_exempt || Atomic.get globally_enabled)
     && not (t.trace_bypass && Flow_obs.Trace.is_enabled ())
 
-  let gincr name = Flow_obs.Metrics.incr Flow_obs.Metrics.global name
+  let gincr ?by name = Flow_obs.Metrics.incr ?by Flow_obs.Metrics.global name
 
   let shard_of t key =
     let n = Array.length t.shards in
@@ -155,11 +159,10 @@ module Cache = struct
 
   (* All [_locked] helpers run with the shard lock held. *)
 
-  let touch_locked sh key (e : 'a entry) =
-    sh.clock <- sh.clock + 1;
-    e.stamp <- sh.clock;
-    Queue.push (key, sh.clock) sh.stamps
-
+  (* Lazy-deletion queues need squeezing on every push, hits included:
+     a hit-only workload would otherwise grow the queue by one stamp
+     per hit.  Compaction runs once the queue holds 8x the live
+     entries, so it stays O(1) amortized. *)
   let compact_locked sh =
     if Queue.length sh.stamps > (8 * Hashtbl.length sh.table) + 64 then begin
       let live =
@@ -174,6 +177,12 @@ module Cache = struct
       List.iter (fun ks -> Queue.push ks sh.stamps) (List.rev live)
     end
 
+  let touch_locked sh key (e : 'a entry) =
+    sh.clock <- sh.clock + 1;
+    e.stamp <- sh.clock;
+    Queue.push (key, sh.clock) sh.stamps;
+    compact_locked sh
+
   let evict_excess_locked t sh =
     let cap = per_shard_cap t in
     let evicted = ref 0 in
@@ -187,6 +196,54 @@ module Cache = struct
       | _ -> () (* stale stamp: the key was re-touched or removed *)
     done;
     !evicted
+
+  (* [key]'s resident value, re-stamped and counted as a hit. *)
+  let hit_locked sh key =
+    match Hashtbl.find_opt sh.table key with
+    | Some e ->
+        touch_locked sh key e;
+        sh.hits <- sh.hits + 1;
+        Some e.value
+    | None -> None
+
+  (* Insert or replace [key], then evict down to capacity; returns the
+     eviction count for {!count_evictions} once the lock is released.
+     A replaced entry's old stamps go stale with it. *)
+  let insert_locked t sh key v =
+    let e = { value = v; stamp = 0 } in
+    Hashtbl.replace sh.table key e;
+    touch_locked sh key e;
+    evict_excess_locked t sh
+
+  let count_evictions t n =
+    if n > 0 then gincr ~by:n (t.metric_prefix ^ "_evictions")
+
+  (** [find t key] is the cached value of [key], re-stamped as most
+      recently used, or [None] (a miss).  A bypassed cache always
+      misses and counts nothing. *)
+  let find (t : 'a t) key : 'a option =
+    if not (active t) then None
+    else begin
+      let sh = shard_of t key in
+      Mutex.lock sh.lock;
+      let r = hit_locked sh key in
+      if Option.is_none r then sh.misses <- sh.misses + 1;
+      Mutex.unlock sh.lock;
+      gincr (t.metric_prefix ^ if Option.is_some r then "_hits" else "_misses");
+      r
+    end
+
+  (** [add t key v] inserts [v] under [key], replacing any resident
+      value (without growing the cache) and evicting the least recently
+      used entries past capacity.  A no-op while the cache is bypassed. *)
+  let add (t : 'a t) key v =
+    if active t then begin
+      let sh = shard_of t key in
+      Mutex.lock sh.lock;
+      let evicted = insert_locked t sh key v in
+      Mutex.unlock sh.lock;
+      count_evictions t evicted
+    end
 
   (** [find_or_compute t ~key f] returns the cached artifact for [key]
       or computes it with [f] exactly once process-wide: a concurrent
@@ -204,11 +261,8 @@ module Cache = struct
       let sh = shard_of t key in
       let report b = match on with Some g -> g b | None -> () in
       let rec acquire ~waited =
-        match Hashtbl.find_opt sh.table key with
-        | Some e ->
-            touch_locked sh key e;
-            sh.hits <- sh.hits + 1;
-            `Hit e.value
+        match hit_locked sh key with
+        | Some v -> `Hit v
         | None ->
             if Hashtbl.mem sh.inflight key then begin
               if not waited then sh.single_flight <- sh.single_flight + 1;
@@ -236,18 +290,13 @@ module Cache = struct
           | v ->
               Mutex.lock sh.lock;
               Hashtbl.remove sh.inflight key;
-              if not (Hashtbl.mem sh.table key) then begin
-                sh.clock <- sh.clock + 1;
-                Hashtbl.replace sh.table key { value = v; stamp = sh.clock };
-                Queue.push (key, sh.clock) sh.stamps;
-                compact_locked sh
-              end;
-              let evicted = evict_excess_locked t sh in
+              let evicted =
+                if Hashtbl.mem sh.table key then 0
+                else insert_locked t sh key v
+              in
               Condition.broadcast sh.cond;
               Mutex.unlock sh.lock;
-              for _ = 1 to evicted do
-                gincr (t.metric_prefix ^ "_evictions")
-              done;
+              count_evictions t evicted;
               v
           | exception e ->
               let bt = Printexc.get_raw_backtrace () in

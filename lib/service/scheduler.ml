@@ -27,9 +27,12 @@
     are OCaml 5 [Domain]s spawned through {!Flow_par.Pool}, so N jobs
     execute truly in parallel on multi-core hosts — systhread workers
     only ever interleaved on one runtime lock.  The scheduler's own
-    state stays behind one mutex (submission bookkeeping is cheap);
-    results land in the digest-sharded {!Store} whose per-shard locks
-    keep concurrent hits from serializing.  All engine state a flow
+    state stays behind one mutex (submission bookkeeping is cheap), and
+    every {!Store} lookup and insert happens under it, so store access
+    is serialized with submission.  Coalescing stays here rather than
+    in the store cache's single-flight: a coalesced submission must get
+    its job id back at submit time, while [find_or_compute] blocks its
+    caller until the value exists.  All engine state a flow
     touches while running is domain-safe: the profile cache is
     mutex-guarded, MiniC statement ids come from an [Atomic] counter,
     the metrics registry locks, and [rand01] state is per-run. *)
@@ -329,8 +332,10 @@ let list t : Protocol.job_view list =
       |> List.sort (fun (a : job) b -> compare b.id a.id)
       |> List.map view_locked)
 
-let store_stats t = Store.stats t.store
-let store_shard_stats t = Store.shard_stats t.store
+(** Cumulative (hits, misses) of store lookups at submit time. *)
+let store_stats t =
+  let s = Flow_memo.Cache.stats t.store in
+  (s.hits, s.misses)
 
 (** Retained request traces (the sampled ring, or the slow ring with
     [~slow:true]) as JSON, newest first. *)

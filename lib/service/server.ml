@@ -18,7 +18,7 @@ type config = {
   workers : int;
   queue_capacity : int;
   store_capacity : int;
-  store_shards : int;  (** digest-sharded result store; 1 = single lock *)
+  store_shards : int;  (** lock striping of the result store's cache *)
   max_connections : int;
       (** concurrent connection cap; further connects are answered with
           a [Server_busy] error and closed (queue-full-style rejection),
@@ -33,7 +33,7 @@ let default_config () =
     workers = Scheduler.default_workers ();
     queue_capacity = 64;
     store_capacity = 256;
-    store_shards = Store.default_shards ();
+    store_shards = Flow_memo.env_shards ();
     max_connections = default_max_connections ();
   }
 
@@ -69,21 +69,6 @@ let request_id_of (s : Protocol.submission) =
   | Some rid -> rid
   | None -> Printf.sprintf "srv-%d" (Atomic.fetch_and_add srv_request_seq 1)
 
-let shard_stats_json t : Json.t =
-  Json.List
-    (Array.to_list
-       (Array.map
-          (fun (s : Store.shard_stat) ->
-            Json.Obj
-              [
-                ("length", Json.Int s.st_length);
-                ("capacity", Json.Int s.st_capacity);
-                ("hits", Json.Int s.st_hits);
-                ("misses", Json.Int s.st_misses);
-                ("evictions", Json.Int s.st_evictions);
-              ])
-          (Scheduler.store_shard_stats t.sched)))
-
 let metrics_json t : Json.t =
   let hits, misses = Scheduler.store_stats t.sched in
   let traced, retained, retained_slow = Scheduler.trace_stats t.sched in
@@ -92,7 +77,6 @@ let metrics_json t : Json.t =
       [
         ("store_hits", Json.Int hits);
         ("store_misses", Json.Int misses);
-        ("store_shards", shard_stats_json t);
         ( "request_traces",
           Json.Obj
             [

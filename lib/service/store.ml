@@ -1,4 +1,4 @@
-(** Content-addressed result store, sharded by digest prefix.
+(** Content-addressed result store.
 
     Finished flow results are stored under a digest of everything that
     determines them — the MiniC source text, the workload sizes, the
@@ -9,73 +9,27 @@
     results: duplicates are deduped into one execution and repeat
     requests are O(1) hits here.
 
-    The table is split into N independent shards, each with its own
-    mutex, LRU clock and hit/miss/eviction counters; a key's shard is a
-    pure function of its digest prefix, so concurrent hits on different
-    digests never serialize on a shared lock.  MD5 digests are uniform,
-    so the shards fill evenly.  [PSAFLOW_STORE_SHARDS] (or the [shards]
-    argument) sets the shard count; 1 restores the old single-mutex
-    store bit-for-bit.
+    The store is a {!Flow_memo.Cache} read with [find] and filled with
+    [add] (insert-or-replace, true LRU eviction).  Like the profile
+    cache it ignores [PSAFLOW_NO_MEMO] and the tracer, so dedup never
+    switches off; its counters land in the metrics registry as
+    [result_store_hits]/[_misses]/[_evictions]. *)
 
-    Capacity is bounded per shard with LRU eviction (lookups refresh
-    recency): a store of capacity C over N shards holds at most
-    ceil(C/N) entries per shard. *)
+type 'a t = 'a Flow_memo.Cache.t
 
-type 'a shard = {
-  capacity : int;
-  lock : Mutex.t;
-  table : (string, 'a entry) Hashtbl.t;
-  mutable tick : int;  (** recency clock: larger = more recently used *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
-and 'a entry = { value : 'a; mutable last_use : int }
-
-type 'a t = { shards : 'a shard array }
-
-let default_shards () =
-  Flow_obs.Env.int ~name:"PSAFLOW_STORE_SHARDS" ~default:8 ~min:1 ()
-
-let create ?(shards = default_shards ()) ~capacity () =
+(** A store of at most [capacity] results, striped over [shards] locks
+    (default [PSAFLOW_MEMO_SHARDS]; never more than [capacity]). *)
+let create ?shards ~capacity () : 'a t =
   if capacity <= 0 then invalid_arg "Store.create: capacity must be positive";
-  if shards <= 0 then invalid_arg "Store.create: shards must be positive";
-  let shards = min shards capacity in
-  let per_shard = (capacity + shards - 1) / shards in
-  {
-    shards =
-      Array.init shards (fun _ ->
-          {
-            capacity = per_shard;
-            lock = Mutex.create ();
-            table = Hashtbl.create (2 * per_shard);
-            tick = 0;
-            hits = 0;
-            misses = 0;
-            evictions = 0;
-          });
-  }
+  let shards =
+    min capacity
+      (match shards with Some s -> s | None -> Flow_memo.env_shards ())
+  in
+  Flow_memo.Cache.create ~name:"result_store" ~cap:capacity ~shards
+    ~trace_bypass:false ~no_memo_exempt:true ~metric_prefix:"result_store" ()
 
-let shard_count t = Array.length t.shards
-
-(** Which shard holds [k]: the first four hex digits of the digest,
-    folded and reduced mod the shard count.  Pure, so tests can place
-    colliding keys deliberately. *)
-let shard_index t k =
-  let n = Array.length t.shards in
-  if n = 1 then 0
-  else begin
-    let h = ref 0 in
-    for i = 0 to min 3 (String.length k - 1) do
-      h := (!h * 16) + (Char.code k.[i] land 15) + (Char.code k.[i] lsr 6)
-    done;
-    !h mod n
-  end
-
-let with_lock (s : _ shard) f =
-  Mutex.lock s.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+let find = Flow_memo.Cache.find
+let add = Flow_memo.Cache.add
 
 (** Digest of the determining inputs of one flow execution.  [source] is
     the full MiniC text (content, not benchmark name); [workload]
@@ -96,85 +50,3 @@ let key ~source ~mode ~strategy ~x_threshold ~budget ~workload =
   Buffer.add_char buf '\000';
   Buffer.add_string buf workload;
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let touch (s : _ shard) e =
-  s.tick <- s.tick + 1;
-  e.last_use <- s.tick
-
-let find t k =
-  let s = t.shards.(shard_index t k) in
-  with_lock s (fun () ->
-      match Hashtbl.find_opt s.table k with
-      | Some e ->
-          s.hits <- s.hits + 1;
-          touch s e;
-          Some e.value
-      | None ->
-          s.misses <- s.misses + 1;
-          None)
-
-let mem t k =
-  let s = t.shards.(shard_index t k) in
-  with_lock s (fun () -> Hashtbl.mem s.table k)
-
-(* Per-shard capacity is small (tens); a linear scan for the LRU victim
-   keeps the structure to one table instead of table + intrusive list. *)
-let evict_lru_locked (s : _ shard) =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, best) when best <= e.last_use -> acc
-        | _ -> Some (k, e.last_use))
-      s.table None
-  in
-  match victim with
-  | Some (k, _) ->
-      Hashtbl.remove s.table k;
-      s.evictions <- s.evictions + 1
-  | None -> ()
-
-let add t k v =
-  let s = t.shards.(shard_index t k) in
-  with_lock s (fun () ->
-      (match Hashtbl.find_opt s.table k with
-      | Some _ -> Hashtbl.remove s.table k
-      | None -> ());
-      if Hashtbl.length s.table >= s.capacity then evict_lru_locked s;
-      s.tick <- s.tick + 1;
-      Hashtbl.add s.table k { value = v; last_use = s.tick })
-
-let length t =
-  Array.fold_left
-    (fun acc s -> acc + with_lock s (fun () -> Hashtbl.length s.table))
-    0 t.shards
-
-(** Cumulative (hits, misses) of {!find} since creation, summed across
-    shards. *)
-let stats t =
-  Array.fold_left
-    (fun (h, m) s -> with_lock s (fun () -> (h + s.hits, m + s.misses)))
-    (0, 0) t.shards
-
-(** One shard's observable state, for metrics and the concurrency
-    tests. *)
-type shard_stat = {
-  st_length : int;
-  st_capacity : int;
-  st_hits : int;
-  st_misses : int;
-  st_evictions : int;
-}
-
-let shard_stats t : shard_stat array =
-  Array.map
-    (fun s ->
-      with_lock s (fun () ->
-          {
-            st_length = Hashtbl.length s.table;
-            st_capacity = s.capacity;
-            st_hits = s.hits;
-            st_misses = s.misses;
-            st_evictions = s.evictions;
-          }))
-    t.shards

@@ -5,6 +5,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== knob guard (distinct PSAFLOW_* env knobs in lib/ bin/ bench/) =="
+# Deleted knobs must not quietly come back: a new knob has to retire
+# an old one or raise this ceiling in a reviewed change.
+KNOBS=$(grep -rhoE 'PSAFLOW_[A-Z_]*' lib bin bench | sort -u | wc -l)
+[ "$KNOBS" -le 15 ] \
+  || { echo "FAIL: $KNOBS distinct PSAFLOW_* knobs (ceiling 15):"; \
+       grep -rhoE 'PSAFLOW_[A-Z_]*' lib bin bench | sort -u; exit 1; }
+echo "knobs=$KNOBS (ceiling 15)"
+
 echo "== dune build =="
 dune build @all
 

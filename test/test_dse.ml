@@ -154,10 +154,66 @@ let unroll_tests =
         else Alcotest.(check bool) "fixture should be 90-100%" false true);
   ]
 
+(* A sweep-memo hit must rebuild from the incoming design exactly what
+   the sweep itself returns, and both must equal the unmemoized sweep,
+   field by field: [view] gives (design, chosen knob, steps, decision). *)
+let memo_case name ~stage run view =
+  Alcotest.test_case name `Quick (fun () ->
+      let counter k =
+        Flow_obs.Metrics.counter_value Flow_obs.Metrics.global
+          (Printf.sprintf "memo_dse_%s_%s" stage k)
+      in
+      Dse.Sweep_memo.clear ();
+      let h0 = counter "hits" and m0 = counter "misses" in
+      let miss = view (run ()) in
+      let hit = view (run ()) in
+      Alcotest.(check int) "one miss" 1 (counter "misses" - m0);
+      Alcotest.(check int) "one hit" 1 (counter "hits" - h0);
+      Dse.Sweep_memo.set_enabled false;
+      let off =
+        Fun.protect ~finally:(fun () -> Dse.Sweep_memo.set_enabled true)
+          (fun () -> view (run ()))
+      in
+      let (design' : Codegen.Design.t), knob', steps', decision' = miss in
+      List.iter
+        (fun (what, (design, knob, steps, decision)) ->
+          Alcotest.(check bool) (what ^ ": design") true (design = design');
+          Alcotest.(check string) (what ^ ": chosen knob") knob' knob;
+          Alcotest.(check bool) (what ^ ": steps") true (steps = steps');
+          Alcotest.(check bool) (what ^ ": decision") true (decision = decision'))
+        [ ("hit", hit); ("memo off", off) ])
+
+let unroll_view (r : Dse.Unroll_dse.result) =
+  (r.design, Printf.sprintf "%d/%b" r.chosen_factor r.synthesizable, r.steps, r.decision)
+
+let memo_tests =
+  let f = Feat_fixtures.make () in
+  (* one incoming design per case: every run sees the same statement ids *)
+  let unroll d f = let d = fpga_design d in fun () -> Dse.Unroll_dse.run d f in
+  let monster =
+    Feat_fixtures.make ~locals:80
+      ~ops_per_iter:(Feat_fixtures.ops ~exp_log:60.0 ~fdiv:30.0 ()) ()
+  in
+  [
+    memo_case "unroll hit == miss == memo off" ~stage:"unroll"
+      (unroll "stratix10" f) unroll_view;
+    memo_case "unsynthesizable unroll hit == miss == memo off" ~stage:"unroll"
+      (unroll "arria10" monster) unroll_view;
+    memo_case "blocksize hit == miss == memo off" ~stage:"blocksize"
+      (let d = gpu_design "rtx2080ti" in fun () -> Dse.Blocksize_dse.run d f)
+      (fun (r : Dse.Blocksize_dse.result) ->
+        (r.design, string_of_int r.chosen_blocksize, r.steps, r.decision));
+    memo_case "threads hit == miss == memo off" ~stage:"threads"
+      (let d = omp_design () in fun () -> Dse.Threads_dse.run d f)
+      (fun (r : Dse.Threads_dse.result) ->
+        (r.design, string_of_int r.chosen_threads, r.steps, r.decision));
+  ]
+
 let () =
   Alcotest.run "dse"
     [
       ("threads", threads_tests);
       ("blocksize", blocksize_tests);
       ("unroll", unroll_tests);
+      ("memo", memo_tests);
     ]

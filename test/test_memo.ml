@@ -150,6 +150,59 @@ let test_lru_eviction () =
   check_int "shrunk to new capacity" 1 (Cache.length c);
   check "survivor is the newest" true (Cache.mem c "d")
 
+(* Plain [find]/[add] share the LRU clock and the counters with
+   [find_or_compute]. *)
+let test_find_add_lru () =
+  let c : string Cache.t = Cache.create ~name:"find_add_test" ~shards:1 ~cap:2 () in
+  Cache.add c "a" "a1";
+  ignore (Cache.find_or_compute c ~key:"b" (fun () -> "b1"));
+  (* a find re-stamps "a", so "b" is now least recently used *)
+  check "find hits an added key" true (Cache.find c "a" = Some "a1");
+  Cache.add c "c" "c1";
+  check "b evicted" false (Cache.mem c "b");
+  check "a kept" true (Cache.mem c "a");
+  (* an added entry is a find_or_compute hit *)
+  check "added value served" true
+    (Cache.find_or_compute c ~key:"c" (fun () -> Alcotest.fail "recomputed")
+    = "c1");
+  check "find misses an evicted key" true (Cache.find c "b" = None);
+  let s = Cache.stats c in
+  check_int "hits: find + find_or_compute" 2 s.Cache.hits;
+  check_int "misses: compute b + find b" 2 s.Cache.misses;
+  check_int "one eviction" 1 s.Cache.evictions
+
+let test_add_replaces () =
+  let c : int Cache.t = Cache.create ~name:"replace_test" ~shards:1 ~cap:2 () in
+  Cache.add c "k" 1;
+  Cache.add c "j" 2;
+  Cache.add c "k" 3;
+  check_int "no growth on replace" 2 (Cache.length c);
+  check "replaced value" true (Cache.find c "k" = Some 3);
+  check_int "replace evicts nothing" 0 (Cache.stats c).Cache.evictions;
+  (* the replace re-stamped "k": the next insert evicts "j" *)
+  Cache.add c "l" 4;
+  check "j evicted" false (Cache.mem c "j");
+  check "k kept" true (Cache.mem c "k");
+  (* a switched-off cache misses and stores nothing *)
+  Cache.set_enabled c false;
+  Cache.add c "m" 5;
+  check "disabled find misses" true (Cache.find c "k" = None);
+  Cache.set_enabled c true;
+  check "disabled add stored nothing" false (Cache.mem c "m")
+
+(* Every hit pushes an LRU stamp; hit-only traffic must not grow the
+   stamp queue without bound. *)
+let test_hits_bounded () =
+  let c : int Cache.t = Cache.create ~name:"hits_bounded_test" ~shards:1 () in
+  Cache.add c "k" 1;
+  for _ = 1 to 50_000 do
+    ignore (Cache.find c "k");
+    ignore (Cache.find_or_compute c ~key:"k" (fun () -> 2))
+  done;
+  let words = Obj.reachable_words (Obj.repr c) in
+  check (Printf.sprintf "100k hits keep the cache small (%d words)" words) true
+    (words < 5_000)
+
 let test_global_switch () =
   let c : int Cache.t = Cache.create ~name:"switch_test" ~shards:1 () in
   Fun.protect ~finally:(fun () -> Flow_memo.set_globally_enabled true)
@@ -186,5 +239,11 @@ let () =
           Alcotest.test_case "tick-on-hit eviction order" `Quick
             test_lru_eviction;
           Alcotest.test_case "global kill-switch" `Quick test_global_switch;
+          Alcotest.test_case "find/add share the LRU order" `Quick
+            test_find_add_lru;
+          Alcotest.test_case "add replaces without growth" `Quick
+            test_add_replaces;
+          Alcotest.test_case "hit-only traffic stays bounded" `Quick
+            test_hits_bounded;
         ] );
     ]

@@ -706,7 +706,7 @@ let check_opt_identity (b : Benchmarks.Bench_app.t) () =
         (run_fingerprint focused = fwalker))
     pass_configs
 
-(* [PSAFLOW_NO_OPT] mirrors [PSAFLOW_NO_CACHE]: the shared flag parser
+(* [PSAFLOW_NO_OPT] mirrors [PSAFLOW_NO_MEMO]: the shared flag parser
    accepts 1/true/yes only, and [Opt.set_enabled false] makes
    [Eval.compile] skip the optimizer entirely — observable through the
    published opt_* counters — without changing any run observable. *)
