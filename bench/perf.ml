@@ -74,9 +74,7 @@ let outcome_fingerprint (app : Benchmarks.Bench_app.t)
   app.id ^ "\n" ^ String.concat "\n" (List.map result_line outcome.results)
 
 (* The contexts are built (programs parsed) once and shared by the three
-   flow legs: statement ids are allocated per parse, so re-parsing would
-   give every leg textually identical but differently-keyed programs and
-   the cache could never hit across legs. *)
+   flow legs, so the legs time the flow and not the front end. *)
 let uninformed_all contexts () =
   List.map
     (fun ((app : Benchmarks.Bench_app.t), ctx) ->

@@ -25,12 +25,6 @@ open Minic
 
 type t = {
   loop_sid : int;  (** node id of the hotspot loop in the original AST *)
-  ordinal : int;
-      (** position of the loop in the pre-order {!candidates} list of
-          [func_name] — node ids are globally allocated per parse, so
-          the ordinal (not the id) is what identifies "the same loop" in
-          another parse of the same source template, e.g. the
-          secondary-workload-size copy *)
   func_name : string;  (** function containing the loop *)
   cycles : float;  (** virtual cycles spent in the loop (inclusive) *)
   total_cycles : float;  (** whole-program cycles *)
@@ -105,18 +99,9 @@ let of_fused ?(func = "main") (fp : Minic_interp.Fused_profile.t) : t option =
         in
         let chosen, skipped = descend start [] in
         let cycles = cycles_of chosen.stmt.sid in
-        let ordinal =
-          let rec find i = function
-            | [] -> 0
-            | (m : Artisan.Query.match_ctx) :: rest ->
-                if m.stmt.sid = chosen.stmt.sid then i else find (i + 1) rest
-          in
-          find 0 cands
-        in
         Some
           {
             loop_sid = chosen.stmt.sid;
-            ordinal;
             func_name = chosen.func.fname;
             cycles;
             total_cycles;

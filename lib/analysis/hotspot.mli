@@ -13,11 +13,9 @@
 open Minic
 
 type t = {
-  loop_sid : int;  (** node id of the hotspot loop in the original AST *)
-  ordinal : int;
-      (** position of the loop in the pre-order {!candidates} list of
-          [func_name]; identifies "the same loop" in another parse of
-          the same source template (node ids are per-parse) *)
+  loop_sid : int;
+      (** node id of the hotspot loop, the same in every parse of the
+          source template (e.g. the secondary-workload-size copy) *)
   func_name : string;
   cycles : float;  (** virtual cycles spent in the loop (inclusive) *)
   total_cycles : float;

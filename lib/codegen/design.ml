@@ -24,7 +24,9 @@ type t = {
   name : string;  (** e.g. ["hip_rtx2080ti"] *)
   target : target;
   device_id : string;  (** key into {!Devices.Spec} *)
-  program : Ast.program;  (** the generated, human-readable source *)
+  program : Ast.program;
+      (** the generated, human-readable source; added management code
+          keeps placeholder ids (only kernel loops are addressed by id) *)
   kernel : string;  (** host-side kernel entry point *)
   device_kernel : string;  (** device-side kernel function name *)
   (* tuning knobs, set by device-specific DSE *)

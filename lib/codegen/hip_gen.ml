@@ -373,21 +373,19 @@ let employ_intrinsics (d : Design.t) : Design.t =
     |> Design.note (Printf.sprintf "%d math calls use GPU intrinsics" n)
 
 (** Set the launch blocksize chosen by the blocksize DSE: updates the
-    knob and the [__blocksize] constant in the generated source. *)
+    knob and the [__blocksize] constant that {!make_host_wrapper} puts
+    in the wrapper's body.  A plain edit, not {!Artisan.Rewrite}: the
+    wrapper is generated code with placeholder ids, which a rewrite
+    would number on every DSE step. *)
 let set_blocksize (d : Design.t) n : Design.t =
-  let p =
-    Artisan.Rewrite.edit_stmts_in
-      (fun s ->
-        match s.Ast.snode with
-        | Ast.Decl dd when dd.dname = "__blocksize" ->
-            [
-              {
-                s with
-                Ast.snode =
-                  Ast.Decl { dd with dinit = Some (Builder.int n) };
-              };
-            ]
-        | _ -> [ s ])
-      d.kernel d.program
+  let set (s : Ast.stmt) =
+    match s.snode with
+    | Ast.Decl dd when dd.dname = "__blocksize" ->
+        { s with snode = Ast.Decl { dd with dinit = Some (Builder.int n) } }
+    | _ -> s
   in
+  let set_fn (f : Ast.func) =
+    if f.fname = d.kernel then { f with fbody = List.map set f.fbody } else f
+  in
+  let p = { d.program with Ast.funcs = List.map set_fn d.program.funcs } in
   { d with Design.program = p; blocksize = n }

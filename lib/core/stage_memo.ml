@@ -9,15 +9,12 @@
     in workload, budget or strategy — share the derived ASTs instead
     of re-deriving them per request.
 
-    Sharing the AST *objects* (not just skipping the work) is what
-    makes the rest of the hierarchy effective: MiniC statement ids are
-    allocated from a process-global counter at parse/transform time
-    and participate in every downstream profile key, so two parses of
-    the same source never hit the same profile-cache entry.  With the
-    parse/extract/reduce artifacts memoized, a variant request reaches
-    the fused-profile stage with bit-identical keys and its
-    interpreter runs all hit.  The ASTs are immutable ([Minic.Ast]
-    has no mutable fields), so cross-domain sharing is safe.
+    The caches only skip work.  Node ids are a function of the program
+    ({!Minic.Ast.number}), so two parses of the same source, and the
+    same transforms applied to them, agree on every id without this
+    module: results are byte-identical with it switched off.  The ASTs
+    are immutable ([Minic.Ast] has no mutable fields), so cross-domain
+    sharing is safe.
 
     Keys follow {!Minic_interp.Profile_cache.key}: a digest of the
     pretty-printed program plus the pre-order loop statement ids —
@@ -28,8 +25,8 @@
 
     All three caches follow the hierarchy-wide rules of {!Flow_memo}:
     disabled by [PSAFLOW_NO_MEMO], bypassed while the global tracer
-    records (a traced run allocates fresh statement ids and records
-    the same span tree as an unmemoized run), bounded by
+    records (a traced run records the same span tree as an unmemoized
+    run), bounded by
     [PSAFLOW_MEMO_CAP], striped over [PSAFLOW_MEMO_SHARDS], and
     counted in the global metrics registry as
     [memo_ast_*]/[memo_extract_*]/[memo_reduce_*]. *)
@@ -42,9 +39,7 @@ let program_key (p : Minic.Ast.program) : string =
 let parse_cache : Minic.Ast.program Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"ast" ()
 
-(** Parse MiniC source, memoized per source digest.  Every request for
-    the same source text observes the same program object — and
-    therefore the same statement ids. *)
+(** Parse MiniC source, memoized per source digest. *)
 let parse (src : string) : Minic.Ast.program =
   Flow_memo.Cache.find_or_compute parse_cache
     ~key:("ast:" ^ Digest.to_hex (Digest.string src))

@@ -20,32 +20,25 @@ exception Flow_error of string
 
 (** Detect, extract and reduction-annotate the hotspot of a program:
     the partitioning prefix of the flow, reused for the secondary
-    profiling size. *)
-let prepare_kernel (p : Minic.Ast.program) =
-  match Analysis.Hotspot.detect p with
-  | None -> raise (Flow_error "no hotspot loop found")
-  | Some h ->
-      let ex = Stage_memo.extract p ~loop_sid:h.loop_sid in
-      let program, _ = Stage_memo.reduce ex.program ~kernel:ex.kernel_name in
-      (program, ex.kernel_name, h)
+    profiling size.  With [hotspot] given, detection is skipped and its
+    loop is extracted instead: node ids are a function of the program,
+    so the secondary-size parse of the same source template carries the
+    profile-size hotspot under the same id.
 
-(** Like {!prepare_kernel} with the hotspot already known — used to
-    reuse the profile-size hotspot decision on the secondary-size copy
-    instead of re-profiling it just to re-derive the same loop.  Loop
-    node ids are allocated globally per parse, so the decision transfers
-    by the hotspot's pre-order ordinal, which is stable across parses of
-    the same source template. *)
-let prepare_kernel_at (p : Minic.Ast.program) ~(hotspot : Analysis.Hotspot.t) =
-  let cands = Analysis.Hotspot.candidates ~func:hotspot.func_name p in
-  match List.nth_opt cands hotspot.ordinal with
-  | None ->
-      raise
-        (Transforms.Extract.Not_extractable
-           (Printf.sprintf "hotspot ordinal %d out of range" hotspot.ordinal))
-  | Some m ->
-      let ex = Stage_memo.extract p ~loop_sid:m.Artisan.Query.stmt.sid in
-      let program, _ = Stage_memo.reduce ex.program ~kernel:ex.kernel_name in
-      (program, ex.kernel_name)
+    @raise Transforms.Extract.Not_extractable if [hotspot]'s loop is not
+      a loop of this program *)
+let prepare_kernel ?hotspot (p : Minic.Ast.program) =
+  let h =
+    match hotspot with
+    | Some h -> h
+    | None -> (
+        match Analysis.Hotspot.detect p with
+        | None -> raise (Flow_error "no hotspot loop found")
+        | Some h -> h)
+  in
+  let ex = Stage_memo.extract p ~loop_sid:h.loop_sid in
+  let program, _ = Stage_memo.reduce ex.program ~kernel:ex.kernel_name in
+  (program, ex.kernel_name, h)
 
 (** Compute (and cache) kernel features, extrapolating to the evaluation
     scale when the context carries a secondary profile size. *)
@@ -59,19 +52,14 @@ let ensure_features (ctx : Context.t) : Context.t =
         | Some (n2, p2), Some n_eval when ctx.profile_n > 0 ->
             let f1 = Analysis.Features.analyze ctx.program ~kernel in
             (* reuse the profile-size hotspot decision on the secondary
-               copy (same source template, same loop ordinal) instead of
+               copy (same source template, same loop id) instead of
                re-profiling it.  Falls back to a fresh detection if the
-               transfer is structurally impossible. *)
-            let p2' =
-              match ctx.hotspot with
-              | Some h -> (
-                  try fst (prepare_kernel_at p2 ~hotspot:h)
-                  with Transforms.Extract.Not_extractable _ ->
-                    let p2', _, _ = prepare_kernel p2 in
-                    p2')
-              | None ->
-                  let p2', _, _ = prepare_kernel p2 in
-                  p2'
+               copy has no loop under that id. *)
+            let p2', _, _ =
+              try prepare_kernel ?hotspot:ctx.hotspot p2
+              with Transforms.Extract.Not_extractable _
+              when ctx.hotspot <> None ->
+                prepare_kernel p2
             in
             let f2 = Analysis.Features.analyze p2' ~kernel in
             ( f1,

@@ -5,22 +5,24 @@
     in/out, alias analysis, feature extraction) observes a program
     through one fused profiling execution ({!Fused_profile}); this
     module memoizes those runs so all consumers of the same request
-    share one execution process-wide.  Since the stage-memo hierarchy
-    ({!Flow_memo}) made parse/extract/reduce artifacts stable across
-    requests, the same entries are also shared across daemon
-    submissions: a variant request (same source, different budget or
-    strategy) re-uses the profile runs of the first request.
+    share one execution process-wide.  Node ids are a function of the
+    program, so the same entries are also shared across daemon
+    submissions and re-parses: a variant request (same source,
+    different budget or strategy) re-uses the profile runs of the first
+    request.
 
     Keying.  The key is exactly the fused request [(program, workload,
     focus)]: a digest of the pretty-printed source, the pre-order list
     of loop statement ids, and the focus function name.  Loop ids must
     be part of the key because the profile's per-loop trip statistics
-    are keyed by them: two structurally equal programs whose loops carry
-    different ids need distinct entries.  Program variants that differ
-    textually (e.g. timer-instrumented copies) hash differently from the
-    bare program, while re-running the *same* variant hits.  The
-    workload size [n] needs no dedicated key component: it is baked into
-    the program text.
+    are keyed by them, and text does not determine them: ids depend on
+    the parse plus the transforms applied, so an inline source equal to
+    the pretty-print of an extracted kernel has that kernel's text but
+    different loop ids, and needs its own entry.  Program variants that
+    differ textually (e.g. timer-instrumented copies) hash differently
+    from the bare program, while re-running the *same* variant hits.
+    The workload size [n] needs no dedicated key component: it is baked
+    into the program text.
 
     Entries are returned by reference; treat cached {!Eval.run} values
     (and their profiles) as read-only.
@@ -36,16 +38,8 @@
     process-wide metrics registry ({!Flow_obs.Metrics.global}) as
     [profile_cache_hits]/[profile_cache_misses]/
     [profile_cache_evictions], and every cache consultation is a trace
-    span carrying its [hit] outcome.
-
-    A second cache level backs the misses: compiled programs (slot IR
-    resolved, optimized, lowered to bytecode) are memoized per
-    (program digest, optimizer fingerprint) so a profile-stage miss
-    that only differs in [focus] — or arrives after an eviction — skips
-    resolve/optimize/lower and pays only the interpreter run.  The
-    compile stage follows the normal hierarchy rules: it honors
-    [PSAFLOW_NO_MEMO] and bypasses itself under the global tracer so
-    traced runs keep their [interp.compile] spans. *)
+    span carrying its [hit] outcome.  A miss compiles the program
+    afresh ({!Eval.compile}) and runs it. *)
 
 (* Single shard on purpose: the interpreter run happens outside the
    shard lock, so striping buys nothing here, and one shard keeps the
@@ -54,9 +48,6 @@
 let cache : Eval.run Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"profile" ~metric_prefix:"profile_cache"
     ~shards:1 ~trace_bypass:false ~no_memo_exempt:true ()
-
-let compile_cache : Eval.compiled Flow_memo.Cache.t =
-  Flow_memo.Cache.create ~name:"compile" ()
 
 (** Change the profile-stage entry bound (also settable via
     [PSAFLOW_MEMO_CAP]).  Takes effect on the next insertion. *)
@@ -68,11 +59,8 @@ let set_capacity c =
     (tests and the perf bench). *)
 let set_enabled b = Flow_memo.Cache.set_enabled cache b
 
-(** Drop all entries — profile runs and memoized compiles — keeping
-    the hit/miss/eviction counters. *)
-let clear () =
-  Flow_memo.Cache.clear cache;
-  Flow_memo.Cache.clear compile_cache
+(** Drop all entries, keeping the hit/miss/eviction counters. *)
+let clear () = Flow_memo.Cache.clear cache
 
 type snapshot = { hits : int; misses : int; evictions : int }
 
@@ -106,17 +94,6 @@ let key ?focus (p : Minic.Ast.program) =
   | None -> ());
   Digest.string (Buffer.contents buf)
 
-(** Like {!Eval.compile}, but memoized per (program digest, optimizer
-    fingerprint).  A compiled value is never mutated after lowering,
-    so it is safe to share across domains.  Only the no-[vm_profile]
-    compile is cacheable — exactly the one {!Eval.run} performs. *)
-let compile (p : Minic.Ast.program) : Eval.compiled =
-  let k =
-    Printf.sprintf "%s|opt=%b" (Digest.to_hex (key p)) (Opt.is_enabled ())
-  in
-  Flow_memo.Cache.find_or_compute compile_cache ~key:k (fun () ->
-      Eval.compile p)
-
 (** Like {!Eval.run}, but memoized.  Only the default fuel budget is
     cacheable; callers that restrict fuel must use {!Eval.run}
     directly. *)
@@ -128,4 +105,4 @@ let run ?focus (p : Minic.Ast.program) : Eval.run =
     Flow_memo.Cache.find_or_compute cache ~key:k
       ~on:(fun hit ->
         Flow_obs.Trace.add_args [ ("hit", Flow_obs.Attr.Bool hit) ])
-      (fun () -> Eval.run_vm ?focus (compile p))
+      (fun () -> Eval.run_vm ?focus (Eval.compile p))

@@ -202,11 +202,8 @@ let worker sh addr () =
   sh.totals.other_errors <- sh.totals.other_errors + t.other_errors;
   Mutex.unlock sh.lock
 
-(* MiniC statement ids are allocated from a process-global [Atomic]
-   counter, so the "hotspot: loop #N in main" log line is the one place
-   a result's bytes depend on how many programs the process parsed
-   before this one.  Canonicalize that token (and only it) to "loop #_"
-   on both sides; every other byte must match exactly. *)
+(* Kept only for perfbench's replay, which still calls it: rewrites
+   every "loop #N" token to "loop #_". *)
 let canonicalize_sids s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
@@ -253,8 +250,8 @@ let verify_one key (sub : Protocol.submission)
       let report_ok =
         String.equal direct.Protocol.report fetched.Protocol.report
       in
-      let direct_data = canonicalize_sids (Json.to_string direct.Protocol.data) in
-      let fetched_data = canonicalize_sids (Json.to_string fetched.Protocol.data) in
+      let direct_data = Json.to_string direct.Protocol.data in
+      let fetched_data = Json.to_string fetched.Protocol.data in
       let data_ok = String.equal direct_data fetched_data in
       if not report_ok then
         Printf.eprintf "svc-load identity: report mismatch for %s\n  %s\n%!"
@@ -376,7 +373,6 @@ let memo_stage_prefixes =
     "memo_extract";
     "memo_reduce";
     "memo_features";
-    "memo_compile";
     "memo_dse_unroll";
     "memo_dse_blocksize";
     "memo_dse_threads";

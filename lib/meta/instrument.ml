@@ -3,7 +3,8 @@
     Operations address statements by node id (obtained from a
     {!Query.match_ctx}) and modify the program in place, mirroring
     [instrument(before, loop, #pragma unroll $n)] from the paper's Fig. 2
-    meta-program. *)
+    meta-program.  The statement operations are built on {!Rewrite}, so
+    the nodes they splice in take the next unused ids. *)
 
 open Minic
 

@@ -11,7 +11,12 @@
 
     Both preserve the node ids of untouched nodes, so analysis results
     keyed by id stay valid across passes — the property the paper's
-    design-flows rely on when analyses and transforms interleave. *)
+    design-flows rely on when analyses and transforms interleave.  Nodes
+    a transform synthesizes (through {!Minic.Builder}, {!refresh_stmt}
+    or [Parser.parse_expr_string]) carry placeholder ids; when one
+    lands in the program, the program-level entry points ({!edit_stmts},
+    {!edit_stmts_in}, {!map_exprs}, {!map_exprs_in}) finish with
+    {!Minic.Ast.number}, so it takes the next unused id. *)
 
 open Minic
 
@@ -38,20 +43,45 @@ and edit_block f (b : Ast.block) : Ast.block = List.concat_map (edit_stmt f) b
 
 let edit_func f (fn : Ast.func) = { fn with fbody = edit_block f fn.fbody }
 
+(* [watch_stmts]/[watch_exprs] wrap the caller's function and set
+   [fresh] when it returns a node it built that holds a placeholder id
+   (a statement returned as is or re-annotated brings none in), so only
+   such edits pay for numbering the whole program. *)
+let brings_placeholder (s : Ast.stmt) (r : Ast.stmt) =
+  r != s
+  && not (r.snode == s.snode && r.sid = s.sid)
+  && Ast.stmt_holds_placeholder r
+
+let watch_stmts fresh f (s : Ast.stmt) =
+  let out = f s in
+  (if not !fresh then
+     match out with
+     | [ r ] -> fresh := brings_placeholder s r
+     | _ -> fresh := List.exists (brings_placeholder s) out);
+  out
+
+let watch_exprs fresh f (e : Ast.expr) =
+  let r = f e in
+  if (not !fresh) && r != e && Ast.expr_holds_placeholder r then fresh := true;
+  r
+
+(* Apply [edit] (given the watched function) to the functions [pick]
+   selects, then number the program if the watch saw new nodes. *)
+let in_funcs watch pick edit f (p : Ast.program) : Ast.program =
+  let fresh = ref false in
+  let f = watch fresh f in
+  let p =
+    { p with funcs = List.map (fun fn -> if pick fn then edit f fn else fn) p.funcs }
+  in
+  if !fresh then Ast.number p else p
+
 (** Edit every statement of every function (globals are left alone: they
     are declarations only). *)
-let edit_stmts f (p : Ast.program) : Ast.program =
-  { p with funcs = List.map (edit_func f) p.funcs }
+let edit_stmts f p = in_funcs watch_stmts (fun _ -> true) edit_func f p
 
 (** Edit statements of one function only. *)
-let edit_stmts_in f fname (p : Ast.program) : Ast.program =
-  {
-    p with
-    funcs =
-      List.map
-        (fun fn -> if fn.Ast.fname = fname then edit_func f fn else fn)
-        p.funcs;
-  }
+let edit_stmts_in f fname p =
+  in_funcs watch_stmts (fun fn -> fn.Ast.fname = fname) edit_func f p
 
 (* ------------------------------------------------------------------ *)
 (* Expression rewriting                                                *)
@@ -111,134 +141,35 @@ let rec map_stmt_exprs f (s : Ast.stmt) : Ast.stmt =
   in
   { s with snode }
 
+let map_func f (fn : Ast.func) =
+  { fn with fbody = List.map (map_stmt_exprs f) fn.fbody }
+
 (** Map every expression of every function body. *)
-let map_exprs f (p : Ast.program) : Ast.program =
-  {
-    p with
-    funcs =
-      List.map
-        (fun fn -> { fn with Ast.fbody = List.map (map_stmt_exprs f) fn.Ast.fbody })
-        p.funcs;
-  }
+let map_exprs f p = in_funcs watch_exprs (fun _ -> true) map_func f p
 
 (** Map expressions within one function only. *)
-let map_exprs_in f fname (p : Ast.program) : Ast.program =
-  {
-    p with
-    funcs =
-      List.map
-        (fun fn ->
-          if fn.Ast.fname = fname then
-            { fn with Ast.fbody = List.map (map_stmt_exprs f) fn.Ast.fbody }
-          else fn)
-        p.funcs;
-  }
+let map_exprs_in f fname p =
+  in_funcs watch_exprs (fun fn -> fn.Ast.fname = fname) map_func f p
 
 (* ------------------------------------------------------------------ *)
 (* Fresh copies                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Deep-copy an expression with fresh node ids (used when a transform
-    duplicates code, e.g. loop unrolling). *)
-let rec refresh_expr (e : Ast.expr) : Ast.expr =
-  let enode =
-    match e.enode with
-    | (Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ | Ast.Var _) as n -> n
-    | Ast.Unop (op, a) -> Ast.Unop (op, refresh_expr a)
-    | Ast.Binop (op, a, b) -> Ast.Binop (op, refresh_expr a, refresh_expr b)
-    | Ast.Index (a, i) -> Ast.Index (refresh_expr a, refresh_expr i)
-    | Ast.Call (name, args) -> Ast.Call (name, List.map refresh_expr args)
-    | Ast.Cast (t, a) -> Ast.Cast (t, refresh_expr a)
-  in
-  Ast.mk_expr ~loc:e.eloc enode
+(** Deep-copy an expression with placeholder ids (used when a transform
+    duplicates code, e.g. loop unrolling); the copy is numbered when it
+    is spliced into a program. *)
+let refresh_expr = Ast.map_ids_expr (fun _ -> Ast.placeholder_id)
 
-let refresh_lvalue = function
-  | Ast.Lvar v -> Ast.Lvar v
-  | Ast.Lindex (a, i) -> Ast.Lindex (refresh_expr a, refresh_expr i)
+(** Deep-copy a statement with placeholder ids throughout. *)
+let refresh_stmt = Ast.map_ids_stmt (fun _ -> Ast.placeholder_id)
 
-(** Deep-copy a statement with fresh node ids throughout. *)
-let rec refresh_stmt (s : Ast.stmt) : Ast.stmt =
-  let snode =
-    match s.snode with
-    | Ast.Decl d ->
-        Ast.Decl
-          {
-            d with
-            dsize = Option.map refresh_expr d.dsize;
-            dinit = Option.map refresh_expr d.dinit;
-          }
-    | Ast.Assign (lv, op, e) ->
-        Ast.Assign (refresh_lvalue lv, op, refresh_expr e)
-    | Ast.Expr_stmt e -> Ast.Expr_stmt (refresh_expr e)
-    | Ast.If (c, b1, b2) ->
-        Ast.If
-          ( refresh_expr c,
-            List.map refresh_stmt b1,
-            Option.map (List.map refresh_stmt) b2 )
-    | Ast.For (h, b) ->
-        Ast.For
-          ( {
-              h with
-              init = refresh_expr h.init;
-              bound = refresh_expr h.bound;
-              step = refresh_expr h.step;
-            },
-            List.map refresh_stmt b )
-    | Ast.While (c, b) -> Ast.While (refresh_expr c, List.map refresh_stmt b)
-    | Ast.Return eo -> Ast.Return (Option.map refresh_expr eo)
-    | Ast.Block b -> Ast.Block (List.map refresh_stmt b)
-  in
-  Ast.mk_stmt ~loc:s.sloc ~pragmas:s.pragmas snode
+let replace_var ~name ~by (e : Ast.expr) =
+  match e.enode with Ast.Var v when v = name -> refresh_expr by | _ -> e
 
-let refresh_block b = List.map refresh_stmt b
-
-(** Substitute variable [name] by expression [by] (fresh-id copies)
-    throughout an expression. *)
-let rec subst_var ~name ~by (e : Ast.expr) : Ast.expr =
-  match e.enode with
-  | Ast.Var v when v = name -> refresh_expr by
-  | _ ->
-      let enode =
-        match e.enode with
-        | (Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ | Ast.Var _) as n -> n
-        | Ast.Unop (op, a) -> Ast.Unop (op, subst_var ~name ~by a)
-        | Ast.Binop (op, a, b) ->
-            Ast.Binop (op, subst_var ~name ~by a, subst_var ~name ~by b)
-        | Ast.Index (a, i) ->
-            Ast.Index (subst_var ~name ~by a, subst_var ~name ~by i)
-        | Ast.Call (f, args) -> Ast.Call (f, List.map (subst_var ~name ~by) args)
-        | Ast.Cast (t, a) -> Ast.Cast (t, subst_var ~name ~by a)
-      in
-      { e with enode }
+(** Substitute variable [name] by expression [by] (placeholder-id
+    copies) throughout an expression. *)
+let subst_var ~name ~by = map_expr (replace_var ~name ~by)
 
 (** Substitute a variable in a whole statement, rebuilding in place
     (ids preserved except where [by] is spliced in). *)
-let rec subst_var_stmt ~name ~by (s : Ast.stmt) : Ast.stmt =
-  let sub = subst_var ~name ~by in
-  let snode =
-    match s.snode with
-    | Ast.Decl d ->
-        Ast.Decl
-          { d with dsize = Option.map sub d.dsize; dinit = Option.map sub d.dinit }
-    | Ast.Assign (lv, op, e) ->
-        let lv =
-          match lv with
-          | Ast.Lvar v -> Ast.Lvar v
-          | Ast.Lindex (a, i) -> Ast.Lindex (sub a, sub i)
-        in
-        Ast.Assign (lv, op, sub e)
-    | Ast.Expr_stmt e -> Ast.Expr_stmt (sub e)
-    | Ast.If (c, b1, b2) ->
-        Ast.If
-          ( sub c,
-            List.map (subst_var_stmt ~name ~by) b1,
-            Option.map (List.map (subst_var_stmt ~name ~by)) b2 )
-    | Ast.For (h, b) ->
-        Ast.For
-          ( { h with init = sub h.init; bound = sub h.bound; step = sub h.step },
-            List.map (subst_var_stmt ~name ~by) b )
-    | Ast.While (c, b) -> Ast.While (sub c, List.map (subst_var_stmt ~name ~by) b)
-    | Ast.Return eo -> Ast.Return (Option.map sub eo)
-    | Ast.Block b -> Ast.Block (List.map (subst_var_stmt ~name ~by) b)
-  in
-  { s with snode }
+let subst_var_stmt ~name ~by = map_stmt_exprs (replace_var ~name ~by)

@@ -9,12 +9,17 @@
     by the "remove array += dependency" transform), calls to math builtins,
     and [#pragma] annotations attached to statements.
 
-    Every expression and statement carries a unique integer id.  Ids are
-    the handles used by the meta-programming layer ({!module:Artisan}) to
-    address nodes for querying and instrumentation, exactly as Artisan
-    addresses Clang AST nodes.  Transformations preserve the ids of nodes
-    they do not touch, so analysis results keyed by id remain valid across
-    instrumentation passes. *)
+    Every expression and statement carries an integer id, unique within
+    its program.  Ids are the handles used by the meta-programming layer
+    ({!module:Artisan}) to address nodes for querying and instrumentation,
+    exactly as Artisan addresses Clang AST nodes.  They are a function of
+    the program alone: the parser numbers statements and expressions
+    pre-order from 1, and a node a transform synthesizes is built with
+    {!placeholder_id} and takes the next unused id of the program it is
+    spliced into when {!number} runs (the parser and the program-level
+    rewriting entry points call it).  Transformations preserve the ids of
+    nodes they do not touch, so analysis results keyed by id remain valid
+    across instrumentation passes. *)
 
 (** Scalar and pointer types. *)
 type typ =
@@ -129,28 +134,16 @@ type program = { globals : stmt list; funcs : func list }
 [@@deriving show { with_path = false }]
 
 (* ------------------------------------------------------------------ *)
-(* Node-id supply                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Atomic so that programs may be parsed / transformed from several
-   domains concurrently (the DSE pool does this) without ever handing
-   two nodes the same id. *)
-let id_counter = Atomic.make 0
-
-(** Allocate a fresh node id. *)
-let fresh_id () = Atomic.fetch_and_add id_counter 1 + 1
-
-(** Reset the id supply. Only used by tests that need reproducible ids. *)
-let reset_ids () = Atomic.set id_counter 0
-
-(* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let mk_expr ?(loc = Loc.none) enode = { eid = fresh_id (); enode; eloc = loc }
+(** The id of a node not yet numbered; real ids start at 1. *)
+let placeholder_id = 0
+
+let mk_expr ?(loc = Loc.none) enode = { eid = placeholder_id; enode; eloc = loc }
 
 let mk_stmt ?(loc = Loc.none) ?(pragmas = []) snode =
-  { sid = fresh_id (); snode; sloc = loc; pragmas }
+  { sid = placeholder_id; snode; sloc = loc; pragmas }
 
 (* ------------------------------------------------------------------ *)
 (* Generic traversal                                                   *)
@@ -236,6 +229,101 @@ let has_duplicate_ids p =
   in
   iter_program ~fs:(fun s -> check s.sid) ~fe:(fun e -> check e.eid) p;
   !dup
+
+(** [map_ids_expr f e] rebuilds [e] with every node id [id] replaced by
+    [f id], calling [f] in the pre-order of {!iter_expr}. *)
+let rec map_ids_expr f e =
+  (* explicit [let]s fix the call order: OCaml leaves the evaluation
+     order of constructor and record arguments unspecified *)
+  let eid = f e.eid in
+  let enode =
+    match e.enode with
+    | (Int_lit _ | Float_lit _ | Bool_lit _ | Var _) as n -> n
+    | Unop (op, a) -> Unop (op, map_ids_expr f a)
+    | Binop (op, a, b) ->
+        let a = map_ids_expr f a in
+        Binop (op, a, map_ids_expr f b)
+    | Index (a, i) ->
+        let a = map_ids_expr f a in
+        Index (a, map_ids_expr f i)
+    | Call (name, args) -> Call (name, List.map (map_ids_expr f) args)
+    | Cast (t, a) -> Cast (t, map_ids_expr f a)
+  in
+  { e with eid; enode }
+
+(** [map_ids_stmt f s] rebuilds [s] like {!map_ids_expr}, in the
+    pre-order of {!iter_program}: a statement, its own expressions, then
+    its sub-blocks. *)
+let rec map_ids_stmt f s =
+  let ex = map_ids_expr f and blk = List.map (map_ids_stmt f) in
+  let sid = f s.sid in
+  let snode =
+    match s.snode with
+    | Decl d ->
+        let dsize = Option.map ex d.dsize in
+        Decl { d with dsize; dinit = Option.map ex d.dinit }
+    | Assign (Lvar v, op, e) -> Assign (Lvar v, op, ex e)
+    | Assign (Lindex (a, i), op, e) ->
+        let a = ex a in
+        let i = ex i in
+        Assign (Lindex (a, i), op, ex e)
+    | Expr_stmt e -> Expr_stmt (ex e)
+    | If (c, b1, b2) ->
+        let c = ex c in
+        let b1 = blk b1 in
+        If (c, b1, Option.map blk b2)
+    | For (h, b) ->
+        let init = ex h.init in
+        let bound = ex h.bound in
+        let step = ex h.step in
+        For ({ h with init; bound; step }, blk b)
+    | While (c, b) ->
+        let c = ex c in
+        While (c, blk b)
+    | Return eo -> Return (Option.map ex eo)
+    | Block b -> Block (blk b)
+  in
+  { s with sid; snode }
+
+(** True if [e], or a node under it, carries {!placeholder_id}. *)
+let expr_holds_placeholder e =
+  let found = ref false in
+  iter_expr (fun e -> if e.eid = placeholder_id then found := true) e;
+  !found
+
+(** True if [s], or a node under it, carries {!placeholder_id}. *)
+let stmt_holds_placeholder s =
+  let found = ref false in
+  iter_stmt
+    (fun s ->
+      if
+        s.sid = placeholder_id
+        || List.exists expr_holds_placeholder (stmt_exprs s)
+      then found := true)
+    s;
+  !found
+
+(** Give every {!placeholder_id} node of [p] the next unused id —
+    [max_id + 1], [max_id + 2], ... — in the pre-order of
+    {!iter_program}.  Numbered nodes keep their ids, so on a fresh parse
+    (all placeholders) the ids are exactly [1..n] in pre-order.  Only
+    the top-level statements that hold a placeholder are rebuilt. *)
+let number p =
+  let top = ref 0 in
+  let see id = if id > !top then top := id in
+  iter_program ~fs:(fun s -> see s.sid) ~fe:(fun e -> see e.eid) p;
+  let next id =
+    if id <> placeholder_id then id
+    else (
+      incr top;
+      !top)
+  in
+  let block =
+    List.map (fun s ->
+        if stmt_holds_placeholder s then map_ids_stmt next s else s)
+  in
+  let globals = block p.globals in
+  { globals; funcs = List.map (fun f -> { f with fbody = block f.fbody }) p.funcs }
 
 (* ------------------------------------------------------------------ *)
 (* Type utilities                                                      *)

@@ -484,13 +484,15 @@ let parse_program_tokens toks : Ast.program =
   go ();
   { Ast.globals = List.rev !globals; funcs = List.rev !funcs }
 
-(** Parse MiniC source text into a program.
+(** Parse MiniC source text into a program, its nodes numbered
+    pre-order from 1.
     @raise Lexer.Lex_error on lexical errors
     @raise Parse_error on syntax errors *)
-let parse_program src = parse_program_tokens (Lexer.tokenize src)
+let parse_program src = Ast.number (parse_program_tokens (Lexer.tokenize src))
 
 (** Parse a single expression (used by tests and by transforms that build
-    small expressions from text). *)
+    small expressions from text).  Its nodes carry placeholder ids until
+    the program it is spliced into is numbered. *)
 let parse_expr_string src =
   let st = make (Lexer.tokenize src) in
   let e = parse_expr st in

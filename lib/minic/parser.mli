@@ -8,10 +8,13 @@
 (** Raised on syntax errors, with a message and location. *)
 exception Parse_error of string * Loc.t
 
-(** Parse MiniC source text into a program.
+(** Parse MiniC source text into a program.  Statements and
+    expressions are numbered pre-order from 1 ({!Ast.number}).
     @raise Lexer.Lex_error on lexical errors
     @raise Parse_error on syntax errors *)
 val parse_program : string -> Ast.program
 
-(** Parse a single expression (tests and textual transform inputs). *)
+(** Parse a single expression (tests and textual transform inputs).
+    Its nodes carry {!Ast.placeholder_id} until the program it is
+    spliced into is numbered. *)
 val parse_expr_string : string -> Ast.expr

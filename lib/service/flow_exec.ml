@@ -191,10 +191,8 @@ let resolve (s : Protocol.submission) : (resolved, Protocol.error_kind) result =
                    ?budget:s.budget app))
       | exception Invalid_argument _ -> Error (Protocol.Unknown_benchmark id))
   | Protocol.Inline src -> (
-      (* validation and context construction share one memoized parse:
-         variant submissions of the same source observe the same AST
-         objects (and statement ids), which is what lets every
-         downstream stage cache hit across requests *)
+      (* validation and context construction share one memoized parse,
+         so a variant submission of the same source skips re-parsing *)
       match Psa.Stage_memo.parse src with
       | exception Minic.Lexer.Lex_error (m, loc) ->
           Error

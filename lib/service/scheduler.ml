@@ -34,8 +34,10 @@
     its job id back at submit time, while [find_or_compute] blocks its
     caller until the value exists.  All engine state a flow
     touches while running is domain-safe: the profile cache is
-    mutex-guarded, MiniC statement ids come from an [Atomic] counter,
-    the metrics registry locks, and [rand01] state is per-run. *)
+    mutex-guarded, MiniC node ids are numbered per program (no shared
+    counter), the metrics registry locks, and [rand01] state is
+    per-run.  A job's result bytes are a function of its submission
+    alone, not of the jobs the daemon ran before it. *)
 
 module Metrics = Flow_obs.Metrics
 

@@ -131,7 +131,9 @@ let hotspot ?(kernel_name = default_kernel_name) ?(func = "main")
   let loop =
     let found = ref None in
     Ast.iter_func
-      (fun s -> if s.Ast.sid = loop_sid then found := Some s)
+      (fun s ->
+        if s.Ast.sid = loop_sid && Artisan.Query.is_stmt_loop s then
+          found := Some s)
       host;
     match !found with
     | Some s -> s
@@ -163,8 +165,14 @@ let hotspot ?(kernel_name = default_kernel_name) ?(func = "main")
     Builder.call_stmt kernel_name
       (List.map (fun (_, v) -> Builder.var v) params)
   in
-  let p = Artisan.Instrument.replace ~target:loop_sid [ call ] p in
-  let p = Artisan.Instrument.add_func kernel p in
+  (* add the kernel before splicing in the call, so the call's new ids
+     are numbered above the loop's *)
+  let p =
+    Artisan.Instrument.add_func kernel p
+    |> Artisan.Rewrite.edit_stmts_in
+         (fun s -> if s.Ast.sid = loop_sid then [ call ] else [ s ])
+         func
+  in
   { program = p; kernel_name; params; loop_sid }
 
 (** Convenience: detect the hotspot of [p] and extract it in one step. *)

@@ -15,7 +15,7 @@ exception Cannot_unroll of string
 
 (** Replace a fixed-bound canonical loop by its fully unrolled body: one
     copy of the body per iteration, the index substituted by its constant
-    value.  Fresh node ids are given to the copies. *)
+    value.  The copies carry placeholder ids until they are spliced in. *)
 let full_unroll_stmt (s : Ast.stmt) : Ast.block =
   match s.snode with
   | Ast.For (h, body) -> (

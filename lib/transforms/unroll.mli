@@ -10,7 +10,8 @@ open Minic
 exception Cannot_unroll of string
 
 (** Literally replace a fixed-bound canonical loop by its fully unrolled
-    body, the index substituted by its constant value (fresh node ids).
+    body, the index substituted by its constant value (the copies take
+    new ids when spliced in).
     @raise Cannot_unroll on runtime bounds or non-loops *)
 val full_unroll_stmt : Ast.stmt -> Ast.block
 

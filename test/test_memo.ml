@@ -56,10 +56,7 @@ let exec sub =
   | Error _ -> None
   | Ok { Flow_exec.run; _ } ->
       let r = run ~request_id:None () in
-      Some
-        ( r.Protocol.report,
-          Flow_load.Runner.canonicalize_sids (Json.to_string r.Protocol.data)
-        )
+      Some (r.Protocol.report, Json.to_string r.Protocol.data)
 
 let prop_memo_identity =
   QCheck.Test.make ~count:8 ~name:"memo-on == memo-off byte-identically"
@@ -74,14 +71,45 @@ let prop_memo_identity =
           Flow_memo.set_globally_enabled true;
           (* first memoized submission populates the stage caches,
              repeats serve from them; all three must match the
-             reference bytes (after sid canonicalization — each
-             memo-off execution re-parses) *)
+             reference bytes exactly *)
           let cold = exec sub in
           let warm = exec sub in
           match (reference, cold, warm) with
           | Some r, Some c, Some w -> c = r && w = r
           | _ -> false)
         (variant_subs src))
+
+(* ------------------------------------------------------------------ *)
+(* Property: a result does not depend on what the process parsed before *)
+(* ------------------------------------------------------------------ *)
+
+(* With the stage memo off every execution parses afresh, so parsing
+   unrelated programs in between must leave the report, the data JSON
+   (its "hotspot: loop #N" log line included) and a traced run's
+   normalized trace byte-identical.  The profile cache is cleared
+   before each round so both rounds see the same hit/miss pattern in
+   the trace. *)
+let prop_history_independent =
+  QCheck.Test.make ~count:6 ~name:"results independent of earlier parses"
+    QCheck.(pair arb_source (list_of_size Gen.(int_range 1 4) arb_source))
+    (fun (src, unrelated) ->
+      Fun.protect ~finally:(fun () -> Flow_memo.set_globally_enabled true)
+      @@ fun () ->
+      Flow_memo.set_globally_enabled false;
+      let subs =
+        [
+          Protocol.submission (Protocol.Inline src);
+          Protocol.submission ~trace:true (Protocol.Inline src);
+        ]
+      in
+      let round () =
+        Minic_interp.Profile_cache.clear ();
+        List.map exec subs
+      in
+      let alone = round () in
+      List.iter (fun s -> ignore (Minic.Parser.parse_program s)) unrelated;
+      let after = round () in
+      List.for_all Option.is_some alone && after = alone)
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight dedup under concurrent domains                        *)
@@ -227,7 +255,10 @@ let () =
   Alcotest.run "memo"
     [
       ( "identity",
-        [ QCheck_alcotest.to_alcotest ~long:false prop_memo_identity ] );
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_memo_identity;
+          QCheck_alcotest.to_alcotest ~long:false prop_history_independent;
+        ] );
       ( "single-flight",
         [
           Alcotest.test_case "4 domains, one compute" `Quick test_single_flight;

@@ -255,6 +255,34 @@ let rewrite_tests =
           (Astring_contains.contains f_src "expf(");
         Alcotest.(check bool) "g untouched" false
           (Astring_contains.contains g_src "expf("));
+    Alcotest.test_case "map_exprs numbers spliced expressions" `Quick
+      (fun () ->
+        let p = parse "int main() { int x = 2; print_int(x * 3); return 0; }" in
+        let all_ids p =
+          let ids = ref [] in
+          Ast.iter_program
+            ~fs:(fun s -> ids := s.Ast.sid :: !ids)
+            ~fe:(fun e -> ids := e.Ast.eid :: !ids)
+            p;
+          !ids
+        in
+        let top = List.fold_left max 0 (all_ids p) in
+        let p' =
+          Rewrite.map_exprs
+            (fun e ->
+              match e.Ast.enode with
+              | Ast.Int_lit 3 -> Parser.parse_expr_string "x + 1"
+              | _ -> e)
+            p
+        in
+        let ids = all_ids p' in
+        Alcotest.(check bool) "no placeholder" false
+          (List.mem Ast.placeholder_id ids);
+        Alcotest.(check bool) "no duplicate ids" false (Ast.has_duplicate_ids p');
+        Alcotest.(check int) "three new ids above the old" 3
+          (List.length (List.filter (fun id -> id > top) ids));
+        let r = Minic_interp.Eval.run p' in
+        Alcotest.(check string) "prints 2 * (2 + 1)" "6\n" r.output);
     Alcotest.test_case "edit_stmts can duplicate with fresh ids" `Quick
       (fun () ->
         let p = parse "int main() { print_int(1); return 0; }" in

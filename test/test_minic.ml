@@ -76,6 +76,23 @@ let parser_tests =
     Alcotest.test_case "global declaration" `Quick (fun () ->
         let p = Parser.parse_program "double g = 1.0;" in
         Alcotest.(check int) "globals" 1 (List.length p.globals));
+    Alcotest.test_case "node ids are 1..n in pre-order" `Quick (fun () ->
+        let p =
+          Parser.parse_program
+            "double g = 1.5;\nint h[4];\nint main() { int x = 2;\n\
+             for (int i = 0; i < 4; i++) { h[i] = x * i; }\n\
+             return x; }"
+        in
+        let ids = ref [] in
+        Ast.iter_program
+          ~fs:(fun s -> ids := s.sid :: !ids)
+          ~fe:(fun e -> ids := e.eid :: !ids)
+          p;
+        let n = List.length !ids in
+        Alcotest.(check (list int))
+          "globals first, each node before its children"
+          (List.init n (fun i -> i + 1))
+          (List.rev !ids));
     Alcotest.test_case "precedence: mul over add" `Quick (fun () ->
         match parse_main_body "int x = 1 + 2 * 3;" with
         | [ { snode = Ast.Decl { dinit = Some e; _ }; _ } ] ->

@@ -350,10 +350,7 @@ let bezier = List.nth Benchmarks.Registry.all 2 (* smallest benchmark *)
 
 (* One informed flow run under the tracer from a cold profile cache,
    returning the normalized export plus the outcome.  The context is
-   built by the caller: statement ids are assigned by a global parser
-   counter, so byte-determinism holds per parsed workload (each
-   [psaflow run] invocation is a fresh process and parses
-   identically). *)
+   built by the caller. *)
 let traced_informed_run ctx =
   Fun.protect ~finally:Trace.stop @@ fun () ->
   Minic_interp.Profile_cache.clear ();

@@ -59,20 +59,29 @@ let cache_tests =
       Alcotest.test_case b.id `Slow (check_benchmark b))
     (Benchmarks.Registry.all @ Benchmarks.Registry.extras)
 
-(* Distinct programs must never share a cache entry, even when they are
-   structurally identical (their loop ids differ, and per-loop stats are
-   keyed by those ids). *)
+(* Programs that print the same but number their loops differently must
+   never share a cache entry (per-loop stats are keyed by those ids).
+   Ids depend on the parse plus the transforms applied: an extracted
+   kernel and a re-parse of its pretty-print are such a pair. *)
 let distinct_ids_distinct_entries () =
   let src = {|
 int main() {
-  int s = 0;
-  for (int i = 0; i < 10; i++) { s += i; }
-  return s;
+  int a[10];
+  for (int i = 0; i < 10; i++) { a[i] = i * 2; }
+  return a[3];
 }
 |} in
-  let p1 = Minic.Parser.parse_program src in
-  let p2 = Minic.Parser.parse_program src in
+  let ex =
+    Option.get
+      (Transforms.Extract.detect_and_extract (Minic.Parser.parse_program src))
+  in
+  let p1 = ex.program in
+  let p2 = Minic.Parser.parse_program (Minic.Pretty.program_to_string p1) in
+  Alcotest.(check string)
+    "same text" (Minic.Pretty.program_to_string p1)
+    (Minic.Pretty.program_to_string p2);
   cache ();
+  Minic_interp.Profile_cache.reset_stats ();
   let r1 = Minic_interp.Profile_cache.run p1 in
   let r2 = Minic_interp.Profile_cache.run p2 in
   let sids t = Hashtbl.fold (fun sid _ acc -> sid :: acc) t [] in
@@ -80,6 +89,8 @@ int main() {
     "loop stats keyed by each program's own ids" false
     (List.sort compare (sids r1.profile.loops)
     = List.sort compare (sids r2.profile.loops));
+  Alcotest.(check int)
+    "two entries" 2 (Minic_interp.Profile_cache.stats ()).misses;
   Alcotest.(check (float 0.0))
     "identical cycles" r1.profile.cycles r2.profile.cycles;
   cache ()

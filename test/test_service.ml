@@ -743,6 +743,62 @@ let test_scheduler_failure () =
   Scheduler.shutdown sched;
   check_int "jobs_failed counted" 1 (Metrics.counter_value metrics "jobs_failed")
 
+(* A job's bytes are a function of its submission, not of the daemon's
+   history: a scheduler that has already run other inline jobs and a
+   fresh scheduler over emptied process caches (what a new daemon
+   process starts with) serve identical report and data bytes. *)
+let inline_kernel k =
+  Printf.sprintf
+    "int main() {\n\
+    \  double a[%d];\n\
+    \  double b[%d];\n\
+    \  for (int i = 0; i < %d; i++) { b[i] = a[i] * %d.0 + 1.0; }\n\
+    \  return 0;\n\
+     }"
+    (8 * k) (8 * k) (8 * k) k
+
+let scheduled_bytes sched src =
+  let sub = Protocol.submission (Protocol.Inline src) in
+  match Flow_exec.resolve sub with
+  | Error _ -> Alcotest.fail "inline submission rejected"
+  | Ok { Flow_exec.key; label; run } -> (
+      let id, _ =
+        Result.get_ok
+          (Scheduler.submit sched ~key ~label ~mode:sub.mode
+             ~strategy:sub.strategy ~request_id:"rq-identity"
+             (run ~request_id:None))
+      in
+      check "job completes" true
+        (wait_until (fun () ->
+             match Scheduler.status sched id with
+             | Some { state = Protocol.Done; _ } -> true
+             | _ -> false));
+      match Scheduler.result sched id with
+      | Some (_, Some r) -> (r.Protocol.report, Json.to_string r.Protocol.data)
+      | _ -> Alcotest.fail "finished job has no result")
+
+let test_daemon_identity () =
+  let target = inline_kernel 3 in
+  let scheduler () =
+    Scheduler.create ~workers:1 ~queue_capacity:8 ~metrics:(Metrics.create ()) ()
+  in
+  let used = scheduler () in
+  List.iter
+    (fun k -> ignore (scheduled_bytes used (inline_kernel k)))
+    [ 5; 7; 2 ];
+  let report, data = scheduled_bytes used target in
+  Scheduler.shutdown used;
+  Psa.Stage_memo.clear ();
+  Flow_memo.Cache.clear Analysis.Features.memo;
+  Dse.Sweep_memo.clear ();
+  Minic_interp.Profile_cache.clear ();
+  let fresh = scheduler () in
+  let report', data' = scheduled_bytes fresh target in
+  Scheduler.shutdown fresh;
+  check "has the hotspot log line" true (contains data "hotspot: loop #");
+  check_str "identical report" report report';
+  check_str "identical data" data data'
+
 (* Finished jobs are bounded; queued and running jobs never pruned.  A
    cached submission finishes on submit, so duplicates of one stored
    key fill the finished table without running anything. *)
@@ -1543,6 +1599,8 @@ let () =
           Alcotest.test_case "failure isolation" `Quick test_scheduler_failure;
           Alcotest.test_case "finished jobs bounded" `Quick
             test_scheduler_prunes_finished;
+          Alcotest.test_case "used and fresh scheduler agree" `Quick
+            test_daemon_identity;
         ] );
       ( "req_trace",
         [

@@ -435,6 +435,139 @@ let equivalence_tests =
         Alcotest.test_case b.id `Slow (check_bench_equivalence b))
       Benchmarks.Registry.all
 
+(* ------------------------------------------------------------------ *)
+(* Node ids: a function of the program and the transforms applied      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every id with a summary of its node (statement or expression, its
+   constructor and source location), in the pre-order of
+   [Ast.iter_program]. *)
+let id_nodes (p : Minic.Ast.program) =
+  let acc = ref [] in
+  let stmt (s : Minic.Ast.stmt) =
+    let kind =
+      match s.snode with
+      | Decl _ -> "decl"
+      | Assign _ -> "assign"
+      | Expr_stmt _ -> "expr"
+      | If _ -> "if"
+      | For _ -> "for"
+      | While _ -> "while"
+      | Return _ -> "return"
+      | Block _ -> "block"
+    in
+    acc := (s.sid, ("s" ^ kind, s.sloc)) :: !acc
+  in
+  let expr (e : Minic.Ast.expr) =
+    let kind =
+      match e.enode with
+      | Int_lit _ -> "int"
+      | Float_lit _ -> "float"
+      | Bool_lit _ -> "bool"
+      | Var _ -> "var"
+      | Unop _ -> "unop"
+      | Binop _ -> "binop"
+      | Index _ -> "index"
+      | Call _ -> "call"
+      | Cast _ -> "cast"
+    in
+    acc := (e.eid, ("e" ^ kind, e.eloc)) :: !acc
+  in
+  Minic.Ast.iter_program ~fs:stmt ~fe:expr p;
+  List.rev !acc
+
+let check_parse_ids what p =
+  let ids = List.map fst (id_nodes p) in
+  Alcotest.(check (list int))
+    (what ^ ": parse ids are 1..n in pre-order")
+    (List.init (List.length ids) (fun i -> i + 1))
+    ids
+
+(* [after] is [before] transformed: no placeholder or duplicate id, every
+   node [before] had still under its id unless the transform removed it
+   ([removes]), and every new id above all of [before]'s. *)
+let check_transform ?(removes = false) what before after =
+  let b = id_nodes before and a = id_nodes after in
+  let top = List.fold_left (fun m (id, _) -> max m id) 0 b in
+  let msg m = Printf.sprintf "%s: %s" what m in
+  Alcotest.(check bool) (msg "no placeholder ids") false
+    (List.mem_assoc Minic.Ast.placeholder_id a);
+  Alcotest.(check bool) (msg "no duplicate ids") false
+    (Minic.Ast.has_duplicate_ids after);
+  List.iter
+    (fun (id, node) ->
+      match List.assoc_opt id a with
+      | Some node' ->
+          if node' <> node then
+            Alcotest.failf "%s: node #%d changed kind or location" what id
+      | None ->
+          if not removes then Alcotest.failf "%s: node #%d lost its id" what id)
+    b;
+  List.iter
+    (fun (id, _) ->
+      if (not (List.mem_assoc id b)) && id <= top then
+        Alcotest.failf "%s: new node #%d reuses an id at or below %d" what id
+          top)
+    a
+
+(* Extract, reduce, unroll, single precision and OpenMP pragmas, in flow
+   order, each checked against its input; then timer instrumentation of
+   the original. *)
+let check_transform_chain what p ~func ~loop_sid =
+  let ex = Extract.hotspot p ~func ~loop_sid in
+  check_transform (what ^ " extract") p ex.program;
+  let kernel = ex.kernel_name in
+  let red, _ = Reduction.remove_array_dependencies ex.program ~kernel in
+  check_transform (what ^ " reduce") ex.program red;
+  let unr, _ = Unroll.unroll_fixed_inner_loops red ~kernel in
+  check_transform ~removes:true (what ^ " unroll") red unr;
+  let sp = Sp_math.to_single_precision unr ~kernel in
+  check_transform (what ^ " sp_math") unr sp;
+  (match Omp_pragmas.parallelize_kernel_loop ~num_threads:8 red ~kernel with
+  | omp -> check_transform (what ^ " omp") red omp
+  | exception Omp_pragmas.Not_parallel _ -> ());
+  check_transform (what ^ " instrument") p (Analysis.Hotspot.instrument ~func p)
+
+let check_bench_ids (b : Benchmarks.Bench_app.t) () =
+  let p = Minic.Parser.parse_program (b.source ~n:b.profile_n) in
+  check_parse_ids b.id p;
+  let h = Option.get (Analysis.Hotspot.detect p) in
+  check_transform_chain b.id p ~func:h.func_name ~loop_sid:h.loop_sid;
+  (* the secondary-size parse carries the hotspot under the same id, and
+     extracting it there gives what fresh detection gives *)
+  let p2 = Minic.Parser.parse_program (b.source ~n:b.secondary_n) in
+  Alcotest.(check bool) "secondary parse has the hotspot loop" true
+    (List.exists
+       (fun (m : Artisan.Query.match_ctx) -> m.stmt.sid = h.loop_sid)
+       (Analysis.Hotspot.candidates ~func:h.func_name p2));
+  let transferred, _, _ = Psa.Std_flow.prepare_kernel ~hotspot:h p2 in
+  let fresh, _, h2 = Psa.Std_flow.prepare_kernel p2 in
+  Alcotest.(check int) "fresh detection picks the same loop" h.loop_sid
+    h2.loop_sid;
+  Alcotest.(check bool) "same kernel as fresh detection" true
+    (transferred = fresh)
+
+let ids_prop =
+  QCheck.Test.make ~count:25 ~name:"generated programs: ids invariants"
+    transform_arb (fun src ->
+      let p = parse src in
+      check_parse_ids "generated" p;
+      let outer =
+        List.hd
+          (Artisan.Query.(stmts_in ~where:(is_for &&& is_outermost_loop)) p
+             "work")
+      in
+      check_transform_chain "generated" p ~func:"work"
+        ~loop_sid:outer.stmt.sid;
+      true)
+
+let id_tests =
+  QCheck_alcotest.to_alcotest ids_prop
+  :: List.map
+       (fun (b : Benchmarks.Bench_app.t) ->
+         Alcotest.test_case b.id `Slow (check_bench_ids b))
+       (Benchmarks.Registry.all @ Benchmarks.Registry.extras)
+
 let () =
   Alcotest.run "transforms"
     [
@@ -444,4 +577,5 @@ let () =
       ("unroll", unroll_tests);
       ("omp", omp_tests);
       ("equivalence", equivalence_tests);
+      ("ids", id_tests);
     ]
