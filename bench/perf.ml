@@ -1,7 +1,7 @@
 (** [main.exe perf [--quick]]: the performance trajectory benchmark.
 
     Measures the fast-path layers (bytecode VM, fused single-pass
-    profiling, profile cache, sharded kernels) and writes the numbers to
+    profiling, profile cache) and writes the numbers to
     [BENCH_psaflow.json]:
 
     - interpreter throughput on the heaviest benchmark, before (slot-IR
@@ -134,7 +134,6 @@ let run ~quick () =
       (fun name ->
         (name, Flow_obs.Metrics.counter_value Flow_obs.Metrics.global name))
       [
-        "opt_consts_folded";
         "opt_ops_strength_reduced";
         "opt_kernels_specialized";
       ]
@@ -152,7 +151,6 @@ let run ~quick () =
       [
         "vm_kernels";
         "vm_kernels_fused";
-        "vm_kernels_shardable";
         "vm_kernel_ops_before";
         "vm_kernel_ops_after";
         "vm_kernel_lits";
@@ -173,7 +171,6 @@ let run ~quick () =
   let no_p = Minic_interp.Opt.no_passes in
   let pass_legs =
     [
-      ("fold", { no_p with Minic_interp.Opt.fold = true });
       ("strength", { no_p with Minic_interp.Opt.strength = true });
       ("specialize", { no_p with Minic_interp.Opt.specialize = true });
       ("composed", Minic_interp.Opt.all_passes);
@@ -221,101 +218,6 @@ let run ~quick () =
     bulk_mcycles mcycles;
   if not interp_identical then
     prerr_endline "ERROR: an engine's profile diverges from the IR walker!";
-
-  (* -- domain-parallel loop execution ------------------------------- *)
-  (* A purpose-built data-parallel triad (y[i] = y[i] + a*x[i]) whose
-     fused kernel passes the VM's shardability checks; the same compiled
-     program runs with 1, 2 and 4 worker domains and every observable
-     must be bit-identical (the accounting is closed-form on the calling
-     domain; iterations own disjoint elements). *)
-  let triad_n = 200_000 and triad_rounds = 50 in
-  let triad_p =
-    Minic.Parser.parse_program
-      (Printf.sprintf
-         {|
-int main() {
-  int n = %d;
-  double x[n];
-  double y[n];
-  for (int i = 0; i < n; i++) {
-    x[i] = rand01();
-    y[i] = rand01();
-  }
-  double a = 1.5;
-  for (int r = 0; r < %d; r++) {
-    for (int i = 0; i < n; i++) {
-      y[i] = y[i] + a * x[i];
-    }
-  }
-  print_float(y[12345]);
-  return 0;
-}
-|}
-         triad_n triad_rounds)
-  in
-  let triad_c = Minic_interp.Eval.compile triad_p in
-  if cores <= 1 then
-    prerr_endline
-      "WARNING: 1 recommended domain; parallel legs still execute with \
-       2/4 worker domains but cannot show wall-clock speedup";
-  let saved_jobs = !Minic_interp.Eval.vm_jobs_override in
-  let saved_shard_min = !Minic_interp.Eval.vm_shard_min in
-  Minic_interp.Eval.vm_shard_min := 4096;
-  let parallel_legs =
-    List.map
-      (fun domains ->
-        Minic_interp.Eval.vm_jobs_override := Some domains;
-        let s, r = best (fun () -> Minic_interp.Eval.run_vm triad_c) in
-        (domains, s, r))
-      [ 1; 2; 4 ]
-  in
-  Minic_interp.Eval.vm_jobs_override := saved_jobs;
-  Minic_interp.Eval.vm_shard_min := saved_shard_min;
-  let triad_mcycles =
-    match parallel_legs with
-    | (_, _, r) :: _ -> r.Minic_interp.Eval.profile.cycles /. 1e6
-    | [] -> 0.0
-  in
-  let parallel_identical =
-    match parallel_legs with
-    | (_, _, r1) :: rest ->
-        List.for_all (fun (_, _, r) -> fingerprint r = fingerprint r1) rest
-    | [] -> false
-  in
-  let sharded_kernels =
-    Flow_obs.Metrics.counter_value Flow_obs.Metrics.global "vm_sharded_kernels"
-  in
-  Printf.printf "parallel triad (n=%d, %d rounds)  %s   sharded kernels %d   \
-                 outputs identical: %b\n%!"
-    triad_n triad_rounds
-    (String.concat "   "
-       (List.map
-          (fun (d, s, _) ->
-            Printf.sprintf "%d-domain %8.4f s (%.1f Mcycles/s)" d s
-              (triad_mcycles /. s))
-          parallel_legs))
-    sharded_kernels parallel_identical;
-  if not parallel_identical then
-    prerr_endline "ERROR: domain-sharded outputs diverge across domain counts!";
-  (* parallel efficiency per leg: (t_1dom / t_Ndom) / N.  Legs with more
-     domains than cores oversubscribe the CPU and land below 1/N — a
-     real, expected slowdown on small containers that the report records
-     honestly rather than leaving unexplained. *)
-  let triad_t1 =
-    match parallel_legs with (_, s, _) :: _ -> s | [] -> 0.0
-  in
-  let triad_efficiency d s =
-    if s > 0.0 && d > 0 then triad_t1 /. s /. float_of_int d else 0.0
-  in
-  let oversubscribed =
-    List.exists (fun (d, _, _) -> d > cores) parallel_legs
-  in
-  if oversubscribed then
-    Printf.eprintf
-      "note: triad legs running more domains than the %d recommended core(s) \
-       oversubscribe the CPU; parallel_efficiency < 1/domains is expected, \
-       not an engine regression\n%!"
-      cores;
 
   (* -- repeated-analysis path: cold vs cached ---------------------- *)
   let prepared = prepare heavy in
@@ -420,41 +322,6 @@ int main() {
               ("speedup", Float (before_s /. vm_s));
               ("outputs_identical", Bool interp_identical);
             ] );
-        ( "parallel",
-          Obj
-            ([
-               ("benchmark", String "triad");
-               ("n", Int triad_n);
-               ("rounds", Int triad_rounds);
-               ("virtual_mcycles", Float triad_mcycles);
-               ("cores", Int cores);
-               ("sharded_kernels", Int sharded_kernels);
-               ( "legs",
-                 List
-                   (List.map
-                      (fun (d, s, _) ->
-                        Obj
-                          [
-                            ("domains", Int d);
-                            ("run_s", Float s);
-                            ("mcycles_per_s", Float (triad_mcycles /. s));
-                            ( "parallel_efficiency",
-                              Float (triad_efficiency d s) );
-                          ])
-                      parallel_legs) );
-             ]
-            @ (if oversubscribed then
-                 [
-                   ( "note",
-                     String
-                       (Printf.sprintf
-                          "legs with domains > %d core(s) oversubscribe the \
-                           CPU; parallel_efficiency below 1/domains is \
-                           expected"
-                          cores) );
-                 ]
-               else [])
-            @ [ ("outputs_identical", Bool parallel_identical) ]) );
         ( "cache",
           Obj
             [
@@ -502,4 +369,4 @@ int main() {
      of the same file *)
   Report_file.update ~path:json_out sections;
   Printf.printf "wrote %s\n%!" json_out;
-  if not (identical && interp_identical && parallel_identical) then exit 1
+  if not (identical && interp_identical) then exit 1

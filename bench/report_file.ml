@@ -1,7 +1,7 @@
 (** Shared writer for [BENCH_psaflow.json].
 
     Two harnesses own disjoint top-level sections of the same file:
-    [bench perf] writes the engine sections (interp/parallel/cache/flow)
+    [bench perf] writes the engine sections (interp/cache/flow/dse/engine)
     and [bench svc-load] writes the [service] section.  Each therefore
     merges: existing sections it does not own are preserved verbatim,
     its own are replaced.  A missing or unparseable file degrades to a
@@ -62,7 +62,6 @@ let commit_id () =
 let gated_paths =
   [
     [ "interp"; "bytecode"; "mcycles_per_s" ];
-    [ "parallel"; "virtual_mcycles" ];
     [ "service"; "throughput_rps" ];
     [ "service"; "p50_ms" ];
     [ "service"; "p99_ms" ];

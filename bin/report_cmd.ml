@@ -168,11 +168,10 @@ let opt_float = function Some v -> Json.Float v | None -> Json.Null
 
 (** The committed performance numbers ([BENCH_psaflow.json], written by
     [bench/main.exe perf]), distilled to what a report consumer needs:
-    the core count both speedups were measured on, the parallel flow
-    speedup (bounded by [cores]) and the cached-vs-uncached wall-clock
-    pair (meaningful regardless of core count), plus the interpreter
-    throughput incl. the slot-IR optimizer's contribution
-    ([interp.optimized]).
+    the core count the numbers were measured on, the cached-vs-uncached
+    wall-clock flow pair, the interpreter throughput incl. the slot-IR
+    optimizer's contribution ([interp.optimized]) and the exhaustive
+    DSE call count.
 
     Degrades rather than raises: an absent/unreadable file, or any
     missing or stale field, yields [Json.Null] for that field and a
@@ -243,7 +242,6 @@ let perf_section () : Json.t * string list =
         ("interp_optimized", pick bench [ "interp"; "optimized" ]);
         ( "interp_bytecode_mcycles_per_s",
           pick bench [ "interp"; "bytecode"; "mcycles_per_s" ] );
-        ("parallel_outputs_identical", pick bench [ "parallel"; "outputs_identical" ]);
         (* exhaustive DSE: analytic-model calls of the perf bench's
            "dse" leg over all five benchmarks *)
         ("dse_simulate_calls", pick bench [ "dse"; "simulate_calls" ]);

@@ -181,8 +181,10 @@ module Repository = struct
   let generate_openmp =
     Task.make "Generate OpenMP Design" Task.Code_generation (fun ctx ->
         let kernel = kernel_exn ctx in
-        let d = Codegen.Openmp_gen.generate ctx.program ~kernel in
-        with_current ctx d)
+        match Codegen.Openmp_gen.generate ctx.program ~kernel with
+        | d -> with_current ctx d
+        | exception Transforms.Omp_pragmas.Not_parallel m ->
+            raise (Flow_error ("cannot generate an OpenMP design: " ^ m)))
 
   let omp_threads_dse =
     Task.make "OMP Num. Threads DSE" Task.Optimisation (fun ctx ->

@@ -10,10 +10,8 @@
     expression temporaries are allocated monotonically per statement.
 
     Specialized loop kernels ({!Resolve.kernel}) are lowered a second
-    time into micro-programs of {!kop}s.  A profile-guided
-    superinstruction selector additionally rewrites the micro-programs
-    of {e hot} loops (per the [hot] predicate, typically
-    {!hot_of_profile} over a {!Fused_profile} run):
+    time into micro-programs of {!kop}s, and a superinstruction selector
+    rewrites every one of them:
 
     - [KLit] constants and loop-invariant loads are hoisted out of the
       body into entry banks ([kp_lits]/[kp_prefetch]);
@@ -25,15 +23,6 @@
     Fusion never re-associates floating-point arithmetic and never
     reorders memory accesses (only strictly adjacent ops fuse), so the
     fused body computes bit-identical values in bit-identical order.
-
-    The selector also classifies each kernel as domain-shardable: a
-    kernel with no loop-carried register dependence (no op reads a
-    register before it is written in the same iteration when the body
-    writes it at all) can have its iteration space split across
-    domains — the remaining per-region memory checks are done at run
-    time by the executor.  Everything observable (cycles, counters,
-    fuel, loop stats) is charged in bulk on the calling domain, so
-    outputs stay bit-identical for every domain count.
 
     Selector and lowering statistics are published to
     {!Flow_obs.Metrics.global} as [vm_*] counters. *)
@@ -123,8 +112,7 @@ type kprog = {
   kp_ops : kop array;
   kp_lits : (int * float) array;  (** entry: freg <- literal *)
   kp_prefetch : (int * int) array;  (** entry: freg <- invariant site load *)
-  kp_fused : bool;  (** the superinstruction selector rewrote the body *)
-  kp_shardable : bool;  (** no loop-carried register dependence *)
+  kp_fused : bool;  (** the selector hoisted or fused anything *)
 }
 
 (* ================================================================== *)
@@ -167,7 +155,6 @@ type instr =
   | ICastF of int * int
   | ICastB of int * int
   | IIndex of { d : int; a : int; i : int }
-  | IFolded of { d : int; fval : Value.t; f_flops : int; f_int_ops : int; f_dyn : float }
   | IAndTest of { d : int; src : int; bcost : float; tgt : int }
   | IOrTest of { d : int; src : int; bcost : float; tgt : int }
   | ICallUser of { d : int; fidx : int; args : int array }
@@ -232,25 +219,6 @@ let rec invariant_idx = function
   | R.IAdd (a, b) | R.ISub (a, b) | R.IMul (a, b) ->
       invariant_idx a && invariant_idx b
   | R.INeg a -> invariant_idx a
-
-let kinstr_writes = function
-  | R.KLit (d, _) | R.KMov (d, _) | R.KAdd (d, _, _) | R.KSub (d, _, _)
-  | R.KMul (d, _, _) | R.KDiv (d, _, _) | R.KNeg (d, _) | R.KItoF d
-  | R.KMath1 (d, _, _) | R.KMath2 (d, _, _, _) | R.KLoad (d, _) ->
-      Some d
-  | R.KStore _ | R.KStoreAdd _ | R.KStoreSub _ | R.KStoreMul _
-  | R.KStoreDiv _ ->
-      None
-
-let kinstr_reads = function
-  | R.KLit _ | R.KItoF _ | R.KLoad _ -> []
-  | R.KMov (_, a) | R.KNeg (_, a) | R.KMath1 (_, _, a) -> [ a ]
-  | R.KAdd (_, a, b) | R.KSub (_, a, b) | R.KMul (_, a, b) | R.KDiv (_, a, b)
-  | R.KMath2 (_, _, a, b) ->
-      [ a; b ]
-  | R.KStore (_, r) | R.KStoreAdd (_, r) | R.KStoreSub (_, r)
-  | R.KStoreMul (_, r) | R.KStoreDiv (_, r) ->
-      [ r ]
 
 let kop_of_kinstr = function
   | R.KLit (d, x) -> OLit (d, x)
@@ -499,33 +467,6 @@ let fuse ~out ops =
   in
   go ops false
 
-(* A kernel is domain-shardable when no register value flows between
-   iterations: every register the body writes is written before it is
-   read within one iteration.  (The loop index and invariant inputs
-   live in [k_in]/per-shard state; memory aliasing between the shards'
-   store ranges is checked at run time by the executor.) *)
-let shardable (k : R.kernel) =
-  let nregs = k.R.k_nfregs in
-  let written_in_body = Array.make (max 1 nregs) false in
-  Array.iter
-    (fun ki ->
-      match kinstr_writes ki with
-      | Some d -> written_in_body.(d) <- true
-      | None -> ())
-    k.R.k_body;
-  let written = Array.make (max 1 nregs) false in
-  let carried = ref false in
-  Array.iter
-    (fun ki ->
-      List.iter
-        (fun r -> if written_in_body.(r) && not written.(r) then carried := true)
-        (kinstr_reads ki);
-      match kinstr_writes ki with
-      | Some d -> written.(d) <- true
-      | None -> ())
-    k.R.k_body;
-  not !carried
-
 (* Hoist single-assignment literal registers (and, in store-free
    kernels, loads through loop-invariant sites) out of the body: they
    are computed once at kernel entry instead of every iteration.  Legal
@@ -568,61 +509,30 @@ let hoist_entry (k : R.kernel) ops =
     Array.of_list (List.rev !lits),
     Array.of_list (List.rev !pref) )
 
-(** Lift one kernel into a micro-program.  [hot sid] gates the
-    superinstruction selector: cold kernels get the plain one-to-one
-    lift (still dispatch-cheap, but unfused so selector decisions stay
-    attributable to the profile). *)
-let lift_kernel ~hot (k : R.kernel) : kprog =
+(** Lift one kernel into a micro-program: hoist its entry banks, then
+    fuse adjacent pairs to fixpoint. *)
+let lift_kernel (k : R.kernel) : kprog =
   let m = Flow_obs.Metrics.global in
   Flow_obs.Metrics.incr m "vm_kernels";
   let plain = Array.map kop_of_kinstr k.R.k_body in
-  let shard = shardable k in
-  if shard then Flow_obs.Metrics.incr m "vm_kernels_shardable";
-  if not (hot k.R.k_fsid) then begin
-    Flow_obs.Metrics.incr m "vm_kernels_cold";
-    {
-      kp_kern = k;
-      kp_ops = plain;
-      kp_lits = [||];
-      kp_prefetch = [||];
-      kp_fused = false;
-      kp_shardable = shard;
-    }
-  end
-  else begin
-    let before = Array.length plain in
-    let ops, lits, pref = hoist_entry k plain in
-    let out = Array.make (max 1 k.R.k_nfregs) false in
-    Array.iter (fun (_, freg) -> out.(freg) <- true) k.R.k_out;
-    let ops, fused_any = fuse ~out ops in
-    let fused =
-      fused_any || Array.length lits > 0 || Array.length pref > 0
-    in
-    if fused then Flow_obs.Metrics.incr m "vm_kernels_fused";
-    Flow_obs.Metrics.incr m "vm_kernel_ops_before" ~by:before;
-    Flow_obs.Metrics.incr m "vm_kernel_ops_after" ~by:(Array.length ops);
-    Flow_obs.Metrics.incr m "vm_kernel_lits" ~by:(Array.length lits);
-    Flow_obs.Metrics.incr m "vm_kernel_prefetch" ~by:(Array.length pref);
-    {
-      kp_kern = k;
-      kp_ops = ops;
-      kp_lits = lits;
-      kp_prefetch = pref;
-      kp_fused = fused;
-      kp_shardable = shard;
-    }
-  end
-
-(** Hotness predicate from a measured profile: a loop is hot when it
-    accounts for at least [min_share] of total virtual cycles.  With no
-    cycle data everything is hot (first run, no profile yet). *)
-let hot_of_profile ?(min_share = 0.02) (p : Profile.t) : int -> bool =
-  let total = p.Profile.cycles in
-  if total <= 0.0 then fun _ -> true
-  else fun sid ->
-    match Hashtbl.find_opt p.Profile.loops sid with
-    | Some (ls : Profile.loop_stat) -> ls.Profile.cycles /. total >= min_share
-    | None -> false
+  let before = Array.length plain in
+  let ops, lits, pref = hoist_entry k plain in
+  let out = Array.make (max 1 k.R.k_nfregs) false in
+  Array.iter (fun (_, freg) -> out.(freg) <- true) k.R.k_out;
+  let ops, fused_any = fuse ~out ops in
+  let fused = fused_any || Array.length lits > 0 || Array.length pref > 0 in
+  if fused then Flow_obs.Metrics.incr m "vm_kernels_fused";
+  Flow_obs.Metrics.incr m "vm_kernel_ops_before" ~by:before;
+  Flow_obs.Metrics.incr m "vm_kernel_ops_after" ~by:(Array.length ops);
+  Flow_obs.Metrics.incr m "vm_kernel_lits" ~by:(Array.length lits);
+  Flow_obs.Metrics.incr m "vm_kernel_prefetch" ~by:(Array.length pref);
+  {
+    kp_kern = k;
+    kp_ops = ops;
+    kp_lits = lits;
+    kp_prefetch = pref;
+    kp_fused = fused;
+  }
 
 (* ================================================================== *)
 (* Lowering                                                            *)
@@ -633,7 +543,6 @@ type item = Lab of int | Ins of instr
 type lctx = {
   cp : R.t;
   glob : bool;  (** lowering the globals block: the frame is [garray] *)
-  hot : int -> bool;
   nloops : int ref;  (** dense loop numbering, shared across functions *)
   cbase : int;
   tbase : int;
@@ -719,7 +628,6 @@ let rec scan_e f (e : R.expr) =
   | R.ECall { cargs; _ } ->
       List.iter (scan_e f) cargs;
       f Value.VUnit  (* builtin/error dummy results *)
-  | R.EFolded _ -> ()
 
 let rec scan_s f = function
   | R.SDeclVar { typ; init; _ } -> (
@@ -887,10 +795,6 @@ let rec lx ctx (e : R.expr) : int =
           d
       | _ -> ra)
   | R.ECall { callee; cargs } -> lcall ctx callee cargs
-  | R.EFolded { fval; f_flops; f_int_ops; f_dyn } ->
-      let t = tmp ctx in
-      emit ctx (IFolded { d = t; fval; f_flops; f_int_ops; f_dyn });
-      t
 
 (* Arguments lower left to right (an explicit fold: the emission order
    is the evaluation order). *)
@@ -1126,7 +1030,7 @@ and ls ctx (s : R.stmt) =
       | R.SFor { fsid; slot; init; bound; inclusive; step; body } ->
           let lidx = fresh_loop ctx in
           let ldone = fresh_lab ctx in
-          let kp = lift_kernel ~hot:ctx.hot kern in
+          let kp = lift_kernel kern in
           emit ctx (IKernel { glob = ctx.glob; lidx; kp; tgt = ldone });
           lfor ctx lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body;
           place ctx ldone
@@ -1179,7 +1083,7 @@ let patch lp = function
   | IKernel r -> IKernel { r with tgt = lp.(r.tgt) }
   | i -> i
 
-let lower_fn (cp : R.t) ~glob ~hot ~nloops ~nslots (body : R.block) : fn =
+let lower_fn (cp : R.t) ~glob ~nloops ~nslots (body : R.block) : fn =
   (* constant-pool prescan first so every register index is final *)
   let tbl = Hashtbl.create 16 in
   let consts = ref [] and ncon = ref 0 in
@@ -1199,7 +1103,6 @@ let lower_fn (cp : R.t) ~glob ~hot ~nloops ~nslots (body : R.block) : fn =
     {
       cp;
       glob;
-      hot;
       nloops;
       cbase;
       tbase = cbase + !ncon;
@@ -1241,19 +1144,16 @@ let lower_fn (cp : R.t) ~glob ~hot ~nloops ~nslots (body : R.block) : fn =
     bc_nsf = ctx.maxsf;
   }
 
-(** Lower a resolved (optionally optimized) program.  [hot] gates the
-    superinstruction selector per loop statement id; by default every
-    specialized kernel is fused (profile-free compile).  Pass
-    [hot_of_profile p] to fuse only loops that matter in [p]. *)
-let lower ?(hot = fun (_ : int) -> true) (cp : R.t) : program =
+(** Lower a resolved (optionally optimized) program. *)
+let lower (cp : R.t) : program =
   let nloops = ref 0 in
   let funcs =
     Array.map
       (fun (cf : R.cfunc) ->
-        lower_fn cp ~glob:false ~hot ~nloops ~nslots:cf.R.cf_nslots
+        lower_fn cp ~glob:false ~nloops ~nslots:cf.R.cf_nslots
           cf.R.cf_body)
       cp.R.cfuncs
   in
-  let globals = lower_fn cp ~glob:true ~hot ~nloops ~nslots:0 cp.R.cglobals in
+  let globals = lower_fn cp ~glob:true ~nloops ~nslots:0 cp.R.cglobals in
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_programs";
   { bc_cp = cp; bc_funcs = funcs; bc_globals = globals; bc_nloops = !nloops }

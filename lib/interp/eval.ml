@@ -487,11 +487,6 @@ module Ir_walk = struct
             Profile.timer_stop st.prof (to_int (List.hd args));
             VUnit
         | Unknown fname -> err "call to unknown function '%s'" fname)
-    | EFolded { fval; f_flops; f_int_ops; f_dyn } ->
-        if f_dyn <> 0.0 then charge st f_dyn;
-        if f_flops <> 0 then st.prof.flops <- st.prof.flops + f_flops;
-        if f_int_ops <> 0 then st.prof.int_ops <- st.prof.int_ops + f_int_ops;
-        fval
     | EArithF (op, fresid, a, b) ->
         let va = eval_expr st frame a in
         let vb = eval_expr st frame b in
@@ -668,23 +663,6 @@ end
 
 module B = Bytecode
 
-(* Domain budget for sharded kernel execution: explicit override (used
-   by tests and the bench harness), then [PSAFLOW_VM_DOMAINS], then the
-   machine (capped like [Flow_par.Pool]). *)
-let vm_jobs_override : int option ref = ref None
-
-let vm_jobs () =
-  match !vm_jobs_override with
-  | Some n -> max 1 n
-  | None ->
-      Flow_obs.Env.int ~name:"PSAFLOW_VM_DOMAINS"
-        ~default:(min 8 (Domain.recommended_domain_count ()))
-        ~min:1 ()
-
-(* Minimum iteration count before a shardable kernel actually spawns
-   domains — below this the fork/join overhead dominates. *)
-let vm_shard_min = ref 65536
-
 let while_iter_cost = Profile.Cost.loop_iter +. Profile.Cost.branch
 let for_iter_cost = Profile.Cost.loop_iter +. Profile.Cost.int_op
 
@@ -702,8 +680,7 @@ let[@inline] vk_st datas offs si v =
 (* Run [count] iterations of a fused kernel micro-program, starting at
    loop index [iv0] with site offsets [offs] (mutated in place).  Only
    the sites in [adv] (nonzero stride) advance.  Pure float/array code:
-   all observable accounting was charged in bulk by the caller, so this
-   is also the unit of work a shard executes on its own domain. *)
+   all observable accounting was charged in bulk by the caller. *)
 let vkern_iters (ops : B.kop array) (fregs : float array)
     (datas : Value.t array array) (offs : int array) (deltas : int array)
     (adv : int array) ~iv0 ~step ~count =
@@ -891,9 +868,9 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
 (* Specialized-kernel execution for the VM.  The entry protocol checks
    every precondition and aborts with [Kernel_unfit] strictly before any
    state mutation; the committed body charges the whole loop in bulk and
-   runs the fused micro-program (split across domains when safe).  The
-   focus-tracking path needs per-access hooks in generic order, so it
-   runs the original kinstr body instead. *)
+   runs the fused micro-program.  The focus-tracking path needs
+   per-access hooks in generic order, so it runs the original kinstr
+   body instead. *)
 let vkernel st ~track fr lidx (kp : B.kprog) =
   let k = kp.B.kp_kern in
   let iter_cost = Profile.Cost.loop_iter +. Profile.Cost.int_op in
@@ -992,9 +969,8 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
         | VBool b -> Array.unsafe_set fregs reg (if b then 1.0 else 0.0)
         | VUnit | VPtr _ -> raise Kernel_unfit)
       k.Resolve.k_in;
-    (* ---- committed: bulk accounting on the calling domain —
-       execution below moves no observable, so the profile is
-       bit-identical for any shard count ---- *)
+    (* ---- committed: bulk accounting — execution below moves no
+       observable ---- *)
     st.fuel <- st.fuel - fuel_used;
     let stat = cached_loop_stat st lidx k.Resolve.k_fsid in
     stat.invocations <- stat.invocations + 1;
@@ -1107,60 +1083,8 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
           adv.(!j) <- si;
           incr j)
       done;
-      (* runtime shard check: every stored region must advance every
-         iteration and be touched only through sites with the same
-         offset sequence, so iterations own disjoint elements *)
-      let shard_ok = ref (kp.B.kp_shardable && n >= !vm_shard_min) in
-      let nj = if !shard_ok then vm_jobs () else 1 in
-      if nj <= 1 then shard_ok := false;
-      if !shard_ok then
-        for si = 0 to nsites - 1 do
-          if k.Resolve.k_site_stores.(si) > 0 then
-            if deltas.(si) = 0 then shard_ok := false
-            else
-              for sj = 0 to nsites - 1 do
-                if
-                  sj <> si
-                  && ids.(sj) = ids.(si)
-                  && not (offs.(sj) = offs.(si) && deltas.(sj) = deltas.(si))
-                then shard_ok := false
-              done
-        done;
-      if !shard_ok then (
-        let nshards = min nj n in
-        let base = n / nshards and rem = n mod nshards in
-        let chunks =
-          List.init nshards (fun ci ->
-              let lo = (ci * base) + min ci rem in
-              let sz = base + if ci < rem then 1 else 0 in
-              (lo, sz))
-        in
-        let results =
-          Flow_par.Pool.map ~jobs:nshards
-            (fun (lo, sz) ->
-              let fregs_c = Array.copy fregs in
-              let offs_c = Array.make nsites 0 in
-              for si = 0 to nsites - 1 do
-                offs_c.(si) <- offs.(si) + (lo * deltas.(si))
-              done;
-              vkern_iters kp.B.kp_ops fregs_c datas offs_c deltas adv
-                ~iv0:(i0 + (lo * s)) ~step:s ~count:sz;
-              fregs_c)
-            chunks
-        in
-        (* with no loop-carried register dependence, the registers
-           after the last iteration are exactly the last chunk's: every
-           freg is either an entry value (identical in all chunks) or
-           written by the final iteration *)
-        (match List.rev results with
-        | last :: _ -> Array.blit last 0 fregs 0 (Array.length fregs)
-        | [] -> ());
-        Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_sharded_kernels";
-        Flow_obs.Metrics.observe Flow_obs.Metrics.global "vm_shard_width"
-          (float_of_int nshards))
-      else
-        vkern_iters kp.B.kp_ops fregs datas offs deltas adv ~iv0:i0 ~step:s
-          ~count:n);
+      vkern_iters kp.B.kp_ops fregs datas offs deltas adv ~iv0:i0 ~step:s
+        ~count:n);
     Array.iter
       (fun (slot, reg) ->
         Array.unsafe_set fr slot (VFloat (Array.unsafe_get fregs reg)))
@@ -1307,12 +1231,6 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
         let ii = to_int (Array.unsafe_get regs i) in
         Array.unsafe_set regs d
           (load_at st (Memory.region st.mem p.mem_id) (p.off + ii));
-        go (pc + 1)
-    | B.IFolded { d; fval; f_flops; f_int_ops; f_dyn } ->
-        if f_dyn <> 0.0 then charge st f_dyn;
-        if f_flops <> 0 then st.prof.flops <- st.prof.flops + f_flops;
-        if f_int_ops <> 0 then st.prof.int_ops <- st.prof.int_ops + f_int_ops;
-        Array.unsafe_set regs d fval;
         go (pc + 1)
     | B.IAndTest { d; src; bcost; tgt } ->
         if to_bool (Array.unsafe_get regs src) then (
@@ -1529,29 +1447,16 @@ type compiled = { cp : Resolve.t; vm : Bytecode.program }
 
 (** Compile an already-resolved slot IR, without running the
     optimizer — the entry point for per-pass identity tests that supply
-    their own (partially) optimized IR.
-
-    @param vm_hot heat oracle for the bytecode lowering's
-      superinstruction selector: [vm_hot sid] says whether the fused
-      loop with that statement id is worth rewriting (default: all
-      hot).  See {!Bytecode.hot_of_profile}. *)
-let compile_resolved ?vm_hot (cp : Resolve.t) : compiled =
-  { cp; vm = Bytecode.lower ?hot:vm_hot cp }
+    their own (partially) optimized IR. *)
+let compile_resolved (cp : Resolve.t) : compiled =
+  { cp; vm = Bytecode.lower cp }
 
 (** Compile a program once; the result can be executed many times with
-    {!run_vm}.  The slot IR is optimized by {!Opt.optimize} first
-    unless [PSAFLOW_NO_OPT] is set, then lowered to register bytecode.
-
-    @param vm_profile a profile from a previous run of the same
-      program; when given, the bytecode superinstruction selector only
-      rewrites kernels whose loops were hot in it *)
-let compile ?vm_profile p : compiled =
+    {!run_vm}: resolve, optimize with {!Opt.optimize}, lower to register
+    bytecode. *)
+let compile p : compiled =
   Flow_obs.Trace.with_span ~cat:"interp" "interp.compile" (fun () ->
-      let cp = Resolve.compile p in
-      let cp = if Opt.is_enabled () then Opt.optimize cp else cp in
-      compile_resolved
-        ?vm_hot:(Option.map Bytecode.hot_of_profile vm_profile)
-        cp)
+      compile_resolved (Opt.optimize (Resolve.compile p)))
 
 let make_state ?focus ~fuel (cp : Resolve.t) =
   let focus_idx =

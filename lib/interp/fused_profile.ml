@@ -21,13 +21,12 @@
     branches, DSE candidates and service jobs process-wide.
 
     The run behind a fused profile executes on the production engine —
-    slot IR optimized by {!Opt} (constant folding through kernel
+    slot IR optimized by {!Opt} (strength reduction and kernel
     specialization), then lowered to register bytecode
-    ({!Eval.compile}) and run by the VM.  Every optimizer
-    pass preserves bit-identity with the reference walker
-    ({!Eval.run_ir}), so the projections are unaffected by
-    [PSAFLOW_NO_OPT] and by which passes ran — asserted per benchmark
-    and per pass by the test suite. *)
+    ({!Eval.compile}) and run by the VM on the calling domain.  Every
+    optimizer pass preserves bit-identity with the reference walker
+    ({!Eval.run_ir}), so the projections are unaffected by which passes
+    ran — asserted per benchmark and per pass by the test suite. *)
 
 type t = {
   source : Minic.Ast.program;  (** the program that was executed *)

@@ -1,16 +1,13 @@
 (** Slot-IR optimizer: the stage between {!Resolve} and the bytecode
     lowering of {!Bytecode}.
 
-    Three passes, each individually toggleable and each carrying a
-    bit-identity obligation against the reference walker
-    ([Eval.run_ir] over the {e unoptimized} IR): same virtual-cycle
-    totals, same counter values, same memory effects and focus ranges,
-    same output, same error points, same fuel accounting.
+    Two passes, each individually toggleable (the per-pass bit-identity
+    tests select them with a {!config}) and each carrying a bit-identity
+    obligation against the reference walker ([Eval.run_ir] over the
+    {e unoptimized} IR): same virtual-cycle totals, same counter values,
+    same memory effects and focus ranges, same output, same error
+    points, same fuel accounting.
 
-    - {b constant folding}: pure constant subtrees collapse to
-      {!Resolve.EFolded} nodes that replay the subtree's counter bumps
-      and dynamic cycle charges (all folded arithmetic is the same
-      in-process IEEE arithmetic the walker would have performed).
     - {b strength reduction}: arithmetic/comparison/division nodes whose
       int-vs-float path is statically known lose their runtime
       [is_float] dispatch ([EArithF]/[EArithI]/...).
@@ -23,29 +20,20 @@
     Cycle-exactness of bulk charging rests on every {!Profile.Cost}
     constant being an integer-valued float: sums and products of
     integer-valued doubles below 2{^53} are exact, so [n] bulk-charged
-    iterations equal [n] individually charged ones bit-for-bit.
-
-    [PSAFLOW_NO_OPT=1] disables the whole stage (mirroring
-    [PSAFLOW_NO_MEMO]); {!set_enabled} does the same programmatically. *)
+    iterations equal [n] individually charged ones bit-for-bit. *)
 
 module R = Resolve
 module C = Profile.Cost
 open Value
 
-type config = { fold : bool; strength : bool; specialize : bool }
+type config = { strength : bool; specialize : bool }
 
-let all_passes = { fold = true; strength = true; specialize = true }
-let no_passes = { fold = false; strength = false; specialize = false }
-
-let enabled = ref (not (Flow_obs.Env.flag ~name:"PSAFLOW_NO_OPT" ()))
-
-let set_enabled b = enabled := b
-let is_enabled () = !enabled
+let all_passes = { strength = true; specialize = true }
+let no_passes = { strength = false; specialize = false }
 
 (** Per-[optimize] pass statistics, also published to
     {!Flow_obs.Metrics.global} as [opt_*] counters. *)
 type stats = {
-  mutable consts_folded : int;
   mutable ops_strength_reduced : int;
   mutable kernels_specialized : int;
 }
@@ -134,13 +122,6 @@ let rec ety (env : tenv) (lt : ty array) (e : R.expr) : ty =
       | R.Rand_int -> TInt
       | R.Print_int | R.Print_float | R.Timer_start | R.Timer_stop -> TUnit
       | R.User _ | R.Math_unimpl _ | R.Unknown _ -> Top)
-  | R.EFolded f -> (
-      match f.fval with
-      | VInt _ -> TInt
-      | VFloat _ -> TFloat
-      | VBool _ -> TBool
-      | VUnit -> TUnit
-      | VPtr _ -> Top)
 
 (* Iterate every expression of a statement (sub-expressions excluded —
    callers recurse via [iter_expr] when needed). *)
@@ -187,7 +168,6 @@ let rec iter_expr f (e : R.expr) =
       iter_expr f a;
       iter_expr f b
   | R.ECall { cargs; _ } -> List.iter (iter_expr f) cargs
-  | R.EFolded _ -> ()
 
 let rec iter_stmts f (b : R.block) =
   List.iter
@@ -283,7 +263,7 @@ let type_program (cp : R.t) : tenv =
 
 (* Rewrite every top-level expression and statement of a function body,
    preserving group structure and group costs (no pass changes any
-   static cost; folded work is replayed dynamically). *)
+   static cost). *)
 let map_block ~(fe : R.expr -> R.expr) ~(fs : R.stmt -> R.stmt option) :
     R.block -> R.block =
   let rec go_stmt (s : R.stmt) : R.stmt =
@@ -321,290 +301,7 @@ let map_block ~(fe : R.expr -> R.expr) ~(fs : R.stmt -> R.stmt option) :
 let keep (_ : R.stmt) : R.stmt option = None
 
 (* ------------------------------------------------------------------ *)
-(* Pass 1: constant folding                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The dynamic effects of evaluating a folded subtree: counter bumps and
-   non-static cycle charges, replayed by [EFolded] at the original
-   evaluation point (no observation point can fall inside a single
-   expression evaluation, so replaying them all at once is exact). *)
-type const = { cv : Value.t; c_flops : int; c_int_ops : int; c_dyn : float }
-
-exception Not_const
-
-let fold_pass (stats : stats) (cp : R.t) : R.t =
-  (* numeric-only [to_int]/[to_float]/[to_bool]: folding never touches
-     VUnit/VPtr operands (those error paths stay dynamic) *)
-  let num_int = function
-    | VInt n -> n
-    | VBool b -> if b then 1 else 0
-    | VFloat f -> int_of_float f
-    | _ -> raise Not_const
-  in
-  let num_float = function
-    | VFloat f -> f
-    | VInt n -> float_of_int n
-    | VBool b -> if b then 1.0 else 0.0
-    | _ -> raise Not_const
-  in
-  let num_bool = function
-    | VBool b -> b
-    | VInt n -> n <> 0
-    | VFloat f -> f <> 0.0
-    | _ -> raise Not_const
-  in
-  let flt a b = is_float a || is_float b in
-  (* returns the rewritten expr plus its constant descriptor if the
-     whole subtree is a foldable constant *)
-  let rec fold (e : R.expr) : R.expr * const option =
-    let mk en = { e with R.e = en } in
-    (* rebuild a non-foldable node over already-folded children *)
-    let reify (child : R.expr) (c : const option) =
-      match c with
-      | Some d when d.c_flops = 0 && d.c_int_ops = 0 && d.c_dyn = 0.0 -> (
-          match child.e with
-          | R.ELit _ -> child
-          | _ ->
-              stats.consts_folded <- stats.consts_folded + 1;
-              { child with R.e = R.ELit d.cv })
-      | Some d -> (
-          match child.e with
-          | R.EFolded _ | R.ELit _ -> child
-          | _ ->
-              stats.consts_folded <- stats.consts_folded + 1;
-              {
-                child with
-                R.e =
-                  R.EFolded
-                    {
-                      fval = d.cv;
-                      f_flops = d.c_flops;
-                      f_int_ops = d.c_int_ops;
-                      f_dyn = d.c_dyn;
-                    };
-              })
-      | None -> child
-    in
-    let reify1 (child, c) = reify child c in
-    match e.e with
-    | R.ELit v -> (e, Some { cv = v; c_flops = 0; c_int_ops = 0; c_dyn = 0.0 })
-    | R.EVar _ | R.EFolded _ -> (e, None)
-    | R.ENeg a -> (
-        let a', ca = fold a in
-        match ca with
-        | Some d -> (
-            try
-              match d.cv with
-              | VInt n ->
-                  (mk (R.ENeg a'), Some { d with cv = VInt (-n) })
-              | VFloat f ->
-                  ( mk (R.ENeg a'),
-                    Some { d with cv = VFloat (-.f); c_flops = d.c_flops + 1 }
-                  )
-              | _ -> raise Not_const
-            with Not_const -> (mk (R.ENeg (reify a' ca)), None))
-        | None -> (mk (R.ENeg a'), None))
-    | R.ENot a -> (
-        let a', ca = fold a in
-        match ca with
-        | Some d -> (
-            try (mk (R.ENot a'), Some { d with cv = VBool (not (num_bool d.cv)) })
-            with Not_const -> (mk (R.ENot (reify a' ca)), None))
-        | None -> (mk (R.ENot a'), None))
-    | R.EArith (op, fresid, a, b) -> (
-        let a', ca = fold a in
-        let b', cb = fold b in
-        let rebuilt () = mk (R.EArith (op, fresid, reify a' ca, reify b' cb)) in
-        match (ca, cb) with
-        | Some da, Some db -> (
-            try
-              let cv, c_flops, c_int_ops, c_dyn =
-                if flt da.cv db.cv then
-                  let x = num_float da.cv and y = num_float db.cv in
-                  let v =
-                    match op with
-                    | Minic.Ast.Add -> x +. y
-                    | Minic.Ast.Sub -> x -. y
-                    | Minic.Ast.Mul -> x *. y
-                    | _ -> raise Not_const
-                  in
-                  ( VFloat v,
-                    da.c_flops + db.c_flops + 1,
-                    da.c_int_ops + db.c_int_ops,
-                    da.c_dyn +. db.c_dyn +. fresid )
-                else
-                  let x = num_int da.cv and y = num_int db.cv in
-                  let v =
-                    match op with
-                    | Minic.Ast.Add -> x + y
-                    | Minic.Ast.Sub -> x - y
-                    | Minic.Ast.Mul -> x * y
-                    | _ -> raise Not_const
-                  in
-                  ( VInt v,
-                    da.c_flops + db.c_flops,
-                    da.c_int_ops + db.c_int_ops + 1,
-                    da.c_dyn +. db.c_dyn )
-              in
-              (rebuilt (), Some { cv; c_flops; c_int_ops; c_dyn })
-            with Not_const -> (rebuilt (), None))
-        | _ -> (rebuilt (), None))
-    | R.EDiv (a, b) -> (
-        let a', ca = fold a in
-        let b', cb = fold b in
-        let rebuilt () = mk (R.EDiv (reify a' ca, reify b' cb)) in
-        match (ca, cb) with
-        | Some da, Some db -> (
-            try
-              if flt da.cv db.cv then
-                ( rebuilt (),
-                  Some
-                    {
-                      cv = VFloat (num_float da.cv /. num_float db.cv);
-                      c_flops = da.c_flops + db.c_flops + 1;
-                      c_int_ops = da.c_int_ops + db.c_int_ops;
-                      c_dyn = da.c_dyn +. db.c_dyn +. C.float_div;
-                    } )
-              else
-                let d = num_int db.cv in
-                if d = 0 then (rebuilt (), None)
-                else
-                  ( rebuilt (),
-                    Some
-                      {
-                        cv = VInt (num_int da.cv / d);
-                        c_flops = da.c_flops + db.c_flops;
-                        c_int_ops = da.c_int_ops + db.c_int_ops + 1;
-                        c_dyn = da.c_dyn +. db.c_dyn +. C.int_op;
-                      } )
-            with Not_const -> (rebuilt (), None))
-        | _ -> (rebuilt (), None))
-    | R.EMod (a, b) -> (
-        let a', ca = fold a in
-        let b', cb = fold b in
-        let rebuilt () = mk (R.EMod (reify a' ca, reify b' cb)) in
-        match (ca, cb) with
-        | Some da, Some db -> (
-            try
-              let fl = flt da.cv db.cv in
-              let d = num_int db.cv in
-              if d = 0 then (rebuilt (), None)
-              else
-                ( rebuilt (),
-                  Some
-                    {
-                      cv = VInt (num_int da.cv mod d);
-                      c_flops = da.c_flops + db.c_flops + (if fl then 1 else 0);
-                      c_int_ops =
-                        (da.c_int_ops + db.c_int_ops + if fl then 0 else 1);
-                      c_dyn = da.c_dyn +. db.c_dyn;
-                    } )
-            with Not_const -> (rebuilt (), None))
-        | _ -> (rebuilt (), None))
-    | R.ECmp (op, a, b) -> (
-        let a', ca = fold a in
-        let b', cb = fold b in
-        let rebuilt () = mk (R.ECmp (op, reify a' ca, reify b' cb)) in
-        match (ca, cb) with
-        | Some da, Some db -> (
-            try
-              let fl = flt da.cv db.cv in
-              let r =
-                match op with
-                | Minic.Ast.Lt ->
-                    if fl then num_float da.cv < num_float db.cv
-                    else num_int da.cv < num_int db.cv
-                | Minic.Ast.Le ->
-                    if fl then num_float da.cv <= num_float db.cv
-                    else num_int da.cv <= num_int db.cv
-                | Minic.Ast.Gt ->
-                    if fl then num_float da.cv > num_float db.cv
-                    else num_int da.cv > num_int db.cv
-                | Minic.Ast.Ge ->
-                    if fl then num_float da.cv >= num_float db.cv
-                    else num_int da.cv >= num_int db.cv
-                | Minic.Ast.Eq ->
-                    if fl then num_float da.cv = num_float db.cv
-                    else num_int da.cv = num_int db.cv
-                | Minic.Ast.Ne ->
-                    if fl then num_float da.cv <> num_float db.cv
-                    else num_int da.cv <> num_int db.cv
-                | _ -> raise Not_const
-              in
-              ( rebuilt (),
-                Some
-                  {
-                    cv = VBool r;
-                    c_flops = da.c_flops + db.c_flops;
-                    c_int_ops = da.c_int_ops + db.c_int_ops;
-                    c_dyn = da.c_dyn +. db.c_dyn;
-                  } )
-            with Not_const -> (rebuilt (), None))
-        | _ -> (rebuilt (), None))
-    | R.ECast (t, a) -> (
-        let a', ca = fold a in
-        match ca with
-        | Some d -> (
-            try
-              let cv =
-                match t with
-                | Minic.Ast.Tint -> VInt (num_int d.cv)
-                | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> VFloat (num_float d.cv)
-                | Minic.Ast.Tbool -> VBool (num_bool d.cv)
-                | _ -> d.cv
-              in
-              (mk (R.ECast (t, a')), Some { d with cv })
-            with Not_const -> (mk (R.ECast (t, reify a' ca)), None))
-        | None -> (mk (R.ECast (t, a')), None))
-    (* short-circuit operators charge the right operand's [ecost]
-       conditionally: fold only inside the operands *)
-    | R.EAnd (a, b) -> (mk (R.EAnd (reify1 (fold a), reify1 (fold b))), None)
-    | R.EOr (a, b) -> (mk (R.EOr (reify1 (fold a), reify1 (fold b))), None)
-    | R.EIndex (a, i) -> (mk (R.EIndex (reify1 (fold a), reify1 (fold i))), None)
-    | R.ECall c ->
-        ( mk (R.ECall { c with cargs = List.map (fun a -> reify1 (fold a)) c.cargs }),
-          None )
-    | R.EArithF _ | R.EArithI _ | R.EDivF _ | R.EDivI _ | R.ECmpF _ | R.ECmpI _
-      ->
-        (e, None)
-  in
-  let reify_top (e, c) =
-    match c with
-    | Some d when d.c_flops = 0 && d.c_int_ops = 0 && d.c_dyn = 0.0 -> (
-        match e.R.e with
-        | R.ELit _ -> e
-        | _ ->
-            stats.consts_folded <- stats.consts_folded + 1;
-            { e with R.e = R.ELit d.cv })
-    | Some d -> (
-        match e.R.e with
-        | R.EFolded _ | R.ELit _ -> e
-        | _ ->
-            stats.consts_folded <- stats.consts_folded + 1;
-            {
-              e with
-              R.e =
-                R.EFolded
-                  {
-                    fval = d.cv;
-                    f_flops = d.c_flops;
-                    f_int_ops = d.c_int_ops;
-                    f_dyn = d.c_dyn;
-                  };
-            })
-    | None -> e
-  in
-  let fe e = reify_top (fold e) in
-  let rewrite = map_block ~fe ~fs:keep in
-  {
-    cp with
-    R.cglobals = rewrite cp.cglobals;
-    cfuncs =
-      Array.map (fun (f : R.cfunc) -> { f with R.cf_body = rewrite f.cf_body }) cp.cfuncs;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Pass 2: strength reduction                                          *)
+(* Pass 1: strength reduction                                          *)
 (* ------------------------------------------------------------------ *)
 
 let strength_pass (stats : stats) (cp : R.t) : R.t =
@@ -643,7 +340,7 @@ let strength_pass (stats : stats) (cp : R.t) : R.t =
             stats.ops_strength_reduced <- stats.ops_strength_reduced + 1;
             mk (R.ECmpI (op, a, b)))
           else mk (R.ECmp (op, a, b))
-      | R.ELit _ | R.EVar _ | R.EFolded _ -> e
+      | R.ELit _ | R.EVar _ -> e
       | R.ENeg a -> mk (R.ENeg (fe a))
       | R.ENot a -> mk (R.ENot (fe a))
       | R.ECast (t, a) -> mk (R.ECast (t, fe a))
@@ -672,7 +369,7 @@ let strength_pass (stats : stats) (cp : R.t) : R.t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Pass 3: kernel specialization                                       *)
+(* Pass 2: kernel specialization                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Statically counted per-iteration effects of a kernel body: counter
@@ -724,8 +421,6 @@ let rec affine env lt ~idx_slot (e : R.expr) : R.iexpr * int * int =
           let ia, na, da = affine env lt ~idx_slot a in
           (R.INeg ia, na, da)
       | _ -> raise Not_kernel)
-  | R.EFolded { fval = VInt n; f_flops = 0; f_int_ops; f_dyn = 0.0 } ->
-      (R.ILit n, f_int_ops, 0)
   | _ -> raise Not_kernel
 
 (* Degree-0 affine expressions for init/bound/step: may not reference
@@ -955,31 +650,6 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                           rd
                       | _ -> raise Not_kernel)
                   | _ -> raise Not_kernel)
-              | R.EFolded { fval; f_flops; f_int_ops; f_dyn } -> (
-                  match fval with
-                  | VFloat fv ->
-                      let r = fresh_reg () in
-                      emit (R.KLit (r, fv));
-                      bump
-                        {
-                          n_flops = f_flops;
-                          n_sfu = 0;
-                          n_dyn = f_dyn;
-                        };
-                      int_ops := !int_ops + f_int_ops;
-                      r
-                  | VInt n ->
-                      let r = fresh_reg () in
-                      emit (R.KLit (r, float_of_int n));
-                      bump
-                        {
-                          n_flops = f_flops;
-                          n_sfu = 0;
-                          n_dyn = f_dyn;
-                        };
-                      int_ops := !int_ops + f_int_ops;
-                      r
-                  | _ -> raise Not_kernel)
               | _ -> raise Not_kernel
             in
             let mark_written s = Hashtbl.replace k.written_now s () in
@@ -1198,19 +868,11 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
 let publish (s : stats) =
   let m = Flow_obs.Metrics.global in
   let bump name v = if v > 0 then Flow_obs.Metrics.incr ~by:v m name in
-  bump "opt_consts_folded" s.consts_folded;
   bump "opt_ops_strength_reduced" s.ops_strength_reduced;
   bump "opt_kernels_specialized" s.kernels_specialized
 
 let optimize ?(config = all_passes) (cp : R.t) : R.t =
-  let stats =
-    {
-      consts_folded = 0;
-      ops_strength_reduced = 0;
-      kernels_specialized = 0;
-    }
-  in
-  let cp = if config.fold then fold_pass stats cp else cp in
+  let stats = { ops_strength_reduced = 0; kernels_specialized = 0 } in
   let cp = if config.strength then strength_pass stats cp else cp in
   let cp = if config.specialize then specialize_pass stats cp else cp in
   publish stats;

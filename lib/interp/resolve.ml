@@ -161,10 +161,6 @@ and enode =
   | EIndex of expr * expr
   | ECast of Minic.Ast.typ * expr
   | ECall of { callee : callee; cargs : expr list }
-  | EFolded of { fval : Value.t; f_flops : int; f_int_ops : int; f_dyn : float }
-      (** constant-folded subtree: yields [fval] while replaying the
-          folded subtree's counter bumps and dynamic cycle charges
-          (the static [ecost] of the subtree is kept on the node) *)
   | EArithF of Minic.Ast.binop * float * expr * expr
       (** [EArith] whose float path is statically known to be taken *)
   | EArithI of Minic.Ast.binop * expr * expr
@@ -281,7 +277,6 @@ let rec expr_may_time mt (e : expr) =
   match e.e with
   | ELit _ | EVar _ -> false
   | ENeg a | ENot a | ECast (_, a) -> expr_may_time mt a
-  | EFolded _ -> false
   | EArith (_, _, a, b)
   | EArithF (_, _, a, b)
   | EArithI (_, a, b)

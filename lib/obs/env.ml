@@ -52,11 +52,11 @@ let int_opt ~name ~min:lo () =
 let int ~name ~default ~min () =
   match int_opt ~name ~min () with Some v -> v | None -> default
 
-(** Read boolean kill-switch knob [name]: true iff the variable is set
-    to ["1"], ["true"] or ["yes"] (the convention [PSAFLOW_NO_MEMO] and
-    [PSAFLOW_NO_OPT] share).  Any other value — including empty —
-    leaves the switch off, with a once-per-process warning so a typo'd
-    [PSAFLOW_NO_OPT=on] does not silently run the optimizer. *)
+(** Read boolean kill-switch knob [name] (e.g. [PSAFLOW_NO_MEMO]): true
+    iff the variable is set to ["1"], ["true"] or ["yes"].  Any other
+    value — including empty — leaves the switch off, with a
+    once-per-process warning so a typo'd [PSAFLOW_NO_MEMO=on] does not
+    silently keep the memo on. *)
 let flag ~name () =
   match Sys.getenv_opt name with
   | None -> false

@@ -1,10 +1,10 @@
 (** Domain-parallel work pool.
 
     A small work-queue [map] over OCaml 5 [Domain]s, used by the
-    report and bench benchmark collectors and the VM's sharded kernels,
-    plus the persistent worker sets of the service scheduler.  A flow
-    never maps on the pool: its sweeps and branches run in the calling
-    domain.  No external dependencies.
+    report and bench benchmark collectors, plus the persistent worker
+    sets of the service scheduler.  Neither a flow nor the interpreter
+    maps on the pool: sweeps, branches and loop kernels run in the
+    calling domain.  No external dependencies.
 
     Sizing: the [PSAFLOW_JOBS] environment variable overrides the worker
     count; programmatic callers (benchmarks, tests) can force it through

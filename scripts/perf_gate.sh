@@ -7,7 +7,7 @@
 #
 # Fails when:
 #   - any outputs_identical check in the fresh BENCH_psaflow.json is
-#     false (an engine, optimizer pass, domain-sharded run or a daemon
+#     false (an engine, an optimizer pass, the cached flow or a daemon
 #     result diverged from the reference bytes), or
 #   - a gated metric regressed against the rolling median of the last
 #     K comparable (quick-scale, other-commit) history entries:

@@ -496,7 +496,18 @@ let test_env_parsing () =
     (Env.int ~name:knob ~default:7 ~min:1 () = 7);
   check "unset knob reads None" true
     (Env.int_opt ~name:"PSAFLOW_TEST_KNOB_UNSET" ~min:1 () = None);
-  check "warned about the bad value" true (!warnings <> [])
+  check "warned about the bad value" true (!warnings <> []);
+  (* boolean kill switches: 1/true/yes only *)
+  List.iter
+    (fun on ->
+      Unix.putenv "PSAFLOW_TEST_FLAG_ON" on;
+      check (on ^ " turns a flag on") true
+        (Env.flag ~name:"PSAFLOW_TEST_FLAG_ON" ()))
+    [ "1"; "true"; "yes" ];
+  Unix.putenv "PSAFLOW_TEST_FLAG_TYPO" "on";
+  check "a typo'd value leaves the flag off" false
+    (Env.flag ~name:"PSAFLOW_TEST_FLAG_TYPO" ());
+  check "unset is off" false (Env.flag ~name:"PSAFLOW_TEST_FLAG_UNSET" ())
 
 let test_env_clamping () =
   with_warnings @@ fun warnings ->

@@ -682,7 +682,6 @@ let flow_spawns_no_domains () =
 let pass_configs =
   let no_p = I.Opt.no_passes in
   [
-    ("fold", { no_p with I.Opt.fold = true });
     ("strength", { no_p with I.Opt.strength = true });
     ("specialize", { no_p with I.Opt.specialize = true });
     ("composed", I.Opt.all_passes);
@@ -717,43 +716,6 @@ let check_opt_identity (b : Benchmarks.Bench_app.t) () =
         (run_fingerprint focused = fwalker))
     pass_configs
 
-(* [PSAFLOW_NO_OPT] mirrors [PSAFLOW_NO_MEMO]: the shared flag parser
-   accepts 1/true/yes only, and [Opt.set_enabled false] makes
-   [Eval.compile] skip the optimizer entirely — observable through the
-   published opt_* counters — without changing any run observable. *)
-let opt_kill_switch () =
-  Unix.putenv "PSAFLOW_TEST_FLAG_ON" "1";
-  Alcotest.(check bool)
-    "1 turns a flag on" true
-    (Flow_obs.Env.flag ~name:"PSAFLOW_TEST_FLAG_ON" ());
-  Unix.putenv "PSAFLOW_TEST_FLAG_TYPO" "on";
-  Alcotest.(check bool)
-    "a typo'd value leaves the flag off" false
-    (Flow_obs.Env.flag ~name:"PSAFLOW_TEST_FLAG_TYPO" ());
-  Alcotest.(check bool)
-    "unset is off" false
-    (Flow_obs.Env.flag ~name:"PSAFLOW_TEST_FLAG_UNSET" ());
-  let was = I.Opt.is_enabled () in
-  Fun.protect ~finally:(fun () -> I.Opt.set_enabled was) @@ fun () ->
-  let b = List.nth Benchmarks.Registry.all 1 (* nbody *) in
-  let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
-  let walker = run_fingerprint (I.Eval.run_ir (I.Resolve.compile p)) in
-  let specialized () =
-    Flow_obs.Metrics.counter_value Flow_obs.Metrics.global
-      "opt_kernels_specialized"
-  in
-  I.Opt.set_enabled false;
-  let c0 = specialized () in
-  let off = I.Eval.run_vm (I.Eval.compile p) in
-  Alcotest.(check int) "optimizer skipped when disabled" c0 (specialized ());
-  I.Opt.set_enabled true;
-  let on = I.Eval.run_vm (I.Eval.compile p) in
-  Alcotest.(check bool) "optimizer ran when enabled" true (specialized () > c0);
-  Alcotest.(check bool)
-    "disabled run = walker" true
-    (run_fingerprint off = walker);
-  Alcotest.(check bool) "enabled run = walker" true (run_fingerprint on = walker)
-
 (* The per-pass identity obligation, over generated programs. *)
 let opt_equivalence_prop =
   QCheck.Test.make ~count:15
@@ -783,7 +745,6 @@ let opt_tests =
       Alcotest.test_case b.id `Slow (check_opt_identity b))
     Benchmarks.Registry.all
   @ [
-      Alcotest.test_case "kill switch" `Quick opt_kill_switch;
       QCheck_alcotest.to_alcotest opt_equivalence_prop;
     ]
 
@@ -810,42 +771,21 @@ let vm_equivalence_prop =
         QCheck.Test.fail_report "vm: focused run diverges";
       true)
 
-(* Per-benchmark bit-identity of the VM against the walker, across the
-   superinstruction selector (on/off) and worker-domain counts (1/2/4,
-   with [vm_shard_min] lowered so benchmark-sized loops actually
-   shard). *)
+(* Per-benchmark bit-identity of the production VM (optimized IR, every
+   kernel fused) against the walker on the raw slot IR. *)
 let check_vm_identity (b : Benchmarks.Bench_app.t) () =
   let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
-  let ir_opt = I.Opt.optimize (I.Resolve.compile p) in
   let walker = run_fingerprint (I.Eval.run_ir (I.Resolve.compile p)) in
-  let saved_jobs = !I.Eval.vm_jobs_override in
-  let saved_min = !I.Eval.vm_shard_min in
-  Fun.protect ~finally:(fun () ->
-      I.Eval.vm_jobs_override := saved_jobs;
-      I.Eval.vm_shard_min := saved_min)
-  @@ fun () ->
-  I.Eval.vm_shard_min := 1;
-  List.iter
-    (fun (sel, hot) ->
-      let c = I.Eval.compile_resolved ~vm_hot:hot ir_opt in
-      List.iter
-        (fun domains ->
-          I.Eval.vm_jobs_override := Some domains;
-          let r = I.Eval.run_vm c in
-          Alcotest.(check bool)
-            (Printf.sprintf "superinstructions %s, %d domains: identical" sel
-               domains)
-            true
-            (run_fingerprint r = walker))
-        [ 1; 2; 4 ])
-    [ ("on", fun _ -> true); ("off", fun _ -> false) ]
+  Alcotest.(check bool)
+    "vm = walker" true
+    (run_fingerprint (I.Eval.run_vm (I.Eval.compile p)) = walker)
 
 (* Lowered kernels of a fixed data-parallel source, for selector unit
    tests. *)
-let vm_lowered_kernels ~hot src =
+let vm_lowered_kernels src =
   let p = Minic.Parser.parse_program src in
   let ir_opt = I.Opt.optimize (I.Resolve.compile p) in
-  let bp = I.Bytecode.lower ~hot ir_opt in
+  let bp = I.Bytecode.lower ir_opt in
   let kps = ref [] in
   Array.iter
     (fun (f : I.Bytecode.fn) ->
@@ -876,69 +816,30 @@ int main() {
 }
 |}
 
-(* The selector on a fixed program: hot kernels shrink (superinstruction
-   fusion fired), the fused bodies cover fewer micro-ops than the
-   original kinstr stream, and the data-parallel loop is recognized as
-   shardable; with everything cold, bodies lower 1:1 and nothing is
-   marked fused. *)
+(* The selector on a fixed program: every kernel shrinks (superinstruction
+   fusion fired) and the fused bodies cover fewer micro-ops than the
+   original kinstr stream. *)
 let vm_selector_fuses () =
-  let kps = vm_lowered_kernels ~hot:(fun _ -> true) vm_triad_src in
+  let kps = vm_lowered_kernels vm_triad_src in
   Alcotest.(check bool) "kernels lowered" true (List.length kps >= 2);
   List.iter
     (fun (kp : I.Bytecode.kprog) ->
       let before = Array.length kp.I.Bytecode.kp_kern.I.Resolve.k_body in
       let after = Array.length kp.I.Bytecode.kp_ops in
-      Alcotest.(check bool) "hot kernel marked fused" true
-        kp.I.Bytecode.kp_fused;
-      Alcotest.(check bool) "fusion shrank the body" true (after < before);
-      Alcotest.(check bool) "shardable: no loop-carried register dep" true
-        kp.I.Bytecode.kp_shardable)
-    kps;
-  let cold = vm_lowered_kernels ~hot:(fun _ -> false) vm_triad_src in
-  List.iter
-    (fun (kp : I.Bytecode.kprog) ->
-      let before = Array.length kp.I.Bytecode.kp_kern.I.Resolve.k_body in
-      Alcotest.(check bool) "cold kernel not fused" false
-        kp.I.Bytecode.kp_fused;
-      Alcotest.(check int) "cold kernel lowers 1:1" before
-        (Array.length kp.I.Bytecode.kp_ops);
-      Alcotest.(check int) "cold kernel hoists no literals" 0
-        (Array.length kp.I.Bytecode.kp_lits);
-      Alcotest.(check int) "cold kernel prefetches nothing" 0
-        (Array.length kp.I.Bytecode.kp_prefetch))
-    cold
-
-(* [hot_of_profile] thresholding on a measured profile: the dominant
-   loop clears the default 2% share, an impossible share admits nothing,
-   and unknown statement ids are never hot. *)
-let vm_hot_of_profile () =
-  let p = Minic.Parser.parse_program vm_triad_src in
-  let r = I.Eval.run p in
-  let dominant, _ =
-    Hashtbl.fold
-      (fun sid (ls : I.Profile.loop_stat) ((_, best) as acc) ->
-        if ls.I.Profile.cycles > best then (sid, ls.I.Profile.cycles) else acc)
-      r.profile.I.Profile.loops (-1, neg_infinity)
-  in
-  Alcotest.(check bool) "profile has loops" true (dominant >= 0);
-  let hot = I.Bytecode.hot_of_profile r.profile in
-  Alcotest.(check bool) "dominant loop is hot" true (hot dominant);
-  let none = I.Bytecode.hot_of_profile ~min_share:1.1 r.profile in
-  Alcotest.(check bool) "impossible share admits nothing" false
-    (none dominant);
-  Alcotest.(check bool) "unknown sid is cold" false (hot (-42));
-  let empty = I.Bytecode.hot_of_profile (I.Profile.create ()) in
-  Alcotest.(check bool) "no cycle data: everything hot" true (empty dominant)
+      Alcotest.(check bool) "kernel marked fused" true kp.I.Bytecode.kp_fused;
+      Alcotest.(check bool) "fusion shrank the body" true (after < before))
+    kps
 
 let vm_tests =
   List.map
     (fun (b : Benchmarks.Bench_app.t) ->
+      (* the names predate the deletion of the domain and selector-off
+         axes; the ids stay stable *)
       Alcotest.test_case (b.id ^ " superinstructions x domains") `Slow
         (check_vm_identity b))
     Benchmarks.Registry.all
   @ [
       Alcotest.test_case "selector fuses hot kernels" `Quick vm_selector_fuses;
-      Alcotest.test_case "hot_of_profile thresholds" `Quick vm_hot_of_profile;
       QCheck_alcotest.to_alcotest vm_equivalence_prop;
     ]
 

@@ -326,6 +326,21 @@ let std_flow_tests =
             let s = Codegen.Design.export r.design in
             ignore (Minic.Parser.parse_program s))
           o.results);
+    (* jacobi's sweep carries a dependence: the OpenMP generator's
+       refusal must surface as a flow error naming it, not escape as
+       [Not_parallel] *)
+    Alcotest.test_case "uninformed jacobi is a flow error" `Slow (fun () ->
+        let ctx =
+          Benchmarks.Bench_app.context (Benchmarks.Registry.find "jacobi")
+        in
+        match Psa.Std_flow.run_uninformed ctx with
+        | _ -> Alcotest.fail "uninformed jacobi produced designs"
+        | exception Psa.Std_flow.Flow_error m ->
+            Alcotest.(check bool)
+              "names the carried dependence" true
+              (Astring_contains.contains m "carries dependences")
+        | exception Transforms.Omp_pragmas.Not_parallel m ->
+            Alcotest.failf "Not_parallel escaped the flow: %s" m);
   ]
 
 (* ------------------------------------------------------------------ *)
