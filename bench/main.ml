@@ -13,7 +13,9 @@
       toolchain micro-benchmarks).
 
     Usage: [main.exe] runs everything; [main.exe fig5|table1|fig6|table2|
-    ablation|micro] runs one part.
+    ablation|strategies|energy|micro] runs one part.  Every measured
+    number comes from {!Benchmarks.Evaluation}, the collector that
+    [psaflow report] renders too.
 
     Perf-history plumbing (see [scripts/perf_gate.sh]):
     [main.exe history-append [--quick]] appends the current
@@ -26,69 +28,9 @@
 (* Data collection: one uninformed flow per benchmark                  *)
 (* ------------------------------------------------------------------ *)
 
-type collected = {
-  app : Benchmarks.Bench_app.t;
-  reference : Minic.Ast.program;
-  features : Analysis.Features.t;  (** at evaluation scale *)
-  results : Devices.Simulate.result list;  (** all five designs, timed *)
-  decision : Psa.Strategy.explanation;  (** branch point A, informed *)
-}
+module Evaluation = Benchmarks.Evaluation
 
-let collect_one (app : Benchmarks.Bench_app.t) : collected =
-  let ctx = Benchmarks.Bench_app.context app in
-  let outcome = Psa.Std_flow.run_uninformed ctx in
-  let c0 =
-    match outcome.contexts with
-    | c :: _ -> c
-    | [] -> failwith "flow produced no context"
-  in
-  {
-    app;
-    reference = ctx.Psa.Context.reference;
-    features = Psa.Context.eval_features_exn c0;
-    results = outcome.results;
-    decision = Psa.Strategy.fig3_explain c0;
-  }
-
-let collected : collected list Lazy.t =
-  lazy
-    (Flow_par.Pool.map
-       (fun (app : Benchmarks.Bench_app.t) ->
-         Printf.eprintf "profiling %s...\n%!" app.id;
-         collect_one app)
-       Benchmarks.Registry.all)
-
-let find_result (c : collected) name =
-  List.find_opt
-    (fun (r : Devices.Simulate.result) -> r.design.name = name)
-    c.results
-
-let speedup_of (c : collected) name =
-  match find_result c name with
-  | Some r when r.feasible -> Some r.speedup
-  | _ -> None
-
-let seconds_of (c : collected) name =
-  match find_result c name with
-  | Some r when r.feasible -> Some r.seconds
-  | _ -> None
-
-(** The Auto-Selected result: fastest design on the informed target. *)
-let auto_selected (c : collected) : Devices.Simulate.result option =
-  let target =
-    match c.decision.decision with
-    | Psa.Strategy.Cpu_path -> Some Codegen.Design.Cpu_openmp
-    | Psa.Strategy.Gpu_path -> Some Codegen.Design.Gpu_hip
-    | Psa.Strategy.Fpga_path -> Some Codegen.Design.Fpga_oneapi
-    | Psa.Strategy.No_offload _ -> None
-  in
-  match target with
-  | None -> None
-  | Some t ->
-      Psa.Report.best
-        (List.filter
-           (fun (r : Devices.Simulate.result) -> r.design.target = t)
-           c.results)
+let evaluation : Evaluation.t list Lazy.t = lazy (Evaluation.collect ())
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5                                                              *)
@@ -98,18 +40,13 @@ let opt_x = function Some v -> Printf.sprintf "%.1f" v | None -> "n/a"
 
 let fig5_rows () =
   List.map
-    (fun (c : collected) ->
-      let auto = auto_selected c in
-      ( c,
-        [
-          Option.map (fun (r : Devices.Simulate.result) -> r.speedup) auto;
-          speedup_of c "omp_epyc7543";
-          speedup_of c "hip_gtx1080ti";
-          speedup_of c "hip_rtx2080ti";
-          speedup_of c "oneapi_arria10";
-          speedup_of c "oneapi_stratix10";
-        ] ))
-    (Lazy.force collected)
+    (fun (e : Evaluation.t) ->
+      ( e,
+        Option.map
+          (fun (r : Devices.Simulate.result) -> r.speedup)
+          (Evaluation.auto_selected e)
+        :: List.map (Evaluation.speedup e) Evaluation.design_names ))
+    (Lazy.force evaluation)
 
 let print_fig5 () =
   print_endline "";
@@ -118,7 +55,7 @@ let print_fig5 () =
   Printf.printf "%-13s %13s %13s %13s %13s %13s %13s\n" "benchmark" "Auto"
     "OMP" "HIP 1080Ti" "HIP 2080Ti" "oneAPI A10" "oneAPI S10";
   List.iter
-    (fun ((c : collected), cells) ->
+    (fun ((c : Evaluation.t), cells) ->
       let paper =
         List.find
           (fun (r : Paper_data.fig5_row) -> r.bench = c.app.id)
@@ -147,9 +84,9 @@ let print_fig5 () =
   (* the paper's headline claim: the informed strategy picks the winner *)
   print_endline "";
   List.iter
-    (fun ((c : collected), _) ->
+    (fun ((c : Evaluation.t), _) ->
       let best = Psa.Report.best c.results in
-      let auto = auto_selected c in
+      let auto = Evaluation.auto_selected c in
       let ok =
         match (best, auto) with
         | Some b, Some a -> b.design.target = a.design.target
@@ -165,24 +102,20 @@ let print_fig5 () =
 (* Table I                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let table1_cells (c : collected) =
-  let delta name =
-    match find_result c name with
-    | Some r when r.design.synthesizable ->
-        Some (Codegen.Design.loc_delta_percent ~reference:c.reference r.design)
-    | _ -> None
-  in
-  let omp = delta "omp_epyc7543" in
-  let hip1 = delta "hip_gtx1080ti" in
-  let hip2 = delta "hip_rtx2080ti" in
-  let a10 = delta "oneapi_arria10" in
-  let s10 = delta "oneapi_stratix10" in
+(* the paper's Table I has one HIP column (the 1080 Ti design) but
+   totals all five designs *)
+let table1_cells (e : Evaluation.t) =
+  let delta = Evaluation.loc_delta e in
+  let cells = List.map delta Evaluation.design_names in
   let total =
-    match (omp, hip1, hip2, a10, s10) with
-    | Some a, Some b, Some b', Some d, Some e -> Some (a +. b +. b' +. d +. e)
-    | _ -> None
+    if List.mem None cells then None
+    else Some (List.fold_left (fun acc v -> acc +. Option.get v) 0.0 cells)
   in
-  (omp, hip1, a10, s10, total)
+  ( delta "omp_epyc7543",
+    delta "hip_gtx1080ti",
+    delta "oneapi_arria10",
+    delta "oneapi_stratix10",
+    total )
 
 let print_table1 () =
   print_endline "";
@@ -191,7 +124,7 @@ let print_table1 () =
   Printf.printf "%-13s %6s %14s %14s %14s %14s %16s\n" "benchmark" "ref" "OMP"
     "HIP" "oneAPI A10" "oneAPI S10" "total (5)";
   List.iter
-    (fun (c : collected) ->
+    (fun (c : Evaluation.t) ->
       let omp, hip, a10, s10, total = table1_cells c in
       let paper =
         List.find
@@ -208,13 +141,11 @@ let print_table1 () =
         (cell omp paper.t1_omp) (cell hip paper.t1_hip)
         (cell a10 paper.t1_a10) (cell s10 paper.t1_s10)
         (cell total paper.t1_total))
-    (Lazy.force collected)
+    (Lazy.force evaluation)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 6                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let fig6_apps = [ "adpredictor"; "bezier"; "kmeans" ]
 
 let print_fig6 () =
   print_endline "";
@@ -223,37 +154,29 @@ let print_fig6 () =
   print_endline
     "   (cost ratio = FPGA cost / GPU cost; < 1 means the FPGA platform is";
   print_endline "    more cost effective at that price ratio)";
-  let ratios = [ 0.25; 1.0 /. 3.0; 0.5; 1.0; 2.0; 3.0; 4.0 ] in
   Printf.printf "%-13s" "FPGA$/GPU$:";
-  List.iter (fun r -> Printf.printf "%9.2f" r) ratios;
+  List.iter (fun r -> Printf.printf "%9.2f" r) Evaluation.fig6_ratios;
   Printf.printf "%12s %s\n" "crossover" "(paper)";
   List.iter
-    (fun id ->
-      match
-        List.find_opt (fun (c : collected) -> c.app.id = id) (Lazy.force collected)
-      with
-      | None -> ()
-      | Some c -> (
-          match
-            (seconds_of c "oneapi_stratix10", seconds_of c "hip_rtx2080ti")
-          with
-          | Some t_f, Some t_g ->
-              Printf.printf "%-13s" id;
-              List.iter
-                (fun pr ->
-                  Printf.printf "%9.2f"
-                    (Psa.Cost.relative_cost ~price_ratio:pr ~seconds_a:t_f
-                       ~seconds_b:t_g))
-                ratios;
-              let crossover =
-                Psa.Cost.breakeven_ratio ~seconds_a:t_f ~seconds_b:t_g
-              in
-              Printf.printf "%12.2f %s\n" crossover
-                (match List.assoc_opt id Paper_data.fig6_crossovers with
-                | Some p -> Printf.sprintf "(%.1f)" p
-                | None -> "(not in the paper)")
-          | _ -> Printf.printf "%-13s (FPGA design not available)\n" id))
-    fig6_apps
+    (fun (id, t_f, t_g) ->
+      match (t_f, t_g) with
+      | Some t_f, Some t_g ->
+          Printf.printf "%-13s" id;
+          List.iter
+            (fun pr ->
+              Printf.printf "%9.2f"
+                (Psa.Cost.relative_cost ~price_ratio:pr ~seconds_a:t_f
+                   ~seconds_b:t_g))
+            Evaluation.fig6_ratios;
+          let crossover =
+            Psa.Cost.breakeven_ratio ~seconds_a:t_f ~seconds_b:t_g
+          in
+          Printf.printf "%12.2f %s\n" crossover
+            (match List.assoc_opt id Paper_data.fig6_crossovers with
+            | Some p -> Printf.sprintf "(%.1f)" p
+            | None -> "(not in the paper)")
+      | _ -> Printf.printf "%-13s (FPGA design not available)\n" id)
+    (Evaluation.fig6_times (Lazy.force evaluation))
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: the X threshold of the Fig. 3 strategy                    *)
@@ -268,7 +191,7 @@ let print_ablation () =
   List.iter (fun x -> Printf.printf "  X=%-7.1f" x) xs;
   print_newline ();
   List.iter
-    (fun (c : collected) ->
+    (fun (c : Evaluation.t) ->
       Printf.printf "%-13s %10.2f" c.app.id
         (Analysis.Features.offload_intensity c.features);
       List.iter
@@ -292,7 +215,7 @@ let print_ablation () =
           Printf.printf "  %-9s" short)
         xs;
       print_newline ())
-    (Lazy.force collected)
+    (Lazy.force evaluation)
 
 (* ------------------------------------------------------------------ *)
 (* Strategy comparison: Fig. 3 heuristic vs model-based PSA            *)
@@ -305,7 +228,7 @@ let print_strategies () =
   Printf.printf "%-13s %12s %16s %16s %16s\n" "benchmark" "fig3"
     "model(perf)" "model(cost)" "model(energy)";
   List.iter
-    (fun (c : collected) ->
+    (fun (c : Evaluation.t) ->
       let base =
         {
           (Benchmarks.Bench_app.context c.app) with
@@ -328,7 +251,7 @@ let print_strategies () =
         (show (Psa.Strategy.model_based ~objective:Psa.Strategy.Performance base))
         (show (Psa.Strategy.model_based ~objective:Psa.Strategy.Monetary_cost base))
         (show (Psa.Strategy.model_based ~objective:Psa.Strategy.Energy base)))
-    (Lazy.force collected)
+    (Lazy.force evaluation)
 
 (* ------------------------------------------------------------------ *)
 (* Energy (Section IV-D's suggested extension)                         *)
@@ -341,19 +264,14 @@ let print_energy () =
   Printf.printf "%-13s %12s %12s %12s %12s %12s %16s\n" "benchmark" "OMP"
     "HIP 1080Ti" "HIP 2080Ti" "oneAPI A10" "oneAPI S10" "most efficient";
   List.iter
-    (fun (c : collected) ->
-      let joules name =
-        match find_result c name with
-        | Some r when r.feasible -> Some (Psa.Cost.energy_of_result r)
-        | _ -> None
-      in
+    (fun (c : Evaluation.t) ->
       let cells =
         List.map
-          (fun n -> (n, joules n))
-          [
-            "omp_epyc7543"; "hip_gtx1080ti"; "hip_rtx2080ti"; "oneapi_arria10";
-            "oneapi_stratix10";
-          ]
+          (fun n ->
+            ( n,
+              Option.map Psa.Cost.energy_of_result
+                (Evaluation.feasible c n) ))
+          Evaluation.design_names
       in
       let best =
         List.fold_left
@@ -376,7 +294,7 @@ let print_energy () =
         (fmt (snd (List.nth cells 3)))
         (fmt (snd (List.nth cells 4)))
         (match best with Some (n, _) -> n | None -> "n/a"))
-    (Lazy.force collected)
+    (Lazy.force evaluation)
 
 (* ------------------------------------------------------------------ *)
 (* Table II                                                            *)
@@ -393,32 +311,22 @@ let print_table2 () =
 
 let bechamel_tests () =
   let open Bechamel in
-  let data = Lazy.force collected in
-  let nbody =
-    List.find (fun c -> c.app.Benchmarks.Bench_app.id = "nbody") data
+  let data = Lazy.force evaluation in
+  let find id =
+    List.find (fun (e : Evaluation.t) -> e.app.id = id) data
   in
-  let kmeans =
-    List.find (fun c -> c.app.Benchmarks.Bench_app.id = "kmeans") data
-  in
+  let nbody = find "nbody" and kmeans = find "kmeans" in
   let src = nbody.app.source ~n:64 in
   let parsed = Minic.Parser.parse_program src in
-  let gpu_design =
-    List.find
-      (fun (r : Devices.Simulate.result) -> r.design.name = "hip_rtx2080ti")
-      nbody.results
-  in
-  let fpga_design =
-    List.find
-      (fun (r : Devices.Simulate.result) -> r.design.name = "oneapi_stratix10")
-      kmeans.results
-  in
+  let gpu_design = Option.get (Evaluation.result nbody "hip_rtx2080ti") in
+  let fpga_design = Option.get (Evaluation.result kmeans "oneapi_stratix10") in
   [
     (* one Test.make per table/figure: time regenerating it from the
        profiled features *)
     Test.make ~name:"fig5_regenerate"
       (Staged.stage (fun () ->
            List.iter
-             (fun c ->
+             (fun (c : Evaluation.t) ->
                List.iter
                  (fun (r : Devices.Simulate.result) ->
                    ignore (Devices.Simulate.run r.design c.features))
@@ -427,7 +335,7 @@ let bechamel_tests () =
     Test.make ~name:"table1_regenerate"
       (Staged.stage (fun () ->
            List.iter
-             (fun c ->
+             (fun (c : Evaluation.t) ->
                List.iter
                  (fun (r : Devices.Simulate.result) ->
                    ignore

@@ -61,14 +61,8 @@ let pp_detail fmt (r : Devices.Simulate.result) =
         f.ii_effective f.t_pipe f.t_mem f.t_transfer f.t_call f.total
 
 let run bench =
-  let app = Benchmarks.Registry.find bench in
-  let ctx = Benchmarks.Bench_app.context app in
-  let outcome = Psa.Std_flow.run_uninformed ctx in
-  (match outcome.contexts with
-  | c :: _ ->
-      Format.printf "=== features (eval scale) ===@.%a@.@." pp_features
-        (Psa.Context.eval_features_exn c)
-  | [] -> ());
+  let e = Benchmarks.Evaluation.collect_one (Benchmarks.Registry.find bench) in
+  Format.printf "=== features (eval scale) ===@.%a@.@." pp_features e.features;
   Format.printf "=== designs ===@.";
   List.iter
     (fun (r : Devices.Simulate.result) ->
@@ -76,11 +70,6 @@ let run bench =
         r.seconds r.speedup
         (if r.feasible then "" else "(infeasible)")
         pp_detail r)
-    outcome.results;
-  (* reference seconds *)
-  match outcome.contexts with
-  | c :: _ ->
-      let f = Psa.Context.eval_features_exn c in
-      Format.printf "@.reference (1-thread): %.4g s@."
-        (Devices.Cpu_model.reference_seconds f)
-  | [] -> ()
+    e.results;
+  Format.printf "@.reference (1-thread): %.4g s@."
+    (Devices.Cpu_model.reference_seconds e.features)

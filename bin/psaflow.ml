@@ -247,21 +247,15 @@ let export_cmd =
   in
   let run bench design_name =
     protect @@ fun () ->
-    let app = find_bench bench in
-    let ctx = Benchmarks.Bench_app.context app in
-    let outcome = Psa.Std_flow.run_uninformed ctx in
-    match
-      List.find_opt
-        (fun (r : Devices.Simulate.result) -> r.design.name = design_name)
-        outcome.results
-    with
+    let e = Benchmarks.Evaluation.collect_one (find_bench bench) in
+    match Benchmarks.Evaluation.result e design_name with
     | Some r -> print_string (Codegen.Design.export r.design)
     | None ->
         die "no design %S; available: %s" design_name
           (String.concat ", "
              (List.map
                 (fun (r : Devices.Simulate.result) -> r.design.name)
-                outcome.results))
+                e.results))
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Print the generated source of one design.")

@@ -5,93 +5,12 @@
 
     The paper-vs-measured side-by-side comparison lives in
     [bench/main.exe]; this command reports what {e this} toolchain
-    measures, in a form other tools can consume. *)
+    measures, in a form other tools can consume.  Both render the data
+    of {!Benchmarks.Evaluation}. *)
 
 module Json = Flow_service.Json
 
-type collected = {
-  app : Benchmarks.Bench_app.t;
-  reference : Minic.Ast.program;
-  results : Devices.Simulate.result list;
-  decision : Psa.Strategy.explanation;
-}
-
-let design_names =
-  [
-    "omp_epyc7543";
-    "hip_gtx1080ti";
-    "hip_rtx2080ti";
-    "oneapi_arria10";
-    "oneapi_stratix10";
-  ]
-
-let collect_one (app : Benchmarks.Bench_app.t) : collected =
-  let ctx = Benchmarks.Bench_app.context app in
-  let outcome = Psa.Std_flow.run_uninformed ctx in
-  let c0 =
-    match outcome.contexts with
-    | c :: _ -> c
-    | [] -> failwith "flow produced no context"
-  in
-  {
-    app;
-    reference = ctx.Psa.Context.reference;
-    results = outcome.results;
-    decision = Psa.Strategy.fig3_explain c0;
-  }
-
-let collect () = Flow_par.Pool.map collect_one Benchmarks.Registry.all
-
-let find_result (c : collected) name =
-  List.find_opt
-    (fun (r : Devices.Simulate.result) -> r.design.name = name)
-    c.results
-
-let speedup_of c name =
-  match find_result c name with
-  | Some r when r.feasible -> Some r.speedup
-  | _ -> None
-
-(** The informed Auto-Selected bar: fastest design of the Fig. 3
-    decision's target family. *)
-let auto_selected (c : collected) =
-  let target =
-    match c.decision.decision with
-    | Psa.Strategy.Cpu_path -> Some Codegen.Design.Cpu_openmp
-    | Psa.Strategy.Gpu_path -> Some Codegen.Design.Gpu_hip
-    | Psa.Strategy.Fpga_path -> Some Codegen.Design.Fpga_oneapi
-    | Psa.Strategy.No_offload _ -> None
-  in
-  Option.bind target (fun t ->
-      Psa.Report.best
-        (List.filter
-           (fun (r : Devices.Simulate.result) -> r.design.target = t)
-           c.results))
-
-let loc_delta c name =
-  match find_result c name with
-  | Some r when r.design.synthesizable ->
-      Some (Codegen.Design.loc_delta_percent ~reference:c.reference r.design)
-  | _ -> None
-
-let fig6_apps = [ "adpredictor"; "bezier"; "kmeans" ]
-let fig6_ratios = [ 0.25; 1.0 /. 3.0; 0.5; 1.0; 2.0; 3.0; 4.0 ]
-
-let seconds_of c name =
-  match find_result c name with
-  | Some r when r.feasible -> Some r.seconds
-  | _ -> None
-
-(** FPGA-vs-GPU platform seconds for the Fig. 6 apps. *)
-let fig6_times data =
-  List.filter_map
-    (fun id ->
-      List.find_opt (fun c -> c.app.Benchmarks.Bench_app.id = id) data
-      |> Option.map (fun c ->
-             ( id,
-               seconds_of c "oneapi_stratix10",
-               seconds_of c "hip_rtx2080ti" )))
-    fig6_apps
+module Evaluation = Benchmarks.Evaluation
 
 (* ------------------------------------------------------------------ *)
 (* Text output                                                         *)
@@ -104,16 +23,16 @@ let print_text data =
   Printf.printf "%-13s %10s %10s %12s %12s %12s %12s\n" "benchmark" "Auto"
     "OMP" "HIP 1080Ti" "HIP 2080Ti" "oneAPI A10" "oneAPI S10";
   List.iter
-    (fun c ->
+    (fun (e : Evaluation.t) ->
       let auto =
         Option.map (fun (r : Devices.Simulate.result) -> r.speedup)
-          (auto_selected c)
+          (Evaluation.auto_selected e)
       in
-      Printf.printf "%-13s %10s" c.app.id (opt_x auto);
+      Printf.printf "%-13s %10s" e.app.id (opt_x auto);
       List.iter
         (fun n -> Printf.printf " %*s" (if n = "omp_epyc7543" then 10 else 12)
-            (opt_x (speedup_of c n)))
-        design_names;
+            (opt_x (Evaluation.speedup e n)))
+        Evaluation.design_names;
       print_newline ())
     data;
   print_endline "";
@@ -121,24 +40,24 @@ let print_text data =
   Printf.printf "%-13s %6s %8s %10s %10s %12s %12s\n" "benchmark" "ref" "OMP"
     "HIP 1080" "HIP 2080" "oneAPI A10" "oneAPI S10";
   List.iter
-    (fun c ->
-      Printf.printf "%-13s %6d" c.app.id
-        (Minic.Loc_count.count_program c.reference);
+    (fun (e : Evaluation.t) ->
+      Printf.printf "%-13s %6d" e.app.id
+        (Minic.Loc_count.count_program e.reference);
       List.iteri
         (fun i n ->
           let w = [| 8; 10; 10; 12; 12 |].(i) in
           Printf.printf " %*s" w
-            (match loc_delta c n with
+            (match Evaluation.loc_delta e n with
             | Some v -> Printf.sprintf "+%.0f%%" v
             | None -> "n/a"))
-        design_names;
+        Evaluation.design_names;
       print_newline ())
     data;
   print_endline "";
   print_endline
     "== Fig. 6: relative cost, Stratix10 CPU+FPGA vs 2080 Ti CPU+GPU ==";
   Printf.printf "%-13s" "FPGA$/GPU$:";
-  List.iter (fun r -> Printf.printf "%9.2f" r) fig6_ratios;
+  List.iter (fun r -> Printf.printf "%9.2f" r) Evaluation.fig6_ratios;
   Printf.printf "%12s\n" "crossover";
   List.iter
     (fun (id, t_f, t_g) ->
@@ -150,11 +69,11 @@ let print_text data =
               Printf.printf "%9.2f"
                 (Psa.Cost.relative_cost ~price_ratio:pr ~seconds_a:t_f
                    ~seconds_b:t_g))
-            fig6_ratios;
+            Evaluation.fig6_ratios;
           Printf.printf "%12.2f\n"
             (Psa.Cost.breakeven_ratio ~seconds_a:t_f ~seconds_b:t_g)
       | _ -> Printf.printf "%-13s (FPGA design not available)\n" id)
-    (fig6_times data)
+    (Evaluation.fig6_times data)
 
 (* ------------------------------------------------------------------ *)
 (* JSON output                                                         *)
@@ -252,37 +171,39 @@ let perf_section () : Json.t * string list =
 let json_of_data data : Json.t * string list =
   let fig5 =
     List.map
-      (fun c ->
+      (fun (e : Evaluation.t) ->
         Json.Obj
           [
-            ("benchmark", Json.String c.app.Benchmarks.Bench_app.id);
+            ("benchmark", Json.String e.app.id);
             ( "decision",
-              Json.String (Psa.Strategy.decision_to_string c.decision.decision)
+              Json.String (Psa.Strategy.decision_to_string e.decision.decision)
             );
             ( "auto",
               opt_float
                 (Option.map
                    (fun (r : Devices.Simulate.result) -> r.speedup)
-                   (auto_selected c)) );
+                   (Evaluation.auto_selected e)) );
             ( "speedups",
               Json.Obj
-                (List.map (fun n -> (n, opt_float (speedup_of c n))) design_names)
-            );
+                (List.map
+                   (fun n -> (n, opt_float (Evaluation.speedup e n)))
+                   Evaluation.design_names) );
           ])
       data
   in
   let table1 =
     List.map
-      (fun c ->
+      (fun (e : Evaluation.t) ->
         Json.Obj
           [
-            ("benchmark", Json.String c.app.Benchmarks.Bench_app.id);
+            ("benchmark", Json.String e.app.id);
             ( "reference_loc",
-              Json.Int (Minic.Loc_count.count_program c.reference) );
+              Json.Int (Minic.Loc_count.count_program e.reference) );
             ( "added_loc_percent",
               Json.Obj
-                (List.map (fun n -> (n, opt_float (loc_delta c n))) design_names)
-            );
+                (List.map
+                   (fun n -> (n, opt_float (Evaluation.loc_delta e n)))
+                   Evaluation.design_names) );
           ])
       data
   in
@@ -309,14 +230,14 @@ let json_of_data data : Json.t * string list =
                                     (Psa.Cost.relative_cost ~price_ratio:pr
                                        ~seconds_a:t_f ~seconds_b:t_g) );
                               ])
-                          fig6_ratios) );
+                          Evaluation.fig6_ratios) );
                    ( "crossover",
                      Json.Float
                        (Psa.Cost.breakeven_ratio ~seconds_a:t_f ~seconds_b:t_g)
                    );
                  ])
         | _ -> None)
-      (fig6_times data)
+      (Evaluation.fig6_times data)
   in
   let perf, warnings = perf_section () in
   ( Json.Obj
@@ -338,7 +259,9 @@ let history_path = "BENCH_history.jsonl"
 
 (* One trend row: the metric's full value series at one scale, its
    latest point, and the delta against the rolling median of the K
-   entries before it. *)
+   entries before it.  A metric the newest datapoint at its scale does
+   not carry is retired: the series stays visible but is no longer
+   measured. *)
 type trend_row = {
   metric : string;
   points : int;
@@ -346,6 +269,7 @@ type trend_row = {
   latest : float;
   latest_commit : string;
   delta_pct : float option;
+  retired : bool;
 }
 
 let trend_rows (history : Perf_history.datapoint list) ~quick ~k :
@@ -358,6 +282,9 @@ let trend_rows (history : Perf_history.datapoint list) ~quick ~k :
       (List.concat_map
          (fun (d : Perf_history.datapoint) -> List.map fst d.metrics)
          at_scale)
+  in
+  let newest =
+    match List.rev at_scale with d :: _ -> d.metrics | [] -> []
   in
   List.filter_map
     (fun metric ->
@@ -388,6 +315,7 @@ let trend_rows (history : Perf_history.datapoint list) ~quick ~k :
               latest;
               latest_commit;
               delta_pct;
+              retired = not (List.mem_assoc metric newest);
             })
     metrics
 
@@ -400,7 +328,7 @@ let print_trend_table ~label ~k rows =
       "latest" "delta" "commit";
     List.iter
       (fun r ->
-        Printf.printf "%-34s %4d %12s %12.3f %9s  %s\n" r.metric r.points
+        Printf.printf "%-34s %4d %12s %12.3f %9s  %s%s\n" r.metric r.points
           (match r.baseline with
           | Some m -> Printf.sprintf "%.3f" m
           | None -> "n/a")
@@ -408,7 +336,8 @@ let print_trend_table ~label ~k rows =
           (match r.delta_pct with
           | Some d -> Printf.sprintf "%+.1f%%" d
           | None -> "n/a")
-          r.latest_commit)
+          r.latest_commit
+          (if r.retired then "  retired" else ""))
       rows
   end
 
@@ -425,6 +354,7 @@ let trend_json ~k history : Json.t =
                ("latest", Json.Float r.latest);
                ("latest_commit", Json.String r.latest_commit);
                ("delta_pct", opt_float r.delta_pct);
+               ("retired", Json.Bool r.retired);
              ])
          (trend_rows history ~quick ~k))
   in
@@ -455,7 +385,7 @@ let run_trend ?(strict = false) ~json () =
   end
 
 let run ?(strict = false) ~json () =
-  let data = collect () in
+  let data = Evaluation.collect () in
   if json then begin
     let j, warnings = json_of_data data in
     List.iter (fun w -> prerr_endline ("psaflow report: warning: " ^ w)) warnings;

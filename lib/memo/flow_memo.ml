@@ -11,10 +11,10 @@
     waits for the result instead of duplicating it.
 
     Each stage (parsed AST, extracted kernel, reduced kernel, analysis
-    features, compiled program, fused profile run, DSE sweep outcome)
-    creates one ['a Cache.t] instance holding its typed artifacts;
-    stage keys are digests of everything the stage output depends on
-    (see DESIGN.md §18 for the key scheme per stage).  The daemon's
+    features, fused profile run, DSE sweep outcome) creates one
+    ['a Cache.t] instance holding its typed artifacts; stage keys are
+    digests of everything the stage output depends on (see DESIGN.md
+    §18 for the key scheme per stage).  The daemon's
     whole-result store is one more instance, filled with plain
     {!Cache.add} after a job finishes and read with {!Cache.find}.
 

@@ -53,6 +53,11 @@ _build/default/bin/psaflow.exe report --trend | grep -q 'service.throughput_rps'
   || { echo "FAIL: report --trend shows no service throughput series"; exit 1; }
 _build/default/bin/psaflow.exe report --trend --json | grep -q '"metric"' \
   || { echo "FAIL: report --trend --json emitted no metric rows"; exit 1; }
+# The fresh quick datapoint no longer carries the deleted threaded
+# engine's throughput, so that series must show as retired, not live.
+_build/default/bin/psaflow.exe report --trend \
+  | grep -Eq '^interp\.threaded\.mcycles_per_s .* retired$' \
+  || { echo "FAIL: report --trend lists a retired series as live"; exit 1; }
 
 PSAFLOW=_build/default/bin/psaflow.exe
 SOCK=$(mktemp -u "${TMPDIR:-/tmp}/psaflow-check-XXXXXX.sock")

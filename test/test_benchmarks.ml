@@ -65,6 +65,17 @@ let expected_winner = function
   | "kmeans" -> Codegen.Design.Cpu_openmp
   | id -> Alcotest.failf "unknown benchmark %s" id
 
+(* one uninformed flow per benchmark, shared by the tests below *)
+let evaluation =
+  let memo = Hashtbl.create 5 in
+  fun id ->
+    match Hashtbl.find_opt memo id with
+    | Some e -> e
+    | None ->
+        let e = Evaluation.collect_one (Registry.find id) in
+        Hashtbl.add memo id e;
+        e
+
 let winner_tests =
   List.map
     (fun (b : Bench_app.t) ->
@@ -73,59 +84,49 @@ let winner_tests =
         `Slow
         (fun () ->
           let o = Psa.Std_flow.run_informed (Bench_app.context b) in
-          match Psa.Report.best o.results with
-          | Some best ->
+          match
+            (Psa.Report.best o.results, Evaluation.auto_selected (evaluation b.id))
+          with
+          | Some best, Some auto ->
               Alcotest.(check string) "winning target"
                 (Codegen.Design.target_to_string (expected_winner b.id))
-                (Codegen.Design.target_to_string best.design.target)
-          | None -> Alcotest.fail "no feasible design"))
+                (Codegen.Design.target_to_string best.design.target);
+              (* the Fig. 5 Auto-Selected bar is the informed flow's pick *)
+              Alcotest.(check string) "Auto bar design" best.design.name
+                auto.design.name;
+              Alcotest.(check int64) "Auto bar seconds, bit for bit"
+                (Int64.bits_of_float best.seconds)
+                (Int64.bits_of_float auto.seconds)
+          | None, _ -> Alcotest.fail "no feasible design"
+          | _, None -> Alcotest.fail "no Auto-Selected bar"))
     all
 
 let characterization_tests =
   [
     Alcotest.test_case "rush larsen: FPGA designs are unsynthesizable" `Slow
       (fun () ->
-        let o =
-          Psa.Std_flow.run_uninformed (Bench_app.context (Registry.find "rush_larsen"))
-        in
         List.iter
           (fun (r : Devices.Simulate.result) ->
             if r.design.target = Codegen.Design.Fpga_oneapi then
               Alcotest.(check bool) "infeasible" false r.feasible)
-          o.results);
+          (evaluation "rush_larsen").results);
     Alcotest.test_case "kmeans: OMP wins even among all five designs" `Slow
       (fun () ->
-        let o =
-          Psa.Std_flow.run_uninformed (Bench_app.context (Registry.find "kmeans"))
-        in
-        match Psa.Report.best o.results with
+        match Psa.Report.best (evaluation "kmeans").results with
         | Some best ->
             Alcotest.(check string) "omp wins" "omp_epyc7543" best.design.name
         | None -> Alcotest.fail "no result");
     Alcotest.test_case "adpredictor: stratix10 wins among all five" `Slow
       (fun () ->
-        let o =
-          Psa.Std_flow.run_uninformed
-            (Bench_app.context (Registry.find "adpredictor"))
-        in
-        match Psa.Report.best o.results with
+        match Psa.Report.best (evaluation "adpredictor").results with
         | Some best ->
             Alcotest.(check string) "s10 wins" "oneapi_stratix10"
               best.design.name
         | None -> Alcotest.fail "no result");
     Alcotest.test_case "nbody: 2080 Ti dominates and FPGAs barely matter"
       `Slow (fun () ->
-        let o =
-          Psa.Std_flow.run_uninformed (Bench_app.context (Registry.find "nbody"))
-        in
         let speedup name =
-          match
-            List.find_opt
-              (fun (r : Devices.Simulate.result) -> r.design.name = name)
-              o.results
-          with
-          | Some r -> r.speedup
-          | None -> 0.0
+          Option.value ~default:0.0 (Evaluation.speedup (evaluation "nbody") name)
         in
         Alcotest.(check bool) "2080 > 300x" true
           (speedup "hip_rtx2080ti" > 300.0);

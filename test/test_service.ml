@@ -1069,40 +1069,66 @@ let direct_report (app : Benchmarks.Bench_app.t) =
   let outcome = Psa.Std_flow.run_informed ~x_threshold:2.0 ctx in
   Flow_exec.render_report outcome.results
 
+(* A [psaflow run] golden (test/golden/<name>.expected) minus its
+   "running ... PSA-flow on ..." header line: what the daemon serves. *)
+let golden_report name =
+  let text =
+    In_channel.with_open_bin
+      (Filename.concat "golden" (name ^ ".expected"))
+      In_channel.input_all
+  in
+  let body = String.index text '\n' + 1 in
+  String.sub text body (String.length text - body)
+
 let test_end_to_end () =
   with_daemon (fun addr ->
-      (* submit all five paper benchmarks, poll to completion *)
+      (* submit all five paper benchmarks, plus one uninformed flow,
+         and poll to completion *)
+      let submit ?mode (app : Benchmarks.Bench_app.t) =
+        match
+          Client.rpc addr
+            (Protocol.Submit_flow
+               (Protocol.submission ?mode (Protocol.Bench app.id)))
+        with
+        | Protocol.Submitted { job_id; disposition = `Fresh } -> job_id
+        | other ->
+            Alcotest.failf "unexpected submit response for %s: %s" app.id
+              (Json.to_string (Protocol.response_to_json other))
+      in
       let ids =
-        List.map
-          (fun (app : Benchmarks.Bench_app.t) ->
-            match
-              Client.rpc addr
-                (Protocol.Submit_flow
-                   (Protocol.submission (Protocol.Bench app.id)))
-            with
-            | Protocol.Submitted { job_id; disposition = `Fresh } ->
-                (app, job_id)
-            | other ->
-                Alcotest.failf "unexpected submit response for %s: %s" app.id
-                  (Json.to_string (Protocol.response_to_json other)))
-          Benchmarks.Registry.all
+        List.map (fun app -> (app, submit app)) Benchmarks.Registry.all
+      in
+      let uninformed_app = Benchmarks.Registry.find "nbody" in
+      let uninformed_id = submit ~mode:Protocol.Uninformed uninformed_app in
+      let wait job_id =
+        match Client.wait_result addr job_id with
+        | Ok (view, r) ->
+            check "job done" true (view.Protocol.state = Protocol.Done);
+            check "not cached" true (not view.Protocol.cached);
+            check "structured data has designs" true
+              (match Json.member "designs" r.Protocol.data with
+              | Some (Json.List (_ :: _)) -> true
+              | _ -> false);
+            r.Protocol.report
+        | Error e -> Alcotest.fail e
       in
       List.iter
         (fun ((app : Benchmarks.Bench_app.t), job_id) ->
-          match Client.wait_result addr job_id with
-          | Ok (view, r) ->
-              check "job done" true (view.Protocol.state = Protocol.Done);
-              check "not cached" true (not view.Protocol.cached);
-              (* the service report must be bit-identical to a direct run *)
-              check_str
-                (app.id ^ " service report = direct run")
-                (direct_report app) r.Protocol.report;
-              check "structured data has designs" true
-                (match Json.member "designs" r.Protocol.data with
-                | Some (Json.List (_ :: _)) -> true
-                | _ -> false)
-          | Error e -> Alcotest.fail e)
+          let report = wait job_id in
+          (* the service report must be bit-identical to a direct run and
+             to the committed `psaflow run` golden *)
+          check_str
+            (app.id ^ " service report = direct run")
+            (direct_report app) report;
+          check_str
+            (app.id ^ " service report = run golden")
+            (golden_report ("run_" ^ app.id))
+            report)
         ids;
+      check_str
+        (uninformed_app.id ^ " uninformed service report = run golden")
+        (golden_report ("run_uninformed_" ^ uninformed_app.id))
+        (wait uninformed_id);
       (* duplicate submission: served from the store, no execution *)
       let app0 = List.hd Benchmarks.Registry.all in
       (match
@@ -1151,9 +1177,9 @@ let test_end_to_end () =
             Option.value ~default:(-1)
               (Option.bind (Json.member name m) Json.to_int_opt)
           in
-          check_int "five executions" 5 (counter "jobs_completed");
+          check_int "six executions" 6 (counter "jobs_completed");
           check "store hit recorded" true (counter "store_hits" >= 1);
-          check "submissions counted" true (counter "requests_submit_flow" >= 6)
+          check "submissions counted" true (counter "requests_submit_flow" >= 7)
       | other ->
           Alcotest.failf "metrics: %s"
             (Json.to_string (Protocol.response_to_json other)))
