@@ -132,29 +132,30 @@ let run_cmd =
     protect @@ fun () ->
     let app = find_bench bench in
     let ctx = Benchmarks.Bench_app.context ~x_threshold:x ?budget app in
-    if trace_file <> None then Trace.start ();
     Format.printf "running %s PSA-flow on %s (profile n=%d, eval n=%d)@."
       (if uninformed then "uninformed" else "informed")
       app.name app.profile_n app.eval_n;
-    let outcome =
+    let flow () =
       if uninformed then Psa.Std_flow.run_uninformed ~x_threshold:x ctx
       else Psa.Std_flow.run_informed ~x_threshold:x ?budget ctx
     in
-    (match trace_file with
-    | None -> ()
-    | Some path ->
-        Trace.stop ();
-        let json = Trace.export () in
-        (match Json.parse_result json with
-        | Ok _ -> ()
-        | Error e -> die "internal error: exported trace is invalid JSON: %s" e);
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc json);
-        Log.infof "trace: %d spans written to %s"
-          (List.length (Trace.completed_spans ()))
-          path);
+    let outcome =
+      match trace_file with
+      | None -> flow ()
+      | Some path ->
+          let outcome, spans = Trace.record flow in
+          let outcome = Trace.value outcome in
+          let json = Trace.export_spans spans in
+          (match Json.parse_result json with
+          | Ok _ -> ()
+          | Error e -> die "internal error: exported trace is invalid JSON: %s" e);
+          let oc = open_out_bin path in
+          Fun.protect
+            ~finally:(fun () -> close_out_noerr oc)
+            (fun () -> output_string oc json);
+          Log.infof "trace: %d spans written to %s" (List.length spans) path;
+          outcome
+    in
     if Log.enabled Log.Info then
       List.iter (fun l -> Format.printf "  %s@." l) outcome.log;
     print_results outcome.results

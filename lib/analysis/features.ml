@@ -392,8 +392,8 @@ let of_fused (fp : Minic_interp.Fused_profile.t) ~kernel : t =
 (* Feature records are pure projections of the fused profile, so they
    memoize per focused program key (program digest + loop ids + focus;
    the workload size is baked into the program text).  The memo rides
-   the stage hierarchy: off under PSAFLOW_NO_MEMO, bypassed while the
-   global tracer records so traced runs keep their profile spans. *)
+   the stage hierarchy and is off under PSAFLOW_NO_MEMO; a hit records
+   no profile spans, tracing or not. *)
 let memo : t Flow_memo.Cache.t = Flow_memo.Cache.create ~name:"features" ()
 
 let analyze (p : Ast.program) ~kernel : t =

@@ -24,11 +24,9 @@
     and recompute exactly as without memoization.
 
     All three caches follow the hierarchy-wide rules of {!Flow_memo}:
-    disabled by [PSAFLOW_NO_MEMO], bypassed while the global tracer
-    records (a traced run records the same span tree as an unmemoized
-    run), bounded by
-    [PSAFLOW_MEMO_CAP], striped over [PSAFLOW_MEMO_SHARDS], and
-    counted in the global metrics registry as
+    disabled by [PSAFLOW_NO_MEMO], bounded by [PSAFLOW_MEMO_CAP],
+    striped over [PSAFLOW_MEMO_SHARDS], and counted in the global
+    metrics registry as
     [memo_ast_*]/[memo_extract_*]/[memo_reduce_*]. *)
 
 (** Content key of a program: digest of pretty-printed source plus

@@ -14,8 +14,8 @@
     from the caller's artifacts, not a previous request's.
 
     The caches follow the hierarchy rules ([PSAFLOW_NO_MEMO],
-    [PSAFLOW_MEMO_CAP], [PSAFLOW_MEMO_SHARDS], tracer bypass, metrics
-    under [memo_dse_*]).  A hit skips the analytic model calls of the
+    [PSAFLOW_MEMO_CAP], [PSAFLOW_MEMO_SHARDS], metrics under
+    [memo_dse_*]).  A hit skips the analytic model calls of the
     sweep, so [dse_simulate_calls] advances only on misses — harnesses
     that *measure* sweep cost (the perf bench's DSE section, the
     simulate-call tests) disable the sweep memo via {!set_enabled} so

@@ -47,7 +47,7 @@
    accounting the capacity tests pin down. *)
 let cache : Eval.run Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"profile" ~metric_prefix:"profile_cache"
-    ~shards:1 ~trace_bypass:false ~no_memo_exempt:true ()
+    ~shards:1 ~no_memo_exempt:true ()
 
 (** Change the profile-stage entry bound (also settable via
     [PSAFLOW_MEMO_CAP]).  Takes effect on the next insertion. *)

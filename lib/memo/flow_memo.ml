@@ -27,11 +27,9 @@
     - Eviction is true LRU: every hit re-stamps the entry, using a
       lazy-deletion stamp queue so hits cost O(1) amortized and the
       queue stays within a constant factor of the live entries.
-    - Caches whose artifacts would swallow trace spans (everything
-      except the fused-profile stage, whose span structure predates
-      this module) bypass themselves while the global tracer is
-      recording, so a [--trace] run's span tree is byte-identical to
-      an unmemoized run.
+    - Tracing never changes what runs: a traced run consults the
+      caches like any other, so its spans show the work actually done
+      (a hit records no spans for the stage it skips).
     - [PSAFLOW_NO_MEMO=1] disables every cache except those created
       with [~no_memo_exempt:true] (the fused-profile stage and the
       result store, which predate the hierarchy), restoring
@@ -91,7 +89,6 @@ module Cache = struct
   type 'a t = {
     name : string;
     metric_prefix : string;
-    trace_bypass : bool;
     no_memo_exempt : bool;
     mutable capacity : int; (* total across shards *)
     mutable enabled : bool;
@@ -114,21 +111,18 @@ module Cache = struct
 
   (** [create ~name ()] makes a stage cache.  [cap] defaults to
       [PSAFLOW_MEMO_CAP]; [shards] to [PSAFLOW_MEMO_SHARDS].
-      [trace_bypass] (default true) computes fresh while the global
-      tracer records so memo hits cannot swallow spans;
       [no_memo_exempt] (default false) opts the cache out of
       [PSAFLOW_NO_MEMO] (the fused-profile stage and the result store
       do this: switching them off would not restore pre-memoization
       behavior, it would regress it). *)
-  let create ~name ?cap ?shards ?(trace_bypass = true)
-      ?(no_memo_exempt = false) ?metric_prefix () : 'a t =
+  let create ~name ?cap ?shards ?(no_memo_exempt = false)
+      ?metric_prefix () : 'a t =
     let cap = match cap with Some c -> max 1 c | None -> env_capacity () in
     let n = match shards with Some s -> max 1 s | None -> env_shards () in
     {
       name;
       metric_prefix =
         (match metric_prefix with Some p -> p | None -> "memo_" ^ name);
-      trace_bypass;
       no_memo_exempt;
       capacity = cap;
       enabled = true;
@@ -143,9 +137,7 @@ module Cache = struct
 
   (** Whether a lookup right now would consult the table at all. *)
   let active t =
-    t.enabled
-    && (t.no_memo_exempt || Atomic.get globally_enabled)
-    && not (t.trace_bypass && Flow_obs.Trace.is_enabled ())
+    t.enabled && (t.no_memo_exempt || Atomic.get globally_enabled)
 
   let gincr ?by name = Flow_obs.Metrics.incr ?by Flow_obs.Metrics.global name
 
@@ -219,7 +211,7 @@ module Cache = struct
     if n > 0 then gincr ~by:n (t.metric_prefix ^ "_evictions")
 
   (** [find t key] is the cached value of [key], re-stamped as most
-      recently used, or [None] (a miss).  A bypassed cache always
+      recently used, or [None] (a miss).  A disabled cache always
       misses and counts nothing. *)
   let find (t : 'a t) key : 'a option =
     if not (active t) then None
@@ -235,7 +227,7 @@ module Cache = struct
 
   (** [add t key v] inserts [v] under [key], replacing any resident
       value (without growing the cache) and evicting the least recently
-      used entries past capacity.  A no-op while the cache is bypassed. *)
+      used entries past capacity.  A no-op while the cache is disabled. *)
   let add (t : 'a t) key v =
     if active t then begin
       let sh = shard_of t key in
@@ -254,7 +246,7 @@ module Cache = struct
       paths behave exactly as without memoization).  [on] (if given)
       observes the outcome: [true] for a hit — including a
       single-flight wait — [false] for a computing miss; it is not
-      called when the cache is bypassed. *)
+      called when the cache is disabled. *)
   let find_or_compute (t : 'a t) ?on ~key (f : unit -> 'a) : 'a =
     if not (active t) then f ()
     else begin

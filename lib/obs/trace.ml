@@ -2,32 +2,28 @@
     exported as Chrome trace-event JSON ([chrome://tracing] /
     [ui.perfetto.dev] load it directly).
 
-    Disabled by default; the fast path of every probe is one atomic
-    load, so instrumentation left in hot code (interpreter runs, DSE
-    candidates) costs nothing when no trace is being recorded.
+    Spans are captured by {e recordings}.  {!record} runs a function
+    inside a recording bound to the calling thread: every span and
+    instant the thread emits while it runs is captured into the
+    recording's private buffer, with the recording's own sequence
+    numbers and epoch.  Recordings nest: a span goes into every
+    recording open on its thread, so a daemon job's always-on request
+    recording and a [--trace] submission's own recording both see the
+    flow.  A recording only sees its own thread's spans; no other
+    thread's work ever leaks into it.
 
-    Recording is mutex-guarded and domain-safe: spans carry the id of
-    the domain (or, with {!set_tid_provider}, the systhread) that opened
-    them, and nesting is tracked per tid, so pool workers produce
-    correctly nested per-track spans.  Each span records two kinds of
-    time: wall-clock from the installed {!set_clock} (default
-    [Sys.time], processor seconds — the CLI and daemon install
-    [Unix.gettimeofday]), and a pair of global sequence numbers taken at
-    open and close.  The sequence numbers drive the [~normalize:true]
-    export, which is byte-deterministic for a deterministic execution
-    (a flow runs in one domain) regardless of timer resolution.
+    With no recording open anywhere, the fast path of every probe is
+    one atomic load, so instrumentation left in hot code (interpreter
+    runs, DSE candidates) costs nothing when nothing is recorded.
 
-    Independently of the global recording, a thread can open a
-    {e request recording} ({!request_begin} / {!request_end}): every
-    span and instant the thread emits while the recording is open is
-    captured into a private buffer with its own sequence numbers and
-    epoch, regardless of whether global tracing is enabled.  The daemon
-    uses this to capture a complete trace of each sampled or slow job
-    without ever touching the global tracer; the fast path grows by one
-    atomic load.  A request recording only sees the opening thread's
-    spans — work fanned out to pool domains mid-request lands on other
-    tids and is not captured (the service executes one job per worker
-    domain, so a job's own spans all share its tid). *)
+    Spans carry the id of the domain (or, with {!set_tid_provider}, the
+    systhread) that opened them.  Each span records two kinds of time:
+    wall-clock from the installed {!set_clock} (default [Sys.time],
+    processor seconds — the CLI and daemon install [Unix.gettimeofday]),
+    and the recording's sequence numbers taken at open and close.  The
+    sequence numbers drive the [~normalize:true] export, which is
+    byte-deterministic for a deterministic execution regardless of
+    timer resolution. *)
 
 type kind = Span | Instant
 
@@ -36,20 +32,27 @@ type span = {
   sp_cat : string;
   sp_tid : int;
   sp_kind : kind;
-  sp_begin : int;  (** global sequence number at open *)
+  sp_begin : int;  (** recording sequence number at open *)
   mutable sp_end : int;  (** sequence number at close; [-1] while open *)
-  sp_ts : float;  (** seconds since {!start}, from the installed clock *)
+  sp_ts : float;  (** seconds since the recording opened, from the clock *)
   mutable sp_dur : float;
   mutable sp_args : (string * Attr.value) list;
 }
 
+type recording = {
+  mutable events : span list;  (** reverse open order *)
+  mutable stack : span list;  (** open spans, innermost first *)
+  mutable seq : int;
+  epoch : float;
+}
+
 let lock = Mutex.create ()
-let enabled_flag = Atomic.make false
-let events : span list ref = ref []  (* reverse open order *)
-let seq = ref 0
-let stacks : (int, span list) Hashtbl.t = Hashtbl.create 8
+
+(* The open recordings of each tid, innermost first; [open_recordings]
+   counts them so the nothing-recorded fast path takes no lock. *)
+let recordings : (int, recording list) Hashtbl.t = Hashtbl.create 8
+let open_recordings = Atomic.make 0
 let clock = ref Sys.time
-let epoch = ref 0.0
 let default_tid () = (Domain.self () :> int)
 let tid_provider = ref default_tid
 
@@ -67,202 +70,119 @@ let set_clock f = clock := f
     systhreads, so concurrent jobs land on separate tracks. *)
 let set_tid_provider f = tid_provider := f
 
-let is_enabled () = Atomic.get enabled_flag
+(* [tid]'s open recordings, innermost first; lock held. *)
+let open_on tid = Option.value ~default:[] (Hashtbl.find_opt recordings tid)
 
-(* Request recordings: per-tid private span buffers, keyed by the tid
-   that opened them.  [active_requests] mirrors the table size so the
-   disabled-everything fast path stays two atomic loads with no lock. *)
-type recording = {
-  mutable rq_events : span list;  (** reverse open order *)
-  mutable rq_stack : span list;
-  mutable rq_seq : int;
-  rq_epoch : float;
-}
+(* Nothing records anywhere: every probe's lock-free fast path. *)
+let idle () = Atomic.get open_recordings = 0
 
-let requests : (int, recording) Hashtbl.t = Hashtbl.create 8
-let active_requests = Atomic.make 0
+(* [g tid rqs] under the lock, for the calling thread's tid and open
+   recordings. *)
+let on_thread g =
+  let tid = !tid_provider () in
+  with_lock (fun () -> g tid (open_on tid))
 
-(** Drop any previous recording and start a new one. *)
-let start () =
-  with_lock (fun () ->
-      events := [];
-      seq := 0;
-      Hashtbl.reset stacks;
-      epoch := !clock ());
-  Atomic.set enabled_flag true
+let tick rq =
+  rq.seq <- rq.seq + 1;
+  rq.seq
 
-(** Stop recording (the events stay available for {!export}). *)
-let stop () = Atomic.set enabled_flag false
+(* Append a new event to [rq]; lock held.  An instant closes at once. *)
+let add_event rq ~name ~cat ~tid ~kind ~args =
+  let b = tick rq in
+  let sp =
+    {
+      sp_name = name;
+      sp_cat = cat;
+      sp_tid = tid;
+      sp_kind = kind;
+      sp_begin = b;
+      sp_end = (match kind with Instant -> b | Span -> -1);
+      sp_ts = !clock () -. rq.epoch;
+      sp_dur = 0.0;
+      sp_args = args;
+    }
+  in
+  rq.events <- sp :: rq.events;
+  sp
 
-let push_locked tid sp =
-  events := sp :: !events;
-  let st = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
-  Hashtbl.replace stacks tid (sp :: st)
+let close_span rq sp =
+  sp.sp_end <- tick rq;
+  sp.sp_dur <- !clock () -. rq.epoch -. sp.sp_ts;
+  rq.stack <-
+    (match rq.stack with
+    | top :: rest when top == sp -> rest
+    | st -> List.filter (fun s -> s != sp) st)
 
-let pop_locked tid sp =
-  match Hashtbl.find_opt stacks tid with
-  | Some (top :: rest) when top == sp -> Hashtbl.replace stacks tid rest
-  | Some st -> Hashtbl.replace stacks tid (List.filter (fun s -> s != sp) st)
-  | None -> ()
-
-let make_span ~name ~cat ~tid ~kind ~sp_begin ~sp_end ~ts ~args =
-  {
-    sp_name = name;
-    sp_cat = cat;
-    sp_tid = tid;
-    sp_kind = kind;
-    sp_begin;
-    sp_end;
-    sp_ts = ts;
-    sp_dur = 0.0;
-    sp_args = args;
-  }
-
-(** Run [f] inside a span.  When neither global tracing nor a request
-    recording is active this is just [f ()].  The span closes even if
-    [f] raises.  When both sinks are active the span is recorded into
-    each with its own sequence numbers (the two recordings stay
-    independently deterministic). *)
+(** Run [f] inside a span, recorded into every recording open on the
+    calling thread (each with its own sequence numbers, so each stays
+    independently deterministic).  With none open this is just [f ()].
+    The span closes even if [f] raises. *)
 let with_span ?(cat = "flow") ?(args = []) name f =
-  if not (is_enabled () || Atomic.get active_requests > 0) then f ()
-  else begin
-    let tid = !tid_provider () in
-    let opened =
-      with_lock (fun () ->
-          let g =
-            if Atomic.get enabled_flag then begin
-              incr seq;
-              let sp =
-                make_span ~name ~cat ~tid ~kind:Span ~sp_begin:!seq ~sp_end:(-1)
-                  ~ts:(!clock () -. !epoch) ~args
-              in
-              push_locked tid sp;
-              Some sp
-            end
-            else None
-          in
-          let r =
-            match Hashtbl.find_opt requests tid with
-            | None -> None
-            | Some rq ->
-                rq.rq_seq <- rq.rq_seq + 1;
-                let sp =
-                  make_span ~name ~cat ~tid ~kind:Span ~sp_begin:rq.rq_seq
-                    ~sp_end:(-1)
-                    ~ts:(!clock () -. rq.rq_epoch)
-                    ~args
-                in
-                rq.rq_events <- sp :: rq.rq_events;
-                rq.rq_stack <- sp :: rq.rq_stack;
-                Some (rq, sp)
-          in
-          (g, r))
-    in
-    match opened with
-    | None, None -> f ()  (* raced with stop/request_end: no sink *)
-    | g, r ->
+  if idle () then f ()
+  else
+    match
+      on_thread (fun tid ->
+          List.map (fun rq ->
+              let sp = add_event rq ~name ~cat ~tid ~kind:Span ~args in
+              rq.stack <- sp :: rq.stack;
+              (rq, sp)))
+    with
+    | [] -> f ()
+    | opened ->
         Fun.protect
           ~finally:(fun () ->
             with_lock (fun () ->
-                (match g with
-                | Some sp ->
-                    incr seq;
-                    sp.sp_end <- !seq;
-                    sp.sp_dur <- !clock () -. !epoch -. sp.sp_ts;
-                    pop_locked tid sp
-                | None -> ());
-                match r with
-                | Some (rq, sp) ->
-                    rq.rq_seq <- rq.rq_seq + 1;
-                    sp.sp_end <- rq.rq_seq;
-                    sp.sp_dur <- !clock () -. rq.rq_epoch -. sp.sp_ts;
-                    (match rq.rq_stack with
-                    | top :: rest when top == sp -> rq.rq_stack <- rest
-                    | st -> rq.rq_stack <- List.filter (fun s -> s != sp) st)
-                | None -> ()))
+                List.iter (fun (rq, sp) -> close_span rq sp) opened))
           f
-  end
 
 (** Append attributes to the innermost open span of the calling
-    domain/thread (in the global recording and the thread's request
-    recording alike); no-op when no span is open. *)
+    thread, in each of its recordings; no-op where no span is open. *)
 let add_args kvs =
-  if (is_enabled () || Atomic.get active_requests > 0) && kvs <> [] then
-    let tid = !tid_provider () in
-    with_lock (fun () ->
-        (match Hashtbl.find_opt stacks tid with
-        | Some (top :: _) when is_enabled () ->
-            top.sp_args <- top.sp_args @ kvs
-        | _ -> ());
-        match Hashtbl.find_opt requests tid with
-        | Some { rq_stack = top :: _; _ } -> top.sp_args <- top.sp_args @ kvs
-        | _ -> ())
+  if kvs <> [] && not (idle ()) then
+    on_thread (fun _ ->
+        List.iter (fun rq ->
+            match rq.stack with
+            | top :: _ -> top.sp_args <- top.sp_args @ kvs
+            | [] -> ()))
 
 (** A zero-duration marker event (job lifecycle transitions, etc.). *)
 let instant ?(cat = "flow") ?(args = []) name =
-  if is_enabled () || Atomic.get active_requests > 0 then
-    let tid = !tid_provider () in
-    with_lock (fun () ->
-        if Atomic.get enabled_flag then begin
-          incr seq;
-          events :=
-            make_span ~name ~cat ~tid ~kind:Instant ~sp_begin:!seq ~sp_end:!seq
-              ~ts:(!clock () -. !epoch) ~args
-            :: !events
-        end;
-        match Hashtbl.find_opt requests tid with
-        | Some rq ->
-            rq.rq_seq <- rq.rq_seq + 1;
-            rq.rq_events <-
-              make_span ~name ~cat ~tid ~kind:Instant ~sp_begin:rq.rq_seq
-                ~sp_end:rq.rq_seq
-                ~ts:(!clock () -. rq.rq_epoch)
-                ~args
-              :: rq.rq_events
-        | None -> ())
+  if not (idle ()) then
+    on_thread (fun tid ->
+        List.iter (fun rq ->
+            ignore (add_event rq ~name ~cat ~tid ~kind:Instant ~args)))
 
 (* ------------------------------------------------------------------ *)
-(* Request recordings                                                  *)
+(* Recordings                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Open a request recording bound to the calling thread.  Every span
-    and instant this thread emits until {!request_end} is captured,
-    independent of the global tracer.  A second [request_begin] on the
-    same thread discards the first recording. *)
-let request_begin () =
+(** [record f] runs [f] inside a new recording bound to the calling
+    thread and returns [f]'s outcome with the recording's completed
+    spans and instants in open order.  The spans come back even when
+    [f] raises: the outcome is then the exception and its backtrace
+    (see {!value}).  Recordings already open on the thread stay open
+    and capture the same spans. *)
+let record f =
   let tid = !tid_provider () in
+  let rq = { events = []; stack = []; seq = 0; epoch = !clock () } in
+  with_lock (fun () -> Hashtbl.replace recordings tid (rq :: open_on tid));
+  Atomic.incr open_recordings;
+  let outcome =
+    match f () with
+    | v -> Ok v
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
   with_lock (fun () ->
-      if not (Hashtbl.mem requests tid) then Atomic.incr active_requests;
-      Hashtbl.replace requests tid
-        { rq_events = []; rq_stack = []; rq_seq = 0; rq_epoch = !clock () })
+      match List.filter (fun r -> r != rq) (open_on tid) with
+      | [] -> Hashtbl.remove recordings tid
+      | rest -> Hashtbl.replace recordings tid rest);
+  Atomic.decr open_recordings;
+  (outcome, List.rev (List.filter (fun s -> s.sp_end >= 0) rq.events))
 
-(** Close the calling thread's request recording and return its
-    completed spans in open order (still-open spans are dropped).
-    Returns [[]] when no recording is open. *)
-let request_end () =
-  let tid = !tid_provider () in
-  with_lock (fun () ->
-      match Hashtbl.find_opt requests tid with
-      | None -> []
-      | Some rq ->
-          Hashtbl.remove requests tid;
-          Atomic.decr active_requests;
-          List.rev (List.filter (fun s -> s.sp_end >= 0) rq.rq_events))
-
-(** Closed spans and instants of the current recording, in open order.
-    Spans still open (e.g. when called mid-trace) are excluded. *)
-let completed_spans () =
-  with_lock (fun () ->
-      List.rev (List.filter (fun s -> s.sp_end >= 0) !events))
-
-(** Number of completed spans matching [cat] (and [name], if given). *)
-let count ?name ~cat () =
-  List.length
-    (List.filter
-       (fun s ->
-         s.sp_cat = cat
-         && match name with None -> true | Some n -> s.sp_name = n)
-       (completed_spans ()))
+(** The value of a {!record} outcome, re-raising what [f] raised. *)
+let value = function
+  | Ok v -> v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
@@ -270,7 +190,7 @@ let count ?name ~cat () =
 
 let micros f = f *. 1e6
 
-(** An explicit span list (e.g. from {!request_end}) as a Chrome
+(** An explicit span list (e.g. from {!record}) as a Chrome
     trace-event JSON document.  Events appear in span-open order.  With
     [~normalize:true], timestamps and durations are replaced by the
     recording's open/close sequence numbers (one tick per event
@@ -309,6 +229,3 @@ let export_spans ?(normalize = false) spans =
     spans;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
-
-(** The global recording as a Chrome trace-event JSON document. *)
-let export ?normalize () = export_spans ?normalize (completed_spans ())

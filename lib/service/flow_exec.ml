@@ -115,13 +115,6 @@ let run_outcome (s : Protocol.submission) (ctx : Psa.Context.t) =
         (Psa.Std_flow.flow ~select_a:(Psa.Strategy.model_based ~objective) ())
         { ctx with x_threshold = s.x_threshold; budget = s.budget }
 
-(* The span tracer is one process-wide instance; traced jobs therefore
-   serialize on this mutex so each exported trace covers exactly one
-   job.  Untraced jobs are unaffected (they run concurrently and record
-   nothing while the tracer is idle; a job running concurrently with a
-   traced one contributes spans distinguished by thread id). *)
-let trace_mutex = Mutex.create ()
-
 (** Resolve a submission.  Benchmark lookup and inline MiniC
     parsing/typechecking happen here so the errors surface immediately
     as typed responses; the returned [run] thunk only re-executes work
@@ -150,23 +143,22 @@ let resolve (s : Protocol.submission) : (resolved, Protocol.error_kind) result =
         data = outcome_json ~label s outcome;
       }
     in
-    (* The traced path embeds the exported global trace in the job
-       result, whose bytes are identity-checked against direct
-       re-execution — so the request id must NOT appear in its spans
-       (the request-trace record carries the id instead). *)
+    (* The traced path records the job on its own thread, inside any
+       recording already open there (the daemon's request trace), and
+       embeds the export in the job result, whose bytes are
+       identity-checked against direct re-execution — so the request
+       id must NOT appear in its spans (the request-trace record
+       carries the id instead). *)
     let traced_run ~request_id:_ () =
-      Mutex.lock trace_mutex;
-      Fun.protect ~finally:(fun () ->
-          Flow_obs.Trace.stop ();
-          Mutex.unlock trace_mutex)
-      @@ fun () ->
-      Flow_obs.Trace.start ();
-      let outcome =
-        Flow_obs.Trace.with_span ~cat:"service" ("job " ^ label) (fun () ->
-            run_outcome s (mk_ctx ()))
+      let outcome, spans =
+        Flow_obs.Trace.record (fun () ->
+            Flow_obs.Trace.with_span ~cat:"service" ("job " ^ label)
+              (fun () -> run_outcome s (mk_ctx ())))
       in
-      Flow_obs.Trace.stop ();
-      let trace = Json.parse (Flow_obs.Trace.export ~normalize:true ()) in
+      let outcome = Flow_obs.Trace.value outcome in
+      let trace =
+        Json.parse (Flow_obs.Trace.export_spans ~normalize:true spans)
+      in
       let data =
         match outcome_json ~label s outcome with
         | Json.Obj fields -> Json.Obj (fields @ [ ("trace", trace) ])

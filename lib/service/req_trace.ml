@@ -1,11 +1,11 @@
 (** Always-on request-trace capture for the daemon.
 
     Every fresh (actually executed) job runs inside a
-    {!Flow_obs.Trace} request recording, so its complete span tree —
-    the scheduler lifecycle instants, the flow-exec root span carrying
-    the request id, and every task/analysis/DSE span the engine emits —
-    is captured without enabling the global tracer.  The recording is
-    then {e retained} into one of two bounded rings:
+    {!Flow_obs.Trace.record} recording on its worker thread, so its
+    complete span tree — the scheduler lifecycle instants, the
+    flow-exec root span carrying the request id, and every
+    task/analysis/DSE span the engine emits — is captured.  The
+    recording is then {e retained} into one of two bounded rings:
 
     - the {b sampled} ring keeps every [sample_every]-th execution
       (deterministic: the 1st, the [1+N]th, ... by executed-job
@@ -89,9 +89,9 @@ let take n l =
   in
   go n [] l
 
-(** Run [f] (one job execution) inside a request recording and retain
-    the trace if this execution is sampled or slow.  The recording
-    closes even if [f] raises. *)
+(** Run [f] (one job execution) inside a recording and retain the trace
+    if this execution is sampled or slow, also when [f] raises (a slow
+    failure is an exemplar too); [f]'s exception is then re-raised. *)
 let record t ~request_id ~job_id ~label f =
   let seq =
     with_lock t (fun () ->
@@ -100,27 +100,24 @@ let record t ~request_id ~job_id ~label f =
         s)
   in
   let sampled = seq mod t.sample_every = 0 in
-  Trace.request_begin ();
   let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-      let spans = Trace.request_end () in
-      let slow = wall_ms >= t.slow_ms in
-      if sampled || slow then
-        let r =
-          { request_id; job_id; label; seq; wall_ms; sampled; slow; spans }
-        in
-        with_lock t (fun () ->
-            if sampled then begin
-              t.retained <- t.retained + 1;
-              t.sampled_ring <- take t.capacity (r :: t.sampled_ring)
-            end;
-            if slow then begin
-              t.retained_slow <- t.retained_slow + 1;
-              t.slow_ring <- take t.slow_capacity (r :: t.slow_ring)
-            end))
-    f
+  let outcome, spans = Trace.record f in
+  let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+  let slow = wall_ms >= t.slow_ms in
+  (if sampled || slow then
+     let r =
+       { request_id; job_id; label; seq; wall_ms; sampled; slow; spans }
+     in
+     with_lock t (fun () ->
+         if sampled then begin
+           t.retained <- t.retained + 1;
+           t.sampled_ring <- take t.capacity (r :: t.sampled_ring)
+         end;
+         if slow then begin
+           t.retained_slow <- t.retained_slow + 1;
+           t.slow_ring <- take t.slow_capacity (r :: t.slow_ring)
+         end));
+  Trace.value outcome
 
 (** Capture counters for [svc-metrics]: executions seen, traces
     retained into the sampled ring, slow exemplars retained. *)

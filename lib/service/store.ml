@@ -11,8 +11,7 @@
 
     The store is a {!Flow_memo.Cache} read with [find] and filled with
     [add] (insert-or-replace, true LRU eviction).  Like the profile
-    cache it ignores [PSAFLOW_NO_MEMO] and the tracer, so dedup never
-    switches off; its counters land in the metrics registry as
+    cache it ignores [PSAFLOW_NO_MEMO], so dedup never switches off; its counters land in the metrics registry as
     [result_store_hits]/[_misses]/[_evictions]. *)
 
 type 'a t = 'a Flow_memo.Cache.t
@@ -26,7 +25,7 @@ let create ?shards ~capacity () : 'a t =
       (match shards with Some s -> s | None -> Flow_memo.env_shards ())
   in
   Flow_memo.Cache.create ~name:"result_store" ~cap:capacity ~shards
-    ~trace_bypass:false ~no_memo_exempt:true ~metric_prefix:"result_store" ()
+    ~no_memo_exempt:true ~metric_prefix:"result_store" ()
 
 let find = Flow_memo.Cache.find
 let add = Flow_memo.Cache.add

@@ -82,6 +82,10 @@ for b in rush_larsen nbody bezier adpredictor kmeans; do
     grep -q "\"cat\":\"$cat\"" "$TMP/$b.trace.json" \
       || { echo "FAIL: $b: no $cat spans in trace"; exit 1; }
   done
+  # a recording captures its own thread only
+  TIDS=$(grep -o '"tid":[0-9]*' "$TMP/$b.trace.json" | sort -u | wc -l)
+  [ "$TIDS" -eq 1 ] \
+    || { echo "FAIL: $b: trace carries $TIDS distinct tids (want 1)"; exit 1; }
   "$PSAFLOW" explain "$b" >"$TMP/$b.explain.txt" \
     || { echo "FAIL: $b: explain failed"; exit 1; }
   grep -q 'branch A \[' "$TMP/$b.explain.txt" \
@@ -157,6 +161,24 @@ for m in memo_ast_hits memo_extract_hits memo_features_hits; do
 done
 grep -q dse_simulate_calls "$TMP/metrics.json" \
   || { echo "FAIL: engine registry missing dse_simulate_calls"; exit 1; }
+
+# a traced submission is a fresh job (tracing is part of the store key)
+# whose result embeds its trace; tracing must not switch the stage memo
+# off, so re-deriving adpredictor's kernel hits the extract memo
+EXTRACT1=$(sed -n 's/.*"memo_extract_hits": *\([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n1)
+"$PSAFLOW" submit adpredictor --trace --wait --socket "$SOCK" \
+  >/dev/null 2>"$TMP/disp4.txt"
+TRACED_JOB=$(sed -n 's/^job #\([0-9]*\) fresh.*/\1/p' "$TMP/disp4.txt")
+[ -n "$TRACED_JOB" ] \
+  || { echo "FAIL: traced submission should be a fresh job"; exit 1; }
+"$PSAFLOW" fetch "$TRACED_JOB" --json --socket "$SOCK" >"$TMP/traced.json"
+grep -q '"traceEvents"' "$TMP/traced.json" \
+  || { echo "FAIL: traced job result embeds no trace document"; exit 1; }
+"$PSAFLOW" svc-metrics --socket "$SOCK" >"$TMP/metrics2.json"
+EXTRACT2=$(sed -n 's/.*"memo_extract_hits": *\([0-9]*\).*/\1/p' "$TMP/metrics2.json" | head -n1)
+[ "${EXTRACT2:-0}" -gt "${EXTRACT1:-0}" ] \
+  || { echo "FAIL: traced job did not hit the extract memo (${EXTRACT1:-0} -> ${EXTRACT2:-0})"; exit 1; }
+echo "traced job: trace embedded, memo_extract_hits ${EXTRACT1:-0} -> $EXTRACT2"
 
 # the executed submission's trace must be retrievable with its request
 # id intact: the first fresh job of a daemon is always sampled

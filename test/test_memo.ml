@@ -1,7 +1,8 @@
 (** Tests for the cross-request stage-memo hierarchy (lib/memo and its
     wiring): byte-identity of memoized vs unmemoized flows over
     generated MiniC programs, single-flight dedup under concurrent
-    domains, and LRU capacity/eviction accounting. *)
+    domains, LRU capacity/eviction accounting, and traced runs using
+    the memo. *)
 
 module Protocol = Flow_service.Protocol
 module Flow_exec = Flow_service.Flow_exec
@@ -110,6 +111,31 @@ let prop_history_independent =
       List.iter (fun s -> ignore (Minic.Parser.parse_program s)) unrelated;
       let after = round () in
       List.for_all Option.is_some alone && after = alone)
+
+(* ------------------------------------------------------------------ *)
+(* Tracing runs the memoized program                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A traced resubmission consults the warm stage memo like any other
+   run: tracing records what ran, memo hits included. *)
+let test_traced_run_hits_memo () =
+  let src =
+    "int main() {\n\
+    \  double a[24];\n\
+    \  double b[24];\n\
+    \  for (int i = 0; i < 24; i++) { b[i] = a[i] * 3.0 + 41.0; }\n\
+    \  return 0;\n\
+     }"
+  in
+  check "untraced run warms the memo" true
+    (Option.is_some (exec (Protocol.submission (Protocol.Inline src))));
+  let hits name = Flow_obs.Metrics.counter_value Flow_obs.Metrics.global name in
+  let extract0 = hits "memo_extract_hits" and features0 = hits "memo_features_hits" in
+  check "traced run succeeds" true
+    (Option.is_some (exec (Protocol.submission ~trace:true (Protocol.Inline src))));
+  check "traced run hit the extract memo" true (hits "memo_extract_hits" > extract0);
+  check "traced run hit the features memo" true
+    (hits "memo_features_hits" > features0)
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight dedup under concurrent domains                        *)
@@ -258,6 +284,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~long:false prop_memo_identity;
           QCheck_alcotest.to_alcotest ~long:false prop_history_independent;
+        ] );
+      ( "tracing",
+        [
+          Alcotest.test_case "traced run hits the warm memo" `Quick
+            test_traced_run_hits_memo;
         ] );
       ( "single-flight",
         [

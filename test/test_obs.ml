@@ -171,21 +171,36 @@ let merged_percentile_prop =
 (* Tracer: span mechanics                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* [f]'s value and the spans a recording around it captured. *)
+let recorded f =
+  let outcome, spans = Trace.record f in
+  (Trace.value outcome, spans)
+
+let count ?name ~cat spans =
+  List.length
+    (List.filter
+       (fun s ->
+         s.Trace.sp_cat = cat
+         && match name with None -> true | Some n -> s.Trace.sp_name = n)
+       spans)
+
 let test_span_basics () =
-  Trace.start ();
-  let r =
-    Trace.with_span ~cat:"t" ~args:[ ("k", Attr.Int 1) ] "outer" (fun () ->
-        Trace.with_span ~cat:"t" "inner" (fun () -> ());
-        Trace.add_args [ ("extra", Attr.Bool true) ];
-        17)
+  let r, spans =
+    recorded (fun () ->
+        let r =
+          Trace.with_span ~cat:"t" ~args:[ ("k", Attr.Int 1) ] "outer"
+            (fun () ->
+              Trace.with_span ~cat:"t" "inner" (fun () -> ());
+              Trace.add_args [ ("extra", Attr.Bool true) ];
+              17)
+        in
+        Trace.instant ~cat:"t" "mark";
+        r)
   in
-  Trace.instant ~cat:"t" "mark";
-  Trace.stop ();
   check_int "with_span returns f's value" 17 r;
-  let spans = Trace.completed_spans () in
   check_int "three events recorded" 3 (List.length spans);
-  check_int "count by cat" 3 (Trace.count ~cat:"t" ());
-  check_int "count by name" 1 (Trace.count ~name:"inner" ~cat:"t" ());
+  check_int "count by cat" 3 (count ~cat:"t" spans);
+  check_int "count by name" 1 (count ~name:"inner" ~cat:"t" spans);
   let find n = List.find (fun s -> s.Trace.sp_name = n) spans in
   let outer = find "outer" and inner = find "inner" in
   check "inner nests inside outer" true
@@ -195,45 +210,48 @@ let test_span_basics () =
     (List.mem_assoc "extra" outer.Trace.sp_args
     && List.mem_assoc "k" outer.Trace.sp_args)
 
+(* The recording keeps the spans of a body that raised, and returns the
+   exception for [Trace.value] to re-raise. *)
 let test_span_closes_on_raise () =
-  Trace.start ();
-  (try Trace.with_span "boom" (fun () -> failwith "deliberate")
-   with Failure _ -> ());
-  Trace.stop ();
-  match Trace.completed_spans () with
+  let outcome, spans =
+    Trace.record (fun () -> Trace.with_span "boom" (fun () -> failwith "deliberate"))
+  in
+  (match Trace.value outcome with
+  | exception Failure m -> check_str "value re-raises" "deliberate" m
+  | () -> Alcotest.fail "expected the body's exception");
+  match spans with
   | [ sp ] ->
       check "span closed despite the raise" true
         (sp.Trace.sp_end > sp.Trace.sp_begin)
   | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
 
 let test_disabled_records_nothing () =
-  Trace.start ();
-  Trace.stop ();
-  check "disabled" true (not (Trace.is_enabled ()));
-  check_int "disabled with_span is just f ()" 42
+  (* outside every recording, probes are no-ops *)
+  check_int "unrecorded with_span is just f ()" 42
     (Trace.with_span "ghost" (fun () -> 42));
   Trace.instant "ghost-mark";
   Trace.add_args [ ("ghost", Attr.Bool true) ];
-  check_int "nothing recorded while disabled" 0
-    (List.length (Trace.completed_spans ()))
+  (* ... and nothing they did surfaces in a later recording *)
+  let (), spans = recorded (fun () -> ()) in
+  check "empty recording yields no spans" true (spans = [])
 
 (* ------------------------------------------------------------------ *)
 (* Tracer: request recordings                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_request_recording_without_global () =
-  (* recordings capture spans while the global tracer is off — the
-     always-on daemon path *)
-  Trace.start ();
-  Trace.stop ();
-  Trace.request_begin ();
-  Trace.with_span ~cat:"rq" "outer" (fun () ->
-      Trace.with_span ~cat:"rq" "inner" (fun () -> ());
-      Trace.add_args [ ("k", Attr.Int 7) ]);
-  Trace.instant ~cat:"rq" "mark";
-  let spans = Trace.request_end () in
+  (* a recording captures spans with no tracer running around it — the
+     always-on daemon path — and keeps them to itself *)
+  let (), spans =
+    recorded (fun () ->
+        Trace.with_span ~cat:"rq" "outer" (fun () ->
+            Trace.with_span ~cat:"rq" "inner" (fun () -> ());
+            Trace.add_args [ ("k", Attr.Int 7) ]);
+        Trace.instant ~cat:"rq" "mark")
+  in
   check_int "recording captured all three events" 3 (List.length spans);
-  check_int "global buffer untouched" 0 (List.length (Trace.completed_spans ()));
+  let (), later = recorded (fun () -> ()) in
+  check "a later recording sees none of them" true (later = []);
   let find n = List.find (fun s -> s.Trace.sp_name = n) spans in
   let outer = find "outer" and inner = find "inner" in
   check "nesting preserved in recording" true
@@ -246,43 +264,59 @@ let test_request_recording_without_global () =
   | Some (Json.List evs) -> check_int "exported events" 3 (List.length evs)
   | _ -> Alcotest.fail "recording export is not a Chrome trace document"
 
-let test_request_recording_alongside_global () =
-  (* with the global tracer on, spans land in both sinks and ending the
-     recording does not disturb the global buffer *)
-  Trace.start ();
-  Trace.request_begin ();
-  Trace.with_span ~cat:"both" "shared" (fun () -> ());
-  let recorded = Trace.request_end () in
-  Trace.instant ~cat:"both" "after-recording";
-  Trace.stop ();
-  check_int "recording got the span" 1 (List.length recorded);
-  check_int "global kept both events" 2
-    (List.length (Trace.completed_spans ()))
+(* A recording opened inside another on the same thread leaves the
+   outer one open: both capture the inner spans, each with its own
+   sequence numbers. *)
+let test_nested_recordings () =
+  let ((), inner_spans), outer_spans =
+    recorded (fun () ->
+        Trace.with_span ~cat:"n" "before" (fun () -> ());
+        let inner =
+          recorded (fun () ->
+              Trace.with_span ~cat:"n" "both" (fun () ->
+                  Trace.add_args [ ("k", Attr.Int 1) ]))
+        in
+        Trace.instant ~cat:"n" "after";
+        inner)
+  in
+  let names spans = List.map (fun s -> s.Trace.sp_name) spans in
+  check "inner recording saw only its span" true (names inner_spans = [ "both" ]);
+  check "outer recording stayed open around the inner one" true
+    (names outer_spans = [ "before"; "both"; "after" ]);
+  check "both copies carry the args" true
+    (List.for_all
+       (fun s -> s.Trace.sp_name <> "both" || List.mem_assoc "k" s.Trace.sp_args)
+       (inner_spans @ outer_spans));
+  check "inner sequence numbers start afresh" true
+    (match inner_spans with [ sp ] -> sp.Trace.sp_begin = 1 | _ -> false)
 
-let test_request_recording_empty_and_unmatched () =
-  Trace.start ();
-  Trace.stop ();
-  Trace.request_begin ();
-  check "empty recording yields no spans" true (Trace.request_end () = []);
-  (* request_end without request_begin is harmless *)
-  check "unmatched request_end is empty" true (Trace.request_end () = []);
-  (* spans after the recording ended are not captured anywhere *)
-  Trace.with_span ~cat:"rq" "late" (fun () -> ());
-  Trace.request_begin ();
-  check "recording only sees spans opened inside it" true
-    (Trace.request_end () = [])
+let test_request_recording_edge_cases () =
+  (* a span open when a recording starts is not in it: add_args inside
+     the inner recording lands on the span only where it is open *)
+  let ((), inner), outer =
+    recorded (fun () ->
+        Trace.with_span "enclosing" (fun () ->
+            recorded (fun () -> Trace.add_args [ ("k", Attr.Int 1) ])))
+  in
+  check "inner recording is empty" true (inner = []);
+  match outer with
+  | [ sp ] ->
+      check "arg on the enclosing span" true
+        (List.mem_assoc "k" sp.Trace.sp_args)
+  | l -> Alcotest.failf "outer: expected one span, got %d" (List.length l)
 
 let test_export_shape () =
-  Trace.start ();
-  Trace.with_span ~cat:"t" ~args:[ ("q", Attr.String "a\"b") ] "e1" (fun () ->
-      Trace.instant ~cat:"t" "m1");
-  Trace.stop ();
-  let doc = Json.parse (Trace.export ()) in
+  let (), spans =
+    recorded (fun () ->
+        Trace.with_span ~cat:"t" ~args:[ ("q", Attr.String "a\"b") ] "e1"
+          (fun () -> Trace.instant ~cat:"t" "m1"))
+  in
+  let doc = Json.parse (Trace.export_spans spans) in
   (match Json.member "traceEvents" doc with
   | Some (Json.List evs) -> check_int "two events" 2 (List.length evs)
   | _ -> Alcotest.fail "no traceEvents array");
-  (* normalized export: timestamps are the global sequence numbers *)
-  let doc = Json.parse (Trace.export ~normalize:true ()) in
+  (* normalized export: timestamps are the recording's sequence numbers *)
+  let doc = Json.parse (Trace.export_spans ~normalize:true spans) in
   match Json.member "traceEvents" doc with
   | Some (Json.List (first :: _)) ->
       check "normalized ts is the open seq" true
@@ -322,10 +356,7 @@ let rec exec_tree (Node kids) =
 let nesting_prop =
   Helpers.qtest ~count:100 "span intervals nest or are disjoint" arb_tree
     (fun t ->
-      Trace.start ();
-      exec_tree t;
-      Trace.stop ();
-      let spans = Trace.completed_spans () in
+      let (), spans = recorded (fun () -> exec_tree t) in
       let well_formed s = s.Trace.sp_begin < s.Trace.sp_end in
       let nest_or_disjoint a b =
         let ab, ae = (a.Trace.sp_begin, a.Trace.sp_end) in
@@ -348,21 +379,22 @@ let nesting_prop =
 
 let bezier = List.nth Benchmarks.Registry.all 2 (* smallest benchmark *)
 
-(* One informed flow run under the tracer from a cold profile cache,
-   returning the normalized export plus the outcome.  The context is
-   built by the caller. *)
+(* One recorded informed flow run from cold stage caches (a memo hit
+   records no spans for the stage it skips), returning the normalized
+   export, the spans and the outcome.  The context is built by the
+   caller. *)
 let traced_informed_run ctx =
-  Fun.protect ~finally:Trace.stop @@ fun () ->
+  Psa.Stage_memo.clear ();
+  Flow_memo.Cache.clear Analysis.Features.memo;
+  Dse.Sweep_memo.clear ();
   Minic_interp.Profile_cache.clear ();
-  Trace.start ();
-  let outcome = Psa.Std_flow.run_informed ctx in
-  Trace.stop ();
-  (Trace.export ~normalize:true (), outcome)
+  let outcome, spans = recorded (fun () -> Psa.Std_flow.run_informed ctx) in
+  (Trace.export_spans ~normalize:true spans, spans, outcome)
 
 let test_trace_golden_deterministic () =
   let ctx = Benchmarks.Bench_app.context bezier in
-  let exp1, _ = traced_informed_run ctx in
-  let exp2, outcome = traced_informed_run ctx in
+  let exp1, _, _ = traced_informed_run ctx in
+  let exp2, spans, outcome = traced_informed_run ctx in
   check_str "normalized exports byte-identical across runs" exp1 exp2;
   (* valid Chrome trace-event JSON with a non-empty event array *)
   (match Json.member "traceEvents" (Json.parse exp2) with
@@ -370,11 +402,11 @@ let test_trace_golden_deterministic () =
   | _ -> Alcotest.fail "export is not a Chrome trace document");
   (* structural floor: the instrumentation actually fired everywhere *)
   check "at least one branch decision span" true
-    (Trace.count ~cat:"branch" () >= 1);
+    (count ~cat:"branch" spans >= 1);
   check "at least three analysis spans" true
-    (Trace.count ~cat:"analysis" () >= 3);
-  check "every DSE candidate traced" true (Trace.count ~cat:"dse" () >= 1);
-  check "task spans present" true (Trace.count ~cat:"task" () >= 1);
+    (count ~cat:"analysis" spans >= 3);
+  check "every DSE candidate traced" true (count ~cat:"dse" spans >= 1);
+  check "task spans present" true (count ~cat:"task" spans >= 1);
   (* the same run recorded its provenance into the contexts *)
   let decisions = Psa.Context.collect_decisions outcome.contexts in
   check "decisions recorded" true (decisions <> []);
@@ -575,10 +607,10 @@ let () =
           nesting_prop;
           Alcotest.test_case "request recording without global tracer" `Quick
             test_request_recording_without_global;
-          Alcotest.test_case "request recording alongside global tracer" `Quick
-            test_request_recording_alongside_global;
+          Alcotest.test_case "recordings nest on one thread" `Quick
+            test_nested_recordings;
           Alcotest.test_case "request recording edge cases" `Quick
-            test_request_recording_empty_and_unmatched;
+            test_request_recording_edge_cases;
         ] );
       ( "golden",
         [

@@ -916,6 +916,61 @@ let test_req_trace_ring_capacity () =
   | j -> Alcotest.failf "unexpected ring: %s" (Json.to_string j)
 
 (* ------------------------------------------------------------------ *)
+(* Traced jobs                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let job_data ~trace src =
+  match Flow_exec.resolve (Protocol.submission ~trace (Protocol.Inline src)) with
+  | Ok r -> (r.Flow_exec.run ~request_id:None ()).Protocol.data
+  | Error e -> Alcotest.fail (Protocol.error_message e)
+
+let trace_events data =
+  match Option.bind (Json.member "trace" data) (Json.member "traceEvents") with
+  | Some (Json.List evs) -> evs
+  | _ -> Alcotest.fail "traced job has no embedded trace document"
+
+(* A traced job records its own thread only: spans another domain emits
+   meanwhile stay out of its embedded trace. *)
+let test_traced_job_own_thread () =
+  let stop = Atomic.make false and started = Atomic.make false in
+  let noisy =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Flow_obs.Trace.with_span ~cat:"noise" "other domain" (fun () ->
+              Atomic.set started true)
+        done)
+  in
+  let data =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join noisy)
+      (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        job_data ~trace:true (inline_kernel 13))
+  in
+  let tids =
+    List.sort_uniq compare
+      (List.map (fun ev -> Json.member "tid" ev) (trace_events data))
+  in
+  check_int "one tid in the embedded trace" 1 (List.length tids)
+
+(* Tracing adds the [trace] field and changes nothing else. *)
+let test_traced_data_matches_untraced () =
+  let src = inline_kernel 14 in
+  let plain = job_data ~trace:false src in
+  let traced = job_data ~trace:true src in
+  check "traced job carries events" true (trace_events traced <> []);
+  let without_trace = function
+    | Json.Obj fields -> Json.Obj (List.remove_assoc "trace" fields)
+    | j -> j
+  in
+  check_str "traced data minus trace = untraced data" (Json.to_string plain)
+    (Json.to_string (without_trace traced))
+
+(* ------------------------------------------------------------------ *)
 (* Perf history: JSONL store and rolling-median gate                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1060,7 +1115,14 @@ let with_daemon ?(config = { (Server.default_config ()) with workers = 2;
   if not ready then Alcotest.fail "daemon did not come up";
   Fun.protect
     ~finally:(fun () ->
-      (try ignore (Client.rpc addr Protocol.Shutdown) with _ -> ());
+      (* under a connection cap, a just-closed connection's handler may
+         still hold the last slot: a [Server_busy] answer means the
+         shutdown was not delivered, so send it again *)
+      ignore
+        (wait_until (fun () ->
+             match Client.rpc addr Protocol.Shutdown with
+             | Protocol.Error Protocol.Server_busy -> false
+             | _ | (exception _) -> true));
       Thread.join server)
     (fun () -> f addr)
 
@@ -1069,14 +1131,16 @@ let direct_report (app : Benchmarks.Bench_app.t) =
   let outcome = Psa.Std_flow.run_informed ~x_threshold:2.0 ctx in
   Flow_exec.render_report outcome.results
 
-(* A [psaflow run] golden (test/golden/<name>.expected) minus its
-   "running ... PSA-flow on ..." header line: what the daemon serves. *)
+(* The bytes of test/golden/<name>.expected. *)
+let golden name =
+  In_channel.with_open_bin
+    (Filename.concat "golden" (name ^ ".expected"))
+    In_channel.input_all
+
+(* A [psaflow run] golden minus its "running ... PSA-flow on ..." header
+   line: what the daemon serves. *)
 let golden_report name =
-  let text =
-    In_channel.with_open_bin
-      (Filename.concat "golden" (name ^ ".expected"))
-      In_channel.input_all
-  in
+  let text = golden name in
   let body = String.index text '\n' + 1 in
   String.sub text body (String.length text - body)
 
@@ -1109,12 +1173,12 @@ let test_end_to_end () =
               (match Json.member "designs" r.Protocol.data with
               | Some (Json.List (_ :: _)) -> true
               | _ -> false);
-            r.Protocol.report
+            r
         | Error e -> Alcotest.fail e
       in
       List.iter
         (fun ((app : Benchmarks.Bench_app.t), job_id) ->
-          let report = wait job_id in
+          let { Protocol.report; data } = wait job_id in
           (* the service report must be bit-identical to a direct run and
              to the committed `psaflow run` golden *)
           check_str
@@ -1123,12 +1187,17 @@ let test_end_to_end () =
           check_str
             (app.id ^ " service report = run golden")
             (golden_report ("run_" ^ app.id))
-            report)
+            report;
+          (* the served structured data is pinned byte for byte too *)
+          check_str
+            (app.id ^ " service data = data golden")
+            (golden ("data_" ^ app.id))
+            (Json.to_string data))
         ids;
       check_str
         (uninformed_app.id ^ " uninformed service report = run golden")
         (golden_report ("run_uninformed_" ^ uninformed_app.id))
-        (wait uninformed_id);
+        (wait uninformed_id).Protocol.report;
       (* duplicate submission: served from the store, no execution *)
       let app0 = List.hd Benchmarks.Registry.all in
       (match
@@ -1635,6 +1704,13 @@ let () =
           Alcotest.test_case "slow exemplars" `Quick
             test_req_trace_slow_exemplars;
           Alcotest.test_case "ring capacity" `Quick test_req_trace_ring_capacity;
+        ] );
+      ( "traced_job",
+        [
+          Alcotest.test_case "records its own thread only" `Quick
+            test_traced_job_own_thread;
+          Alcotest.test_case "data minus trace = untraced data" `Quick
+            test_traced_data_matches_untraced;
         ] );
       ( "perf_history",
         [
