@@ -4,6 +4,9 @@
     profiling, profile cache) and writes the numbers to
     [BENCH_psaflow.json]:
 
+    - per paper benchmark, the VM's virtual cycles, run time and
+      minor-heap words per virtual cycle, for the bare run and for the
+      kernel-focused run ({!Benchmarks.Vm_cost});
     - interpreter throughput on the heaviest benchmark, before (slot-IR
       tree walker, {!Minic_interp.Eval.run_ir}) and after (the bytecode
       VM, {!Minic_interp.Eval.run_vm}) — the VM both on the raw slot IR
@@ -219,6 +222,22 @@ let run ~quick () =
   if not interp_identical then
     prerr_endline "ERROR: an engine's profile diverges from the IR walker!";
 
+  (* -- per-benchmark VM cost: bare and kernel-focused -------------- *)
+  let vm_costs =
+    List.map
+      (Benchmarks.Vm_cost.measure ~reps:interp_reps)
+      Benchmarks.Registry.all
+  in
+  List.iter
+    (fun (c : Benchmarks.Vm_cost.t) ->
+      let show (r : Benchmarks.Vm_cost.run_cost) =
+        Printf.sprintf "%6.2f Mcycles %8.2f ms %6.3f words/cycle" r.mcycles
+          (r.run_s *. 1e3) r.words_per_cycle
+      in
+      Printf.printf "vm       %-12s bare %s   focused %s\n%!" c.bench
+        (show c.bare) (show c.focused))
+    vm_costs;
+
   (* -- repeated-analysis path: cold vs cached ---------------------- *)
   let prepared = prepare heavy in
   Minic_interp.Profile_cache.set_enabled false;
@@ -321,6 +340,23 @@ let run ~quick () =
                   @ List.map (fun (n, v) -> (n, Int v)) vm_counters) );
               ("speedup", Float (before_s /. vm_s));
               ("outputs_identical", Bool interp_identical);
+              (* every paper benchmark at its profiling size: the bare
+                 run and the focused run of the extracted kernel, each
+                 with its minor-heap words per virtual cycle *)
+              ( "benchmarks",
+                let run (r : Benchmarks.Vm_cost.run_cost) =
+                  Obj
+                    [
+                      ("virtual_mcycles", Float r.mcycles);
+                      ("vm_run_s", Float r.run_s);
+                      ("minor_words_per_cycle", Float r.words_per_cycle);
+                    ]
+                in
+                Obj
+                  (List.map
+                     (fun (c : Benchmarks.Vm_cost.t) ->
+                       (c.bench, Obj [ ("bare", run c.bare); ("focused", run c.focused) ]))
+                     vm_costs) );
             ] );
         ( "cache",
           Obj

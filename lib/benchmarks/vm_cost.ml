@@ -1,0 +1,50 @@
+(** Per-benchmark interpreter cost: virtual cycles, VM run time and
+    minor-heap words allocated per virtual cycle, for the bare reference
+    run and for the kernel-focused run of the extracted program.
+
+    Compile is excluded: each program is compiled once and then run
+    through {!Minic_interp.Eval.run_vm} on the calling domain, with
+    [Gc.minor_words] taken around the run.  The word count repeats
+    exactly for a given tree, so it is a noise-free counter; the run
+    time is the best of [reps] runs. *)
+
+type run_cost = {
+  mcycles : float;  (** virtual cycles of one run, in millions *)
+  run_s : float;  (** best wall time of one [run_vm] *)
+  words_per_cycle : float;  (** minor words allocated per virtual cycle *)
+}
+
+type t = { bench : string; bare : run_cost; focused : run_cost }
+
+(** The ceiling on minor words per virtual cycle, bare and focused, that
+    tier-1 and [scripts/check.sh] enforce. *)
+let words_per_cycle_ceiling = 0.2
+
+let measure_run ~reps ?focus compiled =
+  let words = ref 0.0 and cycles = ref 0.0 and best = ref infinity in
+  for _ = 1 to max 1 reps do
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    let r = Minic_interp.Eval.run_vm ?focus compiled in
+    let t1 = Unix.gettimeofday () in
+    words := Gc.minor_words () -. w0;
+    cycles := r.profile.cycles;
+    best := Float.min !best (t1 -. t0)
+  done;
+  {
+    mcycles = !cycles /. 1e6;
+    run_s = !best;
+    words_per_cycle = !words /. Float.max 1.0 !cycles;
+  }
+
+(** Measure [app] at its profiling size. *)
+let measure ?(reps = 1) (app : Bench_app.t) : t =
+  let p = Bench_app.program app ~n:app.profile_n in
+  let ex, kernel, _ = Psa.Std_flow.prepare_kernel p in
+  let bare = Minic_interp.Eval.compile p in
+  let focused = Minic_interp.Eval.compile ex in
+  {
+    bench = app.id;
+    bare = measure_run ~reps bare;
+    focused = measure_run ~reps ~focus:kernel focused;
+  }

@@ -4,10 +4,24 @@
     into dense instruction arrays with integer-register operands — the
     VM executor in {!Eval} dispatches over them with a single [match]
     per instruction.
-    Frames are flat [Value.t array]s laid out [slots | consts | temps]:
-    variable slots keep their {!Resolve} indices, literal operands are
-    blitted from a per-function constant pool at call entry, and
-    expression temporaries are allocated monotonically per statement.
+
+    {b Register banks.}  A frame has three banks: a boxed [Value.t
+    array], an unboxed [float array] and an [int array].  Every register
+    operand names its bank in its two low bits ({!reg}).  A local slot
+    goes into the float (int) bank when {!Opt.type_program} types it
+    [TFloat] ([TInt]) and {!Opt.read_before_write} finds no read of its
+    initial [VUnit]; every other slot stays boxed.  Results of the
+    statically typed instructions ([IArithF], [IDivF], [IMath*],
+    [ICastF], [IRand01], ... and their int twins) land in the matching
+    bank, and loads from float regions are unboxed on arrival.  Operands
+    are read through the conversion the reference walker applies at that
+    consumer ([Value.to_float], [to_int], [to_bool]), so a boxed operand
+    still faults with the walker's message.  Values are boxed only where
+    they leave a bank: memory stores, call arguments and returns,
+    globals and the operand-dynamic instructions.  Frames are laid out
+    [slots | constants | temporaries] in each bank; literal operands are
+    blitted from per-bank constant pools at call entry, and expression
+    temporaries are allocated monotonically per statement.
 
     Specialized loop kernels ({!Resolve.kernel}) are lowered a second
     time into micro-programs of {!kop}s, and a superinstruction selector
@@ -31,6 +45,22 @@ module R = Resolve
 module C = Profile.Cost
 
 (* ================================================================== *)
+(* Register banks                                                      *)
+(* ================================================================== *)
+
+(** Bank tags: the two low bits of every register operand. *)
+let boxed = 0
+
+let fbank = 1
+let ibank = 2
+
+(** [reg bank i]: register [i] of [bank]. *)
+let reg bank i = (i lsl 2) lor bank
+
+let bank_of r = r land 3
+let index_of r = r lsr 2
+
+(* ================================================================== *)
 (* Kernel micro-programs                                               *)
 (* ================================================================== *)
 
@@ -49,8 +79,8 @@ type kop =
   | ODiv of int * int * int
   | ONeg of int * int
   | OItoF of int
-  | OMath1 of int * (float -> float) * int
-  | OMath2 of int * (float -> float -> float) * int * int
+  | OMath1 of int * R.math1 * int
+  | OMath2 of int * R.math2 * int * int
   | OLoad of int * int  (** dst <- site *)
   | OStore of int * int  (** site <- src *)
   | OStoreAdd of int * int
@@ -86,10 +116,10 @@ type kop =
   | OMulMulA of int * int * int * int
   | OMulMulB of int * int * int * int
   (* math1 + div/mul *)
-  | OGDiv of int * (float -> float) * int * int  (** d <- g(a) / b *)
-  | ODivG of int * int * (float -> float) * int  (** d <- a / g(b) *)
-  | OGMul of int * (float -> float) * int * int  (** d <- g(a) * b *)
-  | OMulG of int * int * (float -> float) * int  (** d <- a * g(b) *)
+  | OGDiv of int * R.math1 * int * int  (** d <- g(a) / b *)
+  | ODivG of int * int * R.math1 * int  (** d <- a / g(b) *)
+  | OGMul of int * R.math1 * int * int  (** d <- g(a) * b *)
+  | OMulG of int * int * R.math1 * int  (** d <- a * g(b) *)
   (* arith + store *)
   | OAddStore of int * int * int  (** [s] <- a + b : (s, a, b) *)
   | OSubStore of int * int * int
@@ -105,14 +135,21 @@ type kop =
 
 (** A lowered kernel: the original {!Resolve.kernel} (whose statically
     counted totals drive the bulk accounting and whose [k_body] still
-    runs verbatim on the focus-tracking path) plus the fused micro-ops
-    and their hoisted entry banks. *)
+    runs verbatim on the focus-tracking path) plus the fused micro-ops,
+    their hoisted entry banks, and the frame registers its slots live
+    in.  A kernel input or output in the float bank is a plain float
+    copy; only boxed (or int-bank) slots convert. *)
 type kprog = {
   kp_kern : R.kernel;
   kp_ops : kop array;
   kp_lits : (int * float) array;  (** entry: freg <- literal *)
   kp_prefetch : (int * int) array;  (** entry: freg <- invariant site load *)
   kp_fused : bool;  (** the selector hoisted or fused anything *)
+  kp_slots : int array;  (** register of every frame slot *)
+  kp_fin : (int * int) array;  (** entry: (float-bank index, freg) *)
+  kp_vin : (int * int) array;  (** entry: (boxed or int-bank register, freg) *)
+  kp_fout : (int * int) array;  (** exit: (float-bank index, freg) *)
+  kp_bout : (int * int) array;  (** exit: (boxed index, freg) *)
 }
 
 (* ================================================================== *)
@@ -123,11 +160,17 @@ type kprog = {
     int — mirrors [ECmp]/[ECmpF]/[ECmpI]. *)
 type ckind = KDyn | KFlt | KInt
 
-(** One VM instruction.  Register operands index the current frame;
-    [tgt] fields hold label ids during lowering and absolute pcs after
-    {!lower} resolves them.  Every instruction replays the exact
-    charges, counter bumps, fuel spends and error points of the
-    reference walker (see DESIGN.md §14). *)
+(** One VM instruction.  Every register field is a bank-tagged
+    {!reg}.  A destination is in the bank its instruction produces: the
+    float bank for the [F] forms, [IMath*], [ICastF], [IRand01] and loop
+    entry stamps; the int bank for the [I] forms, [IMod], [ICastI],
+    [IRandInt] and trip counters; the boxed bank for the
+    operand-dynamic forms, comparisons and booleans.  [IMov], [IGetG],
+    [IIndex] and [ICallUser] write any bank.  [tgt] fields hold label
+    ids during lowering and absolute pcs after {!lower} resolves them.
+    Every instruction replays the exact charges, counter bumps, fuel
+    spends and error points of the reference walker (see DESIGN.md
+    §14). *)
 type instr =
   | IFuel
   | ICharge of float
@@ -135,13 +178,15 @@ type instr =
   | IJmpFalse of int * int  (** (src, tgt): jump when [to_bool] is false *)
   | IBrCmp of { op : Minic.Ast.binop; kind : ckind; a : int; b : int; tgt : int }
       (** fused compare+branch: jump to [tgt] when the comparison is false *)
-  | IMov of int * int
+  | IMov of int * int  (** (dst, src), converting between banks *)
   | IGetG of int * int  (** dst <- garray.(g) *)
   | ISetG of int * int  (** garray.(g) <- src *)
   | IErrVar of string
   | IErrMsg of string  (** raise a precomputed runtime error *)
   | IFailHd  (** [List.hd []] of the reference engines' builtin paths *)
-  | INeg of int * int
+  | INeg of int * int  (** operand-dynamic negation *)
+  | INegF of int * int
+  | INegI of int * int
   | INot of int * int
   | IArith of { op : Minic.Ast.binop; fresid : float; d : int; a : int; b : int }
   | IArithF of { op : Minic.Ast.binop; fresid : float; d : int; a : int; b : int }
@@ -158,8 +203,8 @@ type instr =
   | IAndTest of { d : int; src : int; bcost : float; tgt : int }
   | IOrTest of { d : int; src : int; bcost : float; tgt : int }
   | ICallUser of { d : int; fidx : int; args : int array }
-  | IMath1 of { d : int; g : float -> float; mflops : int; a : int }
-  | IMath2 of { d : int; g : float -> float -> float; mflops : int; a : int; b : int }
+  | IMath1 of { d : int; g : R.math1; mflops : int; a : int }
+  | IMath2 of { d : int; g : R.math2; mflops : int; a : int; b : int }
   | IMathGen of { d : int; mimpl : R.math_impl; mflops : int; args : int array }
   | IRand01 of int
   | IRandInt of int * int
@@ -169,6 +214,8 @@ type instr =
   | ITimerStop of int
   | IAlloc of { d : int; typ : Minic.Ast.typ; name : string; src : int }
   | IApplyAssign of { d : int; aop : Minic.Ast.assign_op; old : int; rhs : int }
+      (** compound assignment to a boxed slot (banked slots use the
+          typed arithmetic forms) *)
   | IStore of { arr : int; idx : int; src : int }
   | IStoreOp of { aop : Minic.Ast.assign_op; arr : int; idx : int; src : int }
   | IRet of int
@@ -176,9 +223,10 @@ type instr =
   | ILoopEnterW of { lidx : int; sid : int; t0 : int; trips : int }
   | ILoopEnterF of { lidx : int; sid : int; t0 : int; trips : int; icost : float }
   | IWhileIter of { src : int; lidx : int; sid : int; trips : int; tgt : int }
-  | IForInit of { slot : R.var_ref; src : int }
+  | IForInit of { slot : R.var_ref; src : int }  (** boxed or global index *)
   | IForTest of {
       slot : R.var_ref;
+      cost : float;  (** charged first: the test's static cost, when folded *)
       bound : int;
       inclusive : bool;
       lidx : int;
@@ -186,20 +234,39 @@ type instr =
       trips : int;
       tgt : int;
     }
-  | IForStep of { slot : R.var_ref; src : int }
+  | IForStep of { slot : R.var_ref; src : int; tgt : int }
+      (** step, then jump back to the loop test at [tgt] *)
+  | IForInitI of { slot : int; src : int }  (** int-bank index *)
+  | IForTestI of {
+      slot : int;
+      cost : float;
+      bound : int;
+      inclusive : bool;
+      lidx : int;
+      sid : int;
+      trips : int;
+      tgt : int;
+    }
+  | IForStepI of { slot : int; src : int; tgt : int }
   | ILoopExit of { lidx : int; sid : int; t0 : int; trips : int }
   | IKernel of { glob : bool; lidx : int; kp : kprog; tgt : int }
       (** specialized loop: on kernel success jump [tgt]; on
           [Kernel_unfit] fall through to the generic loop code *)
 
-(** One lowered function (or the globals block). *)
+(** One lowered function (or the globals block): its code plus the size
+    and constant pool of each register bank. *)
 type fn = {
   bc_code : instr array;
-  bc_nregs : int;  (** frame size: slots + consts + temps, >= 1 *)
-  bc_cbase : int;  (** first constant register *)
+  bc_nregs : int;  (** boxed bank size, >= 1 *)
+  bc_cbase : int;  (** first boxed constant *)
   bc_cvals : Value.t array;  (** blitted to [bc_cbase..] at call entry *)
-  bc_nsi : int;  (** loop int-scratch slots (trip counters) *)
-  bc_nsf : int;  (** loop float-scratch slots (entry cycle stamps) *)
+  bc_nsf : int;  (** float bank size, >= 1 *)
+  bc_fcbase : int;
+  bc_fcvals : float array;
+  bc_nsi : int;  (** int bank size, >= 1 *)
+  bc_icbase : int;
+  bc_icvals : int array;
+  bc_params : int array;  (** register of the i-th parameter *)
 }
 
 type program = {
@@ -510,8 +577,9 @@ let hoist_entry (k : R.kernel) ops =
     Array.of_list (List.rev !pref) )
 
 (** Lift one kernel into a micro-program: hoist its entry banks, then
-    fuse adjacent pairs to fixpoint. *)
-let lift_kernel (k : R.kernel) : kprog =
+    fuse adjacent pairs to fixpoint.  [slots] maps each frame slot to
+    its register. *)
+let lift_kernel ~(slots : int array) (k : R.kernel) : kprog =
   let m = Flow_obs.Metrics.global in
   Flow_obs.Metrics.incr m "vm_kernels";
   let plain = Array.map kop_of_kinstr k.R.k_body in
@@ -526,12 +594,23 @@ let lift_kernel (k : R.kernel) : kprog =
   Flow_obs.Metrics.incr m "vm_kernel_ops_after" ~by:(Array.length ops);
   Flow_obs.Metrics.incr m "vm_kernel_lits" ~by:(Array.length lits);
   Flow_obs.Metrics.incr m "vm_kernel_prefetch" ~by:(Array.length pref);
+  let in_f (s, _) = bank_of slots.(s) = fbank in
+  let fin, vin = List.partition in_f (Array.to_list k.R.k_in) in
+  (* kernel outputs are float slots: float bank or (when their type is
+     not provable) boxed, never the int bank *)
+  let fout, bout = List.partition in_f (Array.to_list k.R.k_out) in
+  let idx (s, f) = (index_of slots.(s), f) in
   {
     kp_kern = k;
     kp_ops = ops;
     kp_lits = lits;
     kp_prefetch = pref;
     kp_fused = fused;
+    kp_slots = slots;
+    kp_fin = Array.of_list (List.map idx fin);
+    kp_vin = Array.of_list (List.map (fun (s, f) -> (slots.(s), f)) vin);
+    kp_fout = Array.of_list (List.map idx fout);
+    kp_bout = Array.of_list (List.map idx bout);
   }
 
 (* ================================================================== *)
@@ -540,21 +619,25 @@ let lift_kernel (k : R.kernel) : kprog =
 
 type item = Lab of int | Ins of instr
 
+(* The temporaries of one bank: allocated monotonically above [base],
+   released at statement end; [hi] is the high-water mark. *)
+type temps = { base : int; mutable n : int; mutable hi : int }
+
 type lctx = {
   cp : R.t;
   glob : bool;  (** lowering the globals block: the frame is [garray] *)
   nloops : int ref;  (** dense loop numbering, shared across functions *)
-  cbase : int;
-  tbase : int;
-  cof : Value.t -> int;  (** constant-pool register of a literal *)
+  env : Opt.tenv;
+  lt : Opt.ty array;  (** slot types of the frame *)
+  slots : int array;  (** register of each local slot *)
+  cof : Value.t -> int;  (** boxed constant register of a literal *)
+  coff : float -> int;  (** float-bank constant register *)
+  cofi : int -> int;  (** int-bank constant register *)
+  tb : temps;
+  tf : temps;
+  ti : temps;
   mutable rev : item list;  (** emitted items, newest first *)
   mutable nlab : int;
-  mutable ntmp : int;
-  mutable maxtmp : int;
-  mutable nsi : int;
-  mutable maxsi : int;
-  mutable nsf : int;
-  mutable maxsf : int;
 }
 
 let emit ctx i = ctx.rev <- Ins i :: ctx.rev
@@ -566,23 +649,18 @@ let fresh_lab ctx =
 
 let place ctx l = ctx.rev <- Lab l :: ctx.rev
 
-let tmp ctx =
-  let r = ctx.tbase + ctx.ntmp in
-  ctx.ntmp <- ctx.ntmp + 1;
-  if ctx.ntmp > ctx.maxtmp then ctx.maxtmp <- ctx.ntmp;
-  r
+let tmp ctx bank =
+  let t = if bank = fbank then ctx.tf else if bank = ibank then ctx.ti else ctx.tb in
+  let r = t.base + t.n in
+  t.n <- t.n + 1;
+  if t.n > t.hi then t.hi <- t.n;
+  reg bank r
 
-let alloc_si ctx =
-  let s = ctx.nsi in
-  ctx.nsi <- s + 1;
-  if ctx.nsi > ctx.maxsi then ctx.maxsi <- ctx.nsi;
-  s
-
-let alloc_sf ctx =
-  let s = ctx.nsf in
-  ctx.nsf <- s + 1;
-  if ctx.nsf > ctx.maxsf then ctx.maxsf <- ctx.nsf;
-  s
+(* The register an instruction producing into [bank] writes: the
+   caller's destination when it lives in that bank, else a fresh
+   temporary. *)
+let dest ctx dst bank =
+  match dst with Some d when bank_of d = bank -> d | _ -> tmp ctx bank
 
 let fresh_loop ctx =
   let l = !(ctx.nloops) in
@@ -594,6 +672,12 @@ let fresh_loop ctx =
    through [garray]. *)
 let eff ctx vr =
   if ctx.glob then match vr with R.Local i -> R.Global i | x -> x else vr
+
+let arith_of_assign = function
+  | Minic.Ast.AddEq -> (Minic.Ast.Add, C.float_add -. C.int_op)
+  | Minic.Ast.SubEq -> (Minic.Ast.Sub, C.float_add -. C.int_op)
+  | Minic.Ast.MulEq -> (Minic.Ast.Mul, C.float_mul -. C.int_op)
+  | Minic.Ast.Set | Minic.Ast.DivEq -> invalid_arg "arith_of_assign"
 
 (* ------------------------------------------------------------------ *)
 (* Constant-pool prescan                                               *)
@@ -665,20 +749,33 @@ and scan_b f (b : R.block) =
 (* ------------------------------------------------------------------ *)
 
 (* [lx] lowers an expression and returns the register holding its
-   result.  Literals resolve to constant-pool registers (no code);
-   locals resolve to their slot register directly — valid because no
-   MiniC construct writes a local slot mid-expression (assignments are
-   statements) —
-   while globals are snapshotted into a temp at their evaluation point
-   (a user call later in the expression may overwrite them). *)
-let rec lx ctx (e : R.expr) : int =
+   result.  Literals resolve to constant registers (no code): in their
+   own bank, or boxed when [v] asks for a value that leaves the banks
+   anyway (a store, a return, a global).  Locals resolve to their slot
+   register directly — valid because no MiniC construct writes a local
+   slot mid-expression (assignments are statements) — while globals are
+   snapshotted into a boxed temp at their evaluation point (a user call
+   later in the expression may overwrite them).  A single-instruction
+   producer writes [dst] directly when [dst] is in its bank: its
+   operands are all read before the write. *)
+let rec lx ?(v = false) ?dst ctx (e : R.expr) : int =
+  (* [boxed_ops]: the instruction consumes its operands as values *)
+  let bin ?(boxed_ops = false) bank a b mk =
+    let ra = lx ~v:boxed_ops ctx a in
+    let rb = lx ~v:boxed_ops ctx b in
+    let d = dest ctx dst bank in
+    emit ctx (mk d ra rb);
+    d
+  in
   match e.R.e with
-  | R.ELit v -> ctx.cof v
+  | R.ELit (Value.VFloat x) when not v -> ctx.coff x
+  | R.ELit (Value.VInt n) when not v -> ctx.cofi n
+  | R.ELit lit -> ctx.cof lit
   | R.EVar vr -> (
       match eff ctx vr with
-      | R.Local i -> i
+      | R.Local i -> ctx.slots.(i)
       | R.Global g ->
-          let t = tmp ctx in
+          let t = dest ctx dst boxed in
           emit ctx (IGetG (t, g));
           t
       | R.Unbound n ->
@@ -686,76 +783,35 @@ let rec lx ctx (e : R.expr) : int =
           ctx.cof Value.VUnit)
   | R.ENeg a ->
       let ra = lx ctx a in
-      let t = tmp ctx in
-      emit ctx (INeg (t, ra));
-      t
+      let bank = bank_of ra in
+      let d = dest ctx dst bank in
+      emit ctx
+        (if bank = fbank then INegF (d, ra)
+         else if bank = ibank then INegI (d, ra)
+         else INeg (d, ra));
+      d
   | R.ENot a ->
       let ra = lx ctx a in
-      let t = tmp ctx in
-      emit ctx (INot (t, ra));
-      t
+      let d = dest ctx dst boxed in
+      emit ctx (INot (d, ra));
+      d
   | R.EArith (op, fresid, a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (IArith { op; fresid; d = t; a = ra; b = rb });
-      t
+      bin ~boxed_ops:true boxed a b (fun d a b -> IArith { op; fresid; d; a; b })
   | R.EArithF (op, fresid, a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (IArithF { op; fresid; d = t; a = ra; b = rb });
-      t
-  | R.EArithI (op, a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (IArithI { op; d = t; a = ra; b = rb });
-      t
-  | R.EDiv (a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (IDiv (t, ra, rb));
-      t
-  | R.EDivF (a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (IDivF (t, ra, rb));
-      t
-  | R.EDivI (a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (IDivI (t, ra, rb));
-      t
-  | R.EMod (a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (IMod (t, ra, rb));
-      t
+      bin fbank a b (fun d a b -> IArithF { op; fresid; d; a; b })
+  | R.EArithI (op, a, b) -> bin ibank a b (fun d a b -> IArithI { op; d; a; b })
+  | R.EDiv (a, b) -> bin ~boxed_ops:true boxed a b (fun d a b -> IDiv (d, a, b))
+  | R.EDivF (a, b) -> bin fbank a b (fun d a b -> IDivF (d, a, b))
+  | R.EDivI (a, b) -> bin ibank a b (fun d a b -> IDivI (d, a, b))
+  | R.EMod (a, b) -> bin ibank a b (fun d a b -> IMod (d, a, b))
   | R.ECmp (op, a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (ICmp { op; kind = KDyn; d = t; a = ra; b = rb });
-      t
+      bin boxed a b (fun d a b -> ICmp { op; kind = KDyn; d; a; b })
   | R.ECmpF (op, a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (ICmp { op; kind = KFlt; d = t; a = ra; b = rb });
-      t
+      bin boxed a b (fun d a b -> ICmp { op; kind = KFlt; d; a; b })
   | R.ECmpI (op, a, b) ->
-      let ra = lx ctx a in
-      let rb = lx ctx b in
-      let t = tmp ctx in
-      emit ctx (ICmp { op; kind = KInt; d = t; a = ra; b = rb });
-      t
+      bin boxed a b (fun d a b -> ICmp { op; kind = KInt; d; a; b })
   | R.EAnd (a, b) ->
-      let d = tmp ctx in
+      let d = tmp ctx boxed in
       let ra = lx ctx a in
       let l = fresh_lab ctx in
       emit ctx (IAndTest { d; src = ra; bcost = b.R.ecost; tgt = l });
@@ -764,7 +820,7 @@ let rec lx ctx (e : R.expr) : int =
       place ctx l;
       d
   | R.EOr (a, b) ->
-      let d = tmp ctx in
+      let d = tmp ctx boxed in
       let ra = lx ctx a in
       let l = fresh_lab ctx in
       emit ctx (IOrTest { d; src = ra; bcost = b.R.ecost; tgt = l });
@@ -773,35 +829,46 @@ let rec lx ctx (e : R.expr) : int =
       place ctx l;
       d
   | R.EIndex (a, i) ->
-      let ra = lx ctx a in
+      let ra = lx ~v:true ctx a in
       let ri = lx ctx i in
-      let t = tmp ctx in
-      emit ctx (IIndex { d = t; a = ra; i = ri });
-      t
+      (* a float region holds only [VFloat]s: unbox on arrival *)
+      let d =
+        match dst with
+        | Some d -> d
+        | None -> (
+            match Opt.ety ctx.env ctx.lt a with
+            | Opt.TPtr (Minic.Ast.Tfloat | Minic.Ast.Tdouble) when not v ->
+                tmp ctx fbank
+            | _ -> tmp ctx boxed)
+      in
+      emit ctx (IIndex { d; a = ra; i = ri });
+      d
   | R.ECast (t, a) -> (
       let ra = lx ctx a in
+      let conv bank mk =
+        if bank_of ra = bank then ra
+        else
+          let d = dest ctx dst bank in
+          emit ctx (mk d ra);
+          d
+      in
       match t with
-      | Minic.Ast.Tint ->
-          let d = tmp ctx in
-          emit ctx (ICastI (d, ra));
-          d
+      | Minic.Ast.Tint -> conv ibank (fun d a -> ICastI (d, a))
       | Minic.Ast.Tfloat | Minic.Ast.Tdouble ->
-          let d = tmp ctx in
-          emit ctx (ICastF (d, ra));
-          d
+          conv fbank (fun d a -> ICastF (d, a))
       | Minic.Ast.Tbool ->
-          let d = tmp ctx in
+          let d = dest ctx dst boxed in
           emit ctx (ICastB (d, ra));
           d
       | _ -> ra)
-  | R.ECall { callee; cargs } -> lcall ctx callee cargs
+  | R.ECall { callee; cargs } -> lcall ctx dst callee cargs
 
 (* Arguments lower left to right (an explicit fold: the emission order
    is the evaluation order). *)
 and largs ctx cargs =
   List.rev (List.fold_left (fun acc a -> lx ctx a :: acc) [] cargs)
 
-and lcall ctx callee cargs : int =
+and lcall ctx dst callee cargs : int =
   match callee with
   | R.User idx ->
       let f = ctx.cp.R.cfuncs.(idx) in
@@ -814,52 +881,52 @@ and lcall ctx callee cargs : int =
       end
       else begin
         let rs = largs ctx cargs in
-        let t = tmp ctx in
-        emit ctx (ICallUser { d = t; fidx = idx; args = Array.of_list rs });
-        t
+        let d = match dst with Some d -> d | None -> tmp ctx boxed in
+        emit ctx (ICallUser { d; fidx = idx; args = Array.of_list rs });
+        d
       end
   | R.Math { mimpl = R.M1 g; mflops } -> (
       match cargs with
       | [ a ] ->
           let ra = lx ctx a in
-          let t = tmp ctx in
-          emit ctx (IMath1 { d = t; g; mflops; a = ra });
-          t
+          let d = dest ctx dst fbank in
+          emit ctx (IMath1 { d; g; mflops; a = ra });
+          d
       | _ ->
           let rs = largs ctx cargs in
-          let t = tmp ctx in
+          let d = dest ctx dst fbank in
           emit ctx
-            (IMathGen { d = t; mimpl = R.M1 g; mflops; args = Array.of_list rs });
-          t)
+            (IMathGen { d; mimpl = R.M1 g; mflops; args = Array.of_list rs });
+          d)
   | R.Math { mimpl = R.M2 g; mflops } -> (
       match cargs with
       | [ a; b ] ->
           let ra = lx ctx a in
           let rb = lx ctx b in
-          let t = tmp ctx in
-          emit ctx (IMath2 { d = t; g; mflops; a = ra; b = rb });
-          t
+          let d = dest ctx dst fbank in
+          emit ctx (IMath2 { d; g; mflops; a = ra; b = rb });
+          d
       | _ ->
           let rs = largs ctx cargs in
-          let t = tmp ctx in
+          let d = dest ctx dst fbank in
           emit ctx
-            (IMathGen { d = t; mimpl = R.M2 g; mflops; args = Array.of_list rs });
-          t)
+            (IMathGen { d; mimpl = R.M2 g; mflops; args = Array.of_list rs });
+          d)
   | R.Math_unimpl base ->
       ignore (largs ctx cargs);
       emit ctx (IErrMsg (Printf.sprintf "unimplemented math builtin '%s'" base));
       ctx.cof Value.VUnit
   | R.Rand01 ->
       ignore (largs ctx cargs);
-      let t = tmp ctx in
-      emit ctx (IRand01 t);
-      t
+      let d = dest ctx dst fbank in
+      emit ctx (IRand01 d);
+      d
   | R.Rand_int -> (
       match largs ctx cargs with
       | r :: _ ->
-          let t = tmp ctx in
-          emit ctx (IRandInt (t, r));
-          t
+          let d = dest ctx dst ibank in
+          emit ctx (IRandInt (d, r));
+          d
       | [] ->
           emit ctx IFailHd;
           ctx.cof Value.VUnit)
@@ -894,70 +961,102 @@ and lcall ctx callee cargs : int =
 
 and store_slot ctx vr src =
   match eff ctx vr with
-  | R.Local i -> if i <> src then emit ctx (IMov (i, src))
+  | R.Local i ->
+      let d = ctx.slots.(i) in
+      if d <> src then emit ctx (IMov (d, src))
   | R.Global g -> emit ctx (ISetG (g, src))
   | R.Unbound n -> emit ctx (IErrVar n)
 
+(* Lower [e] for an uncoerced store into [vr]: straight into a local
+   slot when the producer's bank allows, as a value otherwise. *)
+and lx_for_slot ctx vr e =
+  match eff ctx vr with
+  | R.Local i ->
+      let d = ctx.slots.(i) in
+      lx ~v:(bank_of d = boxed) ~dst:d ctx e
+  | _ -> lx ~v:true ctx e
+
 (* Declaration-initializer store: the coercion (and its error) happens
    before an unbound-variable error, exactly like the walker's
-   [coerce] feeding its failing [set_var]. *)
-and store_coerced ctx vr typ src =
-  match typ with
-  | Minic.Ast.Tint | Minic.Ast.Tfloat | Minic.Ast.Tdouble | Minic.Ast.Tbool
-    -> (
-      let cast d =
-        match typ with
-        | Minic.Ast.Tint -> ICastI (d, src)
-        | Minic.Ast.Tbool -> ICastB (d, src)
-        | _ -> ICastF (d, src)
+   [coerce] feeding its failing [set_var].  A coercion whose operand is
+   already in the target bank is the identity. *)
+and store_coerced ctx vr typ e =
+  let want =
+    match typ with
+    | Minic.Ast.Tint -> Some ibank
+    | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> Some fbank
+    | Minic.Ast.Tbool -> Some boxed
+    | Minic.Ast.Tptr _ | Minic.Ast.Tvoid -> None
+  in
+  match want with
+  | None -> store_slot ctx vr (lx_for_slot ctx vr e)
+  | Some want ->
+      let target =
+        match eff ctx vr with
+        | R.Local i when bank_of ctx.slots.(i) = want -> Some ctx.slots.(i)
+        | _ -> None
       in
-      match eff ctx vr with
-      | R.Local i -> emit ctx (cast i)
-      | R.Global g ->
-          let t = tmp ctx in
-          emit ctx (cast t);
-          emit ctx (ISetG (g, t))
-      | R.Unbound n ->
-          let t = tmp ctx in
-          emit ctx (cast t);
-          emit ctx (IErrVar n))
-  | _ -> store_slot ctx vr src
+      let r = lx ?dst:target ctx e in
+      let d = match target with Some d -> d | None -> tmp ctx want in
+      (if want = boxed then emit ctx (ICastB (d, r))
+       else if bank_of r <> want then
+         emit ctx (if want = ibank then ICastI (d, r) else ICastF (d, r))
+       else if r <> d then emit ctx (IMov (d, r)));
+      if target = None then store_slot ctx vr d
 
 and ls ctx (s : R.stmt) =
-  (* temp watermark: expression temporaries die at statement end *)
-  let t0 = ctx.ntmp in
+  (* temp watermarks: expression temporaries die at statement end *)
+  let b0 = ctx.tb.n and f0 = ctx.tf.n and i0 = ctx.ti.n in
   (match s with
   | R.SDeclVar { slot; typ; init } -> (
       emit ctx IFuel;
       match init with
-      | Some e ->
-          let rv = lx ctx e in
-          store_coerced ctx slot typ rv
-      | None -> store_slot ctx slot (ctx.cof (Value.zero_of_typ typ)))
+      | Some e -> store_coerced ctx slot typ e
+      | None ->
+          let zero = { R.ecost = 0.0; e = R.ELit (Value.zero_of_typ typ) } in
+          store_slot ctx slot (lx_for_slot ctx slot zero))
   | R.SDeclArr { slot; typ; name; size } ->
       emit ctx IFuel;
       let rs = lx ctx size in
-      let t = tmp ctx in
+      let t = tmp ctx boxed in
       emit ctx (IAlloc { d = t; typ; name; src = rs });
       store_slot ctx slot t
   | R.SAssign { slot; aop; rhs } -> (
       emit ctx IFuel;
-      let rv = lx ctx rhs in
       match aop with
-      | Minic.Ast.Set -> store_slot ctx slot rv
+      | Minic.Ast.Set -> store_slot ctx slot (lx_for_slot ctx slot rhs)
       | aop -> (
-          match eff ctx slot with
-          | R.Local i -> emit ctx (IApplyAssign { d = i; aop; old = i; rhs = rv })
+          let slot = eff ctx slot in
+          let banked =
+            match slot with
+            | R.Local i -> bank_of ctx.slots.(i) <> boxed
+            | _ -> false
+          in
+          let rv = lx ~v:(not banked) ctx rhs in
+          match slot with
+          | R.Local i ->
+              let d = ctx.slots.(i) in
+              let bank = bank_of d in
+              emit ctx
+                (match aop with
+                | Minic.Ast.DivEq when bank = fbank -> IDivF (d, d, rv)
+                | Minic.Ast.DivEq when bank = ibank -> IDivI (d, d, rv)
+                | _ when bank = fbank ->
+                    let op, fresid = arith_of_assign aop in
+                    IArithF { op; fresid; d; a = d; b = rv }
+                | _ when bank = ibank ->
+                    IArithI { op = fst (arith_of_assign aop); d; a = d; b = rv }
+                | _ -> IApplyAssign { d; aop; old = d; rhs = rv })
           | R.Global g ->
-              let t = tmp ctx in
+              let t = tmp ctx boxed in
               emit ctx (IGetG (t, g));
               emit ctx (IApplyAssign { d = t; aop; old = t; rhs = rv });
               emit ctx (ISetG (g, t))
           | R.Unbound n -> emit ctx (IErrVar n)))
   | R.SStore { arr; idx; aop; rhs } -> (
       emit ctx IFuel;
-      let rv = lx ctx rhs in
-      let ra = lx ctx arr in
+      let rv = lx ~v:true ctx rhs in
+      let ra = lx ~v:true ctx arr in
       let ri = lx ctx idx in
       match aop with
       | Minic.Ast.Set -> emit ctx (IStore { arr = ra; idx = ri; src = rv })
@@ -968,22 +1067,16 @@ and ls ctx (s : R.stmt) =
   | R.SIf (c, b1, b2) -> (
       emit ctx IFuel;
       let lelse = fresh_lab ctx in
+      let brcmp kind op a b =
+        let ra = lx ctx a in
+        let rb = lx ctx b in
+        Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_fused_cmp_branch";
+        emit ctx (IBrCmp { op; kind; a = ra; b = rb; tgt = lelse })
+      in
       (match c.R.e with
-      | R.ECmp (op, a, b) ->
-          let ra = lx ctx a in
-          let rb = lx ctx b in
-          Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_fused_cmp_branch";
-          emit ctx (IBrCmp { op; kind = KDyn; a = ra; b = rb; tgt = lelse })
-      | R.ECmpF (op, a, b) ->
-          let ra = lx ctx a in
-          let rb = lx ctx b in
-          Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_fused_cmp_branch";
-          emit ctx (IBrCmp { op; kind = KFlt; a = ra; b = rb; tgt = lelse })
-      | R.ECmpI (op, a, b) ->
-          let ra = lx ctx a in
-          let rb = lx ctx b in
-          Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_fused_cmp_branch";
-          emit ctx (IBrCmp { op; kind = KInt; a = ra; b = rb; tgt = lelse })
+      | R.ECmp (op, a, b) -> brcmp KDyn op a b
+      | R.ECmpF (op, a, b) -> brcmp KFlt op a b
+      | R.ECmpI (op, a, b) -> brcmp KInt op a b
       | _ ->
           let rc = lx ctx c in
           emit ctx (IJmpFalse (rc, lelse)));
@@ -999,8 +1092,7 @@ and ls ctx (s : R.stmt) =
   | R.SWhile { wsid; cond; body } ->
       emit ctx IFuel;
       let lidx = fresh_loop ctx in
-      let si0 = ctx.nsi and sf0 = ctx.nsf in
-      let trips = alloc_si ctx and t0 = alloc_sf ctx in
+      let t0 = tmp ctx fbank and trips = tmp ctx ibank in
       emit ctx (ILoopEnterW { lidx; sid = wsid; t0; trips });
       let ltest = fresh_lab ctx and lexit = fresh_lab ctx in
       place ctx ltest;
@@ -1010,16 +1102,14 @@ and ls ctx (s : R.stmt) =
       lb ctx body;
       emit ctx (IJmp ltest);
       place ctx lexit;
-      emit ctx (ILoopExit { lidx; sid = wsid; t0; trips });
-      ctx.nsi <- si0;
-      ctx.nsf <- sf0
+      emit ctx (ILoopExit { lidx; sid = wsid; t0; trips })
   | R.SFor { fsid; slot; init; bound; inclusive; step; body } ->
       lfor ctx (fresh_loop ctx) ~fsid ~slot ~init ~bound ~inclusive ~step
         ~body
   | R.SReturn eo ->
       emit ctx IFuel;
       let rv =
-        match eo with Some e -> lx ctx e | None -> ctx.cof Value.VUnit
+        match eo with Some e -> lx ~v:true ctx e | None -> ctx.cof Value.VUnit
       in
       emit ctx (if ctx.glob then IRetRaise rv else IRet rv)
   | R.SBlock b ->
@@ -1030,37 +1120,65 @@ and ls ctx (s : R.stmt) =
       | R.SFor { fsid; slot; init; bound; inclusive; step; body } ->
           let lidx = fresh_loop ctx in
           let ldone = fresh_lab ctx in
-          let kp = lift_kernel kern in
+          let kp = lift_kernel ~slots:ctx.slots kern in
           emit ctx (IKernel { glob = ctx.glob; lidx; kp; tgt = ldone });
           lfor ctx lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body;
           place ctx ldone
       | s -> ls ctx s));
-  ctx.ntmp <- t0
+  ctx.tb.n <- b0;
+  ctx.tf.n <- f0;
+  ctx.ti.n <- i0
 
+(* A counted loop.  An int-bank index runs the typed [IFor*I] forms;
+   a boxed or global index keeps the [Value.t] forms. *)
 and lfor ctx lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body =
   emit ctx IFuel;
-  let si0 = ctx.nsi and sf0 = ctx.nsf in
-  let trips = alloc_si ctx and t0 = alloc_sf ctx in
+  let t0 = tmp ctx fbank and trips = tmp ctx ibank in
   emit ctx
     (ILoopEnterF { lidx; sid = fsid; t0; trips; icost = init.R.ecost });
   let ri = lx ctx init in
   let slot = eff ctx slot in
-  emit ctx (IForInit { slot; src = ri });
+  let islot =
+    match slot with
+    | R.Local i when bank_of ctx.slots.(i) = ibank -> Some ctx.slots.(i)
+    | _ -> None
+  in
+  emit ctx
+    (match islot with
+    | Some s -> IForInitI { slot = s; src = ri }
+    | None -> IForInit { slot; src = ri });
   let ltest = fresh_lab ctx and lexit = fresh_lab ctx in
   place ctx ltest;
-  emit ctx (ICharge (C.branch +. bound.R.ecost));
+  (* a bound that lowers to no code (a literal or a local) lets the test
+     charge its own static cost: nothing can observe the cycle total in
+     between *)
+  let tcost = C.branch +. bound.R.ecost in
+  let folded =
+    match bound.R.e with
+    | R.ELit _ -> true
+    | R.EVar vr -> ( match eff ctx vr with R.Local _ -> true | _ -> false)
+    | _ -> false
+  in
+  if not folded then emit ctx (ICharge tcost);
+  let cost = if folded then tcost else 0.0 in
   let rb = lx ctx bound in
   emit ctx
-    (IForTest { slot; bound = rb; inclusive; lidx; sid = fsid; trips; tgt = lexit });
+    (match islot with
+    | Some s ->
+        IForTestI
+          { slot = s; cost; bound = rb; inclusive; lidx; sid = fsid; trips; tgt = lexit }
+    | None ->
+        IForTest
+          { slot; cost; bound = rb; inclusive; lidx; sid = fsid; trips; tgt = lexit });
   lb ctx body;
   if step.R.ecost <> 0.0 then emit ctx (ICharge step.R.ecost);
   let rs = lx ctx step in
-  emit ctx (IForStep { slot; src = rs });
-  emit ctx (IJmp ltest);
+  emit ctx
+    (match islot with
+    | Some s -> IForStepI { slot = s; src = rs; tgt = ltest }
+    | None -> IForStep { slot; src = rs; tgt = ltest });
   place ctx lexit;
-  emit ctx (ILoopExit { lidx; sid = fsid; t0; trips });
-  ctx.nsi <- si0;
-  ctx.nsf <- sf0
+  emit ctx (ILoopExit { lidx; sid = fsid; t0; trips })
 
 and lg ctx (g : R.group) =
   if g.R.gcost <> 0.0 then emit ctx (ICharge g.R.gcost);
@@ -1080,41 +1198,74 @@ let patch lp = function
   | IOrTest r -> IOrTest { r with tgt = lp.(r.tgt) }
   | IWhileIter r -> IWhileIter { r with tgt = lp.(r.tgt) }
   | IForTest r -> IForTest { r with tgt = lp.(r.tgt) }
+  | IForTestI r -> IForTestI { r with tgt = lp.(r.tgt) }
+  | IForStep r -> IForStep { r with tgt = lp.(r.tgt) }
+  | IForStepI r -> IForStepI { r with tgt = lp.(r.tgt) }
   | IKernel r -> IKernel { r with tgt = lp.(r.tgt) }
   | i -> i
 
-let lower_fn (cp : R.t) ~glob ~nloops ~nslots (body : R.block) : fn =
-  (* constant-pool prescan first so every register index is final *)
-  let tbl = Hashtbl.create 16 in
-  let consts = ref [] and ncon = ref 0 in
-  let add v =
-    let k = vkey v in
-    if not (Hashtbl.mem tbl k) then begin
-      Hashtbl.add tbl k !ncon;
-      consts := v :: !consts;
-      incr ncon
+(* Slot registers of one frame: a slot typed [TFloat] ([TInt]) whose
+   initial [VUnit] is never read goes into the float (int) bank; every
+   other slot stays boxed at its own index.  Returns the registers and
+   the float and int bank slot counts. *)
+let bank_slots (f : R.cfunc) (lt : Opt.ty array) =
+  let unset = Opt.read_before_write f in
+  let nf = ref 0 and ni = ref 0 in
+  let next bank n =
+    let r = reg bank !n in
+    incr n;
+    r
+  in
+  let slots =
+    Array.init f.R.cf_nslots (fun s ->
+        match lt.(s) with
+        | Opt.TFloat when not unset.(s) -> next fbank nf
+        | Opt.TInt when not unset.(s) -> next ibank ni
+        | _ -> reg boxed s)
+  in
+  (slots, !nf, !ni)
+
+let lower_fn (cp : R.t) ~env ~lt ~glob ~nloops ~slots ~nslots ~nfslots
+    ~nislots ~params (body : R.block) : fn =
+  (* constant-pool prescan first so every register index is final: each
+     literal gets a boxed constant, numeric ones also a banked one *)
+  let pool () = (Hashtbl.create 16, ref []) in
+  let add (tbl, vals) key x =
+    if not (Hashtbl.mem tbl key) then begin
+      Hashtbl.add tbl key (Hashtbl.length tbl);
+      vals := x :: !vals
     end
   in
-  add Value.VUnit;
-  scan_b add body;
-  let cvals = Array.of_list (List.rev !consts) in
-  let cbase = nslots in
+  let bp = pool () and fp = pool () and ip = pool () in
+  let add_lit v =
+    add bp (vkey v) v;
+    match v with
+    | Value.VFloat x -> add fp (vkey v) x
+    | Value.VInt n -> add ip (vkey v) n
+    | _ -> ()
+  in
+  add_lit Value.VUnit;
+  scan_b add_lit body;
+  let values (_, vals) = Array.of_list (List.rev !vals) in
+  let cvals = values bp and fcvals = values fp and icvals = values ip in
+  let cof bank base (tbl, _) v = reg bank (base + Hashtbl.find tbl (vkey v)) in
+  let temps base = { base; n = 0; hi = 0 } in
   let ctx =
     {
       cp;
       glob;
       nloops;
-      cbase;
-      tbase = cbase + !ncon;
-      cof = (fun v -> cbase + Hashtbl.find tbl (vkey v));
+      env;
+      lt;
+      slots;
+      cof = cof boxed nslots bp;
+      coff = (fun x -> cof fbank nfslots fp (Value.VFloat x));
+      cofi = (fun n -> cof ibank nislots ip (Value.VInt n));
+      tb = temps (nslots + Array.length cvals);
+      tf = temps (nfslots + Array.length fcvals);
+      ti = temps (nislots + Array.length icvals);
       rev = [];
       nlab = 0;
-      ntmp = 0;
-      maxtmp = 0;
-      nsi = 0;
-      maxsi = 0;
-      nsf = 0;
-      maxsf = 0;
     }
   in
   lb ctx body;
@@ -1135,25 +1286,41 @@ let lower_fn (cp : R.t) ~glob ~nloops ~nslots (body : R.block) : fn =
     items;
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_instrs"
     ~by:(Array.length code);
+  let size (t : temps) = max 1 (t.base + t.hi) in
   {
     bc_code = code;
-    bc_nregs = max 1 (ctx.tbase + ctx.maxtmp);
-    bc_cbase = cbase;
+    bc_nregs = size ctx.tb;
+    bc_cbase = nslots;
     bc_cvals = cvals;
-    bc_nsi = ctx.maxsi;
-    bc_nsf = ctx.maxsf;
+    bc_nsf = size ctx.tf;
+    bc_fcbase = nfslots;
+    bc_fcvals = fcvals;
+    bc_nsi = size ctx.ti;
+    bc_icbase = nislots;
+    bc_icvals = icvals;
+    bc_params = params;
   }
 
-(** Lower a resolved (optionally optimized) program. *)
+(** Lower a resolved (optionally optimized) program.  Bank assignment
+    reads the slot types of {!Opt.type_program} on [cp] itself. *)
 let lower (cp : R.t) : program =
+  let env = Opt.type_program cp in
   let nloops = ref 0 in
   let funcs =
-    Array.map
-      (fun (cf : R.cfunc) ->
-        lower_fn cp ~glob:false ~nloops ~nslots:cf.R.cf_nslots
+    Array.mapi
+      (fun fi (cf : R.cfunc) ->
+        let lt = env.Opt.locals.(fi) in
+        let slots, nfslots, nislots = bank_slots cf lt in
+        lower_fn cp ~env ~lt ~glob:false ~nloops ~slots
+          ~nslots:cf.R.cf_nslots ~nfslots ~nislots
+          ~params:(Array.map (fun s -> slots.(s)) cf.R.cf_param_slots)
           cf.R.cf_body)
       cp.R.cfuncs
   in
-  let globals = lower_fn cp ~glob:true ~nloops ~nslots:0 cp.R.cglobals in
+  let globals =
+    lower_fn cp ~env ~lt:env.Opt.globals ~glob:true ~nloops
+      ~slots:(Array.init cp.R.nglobals (reg boxed))
+      ~nslots:0 ~nfslots:0 ~nislots:0 ~params:[||] cp.R.cglobals
+  in
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_programs";
   { bc_cp = cp; bc_funcs = funcs; bc_globals = globals; bc_nloops = !nloops }

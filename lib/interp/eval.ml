@@ -9,9 +9,10 @@
     Programs are first lowered to the slot IR of {!Resolve} (array-indexed
     variable slots, pre-resolved callees, per-group batched static cycle
     charges), optimized by {!Opt}, and lowered once more to the flat
-    register bytecode of {!Bytecode}, which {!run_vm} executes.  The
-    VM's memory accessors are chosen per run: a run without a focus
-    pays nothing for the offload instrumentation.
+    register bytecode of {!Bytecode}, which {!run_vm} executes over
+    frames of boxed, float and int register banks.  The VM's memory
+    accessors are chosen per run: a run without a focus pays nothing for
+    the offload instrumentation.
 
     The tree walker over the slot IR is kept as {!run_ir}: a reference
     implementation the test suite (and the perf harness's before/after
@@ -100,6 +101,26 @@ let[@inline] spend_fuel st =
   st.fuel <- st.fuel - 1;
   if st.fuel <= 0 then err "execution budget exhausted (infinite loop?)"
 
+(* Math builtins, applied by op code.  Every arm is a direct call, so
+   both arguments and result stay unboxed once these inline. *)
+let[@inline] math1 (f : Resolve.math1) x =
+  match f with
+  | Sqrt -> Float.sqrt x
+  | Exp -> Float.exp x
+  | Log -> Float.log x
+  | Sin -> Float.sin x
+  | Cos -> Float.cos x
+  | Tanh -> Float.tanh x
+  | Fabs -> Float.abs x
+  | Floor -> Float.floor x
+
+let[@inline] math2 (f : Resolve.math2) x y =
+  match f with
+  | Pow -> Float.pow x y
+  | Fmin -> Float.min x y
+  | Fmax -> Float.max x y
+  | Fdivide -> x /. y
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic pseudo-random inputs                                  *)
 (* ------------------------------------------------------------------ *)
@@ -144,10 +165,13 @@ let update_range (obs : Profile.arg_obs) region_id off =
 
 (* Attribute a transfer to the first kernel argument reaching the
    region (aliased arguments would double-count the same bytes). *)
-let attribute st (tr : focus_track) f =
+let attribute st (tr : focus_track) ~write elem =
   let k = kernel_obs st in
   match tr.ft_idxs with
-  | i :: _ when i < Array.length k.args -> f k.args.(i)
+  | i :: _ when i < Array.length k.args ->
+      let a = k.args.(i) in
+      if write then a.Profile.bytes_out <- a.Profile.bytes_out + elem
+      else a.Profile.bytes_in <- a.Profile.bytes_in + elem
   | _ -> ()
 
 (* Called only with [focus_depth > 0]; [elem] is the region's element
@@ -170,13 +194,11 @@ let track_focus_access st ~write mem_id off elem =
              must be copied back *)
           if s land 2 = 0 then (
             Bytes.set_uint8 tr.ft_state off (s lor 2);
-            attribute st tr (fun a ->
-                a.Profile.bytes_out <- a.Profile.bytes_out + elem)))
+            attribute st tr ~write elem))
         else if s = 0 then (
           (* first access is a read: the element must be transferred in *)
           Bytes.set_uint8 tr.ft_state off 1;
-          attribute st tr (fun a ->
-              a.Profile.bytes_in <- a.Profile.bytes_in + elem))
+          attribute st tr ~write elem)
 
 (* Load/store with the region record already fetched: bounds check,
    access counters, byte accounting, and (on the tracking path) the
@@ -464,8 +486,8 @@ module Ir_walk = struct
             st.prof.sfu_ops <- st.prof.sfu_ops + 1;
             st.prof.flops <- st.prof.flops + mflops;
             match (mimpl, args) with
-            | M1 g, a :: _ -> VFloat (g (to_float a))
-            | M2 g, a :: b :: _ -> VFloat (g (to_float a) (to_float b))
+            | M1 g, a :: _ -> VFloat (math1 g (to_float a))
+            | M2 g, a :: b :: _ -> VFloat (math2 g (to_float a) (to_float b))
             | _ -> err "math builtin called with too few arguments")
         | Math_unimpl base -> err "unimplemented math builtin '%s'" base
         | Rand01 -> VFloat (rand01 st)
@@ -677,6 +699,65 @@ let[@inline] vk_st datas offs si v =
   Array.unsafe_set (Array.unsafe_get datas si) (Array.unsafe_get offs si)
     (VFloat v)
 
+(* Bank-tagged register access (see {!Bytecode.reg}).  Each reader
+   applies the walker's conversion for its consumer — [to_float],
+   [to_int], [to_bool] — to a boxed operand and the same conversion's
+   value to a banked one, so banked and boxed operands are
+   indistinguishable except that only boxing allocates. *)
+
+let[@inline] getv regs sf si r =
+  let i = r lsr 2 in
+  match r land 3 with
+  | 0 -> Array.unsafe_get regs i
+  | 1 -> VFloat (Array.unsafe_get sf i)
+  | _ -> VInt (Array.unsafe_get si i)
+
+let[@inline] getf regs sf si r =
+  let i = r lsr 2 in
+  match r land 3 with
+  | 1 -> Array.unsafe_get sf i
+  | 0 -> (
+      match Array.unsafe_get regs i with VFloat f -> f | v -> to_float v)
+  | _ -> float_of_int (Array.unsafe_get si i)
+
+let[@inline] geti regs sf si r =
+  let i = r lsr 2 in
+  match r land 3 with
+  | 2 -> Array.unsafe_get si i
+  | 0 -> ( match Array.unsafe_get regs i with VInt n -> n | v -> to_int v)
+  | _ -> int_of_float (Array.unsafe_get sf i)
+
+let[@inline] getb regs sf si r =
+  let i = r lsr 2 in
+  match r land 3 with
+  | 0 -> to_bool (Array.unsafe_get regs i)
+  | 1 -> Array.unsafe_get sf i <> 0.0
+  | _ -> Array.unsafe_get si i <> 0
+
+(* [Value.is_float] of an operand: the int/float dispatch of the
+   operand-dynamic instructions. *)
+let[@inline] isf regs r =
+  match r land 3 with
+  | 0 -> is_float (Array.unsafe_get regs (r lsr 2))
+  | 1 -> true
+  | _ -> false
+
+(* Write a value into a register of any bank.  The lowering targets a
+   bank only with values its static type proves to be of that kind, so
+   the conversion unboxes without changing the value. *)
+let[@inline] setv regs sf si r v =
+  let i = r lsr 2 in
+  match r land 3 with
+  | 0 -> Array.unsafe_set regs i v
+  | 1 -> Array.unsafe_set sf i (match v with VFloat f -> f | v -> to_float v)
+  | _ -> Array.unsafe_set si i (match v with VInt n -> n | v -> to_int v)
+
+(* Write a kernel's loop index: its slot is typed int, so it lives in
+   the int bank or (when the type is not provable) boxed. *)
+let seti regs si r n =
+  if r land 3 = 2 then Array.unsafe_set si (r lsr 2) n
+  else Array.unsafe_set regs (r lsr 2) (VInt n)
+
 (* Run [count] iterations of a fused kernel micro-program, starting at
    loop index [iv0] with site offsets [offs] (mutated in place).  Only
    the sites in [adv] (nonzero stride) advance.  Pure float/array code:
@@ -707,10 +788,10 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
       | B.ONeg (d, a) -> Array.unsafe_set fregs d (-.Array.unsafe_get fregs a)
       | B.OItoF d -> Array.unsafe_set fregs d (float_of_int !iv)
       | B.OMath1 (d, g, a) ->
-          Array.unsafe_set fregs d (g (Array.unsafe_get fregs a))
+          Array.unsafe_set fregs d (math1 g (Array.unsafe_get fregs a))
       | B.OMath2 (d, g, a, b) ->
           Array.unsafe_set fregs d
-            (g (Array.unsafe_get fregs a) (Array.unsafe_get fregs b))
+            (math2 g (Array.unsafe_get fregs a) (Array.unsafe_get fregs b))
       | B.OLoad (d, si) -> Array.unsafe_set fregs d (vk_ld datas offs si)
       | B.OStore (si, r) -> vk_st datas offs si (Array.unsafe_get fregs r)
       | B.OStoreAdd (si, r) ->
@@ -819,16 +900,16 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
             *. (Array.unsafe_get fregs a *. Array.unsafe_get fregs b))
       | B.OGDiv (d, g, a, q) ->
           Array.unsafe_set fregs d
-            (g (Array.unsafe_get fregs a) /. Array.unsafe_get fregs q)
+            (math1 g (Array.unsafe_get fregs a) /. Array.unsafe_get fregs q)
       | B.ODivG (d, p, g, a) ->
           Array.unsafe_set fregs d
-            (Array.unsafe_get fregs p /. g (Array.unsafe_get fregs a))
+            (Array.unsafe_get fregs p /. math1 g (Array.unsafe_get fregs a))
       | B.OGMul (d, g, a, q) ->
           Array.unsafe_set fregs d
-            (g (Array.unsafe_get fregs a) *. Array.unsafe_get fregs q)
+            (math1 g (Array.unsafe_get fregs a) *. Array.unsafe_get fregs q)
       | B.OMulG (d, p, g, a) ->
           Array.unsafe_set fregs d
-            (Array.unsafe_get fregs p *. g (Array.unsafe_get fregs a))
+            (Array.unsafe_get fregs p *. math1 g (Array.unsafe_get fregs a))
       | B.OAddStore (s, a, b) ->
           vk_st datas offs s
             (Array.unsafe_get fregs a +. Array.unsafe_get fregs b)
@@ -865,14 +946,38 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
     iv := !iv + step
   done
 
+(* A kernel's silent integer expression at loop index [iv]: [ISlot]
+   reads the slot's register ([to_int] semantics; a float or non-numeric
+   slot is unfit). *)
+let rec kieval slots fr ib iv (ie : Resolve.iexpr) =
+  match ie with
+  | Resolve.ILit n -> n
+  | Resolve.IIdx -> iv
+  | Resolve.ISlot i -> (
+      let r = Array.unsafe_get slots i in
+      match r land 3 with
+      | 2 -> Array.unsafe_get ib (r lsr 2)
+      | 0 -> (
+          match Array.unsafe_get fr (r lsr 2) with
+          | VInt n -> n
+          | VBool b -> if b then 1 else 0
+          | VFloat _ | VUnit | VPtr _ -> raise Kernel_unfit)
+      | _ -> raise Kernel_unfit)
+  | Resolve.IAdd (a, b) -> kieval slots fr ib iv a + kieval slots fr ib iv b
+  | Resolve.ISub (a, b) -> kieval slots fr ib iv a - kieval slots fr ib iv b
+  | Resolve.IMul (a, b) -> kieval slots fr ib iv a * kieval slots fr ib iv b
+  | Resolve.INeg a -> -kieval slots fr ib iv a
+
 (* Specialized-kernel execution for the VM.  The entry protocol checks
    every precondition and aborts with [Kernel_unfit] strictly before any
    state mutation; the committed body charges the whole loop in bulk and
    runs the fused micro-program.  The focus-tracking path needs
    per-access hooks in generic order, so it runs the original kinstr
-   body instead. *)
-let vkernel st ~track fr lidx (kp : B.kprog) =
+   body instead.  [fr], [fb] and [ib] are the frame's boxed, float and
+   int banks ([fr] is [garray] in the globals block). *)
+let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
   let k = kp.B.kp_kern in
+  let slots = kp.B.kp_slots in
   let iter_cost = Profile.Cost.loop_iter +. Profile.Cost.int_op in
   let per_iter =
     k.Resolve.k_bcost +. iter_cost +. k.Resolve.k_gcost
@@ -884,20 +989,7 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
   let loads_per_iter = Array.fold_left ( + ) 0 k.Resolve.k_site_loads in
   let stores_per_iter = Array.fold_left ( + ) 0 k.Resolve.k_site_stores in
   let fuel_per_iter = 1 + k.Resolve.k_nstmts in
-  let rec ieval iv (ie : Resolve.iexpr) =
-    match ie with
-    | Resolve.ILit n -> n
-    | Resolve.IIdx -> iv
-    | Resolve.ISlot i -> (
-        match Array.unsafe_get fr i with
-        | VInt n -> n
-        | VBool b -> if b then 1 else 0
-        | VFloat _ | VUnit | VPtr _ -> raise Kernel_unfit)
-    | Resolve.IAdd (a, b) -> ieval iv a + ieval iv b
-    | Resolve.ISub (a, b) -> ieval iv a - ieval iv b
-    | Resolve.IMul (a, b) -> ieval iv a * ieval iv b
-    | Resolve.INeg a -> -ieval iv a
-  in
+  let ieval iv ie = kieval slots fr ib iv ie in
   let i0 = ieval 0 k.Resolve.k_init in
   let b = ieval 0 k.Resolve.k_bound in
   let s = ieval 0 k.Resolve.k_step in
@@ -919,7 +1011,7 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
     charge st (k.Resolve.k_icost +. k.Resolve.k_bcost);
     st.prof.int_ops <-
       st.prof.int_ops + k.Resolve.k_init_int_ops + k.Resolve.k_bound_int_ops;
-    Array.unsafe_set fr k.Resolve.k_idx_slot (VInt i0);
+    seti fr ib slots.(k.Resolve.k_idx_slot) i0;
     stat.min_trip <- min stat.min_trip 0;
     stat.max_trip <- max stat.max_trip 0;
     stat.cycles <- stat.cycles +. (cycles st -. t0))
@@ -932,7 +1024,10 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
     let bytes_r = ref 0 and bytes_w = ref 0 in
     for si = 0 to nsites - 1 do
       let site = k.Resolve.k_sites.(si) in
-      match Array.unsafe_get fr site.Resolve.ks_base with
+      let base = slots.(site.Resolve.ks_base) in
+      match
+        if base land 3 = 0 then Array.unsafe_get fr (base lsr 2) else VUnit
+      with
       | VPtr p ->
           if p.mem_id < 0 || p.mem_id >= st.mem.Memory.next_id then
             raise Kernel_unfit;
@@ -961,14 +1056,21 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
       | _ -> raise Kernel_unfit
     done;
     let fregs = Array.make (max 1 k.Resolve.k_nfregs) 0.0 in
-    Array.iter
-      (fun (slot, reg) ->
-        match Array.unsafe_get fr slot with
-        | VFloat f -> Array.unsafe_set fregs reg f
-        | VInt n -> Array.unsafe_set fregs reg (float_of_int n)
-        | VBool b -> Array.unsafe_set fregs reg (if b then 1.0 else 0.0)
-        | VUnit | VPtr _ -> raise Kernel_unfit)
-      k.Resolve.k_in;
+    for j = 0 to Array.length kp.B.kp_fin - 1 do
+      let i, reg = Array.unsafe_get kp.B.kp_fin j in
+      Array.unsafe_set fregs reg (Array.unsafe_get fb i)
+    done;
+    for j = 0 to Array.length kp.B.kp_vin - 1 do
+      let r, reg = Array.unsafe_get kp.B.kp_vin j in
+      Array.unsafe_set fregs reg
+        (if r land 3 = 2 then float_of_int (Array.unsafe_get ib (r lsr 2))
+         else
+           match Array.unsafe_get fr (r lsr 2) with
+           | VFloat f -> f
+           | VInt n -> float_of_int n
+           | VBool b -> if b then 1.0 else 0.0
+           | VUnit | VPtr _ -> raise Kernel_unfit)
+    done;
     (* ---- committed: bulk accounting — execution below moves no
        observable ---- *)
     st.fuel <- st.fuel - fuel_used;
@@ -1036,10 +1138,10 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
               Array.unsafe_set fregs d (-.Array.unsafe_get fregs a)
           | Resolve.KItoF d -> Array.unsafe_set fregs d (float_of_int !iv)
           | Resolve.KMath1 (d, g, a) ->
-              Array.unsafe_set fregs d (g (Array.unsafe_get fregs a))
+              Array.unsafe_set fregs d (math1 g (Array.unsafe_get fregs a))
           | Resolve.KMath2 (d, g, a, b) ->
               Array.unsafe_set fregs d
-                (g (Array.unsafe_get fregs a) (Array.unsafe_get fregs b))
+                (math2 g (Array.unsafe_get fregs a) (Array.unsafe_get fregs b))
           | Resolve.KLoad (d, si) ->
               let off = Array.unsafe_get offs si in
               (match Array.unsafe_get (Array.unsafe_get datas si) off with
@@ -1066,12 +1168,14 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
       done)
     else (
       (* fused micro-program: entry banks first, then the iterations *)
-      Array.iter
-        (fun (d, x) -> Array.unsafe_set fregs d x)
-        kp.B.kp_lits;
-      Array.iter
-        (fun (d, si) -> Array.unsafe_set fregs d (vk_ld datas offs si))
-        kp.B.kp_prefetch;
+      for j = 0 to Array.length kp.B.kp_lits - 1 do
+        let d, x = Array.unsafe_get kp.B.kp_lits j in
+        Array.unsafe_set fregs d x
+      done;
+      for j = 0 to Array.length kp.B.kp_prefetch - 1 do
+        let d, si = Array.unsafe_get kp.B.kp_prefetch j in
+        Array.unsafe_set fregs d (vk_ld datas offs si)
+      done;
       let nadv = ref 0 in
       for si = 0 to nsites - 1 do
         if deltas.(si) <> 0 then incr nadv
@@ -1085,19 +1189,91 @@ let vkernel st ~track fr lidx (kp : B.kprog) =
       done;
       vkern_iters kp.B.kp_ops fregs datas offs deltas adv ~iv0:i0 ~step:s
         ~count:n);
-    Array.iter
-      (fun (slot, reg) ->
-        Array.unsafe_set fr slot (VFloat (Array.unsafe_get fregs reg)))
-      k.Resolve.k_out;
-    Array.unsafe_set fr k.Resolve.k_idx_slot (VInt (i0 + (n * s)));
+    for j = 0 to Array.length kp.B.kp_fout - 1 do
+      let i, reg = Array.unsafe_get kp.B.kp_fout j in
+      Array.unsafe_set fb i (Array.unsafe_get fregs reg)
+    done;
+    for j = 0 to Array.length kp.B.kp_bout - 1 do
+      let i, reg = Array.unsafe_get kp.B.kp_bout j in
+      Array.unsafe_set fr i (VFloat (Array.unsafe_get fregs reg))
+    done;
+    seti fr ib slots.(k.Resolve.k_idx_slot) (i0 + (n * s));
     stat.min_trip <- min stat.min_trip n;
     stat.max_trip <- max stat.max_trip n;
     stat.cycles <- stat.cycles +. (cycles st -. t0))
 
+(* {!do_mod}, {!do_cmp} and {!coerce} over bank-tagged operands, with
+   the same counter bumps, conversions and errors: a modulo of int-bank
+   operands, a typed comparison and a store of a banked value box
+   nothing.  The other operand-dynamic instructions box a banked
+   operand and call the walker's helper. *)
+
+let mod_o st regs sf si a b =
+  if isf regs a || isf regs b then st.prof.flops <- st.prof.flops + 1
+  else st.prof.int_ops <- st.prof.int_ops + 1;
+  let d = geti regs sf si b in
+  if d = 0 then err "integer modulo by zero";
+  geti regs sf si a mod d
+
+let cmp_o regs sf si op kind a b =
+  let open Minic.Ast in
+  let fl =
+    match kind with
+    | B.KDyn -> isf regs a || isf regs b
+    | B.KFlt -> true
+    | B.KInt -> false
+  in
+  if fl then
+    let x = getf regs sf si a and y = getf regs sf si b in
+    match op with
+    | Lt -> x < y
+    | Le -> x <= y
+    | Gt -> x > y
+    | Ge -> x >= y
+    | Eq -> x = y
+    | Ne -> x <> y
+    | _ -> assert false
+  else
+    let x = geti regs sf si a and y = geti regs sf si b in
+    match op with
+    | Lt -> x < y
+    | Le -> x <= y
+    | Gt -> x > y
+    | Ge -> x >= y
+    | Eq -> x = y
+    | Ne -> x <> y
+    | _ -> assert false
+
+let coerce_o typ regs sf si src =
+  match typ with
+  | Minic.Ast.Tint -> VInt (geti regs sf si src)
+  | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> VFloat (getf regs sf si src)
+  | Minic.Ast.Tbool -> vbool (getb regs sf si src)
+  | _ -> getv regs sf si src
+
+(* Move register [s] of one frame into register [d] of another (or the
+   same) frame, converting across banks. *)
+let[@inline] xmov dregs dsf dsi d sregs ssf ssi s =
+  match d land 3 with
+  | 1 -> Array.unsafe_set dsf (d lsr 2) (getf sregs ssf ssi s)
+  | 2 -> Array.unsafe_set dsi (d lsr 2) (geti sregs ssf ssi s)
+  | _ -> Array.unsafe_set dregs (d lsr 2) (getv sregs ssf ssi s)
+
+(* A fresh frame for [fn]: its three banks with their constants. *)
+let new_frame (fn : B.fn) =
+  let regs = Array.make fn.B.bc_nregs VUnit in
+  Array.blit fn.B.bc_cvals 0 regs fn.B.bc_cbase (Array.length fn.B.bc_cvals);
+  let sf = Array.make fn.B.bc_nsf 0.0 in
+  Array.blit fn.B.bc_fcvals 0 sf fn.B.bc_fcbase (Array.length fn.B.bc_fcvals);
+  let si = Array.make fn.B.bc_nsi 0 in
+  Array.blit fn.B.bc_icvals 0 si fn.B.bc_icbase (Array.length fn.B.bc_icvals);
+  (regs, sf, si)
+
 (* VM driver: a flat tail-recursive dispatch loop over the instruction
-   array.  Every arm replays the reference walker's charges, counter
-   bumps, fuel spends and error points for the matching IR node — the
-   test suite asserts fingerprint identity against {!run_ir}. *)
+   array, over one frame's boxed bank [regs], float bank [sf] and int
+   bank [si].  Every arm replays the reference walker's charges,
+   counter bumps, fuel spends and error points for the matching IR node
+   — the test suite asserts fingerprint identity against {!run_ir}. *)
 
 let vset_slot st regs (slot : Resolve.var_ref) v =
   match slot with
@@ -1112,7 +1288,7 @@ let vget_slot st regs (slot : Resolve.var_ref) =
   | Resolve.Unbound n -> err "undefined variable '%s'" n
 
 let rec vrun st (bp : B.program) ~track (code : B.instr array)
-    (regs : Value.t array) (si : int array) (sf : float array) : Value.t =
+    (regs : Value.t array) (sf : float array) (si : int array) : Value.t =
   let load_at = if track then load_r_tracked else load_r in
   let store_at = if track then store_r_tracked else store_r in
   let rec go pc =
@@ -1125,226 +1301,209 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
         go (pc + 1)
     | B.IJmp t -> go t
     | B.IJmpFalse (src, tgt) ->
-        if to_bool (Array.unsafe_get regs src) then go (pc + 1) else go tgt
+        if getb regs sf si src then go (pc + 1) else go tgt
     | B.IBrCmp { op; kind; a; b; tgt } ->
-        let va = Array.unsafe_get regs a and vb = Array.unsafe_get regs b in
-        let fl =
-          match kind with
-          | B.KDyn -> is_float va || is_float vb
-          | B.KFlt -> true
-          | B.KInt -> false
-        in
-        if do_cmp op fl va vb then go (pc + 1) else go tgt
+        if cmp_o regs sf si op kind a b then go (pc + 1) else go tgt
     | B.IMov (d, a) ->
-        Array.unsafe_set regs d (Array.unsafe_get regs a);
+        xmov regs sf si d regs sf si a;
         go (pc + 1)
     | B.IGetG (d, g) ->
-        Array.unsafe_set regs d (Array.unsafe_get st.garray g);
+        setv regs sf si d (Array.unsafe_get st.garray g);
         go (pc + 1)
     | B.ISetG (g, src) ->
-        Array.unsafe_set st.garray g (Array.unsafe_get regs src);
+        Array.unsafe_set st.garray g (getv regs sf si src);
         go (pc + 1)
     | B.IErrVar n -> err "undefined variable '%s'" n
     | B.IErrMsg m -> raise (Value.Runtime_error m)
     | B.IFailHd -> raise (Failure "hd")
     | B.INeg (d, a) ->
-        (match Array.unsafe_get regs a with
-        | VInt n -> Array.unsafe_set regs d (VInt (-n))
+        (match getv regs sf si a with
+        | VInt n -> Array.unsafe_set regs (d lsr 2) (VInt (-n))
         | VFloat f ->
             st.prof.flops <- st.prof.flops + 1;
-            Array.unsafe_set regs d (VFloat (-.f))
+            Array.unsafe_set regs (d lsr 2) (VFloat (-.f))
         | _ -> err "negation of a non-numeric value");
         go (pc + 1)
+    | B.INegF (d, a) ->
+        st.prof.flops <- st.prof.flops + 1;
+        Array.unsafe_set sf (d lsr 2) (-.getf regs sf si a);
+        go (pc + 1)
+    | B.INegI (d, a) ->
+        Array.unsafe_set si (d lsr 2) (-geti regs sf si a);
+        go (pc + 1)
     | B.INot (d, a) ->
-        Array.unsafe_set regs d
-          (vbool (not (to_bool (Array.unsafe_get regs a))));
+        Array.unsafe_set regs (d lsr 2) (vbool (not (getb regs sf si a)));
         go (pc + 1)
     | B.IArith { op; fresid; d; a; b } ->
-        Array.unsafe_set regs d
-          (do_arith st op fresid (Array.unsafe_get regs a)
-             (Array.unsafe_get regs b));
+        Array.unsafe_set regs (d lsr 2)
+          (do_arith st op fresid (getv regs sf si a) (getv regs sf si b));
         go (pc + 1)
     | B.IArithF { op; fresid; d; a; b } ->
-        let va = Array.unsafe_get regs a and vb = Array.unsafe_get regs b in
+        let x = getf regs sf si a and y = getf regs sf si b in
         if fresid <> 0.0 then charge st fresid;
         st.prof.flops <- st.prof.flops + 1;
-        Array.unsafe_set regs d
+        Array.unsafe_set sf (d lsr 2)
           (match op with
-          | Minic.Ast.Add -> VFloat (to_float va +. to_float vb)
-          | Minic.Ast.Sub -> VFloat (to_float va -. to_float vb)
-          | Minic.Ast.Mul -> VFloat (to_float va *. to_float vb)
+          | Minic.Ast.Add -> x +. y
+          | Minic.Ast.Sub -> x -. y
+          | Minic.Ast.Mul -> x *. y
           | _ -> assert false);
         go (pc + 1)
     | B.IArithI { op; d; a; b } ->
-        let va = Array.unsafe_get regs a and vb = Array.unsafe_get regs b in
+        let x = geti regs sf si a and y = geti regs sf si b in
         st.prof.int_ops <- st.prof.int_ops + 1;
-        Array.unsafe_set regs d
+        Array.unsafe_set si (d lsr 2)
           (match op with
-          | Minic.Ast.Add -> VInt (to_int va + to_int vb)
-          | Minic.Ast.Sub -> VInt (to_int va - to_int vb)
-          | Minic.Ast.Mul -> VInt (to_int va * to_int vb)
+          | Minic.Ast.Add -> x + y
+          | Minic.Ast.Sub -> x - y
+          | Minic.Ast.Mul -> x * y
           | _ -> assert false);
         go (pc + 1)
     | B.IDiv (d, a, b) ->
-        Array.unsafe_set regs d
-          (do_div st (Array.unsafe_get regs a) (Array.unsafe_get regs b));
+        Array.unsafe_set regs (d lsr 2)
+          (do_div st (getv regs sf si a) (getv regs sf si b));
         go (pc + 1)
     | B.IDivF (d, a, b) ->
-        let va = Array.unsafe_get regs a and vb = Array.unsafe_get regs b in
+        let x = getf regs sf si a and y = getf regs sf si b in
         charge st Profile.Cost.float_div;
         st.prof.flops <- st.prof.flops + 1;
-        Array.unsafe_set regs d (VFloat (to_float va /. to_float vb));
+        Array.unsafe_set sf (d lsr 2) (x /. y);
         go (pc + 1)
     | B.IDivI (d, a, b) ->
-        let va = Array.unsafe_get regs a and vb = Array.unsafe_get regs b in
         charge st Profile.Cost.int_op;
         st.prof.int_ops <- st.prof.int_ops + 1;
-        let dv = to_int vb in
+        let dv = geti regs sf si b in
         if dv = 0 then err "integer division by zero";
-        Array.unsafe_set regs d (VInt (to_int va / dv));
+        Array.unsafe_set si (d lsr 2) (geti regs sf si a / dv);
         go (pc + 1)
     | B.IMod (d, a, b) ->
-        Array.unsafe_set regs d
-          (do_mod st (Array.unsafe_get regs a) (Array.unsafe_get regs b));
+        Array.unsafe_set si (d lsr 2) (mod_o st regs sf si a b);
         go (pc + 1)
     | B.ICmp { op; kind; d; a; b } ->
-        let va = Array.unsafe_get regs a and vb = Array.unsafe_get regs b in
-        let fl =
-          match kind with
-          | B.KDyn -> is_float va || is_float vb
-          | B.KFlt -> true
-          | B.KInt -> false
-        in
-        Array.unsafe_set regs d (vbool (do_cmp op fl va vb));
+        Array.unsafe_set regs (d lsr 2) (vbool (cmp_o regs sf si op kind a b));
         go (pc + 1)
     | B.ICastI (d, a) ->
-        Array.unsafe_set regs d (VInt (to_int (Array.unsafe_get regs a)));
+        Array.unsafe_set si (d lsr 2) (geti regs sf si a);
         go (pc + 1)
     | B.ICastF (d, a) ->
-        Array.unsafe_set regs d (VFloat (to_float (Array.unsafe_get regs a)));
+        Array.unsafe_set sf (d lsr 2) (getf regs sf si a);
         go (pc + 1)
     | B.ICastB (d, a) ->
-        Array.unsafe_set regs d (vbool (to_bool (Array.unsafe_get regs a)));
+        Array.unsafe_set regs (d lsr 2) (vbool (getb regs sf si a));
         go (pc + 1)
     | B.IIndex { d; a; i } ->
-        let p = to_ptr (Array.unsafe_get regs a) in
-        let ii = to_int (Array.unsafe_get regs i) in
-        Array.unsafe_set regs d
+        let p = to_ptr (getv regs sf si a) in
+        let ii = geti regs sf si i in
+        setv regs sf si d
           (load_at st (Memory.region st.mem p.mem_id) (p.off + ii));
         go (pc + 1)
     | B.IAndTest { d; src; bcost; tgt } ->
-        if to_bool (Array.unsafe_get regs src) then (
+        if getb regs sf si src then (
           charge st bcost;
           go (pc + 1))
         else (
-          Array.unsafe_set regs d vfalse;
+          Array.unsafe_set regs (d lsr 2) vfalse;
           go tgt)
     | B.IOrTest { d; src; bcost; tgt } ->
-        if to_bool (Array.unsafe_get regs src) then (
-          Array.unsafe_set regs d vtrue;
+        if getb regs sf si src then (
+          Array.unsafe_set regs (d lsr 2) vtrue;
           go tgt)
         else (
           charge st bcost;
           go (pc + 1))
     | B.ICallUser { d; fidx; args } ->
-        Array.unsafe_set regs d (vcall st bp ~track fidx args regs);
+        setv regs sf si d (vcall st bp ~track fidx args regs sf si);
         go (pc + 1)
     | B.IMath1 { d; g; mflops; a } ->
-        let v = Array.unsafe_get regs a in
+        let x = getf regs sf si a in
         st.prof.sfu_ops <- st.prof.sfu_ops + 1;
         st.prof.flops <- st.prof.flops + mflops;
-        Array.unsafe_set regs d (VFloat (g (to_float v)));
+        Array.unsafe_set sf (d lsr 2) (math1 g x);
         go (pc + 1)
     | B.IMath2 { d; g; mflops; a; b } ->
-        let va = Array.unsafe_get regs a and vb = Array.unsafe_get regs b in
+        let x = getf regs sf si a and y = getf regs sf si b in
         st.prof.sfu_ops <- st.prof.sfu_ops + 1;
         st.prof.flops <- st.prof.flops + mflops;
-        Array.unsafe_set regs d (VFloat (g (to_float va) (to_float vb)));
+        Array.unsafe_set sf (d lsr 2) (math2 g x y);
         go (pc + 1)
     | B.IMathGen { d; mimpl; mflops; args } ->
         st.prof.sfu_ops <- st.prof.sfu_ops + 1;
         st.prof.flops <- st.prof.flops + mflops;
         (match (mimpl, Array.length args) with
         | Resolve.M1 g, n when n >= 1 ->
-            Array.unsafe_set regs d
-              (VFloat (g (to_float (Array.unsafe_get regs args.(0)))))
+            Array.unsafe_set sf (d lsr 2) (math1 g (getf regs sf si args.(0)))
         | Resolve.M2 g, n when n >= 2 ->
-            Array.unsafe_set regs d
-              (VFloat
-                 (g
-                    (to_float (Array.unsafe_get regs args.(0)))
-                    (to_float (Array.unsafe_get regs args.(1)))))
+            Array.unsafe_set sf (d lsr 2)
+              (math2 g (getf regs sf si args.(0)) (getf regs sf si args.(1)))
         | _ -> err "math builtin called with too few arguments");
         go (pc + 1)
     | B.IRand01 d ->
-        Array.unsafe_set regs d (VFloat (rand01 st));
+        Array.unsafe_set sf (d lsr 2) (rand01 st);
         go (pc + 1)
     | B.IRandInt (d, a) ->
-        Array.unsafe_set regs d
-          (VInt (rand_int st (to_int (Array.unsafe_get regs a))));
+        Array.unsafe_set si (d lsr 2) (rand_int st (geti regs sf si a));
         go (pc + 1)
     | B.IPrintInt src ->
-        Buffer.add_string st.out
-          (string_of_int (to_int (Array.unsafe_get regs src)) ^ "\n");
+        Buffer.add_string st.out (string_of_int (geti regs sf si src) ^ "\n");
         go (pc + 1)
     | B.IPrintFloat src ->
         Buffer.add_string st.out
-          (Printf.sprintf "%.6g\n" (to_float (Array.unsafe_get regs src)));
+          (Printf.sprintf "%.6g\n" (getf regs sf si src));
         go (pc + 1)
     | B.ITimerStart src ->
-        let v = Array.unsafe_get regs src in
+        let n = geti regs sf si src in
         sync_cycles st;
-        Profile.timer_start st.prof (to_int v);
+        Profile.timer_start st.prof n;
         go (pc + 1)
     | B.ITimerStop src ->
-        let v = Array.unsafe_get regs src in
+        let n = geti regs sf si src in
         sync_cycles st;
-        Profile.timer_stop st.prof (to_int v);
+        Profile.timer_stop st.prof n;
         go (pc + 1)
     | B.IAlloc { d; typ; name; src } ->
-        let n = to_int (Array.unsafe_get regs src) in
-        Array.unsafe_set regs d (Memory.alloc st.mem ~name ~elem_typ:typ n);
+        let n = geti regs sf si src in
+        Array.unsafe_set regs (d lsr 2) (Memory.alloc st.mem ~name ~elem_typ:typ n);
         go (pc + 1)
     | B.IApplyAssign { d; aop; old; rhs } ->
-        Array.unsafe_set regs d
-          (apply_assign st aop (Array.unsafe_get regs old)
-             (Array.unsafe_get regs rhs));
+        Array.unsafe_set regs (d lsr 2)
+          (apply_assign st aop
+             (Array.unsafe_get regs (old lsr 2))
+             (getv regs sf si rhs));
         go (pc + 1)
     | B.IStore { arr; idx; src } ->
-        let rhs = Array.unsafe_get regs src in
-        let p = to_ptr (Array.unsafe_get regs arr) in
-        let i = to_int (Array.unsafe_get regs idx) in
+        let p = to_ptr (getv regs sf si arr) in
+        let i = geti regs sf si idx in
         let r = Memory.region st.mem p.mem_id in
-        store_at st r (p.off + i) (coerce r.elem_typ rhs);
+        store_at st r (p.off + i) (coerce_o r.elem_typ regs sf si src);
         go (pc + 1)
     | B.IStoreOp { aop; arr; idx; src } ->
-        let rhs = Array.unsafe_get regs src in
-        let p = to_ptr (Array.unsafe_get regs arr) in
-        let i = to_int (Array.unsafe_get regs idx) in
+        let p = to_ptr (getv regs sf si arr) in
+        let i = geti regs sf si idx in
         let r = Memory.region st.mem p.mem_id in
         let off = p.off + i in
-        let v = apply_assign st aop (load_at st r off) rhs in
+        let v = apply_assign st aop (load_at st r off) (getv regs sf si src) in
         store_at st r off v;
         go (pc + 1)
-    | B.IRet src -> Array.unsafe_get regs src
-    | B.IRetRaise src -> raise (Return_exc (Array.unsafe_get regs src))
+    | B.IRet src -> getv regs sf si src
+    | B.IRetRaise src -> raise (Return_exc (getv regs sf si src))
     | B.ILoopEnterW { lidx; sid; t0; trips } ->
         let stat = cached_loop_stat st lidx sid in
         stat.invocations <- stat.invocations + 1;
-        Array.unsafe_set sf t0 (cycles st);
-        Array.unsafe_set si trips 0;
+        Array.unsafe_set sf (t0 lsr 2) (cycles st);
+        Array.unsafe_set si (trips lsr 2) 0;
         charge st Profile.Cost.branch;
         go (pc + 1)
     | B.ILoopEnterF { lidx; sid; t0; trips; icost } ->
         let stat = cached_loop_stat st lidx sid in
         stat.invocations <- stat.invocations + 1;
-        Array.unsafe_set sf t0 (cycles st);
+        Array.unsafe_set sf (t0 lsr 2) (cycles st);
         charge st icost;
-        Array.unsafe_set si trips 0;
+        Array.unsafe_set si (trips lsr 2) 0;
         go (pc + 1)
     | B.IWhileIter { src; lidx; sid; trips; tgt } ->
-        if to_bool (Array.unsafe_get regs src) then (
-          Array.unsafe_set si trips (Array.unsafe_get si trips + 1);
+        if getb regs sf si src then (
+          let t = trips lsr 2 in
+          Array.unsafe_set si t (Array.unsafe_get si t + 1);
           let stat = cached_loop_stat st lidx sid in
           stat.iterations <- stat.iterations + 1;
           spend_fuel st;
@@ -1352,61 +1511,83 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
           go (pc + 1))
         else go tgt
     | B.IForInit { slot; src } ->
-        vset_slot st regs slot (VInt (to_int (Array.unsafe_get regs src)));
+        vset_slot st regs slot (VInt (geti regs sf si src));
         go (pc + 1)
-    | B.IForTest { slot; bound; inclusive; lidx; sid; trips; tgt } ->
-        let b = to_int (Array.unsafe_get regs bound) in
+    | B.IForTest { slot; cost; bound; inclusive; lidx; sid; trips; tgt } ->
+        if cost <> 0.0 then charge st cost;
+        let b = geti regs sf si bound in
         let i = to_int (vget_slot st regs slot) in
         if if inclusive then i <= b else i < b then (
-          Array.unsafe_set si trips (Array.unsafe_get si trips + 1);
+          let t = trips lsr 2 in
+          Array.unsafe_set si t (Array.unsafe_get si t + 1);
           let stat = cached_loop_stat st lidx sid in
           stat.iterations <- stat.iterations + 1;
           spend_fuel st;
           charge st for_iter_cost;
           go (pc + 1))
         else go tgt
-    | B.IForStep { slot; src } ->
-        let stepv = to_int (Array.unsafe_get regs src) in
+    | B.IForStep { slot; src; tgt } ->
+        let stepv = geti regs sf si src in
         vset_slot st regs slot
           (VInt (to_int (vget_slot st regs slot) + stepv));
+        go tgt
+    | B.IForInitI { slot; src } ->
+        Array.unsafe_set si (slot lsr 2) (geti regs sf si src);
         go (pc + 1)
+    | B.IForTestI { slot; cost; bound; inclusive; lidx; sid; trips; tgt } ->
+        if cost <> 0.0 then charge st cost;
+        let b = geti regs sf si bound in
+        let i = Array.unsafe_get si (slot lsr 2) in
+        if if inclusive then i <= b else i < b then (
+          let t = trips lsr 2 in
+          Array.unsafe_set si t (Array.unsafe_get si t + 1);
+          let stat = cached_loop_stat st lidx sid in
+          stat.iterations <- stat.iterations + 1;
+          spend_fuel st;
+          charge st for_iter_cost;
+          go (pc + 1))
+        else go tgt
+    | B.IForStepI { slot; src; tgt } ->
+        let stepv = geti regs sf si src in
+        let s = slot lsr 2 in
+        Array.unsafe_set si s (Array.unsafe_get si s + stepv);
+        go tgt
     | B.ILoopExit { lidx; sid; t0; trips } ->
         let stat = cached_loop_stat st lidx sid in
-        let tr = Array.unsafe_get si trips in
+        let tr = Array.unsafe_get si (trips lsr 2) in
         stat.min_trip <- min stat.min_trip tr;
         stat.max_trip <- max stat.max_trip tr;
-        stat.cycles <- stat.cycles +. (cycles st -. Array.unsafe_get sf t0);
+        stat.cycles <-
+          stat.cycles +. (cycles st -. Array.unsafe_get sf (t0 lsr 2));
         go (pc + 1)
     | B.IKernel { glob; lidx; kp; tgt } -> (
         let fr = if glob then st.garray else regs in
-        match vkernel st ~track fr lidx kp with
+        match vkernel st ~track fr sf si lidx kp with
         | () -> go tgt
         | exception Kernel_unfit -> go (pc + 1))
   in
   go 0
 
+(* A user call: arguments move from the caller's registers into the
+   callee's parameter registers, boxing or unboxing only across
+   banks. *)
 and vcall st (bp : B.program) ~track fidx (argr : int array)
-    (caller : Value.t array) : Value.t =
+    (cregs : Value.t array) (csf : float array) (csi : int array) : Value.t =
   let f = st.cprog.cfuncs.(fidx) in
   let fn = bp.B.bc_funcs.(fidx) in
-  let regs = Array.make fn.B.bc_nregs VUnit in
-  Array.blit fn.B.bc_cvals 0 regs fn.B.bc_cbase (Array.length fn.B.bc_cvals);
+  let regs, sf, si = new_frame fn in
   Array.iteri
     (fun i r ->
-      Array.unsafe_set regs
-        (Array.unsafe_get f.Resolve.cf_param_slots i)
-        (Array.unsafe_get caller r))
+      xmov regs sf si (Array.unsafe_get fn.B.bc_params i) cregs csf csi r)
     argr;
-  let si = Array.make (max 1 fn.B.bc_nsi) 0 in
-  let sf = Array.make (max 1 fn.B.bc_nsf) 0.0 in
-  if not track then vrun st bp ~track fn.B.bc_code regs si sf
+  if not track then vrun st bp ~track fn.B.bc_code regs sf si
   else begin
     let is_focus = fidx = st.focus_idx && st.focus_depth = 0 in
     if is_focus then
       enter_focus st f
-        (Array.to_list (Array.map (fun r -> caller.(r)) argr));
+        (Array.to_list (Array.map (getv cregs csf csi) argr));
     let snapshot = counters_snapshot st in
-    let result = vrun st bp ~track fn.B.bc_code regs si sf in
+    let result = vrun st bp ~track fn.B.bc_code regs sf si in
     if is_focus then exit_focus st snapshot;
     result
   end
@@ -1419,14 +1600,11 @@ let vcall_main st (bp : B.program) ~track idx : Value.t =
   if List.length f.Resolve.cf_params <> 0 then
     err "call to '%s' with wrong arity" f.Resolve.cf_name;
   let fn = bp.B.bc_funcs.(idx) in
-  let regs = Array.make fn.B.bc_nregs VUnit in
-  Array.blit fn.B.bc_cvals 0 regs fn.B.bc_cbase (Array.length fn.B.bc_cvals);
-  let si = Array.make (max 1 fn.B.bc_nsi) 0 in
-  let sf = Array.make (max 1 fn.B.bc_nsf) 0.0 in
+  let regs, sf, si = new_frame fn in
   let is_focus = idx = st.focus_idx && st.focus_depth = 0 in
   if is_focus then enter_focus st f [];
   let snapshot = counters_snapshot st in
-  let result = vrun st bp ~track fn.B.bc_code regs si sf in
+  let result = vrun st bp ~track fn.B.bc_code regs sf si in
   if is_focus then exit_focus st snapshot;
   result
 
@@ -1496,12 +1674,8 @@ let run_vm ?focus ?(fuel = 200_000_000) (c : compiled) : run =
   (* globals evaluate in the global frame; a stray [return] there
      escapes as [Return_exc], exactly like the reference walker *)
   let g = bp.Bytecode.bc_globals in
-  let gregs = Array.make g.Bytecode.bc_nregs VUnit in
-  Array.blit g.Bytecode.bc_cvals 0 gregs g.Bytecode.bc_cbase
-    (Array.length g.Bytecode.bc_cvals);
-  let gsi = Array.make (max 1 g.Bytecode.bc_nsi) 0 in
-  let gsf = Array.make (max 1 g.Bytecode.bc_nsf) 0.0 in
-  ignore (vrun st bp ~track g.Bytecode.bc_code gregs gsi gsf);
+  let gregs, gsf, gsi = new_frame g in
+  ignore (vrun st bp ~track g.Bytecode.bc_code gregs gsf gsi);
   if c.cp.main_idx < 0 then err "program has no 'main' function";
   charge st Profile.Cost.call;
   let return_value = vcall_main st bp ~track c.cp.main_idx in

@@ -7,8 +7,10 @@
 
     Programs are slot-compiled (see {!Resolve}), optimized (see {!Opt})
     and lowered to a {e flat register-bytecode VM} (see {!Bytecode} and
-    DESIGN.md §14) — dense instruction arrays over an integer-register
-    frame, with superinstructions inside every specialized loop kernel.
+    DESIGN.md §14) — dense instruction arrays over frames of three
+    register banks (boxed values, unboxed floats, ints; a slot whose
+    static type is float or int lives unboxed), with superinstructions
+    inside every specialized loop kernel.
     The VM is the one production engine and runs on the calling
     domain.
 

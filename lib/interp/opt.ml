@@ -179,9 +179,12 @@ let rec iter_stmts f (b : R.block) =
         g.gstmts)
     b
 
-(* One fixpoint over the whole program: slot writes join value types,
-   user call sites join argument types into callee parameter slots
-   (parameter binding does not coerce). *)
+(** One fixpoint over the whole program: slot writes join value types,
+    user call sites join argument types into callee parameter slots
+    (parameter binding does not coerce).  The strength-reduction and
+    kernel passes below consume it, and so does the register-bank
+    assignment of {!Bytecode}: a slot typed [TFloat] ([TInt]) is only
+    ever written a [VFloat] ([VInt]). *)
 let type_program (cp : R.t) : tenv =
   let env =
     {
@@ -257,8 +260,61 @@ let type_program (cp : R.t) : tenv =
   done;
   env
 
-(* ------------------------------------------------------------------ *)
-(* Shared rewriting plumbing                                           *)
+module IS = Set.Make (Int)
+
+(** [read_before_write f] marks every local slot of [f] that some read
+    may reach before any write to it on the same path: such a read sees
+    the frame's initial [VUnit], which the slot's type (a join over
+    writes only) does not describe.  The type checker does not rule this
+    out (a declaration stays visible after its block), so the bank
+    assignment keeps these slots boxed.  Conservative: [return] does not
+    end a path, and a loop body may run zero times. *)
+let read_before_write (f : R.cfunc) : bool array =
+  let bad = Array.make (max 1 f.cf_nslots) false in
+  let reads da e =
+    iter_expr
+      (fun (e : R.expr) ->
+        match e.e with
+        | R.EVar (R.Local i) when not (IS.mem i da) -> bad.(i) <- true
+        | _ -> ())
+      e
+  in
+  let write da = function R.Local i -> IS.add i da | _ -> da in
+  let rec stmt da (s : R.stmt) =
+    match s with
+    | R.SFused { forig; _ } -> stmt da forig
+    | R.SFor { slot; init; bound; step; body; _ } ->
+        reads da init;
+        let da = write da slot in
+        reads da bound;
+        reads (block da body) step;
+        da
+    | s -> (
+        List.iter (reads da) (stmt_exprs s);
+        match s with
+        | R.SDeclVar { slot; _ } | R.SDeclArr { slot; _ } -> write da slot
+        | R.SAssign { slot; aop; _ } ->
+            (match (aop, slot) with
+            | Minic.Ast.Set, _ -> ()
+            | _, R.Local i -> if not (IS.mem i da) then bad.(i) <- true
+            | _ -> ());
+            write da slot
+        | R.SIf (_, b1, b2) ->
+            IS.inter (block da b1)
+              (match b2 with Some b -> block da b | None -> da)
+        | R.SWhile { body; _ } ->
+            ignore (block da body);
+            da
+        | R.SBlock b -> block da b
+        | _ -> da)
+  and block da b =
+    List.fold_left
+      (fun da (g : R.group) -> List.fold_left stmt da g.R.gstmts)
+      da b
+  in
+  let params = Array.fold_left (fun da s -> IS.add s da) IS.empty f.cf_param_slots in
+  ignore (block params f.cf_body);
+  bad
 (* ------------------------------------------------------------------ *)
 
 (* Rewrite every top-level expression and statement of a function body,

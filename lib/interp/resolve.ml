@@ -41,7 +41,14 @@ type var_ref =
   | Global of int  (** index into the global frame *)
   | Unbound of string  (** unknown name: runtime error when accessed *)
 
-type math_impl = M1 of (float -> float) | M2 of (float -> float -> float)
+(** The math builtins with an interpretation, as op codes rather than
+    closures: the engines apply them with direct float calls
+    ([Eval.math1]/[Eval.math2]), so a float kept unboxed stays unboxed
+    across the call. *)
+type math1 = Sqrt | Exp | Log | Sin | Cos | Tanh | Fabs | Floor
+
+type math2 = Pow | Fmin | Fmax | Fdivide
+type math_impl = M1 of math1 | M2 of math2
 
 (** Pre-resolved call target. *)
 type callee =
@@ -94,8 +101,8 @@ type kinstr =
   | KDiv of int * int * int
   | KNeg of int * int
   | KItoF of int  (** dst <- float of the current loop index *)
-  | KMath1 of int * (float -> float) * int
-  | KMath2 of int * (float -> float -> float) * int * int
+  | KMath1 of int * math1 * int
+  | KMath2 of int * math2 * int * int
   | KLoad of int * int  (** dst <- site *)
   | KStore of int * int  (** site <- src ([Set]) *)
   | KStoreAdd of int * int  (** site (+)= src *)
@@ -317,18 +324,18 @@ let strip_math n =
   else n
 
 let math_impl = function
-  | "sqrt" | "fsqrt" -> Some (M1 Float.sqrt)
-  | "exp" -> Some (M1 Float.exp)
-  | "log" -> Some (M1 Float.log)
-  | "sin" -> Some (M1 Float.sin)
-  | "cos" -> Some (M1 Float.cos)
-  | "tanh" -> Some (M1 Float.tanh)
-  | "pow" -> Some (M2 Float.pow)
-  | "fabs" -> Some (M1 Float.abs)
-  | "floor" -> Some (M1 Float.floor)
-  | "fmin" -> Some (M2 Float.min)
-  | "fmax" -> Some (M2 Float.max)
-  | "fdivide" -> Some (M2 ( /. ))
+  | "sqrt" | "fsqrt" -> Some (M1 Sqrt)
+  | "exp" -> Some (M1 Exp)
+  | "log" -> Some (M1 Log)
+  | "sin" -> Some (M1 Sin)
+  | "cos" -> Some (M1 Cos)
+  | "tanh" -> Some (M1 Tanh)
+  | "pow" -> Some (M2 Pow)
+  | "fabs" -> Some (M1 Fabs)
+  | "floor" -> Some (M1 Floor)
+  | "fmin" -> Some (M2 Fmin)
+  | "fmax" -> Some (M2 Fmax)
+  | "fdivide" -> Some (M2 Fdivide)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

@@ -39,6 +39,33 @@ INTERP_RUNS=$(sed -n 's/.*"interp_runs": *\([0-9]*\).*/\1/p' BENCH_psaflow.json 
   || { echo "FAIL: cold flow took $INTERP_RUNS interpreter runs (budget 15)"; exit 1; }
 echo "interp_runs=$INTERP_RUNS (budget 15)"
 
+echo "== VM allocation ceiling (minor words per virtual cycle) =="
+# Every paper benchmark's VM run, bare and kernel-focused, must allocate
+# at most 0.2 minor-heap words per virtual cycle: a value boxed per loop
+# iteration or per arithmetic result shows up here as a deterministic
+# count, not as wall-time noise.
+awk -v ceil=0.2 '
+  /"[a-z_0-9]+": \{/ {
+    match($0, /"[a-z_0-9]+"/)
+    key = substr($0, RSTART + 1, RLENGTH - 2)
+    if (key == "bare" || key == "focused") run = key; else bench = key
+  }
+  /"minor_words_per_cycle"/ {
+    v = $2; sub(/,$/, "", v); n++
+    if (v + 0 > ceil) {
+      printf "FAIL: %s %s run allocates %s minor words per virtual cycle (ceiling %s)\n", bench, run, v, ceil
+      bad = 1
+    }
+  }
+  END {
+    if (n != 10) {
+      printf "FAIL: BENCH_psaflow.json reports %d minor_words_per_cycle values (want 10)\n", n
+      exit 1
+    }
+    exit bad
+  }' BENCH_psaflow.json
+echo "minor words per virtual cycle <= 0.2 on all 5 benchmarks, bare and focused"
+
 echo "== report smoke (psaflow report --json --strict) =="
 # The freshly written BENCH_psaflow.json must satisfy the strict report:
 # no missing/stale perf fields degraded to null.

@@ -414,7 +414,10 @@ let fused_tests =
 
 (* Random MiniC kernels exercising scalar and array arithmetic, casts,
    division, math builtins, short-circuit conditions, nested [for],
-   bounded [while] and compound assignment.  Loop variables index the
+   bounded [while], compound assignment and user calls — including the
+   register-bank boundaries: locals written in both arms of an [if],
+   [/=] on int slots and int elements, float-to-int casts as indices,
+   and float/int/pointer call arguments.  Loop variables index the
    64-element arrays as [i + 7*j], which stays in bounds for any pair of
    in-scope loop variables (bounds at most 7). *)
 let program_gen =
@@ -439,6 +442,9 @@ let program_gen =
           ( 1,
             let* a = iexpr (depth - 1) vars in
             return (Printf.sprintf "(%s / 3)" a) );
+          ( 1,
+            let* a = iexpr (depth - 1) vars in
+            return (Printf.sprintf "(-%s)" a) );
           ( 1,
             let* i = idx vars in
             return (Printf.sprintf "b[%s]" i) );
@@ -472,6 +478,9 @@ let program_gen =
             let* a = fexpr (depth - 1) vars in
             return (Printf.sprintf "(%s / 1.25)" a) );
           ( 1,
+            let* a = fexpr (depth - 1) vars in
+            return (Printf.sprintf "(-%s)" a) );
+          ( 1,
             let* a = fexpr (depth - 1) vars
             and* f = oneofl [ "sqrt(fabs(%s))"; "fabs(%s)"; "sin(%s)"; "cos(%s)" ] in
             return (Printf.sprintf (Scanf.format_from_string f "%s") a) );
@@ -481,11 +490,19 @@ let program_gen =
         ]
   and idx vars =
     let open QCheck.Gen in
+    (* float-to-int casts as indices: both stay within [0, 62] *)
+    let casts =
+      [
+        return "(int)(rand01() * 63.0)";
+        map (Printf.sprintf "(int)((double)%d * 1.5)") (int_range 0 41);
+      ]
+    in
     match vars with
-    | [] -> map string_of_int (int_range 0 63)
+    | [] -> oneof (map string_of_int (int_range 0 63) :: casts)
     | v :: rest ->
         oneof
           ([ return v; map string_of_int (int_range 0 63) ]
+          @ casts
           @
           match rest with
           | w :: _ -> [ return (Printf.sprintf "(%s + 7 * %s)" v w) ]
@@ -542,6 +559,39 @@ let program_gen =
             let* i = idx vars
             and* e = iexpr 2 vars in
             return (Printf.sprintf "b[%s] = %s;" i e) );
+          (* compound [/=] on an int slot and on int elements; a float
+             divisor leaves a float in the int region *)
+          (1, map (Printf.sprintf "u /= %d;") (int_range 1 4));
+          ( 1,
+            let* i = idx vars
+            and* d = oneofl [ "2"; "3"; "2.5" ] in
+            return (Printf.sprintf "b[%s] /= %s;" i d) );
+          (* a call passing float, int and pointer arguments and
+             returning a float *)
+          ( 1,
+            let* t = oneofl [ "x"; "y" ]
+            and* op = oneofl [ "="; "+=" ]
+            and* f = fexpr 1 vars
+            and* i = iexpr 1 vars
+            and* k = idx vars in
+            return (Printf.sprintf "%s %s mix(%s, %s, a, %s);" t op f i k) );
+          (* float and int locals written in both arms of an [if], the
+             float declared without an initializer *)
+          ( 1,
+            let n =
+              incr fresh;
+              !fresh
+            in
+            let* c = cond 0 vars
+            and* f1 = fexpr 1 vars
+            and* f2 = fexpr 1 vars
+            and* i1 = iexpr 1 vars
+            and* i2 = iexpr 1 vars in
+            return
+              (Printf.sprintf
+                 "double f%d;\nint g%d = 0;\nif (%s) {\nf%d = %s;\ng%d = %s;\n} else \
+                  {\nf%d = %s;\ng%d = %s;\n}\nx += f%d;\nu += g%d;"
+                 n n c n f1 n i1 n f2 n i2 n n) );
         ]
     in
     if depth = 0 then simple
@@ -589,6 +639,11 @@ let program_gen =
   return
     (Printf.sprintf
        {|
+double mix(double p, int q, double* r, int k) {
+  double t = p * 0.5 + (double)q;
+  return t + r[k];
+}
+
 double work(double* a, int* b, int n) {
   double x = 0.5;
   double y = 1.5;
@@ -619,6 +674,15 @@ int main() {
 
 let program_arb = QCheck.make ~print:Fun.id program_gen
 
+(* A run's fingerprint, or the exception it raised: a generated program
+   may fault (say, a float grown to infinity and cast to an index), and
+   then the engine must raise the walker's exception, message
+   included. *)
+let outcome f =
+  match f () with
+  | r -> Ok (run_fingerprint r)
+  | exception e -> Error (Printexc.to_string e)
+
 (* The production engine ([Eval.run]: optimized IR on the bytecode VM)
    must be indistinguishable from the reference tree walker — identical
    profile, counters, loop stats, kernel observations, output and return
@@ -628,17 +692,20 @@ let engine_equivalence_prop =
   QCheck.Test.make ~count:30 ~name:"engine = walker on generated programs"
     program_arb (fun src ->
       let p = Minic.Parser.parse_program src in
-      let walker = I.Eval.run_ir (I.Resolve.compile p) in
-      let engine = I.Eval.run p in
-      let bare_ok = run_fingerprint walker = run_fingerprint engine in
-      let fwalker = I.Eval.run_ir ~focus:"work" (I.Resolve.compile p) in
-      let fengine = I.Eval.run ~focus:"work" p in
-      let focus_ok = run_fingerprint fwalker = run_fingerprint fengine in
-      let instr = I.Eval.run (Analysis.Hotspot.instrument p) in
-      let instr_ok =
-        instr.profile.cycles = engine.profile.cycles
-        && instr.output = engine.output
+      let walker = outcome (fun () -> I.Eval.run_ir (I.Resolve.compile p)) in
+      let engine = outcome (fun () -> I.Eval.run p) in
+      let bare_ok = walker = engine in
+      let fwalker =
+        outcome (fun () -> I.Eval.run_ir ~focus:"work" (I.Resolve.compile p))
       in
+      let fengine = outcome (fun () -> I.Eval.run ~focus:"work" p) in
+      let focus_ok = fwalker = fengine in
+      let cycles_output = function
+        | Ok ((cycles, _, _, _, _, _), _, _, _, output, _) -> Ok (cycles, output)
+        | Error e -> Error e
+      in
+      let instr = outcome (fun () -> I.Eval.run (Analysis.Hotspot.instrument p)) in
+      let instr_ok = cycles_output instr = cycles_output engine in
       if not bare_ok then QCheck.Test.fail_report "bare run diverges";
       if not focus_ok then QCheck.Test.fail_report "focused run diverges";
       if not instr_ok then QCheck.Test.fail_report "instrumented run diverges";
@@ -723,18 +790,16 @@ let opt_equivalence_prop =
     (fun src ->
       let p = Minic.Parser.parse_program src in
       let ir = I.Resolve.compile p in
-      let walker = run_fingerprint (I.Eval.run_ir ir) in
-      let fwalker = run_fingerprint (I.Eval.run_ir ~focus:"work" ir) in
+      let walker = outcome (fun () -> I.Eval.run_ir ir) in
+      let fwalker = outcome (fun () -> I.Eval.run_ir ~focus:"work" ir) in
       List.for_all
         (fun (name, config) ->
           let compiled =
             I.Eval.compile_resolved (I.Opt.optimize ~config ir)
           in
-          if run_fingerprint (I.Eval.run_vm compiled) <> walker then
+          if outcome (fun () -> I.Eval.run_vm compiled) <> walker then
             QCheck.Test.fail_reportf "%s: bare run diverges" name;
-          if
-            run_fingerprint (I.Eval.run_vm ~focus:"work" compiled)
-            <> fwalker
+          if outcome (fun () -> I.Eval.run_vm ~focus:"work" compiled) <> fwalker
           then QCheck.Test.fail_reportf "%s: focused run diverges" name;
           true)
         pass_configs)
@@ -762,12 +827,12 @@ let vm_equivalence_prop =
     (fun src ->
       let p = Minic.Parser.parse_program src in
       let ir = I.Resolve.compile p in
-      let walker = run_fingerprint (I.Eval.run_ir ir) in
-      let fwalker = run_fingerprint (I.Eval.run_ir ~focus:"work" ir) in
+      let walker = outcome (fun () -> I.Eval.run_ir ir) in
+      let fwalker = outcome (fun () -> I.Eval.run_ir ~focus:"work" ir) in
       let c = I.Eval.compile_resolved ir in
-      if run_fingerprint (I.Eval.run_vm c) <> walker then
+      if outcome (fun () -> I.Eval.run_vm c) <> walker then
         QCheck.Test.fail_report "vm: bare run diverges";
-      if run_fingerprint (I.Eval.run_vm ~focus:"work" c) <> fwalker then
+      if outcome (fun () -> I.Eval.run_vm ~focus:"work" c) <> fwalker then
         QCheck.Test.fail_report "vm: focused run diverges";
       true)
 
@@ -830,6 +895,104 @@ let vm_selector_fuses () =
       Alcotest.(check bool) "fusion shrank the body" true (after < before))
     kps
 
+(* Runtime errors, raised from banked registers: the VM (on the raw and
+   the optimized IR) raises the walker's message at the walker's fault
+   point. *)
+let error_cases =
+  [
+    ( "integer division by zero in an int temporary",
+      200_000_000,
+      {|
+int main() {
+  int a = 7;
+  int b = 3;
+  int c = (a + 1) / (b * 2 - 6);
+  print_int(c);
+  return 0;
+}
+|},
+      "integer division by zero" );
+    ( "out-of-bounds index computed by a cast",
+      200_000_000,
+      {|
+int main() {
+  double arr[4];
+  double x = 1.25;
+  for (int i = 0; i < 4; i++) {
+    arr[i] = x * (double)i;
+  }
+  double s = arr[(int)(x * 4.0)];
+  print_float(s);
+  return 0;
+}
+|},
+      "out-of-bounds read of 'arr' at index 5 (size 4)" );
+    ( "fuel exhaustion inside a float-heavy loop",
+      5_000,
+      {|
+int main() {
+  double s = 0.5;
+  for (int i = 0; i < 100000; i++) {
+    s = s * 1.0001 + sqrt((double)i) / (s + 1.0);
+  }
+  print_float(s);
+  return 0;
+}
+|},
+      "execution budget exhausted (infinite loop?)" );
+    (* the type checker keeps a declaration visible after its block, so
+       the else arm reads [t]'s initial [VUnit] on the first iteration:
+       [t] must stay boxed *)
+    ( "a float local read before its first write",
+      200_000_000,
+      {|
+int main() {
+  double s = 0.0;
+  for (int i = 0; i < 3; i++) {
+    if (i > 0) {
+      double t = 1.5;
+      s = s + t;
+    } else {
+      s = s + t;
+    }
+  }
+  print_float(s);
+  return 0;
+}
+|},
+      "expected a numeric value" );
+  ]
+
+let check_error_message (_, fuel, src, expected) () =
+  let p = Minic.Parser.parse_program src in
+  let message engine f =
+    match f () with
+    | (_ : I.Eval.run) -> Alcotest.failf "%s: no runtime error" engine
+    | exception I.Value.Runtime_error m -> m
+  in
+  let walker = message "walker" (fun () -> I.Eval.run_ir ~fuel (I.Resolve.compile p)) in
+  Alcotest.(check string) "walker message" expected walker;
+  Alcotest.(check string)
+    "VM on the raw IR" walker
+    (message "raw VM" (fun () ->
+         I.Eval.run_vm ~fuel (I.Eval.compile_resolved (I.Resolve.compile p))));
+  Alcotest.(check string)
+    "VM on the optimized IR" walker
+    (message "VM" (fun () -> I.Eval.run_vm ~fuel (I.Eval.compile p)))
+
+(* Minor-heap words per virtual cycle are a deterministic counter: the
+   banked VM boxes a value only where it leaves a bank, so every paper
+   benchmark stays under the ceiling, bare and kernel-focused.  One
+   boxed float per VM loop iteration breaks it. *)
+let check_alloc_ceiling (b : Benchmarks.Bench_app.t) () =
+  let c = Benchmarks.Vm_cost.measure b in
+  List.iter
+    (fun (run, (r : Benchmarks.Vm_cost.run_cost)) ->
+      if r.words_per_cycle > Benchmarks.Vm_cost.words_per_cycle_ceiling then
+        Alcotest.failf "%s %s run: %.3f minor words per virtual cycle (ceiling %g)"
+          b.id run r.words_per_cycle Benchmarks.Vm_cost.words_per_cycle_ceiling)
+    [ ("bare", c.bare); ("focused", c.focused) ]
+
 let vm_tests =
   List.map
     (fun (b : Benchmarks.Bench_app.t) ->
@@ -842,6 +1005,15 @@ let vm_tests =
       Alcotest.test_case "selector fuses hot kernels" `Quick vm_selector_fuses;
       QCheck_alcotest.to_alcotest vm_equivalence_prop;
     ]
+  @ List.map
+      (fun ((name, _, _, _) as case) ->
+        Alcotest.test_case ("error: " ^ name) `Quick (check_error_message case))
+      error_cases
+  @ List.map
+      (fun (b : Benchmarks.Bench_app.t) ->
+        Alcotest.test_case (b.id ^ " minor words per cycle") `Slow
+          (check_alloc_ceiling b))
+      Benchmarks.Registry.all
 
 let () =
   Alcotest.run "perf"
