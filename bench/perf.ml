@@ -5,8 +5,8 @@
     [BENCH_psaflow.json]:
 
     - per paper benchmark, the VM's virtual cycles, run time and
-      minor-heap words per virtual cycle, for the bare run and for the
-      kernel-focused run ({!Benchmarks.Vm_cost});
+      minor-heap words per virtual cycle of the one tracked profiling
+      run a cold flow makes ({!Benchmarks.Vm_cost});
     - interpreter throughput on the heaviest benchmark, before (slot-IR
       tree walker, {!Minic_interp.Eval.run_ir}) and after (the bytecode
       VM, {!Minic_interp.Eval.run_vm}) — the VM both on the raw slot IR
@@ -22,8 +22,8 @@
     The engine metrics registry is reset after the micro-bench sections,
     so the report's "engine" section (notably [interp_runs]) covers
     exactly the three flow-evaluation legs: the cold leg performs every
-    interpreter execution (one fused run per (benchmark, workload point,
-    focus) request), the later legs hit the cache.
+    interpreter execution (one fused run per (benchmark, workload point)
+    request), the later legs hit the cache.
 
     [--quick] shrinks the repetition counts for CI smoke runs. *)
 
@@ -44,21 +44,25 @@ let repeat n f =
 (* ------------------------------------------------------------------ *)
 
 (* One round of the flow's dynamic analyses on a prepared benchmark:
-   hotspot + trip counts on the full program, data in/out + alias +
-   features on the extracted kernel.  Uncached, every one of these
-   re-interprets the program; cached, all five project two fused runs
-   (bare and kernel-focused). *)
-let analysis_round (p, ex_program, kernel) () =
+   hotspot + trip counts + data in/out + alias on the full program,
+   features of the extracted kernel.  Uncached, every one of these
+   re-interprets the program; cached, all five project one fused run
+   (the original program, hotspot loop tracked). *)
+let analysis_round (p, ex_program, kernel, loop_sid) () =
   ignore (Analysis.Hotspot.detect p);
   ignore (Analysis.Trip_count.analyze p);
-  ignore (Analysis.Data_inout.analyze ex_program ~kernel);
-  ignore (Analysis.Alias.analyze ex_program ~kernel);
-  ignore (Analysis.Features.analyze ex_program ~kernel)
+  ignore
+    (Analysis.Data_inout.of_fused (Analysis.Hotspot.fused ~loop_sid p)
+       ~loop_sid ~kernel);
+  ignore
+    (Analysis.Alias.of_fused (Analysis.Hotspot.fused ~loop_sid p) ~loop_sid
+       ~kernel);
+  ignore (Analysis.Features.analyze ~source:p ~loop_sid ex_program ~kernel)
 
 let prepare (app : Benchmarks.Bench_app.t) =
   let p = Benchmarks.Bench_app.program app ~n:app.profile_n in
-  let ex_program, kernel, _ = Psa.Std_flow.prepare_kernel p in
-  (p, ex_program, kernel)
+  let ex_program, kernel, h = Psa.Std_flow.prepare_kernel p in
+  (p, ex_program, kernel, h.Analysis.Hotspot.loop_sid)
 
 (* Fingerprint of everything Fig. 5, Table I and Fig. 6 read from an
    uninformed run: design identity, knobs, timing, feasibility and the
@@ -222,7 +226,7 @@ let run ~quick () =
   if not interp_identical then
     prerr_endline "ERROR: an engine's profile diverges from the IR walker!";
 
-  (* -- per-benchmark VM cost: bare and kernel-focused -------------- *)
+  (* -- per-benchmark VM cost: the one tracked profiling run --------- *)
   let vm_costs =
     List.map
       (Benchmarks.Vm_cost.measure ~reps:interp_reps)
@@ -234,8 +238,7 @@ let run ~quick () =
         Printf.sprintf "%6.2f Mcycles %8.2f ms %6.3f words/cycle" r.mcycles
           (r.run_s *. 1e3) r.words_per_cycle
       in
-      Printf.printf "vm       %-12s bare %s   focused %s\n%!" c.bench
-        (show c.bare) (show c.focused))
+      Printf.printf "vm       %-12s run %s\n%!" c.bench (show c.run))
     vm_costs;
 
   (* -- repeated-analysis path: cold vs cached ---------------------- *)
@@ -340,9 +343,9 @@ let run ~quick () =
                   @ List.map (fun (n, v) -> (n, Int v)) vm_counters) );
               ("speedup", Float (before_s /. vm_s));
               ("outputs_identical", Bool interp_identical);
-              (* every paper benchmark at its profiling size: the bare
-                 run and the focused run of the extracted kernel, each
-                 with its minor-heap words per virtual cycle *)
+              (* every paper benchmark at its profiling size: the one
+                 tracked profiling run, with its minor-heap words per
+                 virtual cycle *)
               ( "benchmarks",
                 let run (r : Benchmarks.Vm_cost.run_cost) =
                   Obj
@@ -355,7 +358,7 @@ let run ~quick () =
                 Obj
                   (List.map
                      (fun (c : Benchmarks.Vm_cost.t) ->
-                       (c.bench, Obj [ ("bare", run c.bare); ("focused", run c.focused) ]))
+                       (c.bench, Obj [ ("run", run c.run) ]))
                      vm_costs) );
             ] );
         ( "cache",

@@ -74,12 +74,9 @@ let gated_paths =
   ]
   @ List.concat_map
       (fun (app : Benchmarks.Bench_app.t) ->
-        List.concat_map
-          (fun run ->
-            List.map
-              (fun m -> [ "interp"; "benchmarks"; app.id; run; m ])
-              [ "virtual_mcycles"; "vm_run_s"; "minor_words_per_cycle" ])
-          [ "bare"; "focused" ])
+        List.map
+          (fun m -> [ "interp"; "benchmarks"; app.id; "run"; m ])
+          [ "virtual_mcycles"; "vm_run_s"; "minor_words_per_cycle" ])
       Benchmarks.Registry.all
 
 let extract_metrics (sections : (string * Json.t) list) : (string * float) list

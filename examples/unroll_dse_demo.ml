@@ -28,10 +28,12 @@ let () =
 
   (* run the flow up to and including the FPGA-path tasks, stopping
      before device-specific DSE, by driving the pieces directly *)
-  let program, kernel, _ =
+  let program, kernel, hotspot =
     Psa.Std_flow.prepare_kernel ctx.Psa.Context.program
   in
-  let ctx = { ctx with Psa.Context.program; kernel = Some kernel } in
+  let ctx =
+    { ctx with Psa.Context.program; kernel = Some kernel; hotspot = Some hotspot }
+  in
   let ctx = Psa.Std_flow.ensure_features ctx in
   let features = Psa.Context.eval_features_exn ctx in
   let data = Psa.Std_flow.data_of_features (Psa.Context.features_exn ctx) in
@@ -72,10 +74,17 @@ let () =
   print_endline "\n=== the Rush Larsen outcome ===";
   let rl = Benchmarks.Registry.find "rush_larsen" in
   let rl_ctx = Benchmarks.Bench_app.context rl in
-  let rl_prog, rl_kernel, _ =
+  let rl_prog, rl_kernel, rl_hotspot =
     Psa.Std_flow.prepare_kernel rl_ctx.Psa.Context.program
   in
-  let rl_ctx = { rl_ctx with Psa.Context.program = rl_prog; kernel = Some rl_kernel } in
+  let rl_ctx =
+    {
+      rl_ctx with
+      Psa.Context.program = rl_prog;
+      kernel = Some rl_kernel;
+      hotspot = Some rl_hotspot;
+    }
+  in
   let rl_ctx = Psa.Std_flow.ensure_features rl_ctx in
   let rl_features = Psa.Context.eval_features_exn rl_ctx in
   let rl_design =

@@ -5,10 +5,11 @@
     precondition for the restrict-style code generation all three
     backends rely on.
 
-    Implementation: execute with the kernel as focus; the interpreter
-    records, per pointer argument, which memory regions were touched and
-    over which offset range.  Two arguments alias if they touched the
-    same region with intersecting ranges. *)
+    Implementation: the profiling run tracks the hotspot loop as the
+    kernel extraction makes of it; the interpreter records, per pointer
+    argument, which memory regions were touched and over which offset
+    range.  Two arguments alias if they touched the same region with
+    intersecting ranges. *)
 
 open Minic
 
@@ -59,18 +60,9 @@ let of_kernel_obs ~kernel (k : Minic_interp.Profile.kernel_obs) : t =
   pairs args;
   { kernel; no_alias = !overlaps = []; overlaps = List.rev !overlaps }
 
-(** Project the alias verdict out of a fused profile (focused on the
-    kernel). *)
-let of_fused (fp : Minic_interp.Fused_profile.t) ~kernel : t =
-  match Minic_interp.Fused_profile.kernel_obs fp with
+(** Project the alias verdict of tracked loop [loop_sid] out of a fused
+    profile. *)
+let of_fused (fp : Minic_interp.Fused_profile.t) ~loop_sid ~kernel : t =
+  match Minic_interp.Fused_profile.kernel_obs fp ~loop_sid with
   | None -> { kernel; no_alias = true; overlaps = [] }
   | Some k -> of_kernel_obs ~kernel k
-
-(** Run the alias analysis on calls to [kernel] in [p] (one shared fused
-    profiling run). *)
-let analyze (p : Ast.program) ~kernel : t =
-  Flow_obs.Trace.with_span ~cat:"analysis" "analysis.alias"
-    ~args:[ ("kernel", Flow_obs.Attr.String kernel) ]
-  @@ fun () ->
-  Flow_obs.Metrics.incr Flow_obs.Metrics.global "analysis_alias";
-  of_fused (Minic_interp.Fused_profile.get ~focus:kernel p) ~kernel

@@ -1,7 +1,7 @@
 (** Dynamic pointer alias analysis: ensures kernel pointer arguments do
     not reference overlapping memory (the paper's offload precondition),
-    from the per-argument touched ranges the focused interpreter run
-    records. *)
+    from the per-argument touched ranges the profiling run records for
+    the tracked hotspot loop. *)
 
 open Minic
 
@@ -22,8 +22,7 @@ type t = {
 (** Analyse already-collected kernel observations. *)
 val of_kernel_obs : kernel:string -> Minic_interp.Profile.kernel_obs -> t
 
-(** Project the alias verdict out of a kernel-focused fused profile. *)
-val of_fused : Minic_interp.Fused_profile.t -> kernel:string -> t
-
-(** Run the program with [kernel] as focus and analyse. *)
-val analyze : Ast.program -> kernel:string -> t
+(** Project the alias verdict of tracked loop [loop_sid] out of a fused
+    profile. *)
+val of_fused :
+  Minic_interp.Fused_profile.t -> loop_sid:int -> kernel:string -> t

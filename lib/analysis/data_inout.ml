@@ -1,8 +1,8 @@
 (** Dynamic data in/out (data movement) analysis.
 
-    Runs the program with the kernel function as profiling focus and
-    reports, per pointer argument, the bytes that an accelerator offload
-    would have to move: elements whose first kernel access is a read must
+    Reads the profiling run's observations of the hotspot loop, tracked
+    as the kernel extraction makes of it, and reports, per pointer
+    argument, the bytes that an accelerator offload would have to move: elements whose first kernel access is a read must
     be copied host->device ([bytes_in]); elements written must be copied
     back ([bytes_out]).  Totals accumulate over every kernel invocation,
     modelling one transfer pair per offloaded call. *)
@@ -27,10 +27,6 @@ type t = {
 
 let total t = t.total_in + t.total_out
 
-(** Bytes moved per kernel invocation. *)
-let bytes_per_call t =
-  if t.calls = 0 then 0.0 else float_of_int (total t) /. float_of_int t.calls
-
 (** Project the data-movement record out of kernel observations. *)
 let of_kernel_obs ~kernel (k : Minic_interp.Profile.kernel_obs) : t =
   let args =
@@ -50,10 +46,10 @@ let of_kernel_obs ~kernel (k : Minic_interp.Profile.kernel_obs) : t =
     kernel_flops = k.k_flops;
   }
 
-(** Project the data-movement record out of a fused profile (focused on
-    the kernel). *)
-let of_fused (fp : Minic_interp.Fused_profile.t) ~kernel : t =
-  match Minic_interp.Fused_profile.kernel_obs fp with
+(** Project the data-movement record of tracked loop [loop_sid] out of a
+    fused profile. *)
+let of_fused (fp : Minic_interp.Fused_profile.t) ~loop_sid ~kernel : t =
+  match Minic_interp.Fused_profile.kernel_obs fp ~loop_sid with
   | None ->
       {
         kernel;
@@ -65,15 +61,6 @@ let of_fused (fp : Minic_interp.Fused_profile.t) ~kernel : t =
         kernel_flops = 0;
       }
   | Some k -> of_kernel_obs ~kernel k
-
-(** Analyse data movement of calls to [kernel] in [p] (one shared fused
-    profiling run). *)
-let analyze (p : Ast.program) ~kernel : t =
-  Flow_obs.Trace.with_span ~cat:"analysis" "analysis.data_inout"
-    ~args:[ ("kernel", Flow_obs.Attr.String kernel) ]
-  @@ fun () ->
-  Flow_obs.Metrics.incr Flow_obs.Metrics.global "analysis_data_inout";
-  of_fused (Minic_interp.Fused_profile.get ~focus:kernel p) ~kernel
 
 let pp fmt t =
   Format.fprintf fmt

@@ -19,17 +19,13 @@ type t = {
 
 val total : t -> int
 
-(** Bytes moved per kernel invocation. *)
-val bytes_per_call : t -> float
-
 (** Project data movement of calls to [kernel] out of already-collected
     kernel observations. *)
 val of_kernel_obs : kernel:string -> Minic_interp.Profile.kernel_obs -> t
 
-(** Project data movement out of a kernel-focused fused profile. *)
-val of_fused : Minic_interp.Fused_profile.t -> kernel:string -> t
-
-(** Analyse data movement of calls to [kernel]. *)
-val analyze : Ast.program -> kernel:string -> t
+(** Project the data movement of tracked loop [loop_sid] out of a fused
+    profile. *)
+val of_fused :
+  Minic_interp.Fused_profile.t -> loop_sid:int -> kernel:string -> t
 
 val pp : Format.formatter -> t -> unit

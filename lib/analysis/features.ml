@@ -202,20 +202,24 @@ let gather_info (p : Ast.program) kernel =
 (* Assembly                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Assemble the feature vector from a fused profile (focused on the
-    kernel): pure projection of the dynamic observations (data in/out,
-    alias, trip counts, kernel cost) plus the static analyses
-    (dependence, intensity, op census, register estimate). *)
-let of_fused (fp : Minic_interp.Fused_profile.t) ~kernel : t =
-  let p = fp.Minic_interp.Fused_profile.source in
+(** Assemble the feature vector of kernel [kernel] of [p], extracted
+    from loop [loop_sid]: pure projection of the dynamic observations
+    (data in/out, alias, trip counts, kernel cost) the fused profile
+    [fp] of the original program tracked for that loop, plus the static
+    analyses of [p] (dependence, intensity, op census, register
+    estimate).  Extraction keeps every node id inside the loop, so the
+    kernel's loops carry the ids the run observed. *)
+let of_fused (fp : Minic_interp.Fused_profile.t) ~loop_sid (p : Ast.program)
+    ~kernel : t =
   let prof = Minic_interp.Fused_profile.profile fp in
   let trips = Trip_count.of_profile prof in
   let kobs =
-    match Minic_interp.Fused_profile.kernel_obs fp with
+    match Minic_interp.Fused_profile.kernel_obs fp ~loop_sid with
     | Some k -> k
     | None ->
         Minic_interp.Value.err
-          "kernel '%s' was never called during feature analysis" kernel
+          "kernel '%s' (loop #%d) never ran during feature analysis" kernel
+          loop_sid
   in
   let calls = max 1 kobs.calls in
   let fcalls = float_of_int calls in
@@ -386,25 +390,31 @@ let of_fused (fp : Minic_interp.Fused_profile.t) ~kernel : t =
     no_alias = alias.no_alias;
   }
 
-(** Run the full target-independent analysis battery on the extracted
-    kernel [kernel] of program [p] and assemble the feature vector: one
-    shared fused profiling run, then a pure projection. *)
-(* Feature records are pure projections of the fused profile, so they
-   memoize per focused program key (program digest + loop ids + focus;
-   the workload size is baked into the program text).  The memo rides
-   the stage hierarchy and is off under PSAFLOW_NO_MEMO; a hit records
-   no profile spans, tracing or not. *)
+(* Feature records are pure projections of the fused profile of
+   [source] and the static analyses of [p], so they memoize per (kernel
+   program key, loop id, kernel name) — program keys are digest + loop
+   ids, and the workload size is baked into the program text.  The
+   kernel program determines its source (extraction only moves the loop
+   into the kernel), so the source needs no key component.  The memo
+   rides the stage hierarchy and is off under PSAFLOW_NO_MEMO; a hit
+   records no profile spans, tracing or not. *)
 let memo : t Flow_memo.Cache.t = Flow_memo.Cache.create ~name:"features" ()
 
-let analyze (p : Ast.program) ~kernel : t =
+(** Run the full target-independent analysis battery on kernel [kernel]
+    of [p], extracted from loop [loop_sid] of [source], and assemble the
+    feature vector: the shared fused profiling run of [source], then a
+    pure projection. *)
+let analyze ~(source : Ast.program) ~loop_sid (p : Ast.program) ~kernel : t =
   Flow_obs.Trace.with_span ~cat:"analysis" "analysis.features"
     ~args:[ ("kernel", Flow_obs.Attr.String kernel) ]
   @@ fun () ->
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "analysis_features";
   Flow_memo.Cache.find_or_compute memo
     ~key:
-      ("f:" ^ Digest.to_hex (Minic_interp.Profile_cache.key ~focus:kernel p))
-    (fun () -> of_fused (Minic_interp.Fused_profile.get ~focus:kernel p) ~kernel)
+      (Printf.sprintf "f:%s:%d:%s"
+         (Digest.to_hex (Minic_interp.Profile_cache.key p))
+         loop_sid kernel)
+    (fun () -> of_fused (Hotspot.fused ~loop_sid source) ~loop_sid p ~kernel)
 
 (** Total single-thread CPU seconds of the hotspot over the whole run —
     the Fig. 5 baseline denominator. *)

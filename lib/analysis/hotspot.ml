@@ -5,7 +5,9 @@
     implementation wraps candidate loops in timers
     ([__timer_start]/[__timer_stop]) and runs the instrumented copy;
     here detection projects the interpreter's own per-loop cycle
-    accounting out of the shared fused profile ({!Minic_interp.Fused_profile}),
+    accounting out of the shared fused profile ({!Minic_interp.Fused_profile},
+    one run that also tracks every loop selection can stop at, so the
+    kernel analyses read the chosen loop from the same run),
     which measures exactly what the timers would — the timer calls carry
     zero virtual-cycle cost, so [timer_total sid] of an instrumented run
     equals [loop_stat sid].cycles of the bare run bit-for-bit (asserted
@@ -53,6 +55,88 @@ let instrument ?func (p : Ast.program) =
       Artisan.Instrument.wrap_with_timer ~target:m.stmt.sid ~key:m.stmt.sid acc)
     p (candidates ?func p)
 
+(* The candidates with no enclosing loop, and the direct loop children
+   of a loop: candidates whose nearest enclosing loop it is. *)
+let nesting cands =
+  let nearest_enclosing_loop (m : Artisan.Query.match_ctx) =
+    List.find_opt Artisan.Query.is_stmt_loop m.path
+    |> Option.map (fun (s : Ast.stmt) -> s.sid)
+  in
+  let top_level =
+    List.filter (fun m -> nearest_enclosing_loop m = None) cands
+  in
+  let children sid =
+    List.filter (fun m -> nearest_enclosing_loop m = Some sid) cands
+  in
+  (top_level, children)
+
+(* The tracking entry of a loop: its id and the pointer parameters of
+   the kernel extraction would make of it, in parameter order.  [None]
+   when a free variable has no type: such a loop cannot be extracted. *)
+let track_entry p (m : Artisan.Query.match_ctx) =
+  match Artisan.Query.kernel_params p m.func m.stmt with
+  | Error _ -> None
+  | Ok params ->
+      Some
+        ( m.stmt.sid,
+          List.filter_map
+            (function Ast.Tptr _, v -> Some v | _ -> None)
+            params )
+
+(** The loops {!of_fused}'s descent can stop at without passing
+    through, with the pointer arguments of the kernels extraction would
+    make of them: starting from the top-level candidates of [func], a
+    loop the static dependence analysis finds parallel, or sequential
+    with no candidate children, is tracked; a sequential driver with
+    children is descended through instead.  Drivers stay out because a
+    tracked loop's whole body runs on the per-access tracking path, and
+    a driver's body is nearly the whole run (kmeans: 106 ms tracked
+    against 53 ms without drivers).  A function of the program, so one
+    tracked profiling run serves every choice the selection makes,
+    except stopping at a driver ({!fused} then runs once more). *)
+let tracked ?(func = "main") (p : Ast.program) : Minic_interp.Eval.track =
+  let top_level, children = nesting (candidates ~func p) in
+  let rec reach (m : Artisan.Query.match_ctx) =
+    if (Dependence.analyze_loop m.stmt).parallel_with_reductions then [ m ]
+    else
+      match children m.stmt.sid with
+      | [] -> [ m ]
+      | cs -> List.concat_map reach cs
+  in
+  List.filter_map (track_entry p) (List.concat_map reach top_level)
+
+(** The fused profile of [p] that tracks loop [loop_sid] (default: every
+    loop of {!tracked}): the shared run when the loop is in that set,
+    else one more run tracking that loop alone.  The only entry point
+    that fills {!Minic_interp.Profile_cache}; a consultation is a trace
+    span carrying its [hit] outcome. *)
+let fused ?loop_sid (p : Ast.program) : Minic_interp.Fused_profile.t =
+  let tracked = lazy (tracked p) in
+  let loop, track =
+    match loop_sid with
+    | Some sid when not (List.mem_assoc sid (Lazy.force tracked)) ->
+        ( Some sid,
+          lazy
+            (Artisan.Query.stmts p ~where:(fun c -> c.stmt.sid = sid)
+            |> List.filter_map (track_entry p)) )
+    | _ -> (None, tracked)
+  in
+  (* the one producer of profile-cache entries: the tracked set is a
+     function of the program, so a hit computes nothing *)
+  let run () =
+    Minic_interp.Eval.(run_vm ~track:(Lazy.force track) (compile p))
+  in
+  let cache = Minic_interp.Profile_cache.cache in
+  Minic_interp.Fused_profile.of_run p
+    (if not (Flow_memo.Cache.active cache) then run ()
+     else
+       Flow_obs.Trace.with_span ~cat:"interp" "profile_cache.run" @@ fun () ->
+       Flow_memo.Cache.find_or_compute cache
+         ~key:(Minic_interp.Profile_cache.key ?loop p)
+         ~on:(fun hit ->
+           Flow_obs.Trace.add_args [ ("hit", Flow_obs.Attr.Bool hit) ])
+         run)
+
 (** Project the hotspot loop out of a fused profile of the program.
     Returns [None] when [func] contains no loop. *)
 let of_fused ?(func = "main") (fp : Minic_interp.Fused_profile.t) : t option =
@@ -62,18 +146,7 @@ let of_fused ?(func = "main") (fp : Minic_interp.Fused_profile.t) : t option =
   else
     let total_cycles = Minic_interp.Fused_profile.total_cycles fp in
     let cycles_of sid = Minic_interp.Fused_profile.loop_cycles fp sid in
-    (* direct loop children: candidate whose nearest enclosing loop is the
-       given loop *)
-    let nearest_enclosing_loop (m : Artisan.Query.match_ctx) =
-      List.find_opt Artisan.Query.is_stmt_loop m.path
-      |> Option.map (fun (s : Ast.stmt) -> s.sid)
-    in
-    let children sid =
-      List.filter (fun m -> nearest_enclosing_loop m = Some sid) cands
-    in
-    let top_level =
-      List.filter (fun m -> nearest_enclosing_loop m = None) cands
-    in
+    let top_level, children = nesting cands in
     let pick ms =
       List.fold_left
         (fun best (m : Artisan.Query.match_ctx) ->
@@ -116,7 +189,7 @@ let detect ?(func = "main") (p : Ast.program) : t option =
     ~args:[ ("function", Flow_obs.Attr.String func) ]
   @@ fun () ->
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "analysis_hotspot";
-  let result = of_fused ~func (Minic_interp.Fused_profile.get p) in
+  let result = of_fused ~func (fused p) in
   (match result with
   | Some h ->
       Flow_obs.Trace.add_args

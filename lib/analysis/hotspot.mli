@@ -36,6 +36,21 @@ val candidates : ?func:string -> Ast.program -> Artisan.Query.match_ctx list
     (the paper's mechanism — reference for the fused projection). *)
 val instrument : ?func:string -> Ast.program -> Ast.program
 
+(** The loops {!of_fused}'s descent can reach — the top-level candidate
+    loops of [func] (default ["main"]) and, recursively, the children of
+    those {!Dependence.analyze_loop} finds sequential — each with the
+    pointer parameters of the kernel extraction would make of it, in
+    parameter order ({!Artisan.Query.kernel_params}).  Loops with an
+    untypable free variable are left out: they cannot be extracted.
+    A function of the program. *)
+val tracked : ?func:string -> Ast.program -> Minic_interp.Eval.track
+
+(** The fused profile of [p] that tracks loop [loop_sid]: the one shared
+    run tracking {!tracked} when the loop is in that set (or no loop is
+    given), else one more run tracking that loop alone.  The only entry
+    point that fills {!Minic_interp.Profile_cache}. *)
+val fused : ?loop_sid:int -> Ast.program -> Minic_interp.Fused_profile.t
+
 (** Project the hotspot loop out of a fused profile of the program;
     [None] when the function contains no loop. *)
 val of_fused : ?func:string -> Minic_interp.Fused_profile.t -> t option

@@ -174,16 +174,3 @@ let analyze (p : Ast.program) fname : t =
     bytes;
     flops_per_byte = (if bytes > 0.0 then flops /. bytes else Float.infinity);
   }
-
-(** Dynamic intensity: kernel FLOPs per byte actually *transferred*
-    (in + out), from a focused profile.  This is the ratio the offload
-    decision ultimately cares about. *)
-let dynamic_of_kernel (k : Minic_interp.Profile.kernel_obs) =
-  let bytes_inout =
-    Array.fold_left
-      (fun acc (a : Minic_interp.Profile.arg_obs) ->
-        acc + a.bytes_in + a.bytes_out)
-      0 k.args
-  in
-  if bytes_inout = 0 then Float.infinity
-  else float_of_int k.k_flops /. float_of_int bytes_inout

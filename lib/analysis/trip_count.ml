@@ -47,7 +47,7 @@ let of_fused (fp : Minic_interp.Fused_profile.t) : t =
 let analyze (p : Ast.program) : t =
   Flow_obs.Trace.with_span ~cat:"analysis" "analysis.trip_count" @@ fun () ->
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "analysis_trip_count";
-  of_fused (Minic_interp.Fused_profile.get p)
+  of_fused (Hotspot.fused p)
 
 let find (t : t) sid = Hashtbl.find_opt t sid
 

@@ -1,6 +1,7 @@
 (** Per-benchmark interpreter cost: virtual cycles, VM run time and
-    minor-heap words allocated per virtual cycle, for the bare reference
-    run and for the kernel-focused run of the extracted program.
+    minor-heap words allocated per virtual cycle, of the one profiling
+    run a cold flow makes: the original program with every loop hotspot
+    selection can stop at tracked ({!Analysis.Hotspot.tracked}).
 
     Compile is excluded: each program is compiled once and then run
     through {!Minic_interp.Eval.run_vm} on the calling domain, with
@@ -14,18 +15,18 @@ type run_cost = {
   words_per_cycle : float;  (** minor words allocated per virtual cycle *)
 }
 
-type t = { bench : string; bare : run_cost; focused : run_cost }
+type t = { bench : string; run : run_cost }
 
-(** The ceiling on minor words per virtual cycle, bare and focused, that
-    tier-1 and [scripts/check.sh] enforce. *)
+(** The ceiling on minor words per virtual cycle that tier-1 and
+    [scripts/check.sh] enforce. *)
 let words_per_cycle_ceiling = 0.2
 
-let measure_run ~reps ?focus compiled =
+let measure_run ~reps ~track compiled =
   let words = ref 0.0 and cycles = ref 0.0 and best = ref infinity in
   for _ = 1 to max 1 reps do
     let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
-    let r = Minic_interp.Eval.run_vm ?focus compiled in
+    let r = Minic_interp.Eval.run_vm ~track compiled in
     let t1 = Unix.gettimeofday () in
     words := Gc.minor_words () -. w0;
     cycles := r.profile.cycles;
@@ -40,11 +41,9 @@ let measure_run ~reps ?focus compiled =
 (** Measure [app] at its profiling size. *)
 let measure ?(reps = 1) (app : Bench_app.t) : t =
   let p = Bench_app.program app ~n:app.profile_n in
-  let ex, kernel, _ = Psa.Std_flow.prepare_kernel p in
-  let bare = Minic_interp.Eval.compile p in
-  let focused = Minic_interp.Eval.compile ex in
   {
     bench = app.id;
-    bare = measure_run ~reps bare;
-    focused = measure_run ~reps ~focus:kernel focused;
+    run =
+      measure_run ~reps ~track:(Analysis.Hotspot.tracked p)
+        (Minic_interp.Eval.compile p);
   }

@@ -6,9 +6,13 @@
     again (B, C) into device-specific optimisation + DSE before
     finalising timed designs.
 
-    Dynamic analyses share one fused profiling pass per (program size,
-    focus) request — see {!Minic_interp.Fused_profile} — exactly as the
-    paper's tasks share instrumented executions. *)
+    Dynamic analyses share one fused profiling pass per program size —
+    see {!Minic_interp.Fused_profile}.  The paper's Fig. 4 runs hotspot
+    detection first and then instruments the extracted kernel, because
+    Artisan rebuilds a binary in between; here the one run of the
+    original program tracks every loop hotspot selection can stop at
+    ({!Analysis.Hotspot.tracked}), and the kernel analyses read the
+    chosen loop's observations from it. *)
 
 open Context
 
@@ -40,34 +44,59 @@ let prepare_kernel ?hotspot (p : Minic.Ast.program) =
   let program, _ = Stage_memo.reduce ex.program ~kernel:ex.kernel_name in
   (program, ex.kernel_name, h)
 
+let hotspot_exn ctx =
+  match ctx.hotspot with
+  | Some h -> h
+  | None -> raise (Flow_error "hotspot detection has not run")
+
+(* The hotspot behind [ctx.kernel]: the context's when detection has
+   run, else detected afresh on the reference program (a context built
+   from {!prepare_kernel}'s program and kernel alone). *)
+let features_hotspot ctx =
+  match ctx.hotspot with
+  | Some h -> h
+  | None -> (
+      match Analysis.Hotspot.detect ctx.reference with
+      | Some h -> h
+      | None -> raise (Flow_error "no hotspot loop found"))
+
 (** Compute (and cache) kernel features, extrapolating to the evaluation
-    scale when the context carries a secondary profile size. *)
+    scale when the context carries a secondary profile size.  The
+    dynamic fields come from the profiling run of the reference program
+    (the one hotspot detection ran on), the static ones from the
+    extracted kernel.  Without a hotspot in the context, detection runs
+    on the reference program first. *)
 let ensure_features (ctx : Context.t) : Context.t =
   match ctx.features with
   | Some _ -> ctx
   | None ->
       let kernel = kernel_exn ctx in
+      let h = features_hotspot ctx in
+      let features_of source p =
+        Analysis.Features.analyze ~source ~loop_sid:h.loop_sid p ~kernel
+      in
       let f1, eval_features =
         match (ctx.secondary, ctx.eval_n) with
         | Some (n2, p2), Some n_eval when ctx.profile_n > 0 ->
-            let f1 = Analysis.Features.analyze ctx.program ~kernel in
+            let f1 = features_of ctx.reference ctx.program in
             (* reuse the profile-size hotspot decision on the secondary
-               copy (same source template, same loop id) instead of
-               re-profiling it.  Falls back to a fresh detection if the
-               copy has no loop under that id. *)
-            let p2', _, _ =
-              try prepare_kernel ?hotspot:ctx.hotspot p2
-              with Transforms.Extract.Not_extractable _
-              when ctx.hotspot <> None ->
-                prepare_kernel p2
+               copy (same source template, same loop id): its profiling
+               run tracks the same loop.  Falls back to a fresh detection
+               if the copy has no loop under that id. *)
+            let p2', _, h2 =
+              try prepare_kernel ~hotspot:h p2
+              with Transforms.Extract.Not_extractable _ -> prepare_kernel p2
             in
-            let f2 = Analysis.Features.analyze p2' ~kernel in
+            let f2 =
+              Analysis.Features.analyze ~source:p2 ~loop_sid:h2.loop_sid p2'
+                ~kernel
+            in
             ( f1,
               Some
                 (Analysis.Extrapolate.features ~n1:ctx.profile_n f1 ~n2 f2
                    ~n:n_eval) )
         | _ ->
-            let f1 = Analysis.Features.analyze ctx.program ~kernel in
+            let f1 = features_of ctx.reference ctx.program in
             (f1, Some f1)
       in
       { ctx with features = Some f1; eval_features }
@@ -120,14 +149,12 @@ module Repository = struct
 
   let extract_hotspot =
     Task.make "Hotspot Loop Extraction" Task.Transform (fun ctx ->
-        match ctx.hotspot with
-        | None -> raise (Flow_error "hotspot detection has not run")
-        | Some h ->
-            let ex = Stage_memo.extract ctx.program ~loop_sid:h.loop_sid in
-            logf
-              { ctx with program = ex.program; kernel = Some ex.kernel_name }
-              "extracted kernel %s(%s)" ex.kernel_name
-              (String.concat ", " (List.map snd ex.params)))
+        let h = hotspot_exn ctx in
+        let ex = Stage_memo.extract ctx.program ~loop_sid:h.loop_sid in
+        logf
+          { ctx with program = ex.program; kernel = Some ex.kernel_name }
+          "extracted kernel %s(%s)" ex.kernel_name
+          (String.concat ", " (List.map snd ex.params)))
 
   let remove_array_dependency =
     Task.make "Remove Array += Dependency" Task.Transform (fun ctx ->

@@ -135,7 +135,7 @@ type kop =
 
 (** A lowered kernel: the original {!Resolve.kernel} (whose statically
     counted totals drive the bulk accounting and whose [k_body] still
-    runs verbatim on the focus-tracking path) plus the fused micro-ops,
+    runs verbatim on the loop-tracking path) plus the fused micro-ops,
     their hoisted entry banks, and the frame registers its slots live
     in.  A kernel input or output in the float bank is a plain float
     copy; only boxed (or int-bank) slots convert. *)
@@ -267,6 +267,7 @@ type fn = {
   bc_icbase : int;
   bc_icvals : int array;
   bc_params : int array;  (** register of the i-th parameter *)
+  bc_slots : int array;  (** register of each local slot *)
 }
 
 type program = {
@@ -274,6 +275,7 @@ type program = {
   bc_funcs : fn array;
   bc_globals : fn;
   bc_nloops : int;  (** dense loop count, sizes the per-run stat cache *)
+  bc_loop_sids : int array;  (** node id of each dense loop number *)
 }
 
 (* ================================================================== *)
@@ -626,7 +628,9 @@ type temps = { base : int; mutable n : int; mutable hi : int }
 type lctx = {
   cp : R.t;
   glob : bool;  (** lowering the globals block: the frame is [garray] *)
-  nloops : int ref;  (** dense loop numbering, shared across functions *)
+  nloops : int list ref;
+      (** node ids by dense loop number, newest first; the numbering is
+          shared across functions *)
   env : Opt.tenv;
   lt : Opt.ty array;  (** slot types of the frame *)
   slots : int array;  (** register of each local slot *)
@@ -662,9 +666,9 @@ let tmp ctx bank =
 let dest ctx dst bank =
   match dst with Some d when bank_of d = bank -> d | _ -> tmp ctx bank
 
-let fresh_loop ctx =
-  let l = !(ctx.nloops) in
-  incr ctx.nloops;
+let fresh_loop ctx sid =
+  let l = List.length !(ctx.nloops) in
+  ctx.nloops := sid :: !(ctx.nloops);
   l
 
 (* In the globals block the running frame IS the global frame, so the
@@ -1091,7 +1095,7 @@ and ls ctx (s : R.stmt) =
           place ctx lend)
   | R.SWhile { wsid; cond; body } ->
       emit ctx IFuel;
-      let lidx = fresh_loop ctx in
+      let lidx = fresh_loop ctx wsid in
       let t0 = tmp ctx fbank and trips = tmp ctx ibank in
       emit ctx (ILoopEnterW { lidx; sid = wsid; t0; trips });
       let ltest = fresh_lab ctx and lexit = fresh_lab ctx in
@@ -1104,7 +1108,7 @@ and ls ctx (s : R.stmt) =
       place ctx lexit;
       emit ctx (ILoopExit { lidx; sid = wsid; t0; trips })
   | R.SFor { fsid; slot; init; bound; inclusive; step; body } ->
-      lfor ctx (fresh_loop ctx) ~fsid ~slot ~init ~bound ~inclusive ~step
+      lfor ctx (fresh_loop ctx fsid) ~fsid ~slot ~init ~bound ~inclusive ~step
         ~body
   | R.SReturn eo ->
       emit ctx IFuel;
@@ -1118,7 +1122,7 @@ and ls ctx (s : R.stmt) =
   | R.SFused { forig; kern } -> (
       match forig with
       | R.SFor { fsid; slot; init; bound; inclusive; step; body } ->
-          let lidx = fresh_loop ctx in
+          let lidx = fresh_loop ctx fsid in
           let ldone = fresh_lab ctx in
           let kp = lift_kernel ~slots:ctx.slots kern in
           emit ctx (IKernel { glob = ctx.glob; lidx; kp; tgt = ldone });
@@ -1299,13 +1303,14 @@ let lower_fn (cp : R.t) ~env ~lt ~glob ~nloops ~slots ~nslots ~nfslots
     bc_icbase = nislots;
     bc_icvals = icvals;
     bc_params = params;
+    bc_slots = slots;
   }
 
 (** Lower a resolved (optionally optimized) program.  Bank assignment
     reads the slot types of {!Opt.type_program} on [cp] itself. *)
 let lower (cp : R.t) : program =
   let env = Opt.type_program cp in
-  let nloops = ref 0 in
+  let nloops = ref [] in
   let funcs =
     Array.mapi
       (fun fi (cf : R.cfunc) ->
@@ -1323,4 +1328,11 @@ let lower (cp : R.t) : program =
       ~nslots:0 ~nfslots:0 ~nislots:0 ~params:[||] cp.R.cglobals
   in
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_programs";
-  { bc_cp = cp; bc_funcs = funcs; bc_globals = globals; bc_nloops = !nloops }
+  let sids = Array.of_list (List.rev !nloops) in
+  {
+    bc_cp = cp;
+    bc_funcs = funcs;
+    bc_globals = globals;
+    bc_nloops = Array.length sids;
+    bc_loop_sids = sids;
+  }

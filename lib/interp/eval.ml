@@ -2,17 +2,18 @@
 
     Executes a program starting at [main], charging virtual cycles per
     {!Profile.Cost} and recording the observations that the dynamic
-    design-flow tasks consume.  Passing [~focus:"kernel_fn"] additionally
-    profiles every call to that function as an accelerator-offload
-    candidate: per-argument transfer requirements and touched ranges.
+    design-flow tasks consume.  Passing [~track] additionally observes
+    each listed loop as the accelerator-offload candidate its extracted
+    kernel would be: per-invocation transfer requirements and touched
+    ranges of the pointers the kernel would take as arguments.
 
     Programs are first lowered to the slot IR of {!Resolve} (array-indexed
     variable slots, pre-resolved callees, per-group batched static cycle
     charges), optimized by {!Opt}, and lowered once more to the flat
     register bytecode of {!Bytecode}, which {!run_vm} executes over
     frames of boxed, float and int register banks.  The VM's memory
-    accessors are chosen per run: a run without a focus pays nothing for
-    the offload instrumentation.
+    accessors are chosen per run: a run that tracks no loop pays nothing
+    for the offload instrumentation.
 
     The tree walker over the slot IR is kept as {!run_ir}: a reference
     implementation the test suite (and the perf harness's before/after
@@ -29,17 +30,42 @@ open Value
 
 exception Return_exc of Value.t
 
-(* Per-region tracking record for the active kernel-focus call.  The
+(* Per-region record of one tracked loop's active invocation.  The
    hot per-access path only bumps the lo/hi bounds and flips the
    per-element first-access state; the (allocating) range-list
-   maintenance is replayed once at focus exit. *)
-type focus_track = {
+   maintenance is replayed once at loop exit. *)
+type region_track = {
   ft_idxs : int list;
       (* kernel argument indices this region is reachable from *)
   ft_state : Bytes.t;
       (* per-element first-access state: 0 untouched, 1 read, 2 written *)
   mutable ft_lo : int;  (* min touched offset; [max_int] when untouched *)
   mutable ft_hi : int;  (* max touched offset; [-1] when untouched *)
+}
+
+(* Where a tracked loop reads one kernel pointer argument at entry. *)
+type targ = TSlot of Resolve.var_ref | TReg of int
+
+(* One tracked loop: the variables its extracted kernel would take as
+   pointer arguments, and the state of its active invocation. *)
+type tracker = {
+  tk_sid : int;
+  tk_args : targ array;  (* pointer arguments, in parameter order *)
+  mutable tk_depth : int;  (* > 0 while an invocation is active *)
+  mutable tk_regions : region_track option array;
+      (* indexed by region id (dense: region ids are allocation order);
+         [None] for regions no argument reaches — including any
+         allocated after the invocation began *)
+  mutable tk_order : int list;
+      (* region ids in reverse first-touch order within the invocation;
+         the exit replays the [regions_touched] range updates in this
+         order so the per-argument region lists come out exactly as if
+         they had been maintained per access *)
+  mutable tk_snap : float * int * int * int * int;
+      (* cycles, flops, sfu, bytes read, bytes written at entry *)
+  tk_obs : Profile.kernel_obs;
+      (* the loop's observations, entered into the profile on its first
+         invocation *)
 }
 
 type state = {
@@ -56,18 +82,15 @@ type state = {
   garray : Value.t array;  (** global frame *)
   out : Buffer.t;
   mutable rng : int;
-  focus_idx : int;  (** index of the focus function, [-1] for none *)
-  mutable focus_depth : int;
-  mutable focus_track : focus_track option array;
-      (** per-region tracking for the active focus call, indexed by
-          region id (dense: region ids are allocation order).  [None]
-          for regions not reachable from a kernel pointer argument —
-          including any allocated after the call began. *)
-  mutable focus_order : int list;
-      (** region ids in reverse first-touch order within the active
-          focus call; {!exit_focus} replays the [regions_touched] range
-          updates in this order so the per-argument region lists come
-          out exactly as if they had been maintained per access. *)
+  tracking : bool;  (** the run tracks at least one loop *)
+  track_sids : (int, tracker) Hashtbl.t;  (** tracked loops by node id *)
+  mutable track_lidx : tracker option array;
+      (** tracked loops by the bytecode's dense loop number (VM only) *)
+  mutable active : tracker option;
+      (** the tracker with an active invocation.  Tracked loops never
+          nest ({!Analysis.Hotspot.tracked} leaves sequential drivers
+          out), so a tracked loop entered while another is active is
+          not bracketed (see {!track_enter}). *)
   mutable fuel : int;  (** remaining statement budget, guards against hangs *)
   mutable loop_cache : Profile.loop_stat option array;
       (** per-run memo of {!Profile.loop_stat} records, indexed by the
@@ -133,26 +156,8 @@ let rand01 st = float_of_int (lcg_next st) /. 1073741824.0
 let rand_int st n = if n <= 0 then 0 else lcg_next st mod n
 
 (* ------------------------------------------------------------------ *)
-(* Kernel-focus access tracking                                        *)
+(* Loop tracking: per-access                                           *)
 (* ------------------------------------------------------------------ *)
-
-let kernel_obs st =
-  match st.prof.kernel with
-  | Some k -> k
-  | None ->
-      let k =
-        {
-          Profile.calls = 0;
-          k_cycles = 0.0;
-          k_flops = 0;
-          k_sfu = 0;
-          k_bytes_read = 0;
-          k_bytes_written = 0;
-          args = [||];
-        }
-      in
-      st.prof.kernel <- Some k;
-      k
 
 let update_range (obs : Profile.arg_obs) region_id off =
   let rec go = function
@@ -165,8 +170,7 @@ let update_range (obs : Profile.arg_obs) region_id off =
 
 (* Attribute a transfer to the first kernel argument reaching the
    region (aliased arguments would double-count the same bytes). *)
-let attribute st (tr : focus_track) ~write elem =
-  let k = kernel_obs st in
+let attribute (k : Profile.kernel_obs) (tr : region_track) ~write elem =
   match tr.ft_idxs with
   | i :: _ when i < Array.length k.args ->
       let a = k.args.(i) in
@@ -174,18 +178,18 @@ let attribute st (tr : focus_track) ~write elem =
       else a.Profile.bytes_in <- a.Profile.bytes_in + elem
   | _ -> ()
 
-(* Called only with [focus_depth > 0]; [elem] is the region's element
-   size in bytes.  Hot path: bound updates and the first-access byte
-   classification only — the [regions_touched] list maintenance is
-   deferred to {!exit_focus}. *)
-let track_focus_access st ~write mem_id off elem =
-  let a = st.focus_track in
+(* One access seen by the active tracker; [elem] is the region's
+   element size in bytes.  Hot path: bound updates and the first-access
+   byte classification only — the [regions_touched] list maintenance is
+   deferred to {!track_exit}. *)
+let track_one (tk : tracker) ~write mem_id off elem =
+  let a = tk.tk_regions in
   if mem_id < Array.length a then
     match Array.unsafe_get a mem_id with
     | None -> ()
     | Some tr ->
         if off < tr.ft_lo then (
-          if tr.ft_hi < 0 then st.focus_order <- mem_id :: st.focus_order;
+          if tr.ft_hi < 0 then tk.tk_order <- mem_id :: tk.tk_order;
           tr.ft_lo <- off);
         if off > tr.ft_hi then tr.ft_hi <- off;
         let s = Bytes.get_uint8 tr.ft_state off in
@@ -194,15 +198,20 @@ let track_focus_access st ~write mem_id off elem =
              must be copied back *)
           if s land 2 = 0 then (
             Bytes.set_uint8 tr.ft_state off (s lor 2);
-            attribute st tr ~write elem))
+            attribute tk.tk_obs tr ~write elem))
         else if s = 0 then (
           (* first access is a read: the element must be transferred in *)
           Bytes.set_uint8 tr.ft_state off 1;
-          attribute st tr ~write elem)
+          attribute tk.tk_obs tr ~write elem)
+
+let track_access st ~write mem_id off elem =
+  match st.active with
+  | None -> ()
+  | Some tk -> track_one tk ~write mem_id off elem
 
 (* Load/store with the region record already fetched: bounds check,
    access counters, byte accounting, and (on the tracking path) the
-   focus classification — one region fetch per access.  The
+   first-access classification — one region fetch per access.  The
    [Cost.load]/[Cost.store] cycles themselves are statically known and
    batched by the resolver. *)
 
@@ -224,14 +233,16 @@ let store_r st (r : Memory.region) off v =
 
 let load_r_tracked st r off =
   let v = load_r st r off in
-  if st.focus_depth > 0 then
-    track_focus_access st ~write:false r.Memory.id off r.elem_bytes;
+  (match st.active with
+  | None -> ()
+  | Some tk -> track_one tk ~write:false r.Memory.id off r.elem_bytes);
   v
 
 let store_r_tracked st r off v =
   store_r st r off v;
-  if st.focus_depth > 0 then
-    track_focus_access st ~write:true r.Memory.id off r.elem_bytes
+  match st.active with
+  | None -> ()
+  | Some tk -> track_one tk ~write:true r.Memory.id off r.elem_bytes
 
 (* Pointer-based accessors for the reference tree walker. *)
 let mem_load st (p : Value.ptr) = load_r_tracked st (Memory.region st.mem p.mem_id) p.off
@@ -334,87 +345,83 @@ let apply_assign st op old rhs =
   | Minic.Ast.DivEq -> do_div st old rhs
 
 (* ------------------------------------------------------------------ *)
-(* Focus-call bracketing                                               *)
+(* Loop tracking: invocation bracketing                                *)
 (* ------------------------------------------------------------------ *)
 
-let enter_focus st (f : Resolve.cfunc) args =
-  let ptr_params =
-    List.filteri
-      (fun _ ((p : Minic.Ast.param), _) ->
-        match p.ptyp with Minic.Ast.Tptr _ -> true | _ -> false)
-      (List.combine f.cf_params args)
-  in
-  let k = kernel_obs st in
-  if Array.length k.args = 0 then
-    k.args <-
-      Array.of_list
-        (List.mapi
-           (fun i ((p : Minic.Ast.param), _) ->
-             {
-               Profile.arg_index = i;
-               arg_name = p.pname_;
-               regions_touched = [];
-               bytes_in = 0;
-               bytes_out = 0;
-             })
-           ptr_params);
-  st.focus_order <- [];
-  st.focus_track <- Array.make (max 1 st.mem.Memory.next_id) None;
-  List.iteri
-    (fun i (_, v) ->
-      match v with
-      | VPtr p -> (
-          match st.focus_track.(p.mem_id) with
-          | Some tr ->
-              (* aliased arguments share the region's first-access
-                 state; transfers attribute to the first of them *)
-              st.focus_track.(p.mem_id) <-
-                Some { tr with ft_idxs = tr.ft_idxs @ [ i ] }
-          | None ->
-              st.focus_track.(p.mem_id) <-
-                Some
-                  {
-                    ft_idxs = [ i ];
-                    ft_state =
-                      Bytes.make (Memory.length st.mem p.mem_id) '\000';
-                    ft_lo = max_int;
-                    ft_hi = -1;
-                  })
-      | _ -> ())
-    ptr_params;
-  st.focus_depth <- st.focus_depth + 1
+(* Enter an invocation of tracked loop [tk]; [arg i] reads its i-th
+   pointer argument's variable.  Called right where the loop stamps its
+   cycle window, so the invocation's cycles are the loop-stat window's.
+   A re-entry while active (recursion) is not bracketed again, nor is a
+   loop entered while another tracked loop is active. *)
+let track_enter st (tk : tracker) (arg : int -> Value.t) =
+  if tk.tk_depth > 0 then tk.tk_depth <- tk.tk_depth + 1
+  else if Option.is_none st.active then begin
+    if not (Hashtbl.mem st.prof.Profile.kernel tk.tk_sid) then
+      Hashtbl.replace st.prof.Profile.kernel tk.tk_sid tk.tk_obs;
+    tk.tk_order <- [];
+    tk.tk_regions <- Array.make (max 1 st.mem.Memory.next_id) None;
+    Array.iteri
+      (fun i _ ->
+        match arg i with
+        | VPtr p -> (
+            match tk.tk_regions.(p.mem_id) with
+            | Some tr ->
+                (* aliased arguments share the region's first-access
+                   state; transfers attribute to the first of them *)
+                tk.tk_regions.(p.mem_id) <-
+                  Some { tr with ft_idxs = tr.ft_idxs @ [ i ] }
+            | None ->
+                tk.tk_regions.(p.mem_id) <-
+                  Some
+                    {
+                      ft_idxs = [ i ];
+                      ft_state =
+                        Bytes.make (Memory.length st.mem p.mem_id) '\000';
+                      ft_lo = max_int;
+                      ft_hi = -1;
+                    })
+        | _ -> ())
+      tk.tk_args;
+    tk.tk_snap <-
+      ( cycles st,
+        st.prof.flops,
+        st.prof.sfu_ops,
+        st.prof.bytes_read,
+        st.prof.bytes_written );
+    st.active <- Some tk;
+    tk.tk_depth <- 1
+  end
 
-let exit_focus st (c0, f0, s0, br0, bw0) =
-  st.focus_depth <- st.focus_depth - 1;
-  let k = kernel_obs st in
-  (* replay the deferred [regions_touched] range updates in first-touch
-     order: merging each region's lo then hi bound is exactly the fold
-     the per-access updates would have produced *)
-  List.iter
-    (fun mem_id ->
-      match st.focus_track.(mem_id) with
-      | Some tr when tr.ft_hi >= 0 ->
-          List.iter
-            (fun i ->
-              if i < Array.length k.args then (
-                update_range k.args.(i) mem_id tr.ft_lo;
-                update_range k.args.(i) mem_id tr.ft_hi))
-            tr.ft_idxs
-      | _ -> ())
-    (List.rev st.focus_order);
-  k.calls <- k.calls + 1;
-  k.k_cycles <- k.k_cycles +. (cycles st -. c0);
-  k.k_flops <- k.k_flops + (st.prof.flops - f0);
-  k.k_sfu <- k.k_sfu + (st.prof.sfu_ops - s0);
-  k.k_bytes_read <- k.k_bytes_read + (st.prof.bytes_read - br0);
-  k.k_bytes_written <- k.k_bytes_written + (st.prof.bytes_written - bw0)
-
-let counters_snapshot st =
-  ( cycles st,
-    st.prof.flops,
-    st.prof.sfu_ops,
-    st.prof.bytes_read,
-    st.prof.bytes_written )
+(* Leave an invocation: replay the deferred range updates and add the
+   invocation's counter deltas. *)
+let track_exit st (tk : tracker) =
+  match st.active with
+  | Some a when a == tk && tk.tk_depth > 1 -> tk.tk_depth <- tk.tk_depth - 1
+  | Some a when a == tk ->
+      tk.tk_depth <- 0;
+      st.active <- None;
+      let k = tk.tk_obs and c0, f0, s0, br0, bw0 = tk.tk_snap in
+      (* merging each region's lo then hi bound in first-touch order is
+         exactly the fold the per-access updates would have produced *)
+      List.iter
+        (fun mem_id ->
+          match tk.tk_regions.(mem_id) with
+          | Some tr when tr.ft_hi >= 0 ->
+              List.iter
+                (fun i ->
+                  if i < Array.length k.args then (
+                    update_range k.args.(i) mem_id tr.ft_lo;
+                    update_range k.args.(i) mem_id tr.ft_hi))
+                tr.ft_idxs
+          | _ -> ())
+        (List.rev tk.tk_order);
+      k.calls <- k.calls + 1;
+      k.k_cycles <- k.k_cycles +. (cycles st -. c0);
+      k.k_flops <- k.k_flops + (st.prof.flops - f0);
+      k.k_sfu <- k.k_sfu + (st.prof.sfu_ops - s0);
+      k.k_bytes_read <- k.k_bytes_read + (st.prof.bytes_read - br0);
+      k.k_bytes_written <- k.k_bytes_written + (st.prof.bytes_written - bw0)
+  | _ -> ()
 
 (* Raised by a specialized kernel's entry protocol — strictly before any
    state mutation — when a precondition fails (non-numeric bounds,
@@ -434,6 +441,18 @@ let vbool b = if b then vtrue else vfalse
    reproduces its profiles bit-identically, and the perf harness reports
    its throughput as the "before" number. *)
 module Ir_walk = struct
+  let walk_track_enter st frame sid =
+    if not st.tracking then None
+    else
+      match Hashtbl.find_opt st.track_sids sid with
+      | None -> None
+      | Some tk ->
+          track_enter st tk (fun i ->
+              match tk.tk_args.(i) with
+              | TSlot r -> ( try get_var st frame r with Runtime_error _ -> VUnit)
+              | TReg _ -> VUnit);
+          Some tk
+
   let rec eval_expr st frame (e : Resolve.expr) : Value.t =
     match e.e with
     | ELit v -> v
@@ -561,17 +580,10 @@ module Ir_walk = struct
       err "call to '%s' with wrong arity" f.cf_name;
     let frame = Array.make (max 1 f.cf_nslots) VUnit in
     List.iteri (fun i v -> frame.(f.cf_param_slots.(i)) <- v) args;
-    let is_focus = idx = st.focus_idx && st.focus_depth = 0 in
-    if is_focus then enter_focus st f args;
-    let snapshot = counters_snapshot st in
-    let result =
-      try
-        exec_block st frame f.cf_body;
-        VUnit
-      with Return_exc v -> v
-    in
-    if is_focus then exit_focus st snapshot;
-    result
+    try
+      exec_block st frame f.cf_body;
+      VUnit
+    with Return_exc v -> v
 
   and exec_stmt st frame (s : Resolve.stmt) =
     match s with
@@ -617,6 +629,7 @@ module Ir_walk = struct
     | SWhile { wsid; cond; body } ->
         let stat = Profile.loop_stat st.prof wsid in
         stat.invocations <- stat.invocations + 1;
+        let tk = walk_track_enter st frame wsid in
         let t0 = cycles st in
         let trips = ref 0 in
         charge st Profile.Cost.branch;
@@ -633,10 +646,12 @@ module Ir_walk = struct
         loop ();
         stat.min_trip <- min stat.min_trip !trips;
         stat.max_trip <- max stat.max_trip !trips;
-        stat.cycles <- stat.cycles +. (cycles st -. t0)
+        stat.cycles <- stat.cycles +. (cycles st -. t0);
+        Option.iter (track_exit st) tk
     | SFor { fsid; slot; init; bound; inclusive; step; body } ->
         let stat = Profile.loop_stat st.prof fsid in
         stat.invocations <- stat.invocations + 1;
+        let tk = walk_track_enter st frame fsid in
         let t0 = cycles st in
         charge st init.ecost;
         let i0 = to_int (eval_expr st frame init) in
@@ -660,7 +675,8 @@ module Ir_walk = struct
         done;
         stat.min_trip <- min stat.min_trip !trips;
         stat.max_trip <- max stat.max_trip !trips;
-        stat.cycles <- stat.cycles +. (cycles st -. t0)
+        stat.cycles <- stat.cycles +. (cycles st -. t0);
+        Option.iter (track_exit st) tk
     | SReturn eo ->
         let v =
           match eo with Some e -> eval_expr st frame e | None -> VUnit
@@ -971,10 +987,27 @@ let rec kieval slots fr ib iv (ie : Resolve.iexpr) =
 (* Specialized-kernel execution for the VM.  The entry protocol checks
    every precondition and aborts with [Kernel_unfit] strictly before any
    state mutation; the committed body charges the whole loop in bulk and
-   runs the fused micro-program.  The focus-tracking path needs
-   per-access hooks in generic order, so it runs the original kinstr
-   body instead.  [fr], [fb] and [ib] are the frame's boxed, float and
+   runs the fused micro-program.  While a tracked loop is active the
+   kernel needs per-access hooks in generic order, so it runs the
+   original kinstr body instead.  [fr], [fb] and [ib] are the frame's boxed, float and
    int banks ([fr] is [garray] in the globals block). *)
+(* Tracked-loop bracketing for the VM: [regs]/[sf]/[si] are the banks
+   of the frame running loop number [lidx]. *)
+let vtrack_enter st lidx regs sf si =
+  match Array.unsafe_get st.track_lidx lidx with
+  | None -> ()
+  | Some tk ->
+      track_enter st tk (fun i ->
+          match tk.tk_args.(i) with
+          | TReg r -> getv regs sf si r
+          | TSlot (Resolve.Global g) -> st.garray.(g)
+          | TSlot _ -> VUnit)
+
+let vtrack_exit st lidx =
+  match Array.unsafe_get st.track_lidx lidx with
+  | None -> ()
+  | Some tk -> track_exit st tk
+
 let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
   let k = kp.B.kp_kern in
   let slots = kp.B.kp_slots in
@@ -1007,6 +1040,7 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     st.fuel <- st.fuel - 1;
     let stat = cached_loop_stat st lidx k.Resolve.k_fsid in
     stat.invocations <- stat.invocations + 1;
+    if st.tracking then vtrack_enter st lidx fr fb ib;
     let t0 = cycles st in
     charge st (k.Resolve.k_icost +. k.Resolve.k_bcost);
     st.prof.int_ops <-
@@ -1014,7 +1048,8 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     seti fr ib slots.(k.Resolve.k_idx_slot) i0;
     stat.min_trip <- min stat.min_trip 0;
     stat.max_trip <- max stat.max_trip 0;
-    stat.cycles <- stat.cycles +. (cycles st -. t0))
+    stat.cycles <- stat.cycles +. (cycles st -. t0);
+    if st.tracking then vtrack_exit st lidx)
   else (
     let datas = Array.make nsites [||] in
     let offs = Array.make nsites 0 in
@@ -1076,6 +1111,7 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     st.fuel <- st.fuel - fuel_used;
     let stat = cached_loop_stat st lidx k.Resolve.k_fsid in
     stat.invocations <- stat.invocations + 1;
+    if st.tracking then vtrack_enter st lidx fr fb ib;
     let t0 = cycles st in
     let total =
       k.Resolve.k_icost +. k.Resolve.k_bcost +. (float_of_int n *. per_iter)
@@ -1096,9 +1132,8 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
       st.prof.stores <- st.prof.stores + (n * stores_per_iter);
       st.prof.bytes_written <- st.prof.bytes_written + (n * !bytes_w));
     stat.iterations <- stat.iterations + n;
-    let do_track = track && st.focus_depth > 0 in
-    if do_track then (
-      (* focus tracking: run the original kinstr body with per-access
+    if track && Option.is_some st.active then (
+      (* loop tracking: run the original kinstr body with per-access
          hooks in generic order *)
       let rmw fop si r =
         let off = Array.unsafe_get offs si in
@@ -1108,11 +1143,11 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
           | VFloat f -> f
           | v -> to_float v
         in
-        track_focus_access st ~write:false (Array.unsafe_get ids si) off
+        track_access st ~write:false (Array.unsafe_get ids si) off
           (Array.unsafe_get elems si);
         Array.unsafe_set data off
           (VFloat (fop old (Array.unsafe_get fregs r)));
-        track_focus_access st ~write:true (Array.unsafe_get ids si) off
+        track_access st ~write:true (Array.unsafe_get ids si) off
           (Array.unsafe_get elems si)
       in
       let iv = ref i0 in
@@ -1147,13 +1182,13 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
               (match Array.unsafe_get (Array.unsafe_get datas si) off with
               | VFloat f -> Array.unsafe_set fregs d f
               | v -> Array.unsafe_set fregs d (to_float v));
-              track_focus_access st ~write:false (Array.unsafe_get ids si)
+              track_access st ~write:false (Array.unsafe_get ids si)
                 off (Array.unsafe_get elems si)
           | Resolve.KStore (si, r) ->
               let off = Array.unsafe_get offs si in
               Array.unsafe_set (Array.unsafe_get datas si) off
                 (VFloat (Array.unsafe_get fregs r));
-              track_focus_access st ~write:true (Array.unsafe_get ids si) off
+              track_access st ~write:true (Array.unsafe_get ids si) off
                 (Array.unsafe_get elems si)
           | Resolve.KStoreAdd (si, r) -> rmw ( +. ) si r
           | Resolve.KStoreSub (si, r) -> rmw ( -. ) si r
@@ -1200,7 +1235,8 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     seti fr ib slots.(k.Resolve.k_idx_slot) (i0 + (n * s));
     stat.min_trip <- min stat.min_trip n;
     stat.max_trip <- max stat.max_trip n;
-    stat.cycles <- stat.cycles +. (cycles st -. t0))
+    stat.cycles <- stat.cycles +. (cycles st -. t0);
+    if st.tracking then vtrack_exit st lidx)
 
 (* {!do_mod}, {!do_cmp} and {!coerce} over bank-tagged operands, with
    the same counter bumps, conversions and errors: a modulo of int-bank
@@ -1489,6 +1525,7 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
     | B.ILoopEnterW { lidx; sid; t0; trips } ->
         let stat = cached_loop_stat st lidx sid in
         stat.invocations <- stat.invocations + 1;
+        if st.tracking then vtrack_enter st lidx regs sf si;
         Array.unsafe_set sf (t0 lsr 2) (cycles st);
         Array.unsafe_set si (trips lsr 2) 0;
         charge st Profile.Cost.branch;
@@ -1496,6 +1533,7 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
     | B.ILoopEnterF { lidx; sid; t0; trips; icost } ->
         let stat = cached_loop_stat st lidx sid in
         stat.invocations <- stat.invocations + 1;
+        if st.tracking then vtrack_enter st lidx regs sf si;
         Array.unsafe_set sf (t0 lsr 2) (cycles st);
         charge st icost;
         Array.unsafe_set si (trips lsr 2) 0;
@@ -1559,6 +1597,7 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
         stat.max_trip <- max stat.max_trip tr;
         stat.cycles <-
           stat.cycles +. (cycles st -. Array.unsafe_get sf (t0 lsr 2));
+        if st.tracking then vtrack_exit st lidx;
         go (pc + 1)
     | B.IKernel { glob; lidx; kp; tgt } -> (
         let fr = if glob then st.garray else regs in
@@ -1573,44 +1612,29 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
    banks. *)
 and vcall st (bp : B.program) ~track fidx (argr : int array)
     (cregs : Value.t array) (csf : float array) (csi : int array) : Value.t =
-  let f = st.cprog.cfuncs.(fidx) in
   let fn = bp.B.bc_funcs.(fidx) in
   let regs, sf, si = new_frame fn in
   Array.iteri
     (fun i r ->
       xmov regs sf si (Array.unsafe_get fn.B.bc_params i) cregs csf csi r)
     argr;
-  if not track then vrun st bp ~track fn.B.bc_code regs sf si
-  else begin
-    let is_focus = fidx = st.focus_idx && st.focus_depth = 0 in
-    if is_focus then
-      enter_focus st f
-        (Array.to_list (Array.map (getv cregs csf csi) argr));
-    let snapshot = counters_snapshot st in
-    let result = vrun st bp ~track fn.B.bc_code regs sf si in
-    if is_focus then exit_focus st snapshot;
-    result
-  end
+  vrun st bp ~track fn.B.bc_code regs sf si
 
 (* Entry path for [main] — mirrors the walker's [eval_user_call]:
-   arity check, focus bracketing even when the run has no focus (the
-   test is cheap and happens once). *)
+   arity check, then the body. *)
 let vcall_main st (bp : B.program) ~track idx : Value.t =
   let f = st.cprog.cfuncs.(idx) in
   if List.length f.Resolve.cf_params <> 0 then
     err "call to '%s' with wrong arity" f.Resolve.cf_name;
   let fn = bp.B.bc_funcs.(idx) in
   let regs, sf, si = new_frame fn in
-  let is_focus = idx = st.focus_idx && st.focus_depth = 0 in
-  if is_focus then enter_focus st f [];
-  let snapshot = counters_snapshot st in
-  let result = vrun st bp ~track fn.B.bc_code regs sf si in
-  if is_focus then exit_focus st snapshot;
-  result
+  vrun st bp ~track fn.B.bc_code regs sf si
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
+
+type track = (int * string list) list
 
 (** Result of running a program. *)
 type run = {
@@ -1636,15 +1660,54 @@ let compile p : compiled =
   Flow_obs.Trace.with_span ~cat:"interp" "interp.compile" (fun () ->
       compile_resolved (Opt.optimize (Resolve.compile p)))
 
-let make_state ?focus ~fuel (cp : Resolve.t) =
-  let focus_idx =
-    match focus with
-    | None -> -1
-    | Some name -> (
-        match Hashtbl.find_opt cp.func_index name with
-        | Some i -> i
-        | None -> -1)
-  in
+(* Trackers of the loops named in [track] that some function of [cp]
+   holds; [reg fi slot] says where the engine keeps local [slot] of
+   function [fi]. *)
+let make_trackers (cp : Resolve.t) ~reg (track : track) =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (sid, names) ->
+      match Resolve.track_slots cp ~loop_sid:sid names with
+      | None -> ()
+      | Some (fi, refs) ->
+          Hashtbl.replace tbl sid
+            {
+              tk_sid = sid;
+              tk_args =
+                Array.of_list
+                  (List.map
+                     (function Resolve.Local i -> reg fi i | r -> TSlot r)
+                     refs);
+              tk_depth = 0;
+              tk_regions = [||];
+              tk_order = [];
+              tk_snap = (0.0, 0, 0, 0, 0);
+              tk_obs =
+                {
+                  Profile.calls = 0;
+                  k_cycles = 0.0;
+                  k_flops = 0;
+                  k_sfu = 0;
+                  k_bytes_read = 0;
+                  k_bytes_written = 0;
+                  args =
+                    Array.of_list
+                      (List.mapi
+                         (fun i name ->
+                           {
+                             Profile.arg_index = i;
+                             arg_name = name;
+                             regions_touched = [];
+                             bytes_in = 0;
+                             bytes_out = 0;
+                           })
+                         names);
+                };
+            })
+    track;
+  tbl
+
+let make_state ~fuel ~trackers (cp : Resolve.t) =
   {
     cprog = cp;
     mem = Memory.create ();
@@ -1652,10 +1715,10 @@ let make_state ?focus ~fuel (cp : Resolve.t) =
     garray = Array.make (max 1 cp.nglobals) VUnit;
     out = Buffer.create 256;
     rng = 123456789;
-    focus_idx;
-    focus_depth = 0;
-    focus_track = [||];
-    focus_order = [];
+    tracking = Hashtbl.length trackers > 0;
+    track_sids = trackers;
+    track_lidx = [||];
+    active = None;
     fuel;
     loop_cache = [||];
     bulk_cycles = 0.0;
@@ -1665,12 +1728,19 @@ let make_state ?focus ~fuel (cp : Resolve.t) =
 (** Run an already-compiled program from [main] through the register
     bytecode VM (same observable semantics as {!run_ir}, bit for bit —
     output, return value, full profile). *)
-let run_vm ?focus ?(fuel = 200_000_000) (c : compiled) : run =
+let run_vm ?(track = []) ?(fuel = 200_000_000) (c : compiled) : run =
   Flow_obs.Trace.with_span ~cat:"interp" "interp.eval" @@ fun () ->
-  let st = make_state ?focus ~fuel c.cp in
   let bp = c.vm in
+  let trackers =
+    make_trackers c.cp track ~reg:(fun fi i ->
+        TReg bp.Bytecode.bc_funcs.(fi).Bytecode.bc_slots.(i))
+  in
+  let st = make_state ~fuel ~trackers c.cp in
   st.loop_cache <- Array.make (max 1 bp.Bytecode.bc_nloops) None;
-  let track = st.focus_idx >= 0 in
+  if st.tracking then
+    st.track_lidx <-
+      Array.map (Hashtbl.find_opt trackers) bp.Bytecode.bc_loop_sids;
+  let track = st.tracking in
   (* globals evaluate in the global frame; a stray [return] there
      escapes as [Return_exc], exactly like the reference walker *)
   let g = bp.Bytecode.bc_globals in
@@ -1690,12 +1760,41 @@ let run_vm ?focus ?(fuel = 200_000_000) (c : compiled) : run =
     [ ("virtual_cycles", Flow_obs.Attr.Float st.prof.cycles) ];
   { profile = st.prof; output = Buffer.contents st.out; return_value }
 
+(* [~focus:f] names an extracted kernel function instead of its loop:
+   track each loop statement of [f]'s body with [f]'s pointer
+   parameters as arguments. *)
+let with_focus (p : Minic.Ast.program) track = function
+  | None -> track
+  | Some f -> (
+      match Minic.Ast.find_func_opt p f with
+      | None -> track
+      | Some fn ->
+          let ptrs =
+            List.filter_map
+              (fun (pr : Minic.Ast.param) ->
+                match pr.ptyp with
+                | Minic.Ast.Tptr _ -> Some pr.pname_
+                | _ -> None)
+              fn.fparams
+          in
+          track
+          @ List.filter_map
+              (fun (s : Minic.Ast.stmt) ->
+                match s.snode with
+                | For _ | While _ -> Some (s.sid, ptrs)
+                | _ -> None)
+              fn.fbody)
+
 (** Run the slot IR through the reference tree walker.  Counted as
     [interp_ir_runs] (not [interp_runs]): this path exists for
     bit-identity checking and before/after benchmarking, not for the
     flow. *)
-let run_ir ?focus ?(fuel = 200_000_000) (cp : Resolve.t) : run =
-  let st = make_state ?focus ~fuel cp in
+let run_ir ?focus ?(track = []) ?(fuel = 200_000_000) (cp : Resolve.t) : run =
+  let track = with_focus cp.source track focus in
+  let trackers =
+    make_trackers cp track ~reg:(fun _ i -> TSlot (Resolve.Local i))
+  in
+  let st = make_state ~fuel ~trackers cp in
   Ir_walk.exec_block st st.garray cp.cglobals;
   if cp.main_idx < 0 then err "program has no 'main' function";
   charge st Profile.Cost.call;
@@ -1706,9 +1805,10 @@ let run_ir ?focus ?(fuel = 200_000_000) (cp : Resolve.t) : run =
 
 (** Run [program] from [main].
 
-    @param focus name of the kernel function to profile as an offload
-      candidate (collects {!Profile.kernel_obs})
+    @param track loops to observe as offload candidates (see {!run_vm})
+    @param focus an extracted kernel function: tracks its loops with its
+      pointer parameters
     @param fuel statement-execution budget; the default (200 million) is a
       safety net against accidental infinite loops in transformed code *)
-let run ?focus ?fuel (program : Minic.Ast.program) : run =
-  run_vm ?focus ?fuel (compile program)
+let run ?focus ?(track = []) ?fuel (program : Minic.Ast.program) : run =
+  run_vm ~track:(with_focus program track focus) ?fuel (compile program)

@@ -30,15 +30,31 @@ type run = {
 (** A compiled program: the slot IR plus its register bytecode. *)
 type compiled
 
+(** Loops to observe as accelerator-offload candidates: each entry is a
+    loop's node id and the variables its extracted kernel would take as
+    pointer arguments, in parameter order (aliased variables share one
+    first-access record, as aliased arguments do).  Every invocation of
+    a tracked loop is one kernel call: its cycle, FLOP and byte deltas
+    and, per argument, the first-access transfer bytes and touched
+    ranges ({!Profile.kernel_obs}, keyed by the loop's id).  The names
+    resolve in the function holding the loop; an id no function holds
+    is ignored.  Tracked loops must not nest: one entered while another
+    tracked loop runs is not observed.  Tracking changes no other
+    observable. *)
+type track = (int * string list) list
+
 (** Run [program] from [main].
 
-    @param focus name of the kernel function to profile as an
-      accelerator-offload candidate (collects {!Profile.kernel_obs})
+    @param track loops to observe as offload candidates (default none)
+    @param focus an extracted kernel function, named instead of its
+      loop: tracks each loop statement of its body, with its pointer
+      parameters, in order, as the arguments (added to [track])
     @param fuel statement/iteration budget guarding against hangs
       (default 200 million)
     @raise Value.Runtime_error on runtime faults (out-of-bounds access,
       integer division by zero, fuel exhaustion, missing [main], ...) *)
-val run : ?focus:string -> ?fuel:int -> Minic.Ast.program -> run
+val run :
+  ?focus:string -> ?track:track -> ?fuel:int -> Minic.Ast.program -> run
 
 (** Compile a program once; the result can be executed many times with
     {!run_vm} without re-resolving or re-compiling.  One pipeline:
@@ -56,10 +72,10 @@ val compile_resolved : Resolve.t -> compiled
 
 (** Run an already-compiled program from [main] through the register
     bytecode VM.  Equivalent to {!run} on the source program. *)
-val run_vm : ?focus:string -> ?fuel:int -> compiled -> run
+val run_vm : ?track:track -> ?fuel:int -> compiled -> run
 
 (** Run the slot IR through the reference tree walker.  Profiles,
     outputs and error points are bit-identical to {!run_vm}; counted
     under the [interp_ir_runs] metric instead of [interp_runs].  Exists
     for bit-identity testing and before/after benchmarking. *)
-val run_ir : ?focus:string -> ?fuel:int -> Resolve.t -> run
+val run_ir : ?focus:string -> ?track:track -> ?fuel:int -> Resolve.t -> run

@@ -1,8 +1,8 @@
 (** Fused single-pass profiling.
 
-    One interpreter execution per distinct [(program, focus)] request —
-    the workload size is baked into the program source — collects
-    everything the five dynamic analyses consume:
+    One interpreter execution per program — the workload size is baked
+    into the program source — collects everything the five dynamic
+    analyses consume:
 
     - per-loop cycle totals ({!Profile.loop_stat}, projected by hotspot
       detection — no timer instrumentation needed, because the
@@ -10,15 +10,20 @@
       same quantity bit-identically);
     - per-loop invocation/iteration observations (trip-count analysis
       and the feature vector);
-    - per-argument touched ranges and first-access transfer bytes
-      ({!Profile.kernel_obs}, projected by alias, data in/out and
-      feature analysis — only collected when [focus] is set).
+    - for every tracked loop, the offload observations of the kernel
+      extraction would make of it: per-argument touched ranges and
+      first-access transfer bytes ({!Profile.kernel_obs}, projected by
+      alias, data in/out and feature analysis).  The hotspot is known
+      only when the run ends, so the run tracks every loop hotspot
+      selection can stop at ({!Analysis.Hotspot.tracked}), and the
+      analyses read the chosen loop's record.
 
     The analyses in [lib/analysis] are pure projections of this record:
-    requesting several of them for the same [(program, focus)] costs one
-    interpreter run, and the underlying {!Profile_cache} (keyed on the
-    same request) dedupes the run across analysis call sites, flow
-    branches, DSE candidates and service jobs process-wide.
+    requesting several of them for the same program costs one
+    interpreter run, and {!Profile_cache} (filled by
+    {!Analysis.Hotspot.fused}, keyed on the program) dedupes the run
+    across analysis call sites, flow branches, DSE candidates and
+    service jobs process-wide.
 
     The run behind a fused profile executes on the production engine —
     slot IR optimized by {!Opt} (strength reduction and kernel
@@ -30,19 +35,13 @@
 
 type t = {
   source : Minic.Ast.program;  (** the program that was executed *)
-  focus : string option;  (** kernel under offload observation, if any *)
   run : Eval.run;
 }
 
-(** Fused profile of [p]: one (cached) interpreter execution collecting
-    every dynamic observation the analyses project.  Pass [~focus] to
-    additionally observe a kernel's offload behaviour. *)
-let get ?focus (p : Minic.Ast.program) : t =
-  { source = p; focus; run = Profile_cache.run ?focus p }
-
-(** Wrap an existing run as a fused profile (tests, replay). *)
-let of_run ?focus (source : Minic.Ast.program) (run : Eval.run) : t =
-  { source; focus; run }
+(** The fused profile of [source] made by [run], a run of it: the
+    cached one {!Analysis.Hotspot.fused} makes, or one a test makes. *)
+let of_run (source : Minic.Ast.program) (run : Eval.run) : t =
+  { source; run }
 
 let profile t = t.run.profile
 let output t = t.run.output
@@ -56,6 +55,6 @@ let loop_cycles t sid =
   | Some s -> s.Profile.cycles
   | None -> 0.0
 
-(** Offload observations of the focus kernel, when one was set and was
-    actually called. *)
-let kernel_obs t = t.run.profile.Profile.kernel
+(** Offload observations of tracked loop [loop_sid], when it was
+    tracked and actually ran. *)
+let kernel_obs t ~loop_sid = Profile.kernel_obs t.run.profile loop_sid

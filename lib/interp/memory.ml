@@ -8,7 +8,7 @@
     a growable array indexed directly by id — the per-access [Hashtbl]
     lookup of the original implementation was the single hottest
     operation of a profiling run (every load/store consulted it up to
-    three times: value access, byte accounting, focus tracking).  The
+    three times: value access, byte accounting, loop tracking).  The
     interpreter fetches the region record once per access and reads
     everything it needs from it. *)
 

@@ -5,7 +5,7 @@
     tests select them with a {!config}) and each carrying a bit-identity
     obligation against the reference walker ([Eval.run_ir] over the
     {e unoptimized} IR): same virtual-cycle totals, same counter values,
-    same memory effects and focus ranges, same output, same error
+    same memory effects and tracked ranges, same output, same error
     points, same fuel accounting.
 
     - {b strength reduction}: arithmetic/comparison/division nodes whose

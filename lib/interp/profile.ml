@@ -8,8 +8,10 @@
       [__timer_start]/[__timer_stop] hooks it instruments into the source;
     - loop trip-count analysis reads per-loop iteration statistics, which
       the interpreter records keyed by the loop statement's node id;
-    - data in/out analysis reads per-kernel-argument transfer requirements;
-    - pointer alias analysis reads per-argument touched ranges.
+    - data in/out analysis reads, per tracked loop, the transfer
+      requirements of each pointer the loop's extracted kernel would take
+      as an argument;
+    - pointer alias analysis reads the same pointers' touched ranges.
 
     FLOP / special-function / byte counters additionally feed the
     analytical device models in [lib/devices]. *)
@@ -47,7 +49,7 @@ type loop_stat = {
 
 type timer = { mutable total : float; mutable started_at : float option }
 
-(** Per-pointer-argument observations for the kernel focus function. *)
+(** Observations of one pointer argument of a tracked loop's kernel. *)
 type arg_obs = {
   arg_index : int;
   arg_name : string;
@@ -59,7 +61,8 @@ type arg_obs = {
   mutable bytes_out : int;  (** elements written, i.e. device->host data *)
 }
 
-(** Aggregated observations of the focus (kernel) function. *)
+(** Aggregated observations of one tracked loop, as the kernel
+    extracted from it would see them: one [call] per invocation. *)
 type kernel_obs = {
   mutable calls : int;
   mutable k_cycles : float;
@@ -81,7 +84,8 @@ type t = {
   mutable bytes_written : int;
   loops : (int, loop_stat) Hashtbl.t;
   timers : (int, timer) Hashtbl.t;
-  mutable kernel : kernel_obs option;
+  kernel : (int, kernel_obs) Hashtbl.t;
+      (** per tracked loop node id, once the loop has run *)
 }
 
 let create () =
@@ -96,7 +100,7 @@ let create () =
     bytes_written = 0;
     loops = Hashtbl.create 32;
     timers = Hashtbl.create 8;
-    kernel = None;
+    kernel = Hashtbl.create 8;
   }
 
 let loop_stat t sid =
@@ -147,6 +151,9 @@ let seconds ?(clock_hz = 2.8e9) t = t.cycles /. clock_hz
 
 (** Trip statistics of the loop with node id [sid], if it ever ran. *)
 let loop_stat_opt t sid = Hashtbl.find_opt t.loops sid
+
+(** Kernel observations of tracked loop [sid], if it ever ran. *)
+let kernel_obs t sid = Hashtbl.find_opt t.kernel sid
 
 let mean_trip (s : loop_stat) =
   if s.invocations = 0 then 0.0

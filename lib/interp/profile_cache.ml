@@ -4,16 +4,22 @@
     Every dynamic design-flow task (hotspot detection, trip counts, data
     in/out, alias analysis, feature extraction) observes a program
     through one fused profiling execution ({!Fused_profile}); this
-    module memoizes those runs so all consumers of the same request
+    module memoizes those runs so all consumers of the same program
     share one execution process-wide.  Node ids are a function of the
     program, so the same entries are also shared across daemon
     submissions and re-parses: a variant request (same source,
     different budget or strategy) re-uses the profile runs of the first
     request.
 
-    Keying.  The key is exactly the fused request [(program, workload,
-    focus)]: a digest of the pretty-printed source, the pre-order list
-    of loop statement ids, and the focus function name.  Loop ids must
+    One producer.  Entries are made by {!Analysis.Hotspot.fused} alone:
+    its run of a program tracks {!Analysis.Hotspot.tracked}, a function
+    of the program, so the program determines the entry and a hit
+    computes nothing.  This module holds the table, its key and its
+    administration; it runs nothing itself.
+
+    Keying.  The key is the program: a digest of the pretty-printed
+    source and the pre-order list of loop statement ids, plus the loop
+    id of an extra run that tracks a single loop ([?loop]).  Loop ids must
     be part of the key because the profile's per-loop trip statistics
     are keyed by them, and text does not determine them: ids depend on
     the parse plus the transforms applied, so an inline source equal to
@@ -37,9 +43,7 @@
     regress it).  Hit/miss/eviction counts are mirrored into the
     process-wide metrics registry ({!Flow_obs.Metrics.global}) as
     [profile_cache_hits]/[profile_cache_misses]/
-    [profile_cache_evictions], and every cache consultation is a trace
-    span carrying its [hit] outcome.  A miss compiles the program
-    afresh ({!Eval.compile}) and runs it. *)
+    [profile_cache_evictions]. *)
 
 (* Single shard on purpose: the interpreter run happens outside the
    shard lock, so striping buys nothing here, and one shard keeps the
@@ -75,7 +79,7 @@ let stats () =
 
 let reset_stats () = Flow_memo.Cache.reset_stats cache
 
-let key ?focus (p : Minic.Ast.program) =
+let key ?loop (p : Minic.Ast.program) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Minic.Pretty.program_to_string p);
   Buffer.add_char buf '\000';
@@ -87,22 +91,9 @@ let key ?focus (p : Minic.Ast.program) =
           Buffer.add_char buf ';'
       | _ -> ())
     p;
-  (match focus with
-  | Some f ->
+  Option.iter
+    (fun sid ->
       Buffer.add_char buf '#';
-      Buffer.add_string buf f
-  | None -> ());
+      Buffer.add_string buf (string_of_int sid))
+    loop;
   Digest.string (Buffer.contents buf)
-
-(** Like {!Eval.run}, but memoized.  Only the default fuel budget is
-    cacheable; callers that restrict fuel must use {!Eval.run}
-    directly. *)
-let run ?focus (p : Minic.Ast.program) : Eval.run =
-  if not (Flow_memo.Cache.active cache) then Eval.run ?focus p
-  else
-    Flow_obs.Trace.with_span ~cat:"interp" "profile_cache.run" @@ fun () ->
-    let k = key ?focus p in
-    Flow_memo.Cache.find_or_compute cache ~key:k
-      ~on:(fun hit ->
-        Flow_obs.Trace.add_args [ ("hit", Flow_obs.Attr.Bool hit) ])
-      (fun () -> Eval.run_vm ?focus (Eval.compile p))

@@ -16,8 +16,8 @@
       once at group entry instead of operation by operation.
 
     Batching is observation-safe: cycle totals are read mid-run only at
-    timer start/stop hooks, loop entry/exit (per-loop [cycles] deltas)
-    and focus-call boundaries.  Groups therefore break after every
+    timer start/stop hooks and loop entry/exit (per-loop [cycles]
+    deltas, which tracked loops share).  Groups therefore break after every
     compound statement (If/For/While/Block/Return) and after any
     statement that may fire a timer hook — including statements calling
     a user function that transitively reaches [__timer_start]/
@@ -534,13 +534,13 @@ and compile_block sc (b : Minic.Ast.block) : block =
   flush ();
   List.rev !groups
 
-let compile_func sc_globals sc_funcs mt (f : Minic.Ast.func) : cfunc =
+(* One slot per distinct name: parameters first, then declarations and
+   loop indices in pre-order. *)
+let func_locals (f : Minic.Ast.func) =
   let locals = Hashtbl.create 16 in
-  let n = ref 0 in
   let add name =
-    if not (Hashtbl.mem locals name) then (
-      Hashtbl.add locals name !n;
-      incr n)
+    if not (Hashtbl.mem locals name) then
+      Hashtbl.add locals name (Hashtbl.length locals)
   in
   List.iter (fun (p : Minic.Ast.param) -> add p.pname_) f.fparams;
   Minic.Ast.iter_func
@@ -550,6 +550,10 @@ let compile_func sc_globals sc_funcs mt (f : Minic.Ast.func) : cfunc =
       | For (h, _) -> add h.index
       | _ -> ())
     f;
+  locals
+
+let compile_func sc_globals sc_funcs mt (f : Minic.Ast.func) : cfunc =
+  let locals = func_locals f in
   let sc =
     { sc_locals = Some locals; sc_globals; sc_funcs; sc_may_time = mt }
   in
@@ -561,9 +565,53 @@ let compile_func sc_globals sc_funcs mt (f : Minic.Ast.func) : cfunc =
         (List.map
            (fun (p : Minic.Ast.param) -> Hashtbl.find locals p.pname_)
            f.fparams);
-    cf_nslots = !n;
+    cf_nslots = Hashtbl.length locals;
     cf_body = compile_block sc f.fbody;
   }
+
+let global_slots (p : Minic.Ast.program) =
+  let sc_globals = Hashtbl.create 16 in
+  let addg name =
+    if not (Hashtbl.mem sc_globals name) then
+      Hashtbl.add sc_globals name (Hashtbl.length sc_globals)
+  in
+  List.iter
+    (Minic.Ast.iter_stmt (fun s ->
+         match s.snode with
+         | Decl d -> addg d.dname
+         | For (h, _) -> addg h.index
+         | _ -> ()))
+    p.globals;
+  sc_globals
+
+(** [track_slots cp ~loop_sid names]: the function holding loop
+    [loop_sid] and the slots [names] resolve to in it, or [None] when no
+    function has that loop.  Tracked loops (see {!Eval.run_vm}) name
+    the variables whose pointers they observe. *)
+let track_slots (cp : t) ~loop_sid (names : string list) =
+  let has_loop (f : Minic.Ast.func) =
+    let found = ref false in
+    Minic.Ast.iter_func
+      (fun s -> if s.Minic.Ast.sid = loop_sid then found := true)
+      f;
+    !found
+  in
+  let rec find i = function
+    | [] -> None
+    | f :: rest -> if has_loop f then Some (i, f) else find (i + 1) rest
+  in
+  match find 0 cp.source.funcs with
+  | None -> None
+  | Some (fi, f) ->
+      let sc =
+        {
+          sc_locals = Some (func_locals f);
+          sc_globals = global_slots cp.source;
+          sc_funcs = cp.func_index;
+          sc_may_time = [||];
+        }
+      in
+      Some (fi, List.map (resolve_var sc) names)
 
 let compile (p : Minic.Ast.program) : t =
   let sc_funcs = Hashtbl.create 16 in
@@ -573,20 +621,7 @@ let compile (p : Minic.Ast.program) : t =
       if not (Hashtbl.mem sc_funcs f.fname) then Hashtbl.add sc_funcs f.fname i)
     p.funcs;
   let mt = timer_reach p sc_funcs in
-  let sc_globals = Hashtbl.create 16 in
-  let ng = ref 0 in
-  let addg name =
-    if not (Hashtbl.mem sc_globals name) then (
-      Hashtbl.add sc_globals name !ng;
-      incr ng)
-  in
-  List.iter
-    (Minic.Ast.iter_stmt (fun s ->
-         match s.snode with
-         | Decl d -> addg d.dname
-         | For (h, _) -> addg h.index
-         | _ -> ()))
-    p.globals;
+  let sc_globals = global_slots p in
   let gsc =
     { sc_locals = None; sc_globals; sc_funcs; sc_may_time = mt }
   in
@@ -596,7 +631,7 @@ let compile (p : Minic.Ast.program) : t =
     source = p;
     cfuncs;
     cglobals;
-    nglobals = !ng;
+    nglobals = Hashtbl.length sc_globals;
     main_idx =
       (match Hashtbl.find_opt sc_funcs "main" with Some i -> i | None -> -1);
     func_index = sc_funcs;

@@ -171,3 +171,95 @@ let callees p fname =
   |> List.filter_map (fun ctx ->
          match ctx.expr.enode with Ast.Call (f, _) -> Some f | _ -> None)
   |> List.sort_uniq compare
+
+(* ------------------------------------------------------------------ *)
+(* Kernel parameters of a loop                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** Variables used by [stmt] but not declared within it (nor a loop index
+    of a loop inside it), in first-use order. *)
+let free_vars (stmt : Ast.stmt) : string list =
+  let declared = Hashtbl.create 16 in
+  let order = ref [] in
+  let seen = Hashtbl.create 16 in
+  let use v =
+    if (not (Hashtbl.mem declared v)) && not (Hashtbl.mem seen v) then (
+      Hashtbl.replace seen v ();
+      order := v :: !order)
+  in
+  let use_expr e =
+    Ast.iter_expr
+      (fun sub -> match sub.Ast.enode with Ast.Var v -> use v | _ -> ())
+      e
+  in
+  let rec walk (s : Ast.stmt) =
+    (* declarations bind for the remainder of the body: visit uses of a
+       statement before registering its binder only for initialisers *)
+    (match s.snode with
+    | Ast.Decl d ->
+        Option.iter use_expr d.dsize;
+        Option.iter use_expr d.dinit;
+        Hashtbl.replace declared d.dname ()
+    | Ast.For (h, _) ->
+        use_expr h.init;
+        use_expr h.bound;
+        use_expr h.step;
+        Hashtbl.replace declared h.index ()
+    | Ast.Assign (lv, _, e) ->
+        (match lv with
+        | Ast.Lvar v -> use v
+        | Ast.Lindex (a, i) ->
+            use_expr a;
+            use_expr i);
+        use_expr e
+    | _ -> List.iter use_expr (Ast.stmt_exprs s));
+    List.iter (fun b -> List.iter walk b) (Ast.stmt_blocks s)
+  in
+  walk stmt;
+  List.rev !order
+
+(* ------------------------------------------------------------------ *)
+(* Type environment of the enclosing function                          *)
+(* ------------------------------------------------------------------ *)
+
+let var_types (p : Ast.program) (f : Ast.func) =
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun (g : Ast.stmt) ->
+      match g.snode with
+      | Ast.Decl d ->
+          Hashtbl.replace tbl d.dname
+            (match d.dsize with Some _ -> Ast.Tptr d.dtyp | None -> d.dtyp)
+      | _ -> ())
+    p.globals;
+  List.iter
+    (fun (pr : Ast.param) -> Hashtbl.replace tbl pr.pname_ pr.ptyp)
+    f.fparams;
+  Ast.iter_func
+    (fun s ->
+      match s.Ast.snode with
+      | Ast.Decl d ->
+          Hashtbl.replace tbl d.dname
+            (match d.dsize with Some _ -> Ast.Tptr d.dtyp | None -> d.dtyp)
+      | Ast.For (h, _) -> Hashtbl.replace tbl h.index Ast.Tint
+      | _ -> ())
+    f;
+  tbl
+
+(** The parameters of the kernel extracted from [loop] of [f]: its free
+    variables that are not builtins, in first-use order, typed in [f]
+    (arrays as pointers).  [Error v] names the first free variable with
+    no type.  Hotspot extraction builds the kernel's signature from it,
+    and the profiling run tracks the loop's pointer arguments in the same
+    order. *)
+let kernel_params (p : Ast.program) (f : Ast.func) (loop : Ast.stmt) =
+  let types = var_types p f in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | v :: rest when Minic.Builtins.is_builtin v -> go acc rest
+    | v :: rest -> (
+        match Hashtbl.find_opt types v with
+        | Some t -> go ((t, v) :: acc) rest
+        | None -> Error v)
+  in
+  go [] (free_vars loop)

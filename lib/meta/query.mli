@@ -99,3 +99,21 @@ val exprs_in : ?where:epred -> Ast.program -> string -> expr_ctx list
 (** Names of all functions called within function [fname], sorted and
     deduplicated. *)
 val callees : Ast.program -> string -> string list
+
+(** {1 Kernel parameters} *)
+
+(** Variables used by the statement but not declared within it (nor a
+    loop index of a loop inside it), in first-use order. *)
+val free_vars : Ast.stmt -> string list
+
+(** Declared types of the globals and of [f]'s parameters, locals and
+    loop indices (arrays as pointers). *)
+val var_types : Ast.program -> Ast.func -> (string, Ast.typ) Hashtbl.t
+
+(** The parameters of the kernel extracted from loop [stmt] of [f]: its
+    non-builtin free variables in first-use order, typed in [f].
+    [Error v] names the first free variable with no type.  Extraction
+    builds the kernel's signature from it, and the profiling run tracks
+    the loop's pointer arguments in the same order. *)
+val kernel_params :
+  Ast.program -> Ast.func -> Ast.stmt -> ((Ast.typ * string) list, string) result

@@ -67,8 +67,17 @@ let rec skip_ws_and_comments st =
       skip_ws_and_comments st
   | _ -> ()
 
-let lex_number st =
+(* A number literal starting at [l].  Malformed or out-of-range text is
+   a [Lex_error] at the literal, never an exception from the stdlib
+   conversions. *)
+let lex_number st l =
   let start = st.pos in
+  let fail what =
+    raise
+      (Lex_error
+         ( Printf.sprintf "%s '%s'" what (String.sub st.src start (st.pos - start)),
+           l ))
+  in
   let consume_digits () =
     while (match peek st with Some c -> is_digit c | None -> false) do
       advance st
@@ -87,16 +96,26 @@ let lex_number st =
       is_float := true;
       advance st;
       (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      consume_digits ()
+      let digits = st.pos in
+      consume_digits ();
+      if st.pos = digits then fail "malformed exponent in number literal"
   | _ -> ());
   let text = String.sub st.src start (st.pos - start) in
+  let float prec =
+    match float_of_string_opt text with
+    | Some f -> Token.FLOAT_LIT (f, prec)
+    | None -> fail "malformed number literal"
+  in
   match peek st with
   | Some ('f' | 'F') ->
       advance st;
-      Token.FLOAT_LIT (float_of_string text, Ast.Single)
-  | _ ->
-      if !is_float then Token.FLOAT_LIT (float_of_string text, Ast.Double)
-      else Token.INT_LIT (int_of_string text)
+      float Ast.Single
+  | _ -> (
+      if !is_float then float Ast.Double
+      else
+        match int_of_string_opt text with
+        | Some n -> Token.INT_LIT n
+        | None -> fail "integer literal out of range")
 
 let lex_ident st =
   let start = st.pos in
@@ -150,7 +169,7 @@ let next st : Token.t * Loc.t =
   | Some c -> (
       match c with
       | '#' -> (lex_pragma st, l)
-      | c when is_digit c -> (lex_number st, l)
+      | c when is_digit c -> (lex_number st l, l)
       | c when is_ident_start c -> (lex_ident st, l)
       | '(' -> advance st; (Token.LPAREN, l)
       | ')' -> advance st; (Token.RPAREN, l)

@@ -17,55 +17,9 @@ exception Not_extractable of string
 (** Default name given to the extracted kernel. *)
 let default_kernel_name = "hotspot_kernel"
 
-(* ------------------------------------------------------------------ *)
-(* Free-variable analysis                                              *)
-(* ------------------------------------------------------------------ *)
-
-(** Variables used by [stmt] but not declared within it (nor a loop index
-    of a loop inside it), in first-use order. *)
-let free_vars (stmt : Ast.stmt) : string list =
-  let declared = Hashtbl.create 16 in
-  let order = ref [] in
-  let seen = Hashtbl.create 16 in
-  let use v =
-    if (not (Hashtbl.mem declared v)) && not (Hashtbl.mem seen v) then (
-      Hashtbl.replace seen v ();
-      order := v :: !order)
-  in
-  let use_expr e =
-    Ast.iter_expr
-      (fun sub -> match sub.Ast.enode with Ast.Var v -> use v | _ -> ())
-      e
-  in
-  let rec walk (s : Ast.stmt) =
-    (* declarations bind for the remainder of the body: visit uses of a
-       statement before registering its binder only for initialisers *)
-    (match s.snode with
-    | Ast.Decl d ->
-        Option.iter use_expr d.dsize;
-        Option.iter use_expr d.dinit;
-        Hashtbl.replace declared d.dname ()
-    | Ast.For (h, _) ->
-        use_expr h.init;
-        use_expr h.bound;
-        use_expr h.step;
-        Hashtbl.replace declared h.index ()
-    | Ast.Assign (lv, _, e) ->
-        (match lv with
-        | Ast.Lvar v -> use v
-        | Ast.Lindex (a, i) ->
-            use_expr a;
-            use_expr i);
-        use_expr e
-    | _ -> List.iter use_expr (Ast.stmt_exprs s));
-    List.iter (fun b -> List.iter walk b) (Ast.stmt_blocks s)
-  in
-  walk stmt;
-  List.rev !order
-
 (** Free scalar variables written (not just read) by the statement. *)
 let written_free_scalars (stmt : Ast.stmt) =
-  let free = free_vars stmt in
+  let free = Artisan.Query.free_vars stmt in
   let written = ref [] in
   Ast.iter_stmt
     (fun s ->
@@ -75,34 +29,6 @@ let written_free_scalars (stmt : Ast.stmt) =
       | _ -> ())
     stmt;
   List.rev !written
-
-(* ------------------------------------------------------------------ *)
-(* Type environment of the enclosing function                          *)
-(* ------------------------------------------------------------------ *)
-
-let var_types (p : Ast.program) (f : Ast.func) =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (g : Ast.stmt) ->
-      match g.snode with
-      | Ast.Decl d ->
-          Hashtbl.replace tbl d.dname
-            (match d.dsize with Some _ -> Ast.Tptr d.dtyp | None -> d.dtyp)
-      | _ -> ())
-    p.globals;
-  List.iter
-    (fun (pr : Ast.param) -> Hashtbl.replace tbl pr.pname_ pr.ptyp)
-    f.fparams;
-  Ast.iter_func
-    (fun s ->
-      match s.Ast.snode with
-      | Ast.Decl d ->
-          Hashtbl.replace tbl d.dname
-            (match d.dsize with Some _ -> Ast.Tptr d.dtyp | None -> d.dtyp)
-      | Ast.For (h, _) -> Hashtbl.replace tbl h.index Ast.Tint
-      | _ -> ())
-    f;
-  tbl
 
 (* ------------------------------------------------------------------ *)
 (* Extraction                                                          *)
@@ -148,17 +74,12 @@ let hotspot ?(kernel_name = default_kernel_name) ?(func = "main")
       raise
         (Not_extractable
            ("hotspot writes free scalars: " ^ String.concat ", " vs)));
-  let types = var_types p host in
   let params =
-    free_vars loop
-    |> List.filter (fun v -> not (Minic.Builtins.is_builtin v))
-    |> List.map (fun v ->
-           match Hashtbl.find_opt types v with
-           | Some t -> (t, v)
-           | None ->
-               raise
-                 (Not_extractable
-                    (Printf.sprintf "cannot type free variable '%s'" v)))
+    match Artisan.Query.kernel_params p host loop with
+    | Ok params -> params
+    | Error v ->
+        raise
+          (Not_extractable (Printf.sprintf "cannot type free variable '%s'" v))
   in
   let kernel = Builder.func kernel_name params [ loop ] in
   let call =

@@ -12,10 +12,6 @@ exception Not_extractable of string
 (** Default name given to the extracted kernel ("hotspot_kernel"). *)
 val default_kernel_name : string
 
-(** Variables used by the statement but not declared within it, in
-    first-use order. *)
-val free_vars : Ast.stmt -> string list
-
 (** Free scalar variables the statement writes (extraction blockers). *)
 val written_free_scalars : Ast.stmt -> string list
 

@@ -29,26 +29,27 @@ echo "== perf gate (perf --quick + svc-load --quick + regression check) =="
 sh scripts/perf_gate.sh
 
 # The fused single-pass profile bounds the cold flow at one interpreter
-# execution per (benchmark, workload point, focus) request: 3 per
-# benchmark, 15 across the five-benchmark evaluation.  A higher count
-# means an analysis went back to running its own interpreter pass.
+# execution per (benchmark, workload point): the profiling size and the
+# secondary size, 2 per benchmark, 10 across the five-benchmark
+# evaluation.  A higher count means an analysis went back to running
+# its own interpreter pass.
 INTERP_RUNS=$(sed -n 's/.*"interp_runs": *\([0-9]*\).*/\1/p' BENCH_psaflow.json | head -n1)
 [ -n "$INTERP_RUNS" ] \
   || { echo "FAIL: BENCH_psaflow.json reports no interp_runs"; exit 1; }
-[ "$INTERP_RUNS" -le 15 ] \
-  || { echo "FAIL: cold flow took $INTERP_RUNS interpreter runs (budget 15)"; exit 1; }
-echo "interp_runs=$INTERP_RUNS (budget 15)"
+[ "$INTERP_RUNS" -le 10 ] \
+  || { echo "FAIL: cold flow took $INTERP_RUNS interpreter runs (budget 10)"; exit 1; }
+echo "interp_runs=$INTERP_RUNS (budget 10)"
 
 echo "== VM allocation ceiling (minor words per virtual cycle) =="
-# Every paper benchmark's VM run, bare and kernel-focused, must allocate
-# at most 0.2 minor-heap words per virtual cycle: a value boxed per loop
+# Every paper benchmark's tracked profiling run must allocate at most
+# 0.2 minor-heap words per virtual cycle: a value boxed per loop
 # iteration or per arithmetic result shows up here as a deterministic
 # count, not as wall-time noise.
 awk -v ceil=0.2 '
   /"[a-z_0-9]+": \{/ {
     match($0, /"[a-z_0-9]+"/)
     key = substr($0, RSTART + 1, RLENGTH - 2)
-    if (key == "bare" || key == "focused") run = key; else bench = key
+    if (key == "run") run = key; else bench = key
   }
   /"minor_words_per_cycle"/ {
     v = $2; sub(/,$/, "", v); n++
@@ -58,13 +59,13 @@ awk -v ceil=0.2 '
     }
   }
   END {
-    if (n != 10) {
-      printf "FAIL: BENCH_psaflow.json reports %d minor_words_per_cycle values (want 10)\n", n
+    if (n != 5) {
+      printf "FAIL: BENCH_psaflow.json reports %d minor_words_per_cycle values (want 5)\n", n
       exit 1
     }
     exit bad
   }' BENCH_psaflow.json
-echo "minor words per virtual cycle <= 0.2 on all 5 benchmarks, bare and focused"
+echo "minor words per virtual cycle <= 0.2 on all 5 benchmarks' profiling runs"
 
 echo "== report smoke (psaflow report --json --strict) =="
 # The freshly written BENCH_psaflow.json must satisfy the strict report:
@@ -85,6 +86,11 @@ _build/default/bin/psaflow.exe report --trend --json | grep -q '"metric"' \
 _build/default/bin/psaflow.exe report --trend \
   | grep -Eq '^interp\.threaded\.mcycles_per_s .* retired$' \
   || { echo "FAIL: report --trend lists a retired series as live"; exit 1; }
+# Nor does it carry the bare and kernel-focused runs of the two-run
+# profiling the single tracked run replaced.
+_build/default/bin/psaflow.exe report --trend \
+  | grep -Eq '^interp\.benchmarks\.kmeans\.focused\.vm_run_s .* retired$' \
+  || { echo "FAIL: report --trend lists the focused-run series as live"; exit 1; }
 
 PSAFLOW=_build/default/bin/psaflow.exe
 SOCK=$(mktemp -u "${TMPDIR:-/tmp}/psaflow-check-XXXXXX.sock")

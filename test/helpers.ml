@@ -102,19 +102,19 @@ int main() {
 }
 |}
 
-let run_ok ?focus src =
+let run_ok src =
   let p = parse src in
   Minic.Typecheck.check_program p;
-  Minic_interp.Eval.run ?focus p
+  Minic_interp.Eval.run p
 
 (** First line of the program's printed output. *)
-let first_output ?focus src =
-  let r = run_ok ?focus src in
+let first_output src =
+  let r = run_ok src in
   match String.split_on_char '\n' r.output with
   | line :: _ -> line
   | [] -> ""
 
-let float_output ?focus src = float_of_string (first_output ?focus src)
+let float_output src = float_of_string (first_output src)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck generators                                                    *)
@@ -169,3 +169,31 @@ let program_of_expr e =
 
 let qtest ?(count = 100) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
+
+(* ------------------------------------------------------------------ *)
+(* Kernel-function fixtures                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** Node id of the outermost loop of function [f]: the loop a
+    hand-written or extracted kernel function wraps. *)
+let kernel_loop (p : Minic.Ast.program) f =
+  (List.hd Artisan.Query.(stmts_in ~where:(is_for &&& is_outermost_loop) p f))
+    .stmt
+    .sid
+
+(** The feature vector of kernel function [kernel] of [p], from the
+    profiling run of [p] tracking the kernel's loop. *)
+let features p ~kernel =
+  Analysis.Features.analyze ~source:p ~loop_sid:(kernel_loop p kernel) p
+    ~kernel
+
+(** Data in/out and alias records of kernel function [kernel] of [p],
+    projected from the profiling run of [p] tracking the kernel's loop. *)
+let data_inout p ~kernel =
+  let loop_sid = kernel_loop p kernel in
+  Analysis.Data_inout.of_fused (Analysis.Hotspot.fused ~loop_sid p) ~loop_sid
+    ~kernel
+
+let alias p ~kernel =
+  let loop_sid = kernel_loop p kernel in
+  Analysis.Alias.of_fused (Analysis.Hotspot.fused ~loop_sid p) ~loop_sid ~kernel

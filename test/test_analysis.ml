@@ -273,12 +273,12 @@ int main() { double a[4]; double b[4]; copy(b, a, 4); return 0; }
 let data_alias_tests =
   [
     Alcotest.test_case "data in/out totals" `Quick (fun () ->
-        let d = Data_inout.analyze (parse Helpers.kernel_src) ~kernel:"work" in
+        let d = Helpers.data_inout (parse Helpers.kernel_src) ~kernel:"work" in
         Alcotest.(check int) "in" (32 * 8) d.total_in;
         Alcotest.(check int) "out" (32 * 8) d.total_out;
         Alcotest.(check int) "calls" 1 d.calls);
     Alcotest.test_case "no alias for distinct arrays" `Quick (fun () ->
-        let a = Alias.analyze (parse Helpers.kernel_src) ~kernel:"work" in
+        let a = Helpers.alias (parse Helpers.kernel_src) ~kernel:"work" in
         Alcotest.(check bool) "no alias" true a.no_alias);
     Alcotest.test_case "aliasing detected when same array passed twice" `Quick
       (fun () ->
@@ -294,7 +294,7 @@ int main() {
 }
 |}
         in
-        let a = Alias.analyze (parse src) ~kernel:"f" in
+        let a = Helpers.alias (parse src) ~kernel:"f" in
         Alcotest.(check bool) "alias" false a.no_alias;
         Alcotest.(check bool) "overlap recorded" true (a.overlaps <> []));
     Alcotest.test_case "disjoint halves of one array do not alias" `Quick
@@ -312,7 +312,7 @@ int main() {
 }
 |}
         in
-        let a = Alias.analyze (parse src) ~kernel:"f" in
+        let a = Helpers.alias (parse src) ~kernel:"f" in
         Alcotest.(check bool) "no alias" true a.no_alias);
   ]
 
@@ -323,7 +323,7 @@ int main() {
 let features_tests =
   [
     Alcotest.test_case "feature vector of a simple kernel" `Quick (fun () ->
-        let f = Features.analyze (parse Helpers.kernel_src) ~kernel:"work" in
+        let f = Helpers.features (parse Helpers.kernel_src) ~kernel:"work" in
         Alcotest.(check int) "calls" 1 f.calls;
         Alcotest.(check (float 0.01)) "outer trip" 32.0 f.outer_trip;
         Alcotest.(check bool) "parallel" true f.outer_parallel;
@@ -331,7 +331,7 @@ let features_tests =
         Alcotest.(check int) "two pointer args" 2 (List.length f.args);
         Alcotest.(check bool) "flops positive" true (f.flops_per_call > 0.0));
     Alcotest.test_case "register estimate grows with locals" `Quick (fun () ->
-        let small = Features.analyze (parse Helpers.kernel_src) ~kernel:"work" in
+        let small = Helpers.features (parse Helpers.kernel_src) ~kernel:"work" in
         let big_src =
           {|
 void work(double* a, double* b, int n) {
@@ -354,7 +354,7 @@ int main() {
 }
 |}
         in
-        let big = Features.analyze (parse big_src) ~kernel:"work" in
+        let big = Helpers.features (parse big_src) ~kernel:"work" in
         Alcotest.(check bool) "more regs" true
           (big.regs_estimate > small.regs_estimate));
     Alcotest.test_case "gathers detected through index arrays" `Quick (fun () ->
@@ -373,7 +373,7 @@ int main() {
 }
 |}
         in
-        let f = Features.analyze (parse src) ~kernel:"g" in
+        let f = Helpers.features (parse src) ~kernel:"g" in
         Alcotest.(check bool) "gather fraction positive" true
           (f.gather_fraction > 0.0);
         Alcotest.(check (list string)) "gathered args" [ "table" ]
@@ -397,7 +397,7 @@ int main() {
 }
 |}
         in
-        let f = Features.analyze (parse src) ~kernel:"k" in
+        let f = Helpers.features (parse src) ~kernel:"k" in
         match f.inner_loops with
         | [ il ] ->
             Alcotest.(check (option int)) "static trip" (Some 8) il.il_static_trip;
@@ -410,7 +410,7 @@ int main() {
               (f.inner_read_bytes = 64)
         | _ -> Alcotest.fail "expected one inner loop");
     Alcotest.test_case "offload intensity" `Quick (fun () ->
-        let f = Features.analyze (parse Helpers.kernel_src) ~kernel:"work" in
+        let f = Helpers.features (parse Helpers.kernel_src) ~kernel:"work" in
         let expected = f.flops_per_call /. (f.bytes_in_per_call +. f.bytes_out_per_call) in
         Alcotest.(check (float 1e-9)) "ratio" expected
           (Features.offload_intensity f));
@@ -458,7 +458,7 @@ int main() {
 |}
             n
         in
-        let feat n = Features.analyze (parse (src n)) ~kernel:"work" in
+        let feat n = Helpers.features (parse (src n)) ~kernel:"work" in
         let f8 = feat 8 and f16 = feat 16 and f64 = feat 64 in
         let fx = Extrapolate.features ~n1:8 f8 ~n2:16 f16 ~n:64 in
         let close a b = Float.abs (a -. b) <= 0.02 *. Float.max a b +. 1e-9 in

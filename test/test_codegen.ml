@@ -13,7 +13,7 @@ let fixture () =
   let ex = Transforms.Extract.hotspot p ~loop_sid:h.loop_sid in
   (p, ex.program, ex.kernel_name)
 
-let data_for p kernel = Analysis.Data_inout.analyze p ~kernel
+let data_for p kernel = Helpers.data_inout p ~kernel
 
 let well_formed (d : Design.t) =
   (* lenient typing (management calls are unknown) and re-parse *)

@@ -1,5 +1,5 @@
 (** Tests for the MiniC interpreter/profiler: evaluation semantics, the
-    virtual-cycle cost model, loop statistics, timers, kernel-focus
+    virtual-cycle cost model, loop statistics, timers, loop-tracking
     observations and determinism. *)
 
 open Minic_interp
@@ -280,11 +280,53 @@ int main() {
         | _ -> Alcotest.fail "expected two outputs");
   ]
 
+(* Loop tracking: [loop_obs ~index ~args src] runs [src] tracking the
+   first loop of [main] over index [index], with [args] as the pointer
+   arguments of the kernel extraction would make of it, and returns the
+   run and that loop's observations. *)
+let loop_obs ~index ~args src =
+  let p = Helpers.parse src in
+  Minic.Typecheck.check_program p;
+  let sid =
+    (List.find
+       (fun (m : Artisan.Query.match_ctx) ->
+         match m.stmt.snode with
+         | Minic.Ast.For (h, _) -> h.index = index
+         | _ -> false)
+       (Artisan.Query.stmts_in p "main"))
+      .stmt
+      .sid
+  in
+  let r = Minic_interp.Eval.run ~track:[ (sid, args) ] p in
+  (r, Minic_interp.Profile.kernel_obs r.profile sid)
+
+(* [Helpers.kernel_src] with the kernel's loop inlined into [main]. *)
+let inline_kernel_src =
+  {|
+int main() {
+  int n = 32;
+  double a[n];
+  double b[n];
+  for (int i = 0; i < n; i++) {
+    a[i] = rand01();
+  }
+  for (int k = 0; k < n; k++) {
+    b[k] = exp(a[k]) + 0.5;
+  }
+  double s = 0.0;
+  for (int i = 0; i < n; i++) {
+    s += b[i];
+  }
+  print_float(s);
+  return 0;
+}
+|}
+
 let focus_tests =
   [
     Alcotest.test_case "kernel observations collected" `Quick (fun () ->
-        let r = Helpers.run_ok ~focus:"work" Helpers.kernel_src in
-        match r.profile.kernel with
+        let r, k = loop_obs ~index:"k" ~args:[ "a"; "b" ] inline_kernel_src in
+        match k with
         | None -> Alcotest.fail "no kernel obs"
         | Some k ->
             Alcotest.(check int) "one call" 1 k.calls;
@@ -293,8 +335,7 @@ let focus_tests =
             Alcotest.(check bool) "kernel cycles below total" true
               (k.k_cycles < r.profile.cycles));
     Alcotest.test_case "data in/out classification" `Quick (fun () ->
-        let r = Helpers.run_ok ~focus:"work" Helpers.kernel_src in
-        match r.profile.kernel with
+        match snd (loop_obs ~index:"k" ~args:[ "a"; "b" ] inline_kernel_src) with
         | Some k ->
             let a = k.args.(0) and b = k.args.(1) in
             Alcotest.(check string) "arg a" "a" a.arg_name;
@@ -307,19 +348,15 @@ let focus_tests =
       (fun () ->
         let src =
           {|
-void incr(double* a, int n) {
-  for (int i = 0; i < n; i++) { a[i] += 1.0; }
-}
 int main() {
   double a[8];
-  incr(a, 8);
+  for (int i = 0; i < 8; i++) { a[i] += 1.0; }
   print_float(a[0]);
   return 0;
 }
 |}
         in
-        let r = Helpers.run_ok ~focus:"incr" src in
-        match r.profile.kernel with
+        match snd (loop_obs ~index:"i" ~args:[ "a" ] src) with
         | Some k ->
             Alcotest.(check int) "in" 64 k.args.(0).bytes_in;
             Alcotest.(check int) "out" 64 k.args.(0).bytes_out
@@ -327,21 +364,17 @@ int main() {
     Alcotest.test_case "write-before-read is out-only" `Quick (fun () ->
         let src =
           {|
-void scratch(double* a, int n) {
-  for (int i = 0; i < n; i++) {
+int main() {
+  double a[8];
+  for (int i = 0; i < 8; i++) {
     a[i] = 2.0;
     double x = a[i];
   }
-}
-int main() {
-  double a[8];
-  scratch(a, 8);
   return 0;
 }
 |}
         in
-        let r = Helpers.run_ok ~focus:"scratch" src in
-        match r.profile.kernel with
+        match snd (loop_obs ~index:"i" ~args:[ "a" ] src) with
         | Some k ->
             Alcotest.(check int) "no transfer in" 0 k.args.(0).bytes_in;
             Alcotest.(check int) "out" 64 k.args.(0).bytes_out
@@ -350,20 +383,16 @@ int main() {
       (fun () ->
         let src =
           {|
-void touch(double* a, int n) {
-  for (int i = 0; i < n; i++) { double x = a[i]; }
-}
 int main() {
   double a[4];
-  touch(a, 4);
-  touch(a, 4);
-  touch(a, 4);
+  for (int t = 0; t < 3; t++) {
+    for (int i = 0; i < 4; i++) { double x = a[i]; }
+  }
   return 0;
 }
 |}
         in
-        let r = Helpers.run_ok ~focus:"touch" src in
-        match r.profile.kernel with
+        match snd (loop_obs ~index:"i" ~args:[ "a" ] src) with
         | Some k ->
             Alcotest.(check int) "3 calls" 3 k.calls;
             Alcotest.(check int) "in accumulates per call" (3 * 32)
@@ -372,18 +401,14 @@ int main() {
     Alcotest.test_case "touched ranges recorded" `Quick (fun () ->
         let src =
           {|
-void part(double* a, int n) {
-  for (int i = 2; i < 5; i++) { a[i] = 1.0; }
-}
 int main() {
   double a[10];
-  part(a, 10);
+  for (int i = 2; i < 5; i++) { a[i] = 1.0; }
   return 0;
 }
 |}
         in
-        let r = Helpers.run_ok ~focus:"part" src in
-        match r.profile.kernel with
+        match snd (loop_obs ~index:"i" ~args:[ "a" ] src) with
         | Some k -> (
             match k.args.(0).regions_touched with
             | [ (_, lo, hi) ] ->
@@ -391,6 +416,88 @@ int main() {
                 Alcotest.(check int) "hi" 4 hi
             | _ -> Alcotest.fail "expected one region")
         | None -> Alcotest.fail "no kernel obs");
+    Alcotest.test_case "aliased arguments share first-access state" `Quick
+      (fun () ->
+        (* one array tracked under two argument names: its transfers
+           attribute to the first, its touched range to both *)
+        let src =
+          {|
+int main() {
+  double a[6];
+  for (int i = 0; i < 6; i++) { a[i] = a[i] * 2.0; }
+  return 0;
+}
+|}
+        in
+        match snd (loop_obs ~index:"i" ~args:[ "a"; "a" ] src) with
+        | Some k ->
+            Alcotest.(check int) "first in" 48 k.args.(0).bytes_in;
+            Alcotest.(check int) "first out" 48 k.args.(0).bytes_out;
+            Alcotest.(check int) "second in" 0 k.args.(1).bytes_in;
+            Alcotest.(check int) "second out" 0 k.args.(1).bytes_out;
+            Alcotest.(check bool) "same range" true
+              (k.args.(0).regions_touched = k.args.(1).regions_touched)
+        | None -> Alcotest.fail "no kernel obs");
+    Alcotest.test_case "regions allocated inside the loop are not tracked"
+      `Quick (fun () ->
+        let src =
+          {|
+int main() {
+  double a[4];
+  for (int i = 0; i < 4; i++) {
+    double tmp[2];
+    tmp[0] = a[i];
+    a[i] = tmp[0] + 1.0;
+  }
+  return 0;
+}
+|}
+        in
+        match snd (loop_obs ~index:"i" ~args:[ "a" ] src) with
+        | Some k ->
+            Alcotest.(check int) "in" 32 k.args.(0).bytes_in;
+            Alcotest.(check int) "out" 32 k.args.(0).bytes_out;
+            Alcotest.(check int) "one region" 1
+              (List.length k.args.(0).regions_touched);
+            Alcotest.(check int) "loop bytes count every access"
+              ((4 * 8) + (4 * 8) + (4 * 8) + (4 * 8))
+              (k.k_bytes_read + k.k_bytes_written)
+        | None -> Alcotest.fail "no kernel obs");
+    Alcotest.test_case "a tracked loop inside another is not observed" `Quick
+      (fun () ->
+        (* tracked loops must not nest: the inner one, entered while the
+           outer is active, gets no record, and the outer's record is
+           the one it gets tracked alone *)
+        let src =
+          {|
+int main() {
+  double a[4];
+  for (int t = 0; t < 3; t++) {
+    for (int i = 0; i < 4; i++) { a[i] = a[i] + 1.0; }
+  }
+  return 0;
+}
+|}
+        in
+        let p = Helpers.parse src in
+        let sid index =
+          (List.find
+             (fun (m : Artisan.Query.match_ctx) ->
+               match m.stmt.snode with
+               | Minic.Ast.For (h, _) -> h.index = index
+               | _ -> false)
+             (Artisan.Query.stmts_in p "main"))
+            .stmt
+            .sid
+        in
+        let outer = (sid "t", [ "a" ]) and inner = (sid "i", [ "a" ]) in
+        let both = Eval.run ~track:[ outer; inner ] p in
+        let alone = Eval.run ~track:[ outer ] p in
+        Alcotest.(check bool) "inner not observed" true
+          (Profile.kernel_obs both.profile (sid "i") = None);
+        Alcotest.(check bool) "outer as if tracked alone" true
+          (Profile.kernel_obs both.profile (sid "t")
+          = Profile.kernel_obs alone.profile (sid "t")));
   ]
 
 let () =

@@ -53,6 +53,27 @@ let lexer_tests =
         | exception Lexer.Lex_error _ -> ()
         | _ -> Alcotest.fail "expected a lex error");
   ]
+  @ List.map
+      (fun (lit, msg) ->
+        (* each used to escape as [Failure] from the stdlib conversion *)
+        Alcotest.test_case ("malformed literal " ^ lit ^ " raises") `Quick
+          (fun () ->
+            match
+              Parser.parse_program
+                ("int main() {\n  double x = " ^ lit ^ ";\n  return 0;\n}")
+            with
+            | exception Lexer.Lex_error (m, loc) ->
+                Alcotest.(check string) "message" msg m;
+                Alcotest.(check (pair int int))
+                  "at the literal" (2, 13) (loc.Loc.line, loc.Loc.col)
+            | _ -> Alcotest.fail "expected a lex error"))
+      [
+        ("1e", "malformed exponent in number literal '1e'");
+        ("1.5e+", "malformed exponent in number literal '1.5e+'");
+        ("2.0ef", "malformed exponent in number literal '2.0e'");
+        ( "9223372036854775808",
+          "integer literal out of range '9223372036854775808'" );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)

@@ -31,10 +31,12 @@ let check_benchmark (b : Benchmarks.Bench_app.t) () =
   let analyses () =
     let hot = Analysis.Hotspot.detect p in
     let trips = trip_list (Analysis.Trip_count.analyze p) in
-    let ex, kernel, _ = Psa.Std_flow.prepare_kernel p in
-    let dio = Analysis.Data_inout.analyze ex ~kernel in
-    let alias = Analysis.Alias.analyze ex ~kernel in
-    let feats = Analysis.Features.analyze ex ~kernel in
+    let ex, kernel, h = Psa.Std_flow.prepare_kernel p in
+    let loop_sid = h.Analysis.Hotspot.loop_sid in
+    let fp = Analysis.Hotspot.fused ~loop_sid p in
+    let dio = Analysis.Data_inout.of_fused fp ~loop_sid ~kernel in
+    let alias = Analysis.Alias.of_fused fp ~loop_sid ~kernel in
+    let feats = Analysis.Features.analyze ~source:p ~loop_sid ex ~kernel in
     (hot, trips, dio, alias, feats)
   in
   let uncached = with_cache_off analyses in
@@ -82,8 +84,8 @@ int main() {
     (Minic.Pretty.program_to_string p2);
   cache ();
   Minic_interp.Profile_cache.reset_stats ();
-  let r1 = Minic_interp.Profile_cache.run p1 in
-  let r2 = Minic_interp.Profile_cache.run p2 in
+  let r1 = (Analysis.Hotspot.fused p1).run in
+  let r2 = (Analysis.Hotspot.fused p2).run in
   let sids t = Hashtbl.fold (fun sid _ acc -> sid :: acc) t [] in
   Alcotest.(check bool)
     "loop stats keyed by each program's own ids" false
@@ -111,8 +113,8 @@ int main() {
   in
   cache ();
   Minic_interp.Profile_cache.reset_stats ();
-  let r1 = Minic_interp.Profile_cache.run p in
-  let r2 = Minic_interp.Profile_cache.run p in
+  let r1 = (Analysis.Hotspot.fused p).run in
+  let r2 = (Analysis.Hotspot.fused p).run in
   let { Minic_interp.Profile_cache.hits; misses; _ } =
     Minic_interp.Profile_cache.stats ()
   in
@@ -320,8 +322,8 @@ let threads_prop =
 module I = Minic_interp
 
 (* Everything a profile records, as a comparable value: totals, access
-   counters, per-loop stats, the kernel observations, the program
-   output and the return value. *)
+   counters, per-loop stats, the tracked loops' kernel observations, the
+   program output and the return value. *)
 let run_fingerprint (r : I.Eval.run) =
   let p = r.profile in
   let loops =
@@ -335,9 +337,30 @@ let run_fingerprint (r : I.Eval.run) =
   ( (p.cycles, p.loads, p.stores, p.flops, p.int_ops, p.sfu_ops),
     (p.bytes_read, p.bytes_written),
     loops,
-    p.kernel,
+    Hashtbl.fold (fun sid k acc -> (sid, k) :: acc) p.kernel []
+    |> List.sort compare,
     r.output,
     r.return_value )
+
+(* A tracked loop is observed on every invocation: its kernel calls are
+   its invocations and its kernel cycles its loop-stat window, bit for
+   bit. *)
+let check_tracked_windows (r : I.Eval.run) (track : I.Eval.track) =
+  List.iter
+    (fun (sid, _) ->
+      match
+        (I.Profile.loop_stat_opt r.profile sid, I.Profile.kernel_obs r.profile sid)
+      with
+      | None, None -> ()
+      | Some s, Some k ->
+          Alcotest.(check int)
+            (Printf.sprintf "loop %d: calls = invocations" sid)
+            s.invocations k.calls;
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "loop %d: k_cycles = loop cycles" sid)
+            s.cycles k.k_cycles
+      | _ -> Alcotest.failf "loop %d: ran without observations" sid)
+    track
 
 (* The bare fused run measures bit-identically what the paper's timer
    instrumentation measures: for every candidate loop, the instrumented
@@ -373,40 +396,88 @@ let check_fused_bare (b : Benchmarks.Bench_app.t) () =
         (I.Profile.timer_total legacy.profile h.loop_sid)
         h.cycles
 
-(* Every focused analysis must project the same record out of the fused
-   profile that the legacy kernel-focused walker run produces. *)
+(* Every kernel analysis must project the same record out of the
+   production engine's tracked run of the original program as out of the
+   reference walker's: the kernel observations of every tracked loop are
+   identical, and each tracked loop's kernel cost is its loop-stat
+   window. *)
 let check_fused_focus (b : Benchmarks.Bench_app.t) () =
   let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
-  let ex, kernel, _ = Psa.Std_flow.prepare_kernel p in
-  let legacy = I.Eval.run_ir ~focus:kernel (I.Resolve.compile ex) in
-  let fused = I.Fused_profile.of_run ~focus:kernel ex (I.Eval.run ~focus:kernel ex) in
+  let ex, kernel, h = Psa.Std_flow.prepare_kernel p in
+  let loop_sid = h.Analysis.Hotspot.loop_sid in
+  let track = Analysis.Hotspot.tracked p in
+  Alcotest.(check bool) "hotspot loop tracked" true
+    (List.mem_assoc loop_sid track);
+  let legacy = I.Eval.run_ir ~track (I.Resolve.compile p) in
   Alcotest.(check bool)
-    "kernel observations identical" true
-    (legacy.profile.kernel = I.Fused_profile.kernel_obs fused);
-  (* project each analysis from the legacy walker run and compare with
-     the production (VM, cached) analysis entry points *)
-  let of_legacy = I.Fused_profile.of_run ~focus:kernel ex legacy in
-  let dio = with_cache_off (fun () -> Analysis.Data_inout.analyze ex ~kernel) in
+    "tracked run identical" true
+    (run_fingerprint legacy = run_fingerprint (I.Eval.run ~track p));
+  check_tracked_windows legacy track;
+  (* project each analysis from the walker run and compare with the
+     production (VM, cached) analysis entry points *)
+  let of_legacy = I.Fused_profile.of_run p legacy in
+  let fused () = Analysis.Hotspot.fused ~loop_sid p in
+  let dio =
+    with_cache_off (fun () ->
+        Analysis.Data_inout.of_fused (fused ()) ~loop_sid ~kernel)
+  in
   Alcotest.(check bool)
     "data in/out projection" true
-    (dio = Analysis.Data_inout.of_fused of_legacy ~kernel);
-  let al = with_cache_off (fun () -> Analysis.Alias.analyze ex ~kernel) in
+    (dio = Analysis.Data_inout.of_fused of_legacy ~loop_sid ~kernel);
+  let al =
+    with_cache_off (fun () -> Analysis.Alias.of_fused (fused ()) ~loop_sid ~kernel)
+  in
   Alcotest.(check bool)
     "alias projection" true
-    (al = Analysis.Alias.of_fused of_legacy ~kernel);
-  let fe = with_cache_off (fun () -> Analysis.Features.analyze ex ~kernel) in
+    (al = Analysis.Alias.of_fused of_legacy ~loop_sid ~kernel);
+  let fe =
+    with_cache_off (fun () ->
+        Analysis.Features.analyze ~source:p ~loop_sid ex ~kernel)
+  in
   Alcotest.(check bool)
     "features projection" true
-    (fe = Analysis.Features.of_fused of_legacy ~kernel)
+    (fe = Analysis.Features.of_fused of_legacy ~loop_sid ex ~kernel)
+
+(* The invariant the one profiling run rests on: a tracked loop of the
+   original program yields, bit for bit, the Features, Alias and
+   Data_inout records that the extracted, reduced kernel yields when its
+   own loop is tracked in a run of the extracted program — the kernel
+   observations the flow made before it tracked loops in place. *)
+let check_extracted_kernel (b : Benchmarks.Bench_app.t) () =
+  let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
+  let ex, kernel, h = Psa.Std_flow.prepare_kernel p in
+  let loop_sid = h.Analysis.Hotspot.loop_sid in
+  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let extracted = I.Fused_profile.of_run ex (I.Eval.run ~focus:kernel ex) in
+  let in_place = Analysis.Hotspot.fused ~loop_sid p in
+  Alcotest.(check bool)
+    "features" true
+    (bits (Analysis.Features.of_fused extracted ~loop_sid ex ~kernel)
+    = bits (with_cache_off (fun () ->
+                Analysis.Features.analyze ~source:p ~loop_sid ex ~kernel)));
+  Alcotest.(check bool)
+    "alias" true
+    (bits (Analysis.Alias.of_fused extracted ~loop_sid ~kernel)
+    = bits (Analysis.Alias.of_fused in_place ~loop_sid ~kernel));
+  Alcotest.(check bool)
+    "data in/out" true
+    (bits (Analysis.Data_inout.of_fused extracted ~loop_sid ~kernel)
+    = bits (Analysis.Data_inout.of_fused in_place ~loop_sid ~kernel))
 
 let fused_tests =
   List.concat_map
     (fun (b : Benchmarks.Bench_app.t) ->
       [
         Alcotest.test_case (b.id ^ " bare") `Slow (check_fused_bare b);
+        (* "focused" predates loop tracking; the ids stay stable *)
         Alcotest.test_case (b.id ^ " focused") `Slow (check_fused_focus b);
       ])
     Benchmarks.Registry.all
+  @ List.map
+      (fun (b : Benchmarks.Bench_app.t) ->
+        Alcotest.test_case (b.id ^ " tracked loop = extracted kernel") `Slow
+          (check_extracted_kernel b))
+      (Benchmarks.Registry.all @ Benchmarks.Registry.extras)
 
 (* ------------------------------------------------------------------ *)
 (* Production engine = reference walker (qcheck, generated programs)  *)
@@ -683,10 +754,31 @@ let outcome f =
   | r -> Ok (run_fingerprint r)
   | exception e -> Error (Printexc.to_string e)
 
+(* The loop sets a generated program's runs track, neither with nested
+   loops (tracked loops must not nest): the ones hotspot selection can
+   reach in [main] (the flow's set), and every innermost loop of [work]
+   with [work]'s two arrays as arguments — some invoked many times per
+   call of [work]. *)
+let gen_tracks p : I.Eval.track list =
+  let work = Artisan.Query.(stmts_in ~where:is_loop p "work") in
+  let encloses_loop (m : Artisan.Query.match_ctx) =
+    List.exists
+      (fun (c : Artisan.Query.match_ctx) ->
+        List.exists (fun (s : Minic.Ast.stmt) -> s.sid = m.stmt.sid) c.path)
+      work
+  in
+  [
+    Analysis.Hotspot.tracked p;
+    List.filter_map
+      (fun m ->
+        if encloses_loop m then None else Some (m.stmt.sid, [ "a"; "b" ]))
+      work;
+  ]
+
 (* The production engine ([Eval.run]: optimized IR on the bytecode VM)
    must be indistinguishable from the reference tree walker — identical
    profile, counters, loop stats, kernel observations, output and return
-   value — bare and kernel-focused; and timer instrumentation must cost
+   value — bare and tracked; and timer instrumentation must cost
    nothing on either engine. *)
 let engine_equivalence_prop =
   QCheck.Test.make ~count:30 ~name:"engine = walker on generated programs"
@@ -695,11 +787,13 @@ let engine_equivalence_prop =
       let walker = outcome (fun () -> I.Eval.run_ir (I.Resolve.compile p)) in
       let engine = outcome (fun () -> I.Eval.run p) in
       let bare_ok = walker = engine in
-      let fwalker =
-        outcome (fun () -> I.Eval.run_ir ~focus:"work" (I.Resolve.compile p))
+      let focus_ok =
+        List.for_all
+          (fun track ->
+            outcome (fun () -> I.Eval.run_ir ~track (I.Resolve.compile p))
+            = outcome (fun () -> I.Eval.run ~track p))
+          (gen_tracks p)
       in
-      let fengine = outcome (fun () -> I.Eval.run ~focus:"work" p) in
-      let focus_ok = fwalker = fengine in
       let cycles_output = function
         | Ok ((cycles, _, _, _, _, _), _, _, _, output, _) -> Ok (cycles, output)
         | Error e -> Error e
@@ -707,8 +801,46 @@ let engine_equivalence_prop =
       let instr = outcome (fun () -> I.Eval.run (Analysis.Hotspot.instrument p)) in
       let instr_ok = cycles_output instr = cycles_output engine in
       if not bare_ok then QCheck.Test.fail_report "bare run diverges";
-      if not focus_ok then QCheck.Test.fail_report "focused run diverges";
+      if not focus_ok then QCheck.Test.fail_report "tracked run diverges";
       if not instr_ok then QCheck.Test.fail_report "instrumented run diverges";
+      true)
+
+(* The differential oracle of loop tracking: on generated programs the
+   VM's tracked run equals the walker's bit for bit — whole profile and
+   every tracked loop's observations — and every tracked loop's kernel
+   calls and cycles are its loop-stat invocations and window. *)
+let tracked_oracle_prop =
+  QCheck.Test.make ~count:40
+    ~name:"tracked run: vm = walker, kernel window = loop window"
+    program_arb (fun src ->
+      let p = Minic.Parser.parse_program src in
+      List.iter
+        (fun track ->
+          let walker =
+            outcome (fun () -> I.Eval.run_ir ~track (I.Resolve.compile p))
+          in
+          let vm = outcome (fun () -> I.Eval.run_vm ~track (I.Eval.compile p)) in
+          if walker <> vm then QCheck.Test.fail_report "tracked run diverges";
+          match I.Eval.run_vm ~track (I.Eval.compile p) with
+          | exception _ -> ()
+          | r ->
+              List.iter
+                (fun (sid, _) ->
+                  match
+                    ( I.Profile.loop_stat_opt r.profile sid,
+                      I.Profile.kernel_obs r.profile sid )
+                  with
+                  | None, None -> ()
+                  | Some s, Some k
+                    when s.invocations = k.calls
+                         && Int64.equal
+                              (Int64.bits_of_float s.cycles)
+                              (Int64.bits_of_float k.k_cycles) ->
+                      ()
+                  | _ ->
+                      QCheck.Test.fail_reportf "loop %d: window differs" sid)
+                track)
+        (gen_tracks p);
       true)
 
 let counter name = Flow_obs.Metrics.counter_value Flow_obs.Metrics.global name
@@ -742,6 +874,42 @@ let flow_spawns_no_domains () =
         (counter "dse_simulate_calls" - calls0))
     Benchmarks.Registry.all
 
+(* A cold flow interprets its program once: the profiling run tracks
+   every loop hotspot selection can stop at, so detection and every
+   kernel analysis read one execution.  An inline submission's flow
+   (no secondary size) costs 1 run, informed or uninformed; a benchmark
+   context's costs 2 (profiling size plus secondary size). *)
+let cold_flow_interp_runs () =
+  let cold () =
+    Psa.Stage_memo.clear ();
+    Flow_memo.Cache.clear Analysis.Features.memo;
+    Minic_interp.Profile_cache.clear ()
+  in
+  let runs f =
+    cold ();
+    let r0 = counter "interp_runs" in
+    ignore (f ());
+    counter "interp_runs" - r0
+  in
+  List.iter
+    (fun (app : Benchmarks.Bench_app.t) ->
+      let inline () =
+        Psa.Context.make ~benchmark:"inline"
+          (Psa.Stage_memo.parse (app.source ~n:app.profile_n))
+      in
+      Alcotest.(check int)
+        (app.id ^ ": inline informed") 1
+        (runs (fun () -> Psa.Std_flow.run_informed (inline ())));
+      Alcotest.(check int)
+        (app.id ^ ": inline uninformed") 1
+        (runs (fun () -> Psa.Std_flow.run_uninformed (inline ())));
+      Alcotest.(check int)
+        (app.id ^ ": benchmark context") 2
+        (runs (fun () ->
+             Psa.Std_flow.run_uninformed (Benchmarks.Bench_app.context app))))
+    Benchmarks.Registry.all;
+  cold ()
+
 (* ------------------------------------------------------------------ *)
 (* Slot-IR optimizer: per-pass bit-identity vs the reference walker    *)
 (* ------------------------------------------------------------------ *)
@@ -756,15 +924,14 @@ let pass_configs =
 
 (* Every pass alone, and all composed, must leave every observable of a
    run untouched — profile totals, per-loop stats, kernel observations,
-   output, return value — bare and kernel-focused, vs the reference
-   walker on the un-optimized slot IR. *)
+   output, return value — bare and with the hotspot-reachable loops
+   tracked, vs the reference walker on the un-optimized slot IR. *)
 let check_opt_identity (b : Benchmarks.Bench_app.t) () =
   let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
   let ir = I.Resolve.compile p in
   let walker = run_fingerprint (I.Eval.run_ir ir) in
-  let ex, kernel, _ = Psa.Std_flow.prepare_kernel p in
-  let fir = I.Resolve.compile ex in
-  let fwalker = run_fingerprint (I.Eval.run_ir ~focus:kernel fir) in
+  let track = Analysis.Hotspot.tracked p in
+  let fwalker = run_fingerprint (I.Eval.run_ir ~track ir) in
   List.iter
     (fun (name, config) ->
       let bare =
@@ -774,13 +941,13 @@ let check_opt_identity (b : Benchmarks.Bench_app.t) () =
       Alcotest.(check bool)
         (name ^ ": bare run identical") true
         (run_fingerprint bare = walker);
-      let focused =
-        I.Eval.run_vm ~focus:kernel
-          (I.Eval.compile_resolved (I.Opt.optimize ~config fir))
+      let tracked =
+        I.Eval.run_vm ~track
+          (I.Eval.compile_resolved (I.Opt.optimize ~config ir))
       in
       Alcotest.(check bool)
-        (name ^ ": focused run identical") true
-        (run_fingerprint focused = fwalker))
+        (name ^ ": tracked run identical") true
+        (run_fingerprint tracked = fwalker))
     pass_configs
 
 (* The per-pass identity obligation, over generated programs. *)
@@ -791,7 +958,10 @@ let opt_equivalence_prop =
       let p = Minic.Parser.parse_program src in
       let ir = I.Resolve.compile p in
       let walker = outcome (fun () -> I.Eval.run_ir ir) in
-      let fwalker = outcome (fun () -> I.Eval.run_ir ~focus:"work" ir) in
+      let tracks = gen_tracks p in
+      let fwalkers =
+        List.map (fun track -> outcome (fun () -> I.Eval.run_ir ~track ir)) tracks
+      in
       List.for_all
         (fun (name, config) ->
           let compiled =
@@ -799,8 +969,11 @@ let opt_equivalence_prop =
           in
           if outcome (fun () -> I.Eval.run_vm compiled) <> walker then
             QCheck.Test.fail_reportf "%s: bare run diverges" name;
-          if outcome (fun () -> I.Eval.run_vm ~focus:"work" compiled) <> fwalker
-          then QCheck.Test.fail_reportf "%s: focused run diverges" name;
+          List.iter2
+            (fun track fwalker ->
+              if outcome (fun () -> I.Eval.run_vm ~track compiled) <> fwalker
+              then QCheck.Test.fail_reportf "%s: tracked run diverges" name)
+            tracks fwalkers;
           true)
         pass_configs)
 
@@ -820,7 +993,7 @@ let opt_tests =
 (* The VM obligation over generated programs, on the raw slot IR (the
    optimized path is covered by [engine_equivalence_prop]): the bytecode
    VM must match the reference walker on every observable, bare and
-   kernel-focused. *)
+   tracked. *)
 let vm_equivalence_prop =
   QCheck.Test.make ~count:30
     ~name:"bytecode VM = walker on generated programs" program_arb
@@ -828,12 +1001,16 @@ let vm_equivalence_prop =
       let p = Minic.Parser.parse_program src in
       let ir = I.Resolve.compile p in
       let walker = outcome (fun () -> I.Eval.run_ir ir) in
-      let fwalker = outcome (fun () -> I.Eval.run_ir ~focus:"work" ir) in
       let c = I.Eval.compile_resolved ir in
       if outcome (fun () -> I.Eval.run_vm c) <> walker then
         QCheck.Test.fail_report "vm: bare run diverges";
-      if outcome (fun () -> I.Eval.run_vm ~focus:"work" c) <> fwalker then
-        QCheck.Test.fail_report "vm: focused run diverges";
+      List.iter
+        (fun track ->
+          if
+            outcome (fun () -> I.Eval.run_vm ~track c)
+            <> outcome (fun () -> I.Eval.run_ir ~track ir)
+          then QCheck.Test.fail_report "vm: tracked run diverges")
+        (gen_tracks p);
       true)
 
 (* Per-benchmark bit-identity of the production VM (optimized IR, every
@@ -982,16 +1159,13 @@ let check_error_message (_, fuel, src, expected) () =
 
 (* Minor-heap words per virtual cycle are a deterministic counter: the
    banked VM boxes a value only where it leaves a bank, so every paper
-   benchmark stays under the ceiling, bare and kernel-focused.  One
-   boxed float per VM loop iteration breaks it. *)
+   benchmark's tracked profiling run stays under the ceiling.  One boxed
+   float per VM loop iteration breaks it. *)
 let check_alloc_ceiling (b : Benchmarks.Bench_app.t) () =
-  let c = Benchmarks.Vm_cost.measure b in
-  List.iter
-    (fun (run, (r : Benchmarks.Vm_cost.run_cost)) ->
-      if r.words_per_cycle > Benchmarks.Vm_cost.words_per_cycle_ceiling then
-        Alcotest.failf "%s %s run: %.3f minor words per virtual cycle (ceiling %g)"
-          b.id run r.words_per_cycle Benchmarks.Vm_cost.words_per_cycle_ceiling)
-    [ ("bare", c.bare); ("focused", c.focused) ]
+  let r = (Benchmarks.Vm_cost.measure b).run in
+  if r.words_per_cycle > Benchmarks.Vm_cost.words_per_cycle_ceiling then
+    Alcotest.failf "%s profiling run: %.3f minor words per virtual cycle (ceiling %g)"
+      b.id r.words_per_cycle Benchmarks.Vm_cost.words_per_cycle_ceiling
 
 let vm_tests =
   List.map
@@ -1033,7 +1207,13 @@ let () =
         ] );
       ("fused", fused_tests);
       ("optimizer", opt_tests);
-      ("engine", [ QCheck_alcotest.to_alcotest engine_equivalence_prop ]);
+      ( "engine",
+        [
+          QCheck_alcotest.to_alcotest engine_equivalence_prop;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2121 |])
+            tracked_oracle_prop;
+        ] );
       ("vm", vm_tests);
       (* the suite name predates in-order sweeps; the ids stay stable *)
       ( "dse-parallel",
@@ -1043,5 +1223,7 @@ let () =
           QCheck_alcotest.to_alcotest threads_prop;
           Alcotest.test_case "flow spawns no domains" `Slow
             flow_spawns_no_domains;
+          Alcotest.test_case "one interpreter run per cold flow" `Slow
+            cold_flow_interp_runs;
         ] );
     ]

@@ -268,6 +268,20 @@ let cost_tests =
 
 let std_flow_tests =
   [
+    Alcotest.test_case "features without a detected hotspot" `Quick
+      (fun () ->
+        (* a context holding only [prepare_kernel]'s program and kernel
+           gets the features of one holding its hotspot too *)
+        let c = ctx () in
+        let program, kernel, h = Psa.Std_flow.prepare_kernel c.program in
+        let bare = { c with program; kernel = Some kernel } in
+        let with_h = { bare with hotspot = Some h } in
+        let feats c =
+          let c = Psa.Std_flow.ensure_features c in
+          (c.features, c.eval_features)
+        in
+        Alcotest.(check bool) "same features" true
+          (feats bare = feats with_h));
     Alcotest.test_case "uninformed flow emits all five designs" `Slow
       (fun () ->
         let o = Psa.Std_flow.run_uninformed (ctx ()) in

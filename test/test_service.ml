@@ -1512,6 +1512,47 @@ let test_nonfinite_result () =
       check "every finished connection released its slot" true
         (wait_until (fun () -> active () = Some 1.0)))
 
+(* Number literals the lexer cannot convert are parse errors, not
+   exceptions that kill the connection: alone, and as the middle item of
+   a batch whose neighbours are still answered.  [connections_active]
+   is read over a connection of its own, so no leaked slot means 1. *)
+let test_malformed_literals_are_parse_errors () =
+  let bad lit = Printf.sprintf "int main() {\n  double x = %s;\n  return 0;\n}" lit in
+  with_daemon (fun addr ->
+      List.iteri
+        (fun i lit ->
+          (match
+             Client.rpc addr
+               (Protocol.Submit_flow (Protocol.submission (Protocol.Inline (bad lit))))
+           with
+          | Protocol.Error (Protocol.Minic_parse_error _) -> ()
+          | other ->
+              Alcotest.failf "%s alone: %s" lit
+                (Json.to_string (Protocol.response_to_json other)));
+          let c = Client.connect addr in
+          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          let items =
+            Client.submit_batch c
+              [
+                Protocol.submission (Protocol.Inline (inline_kernel (100 + (2 * i))));
+                Protocol.submission (Protocol.Inline (bad lit));
+                Protocol.submission
+                  (Protocol.Inline (inline_kernel (101 + (2 * i))));
+              ]
+          in
+          match items with
+          | [ Ok _; Error (Protocol.Minic_parse_error _); Ok _ ] -> ()
+          | _ -> Alcotest.failf "%s in a batch: neighbours not answered" lit)
+        [ "1e"; "1.5e+"; "2.0ef"; "9223372036854775808" ];
+      let active () =
+        match Client.rpc addr Protocol.Metrics with
+        | Protocol.Metrics_data m ->
+            Option.bind (Json.member "connections_active" m) Json.to_float_opt
+        | _ -> None
+      in
+      check "every connection released its slot" true
+        (wait_until (fun () -> active () = Some 1.0)))
+
 let test_job_listing_and_unknown_job () =
   with_daemon (fun addr ->
       (match Client.rpc addr (Protocol.Job_status 42) with
@@ -1726,6 +1767,8 @@ let () =
           Alcotest.test_case "empty daemon" `Quick
             test_job_listing_and_unknown_job;
           Alcotest.test_case "batch end-to-end" `Quick test_batch_end_to_end;
+          Alcotest.test_case "malformed literals are parse errors" `Quick
+            test_malformed_literals_are_parse_errors;
           Alcotest.test_case "pruned job is unknown" `Quick
             test_pruned_job_is_unknown;
           Alcotest.test_case "client receive timeout" `Quick test_client_timeout;

@@ -94,10 +94,25 @@ int main() {
         let p = parse src in
         let h = Option.get (Analysis.Hotspot.detect p) in
         let ex = Extract.hotspot p ~loop_sid:h.loop_sid in
-        let r = Minic_interp.Eval.run ~focus:ex.kernel_name ex.program in
-        match r.profile.kernel with
-        | Some k -> Alcotest.(check int) "4 calls" 4 k.calls
-        | None -> Alcotest.fail "no kernel obs");
+        (* the extracted kernel runs once per invocation of the loop it
+           replaced; the original program's tracked run counts those *)
+        let ptrs =
+          List.filter_map
+            (function Minic.Ast.Tptr _, v -> Some v | _ -> None)
+            ex.params
+        in
+        let r =
+          Minic_interp.Eval.run ~track:[ (h.loop_sid, ptrs) ] ex.program
+        in
+        let fp = Analysis.Hotspot.fused ~loop_sid:h.loop_sid p in
+        match
+          ( Minic_interp.Profile.kernel_obs r.profile h.loop_sid,
+            Minic_interp.Fused_profile.kernel_obs fp ~loop_sid:h.loop_sid )
+        with
+        | Some k, Some k' ->
+            Alcotest.(check int) "4 calls" 4 k.calls;
+            Alcotest.(check int) "4 loop invocations" 4 k'.calls
+        | _ -> Alcotest.fail "no kernel obs");
   ]
 
 let reduction_tests =
@@ -385,7 +400,7 @@ let transform_arb = QCheck.make ~print:Fun.id transform_program_gen
    unrolling removes loop bookkeeping, so its cycles legitimately
    change. *)
 let observables p ~kernel =
-  let dio = Analysis.Data_inout.analyze p ~kernel in
+  let dio = Helpers.data_inout p ~kernel in
   ( (Minic_interp.Eval.run p).output,
     (dio.Analysis.Data_inout.kernel, dio.calls, dio.args, dio.total_in,
      dio.total_out) )
