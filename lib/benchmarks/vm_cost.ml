@@ -19,7 +19,7 @@ type t = { bench : string; run : run_cost }
 
 (** The ceiling on minor words per virtual cycle that tier-1 and
     [scripts/check.sh] enforce. *)
-let words_per_cycle_ceiling = 0.2
+let words_per_cycle_ceiling = 0.05
 
 let measure_run ~reps ~track compiled =
   let words = ref 0.0 and cycles = ref 0.0 and best = ref infinity in

@@ -13,12 +13,13 @@
     initial [VUnit]; every other slot stays boxed.  Results of the
     statically typed instructions ([IArithF], [IDivF], [IMath*],
     [ICastF], [IRand01], ... and their int twins) land in the matching
-    bank, and loads from float regions are unboxed on arrival.  Operands
-    are read through the conversion the reference walker applies at that
-    consumer ([Value.to_float], [to_int], [to_bool]), so a boxed operand
-    still faults with the walker's message.  Values are boxed only where
-    they leave a bank: memory stores, call arguments and returns,
-    globals and the operand-dynamic instructions.  Frames are laid out
+    bank, and a float region's element loads straight into the float
+    bank.  Operands are read through the conversion the reference walker
+    applies at that consumer ([Value.to_float], [to_int], [to_bool]), so
+    a boxed operand still faults with the walker's message.  Values are
+    boxed only where they leave a bank: stores to non-float regions,
+    call arguments and returns, globals and the operand-dynamic
+    instructions.  Frames are laid out
     [slots | constants | temporaries] in each bank; literal operands are
     blitted from per-bank constant pools at call entry, and expression
     temporaries are allocated monotonically per statement.
@@ -134,13 +135,23 @@ type kop =
       (** d <- (((a*b) + (p*q)) + (x*y)) + e *)
 
 (** A lowered kernel: the original {!Resolve.kernel} (whose statically
-    counted totals drive the bulk accounting and whose [k_body] still
-    runs verbatim on the loop-tracking path) plus the fused micro-ops,
-    their hoisted entry banks, and the frame registers its slots live
-    in.  A kernel input or output in the float bank is a plain float
-    copy; only boxed (or int-bank) slots convert. *)
+    counted totals drive the bulk accounting) plus the fused micro-ops,
+    their hoisted entry banks, the frame registers its slots live in,
+    and what loop tracking needs of one iteration's accesses.  A kernel
+    input or output in the float bank is a plain float copy; only boxed
+    (or int-bank) slots convert. *)
 type kprog = {
   kp_kern : R.kernel;
+  kp_site_order : int array;
+      (** the tracking sites in the order of their first access.  Sites
+          with the same base slot and index expression touch the same
+          element in every iteration; the first of them stands for all
+          in tracking. *)
+  kp_site_kinds : int array;
+      (** per tracking site, the accesses of one iteration to its
+          element, in body order, as first-access tracking sees them: 1
+          loads only, 2 a store first, 3 a load then a store; 0 for a
+          site another one stands for *)
   kp_ops : kop array;
   kp_lits : (int * float) array;  (** entry: freg <- literal *)
   kp_prefetch : (int * int) array;  (** entry: freg <- invariant site load *)
@@ -213,9 +224,15 @@ type instr =
   | ITimerStart of int
   | ITimerStop of int
   | IAlloc of { d : int; typ : Minic.Ast.typ; name : string; src : int }
-  | IApplyAssign of { d : int; aop : Minic.Ast.assign_op; old : int; rhs : int }
-      (** compound assignment to a boxed slot (banked slots use the
-          typed arithmetic forms) *)
+  | IApplyAssign of {
+      d : int;
+      typ : Minic.Ast.typ option;  (** the target's declared type *)
+      aop : Minic.Ast.assign_op;
+      old : int;
+      rhs : int;
+    }
+      (** compound assignment to a boxed register, converted to [typ]
+          (banked slots mostly use the typed arithmetic forms) *)
   | IStore of { arr : int; idx : int; src : int }
   | IStoreOp of { aop : Minic.Ast.assign_op; arr : int; idx : int; src : int }
   | IRet of int
@@ -578,6 +595,32 @@ let hoist_entry (k : R.kernel) ops =
     Array.of_list (List.rev !lits),
     Array.of_list (List.rev !pref) )
 
+(* The tracking sites of [k] in the order of their first access in the
+   body, and their access kinds (see {!kprog}).  A load after a store of
+   the same element changes no first-access state, so [2] absorbs it. *)
+let site_accesses (k : R.kernel) =
+  let sites = k.R.k_sites in
+  let kinds = Array.make (Array.length sites) 0 in
+  let order = ref [] in
+  let touch si kind =
+    let rec first j = if sites.(j) = sites.(si) then j else first (j + 1) in
+    let si = first 0 in
+    if kinds.(si) = 0 then (
+      order := si :: !order;
+      kinds.(si) <- kind)
+    else if kind land 2 <> 0 then kinds.(si) <- kinds.(si) lor 2
+  in
+  Array.iter
+    (function
+      | R.KLoad (_, si) -> touch si 1
+      | R.KStore (si, _) -> touch si 2
+      | R.KStoreAdd (si, _) | R.KStoreSub (si, _) | R.KStoreMul (si, _)
+      | R.KStoreDiv (si, _) ->
+          touch si 3
+      | _ -> ())
+    k.R.k_body;
+  (Array.of_list (List.rev !order), kinds)
+
 (** Lift one kernel into a micro-program: hoist its entry banks, then
     fuse adjacent pairs to fixpoint.  [slots] maps each frame slot to
     its register. *)
@@ -602,8 +645,11 @@ let lift_kernel ~(slots : int array) (k : R.kernel) : kprog =
      not provable) boxed, never the int bank *)
   let fout, bout = List.partition in_f (Array.to_list k.R.k_out) in
   let idx (s, f) = (index_of slots.(s), f) in
+  let order, kinds = site_accesses k in
   {
     kp_kern = k;
+    kp_site_order = order;
+    kp_site_kinds = kinds;
     kp_ops = ops;
     kp_lits = lits;
     kp_prefetch = pref;
@@ -835,7 +881,7 @@ let rec lx ?(v = false) ?dst ctx (e : R.expr) : int =
   | R.EIndex (a, i) ->
       let ra = lx ~v:true ctx a in
       let ri = lx ctx i in
-      (* a float region holds only [VFloat]s: unbox on arrival *)
+      (* a float region's element loads straight into the float bank *)
       let d =
         match dst with
         | Some d -> d
@@ -1025,11 +1071,12 @@ and ls ctx (s : R.stmt) =
       let t = tmp ctx boxed in
       emit ctx (IAlloc { d = t; typ; name; src = rs });
       store_slot ctx slot t
-  | R.SAssign { slot; aop; rhs } -> (
+  | R.SAssign { slot; typ; aop; rhs } -> (
       emit ctx IFuel;
-      match aop with
-      | Minic.Ast.Set -> store_slot ctx slot (lx_for_slot ctx slot rhs)
-      | aop -> (
+      match (aop, typ) with
+      | Minic.Ast.Set, Some typ -> store_coerced ctx slot typ rhs
+      | Minic.Ast.Set, None -> store_slot ctx slot (lx_for_slot ctx slot rhs)
+      | aop, _ -> (
           let slot = eff ctx slot in
           let banked =
             match slot with
@@ -1037,7 +1084,15 @@ and ls ctx (s : R.stmt) =
             | _ -> false
           in
           let rv = lx ~v:(not banked) ctx rhs in
+          (* an int slot takes the int path only for an operand that is
+             never a float: a float one converts the float result back *)
+          let int_rhs = Opt.not_f (Opt.ety ctx.env ctx.lt rhs) in
           match slot with
+          | R.Local i when bank_of ctx.slots.(i) = ibank && not int_rhs ->
+              let d = ctx.slots.(i) and t = tmp ctx boxed in
+              emit ctx (IMov (t, d));
+              emit ctx (IApplyAssign { d = t; typ; aop; old = t; rhs = rv });
+              emit ctx (IMov (d, t))
           | R.Local i ->
               let d = ctx.slots.(i) in
               let bank = bank_of d in
@@ -1050,11 +1105,11 @@ and ls ctx (s : R.stmt) =
                     IArithF { op; fresid; d; a = d; b = rv }
                 | _ when bank = ibank ->
                     IArithI { op = fst (arith_of_assign aop); d; a = d; b = rv }
-                | _ -> IApplyAssign { d; aop; old = d; rhs = rv })
+                | _ -> IApplyAssign { d; typ; aop; old = d; rhs = rv })
           | R.Global g ->
               let t = tmp ctx boxed in
               emit ctx (IGetG (t, g));
-              emit ctx (IApplyAssign { d = t; aop; old = t; rhs = rv });
+              emit ctx (IApplyAssign { d = t; typ; aop; old = t; rhs = rv });
               emit ctx (ISetG (g, t))
           | R.Unbound n -> emit ctx (IErrVar n)))
   | R.SStore { arr; idx; aop; rhs } -> (

@@ -68,6 +68,20 @@ type tracker = {
          invocation *)
 }
 
+(* Per-invocation buffers of a fused kernel, indexed by site (the first
+   five) or float register, reused by every kernel of a run: a kernel
+   body makes no calls, so no invocation starts while another one is
+   using them.  They grow to the largest kernel entered. *)
+type kscratch = {
+  mutable ks_datas : float array array;  (* each site's region elements *)
+  mutable ks_offs : int array;  (* each site's current element offset *)
+  mutable ks_deltas : int array;  (* each site's per-iteration stride *)
+  mutable ks_elems : int array;  (* each site's element size in bytes *)
+  mutable ks_ids : int array;  (* each site's region id *)
+  mutable ks_adv : int array;  (* the sites with a nonzero stride *)
+  mutable ks_fregs : float array;  (* the micro-program's registers *)
+}
+
 type state = {
   cprog : Resolve.t;
   mem : Memory.t;
@@ -98,9 +112,11 @@ type state = {
           profile's Hashtbl is only consulted on a loop's first
           invocation.  Sized by {!run_vm}; unused (empty) on the
           reference walker path. *)
-  mutable bulk_cycles : float;
+  bulk_cycles : float array;
       (** virtual cycles charged in bulk by specialized loop kernels
-          this run; surfaced as the [interp_bulk_cycles] metric. *)
+          this run, as a 1-element flat float array like [cyc];
+          surfaced as the [interp_bulk_cycles] metric. *)
+  ks : kscratch;  (** fused-kernel buffers (VM only) *)
 }
 
 let[@inline] cached_loop_stat st lidx sid =
@@ -204,45 +220,68 @@ let track_one (tk : tracker) ~write mem_id off elem =
           Bytes.set_uint8 tr.ft_state off 1;
           attribute tk.tk_obs tr ~write elem)
 
-let track_access st ~write mem_id off elem =
-  match st.active with
-  | None -> ()
-  | Some tk -> track_one tk ~write mem_id off elem
-
 (* Load/store with the region record already fetched: bounds check,
    access counters, byte accounting, and (on the tracking path) the
    first-access classification — one region fetch per access.  The
    [Cost.load]/[Cost.store] cycles themselves are statically known and
-   batched by the resolver. *)
+   batched by the resolver.  [load_r]/[store_r] take any region and box
+   or unbox a float element; [load_f]/[store_f] move a float region's
+   element as a float. *)
 
-let load_r st (r : Memory.region) off =
-  if off < 0 || off >= Array.length r.data then
-    err "out-of-bounds read of '%s' at index %d (size %d)" r.name off
-      (Array.length r.data);
+let oob_read (r : Memory.region) off =
+  err "out-of-bounds read of '%s' at index %d (size %d)" r.name off r.len
+
+let oob_write (r : Memory.region) off =
+  err "out-of-bounds write of '%s' at index %d (size %d)" r.name off r.len
+
+let[@inline] load_f st (r : Memory.region) off =
+  if off < 0 || off >= r.len then oob_read r off;
   st.prof.loads <- st.prof.loads + 1;
   st.prof.bytes_read <- st.prof.bytes_read + r.elem_bytes;
-  Array.unsafe_get r.data off
+  Array.unsafe_get r.fdata off
 
-let store_r st (r : Memory.region) off v =
-  if off < 0 || off >= Array.length r.data then
-    err "out-of-bounds write of '%s' at index %d (size %d)" r.name off
-      (Array.length r.data);
-  Array.unsafe_set r.data off v;
+let[@inline] store_f st (r : Memory.region) off x =
+  if off < 0 || off >= r.len then oob_write r off;
+  Array.unsafe_set r.fdata off x;
   st.prof.stores <- st.prof.stores + 1;
   st.prof.bytes_written <- st.prof.bytes_written + r.elem_bytes
 
+let load_r st (r : Memory.region) off =
+  if r.flt then VFloat (load_f st r off)
+  else (
+    if off < 0 || off >= r.len then oob_read r off;
+    st.prof.loads <- st.prof.loads + 1;
+    st.prof.bytes_read <- st.prof.bytes_read + r.elem_bytes;
+    Array.unsafe_get r.data off)
+
+(* A float region receives only floats: every store converts to the
+   element type first. *)
+let store_r st (r : Memory.region) off v =
+  if r.flt then store_f st r off (match v with VFloat f -> f | v -> to_float v)
+  else (
+    if off < 0 || off >= r.len then oob_write r off;
+    Array.unsafe_set r.data off v;
+    st.prof.stores <- st.prof.stores + 1;
+    st.prof.bytes_written <- st.prof.bytes_written + r.elem_bytes)
+
+let[@inline] track_load st (r : Memory.region) off =
+  match st.active with
+  | None -> ()
+  | Some tk -> track_one tk ~write:false r.id off r.elem_bytes
+
+let[@inline] track_store st (r : Memory.region) off =
+  match st.active with
+  | None -> ()
+  | Some tk -> track_one tk ~write:true r.id off r.elem_bytes
+
 let load_r_tracked st r off =
   let v = load_r st r off in
-  (match st.active with
-  | None -> ()
-  | Some tk -> track_one tk ~write:false r.Memory.id off r.elem_bytes);
+  track_load st r off;
   v
 
 let store_r_tracked st r off v =
   store_r st r off v;
-  match st.active with
-  | None -> ()
-  | Some tk -> track_one tk ~write:true r.Memory.id off r.elem_bytes
+  track_store st r off
 
 (* Pointer-based accessors for the reference tree walker. *)
 let mem_load st (p : Value.ptr) = load_r_tracked st (Memory.region st.mem p.mem_id) p.off
@@ -324,10 +363,14 @@ let do_cmp op fl a b =
   | _ -> assert false
 
 let coerce typ v =
-  match typ with
-  | Minic.Ast.Tint -> VInt (to_int v)
-  | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> VFloat (to_float v)
-  | Minic.Ast.Tbool -> VBool (to_bool v)
+  match (typ, v) with
+  | Minic.Ast.Tint, VInt _
+  | (Minic.Ast.Tfloat | Minic.Ast.Tdouble), VFloat _
+  | Minic.Ast.Tbool, VBool _ ->
+      v
+  | Minic.Ast.Tint, _ -> VInt (to_int v)
+  | (Minic.Ast.Tfloat | Minic.Ast.Tdouble), _ -> VFloat (to_float v)
+  | Minic.Ast.Tbool, _ -> VBool (to_bool v)
   | _ -> v
 
 let coerce_region st (p : Value.ptr) v =
@@ -425,7 +468,8 @@ let track_exit st (tk : tracker) =
 
 (* Raised by a specialized kernel's entry protocol — strictly before any
    state mutation — when a precondition fails (non-numeric bounds,
-   non-float region, out-of-range access, insufficient fuel).  The
+   non-float region, out-of-range access, insufficient fuel, or under a
+   tracked loop a stored-to region two tracking sites reach).  The
    fused statement then falls back to its generic loop. *)
 exception Kernel_unfit
 
@@ -605,23 +649,25 @@ module Ir_walk = struct
     | SDeclArr { slot; typ; name; size } ->
         let n = to_int (eval_expr st frame size) in
         set_var st frame slot (Memory.alloc st.mem ~name ~elem_typ:typ n)
-    | SAssign { slot; aop; rhs } -> (
+    | SAssign { slot; typ; aop; rhs } ->
         let rhs = eval_expr st frame rhs in
-        match aop with
-        | Set -> set_var st frame slot rhs
-        | _ ->
-            set_var st frame slot
-              (apply_assign st aop (get_var st frame slot) rhs))
+        let v =
+          match aop with
+          | Set -> rhs
+          | _ -> apply_assign st aop (get_var st frame slot) rhs
+        in
+        set_var st frame slot
+          (match typ with Some t -> coerce t v | None -> v)
     | SStore { arr; idx; aop; rhs } ->
         let rhs = eval_expr st frame rhs in
         let p = to_ptr (eval_expr st frame arr) in
         let i = to_int (eval_expr st frame idx) in
         let p = { p with off = p.off + i } in
         let v =
-          if aop = Minic.Ast.Set then coerce_region st p rhs
+          if aop = Minic.Ast.Set then rhs
           else apply_assign st aop (mem_load st p) rhs
         in
-        mem_store st p v
+        mem_store st p (coerce_region st p v)
     | SExpr e -> ignore (eval_expr st frame e)
     | SIf (c, b1, b2) ->
         if to_bool (eval_expr st frame c) then exec_block st frame b1
@@ -704,16 +750,11 @@ module B = Bytecode
 let while_iter_cost = Profile.Cost.loop_iter +. Profile.Cost.branch
 let for_iter_cost = Profile.Cost.loop_iter +. Profile.Cost.int_op
 
-let[@inline] vk_ld datas offs si =
-  match
-    Array.unsafe_get (Array.unsafe_get datas si) (Array.unsafe_get offs si)
-  with
-  | VFloat f -> f
-  | v -> to_float v
+let[@inline] vk_ld (datas : float array array) (offs : int array) si =
+  Array.unsafe_get (Array.unsafe_get datas si) (Array.unsafe_get offs si)
 
-let[@inline] vk_st datas offs si v =
-  Array.unsafe_set (Array.unsafe_get datas si) (Array.unsafe_get offs si)
-    (VFloat v)
+let[@inline] vk_st (datas : float array array) (offs : int array) si v =
+  Array.unsafe_set (Array.unsafe_get datas si) (Array.unsafe_get offs si) v
 
 (* Bank-tagged register access (see {!Bytecode.reg}).  Each reader
    applies the walker's conversion for its consumer — [to_float],
@@ -776,13 +817,13 @@ let seti regs si r n =
 
 (* Run [count] iterations of a fused kernel micro-program, starting at
    loop index [iv0] with site offsets [offs] (mutated in place).  Only
-   the sites in [adv] (nonzero stride) advance.  Pure float/array code:
-   all observable accounting was charged in bulk by the caller. *)
+   the first [nadv] sites in [adv] (nonzero stride) advance.  Pure
+   float/array code: all observable accounting was charged in bulk by
+   the caller. *)
 let vkern_iters (ops : B.kop array) (fregs : float array)
-    (datas : Value.t array array) (offs : int array) (deltas : int array)
-    (adv : int array) ~iv0 ~step ~count =
+    (datas : float array array) (offs : int array) (deltas : int array)
+    (adv : int array) ~nadv ~iv0 ~step ~count =
   let nops = Array.length ops in
-  let nadv = Array.length adv in
   let iv = ref iv0 in
   for _ = 1 to count do
     for pc = 0 to nops - 1 do
@@ -984,13 +1025,6 @@ let rec kieval slots fr ib iv (ie : Resolve.iexpr) =
   | Resolve.IMul (a, b) -> kieval slots fr ib iv a * kieval slots fr ib iv b
   | Resolve.INeg a -> -kieval slots fr ib iv a
 
-(* Specialized-kernel execution for the VM.  The entry protocol checks
-   every precondition and aborts with [Kernel_unfit] strictly before any
-   state mutation; the committed body charges the whole loop in bulk and
-   runs the fused micro-program.  While a tracked loop is active the
-   kernel needs per-access hooks in generic order, so it runs the
-   original kinstr body instead.  [fr], [fb] and [ib] are the frame's boxed, float and
-   int banks ([fr] is [garray] in the globals block). *)
 (* Tracked-loop bracketing for the VM: [regs]/[sf]/[si] are the banks
    of the frame running loop number [lidx]. *)
 let vtrack_enter st lidx regs sf si =
@@ -1008,6 +1042,92 @@ let vtrack_exit st lidx =
   | None -> ()
   | Some tk -> track_exit st tk
 
+(* Grow the fused-kernel buffers to [nsites] sites and [nfregs] float
+   registers. *)
+let kscratch_fit ks nsites nfregs =
+  if Array.length ks.ks_offs < nsites then (
+    let n = max nsites (2 * Array.length ks.ks_offs) in
+    ks.ks_datas <- Array.make n [||];
+    ks.ks_offs <- Array.make n 0;
+    ks.ks_deltas <- Array.make n 0;
+    ks.ks_elems <- Array.make n 0;
+    ks.ks_ids <- Array.make n 0;
+    ks.ks_adv <- Array.make n 0);
+  if Array.length ks.ks_fregs < nfregs then
+    ks.ks_fregs <- Array.make (max nfregs (2 * Array.length ks.ks_fregs)) 0.0
+
+(* Some tracking site that stores shares its region with another
+   tracking site. *)
+let shared_store_region (kp : B.kprog) (ids : int array) =
+  let order = kp.B.kp_site_order and kinds = kp.B.kp_site_kinds in
+  let shared = ref false in
+  for a = 0 to Array.length order - 1 do
+    let i = order.(a) in
+    if kinds.(i) land 2 <> 0 then
+      for b = 0 to Array.length order - 1 do
+        if b <> a && ids.(order.(b)) = ids.(i) then shared := true
+      done
+  done;
+  !shared
+
+(* First-access tracking of a committed fused kernel's [n] iterations,
+   tracking site by tracking site in first-access order
+   ({!Bytecode.kprog}).  Each element a site touches gets the site's
+   per-iteration access kinds once, as its first touch does in the
+   per-access order: a site with a nonzero stride touches each element
+   in one iteration, and a repeated access to an element changes no
+   state.  Exact when every stored-to region is reached by one tracking
+   site ({!shared_store_region} declines the rest before commit):
+   read-only sites sharing a region commute, byte attribution is a sum,
+   and iteration 0 fixes [tk_order] in body order. *)
+let track_sites (tk : tracker) (kp : B.kprog) ids offs deltas elems n =
+  let a = tk.tk_regions and k = tk.tk_obs in
+  let order = kp.B.kp_site_order and kinds = kp.B.kp_site_kinds in
+  for j = 0 to Array.length order - 1 do
+    let si = order.(j) in
+    let id = ids.(si) in
+    if id < Array.length a then
+      match a.(id) with
+      | None -> ()
+      | Some tr ->
+          let o0 = offs.(si) and d = deltas.(si) in
+          let olast = o0 + ((n - 1) * d) in
+          if min o0 olast < tr.ft_lo then (
+            if tr.ft_hi < 0 then tk.tk_order <- id :: tk.tk_order;
+            tr.ft_lo <- min o0 olast);
+          if max o0 olast > tr.ft_hi then tr.ft_hi <- max o0 olast;
+          let kind = kinds.(si) and state = tr.ft_state in
+          let reads = ref 0 and writes = ref 0 in
+          for it = 0 to (if d = 0 then 0 else n - 1) do
+            let off = o0 + (it * d) in
+            let s0 = Bytes.get_uint8 state off in
+            let s1 =
+              if kind land 1 <> 0 && s0 = 0 then (
+                incr reads;
+                1)
+              else s0
+            in
+            let s2 =
+              if kind land 2 <> 0 && s1 land 2 = 0 then (
+                incr writes;
+                s1 lor 2)
+              else s1
+            in
+            if s2 <> s0 then Bytes.set_uint8 state off s2
+          done;
+          attribute k tr ~write:false (!reads * elems.(si));
+          attribute k tr ~write:true (!writes * elems.(si))
+  done
+
+(* Specialized-kernel execution for the VM.  The entry protocol checks
+   every precondition and aborts with [Kernel_unfit] strictly before any
+   state mutation; the committed body charges the whole loop in bulk and
+   runs the fused micro-program.  Under an active tracked loop the
+   kernel's accesses are then tracked site by site ({!track_sites});
+   a kernel whose stored-to region some other site also reaches
+   declines instead, and the generic loop tracks it per access.  [fr],
+   [fb] and [ib] are the frame's boxed, float and int banks ([fr] is
+   [garray] in the globals block). *)
 let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
   let k = kp.B.kp_kern in
   let slots = kp.B.kp_slots in
@@ -1016,16 +1136,13 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     k.Resolve.k_bcost +. iter_cost +. k.Resolve.k_gcost
     +. k.Resolve.k_dyn_cycles +. k.Resolve.k_scost
   in
-  let body = k.Resolve.k_body in
-  let nbody = Array.length body in
   let nsites = Array.length k.Resolve.k_sites in
   let loads_per_iter = Array.fold_left ( + ) 0 k.Resolve.k_site_loads in
   let stores_per_iter = Array.fold_left ( + ) 0 k.Resolve.k_site_stores in
   let fuel_per_iter = 1 + k.Resolve.k_nstmts in
-  let ieval iv ie = kieval slots fr ib iv ie in
-  let i0 = ieval 0 k.Resolve.k_init in
-  let b = ieval 0 k.Resolve.k_bound in
-  let s = ieval 0 k.Resolve.k_step in
+  let i0 = kieval slots fr ib 0 k.Resolve.k_init in
+  let b = kieval slots fr ib 0 k.Resolve.k_bound in
+  let s = kieval slots fr ib 0 k.Resolve.k_step in
   let sane v = -0x4000_0000_0000 < v && v < 0x4000_0000_0000 in
   if s <= 0 || not (sane i0 && sane b && sane s) then raise Kernel_unfit;
   let n =
@@ -1051,11 +1168,10 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     stat.cycles <- stat.cycles +. (cycles st -. t0);
     if st.tracking then vtrack_exit st lidx)
   else (
-    let datas = Array.make nsites [||] in
-    let offs = Array.make nsites 0 in
-    let deltas = Array.make nsites 0 in
-    let elems = Array.make nsites 0 in
-    let ids = Array.make nsites 0 in
+    let ks = st.ks in
+    kscratch_fit ks nsites k.Resolve.k_nfregs;
+    let datas = ks.ks_datas and offs = ks.ks_offs and deltas = ks.ks_deltas in
+    let elems = ks.ks_elems and ids = ks.ks_ids in
     let bytes_r = ref 0 and bytes_w = ref 0 in
     for si = 0 to nsites - 1 do
       let site = k.Resolve.k_sites.(si) in
@@ -1067,20 +1183,20 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
           if p.mem_id < 0 || p.mem_id >= st.mem.Memory.next_id then
             raise Kernel_unfit;
           let r = Array.unsafe_get st.mem.Memory.regions p.mem_id in
-          (match r.Memory.elem_typ with
-          | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> ()
-          | _ -> raise Kernel_unfit);
-          let len = Array.length r.Memory.data in
-          let o0 = p.off + ieval i0 site.Resolve.ks_idx in
+          if not r.Memory.flt then raise Kernel_unfit;
+          let len = r.Memory.len in
+          let o0 = p.off + kieval slots fr ib i0 site.Resolve.ks_idx in
           let olast =
-            p.off + ieval (i0 + ((n - 1) * s)) site.Resolve.ks_idx
+            p.off
+            + kieval slots fr ib (i0 + ((n - 1) * s)) site.Resolve.ks_idx
           in
           if o0 < 0 || o0 >= len || olast < 0 || olast >= len then
             raise Kernel_unfit;
-          datas.(si) <- r.Memory.data;
+          datas.(si) <- r.Memory.fdata;
           offs.(si) <- o0;
           deltas.(si) <-
-            (if n > 1 then p.off + ieval (i0 + s) site.Resolve.ks_idx - o0
+            (if n > 1 then
+               p.off + kieval slots fr ib (i0 + s) site.Resolve.ks_idx - o0
              else 0);
           elems.(si) <- r.Memory.elem_bytes;
           ids.(si) <- p.mem_id;
@@ -1090,7 +1206,14 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
             !bytes_w + (k.Resolve.k_site_stores.(si) * r.Memory.elem_bytes)
       | _ -> raise Kernel_unfit
     done;
-    let fregs = Array.make (max 1 k.Resolve.k_nfregs) 0.0 in
+    if
+      track
+      && (Option.is_some st.active
+         || Option.is_some (Array.unsafe_get st.track_lidx lidx))
+      && shared_store_region kp ids
+    then raise Kernel_unfit;
+    let fregs = ks.ks_fregs in
+    Array.fill fregs 0 k.Resolve.k_nfregs 0.0;
     for j = 0 to Array.length kp.B.kp_fin - 1 do
       let i, reg = Array.unsafe_get kp.B.kp_fin j in
       Array.unsafe_set fregs reg (Array.unsafe_get fb i)
@@ -1117,7 +1240,8 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
       k.Resolve.k_icost +. k.Resolve.k_bcost +. (float_of_int n *. per_iter)
     in
     charge st total;
-    st.bulk_cycles <- st.bulk_cycles +. total;
+    Array.unsafe_set st.bulk_cycles 0
+      (Array.unsafe_get st.bulk_cycles 0 +. total);
     st.prof.int_ops <-
       st.prof.int_ops + k.Resolve.k_init_int_ops
       + ((n + 1) * k.Resolve.k_bound_int_ops)
@@ -1132,98 +1256,27 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
       st.prof.stores <- st.prof.stores + (n * stores_per_iter);
       st.prof.bytes_written <- st.prof.bytes_written + (n * !bytes_w));
     stat.iterations <- stat.iterations + n;
-    if track && Option.is_some st.active then (
-      (* loop tracking: run the original kinstr body with per-access
-         hooks in generic order *)
-      let rmw fop si r =
-        let off = Array.unsafe_get offs si in
-        let data = Array.unsafe_get datas si in
-        let old =
-          match Array.unsafe_get data off with
-          | VFloat f -> f
-          | v -> to_float v
-        in
-        track_access st ~write:false (Array.unsafe_get ids si) off
-          (Array.unsafe_get elems si);
-        Array.unsafe_set data off
-          (VFloat (fop old (Array.unsafe_get fregs r)));
-        track_access st ~write:true (Array.unsafe_get ids si) off
-          (Array.unsafe_get elems si)
-      in
-      let iv = ref i0 in
-      for _ = 1 to n do
-        for pc = 0 to nbody - 1 do
-          match Array.unsafe_get body pc with
-          | Resolve.KLit (d, x) -> Array.unsafe_set fregs d x
-          | Resolve.KMov (d, a) ->
-              Array.unsafe_set fregs d (Array.unsafe_get fregs a)
-          | Resolve.KAdd (d, a, b) ->
-              Array.unsafe_set fregs d
-                (Array.unsafe_get fregs a +. Array.unsafe_get fregs b)
-          | Resolve.KSub (d, a, b) ->
-              Array.unsafe_set fregs d
-                (Array.unsafe_get fregs a -. Array.unsafe_get fregs b)
-          | Resolve.KMul (d, a, b) ->
-              Array.unsafe_set fregs d
-                (Array.unsafe_get fregs a *. Array.unsafe_get fregs b)
-          | Resolve.KDiv (d, a, b) ->
-              Array.unsafe_set fregs d
-                (Array.unsafe_get fregs a /. Array.unsafe_get fregs b)
-          | Resolve.KNeg (d, a) ->
-              Array.unsafe_set fregs d (-.Array.unsafe_get fregs a)
-          | Resolve.KItoF d -> Array.unsafe_set fregs d (float_of_int !iv)
-          | Resolve.KMath1 (d, g, a) ->
-              Array.unsafe_set fregs d (math1 g (Array.unsafe_get fregs a))
-          | Resolve.KMath2 (d, g, a, b) ->
-              Array.unsafe_set fregs d
-                (math2 g (Array.unsafe_get fregs a) (Array.unsafe_get fregs b))
-          | Resolve.KLoad (d, si) ->
-              let off = Array.unsafe_get offs si in
-              (match Array.unsafe_get (Array.unsafe_get datas si) off with
-              | VFloat f -> Array.unsafe_set fregs d f
-              | v -> Array.unsafe_set fregs d (to_float v));
-              track_access st ~write:false (Array.unsafe_get ids si)
-                off (Array.unsafe_get elems si)
-          | Resolve.KStore (si, r) ->
-              let off = Array.unsafe_get offs si in
-              Array.unsafe_set (Array.unsafe_get datas si) off
-                (VFloat (Array.unsafe_get fregs r));
-              track_access st ~write:true (Array.unsafe_get ids si) off
-                (Array.unsafe_get elems si)
-          | Resolve.KStoreAdd (si, r) -> rmw ( +. ) si r
-          | Resolve.KStoreSub (si, r) -> rmw ( -. ) si r
-          | Resolve.KStoreMul (si, r) -> rmw ( *. ) si r
-          | Resolve.KStoreDiv (si, r) -> rmw ( /. ) si r
-        done;
-        for si = 0 to nsites - 1 do
-          Array.unsafe_set offs si
-            (Array.unsafe_get offs si + Array.unsafe_get deltas si)
-        done;
-        iv := !iv + s
-      done)
-    else (
-      (* fused micro-program: entry banks first, then the iterations *)
-      for j = 0 to Array.length kp.B.kp_lits - 1 do
-        let d, x = Array.unsafe_get kp.B.kp_lits j in
-        Array.unsafe_set fregs d x
-      done;
-      for j = 0 to Array.length kp.B.kp_prefetch - 1 do
-        let d, si = Array.unsafe_get kp.B.kp_prefetch j in
-        Array.unsafe_set fregs d (vk_ld datas offs si)
-      done;
-      let nadv = ref 0 in
-      for si = 0 to nsites - 1 do
-        if deltas.(si) <> 0 then incr nadv
-      done;
-      let adv = Array.make !nadv 0 in
-      let j = ref 0 in
-      for si = 0 to nsites - 1 do
-        if deltas.(si) <> 0 then (
-          adv.(!j) <- si;
-          incr j)
-      done;
-      vkern_iters kp.B.kp_ops fregs datas offs deltas adv ~iv0:i0 ~step:s
-        ~count:n);
+    (match st.active with
+    | Some tk -> track_sites tk kp ids offs deltas elems n
+    | None -> ());
+    (* the micro-program: entry banks first, then the iterations *)
+    for j = 0 to Array.length kp.B.kp_lits - 1 do
+      let d, x = Array.unsafe_get kp.B.kp_lits j in
+      Array.unsafe_set fregs d x
+    done;
+    for j = 0 to Array.length kp.B.kp_prefetch - 1 do
+      let d, si = Array.unsafe_get kp.B.kp_prefetch j in
+      Array.unsafe_set fregs d (vk_ld datas offs si)
+    done;
+    let adv = ks.ks_adv in
+    let nadv = ref 0 in
+    for si = 0 to nsites - 1 do
+      if deltas.(si) <> 0 then (
+        adv.(!nadv) <- si;
+        incr nadv)
+    done;
+    vkern_iters kp.B.kp_ops fregs datas offs deltas adv ~nadv:!nadv ~iv0:i0
+      ~step:s ~count:n;
     for j = 0 to Array.length kp.B.kp_fout - 1 do
       let i, reg = Array.unsafe_get kp.B.kp_fout j in
       Array.unsafe_set fb i (Array.unsafe_get fregs reg)
@@ -1430,8 +1483,12 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
     | B.IIndex { d; a; i } ->
         let p = to_ptr (getv regs sf si a) in
         let ii = geti regs sf si i in
-        setv regs sf si d
-          (load_at st (Memory.region st.mem p.mem_id) (p.off + ii));
+        let r = Memory.region st.mem p.mem_id in
+        (* a float region's element moves into the float bank unboxed *)
+        if d land 3 = 1 && r.flt then (
+          Array.unsafe_set sf (d lsr 2) (load_f st r (p.off + ii));
+          if track then track_load st r (p.off + ii))
+        else setv regs sf si d (load_at st r (p.off + ii));
         go (pc + 1)
     | B.IAndTest { d; src; bcost; tgt } ->
         if getb regs sf si src then (
@@ -1500,25 +1557,59 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
         let n = geti regs sf si src in
         Array.unsafe_set regs (d lsr 2) (Memory.alloc st.mem ~name ~elem_typ:typ n);
         go (pc + 1)
-    | B.IApplyAssign { d; aop; old; rhs } ->
+    | B.IApplyAssign { d; typ; aop; old; rhs } ->
+        let v =
+          apply_assign st aop
+            (Array.unsafe_get regs (old lsr 2))
+            (getv regs sf si rhs)
+        in
         Array.unsafe_set regs (d lsr 2)
-          (apply_assign st aop
-             (Array.unsafe_get regs (old lsr 2))
-             (getv regs sf si rhs));
+          (match typ with Some t -> coerce t v | None -> v);
         go (pc + 1)
     | B.IStore { arr; idx; src } ->
         let p = to_ptr (getv regs sf si arr) in
         let i = geti regs sf si idx in
         let r = Memory.region st.mem p.mem_id in
-        store_at st r (p.off + i) (coerce_o r.elem_typ regs sf si src);
+        (if r.flt then (
+           let x = getf regs sf si src in
+           store_f st r (p.off + i) x;
+           if track then track_store st r (p.off + i))
+         else store_at st r (p.off + i) (coerce_o r.elem_typ regs sf si src));
         go (pc + 1)
     | B.IStoreOp { aop; arr; idx; src } ->
         let p = to_ptr (getv regs sf si arr) in
         let i = geti regs sf si idx in
         let r = Memory.region st.mem p.mem_id in
         let off = p.off + i in
-        let v = apply_assign st aop (load_at st r off) (getv regs sf si src) in
-        store_at st r off v;
+        (if r.flt then (
+           (* [apply_assign] on a float old value: always the float path *)
+           let old = load_f st r off in
+           if track then track_load st r off;
+           let y = getf regs sf si src in
+           let x =
+             match aop with
+             | Minic.Ast.AddEq ->
+                 charge st arith_fresid;
+                 old +. y
+             | Minic.Ast.SubEq ->
+                 charge st arith_fresid;
+                 old -. y
+             | Minic.Ast.MulEq ->
+                 charge st mul_fresid;
+                 old *. y
+             | Minic.Ast.DivEq ->
+                 charge st Profile.Cost.float_div;
+                 old /. y
+             | Minic.Ast.Set -> assert false
+           in
+           st.prof.flops <- st.prof.flops + 1;
+           store_f st r off x;
+           if track then track_store st r off)
+         else
+           let v =
+             apply_assign st aop (load_at st r off) (getv regs sf si src)
+           in
+           store_at st r off (coerce r.elem_typ v));
         go (pc + 1)
     | B.IRet src -> getv regs sf si src
     | B.IRetRaise src -> raise (Return_exc (getv regs sf si src))
@@ -1721,8 +1812,18 @@ let make_state ~fuel ~trackers (cp : Resolve.t) =
     active = None;
     fuel;
     loop_cache = [||];
-    bulk_cycles = 0.0;
+    bulk_cycles = [| 0.0 |];
     cyc = [| 0.0 |];
+    ks =
+      {
+        ks_datas = [||];
+        ks_offs = [||];
+        ks_deltas = [||];
+        ks_elems = [||];
+        ks_ids = [||];
+        ks_adv = [||];
+        ks_fregs = [||];
+      };
   }
 
 (** Run an already-compiled program from [main] through the register
@@ -1753,9 +1854,9 @@ let run_vm ?(track = []) ?(fuel = 200_000_000) (c : compiled) : run =
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "interp_runs";
   Flow_obs.Metrics.observe Flow_obs.Metrics.global "interp_virtual_cycles"
     st.prof.cycles;
-  if st.bulk_cycles > 0.0 then
+  if st.bulk_cycles.(0) > 0.0 then
     Flow_obs.Metrics.observe Flow_obs.Metrics.global "interp_bulk_cycles"
-      st.bulk_cycles;
+      st.bulk_cycles.(0);
   Flow_obs.Trace.add_args
     [ ("virtual_cycles", Flow_obs.Attr.Float st.prof.cycles) ];
   { profile = st.prof; output = Buffer.contents st.out; return_value }

@@ -4,19 +4,28 @@
     offset) pairs.  Regions remember their element type so the profiler can
     charge the correct number of bytes per access.
 
+    A [float]/[double] region keeps its elements unboxed in [fdata], a
+    flat [float array]: a store writes the float itself and a load into
+    a float register reads it back, so the hot float loads and stores
+    of the VM and its fused kernels allocate nothing.  This is exact:
+    every value a float region receives is a float (stores convert to
+    the element type).  [int], [bool] and pointer regions keep
+    [Value.t] elements in [data].  The other array of a region is
+    empty.
+
     Region ids are small sequential integers, so the id -> region table is
-    a growable array indexed directly by id — the per-access [Hashtbl]
-    lookup of the original implementation was the single hottest
-    operation of a profiling run (every load/store consulted it up to
-    three times: value access, byte accounting, loop tracking).  The
-    interpreter fetches the region record once per access and reads
-    everything it needs from it. *)
+    a growable array indexed directly by id.  The interpreter fetches the
+    region record once per access and reads everything it needs from
+    it. *)
 
 type region = {
   id : int;
   name : string;  (** declaring variable, for diagnostics *)
   elem_typ : Minic.Ast.typ;
   elem_bytes : int;
+  len : int;  (** element count *)
+  flt : bool;  (** a [float]/[double] region: elements live in [fdata] *)
+  fdata : float array;
   data : Value.t array;
 }
 
@@ -36,18 +45,33 @@ let alloc t ~name ~elem_typ n =
     let grown =
       Array.make
         (max 8 (2 * cap))
-        { id = -1; name = ""; elem_typ; elem_bytes = 0; data = [||] }
+        {
+          id = -1;
+          name = "";
+          elem_typ;
+          elem_bytes = 0;
+          len = 0;
+          flt = false;
+          fdata = [||];
+          data = [||];
+        }
     in
     Array.blit t.regions 0 grown 0 cap;
     t.regions <- grown
   end;
+  let flt =
+    match elem_typ with Minic.Ast.Tfloat | Minic.Ast.Tdouble -> true | _ -> false
+  in
   let region =
     {
       id;
       name;
       elem_typ;
       elem_bytes = Minic.Ast.sizeof elem_typ;
-      data = Array.make n (Value.zero_of_typ elem_typ);
+      len = n;
+      flt;
+      fdata = (if flt then Array.make n 0.0 else [||]);
+      data = (if flt then [||] else Array.make n (Value.zero_of_typ elem_typ));
     }
   in
   t.regions.(id) <- region;
@@ -58,19 +82,4 @@ let region t id =
   if id >= 0 && id < t.next_id then Array.unsafe_get t.regions id
   else Value.err "dangling pointer (region %d)" id
 
-let load t (p : Value.ptr) =
-  let r = region t p.mem_id in
-  if p.off < 0 || p.off >= Array.length r.data then
-    Value.err "out-of-bounds read of '%s' at index %d (size %d)" r.name p.off
-      (Array.length r.data);
-  r.data.(p.off)
-
-let store t (p : Value.ptr) v =
-  let r = region t p.mem_id in
-  if p.off < 0 || p.off >= Array.length r.data then
-    Value.err "out-of-bounds write of '%s' at index %d (size %d)" r.name p.off
-      (Array.length r.data);
-  r.data.(p.off) <- v
-
-let length t id = Array.length (region t id).data
-let elem_bytes t id = (region t id).elem_bytes
+let length t id = (region t id).len

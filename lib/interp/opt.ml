@@ -103,12 +103,12 @@ let rec ety (env : tenv) (lt : ty array) (e : R.expr) : ty =
   | R.ECmp _ | R.ECmpF _ | R.ECmpI _ -> TBool
   | R.EAnd _ | R.EOr _ -> TBool
   | R.EIndex (a, _) -> (
-      (* float regions provably hold only [VFloat]s: allocation
-         zero-fills with floats, Set-stores coerce, and compound stores
-         on a float produce a float.  Int regions can be polluted by an
-         uncoerced compound [/=], so they type as [Top]. *)
+      (* a region holds only values of its element type: allocation
+         zero-fills with them and every store converts to it *)
       match ety env lt a with
       | TPtr (Minic.Ast.Tfloat | Minic.Ast.Tdouble) -> TFloat
+      | TPtr Minic.Ast.Tint -> TInt
+      | TPtr Minic.Ast.Tbool -> TBool
       | _ -> Top)
   | R.ECast (t, a) -> (
       match t with
@@ -231,23 +231,23 @@ let type_program (cp : R.t) : tenv =
         assign lt slot
           (ty_of_decl typ ~init:(Option.map (ety env lt) init))
     | R.SDeclArr { slot; typ; _ } -> assign lt slot (TPtr typ)
-    | R.SAssign { slot; aop = Minic.Ast.Set; rhs } -> assign lt slot (ety env lt rhs)
-    | R.SAssign { slot; aop = Minic.Ast.DivEq; rhs } ->
-        let old =
-          match slot with
-          | R.Local i -> lt.(i)
-          | R.Global i -> env.globals.(i)
-          | R.Unbound _ -> Top
+    | R.SAssign { slot; typ; aop; rhs } ->
+        let v =
+          match aop with
+          | Minic.Ast.Set -> ety env lt rhs
+          | _ ->
+              let old =
+                match slot with
+                | R.Local i -> lt.(i)
+                | R.Global i -> env.globals.(i)
+                | R.Unbound _ -> Top
+              in
+              arith_ty old (ety env lt rhs)
         in
-        assign lt slot (arith_ty old (ety env lt rhs))
-    | R.SAssign { slot; aop = _; rhs } ->
-        let old =
-          match slot with
-          | R.Local i -> lt.(i)
-          | R.Global i -> env.globals.(i)
-          | R.Unbound _ -> Top
-        in
-        assign lt slot (arith_ty old (ety env lt rhs))
+        (* the value converts to the declared type, as a declaration's
+           initializer does *)
+        assign lt slot
+          (match typ with Some t -> ty_of_decl t ~init:(Some v) | None -> v)
     | R.SFor { slot; _ } -> assign lt slot TInt
     | _ -> ()
   in

@@ -185,7 +185,14 @@ type stmt =
       name : string;
       size : expr;
     }
-  | SAssign of { slot : var_ref; aop : Minic.Ast.assign_op; rhs : expr }
+  | SAssign of {
+      slot : var_ref;
+      typ : Minic.Ast.typ option;
+          (** the target's declared type, which the assigned value
+              converts to as in C; [None] for an undeclared name *)
+      aop : Minic.Ast.assign_op;
+      rhs : expr;
+    }
   | SStore of {
       arr : expr;
       idx : expr;
@@ -347,6 +354,10 @@ type scope = {
   sc_globals : (string, int) Hashtbl.t;
   sc_funcs : (string, int) Hashtbl.t;
   sc_may_time : bool array;
+  sc_types : (string, Minic.Ast.typ) Hashtbl.t;
+      (* declared type of each name seen so far, scoped like
+         {!Minic.Typecheck}: globals, then parameters, then declarations
+         and loop indices in pre-order, a block popping none *)
 }
 
 let resolve_var sc name =
@@ -445,6 +456,8 @@ let rec compile_stmt sc (s : Minic.Ast.stmt) : stmt * float * bool =
   match s.snode with
   | Decl d -> (
       let slot = resolve_var sc d.dname in
+      Hashtbl.replace sc.sc_types d.dname
+        (if d.dsize = None then d.dtyp else Tptr d.dtyp);
       match d.dsize with
       | Some size_e ->
           let size = compile_expr sc size_e in
@@ -466,7 +479,13 @@ let rec compile_stmt sc (s : Minic.Ast.stmt) : stmt * float * bool =
         | AddEq | SubEq | MulEq -> C.int_op
         | Set | DivEq -> 0.0
       in
-      ( SAssign { slot = resolve_var sc v; aop; rhs },
+      ( SAssign
+          {
+            slot = resolve_var sc v;
+            typ = Hashtbl.find_opt sc.sc_types v;
+            aop;
+            rhs;
+          },
         rhs.ecost +. opc,
         expr_may_time mt rhs )
   | Assign (Lindex (a, i), aop, e) ->
@@ -497,6 +516,7 @@ let rec compile_stmt sc (s : Minic.Ast.stmt) : stmt * float * bool =
         0.0,
         true )
   | For (h, b) ->
+      Hashtbl.replace sc.sc_types h.index Tint;
       ( SFor
           {
             fsid = s.sid;
@@ -552,10 +572,14 @@ let func_locals (f : Minic.Ast.func) =
     f;
   locals
 
-let compile_func sc_globals sc_funcs mt (f : Minic.Ast.func) : cfunc =
+let compile_func sc_globals sc_funcs mt gtypes (f : Minic.Ast.func) : cfunc =
   let locals = func_locals f in
+  let sc_types = Hashtbl.copy gtypes in
+  List.iter
+    (fun (p : Minic.Ast.param) -> Hashtbl.replace sc_types p.pname_ p.ptyp)
+    f.fparams;
   let sc =
-    { sc_locals = Some locals; sc_globals; sc_funcs; sc_may_time = mt }
+    { sc_locals = Some locals; sc_globals; sc_funcs; sc_may_time = mt; sc_types }
   in
   {
     cf_name = f.fname;
@@ -609,6 +633,7 @@ let track_slots (cp : t) ~loop_sid (names : string list) =
           sc_globals = global_slots cp.source;
           sc_funcs = cp.func_index;
           sc_may_time = [||];
+          sc_types = Hashtbl.create 1;
         }
       in
       Some (fi, List.map (resolve_var sc) names)
@@ -623,10 +648,19 @@ let compile (p : Minic.Ast.program) : t =
   let mt = timer_reach p sc_funcs in
   let sc_globals = global_slots p in
   let gsc =
-    { sc_locals = None; sc_globals; sc_funcs; sc_may_time = mt }
+    {
+      sc_locals = None;
+      sc_globals;
+      sc_funcs;
+      sc_may_time = mt;
+      sc_types = Hashtbl.create 16;
+    }
   in
   let cglobals = compile_block gsc p.globals in
-  let cfuncs = Array.of_list (List.map (compile_func sc_globals sc_funcs mt) p.funcs) in
+  let cfuncs =
+    Array.of_list
+      (List.map (compile_func sc_globals sc_funcs mt gsc.sc_types) p.funcs)
+  in
   {
     source = p;
     cfuncs;

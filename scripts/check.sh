@@ -42,10 +42,10 @@ echo "interp_runs=$INTERP_RUNS (budget 10)"
 
 echo "== VM allocation ceiling (minor words per virtual cycle) =="
 # Every paper benchmark's tracked profiling run must allocate at most
-# 0.2 minor-heap words per virtual cycle: a value boxed per loop
+# 0.05 minor-heap words per virtual cycle: a value boxed per loop
 # iteration or per arithmetic result shows up here as a deterministic
 # count, not as wall-time noise.
-awk -v ceil=0.2 '
+awk -v ceil=0.05 '
   /"[a-z_0-9]+": \{/ {
     match($0, /"[a-z_0-9]+"/)
     key = substr($0, RSTART + 1, RLENGTH - 2)
@@ -65,7 +65,7 @@ awk -v ceil=0.2 '
     }
     exit bad
   }' BENCH_psaflow.json
-echo "minor words per virtual cycle <= 0.2 on all 5 benchmarks' profiling runs"
+echo "minor words per virtual cycle <= 0.05 on all 5 benchmarks' profiling runs"
 
 echo "== report smoke (psaflow report --json --strict) =="
 # The freshly written BENCH_psaflow.json must satisfy the strict report:

@@ -98,6 +98,33 @@ int main() { print_int(fact(6)); return 0; }
         Alcotest.(check (float 1e-9)) "4.0" 4.0 (Helpers.float_output src));
   ]
 
+(* Assignment converts the value to the target's declared type, as in
+   C: a scalar [=] or compound assignment to an int, and a compound
+   store into an int array.  Both engines: the reference walker and the
+   production VM. *)
+let conversion_case (name, body, expected) =
+  Alcotest.test_case name `Quick (fun () ->
+      let p = Helpers.parse ("int main() {" ^ body ^ " return 0; }") in
+      Minic.Typecheck.check_program p;
+      Alcotest.(check string)
+        "walker" expected
+        (Eval.run_ir (Resolve.compile p)).output;
+      Alcotest.(check string) "vm" expected (Eval.run p).output)
+
+let conversion_tests =
+  List.map conversion_case
+    [
+      ( "= converts a float to an int target",
+        "int x = 1; x = 0.5; print_float((double)x);",
+        "0\n" );
+      ( "+= converts a float result to an int target",
+        "int x = 1; x += 0.5; print_float((double)x);",
+        "1\n" );
+      ( "/= converts a float result to an int element",
+        "int b[1]; b[0] = 3; b[0] /= 2.5; print_float((double)b[0]);",
+        "1\n" );
+    ]
+
 let error_tests =
   [
     Alcotest.test_case "out-of-bounds read raises" `Quick (fun () ->
@@ -500,11 +527,190 @@ int main() {
           = Profile.kernel_obs alone.profile (sid "t")));
   ]
 
+(* Tracked fused kernels: with a specialized loop tracked, the VM's
+   observations equal the reference walker's — the loop's kernel record
+   (calls, cycles, counters, each argument's touched ranges and
+   transfers) and its loop window — and [interp_bulk_cycles] says which
+   path ran: the fused micro-program charges the loop in bulk, a kernel
+   that declines runs the generic loop and charges nothing in bulk.
+   [index] names the loop of function [func]; [args] are its pointer
+   arguments. *)
+let bulk_cycles () =
+  match
+    Flow_obs.Metrics.histogram_summary Flow_obs.Metrics.global
+      "interp_bulk_cycles"
+  with
+  | Some s -> (s.s_count, s.s_sum)
+  | None -> (0, 0.0)
+
+let tracked_kernel_case (name, func, index, args, fused, src) =
+  Alcotest.test_case name `Quick (fun () ->
+      let p = Helpers.parse src in
+      Minic.Typecheck.check_program p;
+      let sid =
+        (List.find
+           (fun (m : Artisan.Query.match_ctx) ->
+             match m.stmt.snode with
+             | Minic.Ast.For (h, _) -> h.index = index
+             | _ -> false)
+           (Artisan.Query.stmts_in p func))
+          .stmt
+          .sid
+      in
+      let track = [ (sid, args) ] in
+      let n0, c0 = bulk_cycles () in
+      let vm = Eval.run ~track p in
+      let n1, c1 = bulk_cycles () in
+      let walker = Eval.run_ir ~track (Resolve.compile p) in
+      let obs (r : Eval.run) = Profile.kernel_obs r.profile sid in
+      let stat (r : Eval.run) = Profile.loop_stat_opt r.profile sid in
+      Alcotest.(check bool) "kernel record = walker's" true (obs vm = obs walker);
+      Alcotest.(check bool) "loop stat = walker's" true (stat vm = stat walker);
+      (match (obs vm, stat vm) with
+      | Some k, Some s ->
+          Alcotest.(check int) "calls = invocations" s.invocations k.calls;
+          Alcotest.(check (float 0.0)) "kernel cycles = loop window" s.cycles
+            k.k_cycles;
+          if fused then (
+            Alcotest.(check int) "fused: one bulk-charged run" (n0 + 1) n1;
+            Alcotest.(check (float 1e-6)) "fused: the loop charged in bulk"
+              k.k_cycles (c1 -. c0))
+          else Alcotest.(check int) "declined: nothing charged in bulk" n0 n1
+      | _ -> Alcotest.fail "loop not observed");
+      Alcotest.(check string) "output" walker.output vm.output)
+
+let tracked_kernel_tests =
+  List.map tracked_kernel_case
+    [
+      ( "read-only sites sharing a region",
+        "main",
+        "k",
+        [ "x"; "y" ],
+        true,
+        {|
+int main() {
+  int n = 16;
+  double x[n];
+  double y[n];
+  for (int i = 0; i < n; i++) { x[i] = rand01(); }
+  for (int k = 0; k < n - 1; k++) { y[k] = x[k] + 0.5 * x[k + 1]; }
+  print_float(y[3]);
+  return 0;
+}
+|} );
+      ( "zero-stride accumulator",
+        "main",
+        "k",
+        [ "a"; "s" ],
+        true,
+        {|
+int main() {
+  int n = 16;
+  double a[n];
+  double s[1];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  for (int k = 0; k < n; k++) { s[0] += a[k]; }
+  print_float(s[0]);
+  return 0;
+}
+|} );
+      ( "aliased pointer arguments",
+        "f",
+        "k",
+        [ "p"; "q"; "r" ],
+        true,
+        {|
+void f(double* p, double* q, double* r, int n) {
+  for (int k = 0; k < n; k++) { r[k] = p[k] * q[k]; }
+}
+int main() {
+  int n = 16;
+  double a[n];
+  double b[n];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  f(a, a, b, n);
+  f(b, b, a, n - 4);
+  print_float(a[3] + b[5]);
+  return 0;
+}
+|} );
+      ( "empty kernel",
+        "main",
+        "k",
+        [ "a"; "b" ],
+        false,
+        {|
+int main() {
+  int n = 8;
+  int m = 0;
+  double a[n];
+  double b[n];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  for (int k = 0; k < m; k++) { b[k] = 2.0 * a[k]; }
+  print_float(b[0]);
+  return 0;
+}
+|} );
+      ( "two store sites on one region decline",
+        "main",
+        "k",
+        [ "a"; "b" ],
+        false,
+        {|
+int main() {
+  int n = 16;
+  double a[n];
+  double b[n + 1];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  for (int k = 0; k < n; k++) {
+    b[k + 1] = 2.0 * a[k];
+    b[k] = a[k] + 1.0;
+  }
+  print_float(b[7]);
+  return 0;
+}
+|} );
+      ( "a load and a store at different offsets of one region decline",
+        "main",
+        "k",
+        [ "a"; "b" ],
+        false,
+        {|
+int main() {
+  int n = 16;
+  double a[n];
+  double b[n + 1];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  for (int k = 0; k < n; k++) { b[k + 1] = b[k] * 0.5 + a[k]; }
+  print_float(b[7]);
+  return 0;
+}
+|} );
+      ( "load and store of one element, one tracking site",
+        "main",
+        "k",
+        [ "a"; "b" ],
+        true,
+        {|
+int main() {
+  int n = 16;
+  double a[n];
+  double b[n];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); b[i] = rand01(); }
+  for (int k = 0; k < n; k++) { a[k] = a[k] * 2.0 + b[k]; }
+  print_float(a[3]);
+  return 0;
+}
+|} );
+    ]
+
 let () =
   Alcotest.run "interp"
     [
       ("semantics", semantics_tests);
+      ("convert", conversion_tests);
       ("errors", error_tests);
       ("profile", profile_tests);
       ("focus", focus_tests);
+      ("tracking", tracked_kernel_tests);
     ]

@@ -488,9 +488,11 @@ let fused_tests =
    bounded [while], compound assignment and user calls — including the
    register-bank boundaries: locals written in both arms of an [if],
    [/=] on int slots and int elements, float-to-int casts as indices,
-   and float/int/pointer call arguments.  Loop variables index the
-   64-element arrays as [i + 7*j], which stays in bounds for any pair of
-   in-scope loop variables (bounds at most 7). *)
+   and float/int/pointer call arguments — and every kind of region: a
+   [double] and a 4-byte [float] array (unboxed elements of both
+   sizes), an [int] and a [bool] array (boxed elements).  Loop
+   variables index the 64-element arrays as [i + 7*j], which stays in
+   bounds for any pair of in-scope loop variables (bounds at most 7). *)
 let program_gen =
   let open QCheck.Gen in
   let fresh = ref 0 in
@@ -533,6 +535,8 @@ let program_gen =
         return "rand01()";
         (let* i = idx vars in
          return (Printf.sprintf "a[%s]" i));
+        (let* i = idx vars in
+         return (Printf.sprintf "c[%s]" i));
       ]
     in
     if depth = 0 then oneof leaves
@@ -593,6 +597,9 @@ let program_gen =
             and* b = iexpr 1 vars
             and* op = oneofl [ "<"; "=="; ">" ] in
             return (Printf.sprintf "%s %s %s" a op b) );
+          ( 1,
+            let* i = idx vars in
+            return (Printf.sprintf "e[%s]" i) );
         ]
     in
     if depth = 0 then cmp
@@ -630,8 +637,17 @@ let program_gen =
             let* i = idx vars
             and* e = iexpr 2 vars in
             return (Printf.sprintf "b[%s] = %s;" i e) );
+          ( 1,
+            let* i = idx vars
+            and* op = oneofl [ "="; "+="; "*=" ]
+            and* e = fexpr 2 vars in
+            return (Printf.sprintf "c[%s] %s %s;" i op e) );
+          ( 1,
+            let* i = idx vars
+            and* c = cond 0 vars in
+            return (Printf.sprintf "e[%s] = %s;" i c) );
           (* compound [/=] on an int slot and on int elements; a float
-             divisor leaves a float in the int region *)
+             divisor's quotient converts back to the int element *)
           (1, map (Printf.sprintf "u /= %d;") (int_range 1 4));
           ( 1,
             let* i = idx vars
@@ -715,7 +731,7 @@ double mix(double p, int q, double* r, int k) {
   return t + r[k];
 }
 
-double work(double* a, int* b, int n) {
+double work(double* a, int* b, float* c, bool* e, int n) {
   double x = 0.5;
   double y = 1.5;
   int u = 3;
@@ -728,16 +744,24 @@ int main() {
   int n = 64;
   double a[n];
   int b[n];
+  float c[n];
+  bool e[n];
   for (int s = 0; s < n; s++) {
     a[s] = rand01();
     b[s] = s;
+    c[s] = rand01();
+    e[s] = s %% 3 == 0;
   }
   double acc = 0.0;
   for (int t = 0; t < 3; t++) {
-    acc += work(a, b, n);
+    acc += work(a, b, c, e, n);
   }
   print_float(acc);
   print_int(b[5]);
+  print_float(c[5]);
+  if (e[5]) {
+    print_int(1);
+  }
   return 0;
 }
 |}
@@ -757,7 +781,7 @@ let outcome f =
 (* The loop sets a generated program's runs track, neither with nested
    loops (tracked loops must not nest): the ones hotspot selection can
    reach in [main] (the flow's set), and every innermost loop of [work]
-   with [work]'s two arrays as arguments — some invoked many times per
+   with [work]'s four arrays as arguments — some invoked many times per
    call of [work]. *)
 let gen_tracks p : I.Eval.track list =
   let work = Artisan.Query.(stmts_in ~where:is_loop p "work") in
@@ -771,7 +795,8 @@ let gen_tracks p : I.Eval.track list =
     Analysis.Hotspot.tracked p;
     List.filter_map
       (fun m ->
-        if encloses_loop m then None else Some (m.stmt.sid, [ "a"; "b" ]))
+        if encloses_loop m then None
+        else Some (m.stmt.sid, [ "a"; "b"; "c"; "e" ]))
       work;
   ]
 
@@ -983,7 +1008,9 @@ let opt_tests =
       Alcotest.test_case b.id `Slow (check_opt_identity b))
     Benchmarks.Registry.all
   @ [
-      QCheck_alcotest.to_alcotest opt_equivalence_prop;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 2123 |])
+        opt_equivalence_prop;
     ]
 
 (* ================================================================== *)
@@ -1177,7 +1204,9 @@ let vm_tests =
     Benchmarks.Registry.all
   @ [
       Alcotest.test_case "selector fuses hot kernels" `Quick vm_selector_fuses;
-      QCheck_alcotest.to_alcotest vm_equivalence_prop;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 2124 |])
+        vm_equivalence_prop;
     ]
   @ List.map
       (fun ((name, _, _, _) as case) ->
@@ -1209,7 +1238,9 @@ let () =
       ("optimizer", opt_tests);
       ( "engine",
         [
-          QCheck_alcotest.to_alcotest engine_equivalence_prop;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2122 |])
+            engine_equivalence_prop;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 2121 |])
             tracked_oracle_prop;
