@@ -427,18 +427,7 @@ let () =
         ~quick:(Array.exists (fun a -> a = "--quick") Sys.argv)
         ()
   | "svc-load" ->
-      let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
-      let variants =
-        (* --mix variants selects the variant-traffic leg *)
-        let rec find i =
-          if i + 1 >= Array.length Sys.argv then false
-          else if Sys.argv.(i) = "--mix" then Sys.argv.(i + 1) = "variants"
-          else find (i + 1)
-        in
-        find 2
-      in
-      if variants then Svc_load.run_variants ~quick ()
-      else Svc_load.run ~quick ()
+      Svc_load.run ~quick:(Array.exists (fun a -> a = "--quick") Sys.argv) ()
   | "history-append" ->
       let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
       let d = Report_file.history_append ~quick () in

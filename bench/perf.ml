@@ -101,8 +101,10 @@ let run ~quick () =
      deliberately *cold* measurements (cold flow cost, exhaustive
      sweep calls, cache speedup baselines) into warm ones and breaking
      their comparability with the recorded history.  The profile cache
-     is exempt (its cold/warm pair is measured explicitly); the memo
-     win itself is measured by the svc-load variants leg.  *)
+     is exempt (its cold/warm pair is measured explicitly).  The memo
+     win itself is measured end to end by perfbench's [variant_sweep]
+     workload, and its per-stage hits and misses are pinned by
+     [test_memo]'s "variant schedule: exact per-stage counts".  *)
   Flow_memo.set_globally_enabled false;
   Fun.protect ~finally:(fun () -> Flow_memo.set_globally_enabled true)
   @@ fun () ->

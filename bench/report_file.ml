@@ -66,11 +66,6 @@ let gated_paths =
     [ "service"; "p50_ms" ];
     [ "service"; "p99_ms" ];
     [ "service"; "wall_s" ];
-    [ "service"; "variants"; "throughput_rps" ];
-    [ "service"; "variants"; "variant_p50_ms" ];
-    [ "service"; "variants"; "variant_p99_ms" ];
-    [ "service"; "variants"; "latency_ratio" ];
-    [ "service"; "variants"; "memo_hit_rate" ];
   ]
   @ List.concat_map
       (fun (app : Benchmarks.Bench_app.t) ->
@@ -117,11 +112,6 @@ let gate_specs =
     ("interp.bytecode.mcycles_per_s", Perf_history.Higher_better, 0.7);
     ("service.throughput_rps", Perf_history.Higher_better, 0.5);
     ("service.p99_ms", Perf_history.Lower_better, 4.0);
-    (* the memo hit rate is near-deterministic (same schedule, same
-       stage keys); the latency ratio divides two same-host timings so
-       it is steadier than either absolute number *)
-    ("service.variants.memo_hit_rate", Perf_history.Higher_better, 0.9);
-    ("service.variants.latency_ratio", Perf_history.Lower_better, 1.5);
   ]
 
 (** Gate the current [BENCH_psaflow.json] against the rolling median of

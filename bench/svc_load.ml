@@ -8,7 +8,12 @@
     concurrent clients, with full-array p50/p90/p99 and a byte-identity
     check of sampled results against direct {!Flow_exec} execution —
     the harness {e fails} (exit 1) if any sampled daemon result differs
-    from the direct bytes. *)
+    from the direct bytes.
+
+    Variant traffic (one source resubmitted under other parameters) is
+    not replayed here: perfbench's [variant_sweep] workload measures the
+    stage memo's end-to-end win, and [test_memo]'s "variant schedule:
+    exact per-stage counts" pins its per-stage hits and misses. *)
 
 module Json = Flow_service.Json
 module Protocol = Flow_service.Protocol
@@ -42,117 +47,6 @@ let with_daemon (config : Server.config) f =
       (try ignore (Client.rpc addr Protocol.Shutdown) with _ -> ());
       Thread.join server)
     (fun () -> f addr)
-
-(* ------------------------------------------------------------------ *)
-(* Variants leg                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* [Report_file.update] replaces whole top-level sections and the
-   classic mix owns "service" — so the variants leg merges its
-   subsection into whatever "service" object is already on disk. *)
-let service_with_variants variants : Json.t =
-  match List.assoc_opt "service" (Report_file.read_sections json_out) with
-  | Some (Json.Obj fields) ->
-      Json.Obj
-        (List.filter (fun (k, _) -> k <> "variants") fields
-        @ [ ("variants", variants) ])
-  | _ -> Json.Obj [ ("variants", variants) ]
-
-let run_variants ~quick () =
-  let cores = Domain.recommended_domain_count () in
-  let sources = if quick then 6 else 12 in
-  let per_source = if quick then 6 else 12 in
-  let connections = if quick then 4 else 8 in
-  let config = { (Server.default_config ()) with Server.store_capacity = 512 } in
-  Printf.printf
-    "== psaflow svc-load --mix variants (%s, %d cores recommended, %d \
-     workers) ==\n\
-     %!"
-    (if quick then "quick" else "full")
-    cores config.Server.workers;
-  let o =
-    with_daemon config (fun addr ->
-        Flow_load.Runner.run_variants
-          {
-            Flow_load.Runner.v_addr = addr;
-            v_connections = connections;
-            v_seed = 42;
-            v_sources = sources;
-            v_per_source = per_source;
-            v_sample_every = (if quick then 5 else 10);
-          })
-  in
-  Printf.printf
-    "variants: %d requests (%d cold, %d variant) in %.2f s: %.0f variant \
-     req/s\n\
-     cold full flow ms: mean %.2f  p50 %.2f  p99 %.2f\n\
-     cold variant  ms: mean %.2f  p50 %.2f  p99 %.2f  (ratio %.3f)\n\
-     memo: %.1f%% phase-B hit rate\n\
-     %!"
-    o.Flow_load.Runner.v_requests o.cold_n o.variant_n o.v_wall_s
-    o.v_throughput_rps o.cold_mean_ms o.cold_p50_ms o.cold_p99_ms
-    o.variant_mean_ms o.variant_p50_ms o.variant_p99_ms o.latency_ratio
-    (100.0 *. o.memo_hit_rate);
-  List.iter
-    (fun s ->
-      Printf.printf "  %-18s %6d hits %6d misses\n" s.Flow_load.Runner.stage
-        s.s_hits s.s_misses)
-    o.memo_stages;
-  Printf.printf
-    "dispositions: %d fresh, %d unexpected; %d errors\n\
-     identity vs memo-off direct execution: %d sampled -> %s\n\
-     %!"
-    o.v_fresh o.v_unexpected_dispositions o.v_errors o.v_identity_checked
-    (if o.v_identity_ok then "byte-identical" else "MISMATCH");
-  let variants =
-    Json.Obj
-      [
-        ("quick", Json.Bool quick);
-        ("cores", Json.Int cores);
-        ("connections", Json.Int connections);
-        ("sources", Json.Int sources);
-        ("per_source", Json.Int per_source);
-        ("seed", Json.Int 42);
-        ("requests", Json.Int o.v_requests);
-        ("wall_s", Json.Float o.v_wall_s);
-        ("throughput_rps", Json.Float o.v_throughput_rps);
-        ("cold_n", Json.Int o.cold_n);
-        ("cold_mean_ms", Json.Float o.cold_mean_ms);
-        ("cold_p50_ms", Json.Float o.cold_p50_ms);
-        ("cold_p99_ms", Json.Float o.cold_p99_ms);
-        ("variant_n", Json.Int o.variant_n);
-        ("variant_mean_ms", Json.Float o.variant_mean_ms);
-        ("variant_p50_ms", Json.Float o.variant_p50_ms);
-        ("variant_p99_ms", Json.Float o.variant_p99_ms);
-        ("latency_ratio", Json.Float o.latency_ratio);
-        ("memo_hit_rate", Json.Float o.memo_hit_rate);
-        ( "memo_stages",
-          Json.Obj
-            (List.map
-               (fun s ->
-                 ( s.Flow_load.Runner.stage,
-                   Json.Obj
-                     [
-                       ("hits", Json.Int s.Flow_load.Runner.s_hits);
-                       ("misses", Json.Int s.s_misses);
-                     ] ))
-               o.memo_stages) );
-        ("fresh", Json.Int o.v_fresh);
-        ("unexpected_dispositions", Json.Int o.v_unexpected_dispositions);
-        ("errors", Json.Int o.v_errors);
-        ("identity_checked", Json.Int o.v_identity_checked);
-        ("outputs_identical", Json.Bool o.v_identity_ok);
-      ]
-  in
-  Report_file.update ~path:json_out
-    [ ("service", service_with_variants variants) ];
-  Printf.printf "wrote %s\n%!" json_out;
-  if not o.v_identity_ok then exit 1;
-  if o.v_errors > 0 || o.v_unexpected_dispositions > 0 then begin
-    prerr_endline
-      "ERROR: svc-load variants saw errors or non-fresh dispositions";
-    exit 1
-  end
 
 let run ~quick () =
   let cores = Domain.recommended_domain_count () in
@@ -223,19 +117,6 @@ let run ~quick () =
         ("identity_checked", Json.Int o.identity_checked);
         ("outputs_identical", Json.Bool o.identity_ok);
       ]
-  in
-  (* keep a previously measured variants leg when re-running the
-     classic mix (the two legs co-own the "service" section) *)
-  let service =
-    match
-      ( service,
-        List.assoc_opt "service" (Report_file.read_sections json_out) )
-    with
-    | Json.Obj fields, Some (Json.Obj old) -> (
-        match List.assoc_opt "variants" old with
-        | Some v -> Json.Obj (fields @ [ ("variants", v) ])
-        | None -> service)
-    | _ -> service
   in
   Report_file.update ~path:json_out [ ("service", service) ];
   Printf.printf "wrote %s\n%!" json_out;

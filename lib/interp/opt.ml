@@ -179,9 +179,9 @@ let rec iter_stmts f (b : R.block) =
         g.gstmts)
     b
 
-(** One fixpoint over the whole program: slot writes join value types,
-    user call sites join argument types into callee parameter slots
-    (parameter binding does not coerce).  The strength-reduction and
+(** One fixpoint over the whole program: slot writes join value types
+    into slots seeded with each parameter's declared type (a bound
+    argument converts to it).  The strength-reduction and
     kernel passes below consume it, and so does the register-bank
     assignment of {!Bytecode}: a slot typed [TFloat] ([TInt]) is only
     ever written a [VFloat] ([VInt]). *)
@@ -189,7 +189,15 @@ let type_program (cp : R.t) : tenv =
   let env =
     {
       locals =
-        Array.map (fun (f : R.cfunc) -> Array.make (max 1 f.cf_nslots) Bot) cp.cfuncs;
+        Array.map
+          (fun (f : R.cfunc) ->
+            let lt = Array.make (max 1 f.cf_nslots) Bot in
+            List.iteri
+              (fun i (p : Minic.Ast.param) ->
+                lt.(f.cf_param_slots.(i)) <- ty_of_decl p.ptyp ~init:None)
+              f.cf_params;
+            lt)
+          cp.cfuncs;
       globals = Array.make (max 1 cp.nglobals) Bot;
     }
   in
@@ -210,22 +218,7 @@ let type_program (cp : R.t) : tenv =
           changed := true)
     | R.Unbound _ -> ()
   in
-  let visit_calls lt e =
-    iter_expr
-      (fun (e : R.expr) ->
-        match e.e with
-        | R.ECall { callee = R.User idx; cargs } ->
-            let f = cp.cfuncs.(idx) in
-            let flt = env.locals.(idx) in
-            if List.length cargs = Array.length f.cf_param_slots then
-              List.iteri
-                (fun i a -> assign_local flt f.cf_param_slots.(i) (ety env lt a))
-                cargs
-        | _ -> ())
-      e
-  in
   let visit_stmt lt (s : R.stmt) =
-    List.iter (visit_calls lt) (stmt_exprs s);
     match s with
     | R.SDeclVar { slot; typ; init } ->
         assign lt slot

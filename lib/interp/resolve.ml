@@ -358,7 +358,18 @@ type scope = {
       (* declared type of each name seen so far, scoped like
          {!Minic.Typecheck}: globals, then parameters, then declarations
          and loop indices in pre-order, a block popping none *)
+  sc_params : Minic.Ast.param list array;  (* parameters of each function *)
+  sc_ret : Minic.Ast.typ;  (* return type; [Tvoid] in the globals block *)
 }
+
+(* A value bound to a parameter or returned converts to the declared
+   type, as in C: a cast, which costs nothing.  Pointers pass as they
+   are. *)
+let convert_to (t : Minic.Ast.typ) (e : expr) =
+  match t with
+  | Minic.Ast.Tint | Minic.Ast.Tfloat | Minic.Ast.Tdouble | Minic.Ast.Tbool ->
+      { ecost = e.ecost; e = ECast (t, e) }
+  | Minic.Ast.Tptr _ | Minic.Ast.Tvoid -> e
 
 let resolve_var sc name =
   let global () =
@@ -428,7 +439,16 @@ and compile_call sc fname args =
   let argcost = List.fold_left (fun acc (a : expr) -> acc +. a.ecost) 0.0 cargs in
   let mk ecost callee = { ecost; e = ECall { callee; cargs } } in
   match Hashtbl.find_opt sc.sc_funcs fname with
-  | Some idx -> mk (argcost +. C.call) (User idx)
+  | Some idx ->
+      let params = sc.sc_params.(idx) in
+      let cargs =
+        if List.length params <> List.length cargs then cargs
+        else
+          List.map2
+            (fun (p : Minic.Ast.param) a -> convert_to p.ptyp a)
+            params cargs
+      in
+      { ecost = argcost +. C.call; e = ECall { callee = User idx; cargs } }
   | None -> (
       match Minic.Builtins.cost_class fname with
       | Some cls -> (
@@ -530,7 +550,7 @@ let rec compile_stmt sc (s : Minic.Ast.stmt) : stmt * float * bool =
         0.0,
         true )
   | Return eo ->
-      let ce = Option.map (compile_expr sc) eo in
+      let ce = Option.map (fun e -> convert_to sc.sc_ret (compile_expr sc e)) eo in
       (SReturn ce, (match ce with Some e -> e.ecost | None -> 0.0), true)
   | Block b -> (SBlock (compile_block sc b), 0.0, true)
 
@@ -572,14 +592,23 @@ let func_locals (f : Minic.Ast.func) =
     f;
   locals
 
-let compile_func sc_globals sc_funcs mt gtypes (f : Minic.Ast.func) : cfunc =
+let compile_func sc_globals sc_funcs sc_params mt gtypes (f : Minic.Ast.func) :
+    cfunc =
   let locals = func_locals f in
   let sc_types = Hashtbl.copy gtypes in
   List.iter
     (fun (p : Minic.Ast.param) -> Hashtbl.replace sc_types p.pname_ p.ptyp)
     f.fparams;
   let sc =
-    { sc_locals = Some locals; sc_globals; sc_funcs; sc_may_time = mt; sc_types }
+    {
+      sc_locals = Some locals;
+      sc_globals;
+      sc_funcs;
+      sc_may_time = mt;
+      sc_types;
+      sc_params;
+      sc_ret = f.fret;
+    }
   in
   {
     cf_name = f.fname;
@@ -634,6 +663,8 @@ let track_slots (cp : t) ~loop_sid (names : string list) =
           sc_funcs = cp.func_index;
           sc_may_time = [||];
           sc_types = Hashtbl.create 1;
+          sc_params = [||];
+          sc_ret = Minic.Ast.Tvoid;
         }
       in
       Some (fi, List.map (resolve_var sc) names)
@@ -654,12 +685,17 @@ let compile (p : Minic.Ast.program) : t =
       sc_funcs;
       sc_may_time = mt;
       sc_types = Hashtbl.create 16;
+      sc_params =
+        Array.of_list (List.map (fun (f : Minic.Ast.func) -> f.fparams) p.funcs);
+      sc_ret = Minic.Ast.Tvoid;
     }
   in
   let cglobals = compile_block gsc p.globals in
   let cfuncs =
     Array.of_list
-      (List.map (compile_func sc_globals sc_funcs mt gsc.sc_types) p.funcs)
+      (List.map
+         (compile_func sc_globals sc_funcs gsc.sc_params mt gsc.sc_types)
+         p.funcs)
   in
   {
     source = p;

@@ -326,200 +326,3 @@ let run (cfg : config) : outcome =
     identity_ok;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Variants replay                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type variants_config = {
-  v_addr : Protocol.addr;
-  v_connections : int;
-  v_seed : int;
-  v_sources : int;  (** distinct pool sources (phase-A cold flows) *)
-  v_per_source : int;  (** parameter variants replayed per source *)
-  v_sample_every : int;
-}
-
-type stage_counters = { stage : string; s_hits : int; s_misses : int }
-
-type variants_outcome = {
-  v_wall_s : float;  (** both phases *)
-  v_requests : int;  (** colds + variants *)
-  v_throughput_rps : float;  (** phase-B variants over phase-B wall *)
-  cold_n : int;
-  cold_mean_ms : float;
-  cold_p50_ms : float;
-  cold_p99_ms : float;
-  variant_n : int;
-  variant_mean_ms : float;
-  variant_p50_ms : float;
-  variant_p99_ms : float;
-  latency_ratio : float;  (** variant mean / cold mean *)
-  memo_stages : stage_counters list;  (** phase-B counter deltas *)
-  memo_hit_rate : float;  (** phase-B hits / (hits + misses) *)
-  v_fresh : int;
-  v_unexpected_dispositions : int;
-      (** store hits/coalesces — zero by construction, nonzero means
-          the schedule failed to make every variant a distinct key *)
-  v_errors : int;
-  v_identity_checked : int;
-  v_identity_ok : bool;
-}
-
-(* Stage caches whose hit/miss counters attribute the phase-B saving
-   (prefixes as registered in {!Flow_obs.Metrics.global}). *)
-let memo_stage_prefixes =
-  [
-    "memo_ast";
-    "memo_extract";
-    "memo_reduce";
-    "memo_features";
-    "memo_dse_unroll";
-    "memo_dse_blocksize";
-    "memo_dse_threads";
-    "profile_cache";
-  ]
-
-let memo_counters () =
-  List.map
-    (fun p ->
-      ( p,
-        Flow_obs.Metrics.counter_value Flow_obs.Metrics.global (p ^ "_hits"),
-        Flow_obs.Metrics.counter_value Flow_obs.Metrics.global (p ^ "_misses")
-      ))
-    memo_stage_prefixes
-
-(* Submit one variant and await its result; returns [Ok disposition]
-   on success. *)
-let variant_once c (sub : Protocol.submission) =
-  match snd (Client.submit c sub) with
-  | Ok (job_id, disposition) -> (
-      match await_result c job_id with
-      | Some r -> Ok (disposition, r)
-      | None -> Error `Failed)
-  | Error _ -> Error `Rejected
-
-(** Replay a {!Workload.variants_schedule}: phase A submits every pool
-    source once, sequentially, with default parameters — the committed
-    cold full-flow baseline; phase B replays the shuffled parameter
-    variants from [v_connections] concurrent client threads.  Sampled
-    phase-B results are then compared byte-for-byte against direct
-    re-execution with the stage-memo hierarchy {e disabled}
-    ([Flow_memo.set_globally_enabled false]), proving memoized daemon
-    answers identical to unmemoized computation. *)
-let run_variants (cfg : variants_config) : variants_outcome =
-  let sched =
-    Workload.variants_schedule ~seed:cfg.v_seed ~sources:cfg.v_sources
-      ~per_source:cfg.v_per_source
-  in
-  let errors = Atomic.make 0 in
-  let unexpected = Atomic.make 0 in
-  let fresh = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  (* Phase A: sequential colds on one connection. *)
-  let cold_hist = Hist.create () in
-  let ca = Client.connect cfg.v_addr in
-  Array.iter
-    (fun sub ->
-      let t = Unix.gettimeofday () in
-      (match variant_once ca sub with
-      | Ok (`Fresh, _) -> Atomic.incr fresh
-      | Ok _ -> Atomic.incr unexpected
-      | Error _ -> Atomic.incr errors);
-      Hist.observe cold_hist (Unix.gettimeofday () -. t))
-    sched.Workload.colds;
-  Client.close ca;
-  (* Phase B: concurrent variant replay. *)
-  let before = memo_counters () in
-  let var_hist = Hist.create () in
-  let lock = Mutex.create () in
-  let samples = ref [] in
-  let next = Atomic.make 0 in
-  let n = Array.length sched.Workload.variants in
-  let tb = Unix.gettimeofday () in
-  let worker () =
-    let c = Client.connect cfg.v_addr in
-    let mine = Hist.create () in
-    let my_samples = ref [] in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        let sub = sched.Workload.variants.(i) in
-        let t = Unix.gettimeofday () in
-        (try
-           match variant_once c sub with
-           | Ok (`Fresh, r) ->
-               Atomic.incr fresh;
-               if cfg.v_sample_every > 0 && i mod cfg.v_sample_every = 0 then
-                 my_samples := (i, sub, r) :: !my_samples
-           | Ok _ -> Atomic.incr unexpected
-           | Error _ -> Atomic.incr errors
-         with Client.Protocol_failure _ | Client.Client_error _ ->
-           Atomic.incr errors);
-        Hist.observe mine (Unix.gettimeofday () -. t);
-        loop ()
-      end
-    in
-    loop ();
-    Client.close c;
-    Mutex.lock lock;
-    Hist.merge ~into:var_hist mine;
-    samples := !my_samples @ !samples;
-    Mutex.unlock lock
-  in
-  let threads =
-    List.init (max 1 cfg.v_connections) (fun _ -> Thread.create worker ())
-  in
-  List.iter Thread.join threads;
-  let phase_b_s = Unix.gettimeofday () -. tb in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let after = memo_counters () in
-  let memo_stages =
-    List.map2
-      (fun (p, h0, m0) (_, h1, m1) ->
-        { stage = p; s_hits = h1 - h0; s_misses = m1 - m0 })
-      before after
-  in
-  let hits = List.fold_left (fun a s -> a + s.s_hits) 0 memo_stages in
-  let misses = List.fold_left (fun a s -> a + s.s_misses) 0 memo_stages in
-  (* Identity: daemon idle now; re-execute the sample with the memo
-     hierarchy off and require byte equality (after sid
-     canonicalization — the memo-off side re-parses, so statement ids
-     differ even though nothing else may). *)
-  let identity_checked, identity_ok =
-    Flow_memo.set_globally_enabled false;
-    Fun.protect ~finally:(fun () -> Flow_memo.set_globally_enabled true)
-    @@ fun () ->
-    List.fold_left
-      (fun (cnt, ok) (i, sub, r) ->
-        (cnt + 1, ok && verify_one (Printf.sprintf "variant[%d]" i) sub r))
-      (0, true) !samples
-  in
-  let cold = Hist.summary cold_hist in
-  let var = Hist.summary var_hist in
-  {
-    v_wall_s = wall_s;
-    v_requests = Array.length sched.Workload.colds + n;
-    v_throughput_rps = float_of_int n /. phase_b_s;
-    cold_n = cold.Flow_obs.Metrics.s_count;
-    cold_mean_ms = 1000.0 *. cold.Flow_obs.Metrics.s_mean;
-    cold_p50_ms = 1000.0 *. Hist.percentile cold_hist 50.0;
-    cold_p99_ms = 1000.0 *. Hist.percentile cold_hist 99.0;
-    variant_n = var.Flow_obs.Metrics.s_count;
-    variant_mean_ms = 1000.0 *. var.Flow_obs.Metrics.s_mean;
-    variant_p50_ms = 1000.0 *. Hist.percentile var_hist 50.0;
-    variant_p99_ms = 1000.0 *. Hist.percentile var_hist 99.0;
-    latency_ratio =
-      (if cold.Flow_obs.Metrics.s_mean > 0.0 then
-         var.Flow_obs.Metrics.s_mean /. cold.Flow_obs.Metrics.s_mean
-       else Float.nan);
-    memo_stages;
-    memo_hit_rate =
-      (if hits + misses > 0 then
-         float_of_int hits /. float_of_int (hits + misses)
-       else 0.0);
-    v_fresh = Atomic.get fresh;
-    v_unexpected_dispositions = Atomic.get unexpected;
-    v_errors = Atomic.get errors;
-    v_identity_checked = identity_checked;
-    v_identity_ok = identity_ok;
-  }

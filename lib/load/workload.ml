@@ -99,67 +99,13 @@ let schedule ~seed ~total ~storm_size : op array =
           subs = List.init storm_size (fun _ -> next_cold ());
         })
 
-let kind_to_string = function
-  | Hot -> "hot"
-  | Cold -> "cold"
-  | Poison -> "poison"
-  | Storm -> "storm"
-
-(* ------------------------------------------------------------------ *)
-(* Variants mix                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** A variant-traffic schedule: a pool of distinct sources, each
-    submitted once cold with default parameters (phase A, sequential —
-    the committed full-flow baseline), then re-submitted under varied
-    (mode, strategy, x-threshold, budget) combinations (phase B,
-    concurrent).  Every variant has a distinct {!Flow_service.Store}
-    key by construction — the whole-result store never short-circuits
-    it — so any latency drop against the cold baseline is attributable
-    to the stage-memo hierarchy alone. *)
-type variants_schedule = {
-  colds : Protocol.submission array;
-      (** one default-parameter submission per pool source *)
-  variants : Protocol.submission array;  (** shuffled variant replays *)
-}
-
-(** Heavier than {!kernel_source}: enough loop trips and flops per trip
-    that profiling/analysis dominate a cold flow, making the stage-memo
-    saving measurable above protocol and scheduling overhead.  Still
-    extractable (array-writing for-loop in [main]); [tag] folds into a
-    constant so each pool source is textually distinct, [n] is the
-    workload-size axis of the pool. *)
-let variant_kernel_source ~tag ~n =
-  Printf.sprintf
-    {|int main() {
-  double a[%d];
-  double b[%d];
-  for (int i = 0; i < %d; i++) {
-    b[i] = ((a[i] * 1.5 + %d.0) * 0.875 + a[i] * 0.25) * 1.0625 + 2.0;
-  }
-  return 0;
-}|}
-    n n n tag
-
-(* Workload sizes cycled across the pool (the "varied workload" axis:
-   a different size is a different source text, so it colds once and
-   then shares every size-independent stage with nothing — while its
-   own variants share everything). *)
-let variant_sizes = [| 24576; 32768; 49152 |]
-
-(* Variant tags start far above cold tags so the populations can never
-   alias with the classic mix. *)
-let variant_source slot =
-  variant_kernel_source
-    ~tag:(2_000_000 + slot)
-    ~n:variant_sizes.(slot mod Array.length variant_sizes)
-
-(* The parameter grid replayed against each pool source.  Every entry
-   differs from the phase-A default (informed, fig3, x=2.0, no budget)
-   and from each other, so each variant is a distinct store key.  The
-   budget is far above any simulated cost: the budget *field* varies
-   the key without triggering the over-budget revision path, keeping
-   variant flows deterministic. *)
+(** A parameter grid for resubmitting one source as design variants
+    (mode, strategy, x-threshold, budget).  Every entry differs from
+    the default (informed, fig3, x=2.0, no budget) and from each other,
+    so each variant is a distinct store key that shares the source's
+    stage-memo keys.  The budget is far above any simulated cost: the
+    budget {e field} varies the key without triggering the over-budget
+    revision path, keeping variant flows deterministic. *)
 let variant_params : (Protocol.mode * Protocol.strategy * float * float option) list =
   [
     (Protocol.Informed, Protocol.Fig3, 1.0, None);
@@ -175,46 +121,6 @@ let variant_params : (Protocol.mode * Protocol.strategy * float * float option) 
     (Protocol.Informed, Protocol.Model_energy, 4.0, None);
     (Protocol.Uninformed, Protocol.Fig3, 1.0, None);
   ]
-
-(** Build a variants schedule over [sources] pool entries with
-    [per_source] parameter variants each (capped at the grid size).
-    Pure in [seed]: the variant order is a seeded Fisher–Yates shuffle,
-    so phase B interleaves different sources on concurrent connections
-    deterministically. *)
-let variants_schedule ~seed ~sources ~per_source : variants_schedule =
-  if sources <= 0 then
-    invalid_arg "Workload.variants_schedule: sources must be positive";
-  let per_source = max 1 (min per_source (List.length variant_params)) in
-  let colds =
-    Array.init sources (fun i ->
-        Protocol.submission (Protocol.Inline (variant_source i)))
-  in
-  let variants =
-    Array.concat
-      (List.init sources (fun i ->
-           let src = Protocol.Inline (variant_source i) in
-           Array.of_list
-             (List.filteri
-                (fun j _ -> j < per_source)
-                (List.map
-                   (fun (mode, strategy, x_threshold, budget) ->
-                     Protocol.submission ~mode ~strategy ~x_threshold ?budget
-                       src)
-                   variant_params))))
-  in
-  let state = ref (if seed = 0 then 0x5eed else seed) in
-  let roll bound =
-    let s, r = lcg !state in
-    state := s;
-    r mod bound
-  in
-  for i = Array.length variants - 1 downto 1 do
-    let j = roll (i + 1) in
-    let tmp = variants.(i) in
-    variants.(i) <- variants.(j);
-    variants.(j) <- tmp
-  done;
-  { colds; variants }
 
 (** Total submissions in a schedule (storms count each burst member):
     the request volume the daemon actually sees. *)

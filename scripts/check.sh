@@ -23,8 +23,10 @@ dune runtest
 echo "== perf gate (perf --quick + svc-load --quick + regression check) =="
 # Runs the quick perf bench and the quick svc-load daemon replay,
 # checks every outputs_identical flag (including the service replay's
-# byte-identity against direct execution) and fails on a regression
-# against the rolling median of recent runs in BENCH_history.jsonl
+# byte-identity against direct execution) and fails when, against the
+# rolling median of recent runs in BENCH_history.jsonl,
+# interp.bytecode.mcycles_per_s drops below 0.7x,
+# service.throughput_rps below 0.5x or service.p99_ms rises above 4x
 # (then appends this run's numbers to the history).
 sh scripts/perf_gate.sh
 
@@ -91,6 +93,11 @@ _build/default/bin/psaflow.exe report --trend \
 _build/default/bin/psaflow.exe report --trend \
   | grep -Eq '^interp\.benchmarks\.kmeans\.focused\.vm_run_s .* retired$' \
   || { echo "FAIL: report --trend lists the focused-run series as live"; exit 1; }
+# Nor the deleted svc-load variants leg, whose wall-time memo gates an
+# exact per-stage count test in tier-1 replaced.
+_build/default/bin/psaflow.exe report --trend \
+  | grep -Eq '^service\.variants\.latency_ratio .* retired$' \
+  || { echo "FAIL: report --trend lists the variants-leg series as live"; exit 1; }
 
 PSAFLOW=_build/default/bin/psaflow.exe
 SOCK=$(mktemp -u "${TMPDIR:-/tmp}/psaflow-check-XXXXXX.sock")

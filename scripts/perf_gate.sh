@@ -16,6 +16,11 @@
 #       service.p99_ms                  <= 4x median
 #     (K = PSAFLOW_HISTORY_K, default 5, min 3.)
 #
+# No wall-time gate covers the stage memo: its per-stage hit and miss
+# counts are pinned exactly by tier-1 (test_memo, "variant schedule:
+# exact per-stage counts"), and its end-to-end win is perfbench's
+# variant_sweep workload.
+#
 # Fewer than 3 comparable history entries skips that metric's check
 # with a notice — a young history cannot block a merge.  After gating,
 # the fresh numbers are appended to the history as one commit-keyed
@@ -34,33 +39,11 @@ dune exec bench/main.exe -- perf --quick
 # throughput comparison.
 dune exec bench/main.exe -- svc-load --quick
 
-# Variant-traffic replay: same sources resubmitted under different
-# (mode, strategy, x-threshold, budget).  Exits non-zero by itself if
-# any sampled variant result differs from memo-off direct execution.
-dune exec bench/main.exe -- svc-load --quick --mix variants
-
 if grep -q '"outputs_identical": false' BENCH_psaflow.json; then
   echo "FAIL: perf bench reports non-identical outputs"; exit 1
 fi
 grep -q '"outputs_identical": true' BENCH_psaflow.json \
   || { echo "FAIL: perf bench reports no output-identity checks"; exit 1; }
-
-# Stage-memo floors.  A cold variant (same source, different
-# parameters) must cost at most 40% of a cold full flow — that is the
-# point of cross-request memoization — and the phase-B stage-memo hit
-# rate must stay above 50% (the schedule is deterministic, so a lower
-# rate means stage keys stopped matching, not noise).
-MEMO_RATIO=$(sed -n 's/.*"latency_ratio": *\([0-9.e-]*\).*/\1/p' BENCH_psaflow.json | head -n1)
-[ -n "$MEMO_RATIO" ] \
-  || { echo "FAIL: BENCH_psaflow.json reports no variants latency_ratio"; exit 1; }
-awk "BEGIN { exit !($MEMO_RATIO <= 0.40) }" \
-  || { echo "FAIL: cold variant costs ${MEMO_RATIO}x of a cold full flow (ceiling 0.40)"; exit 1; }
-MEMO_RATE=$(sed -n 's/.*"memo_hit_rate": *\([0-9.e-]*\).*/\1/p' BENCH_psaflow.json | head -n1)
-[ -n "$MEMO_RATE" ] \
-  || { echo "FAIL: BENCH_psaflow.json reports no variants memo_hit_rate"; exit 1; }
-awk "BEGIN { exit !($MEMO_RATE >= 0.5) }" \
-  || { echo "FAIL: variant replay memo hit rate ${MEMO_RATE} (floor 0.5)"; exit 1; }
-echo "stage memo: cold variant at ${MEMO_RATIO}x of cold full flow, ${MEMO_RATE} hit rate"
 
 # Rolling-median regression gate (exit 1 on any GATE FAIL line).
 dune exec bench/main.exe -- gate-history --quick

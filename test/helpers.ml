@@ -197,3 +197,44 @@ let data_inout p ~kernel =
 let alias p ~kernel =
   let loop_sid = kernel_loop p kernel in
   Analysis.Alias.of_fused (Analysis.Hotspot.fused ~loop_sid p) ~loop_sid ~kernel
+
+(* ------------------------------------------------------------------ *)
+(* A fixed variant schedule                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** Three cold inline kernels, each submitted once with default
+    parameters (phase A of the schedule [test_memo] pins exactly). *)
+let variant_colds =
+  List.init 3 (fun i ->
+      Flow_service.Protocol.submission
+        (Flow_service.Protocol.Inline
+           (Flow_load.Workload.kernel_source (3_000_000 + i))))
+
+(** Every {!Flow_load.Workload.variant_params} entry for each of the
+    three kernels, source by source (phase B): 36 distinct store keys
+    that share each source's stage-memo keys. *)
+let variant_batch =
+  List.concat_map
+    (fun (cold : Flow_service.Protocol.submission) ->
+      List.map
+        (fun (mode, strategy, x_threshold, budget) ->
+          Flow_service.Protocol.submission ~mode ~strategy ~x_threshold
+            ?budget cold.source)
+        Flow_load.Workload.variant_params)
+    variant_colds
+
+(** Report and data-JSON bytes of one sequential execution. *)
+let exec_bytes sub =
+  match Flow_service.Flow_exec.resolve sub with
+  | Error e -> failwith (Flow_service.Protocol.error_message e)
+  | Ok r ->
+      let res = r.run ~request_id:None () in
+      ( res.Flow_service.Protocol.report,
+        Flow_service.Json.to_string res.Flow_service.Protocol.data )
+
+(** [exec_bytes] with the stage memo switched off: the reference a
+    memoized result must equal byte for byte. *)
+let memo_off_bytes sub =
+  Flow_memo.set_globally_enabled false;
+  Fun.protect ~finally:(fun () -> Flow_memo.set_globally_enabled true)
+  @@ fun () -> exec_bytes sub

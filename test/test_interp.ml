@@ -98,13 +98,15 @@ int main() { print_int(fact(6)); return 0; }
         Alcotest.(check (float 1e-9)) "4.0" 4.0 (Helpers.float_output src));
   ]
 
-(* Assignment converts the value to the target's declared type, as in
-   C: a scalar [=] or compound assignment to an int, and a compound
-   store into an int array.  Both engines: the reference walker and the
-   production VM. *)
-let conversion_case (name, body, expected) =
+(* Assignment, parameter binding and [return] convert the value to the
+   declared type, as in C: a scalar [=] or compound assignment to an
+   int, a compound store into an int array, a float argument bound to
+   an int parameter and a float returned from an int function.  Both
+   engines: the reference walker and the production VM.  [decls] come
+   before [main]. *)
+let conversion_case ?(decls = "") (name, body, expected) =
   Alcotest.test_case name `Quick (fun () ->
-      let p = Helpers.parse ("int main() {" ^ body ^ " return 0; }") in
+      let p = Helpers.parse (decls ^ "int main() {" ^ body ^ " return 0; }") in
       Minic.Typecheck.check_program p;
       Alcotest.(check string)
         "walker" expected
@@ -123,6 +125,14 @@ let conversion_tests =
       ( "/= converts a float result to an int element",
         "int b[1]; b[0] = 3; b[0] /= 2.5; print_float((double)b[0]);",
         "1\n" );
+    ]
+  @ [
+      conversion_case ~decls:"double f(int x) { return (double)x; }\n"
+        ("a float argument converts to an int parameter",
+         "print_float(f(0.5));", "0\n");
+      conversion_case ~decls:"int g() { return 0.5; }\n"
+        ("return converts a float to an int result", "print_float(g());",
+         "0\n");
     ]
 
 let error_tests =

@@ -1,6 +1,7 @@
 (** Tests for the cross-request stage-memo hierarchy (lib/memo and its
     wiring): byte-identity of memoized vs unmemoized flows over
-    generated MiniC programs, single-flight dedup under concurrent
+    generated MiniC programs, exact per-stage hit and miss counts on a
+    fixed variant schedule, single-flight dedup under concurrent
     domains, LRU capacity/eviction accounting, and traced runs using
     the memo. *)
 
@@ -136,6 +137,103 @@ let test_traced_run_hits_memo () =
   check "traced run hit the extract memo" true (hits "memo_extract_hits" > extract0);
   check "traced run hit the features memo" true
     (hits "memo_features_hits" > features0)
+
+(* ------------------------------------------------------------------ *)
+(* A fixed variant schedule: exact per-stage counts                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every counter the stage memo moves, read from the global registry. *)
+let schedule_counters =
+  List.concat_map
+    (fun p -> [ p ^ "_hits"; p ^ "_misses" ])
+    [
+      "memo_ast";
+      "memo_extract";
+      "memo_reduce";
+      "memo_features";
+      "memo_dse_unroll";
+      "memo_dse_blocksize";
+      "memo_dse_threads";
+      "profile_cache";
+    ]
+  @ [ "interp_runs"; "dse_simulate_calls" ]
+
+(* Run [subs] sequentially; returns each result's bytes and every
+   counter's delta. *)
+let counted_phase subs =
+  let read () =
+    List.map
+      (Flow_obs.Metrics.counter_value Flow_obs.Metrics.global)
+      schedule_counters
+  in
+  let before = read () in
+  let results = List.map Helpers.exec_bytes subs in
+  (results, List.combine schedule_counters (List.map2 ( - ) (read ()) before))
+
+(* Phase A runs three cold flows; phase B's 36 variants of them hit
+   every stage above the store and simulate only the candidates whose
+   sweep keys depend on the varied parameters.  Misses come first: a
+   stage key that picks up a varied parameter fails there, naming the
+   stage. *)
+let phase_a_counts =
+  [
+    ("memo_ast_misses", 3); ("memo_ast_hits", 3);
+    ("memo_extract_misses", 3); ("memo_extract_hits", 0);
+    ("memo_reduce_misses", 3); ("memo_reduce_hits", 0);
+    ("memo_features_misses", 3); ("memo_features_hits", 0);
+    ("memo_dse_unroll_misses", 0); ("memo_dse_unroll_hits", 0);
+    ("memo_dse_blocksize_misses", 0); ("memo_dse_blocksize_hits", 0);
+    ("memo_dse_threads_misses", 1); ("memo_dse_threads_hits", 2);
+    ("profile_cache_misses", 3); ("profile_cache_hits", 3);
+    ("interp_runs", 3); ("dse_simulate_calls", 6);
+  ]
+
+let phase_b_counts =
+  [
+    ("memo_ast_misses", 0); ("memo_ast_hits", 72);
+    ("memo_extract_misses", 0); ("memo_extract_hits", 36);
+    ("memo_reduce_misses", 0); ("memo_reduce_hits", 36);
+    ("memo_features_misses", 0); ("memo_features_hits", 36);
+    ("memo_dse_unroll_misses", 4); ("memo_dse_unroll_hits", 50);
+    ("memo_dse_blocksize_misses", 4); ("memo_dse_blocksize_hits", 50);
+    ("memo_dse_threads_misses", 0); ("memo_dse_threads_hits", 36);
+    ("profile_cache_misses", 0); ("profile_cache_hits", 36);
+    ("interp_runs", 0); ("dse_simulate_calls", 112);
+  ]
+
+let check_counts phase expected actual =
+  List.iter
+    (fun (name, want) ->
+      check_int (Printf.sprintf "phase %s %s" phase name) want
+        (List.assoc name actual))
+    expected
+
+let test_variant_schedule_counts () =
+  Psa.Stage_memo.clear ();
+  Flow_memo.Cache.clear Analysis.Features.memo;
+  Dse.Sweep_memo.clear ();
+  Minic_interp.Profile_cache.clear ();
+  let _, phase_a = counted_phase Helpers.variant_colds in
+  check_counts "A" phase_a_counts phase_a;
+  let results, phase_b = counted_phase Helpers.variant_batch in
+  check_counts "B" phase_b_counts phase_b;
+  (* every submission is its own store entry, so none of the 39 is a
+     duplicate the daemon would answer from its store *)
+  let keys =
+    List.map
+      (fun sub ->
+        match Flow_exec.resolve sub with
+        | Ok r -> r.Flow_exec.key
+        | Error e -> Alcotest.fail (Protocol.error_message e))
+      (Helpers.variant_colds @ Helpers.variant_batch)
+  in
+  check_int "39 distinct store keys" 39
+    (List.length (List.sort_uniq compare keys));
+  List.iteri
+    (fun i (sub, memoized) ->
+      check (Printf.sprintf "variant %d = memo-off bytes" i) true
+        (memoized = Helpers.memo_off_bytes sub))
+    (List.combine Helpers.variant_batch results)
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight dedup under concurrent domains                        *)
@@ -284,6 +382,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~long:false prop_memo_identity;
           QCheck_alcotest.to_alcotest ~long:false prop_history_independent;
+        ] );
+      ( "counts",
+        [
+          Alcotest.test_case "variant schedule: exact per-stage counts" `Quick
+            test_variant_schedule_counts;
         ] );
       ( "tracing",
         [

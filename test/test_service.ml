@@ -1384,6 +1384,51 @@ let test_batch_end_to_end () =
       | [ Error (Protocol.Unknown_job 9999) ] -> ()
       | _ -> Alcotest.fail "expected per-item unknown_job")
 
+(* The variant schedule's phase B (test_memo pins its sequential
+   per-stage counts) as one submit_batch frame on two worker domains:
+   every variant is a store miss, and every served result equals
+   sequential memo-off execution byte for byte. *)
+let test_variant_batch_through_daemon () =
+  let reference = List.map Helpers.memo_off_bytes Helpers.variant_batch in
+  let config =
+    {
+      (Server.default_config ()) with
+      workers = 2;
+      queue_capacity = 64;
+      store_capacity = 64;
+    }
+  in
+  with_daemon ~config (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let ids =
+        List.mapi
+          (fun i item ->
+            match item with
+            | Ok (id, `Fresh) -> id
+            | Ok _ -> Alcotest.failf "variant %d was not a fresh job" i
+            | Error e ->
+                Alcotest.failf "variant %d: %s" i (Protocol.error_message e))
+          (Client.submit_batch c Helpers.variant_batch)
+      in
+      let finished () =
+        List.for_all
+          (function
+            | Ok ({ Protocol.state = Protocol.Done; _ }, Some _) -> true
+            | _ -> false)
+          (Client.fetch_batch c ids)
+      in
+      check "variant jobs complete" true (wait_until finished);
+      List.iteri
+        (fun i (item, (report, data)) ->
+          match item with
+          | Ok (_, Some (r : Protocol.job_result)) ->
+              check_str (Printf.sprintf "variant %d report" i) report r.report;
+              check_str (Printf.sprintf "variant %d data" i) data
+                (Json.to_string r.data)
+          | _ -> Alcotest.failf "variant %d: no result" i)
+        (List.combine (Client.fetch_batch c ids) reference))
+
 let test_client_timeout () =
   (* a listener that accepts nothing: connects sit in the backlog and
      never receive a byte back *)
@@ -1696,6 +1741,101 @@ let test_request_id_trace_end_to_end () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Seeded byte fuzzers: a typed error is the only allowed failure      *)
+(* ------------------------------------------------------------------ *)
+
+(* One to four byte edits of [s]: overwrite, delete a run, insert
+   random bytes, or splice in one of [tokens]. *)
+let mutate rng ~tokens s =
+  let b = Buffer.create (String.length s + 16) in
+  let s = ref s in
+  for _ = 0 to Random.State.int rng 4 do
+    let n = String.length !s in
+    let at = Random.State.int rng (n + 1) in
+    Buffer.clear b;
+    Buffer.add_string b (String.sub !s 0 at);
+    let rest =
+      match Random.State.int rng 4 with
+      | 0 when at < n ->
+          Buffer.add_char b (Char.chr (Random.State.int rng 256));
+          at + 1
+      | 1 -> min n (at + 1 + Random.State.int rng 8)
+      | 2 ->
+          for _ = 0 to Random.State.int rng 3 do
+            Buffer.add_char b (Char.chr (Random.State.int rng 256))
+          done;
+          at
+      | _ ->
+          Buffer.add_string b
+            tokens.(Random.State.int rng (Array.length tokens));
+          at
+    in
+    Buffer.add_string b (String.sub !s rest (n - rest));
+    s := Buffer.contents b
+  done;
+  !s
+
+(* Run [f] on [count] mutants of the [corpus] from a fixed seed; any
+   exception [f] lets out fails with the mutant that raised it. *)
+let fuzz ~seed ~count ~tokens corpus f =
+  let rng = Random.State.make [| seed |] in
+  for i = 1 to count do
+    let input =
+      mutate rng ~tokens corpus.(Random.State.int rng (Array.length corpus))
+    in
+    match f input with
+    | () -> ()
+    | exception e ->
+        Alcotest.failf "seed %d, mutant %d raised %s on %S" seed i
+          (Printexc.to_string e) input
+  done
+
+let test_fuzz_sources () =
+  let corpus =
+    Array.of_list
+      (List.map
+         (fun (app : Benchmarks.Bench_app.t) -> app.source ~n:app.profile_n)
+         Benchmarks.Registry.all)
+  in
+  let tokens =
+    [| "1e"; "1.5e+"; "2.0ef"; "99999999999999999999"; "0x"; "("; ")"; "{";
+       "}"; "["; "]"; ";"; "*"; "/"; "int"; "double"; "return"; "for";
+       "//"; "\000" |]
+  in
+  fuzz ~seed:7 ~count:2_000 ~tokens corpus (fun src ->
+      ignore (Flow_exec.resolve (Protocol.submission (Protocol.Inline src))))
+
+let test_fuzz_frames () =
+  let corpus =
+    Array.of_list
+      (List.map
+         (fun r -> Protocol.frame (Json.to_string (Protocol.request_to_json r)))
+         sample_requests
+      @ List.map
+          (fun r ->
+            Protocol.frame (Json.to_string (Protocol.response_to_json r)))
+          sample_responses)
+  in
+  let tokens =
+    [| "{"; "}"; "["; "]"; "\""; "\\u"; "\\ud800"; ":"; ","; "1e999";
+       "-"; "null"; "true"; "\"v\":"; "\"type\":"; "\xff\xff\xff\xff" |]
+  in
+  let decode payload =
+    match Json.parse_result payload with
+    | Error _ -> ()
+    | Ok j ->
+        ignore (Protocol.request_of_json j);
+        ignore (Protocol.response_of_json j)
+  in
+  fuzz ~seed:11 ~count:20_000 ~tokens corpus (fun bytes ->
+      (match Protocol.unframe bytes with
+      | Some (payload, _) -> decode payload
+      | None | (exception Protocol.Frame_error _) -> ());
+      (* the payload bytes alone, whatever the header says *)
+      if String.length bytes > 4 then
+        decode (String.sub bytes 4 (String.length bytes - 4)))
+
 let () =
   Alcotest.run "service"
     [
@@ -1767,6 +1907,8 @@ let () =
           Alcotest.test_case "empty daemon" `Quick
             test_job_listing_and_unknown_job;
           Alcotest.test_case "batch end-to-end" `Quick test_batch_end_to_end;
+          Alcotest.test_case "variant batch through the daemon" `Quick
+            test_variant_batch_through_daemon;
           Alcotest.test_case "malformed literals are parse errors" `Quick
             test_malformed_literals_are_parse_errors;
           Alcotest.test_case "pruned job is unknown" `Quick
@@ -1780,5 +1922,12 @@ let () =
           Alcotest.test_case "end-to-end vs direct flow" `Slow test_end_to_end;
           Alcotest.test_case "explain and per-job trace" `Slow
             test_explain_and_trace;
+        ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "mutated sources resolve or fail typed" `Quick
+            test_fuzz_sources;
+          Alcotest.test_case "mutated frames decode or fail typed" `Quick
+            test_fuzz_frames;
         ] );
     ]
