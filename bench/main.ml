@@ -426,8 +426,6 @@ let () =
       Perf.run
         ~quick:(Array.exists (fun a -> a = "--quick") Sys.argv)
         ()
-  | "svc-load" ->
-      Svc_load.run ~quick:(Array.exists (fun a -> a = "--quick") Sys.argv) ()
   | "history-append" ->
       let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
       let d = Report_file.history_append ~quick () in
@@ -439,7 +437,7 @@ let () =
   | "gate-history" ->
       let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
       if not (Report_file.history_gate ~quick ()) then exit 1
-  | _ ->
+  | "all" ->
       print_fig5 ();
       print_table1 ();
       print_fig6 ();
@@ -447,5 +445,8 @@ let () =
       print_ablation ();
       print_strategies ();
       print_energy ();
-      run_bechamel ());
+      run_bechamel ()
+  | other ->
+      Printf.eprintf "bench: unknown command %s\n" other;
+      exit 2);
   print_endline ""

@@ -406,8 +406,6 @@ let run ~quick () =
         ("engine", Flow_obs.Metrics.to_json Flow_obs.Metrics.global);
       ]
   in
-  (* merge, don't overwrite: [bench svc-load] owns the "service" section
-     of the same file *)
-  Report_file.update ~path:json_out sections;
+  Report_file.write ~path:json_out sections;
   Printf.printf "wrote %s\n%!" json_out;
   if not (identical && interp_identical) then exit 1

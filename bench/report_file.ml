@@ -1,11 +1,8 @@
-(** Shared writer for [BENCH_psaflow.json].
+(** Writer and reader for [BENCH_psaflow.json].
 
-    Two harnesses own disjoint top-level sections of the same file:
-    [bench perf] writes the engine sections (interp/cache/flow/dse/engine)
-    and [bench svc-load] writes the [service] section.  Each therefore
-    merges: existing sections it does not own are preserved verbatim,
-    its own are replaced.  A missing or unparseable file degrades to a
-    plain write of the given sections. *)
+    [bench perf] is the file's only writer: it writes every section in
+    one go.  The history commands read it back to extract the gated
+    scalars. *)
 
 module Json = Flow_service.Json
 
@@ -18,19 +15,10 @@ let read_sections path =
     close_in ic;
     match Json.parse_result s with Ok (Json.Obj fields) -> fields | _ -> []
 
-(** Replace [sections] in the JSON object at [path], keeping every other
-    top-level field (in its original position) untouched. *)
-let update ~path (sections : (string * Json.t) list) =
-  let existing = read_sections path in
-  let merged =
-    List.map
-      (fun (k, v) ->
-        match List.assoc_opt k sections with Some nv -> (k, nv) | None -> (k, v))
-      existing
-    @ List.filter (fun (k, _) -> not (List.mem_assoc k existing)) sections
-  in
+(** Write [sections] as the JSON object at [path], replacing the file. *)
+let write ~path (sections : (string * Json.t) list) =
   let oc = open_out path in
-  output_string oc (Json.to_string_pretty (Json.Obj merged));
+  output_string oc (Json.to_string_pretty (Json.Obj sections));
   close_out oc
 
 (* ------------------------------------------------------------------ *)
@@ -57,17 +45,11 @@ let commit_id () =
       | exception Unix.Unix_error _ -> "unknown")
 
 (** The gate-relevant scalars of [BENCH_psaflow.json], flattened to
-    dotted names.  Fields a given bench run did not (re)write are
-    simply absent from the datapoint — the gate skips them. *)
+    dotted names.  Fields missing from the file are simply absent
+    from the datapoint. *)
 let gated_paths =
-  [
-    [ "interp"; "bytecode"; "mcycles_per_s" ];
-    [ "service"; "throughput_rps" ];
-    [ "service"; "p50_ms" ];
-    [ "service"; "p99_ms" ];
-    [ "service"; "wall_s" ];
-  ]
-  @ List.concat_map
+  [ "interp"; "bytecode"; "mcycles_per_s" ]
+  :: List.concat_map
       (fun (app : Benchmarks.Bench_app.t) ->
         List.map
           (fun m -> [ "interp"; "benchmarks"; app.id; "run"; m ])
@@ -110,8 +92,6 @@ let history_append ~quick () : Perf_history.datapoint =
 let gate_specs =
   [
     ("interp.bytecode.mcycles_per_s", Perf_history.Higher_better, 0.7);
-    ("service.throughput_rps", Perf_history.Higher_better, 0.5);
-    ("service.p99_ms", Perf_history.Lower_better, 4.0);
   ]
 
 (** Gate the current [BENCH_psaflow.json] against the rolling median of

@@ -20,14 +20,11 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
-echo "== perf gate (perf --quick + svc-load --quick + regression check) =="
-# Runs the quick perf bench and the quick svc-load daemon replay,
-# checks every outputs_identical flag (including the service replay's
-# byte-identity against direct execution) and fails when, against the
-# rolling median of recent runs in BENCH_history.jsonl,
-# interp.bytecode.mcycles_per_s drops below 0.7x,
-# service.throughput_rps below 0.5x or service.p99_ms rises above 4x
-# (then appends this run's numbers to the history).
+echo "== perf gate (perf --quick + regression check) =="
+# Runs the quick perf bench, checks every outputs_identical flag and
+# fails when interp.bytecode.mcycles_per_s drops below 0.7x the rolling
+# median of recent runs in BENCH_history.jsonl (then appends this run's
+# numbers to the history).
 sh scripts/perf_gate.sh
 
 # The fused single-pass profile bounds the cold flow at one interpreter
@@ -79,25 +76,24 @@ echo "== trend smoke (psaflow report --trend) =="
 # perf_gate.sh above appended at least one datapoint, so the trend
 # report must render a non-empty table (and valid JSON) from
 # BENCH_history.jsonl.
-_build/default/bin/psaflow.exe report --trend | grep -q 'service.throughput_rps' \
-  || { echo "FAIL: report --trend shows no service throughput series"; exit 1; }
+_build/default/bin/psaflow.exe report --trend | grep -q 'interp.bytecode.mcycles_per_s' \
+  || { echo "FAIL: report --trend shows no bytecode throughput series"; exit 1; }
 _build/default/bin/psaflow.exe report --trend --json | grep -q '"metric"' \
   || { echo "FAIL: report --trend --json emitted no metric rows"; exit 1; }
-# The fresh quick datapoint no longer carries the deleted threaded
-# engine's throughput, so that series must show as retired, not live.
-_build/default/bin/psaflow.exe report --trend \
-  | grep -Eq '^interp\.threaded\.mcycles_per_s .* retired$' \
-  || { echo "FAIL: report --trend lists a retired series as live"; exit 1; }
-# Nor does it carry the bare and kernel-focused runs of the two-run
-# profiling the single tracked run replaced.
-_build/default/bin/psaflow.exe report --trend \
-  | grep -Eq '^interp\.benchmarks\.kmeans\.focused\.vm_run_s .* retired$' \
-  || { echo "FAIL: report --trend lists the focused-run series as live"; exit 1; }
-# Nor the deleted svc-load variants leg, whose wall-time memo gates an
-# exact per-stage count test in tier-1 replaced.
-_build/default/bin/psaflow.exe report --trend \
-  | grep -Eq '^service\.variants\.latency_ratio .* retired$' \
-  || { echo "FAIL: report --trend lists the variants-leg series as live"; exit 1; }
+# The fresh quick datapoint no longer carries these series, so each
+# must show as retired, not live: the deleted threaded engine's
+# throughput; the bare and kernel-focused runs of the two-run profiling
+# the single tracked run replaced; and the deleted svc-load replay
+# (its variants leg and its classic mix), whose wall-time gates exact
+# count tests in tier-1 replaced.
+TREND=$(_build/default/bin/psaflow.exe report --trend)
+for series in interp.threaded.mcycles_per_s \
+    interp.benchmarks.kmeans.focused.vm_run_s \
+    service.variants.latency_ratio service.throughput_rps service.p99_ms; do
+  printf '%s\n' "$TREND" \
+    | awk -v s="$series" '$1 == s && $NF == "retired" { f = 1 } END { exit !f }' \
+    || { echo "FAIL: report --trend lists retired series $series as live"; exit 1; }
+done
 
 PSAFLOW=_build/default/bin/psaflow.exe
 SOCK=$(mktemp -u "${TMPDIR:-/tmp}/psaflow-check-XXXXXX.sock")

@@ -1429,6 +1429,217 @@ let test_variant_batch_through_daemon () =
           | _ -> Alcotest.failf "variant %d: no result" i)
         (List.combine (Client.fetch_batch c ids) reference))
 
+(* Mixed traffic over one connection, each submission awaited before the
+   next: 8 hot kernels sent 3 times each, 10 cold kernels, the 3 poison
+   sources twice each, then one 48-item submit_batch storm past the
+   queue capacity.  Every disposition, rejection kind and counter delta
+   is exact.  The one timing-dependent number, how many storm items the
+   queue refused, is bounded by the storm invariants and enters the
+   other counts by name.  Poll frames are counted as they are sent, so
+   [requests_total] is exact too.  The kernel tags belong to this test
+   alone, so the process-wide [interp_runs] starts cold for them
+   whatever ran before. *)
+let test_mixed_traffic () =
+  let config =
+    {
+      (Server.default_config ()) with
+      workers = 2;
+      queue_capacity = 32;
+      store_capacity = 512;
+    }
+  in
+  let kernel tag =
+    Protocol.submission (Protocol.Inline (Flow_load.Workload.kernel_source tag))
+  in
+  let hot = List.init 8 (fun i -> kernel (4_000_000 + i)) in
+  let cold = List.init 10 (fun i -> kernel (4_100_000 + i)) in
+  (* the storm's first two kernels repeat their loop 20,000 times
+     (tens of ms each), so both workers stay busy while the handler
+     enqueues the rest: the queue holds 32, so at least 48 - 32 - 2
+     items are refused *)
+  let busy_kernel tag =
+    Protocol.submission
+      (Protocol.Inline
+         (Printf.sprintf
+            {|int main() {
+  double a[64];
+  double b[64];
+  for (int r = 0; r < 20000; r++) {
+    for (int i = 0; i < 64; i++) { b[i] = a[i] * 1.5 + %d.0; }
+  }
+  return 0;
+}|}
+            tag))
+  in
+  let storm =
+    busy_kernel 4_200_000 :: busy_kernel 4_200_001
+    :: List.init 46 (fun i -> kernel (4_200_002 + i))
+  in
+  let poison_kinds = [ "minic_parse_error"; "minic_type_error"; "minic_type_error" ] in
+  (* every Fresh submission with its served result, for the memo-off
+     comparison once the daemon is gone *)
+  let fresh = ref [] in
+  let counter name m =
+    match Json.member name m with
+    | Some v -> Option.value ~default:0 (Json.to_int_opt v)
+    | None -> 0
+  in
+  with_daemon ~config (fun addr ->
+      let c = Client.connect addr in
+      let polls = ref 0 in
+      let request = Client.request c in
+      let poll req =
+        incr polls;
+        request req
+      in
+      let metrics () =
+        match request Protocol.Metrics with
+        | Protocol.Metrics_data m -> m
+        | _ -> Alcotest.fail "metrics request not answered with metrics"
+      in
+      let rec await id =
+        match poll (Protocol.Fetch_result id) with
+        | Protocol.Result (_, r) -> r
+        | Protocol.Status { state = Protocol.Failed msg; _ } ->
+            Alcotest.failf "job #%d failed: %s" id msg
+        | Protocol.Status _ ->
+            Thread.delay 0.001;
+            await id
+        | other ->
+            Alcotest.failf "job #%d: unexpected fetch response %s" id
+              (Json.to_string (Protocol.response_to_json other))
+      in
+      let submit sub =
+        match request (Protocol.Submit_flow sub) with
+        | Protocol.Submitted { job_id; disposition } -> Ok (job_id, disposition)
+        | Protocol.Error e -> Error e
+        | other ->
+            Alcotest.failf "unexpected submit response %s"
+              (Json.to_string (Protocol.response_to_json other))
+      in
+      (* one submission, awaited; its disposition must be [expect] *)
+      let send what expect sub =
+        match submit sub with
+        | Ok (id, d) when d = expect ->
+            let r = await id in
+            if d = `Fresh then fresh := (what, sub, r) :: !fresh;
+            r
+        | Ok (_, d) ->
+            Alcotest.failf "%s: %s, expected %s" what
+              (Protocol.disposition_to_string d)
+              (Protocol.disposition_to_string expect)
+        | Error e -> Alcotest.failf "%s: %s" what (Protocol.error_message e)
+      in
+      let before = metrics () in
+      (* hot: a first send executes, every repeat is a store hit serving
+         the same bytes *)
+      let firsts = List.mapi (fun i s -> send (Printf.sprintf "hot %d" i) `Fresh s) hot in
+      for round = 1 to 2 do
+        List.iteri
+          (fun i (s, (first : Protocol.job_result)) ->
+            let what = Printf.sprintf "hot %d repeat %d" i round in
+            let r = send what `Cached s in
+            check_str (what ^ " report") first.report r.Protocol.report;
+            check_str (what ^ " data") (Json.to_string first.data)
+              (Json.to_string r.Protocol.data))
+          (List.combine hot firsts)
+      done;
+      List.iteri (fun i s -> ignore (send (Printf.sprintf "cold %d" i) `Fresh s)) cold;
+      (* poison: a typed error at submit time, twice for each source *)
+      for round = 0 to 1 do
+        List.iteri
+          (fun v kind ->
+            match submit (Flow_load.Workload.poison_submission v) with
+            | Error e ->
+                check_str
+                  (Printf.sprintf "poison %d (round %d) error kind" v round)
+                  kind (Protocol.error_kind_tag e)
+            | Ok _ -> Alcotest.failf "poison %d (round %d) was accepted" v round)
+          poison_kinds
+      done;
+      (* storm: every item is accepted fresh or refused queue_full *)
+      let items =
+        match request (Protocol.Submit_batch storm) with
+        | Protocol.Submitted_batch items -> items
+        | _ -> Alcotest.fail "storm not answered with a batch"
+      in
+      check_int "storm items" 48 (List.length items);
+      let accepted, refused =
+        List.fold_left
+          (fun (acc, rej) (i, (sub, item)) ->
+            match item with
+            | Ok (id, `Fresh) -> ((i, id, sub) :: acc, rej)
+            | Error Protocol.Queue_full -> (acc, sub :: rej)
+            | Ok (_, d) ->
+                Alcotest.failf "storm %d: %s" i (Protocol.disposition_to_string d)
+            | Error e -> Alcotest.failf "storm %d: %s" i (Protocol.error_message e))
+          ([], [])
+          (List.mapi (fun i x -> (i, x)) (List.combine storm items))
+      in
+      let n_refused = List.length refused in
+      check_int "storm: accepted + queue_full" 48 (List.length accepted + n_refused);
+      check
+        (Printf.sprintf "storm: queue_full %d >= 48 - 32 - 2" n_refused)
+        true
+        (n_refused >= 48 - 32 - 2);
+      let ids = List.map (fun (_, id, _) -> id) accepted in
+      let rec drain () =
+        let done_ =
+          List.for_all
+            (function
+              | Ok ({ Protocol.state = Protocol.Done; _ }, Some _) -> true
+              | Ok ({ Protocol.state = Protocol.Failed msg; _ }, _) ->
+                  Alcotest.failf "storm job failed: %s" msg
+              | _ -> false)
+            (match poll (Protocol.Fetch_batch ids) with
+            | Protocol.Results_batch items -> items
+            | _ -> Alcotest.fail "fetch_batch not answered with a batch")
+        in
+        if not done_ then (
+          Thread.delay 0.001;
+          drain ())
+      in
+      drain ();
+      List.iter
+        (fun (i, id, sub) ->
+          fresh := (Printf.sprintf "storm %d" i, sub, await id) :: !fresh)
+        accepted;
+      (* a refusal is not a result: resubmitted, each item executes *)
+      List.iteri
+        (fun i s -> ignore (send (Printf.sprintf "refused storm item %d" i) `Fresh s))
+        refused;
+      let after = metrics () in
+      let delta name = counter name after - counter name before in
+      let engine_delta name =
+        let engine m = Option.value ~default:(Json.Obj []) (Json.member "engine" m) in
+        counter name (engine after) - counter name (engine before)
+      in
+      (* 24 hot + 10 cold + 6 poison + 1 storm submit frames, the
+         resubmissions, the polls, and the metrics read itself *)
+      check_int "requests_total" (41 + n_refused + !polls + 1)
+        (delta "requests_total");
+      check_int "requests_rejected" (6 + n_refused) (delta "requests_rejected");
+      check_int "store_hits" 16 (delta "store_hits");
+      check_int "store_misses" (66 + n_refused) (delta "store_misses");
+      check_int "interp_runs" 66 (engine_delta "interp_runs");
+      check_int "jobs_completed" 66 (delta "jobs_completed");
+      Client.close c;
+      let active () =
+        match Client.rpc addr Protocol.Metrics with
+        | Protocol.Metrics_data m ->
+            Option.bind (Json.member "connections_active" m) Json.to_float_opt
+        | _ -> None
+      in
+      check "connections_active back to 1" true
+        (wait_until (fun () -> active () = Some 1.0)));
+  check_int "fresh results" 66 (List.length !fresh);
+  List.iter
+    (fun (what, sub, (r : Protocol.job_result)) ->
+      let report, data = Helpers.memo_off_bytes sub in
+      check_str (what ^ " = memo-off report") report r.report;
+      check_str (what ^ " = memo-off data") data (Json.to_string r.data))
+    (List.rev !fresh)
+
 let test_client_timeout () =
   (* a listener that accepts nothing: connects sit in the backlog and
      never receive a byte back *)
@@ -1909,6 +2120,8 @@ let () =
           Alcotest.test_case "batch end-to-end" `Quick test_batch_end_to_end;
           Alcotest.test_case "variant batch through the daemon" `Quick
             test_variant_batch_through_daemon;
+          Alcotest.test_case "mixed traffic through the daemon: exact counts"
+            `Quick test_mixed_traffic;
           Alcotest.test_case "malformed literals are parse errors" `Quick
             test_malformed_literals_are_parse_errors;
           Alcotest.test_case "pruned job is unknown" `Quick
