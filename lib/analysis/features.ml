@@ -392,8 +392,9 @@ let of_fused (fp : Minic_interp.Fused_profile.t) ~loop_sid (p : Ast.program)
 
 (* Feature records are pure projections of the fused profile of
    [source] and the static analyses of [p], so they memoize per (kernel
-   program key, loop id, kernel name) — program keys are digest + loop
-   ids, and the workload size is baked into the program text.  The
+   program key, loop id, kernel name) — the program key is
+   {!Ast.digest}, structure plus loop ids with float literals as raw
+   bits, and the workload size is baked into the program.  The
    kernel program determines its source (extraction only moves the loop
    into the kernel), so the source needs no key component.  The memo
    rides the stage hierarchy and is off under PSAFLOW_NO_MEMO; a hit
@@ -412,7 +413,7 @@ let analyze ~(source : Ast.program) ~loop_sid (p : Ast.program) ~kernel : t =
   Flow_memo.Cache.find_or_compute memo
     ~key:
       (Printf.sprintf "f:%s:%d:%s"
-         (Digest.to_hex (Minic_interp.Profile_cache.key p))
+         (Digest.to_hex (Ast.digest p))
          loop_sid kernel)
     (fun () -> of_fused (Hotspot.fused ~loop_sid source) ~loop_sid p ~kernel)
 

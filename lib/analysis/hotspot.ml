@@ -132,7 +132,7 @@ let fused ?loop_sid (p : Ast.program) : Minic_interp.Fused_profile.t =
      else
        Flow_obs.Trace.with_span ~cat:"interp" "profile_cache.run" @@ fun () ->
        Flow_memo.Cache.find_or_compute cache
-         ~key:(Minic_interp.Profile_cache.key ?loop p)
+         ~key:(Ast.digest ?loop p)
          ~on:(fun hit ->
            Flow_obs.Trace.add_args [ ("hit", Flow_obs.Attr.Bool hit) ])
          run)

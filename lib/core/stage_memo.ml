@@ -16,23 +16,20 @@
     are immutable ([Minic.Ast] has no mutable fields), so cross-domain
     sharing is safe.
 
-    Keys follow {!Minic_interp.Profile_cache.key}: a digest of the
-    pretty-printed program plus the pre-order loop statement ids —
-    loop ids are the only statement ids observable downstream (profile
-    statistics, "loop #N" log lines).  Failures (parse errors,
-    non-extractable hotspots) are never cached; error paths re-raise
-    and recompute exactly as without memoization.
+    Program keys are {!Minic.Ast.digest}, the key of the profile cache:
+    a structural digest of everything the pretty-printer prints (float
+    literals as raw bits) with the loop statement ids inline — loop ids
+    are the only statement ids observable downstream (profile
+    statistics, "loop #N" log lines).  A hit walks the AST once and
+    prints nothing.  Failures (parse errors, non-extractable hotspots)
+    are never cached; error paths re-raise and recompute exactly as
+    without memoization.
 
     All three caches follow the hierarchy-wide rules of {!Flow_memo}:
     disabled by [PSAFLOW_NO_MEMO], bounded by [PSAFLOW_MEMO_CAP],
     striped over [PSAFLOW_MEMO_SHARDS], and counted in the global
     metrics registry as
     [memo_ast_*]/[memo_extract_*]/[memo_reduce_*]. *)
-
-(** Content key of a program: digest of pretty-printed source plus
-    pre-order loop statement ids (see {!Minic_interp.Profile_cache.key}). *)
-let program_key (p : Minic.Ast.program) : string =
-  Digest.to_hex (Minic_interp.Profile_cache.key p)
 
 let parse_cache : Minic.Ast.program Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"ast" ()
@@ -50,7 +47,8 @@ let extract_cache : Transforms.Extract.result Flow_memo.Cache.t =
     hotspot loop id). *)
 let extract (p : Minic.Ast.program) ~loop_sid : Transforms.Extract.result =
   Flow_memo.Cache.find_or_compute extract_cache
-    ~key:(Printf.sprintf "x:%s:%d" (program_key p) loop_sid)
+    ~key:
+      (Printf.sprintf "x:%s:%d" (Digest.to_hex (Minic.Ast.digest p)) loop_sid)
     (fun () -> Transforms.Extract.hotspot p ~loop_sid)
 
 let reduce_cache : (Minic.Ast.program * int) Flow_memo.Cache.t =
@@ -60,7 +58,8 @@ let reduce_cache : (Minic.Ast.program * int) Flow_memo.Cache.t =
     (program digest, kernel name). *)
 let reduce (p : Minic.Ast.program) ~kernel : Minic.Ast.program * int =
   Flow_memo.Cache.find_or_compute reduce_cache
-    ~key:(Printf.sprintf "r:%s:%s" (program_key p) kernel)
+    ~key:
+      (Printf.sprintf "r:%s:%s" (Digest.to_hex (Minic.Ast.digest p)) kernel)
     (fun () -> Transforms.Reduction.remove_array_dependencies p ~kernel)
 
 (** Drop all parse/extract/reduce entries (tests). *)

@@ -5,7 +5,9 @@
     (sweep name, device id, design name, model inputs, candidate set)
     fully determines the chosen knob value, the step trajectory and the
     decision provenance.  Budget or strategy variants of a request
-    therefore replay sweeps without re-simulating.
+    therefore replay sweeps without re-simulating.  The key ({!key})
+    digests the model inputs' raw float bits: a hit formats no
+    number.
 
     Only the {!outcome} — knob choice, steps and decision — is cached,
     never the design itself.  Each sweep's [run] is one {!run} call
@@ -106,23 +108,27 @@ let decision ~(design : Codegen.Design.t) ~sweep ~candidates ~chosen ~evidence
       @ evidence;
   }
 
+(** The memo key of a sweep: (sweep, device, design name, digest of
+    the model [inputs]' raw float bits and of the [candidates] ladder).
+    Raw bits tell every two distinct floats apart, [0.0] from [-0.0]
+    included, and format nothing.  The ladder is device-derived, but
+    keying it keeps an entry safe against spec changes at runtime. *)
+let key ~sweep ~(design : Codegen.Design.t) inputs ~candidates =
+  let buf = Buffer.create 512 in
+  let int n = Buffer.add_int64_le buf (Int64.of_int n) in
+  int (List.length inputs);
+  List.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) inputs;
+  List.iter int candidates;
+  Printf.sprintf "%s:%s:%s:%s" sweep design.device_id design.name
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (** [run cache ~sweep ~design features ~candidates sweep_fn] is
-    [sweep_fn ()], memoized under (sweep, device, design name, digest
-    of the {!model_inputs} as exact hex floats and of the [candidates]
-    ladder).  The ladder is device-derived, but keying it keeps an
-    entry safe against spec changes at runtime. *)
+    [sweep_fn ()], memoized under {!key} of the {!model_inputs}. *)
 let run (cache : ('k, 's) cache) ~sweep ~(design : Codegen.Design.t)
     features ~candidates (sweep_fn : unit -> ('k, 's) outcome) :
     ('k, 's) outcome =
-  let inputs =
-    String.concat ","
-      (List.map (Printf.sprintf "%h") (model_inputs design features))
-  in
-  let ladder = String.concat "," (List.map string_of_int candidates) in
   Flow_memo.Cache.find_or_compute cache
-    ~key:
-      (Printf.sprintf "%s:%s:%s:%s" sweep design.device_id design.name
-         (Digest.to_hex (Digest.string (inputs ^ "|" ^ ladder))))
+    ~key:(key ~sweep ~design (model_inputs design features) ~candidates)
     sweep_fn
 
 (** [candidate ~sweep ~knob] evaluates one candidate [n] with [f]

@@ -14,21 +14,23 @@
     One producer.  Entries are made by {!Analysis.Hotspot.fused} alone:
     its run of a program tracks {!Analysis.Hotspot.tracked}, a function
     of the program, so the program determines the entry and a hit
-    computes nothing.  This module holds the table, its key and its
+    computes nothing.  This module holds the table and its
     administration; it runs nothing itself.
 
-    Keying.  The key is the program: a digest of the pretty-printed
-    source and the pre-order list of loop statement ids, plus the loop
-    id of an extra run that tracks a single loop ([?loop]).  Loop ids must
-    be part of the key because the profile's per-loop trip statistics
-    are keyed by them, and text does not determine them: ids depend on
-    the parse plus the transforms applied, so an inline source equal to
-    the pretty-print of an extracted kernel has that kernel's text but
+    Keying.  The key is the program: {!Minic.Ast.digest}, a structural
+    digest of everything the pretty-printer prints (float literals as
+    raw bits) with each loop statement's id inline, plus the loop id of
+    an extra run that tracks a single loop ([?loop]).  Loop ids must be
+    part of the key because the profile's per-loop trip statistics are
+    keyed by them, and text does not determine them: ids depend on the
+    parse plus the transforms applied, so an inline source equal to the
+    pretty-print of an extracted kernel has that kernel's text but
     different loop ids, and needs its own entry.  Program variants that
     differ textually (e.g. timer-instrumented copies) hash differently
     from the bare program, while re-running the *same* variant hits.
     The workload size [n] needs no dedicated key component: it is baked
-    into the program text.
+    into the program.  A hit costs one walk of the AST and one digest;
+    nothing is pretty-printed.
 
     Entries are returned by reference; treat cached {!Eval.run} values
     (and their profiles) as read-only.
@@ -78,22 +80,3 @@ let stats () =
   }
 
 let reset_stats () = Flow_memo.Cache.reset_stats cache
-
-let key ?loop (p : Minic.Ast.program) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Minic.Pretty.program_to_string p);
-  Buffer.add_char buf '\000';
-  Minic.Ast.iter_program
-    ~fs:(fun s ->
-      match s.snode with
-      | For _ | While _ ->
-          Buffer.add_string buf (string_of_int s.sid);
-          Buffer.add_char buf ';'
-      | _ -> ())
-    p;
-  Option.iter
-    (fun sid ->
-      Buffer.add_char buf '#';
-      Buffer.add_string buf (string_of_int sid))
-    loop;
-  Digest.string (Buffer.contents buf)

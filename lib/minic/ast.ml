@@ -205,6 +205,162 @@ let iter_program ?(fs = fun _ -> ()) ?(fe = fun _ -> ()) p =
   List.iter (iter_stmt on_stmt) p.globals;
   List.iter (fun fn -> iter_block on_stmt fn.fbody) p.funcs
 
+(** [digest ?loop p] is the content key of [p] for memo tables: an MD5
+    digest of a prefix-free binary encoding of everything
+    {!Pretty.program_to_string} prints — globals, signatures,
+    statements, operators, names, pragmas, int literals, and float
+    literals as their raw bits plus {!fkind} — with each [For]/[While]
+    statement's id inline in pre-order, then the optional [loop] id.
+    Locations and other node ids stay out, so equal digests mean equal
+    printed text and equal loop ids.  Loop ids belong in the key because
+    profile statistics and ["loop #N"] log lines are keyed by them, and
+    text does not determine them. *)
+let digest ?loop p =
+  let buf = Buffer.create 1024 in
+  let tag c = Buffer.add_char buf c in
+  (* LEB128 of the zigzag image: small ids and lengths take one byte *)
+  let int n =
+    let rec go z =
+      if z lsr 7 = 0 then tag (Char.unsafe_chr z)
+      else (
+        tag (Char.unsafe_chr (z land 0x7f lor 0x80));
+        go (z lsr 7))
+    in
+    go ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+  in
+  let str s =
+    int (String.length s);
+    Buffer.add_string buf s
+  in
+  let list f l =
+    int (List.length l);
+    List.iter f l
+  in
+  let opt f = function
+    | None -> tag '0'
+    | Some x ->
+        tag '1';
+        f x
+  in
+  let rec typ = function
+    | Tvoid -> tag 'v'
+    | Tbool -> tag 'b'
+    | Tint -> tag 'i'
+    | Tfloat -> tag 'f'
+    | Tdouble -> tag 'd'
+    | Tptr t ->
+        tag '*';
+        typ t
+  in
+  let rec expr e =
+    match e.enode with
+    | Int_lit n ->
+        tag 'I';
+        int n
+    | Float_lit (f, k) ->
+        tag (match k with Single -> 'S' | Double -> 'D');
+        Buffer.add_int64_le buf (Int64.bits_of_float f)
+    | Bool_lit b -> tag (if b then 'T' else 'F')
+    | Var v ->
+        tag 'V';
+        str v
+    | Unop (op, a) ->
+        tag (match op with Neg -> 'N' | Not -> '!');
+        expr a
+    | Binop (op, a, b) ->
+        tag 'B';
+        tag
+          (match op with
+          | Add -> '+' | Sub -> '-' | Mul -> '*' | Div -> '/' | Mod -> '%'
+          | Lt -> '<' | Le -> 'l' | Gt -> '>' | Ge -> 'g' | Eq -> '='
+          | Ne -> 'n' | LAnd -> '&' | LOr -> '|');
+        expr a;
+        expr b
+    | Index (a, i) ->
+        tag '[';
+        expr a;
+        expr i
+    | Call (f, args) ->
+        tag 'C';
+        str f;
+        list expr args
+    | Cast (t, a) ->
+        tag '(';
+        typ t;
+        expr a
+  in
+  let assign op e =
+    tag
+      (match op with
+      | Set -> '=' | AddEq -> '+' | SubEq -> '-' | MulEq -> '*' | DivEq -> '/');
+    expr e
+  in
+  let rec stmt s =
+    list
+      (fun pr ->
+        str pr.pname;
+        list str pr.pargs)
+      s.pragmas;
+    match s.snode with
+    | Decl d ->
+        tag 'd';
+        typ d.dtyp;
+        str d.dname;
+        opt expr d.dsize;
+        opt expr d.dinit
+    | Assign (Lvar v, op, e) ->
+        tag 'a';
+        str v;
+        assign op e
+    | Assign (Lindex (a, i), op, e) ->
+        tag 'x';
+        expr a;
+        expr i;
+        assign op e
+    | Expr_stmt e ->
+        tag 'e';
+        expr e
+    | If (c, b1, b2) ->
+        tag 'i';
+        expr c;
+        block b1;
+        opt block b2
+    | For (h, b) ->
+        tag 'f';
+        int s.sid;
+        str h.index;
+        expr h.init;
+        tag (if h.inclusive then 'l' else '<');
+        expr h.bound;
+        expr h.step;
+        block b
+    | While (c, b) ->
+        tag 'w';
+        int s.sid;
+        expr c;
+        block b
+    | Return eo ->
+        tag 'r';
+        opt expr eo
+    | Block b ->
+        tag '{';
+        block b
+  and block b = list stmt b in
+  block p.globals;
+  list
+    (fun fn ->
+      typ fn.fret;
+      str fn.fname;
+      list
+        (fun pa ->
+          typ pa.ptyp;
+          str pa.pname_)
+        fn.fparams;
+      block fn.fbody)
+    p.funcs;
+  opt int loop;
+  Digest.string (Buffer.contents buf)
+
 (** Find the function named [name]. Raises [Not_found]. *)
 let find_func p name = List.find (fun f -> f.fname = name) p.funcs
 

@@ -1218,6 +1218,211 @@ let vm_tests =
           (check_alloc_ceiling b))
       Benchmarks.Registry.all
 
+(* ------------------------------------------------------------------ *)
+(* Content keys                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let digest = Minic.Ast.digest
+let parse = Minic.Parser.parse_program
+
+(* The text key the memo tables used before {!Minic.Ast.digest}: the
+   pretty-printed program, its pre-order loop ids and the [?loop] id.
+   The digest must never be coarser than it. *)
+let text_key ?loop p =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Minic.Pretty.program_to_string p);
+  Buffer.add_char buf '\000';
+  Minic.Ast.iter_program
+    ~fs:(fun s ->
+      match s.snode with
+      | For _ | While _ ->
+          Buffer.add_string buf (string_of_int s.sid);
+          Buffer.add_char buf ';'
+      | _ -> ())
+    p;
+  Option.iter
+    (fun sid ->
+      Buffer.add_char buf '#';
+      Buffer.add_string buf (string_of_int sid))
+    loop;
+  Digest.string (Buffer.contents buf)
+
+let key_src ?(pragma = "omp parallel for") lit =
+  Printf.sprintf
+    {|
+int main() {
+  double a[8];
+  #pragma %s
+  for (int i = 0; i < 8; i++) { a[i] = %s * i; }
+  print_float(a[3]);
+  return 0;
+}
+|}
+    pragma lit
+
+let keys_equal_across_parses () =
+  let src = key_src "1.5" in
+  Alcotest.(check bool)
+    "two parses" true
+    (digest (parse src) = digest (parse src));
+  let spaced =
+    String.split_on_char ' ' src |> String.concat "  "
+    |> String.split_on_char '\n' |> String.concat "\n\n\t"
+  in
+  Alcotest.(check bool)
+    "whitespace only" true
+    (digest (parse src) = digest (parse spaced))
+
+let keys_separate_variants () =
+  let base = parse (key_src "1.5") in
+  let differs what p =
+    Alcotest.(check bool) what false (digest base = digest p)
+  in
+  let ulp = Printf.sprintf "%.17g" (Float.succ 1.5) in
+  differs "one ulp" (parse (key_src ulp));
+  differs "single" (parse (key_src "1.5f"));
+  differs "pragma argument" (parse (key_src ~pragma:"omp parallel" "1.5"));
+  let renumber (f : Minic.Ast.func) =
+    {
+      f with
+      fbody =
+        List.map
+          (fun (s : Minic.Ast.stmt) ->
+            match s.snode with For _ -> { s with sid = s.sid + 100 } | _ -> s)
+          f.fbody;
+    }
+  in
+  let renumbered = { base with funcs = List.map renumber base.funcs } in
+  Alcotest.(check string)
+    "same printed text"
+    (Minic.Pretty.program_to_string base)
+    (Minic.Pretty.program_to_string renumbered);
+  differs "loop sid" renumbered;
+  let loop = (List.hd (Analysis.Hotspot.candidates base)).stmt.sid in
+  Alcotest.(check bool) "?loop given" false (digest base = digest ~loop base);
+  Alcotest.(check bool)
+    "?loop differs" false
+    (digest ~loop base = digest ~loop:(loop + 1) base)
+
+(* One-ulp moves of any single model input, and 0.0 against -0.0 in any
+   position, give a different sweep key. *)
+let sweep_key_separates_inputs () =
+  let b = Benchmarks.Registry.find "nbody" in
+  let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
+  let ex, kernel, h = Psa.Std_flow.prepare_kernel p in
+  let loop_sid = h.Analysis.Hotspot.loop_sid in
+  let features = Analysis.Features.analyze ~source:p ~loop_sid ex ~kernel in
+  let design =
+    Codegen.Design.make ~name:"hip_rtx2080ti" ~target:Codegen.Design.Gpu_hip
+      ~device_id:"rtx2080ti" ~program:ex ~kernel ~device_kernel:kernel
+  in
+  let inputs = Dse.Sweep_memo.model_inputs design features in
+  let key ?(candidates = [ 32; 64 ]) xs =
+    Dse.Sweep_memo.key ~sweep:"blocksize" ~design xs ~candidates
+  in
+  let set i v = List.mapi (fun j x -> if i = j then v else x) inputs in
+  List.iteri
+    (fun i x ->
+      Alcotest.(check bool)
+        (Printf.sprintf "input %d one ulp" i)
+        false
+        (key inputs = key (set i (Float.succ x)));
+      Alcotest.(check bool)
+        (Printf.sprintf "input %d signed zero" i)
+        false
+        (key (set i 0.0) = key (set i (-0.0))))
+    inputs;
+  Alcotest.(check bool)
+    "ladder" false
+    (key inputs = key ~candidates:[ 32 ] inputs)
+
+(* Oracle: over generated programs and their one-literal mutants (each
+   numeric literal in turn moved by one ulp or one, or made single
+   precision), equal digests imply equal text keys. *)
+let digest_refines_text_key () =
+  let is_ident c =
+    c = '_'
+    || (c >= 'a' && c <= 'z')
+    || (c >= 'A' && c <= 'Z')
+    || (c >= '0' && c <= '9')
+  in
+  let is_num c = (c >= '0' && c <= '9') || c = '.' in
+  (* (start, length) of every numeric literal token *)
+  let literals src =
+    let n = String.length src in
+    let rec go i acc =
+      if i >= n then List.rev acc
+      else if is_num src.[i] && (i = 0 || not (is_ident src.[i - 1])) then (
+        let j = ref i in
+        while !j < n && is_num src.[!j] do
+          incr j
+        done;
+        go !j ((i, !j - i) :: acc))
+      else go (i + 1) acc
+    in
+    go 0 []
+  in
+  let splice src (i, len) s =
+    String.sub src 0 i ^ s
+    ^ String.sub src (i + len) (String.length src - i - len)
+  in
+  let mutants src =
+    List.concat_map
+      (fun ((i, len) as at) ->
+        let lit = String.sub src i len in
+        if String.contains lit '.' then
+          let ulp = Float.succ (float_of_string lit) in
+          [
+            splice src at (Printf.sprintf "%.17g" ulp);
+            splice src at (lit ^ "f");
+          ]
+        else [ splice src at (string_of_int (int_of_string lit + 1)) ])
+      (literals src)
+  in
+  let parse_opt src =
+    try Some (parse src)
+    with Minic.Lexer.Lex_error _ | Minic.Parser.Parse_error _ -> None
+  in
+  let rand = Random.State.make [| 2125 |] in
+  let sources = QCheck.Gen.generate ~rand ~n:12 program_gen in
+  let programs =
+    List.concat_map
+      (fun src ->
+        let p = parse src in
+        p
+        :: parse (Minic.Pretty.program_to_string p)
+        :: List.filter_map parse_opt (mutants src))
+      sources
+  in
+  let seen = Hashtbl.create 1024 in
+  let equal_pairs = ref 0 in
+  List.iter
+    (fun p ->
+      let d = digest p and t = text_key p in
+      match Hashtbl.find_opt seen d with
+      | Some t' ->
+          incr equal_pairs;
+          Alcotest.(check bool) "equal digests, equal text keys" true (t = t')
+      | None -> Hashtbl.add seen d t)
+    programs;
+  let n = List.length programs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d programs, %d equal pairs" n !equal_pairs)
+    true
+    (n > 100 && !equal_pairs >= List.length sources)
+
+let key_tests =
+  [
+    Alcotest.test_case "equal across parses and whitespace" `Quick
+      keys_equal_across_parses;
+    Alcotest.test_case "separate literal, pragma and loop variants" `Quick
+      keys_separate_variants;
+    Alcotest.test_case "sweep key separates every input" `Quick
+      sweep_key_separates_inputs;
+    Alcotest.test_case "digest refines the printed key" `Quick
+      digest_refines_text_key;
+  ]
+
 let () =
   Alcotest.run "perf"
     [
@@ -1234,6 +1439,7 @@ let () =
           Alcotest.test_case "exceptions propagate" `Quick pool_exception;
           Alcotest.test_case "jobs override" `Quick pool_jobs_env;
         ] );
+      ("keys", key_tests);
       ("fused", fused_tests);
       ("optimizer", opt_tests);
       ( "engine",
