@@ -404,8 +404,10 @@ let memo : t Flow_memo.Cache.t = Flow_memo.Cache.create ~name:"features" ()
 (** Run the full target-independent analysis battery on kernel [kernel]
     of [p], extracted from loop [loop_sid] of [source], and assemble the
     feature vector: the shared fused profiling run of [source], then a
-    pure projection. *)
-let analyze ~(source : Ast.program) ~loop_sid (p : Ast.program) ~kernel : t =
+    pure projection.  [source_digest], when given, must be
+    [Ast.digest source]. *)
+let analyze ~(source : Ast.program) ?source_digest ~loop_sid (p : Ast.program)
+    ~kernel : t =
   Flow_obs.Trace.with_span ~cat:"analysis" "analysis.features"
     ~args:[ ("kernel", Flow_obs.Attr.String kernel) ]
   @@ fun () ->
@@ -415,7 +417,10 @@ let analyze ~(source : Ast.program) ~loop_sid (p : Ast.program) ~kernel : t =
       (Printf.sprintf "f:%s:%d:%s"
          (Digest.to_hex (Ast.digest p))
          loop_sid kernel)
-    (fun () -> of_fused (Hotspot.fused ~loop_sid source) ~loop_sid p ~kernel)
+    (fun () ->
+      of_fused
+        (Hotspot.fused ~loop_sid ?digest:source_digest source)
+        ~loop_sid p ~kernel)
 
 (** Total single-thread CPU seconds of the hotspot over the whole run —
     the Fig. 5 baseline denominator. *)

@@ -110,7 +110,7 @@ let tracked ?(func = "main") (p : Ast.program) : Minic_interp.Eval.track =
     else one more run tracking that loop alone.  The only entry point
     that fills {!Minic_interp.Profile_cache}; a consultation is a trace
     span carrying its [hit] outcome. *)
-let fused ?loop_sid (p : Ast.program) : Minic_interp.Fused_profile.t =
+let fused ?loop_sid ?digest (p : Ast.program) : Minic_interp.Fused_profile.t =
   let tracked = lazy (tracked p) in
   let loop, track =
     match loop_sid with
@@ -132,7 +132,10 @@ let fused ?loop_sid (p : Ast.program) : Minic_interp.Fused_profile.t =
      else
        Flow_obs.Trace.with_span ~cat:"interp" "profile_cache.run" @@ fun () ->
        Flow_memo.Cache.find_or_compute cache
-         ~key:(Ast.digest ?loop p)
+         ~key:
+           (match (loop, digest) with
+           | None, Some d -> d
+           | _ -> Ast.digest ?loop p)
          ~on:(fun hit ->
            Flow_obs.Trace.add_args [ ("hit", Flow_obs.Attr.Bool hit) ])
          run)
@@ -184,12 +187,12 @@ let of_fused ?(func = "main") (fp : Minic_interp.Fused_profile.t) : t option =
 
 (** Detect the hotspot loop of [p]: one shared fused profiling run, then
     a pure projection.  Returns [None] when [func] contains no loop. *)
-let detect ?(func = "main") (p : Ast.program) : t option =
+let detect ?(func = "main") ?digest (p : Ast.program) : t option =
   Flow_obs.Trace.with_span ~cat:"analysis" "analysis.hotspot"
     ~args:[ ("function", Flow_obs.Attr.String func) ]
   @@ fun () ->
   Flow_obs.Metrics.incr Flow_obs.Metrics.global "analysis_hotspot";
-  let result = of_fused ~func (fused p) in
+  let result = of_fused ~func (fused ?digest p) in
   (match result with
   | Some h ->
       Flow_obs.Trace.add_args

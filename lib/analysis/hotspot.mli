@@ -48,13 +48,17 @@ val tracked : ?func:string -> Ast.program -> Minic_interp.Eval.track
 (** The fused profile of [p] that tracks loop [loop_sid]: the one shared
     run tracking {!tracked} when the loop is in that set (or no loop is
     given), else one more run tracking that loop alone.  The only entry
-    point that fills {!Minic_interp.Profile_cache}. *)
-val fused : ?loop_sid:int -> Ast.program -> Minic_interp.Fused_profile.t
+    point that fills {!Minic_interp.Profile_cache}.  [digest], when
+    given, must be [Ast.digest p]: a caller that has it saves the
+    walk. *)
+val fused :
+  ?loop_sid:int -> ?digest:Digest.t -> Ast.program -> Minic_interp.Fused_profile.t
 
 (** Project the hotspot loop out of a fused profile of the program;
     [None] when the function contains no loop. *)
 val of_fused : ?func:string -> Minic_interp.Fused_profile.t -> t option
 
 (** Detect the hotspot loop (one shared fused profiling run, then a pure
-    projection); [None] when the function contains no loop. *)
-val detect : ?func:string -> Ast.program -> t option
+    projection); [None] when the function contains no loop.  [digest]
+    is as for {!fused}. *)
+val detect : ?func:string -> ?digest:Digest.t -> Ast.program -> t option

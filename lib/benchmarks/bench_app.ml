@@ -20,10 +20,12 @@ let program (b : t) ~n = Psa.Stage_memo.parse (b.source ~n)
 (** Fresh PSA-flow context for this benchmark, wired for workload
     extrapolation. *)
 let context ?x_threshold ?budget (b : t) : Psa.Context.t =
+  let reference = Psa.Stage_memo.parsed (b.source ~n:b.profile_n) in
   Psa.Context.make ~benchmark:b.id ~profile_n:b.profile_n
     ~secondary:(b.secondary_n, program b ~n:b.secondary_n)
     ~eval_n:b.eval_n ?x_threshold ?budget
-    (program b ~n:b.profile_n)
+    ~digest:(Psa.Stage_memo.program_digest reference)
+    reference.program
 
 (** The reference program at profiling size (Table I's LOC baseline). *)
 let reference (b : t) = program b ~n:b.profile_n

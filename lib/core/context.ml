@@ -11,6 +11,9 @@ open Minic
 type t = {
   benchmark : string;
   reference : Ast.program;  (** the untouched input source *)
+  reference_digest : Digest.t;
+      (** {!Ast.digest} of [reference], computed once per flow: the key
+          of every program-keyed memo lookup on the reference *)
   program : Ast.program;  (** current working program *)
   (* workload scaling: the flow profiles at [profile_n]; [secondary]
      provides the same application at another size for power-law fitting;
@@ -76,12 +79,15 @@ let validate_sizes ~benchmark ~profile_n ~secondary ~eval_n =
   | _ -> ());
   !warnings
 
+(** [digest], when given, must be [Ast.digest reference]. *)
 let make ?(benchmark = "app") ?(profile_n = 0) ?secondary ?eval_n
-    ?(x_threshold = 2.0) ?budget (reference : Ast.program) : t =
+    ?(x_threshold = 2.0) ?budget ?digest (reference : Ast.program) : t =
   let warnings = validate_sizes ~benchmark ~profile_n ~secondary ~eval_n in
   {
     benchmark;
     reference;
+    reference_digest =
+      (match digest with Some d -> d | None -> Ast.digest reference);
     program = reference;
     profile_n;
     secondary;

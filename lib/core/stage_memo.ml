@@ -1,9 +1,10 @@
 (** Stage-level memoization of flow artifacts.
 
     Typed {!Flow_memo.Cache} instances for the target-independent
-    prefix of the flow: parsed ASTs per source digest, extracted
-    kernels per (program digest, hotspot loop id), reduction-annotated
-    kernels per (program digest, kernel name).  Wired through
+    prefix of the flow: parsed ASTs per source digest (each with its
+    typecheck verdict and, once a flow needs it, its program digest),
+    extracted kernels per (program digest, hotspot loop id),
+    reduction-annotated kernels per (program digest, kernel name).  Wired through
     {!Std_flow}'s repository tasks and the service resolver so daemon
     submissions that share a source — variant traffic differing only
     in workload, budget or strategy — share the derived ASTs instead
@@ -23,7 +24,8 @@
     statistics, "loop #N" log lines).  A hit walks the AST once and
     prints nothing.  Failures (parse errors, non-extractable hotspots)
     are never cached; error paths re-raise and recompute exactly as
-    without memoization.
+    without memoization.  A parsed entry records only that its program
+    typechecked: a type error is raised again by every {!typecheck}.
 
     All three caches follow the hierarchy-wide rules of {!Flow_memo}:
     disabled by [PSAFLOW_NO_MEMO], bounded by [PSAFLOW_MEMO_CAP],
@@ -31,24 +33,61 @@
     metrics registry as
     [memo_ast_*]/[memo_extract_*]/[memo_reduce_*]. *)
 
-let parse_cache : Minic.Ast.program Flow_memo.Cache.t =
+(** A memoized parse. *)
+type parsed = {
+  program : Minic.Ast.program;
+  digest : Digest.t option Atomic.t;
+      (** {!Minic.Ast.digest} of [program], once a flow has needed it *)
+  typed : bool Atomic.t;  (** [program] has passed the typechecker *)
+}
+
+let parse_cache : parsed Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"ast" ()
 
-(** Parse MiniC source, memoized per source digest. *)
-let parse (src : string) : Minic.Ast.program =
-  Flow_memo.Cache.find_or_compute parse_cache
-    ~key:("ast:" ^ Digest.to_hex (Digest.string src))
-    (fun () -> Minic.Parser.parse_program src)
+(** Parse MiniC source, memoized per source digest.  [digest], when
+    given, must be [Digest.string src]: a caller that keys other work by
+    it digests the source once. *)
+let parsed ?digest (src : string) : parsed =
+  let digest = match digest with Some d -> d | None -> Digest.string src in
+  Flow_memo.Cache.find_or_compute parse_cache ~key:("ast:" ^ digest)
+    (fun () ->
+      {
+        program = Minic.Parser.parse_program src;
+        digest = Atomic.make None;
+        typed = Atomic.make false;
+      })
+
+let parse src = (parsed src).program
+
+(** {!Minic.Ast.digest} of the parsed program, computed by the first
+    flow that asks (never on the submit path) and kept on the entry. *)
+let program_digest (p : parsed) =
+  match Atomic.get p.digest with
+  | Some d -> d
+  | None ->
+      let d = Minic.Ast.digest p.program in
+      Atomic.set p.digest (Some d);
+      d
+
+(** {!Minic.Typecheck.check_program} once per memoized parse: a success
+    is recorded on the entry, a [Type_error] is raised every time. *)
+let typecheck (p : parsed) =
+  if not (Atomic.get p.typed) then begin
+    Minic.Typecheck.check_program p.program;
+    Atomic.set p.typed true
+  end
 
 let extract_cache : Transforms.Extract.result Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"extract" ()
 
 (** {!Transforms.Extract.hotspot}, memoized per (program digest,
-    hotspot loop id). *)
-let extract (p : Minic.Ast.program) ~loop_sid : Transforms.Extract.result =
+    hotspot loop id).  [digest], when given, must be
+    [Minic.Ast.digest p]. *)
+let extract ?digest (p : Minic.Ast.program) ~loop_sid :
+    Transforms.Extract.result =
+  let digest = match digest with Some d -> d | None -> Minic.Ast.digest p in
   Flow_memo.Cache.find_or_compute extract_cache
-    ~key:
-      (Printf.sprintf "x:%s:%d" (Digest.to_hex (Minic.Ast.digest p)) loop_sid)
+    ~key:(Printf.sprintf "x:%s:%d" (Digest.to_hex digest) loop_sid)
     (fun () -> Transforms.Extract.hotspot p ~loop_sid)
 
 let reduce_cache : (Minic.Ast.program * int) Flow_memo.Cache.t =

@@ -32,17 +32,24 @@ exception Flow_error of string
     @raise Transforms.Extract.Not_extractable if [hotspot]'s loop is not
       a loop of this program *)
 let prepare_kernel ?hotspot (p : Minic.Ast.program) =
+  let digest = Minic.Ast.digest p in
   let h =
     match hotspot with
     | Some h -> h
     | None -> (
-        match Analysis.Hotspot.detect p with
+        match Analysis.Hotspot.detect ~digest p with
         | None -> raise (Flow_error "no hotspot loop found")
         | Some h -> h)
   in
-  let ex = Stage_memo.extract p ~loop_sid:h.loop_sid in
+  let ex = Stage_memo.extract ~digest p ~loop_sid:h.loop_sid in
   let program, _ = Stage_memo.reduce ex.program ~kernel:ex.kernel_name in
   (program, ex.kernel_name, h)
+
+(* The {!Minic.Ast.digest} of [p] when the context already has it:
+   [p] is its reference program, which every flow's hotspot detection,
+   extraction and feature analysis start from. *)
+let digest_of ctx p =
+  if p == ctx.reference then Some ctx.reference_digest else None
 
 let hotspot_exn ctx =
   match ctx.hotspot with
@@ -56,7 +63,9 @@ let features_hotspot ctx =
   match ctx.hotspot with
   | Some h -> h
   | None -> (
-      match Analysis.Hotspot.detect ctx.reference with
+      match
+        Analysis.Hotspot.detect ~digest:ctx.reference_digest ctx.reference
+      with
       | Some h -> h
       | None -> raise (Flow_error "no hotspot loop found"))
 
@@ -73,7 +82,8 @@ let ensure_features (ctx : Context.t) : Context.t =
       let kernel = kernel_exn ctx in
       let h = features_hotspot ctx in
       let features_of source p =
-        Analysis.Features.analyze ~source ~loop_sid:h.loop_sid p ~kernel
+        Analysis.Features.analyze ~source ?source_digest:(digest_of ctx source)
+          ~loop_sid:h.loop_sid p ~kernel
       in
       let f1, eval_features =
         match (ctx.secondary, ctx.eval_n) with
@@ -139,7 +149,10 @@ module Repository = struct
   let identify_hotspot =
     Task.make ~dynamic:true "Identify Hotspot Loops" Task.Analysis_task
       (fun ctx ->
-        match Analysis.Hotspot.detect ctx.program with
+        match
+          Analysis.Hotspot.detect ?digest:(digest_of ctx ctx.program)
+            ctx.program
+        with
         | None -> raise (Flow_error "no hotspot loop found")
         | Some h ->
             logf
@@ -150,7 +163,10 @@ module Repository = struct
   let extract_hotspot =
     Task.make "Hotspot Loop Extraction" Task.Transform (fun ctx ->
         let h = hotspot_exn ctx in
-        let ex = Stage_memo.extract ctx.program ~loop_sid:h.loop_sid in
+        let ex =
+          Stage_memo.extract ?digest:(digest_of ctx ctx.program) ctx.program
+            ~loop_sid:h.loop_sid
+        in
         logf
           { ctx with program = ex.program; kernel = Some ex.kernel_name }
           "extracted kernel %s(%s)" ex.kernel_name

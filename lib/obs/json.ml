@@ -24,37 +24,70 @@ exception Parse_error of string * int
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The C primitive behind [Printf]'s [%g]: [Printf.sprintf "%.15g" f]
+   is [format_float "%.15g" f] for every finite [f], without the
+   format interpretation. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest decimal form that round-trips, forced to contain '.' or an
    exponent so the value re-parses as a Float, not an Int. *)
 let float_repr f =
   if not (Float.is_finite f) then
     invalid_arg "Json: cannot encode nan/infinity";
   let s =
-    let s15 = Printf.sprintf "%.15g" f in
+    let s15 = format_float "%.15g" f in
     if float_of_string s15 = f then s15
     else
-      let s16 = Printf.sprintf "%.16g" f in
-      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+      let s16 = format_float "%.16g" f in
+      if float_of_string s16 = f then s16 else format_float "%.17g" f
   in
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
   else s ^ ".0"
 
+(* The bytes a JSON string cannot hold raw: quote, backslash and the
+   control characters.  A table lookup scans about twice as fast as a
+   match on the three ranges. *)
+let special =
+  String.init 256 (fun i ->
+      if i < 0x20 || i = Char.code '"' || i = Char.code '\\' then '\001'
+      else '\000')
+
+(* The end of the run of plain string bytes starting at [i]: the index
+   of the first special byte, or [stop].  Both the encoder and the
+   parser move through strings by these runs. *)
+let rec run_end s i stop =
+  if
+    i >= stop
+    || String.unsafe_get special (Char.code (String.unsafe_get s i)) <> '\000'
+  then i
+  else run_end s (i + 1) stop
+
+let hex_digits = "0123456789abcdef"
+
+let escape_char buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | '\012' -> Buffer.add_string buf "\\f"
+  | c ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+      Buffer.add_char buf hex_digits.[Char.code c land 15]
+
+(* Escape-free runs go in with one [add_substring] each. *)
 let escape_into buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let rec go i =
+    let j = run_end s i (String.length s) in
+    Buffer.add_substring buf s i (j - i);
+    if j < String.length s then (
+      escape_char buf (String.unsafe_get s j);
+      go (j + 1))
+  in
+  go 0;
   Buffer.add_char buf '"'
 
 let rec encode buf = function
@@ -127,38 +160,44 @@ let to_string_pretty v =
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type cursor = { src : string; mutable pos : int }
+(* The document is [src] up to [stop]; [scratch] collects the strings
+   that hold escapes. *)
+type cursor = {
+  src : string;
+  stop : int;
+  scratch : Buffer.t option;
+  mutable pos : int;
+}
 
 let fail c msg = raise (Parse_error (msg, c.pos))
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+
+(* The character at the cursor, or '\000' at end of input: a caller
+   that accepts '\000' checks [at_end] first. *)
+let at_end c = c.pos >= c.stop
+let cur c = if at_end c then '\000' else String.unsafe_get c.src c.pos
 
 let skip_ws c =
   while
-    c.pos < String.length c.src
+    c.pos < c.stop
     && match c.src.[c.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
   do
     c.pos <- c.pos + 1
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> c.pos <- c.pos + 1
-  | _ -> fail c (Printf.sprintf "expected %C" ch)
+  if cur c = ch then c.pos <- c.pos + 1
+  else fail c (Printf.sprintf "expected %C" ch)
 
 let literal c word v =
   let n = String.length word in
-  if
-    c.pos + n <= String.length c.src
-    && String.sub c.src c.pos n = word
-  then (
+  if c.pos + n <= c.stop && String.sub c.src c.pos n = word then (
     c.pos <- c.pos + n;
     v)
   else fail c (Printf.sprintf "invalid literal (expected %s)" word)
 
-(* A \uXXXX escape, encoded into the buffer as UTF-8; surrogate pairs are
-   combined when both halves are present. *)
+(* A \uXXXX escape's code unit. *)
 let parse_hex4 c =
-  if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
+  if c.pos + 4 > c.stop then fail c "truncated \\u escape";
   let s = String.sub c.src c.pos 4 in
   match int_of_string_opt ("0x" ^ s) with
   | Some n ->
@@ -181,55 +220,76 @@ let add_utf8 buf cp =
     Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F))))
 
+(* One escape sequence, the cursor just past its backslash. *)
+let parse_escape c buf =
+  if at_end c then fail c "unterminated escape";
+  let e = cur c in
+  c.pos <- c.pos + 1;
+  match e with
+  | '"' -> Buffer.add_char buf '"'
+  | '\\' -> Buffer.add_char buf '\\'
+  | '/' -> Buffer.add_char buf '/'
+  | 'n' -> Buffer.add_char buf '\n'
+  | 'r' -> Buffer.add_char buf '\r'
+  | 't' -> Buffer.add_char buf '\t'
+  | 'b' -> Buffer.add_char buf '\b'
+  | 'f' -> Buffer.add_char buf '\012'
+  | 'u' ->
+      (* surrogate pairs are combined when both halves are present *)
+      let hi = parse_hex4 c in
+      if
+        hi >= 0xD800 && hi <= 0xDBFF
+        && c.pos + 1 < c.stop
+        && c.src.[c.pos] = '\\'
+        && c.src.[c.pos + 1] = 'u'
+      then (
+        c.pos <- c.pos + 2;
+        let lo = parse_hex4 c in
+        if lo >= 0xDC00 && lo <= 0xDFFF then
+          add_utf8 buf (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+        else (
+          add_utf8 buf hi;
+          add_utf8 buf lo))
+      else add_utf8 buf hi
+  | _ -> fail c "invalid escape character"
+
+(* Strings are scanned by runs: an escape-free string is one
+   [String.sub]; otherwise the runs between escapes are blitted into a
+   buffer, the caller's scratch buffer when it lends one. *)
 let parse_string c =
   expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> c.pos <- c.pos + 1
-    | Some '\\' -> (
-        c.pos <- c.pos + 1;
-        match peek c with
-        | None -> fail c "unterminated escape"
-        | Some e ->
-            c.pos <- c.pos + 1;
-            (match e with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'u' ->
-                let hi = parse_hex4 c in
-                if
-                  hi >= 0xD800 && hi <= 0xDBFF
-                  && c.pos + 1 < String.length c.src
-                  && c.src.[c.pos] = '\\'
-                  && c.src.[c.pos + 1] = 'u'
-                then (
-                  c.pos <- c.pos + 2;
-                  let lo = parse_hex4 c in
-                  if lo >= 0xDC00 && lo <= 0xDFFF then
-                    add_utf8 buf
-                      (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
-                  else (
-                    add_utf8 buf hi;
-                    add_utf8 buf lo))
-                else add_utf8 buf hi
-            | _ -> fail c "invalid escape character");
-            go ())
-    | Some ch when Char.code ch < 0x20 -> fail c "raw control char in string"
-    | Some ch ->
-        Buffer.add_char buf ch;
-        c.pos <- c.pos + 1;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
+  let s = c.src in
+  let start = c.pos in
+  let stop = run_end s start c.stop in
+  if stop < c.stop && String.unsafe_get s stop = '"' then (
+    c.pos <- stop + 1;
+    String.sub s start (stop - start))
+  else begin
+    let buf =
+      match c.scratch with
+      | Some b ->
+          Buffer.clear b;
+          b
+      | None -> Buffer.create (stop - start + 16)
+    in
+    Buffer.add_substring buf s start (stop - start);
+    c.pos <- stop;
+    let rec go () =
+      if at_end c then fail c "unterminated string";
+      match cur c with
+      | '"' -> c.pos <- c.pos + 1
+      | '\\' ->
+          c.pos <- c.pos + 1;
+          parse_escape c buf;
+          let stop = run_end s c.pos c.stop in
+          Buffer.add_substring buf s c.pos (stop - c.pos);
+          c.pos <- stop;
+          go ()
+      | _ -> fail c "raw control char in string"
+    in
+    go ();
+    Buffer.contents buf
+  end
 
 let parse_number c =
   let start = c.pos in
@@ -238,9 +298,7 @@ let parse_number c =
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
     | _ -> false
   in
-  while
-    c.pos < String.length c.src && is_num_char c.src.[c.pos]
-  do
+  while c.pos < c.stop && is_num_char c.src.[c.pos] do
     c.pos <- c.pos + 1
   done;
   let s = String.sub c.src start (c.pos - start) in
@@ -262,12 +320,12 @@ let parse_number c =
 
 let rec parse_value c =
   skip_ws c;
-  match peek c with
-  | None -> fail c "unexpected end of input"
-  | Some '{' ->
+  if at_end c then fail c "unexpected end of input";
+  match cur c with
+  | '{' ->
       c.pos <- c.pos + 1;
       skip_ws c;
-      if peek c = Some '}' then (
+      if cur c = '}' then (
         c.pos <- c.pos + 1;
         Obj [])
       else
@@ -278,52 +336,59 @@ let rec parse_value c =
           expect c ':';
           let v = parse_value c in
           skip_ws c;
-          match peek c with
-          | Some ',' ->
+          match cur c with
+          | ',' ->
               c.pos <- c.pos + 1;
               fields ((k, v) :: acc)
-          | Some '}' ->
+          | '}' ->
               c.pos <- c.pos + 1;
               Obj (List.rev ((k, v) :: acc))
           | _ -> fail c "expected ',' or '}'"
         in
         fields []
-  | Some '[' ->
+  | '[' ->
       c.pos <- c.pos + 1;
       skip_ws c;
-      if peek c = Some ']' then (
+      if cur c = ']' then (
         c.pos <- c.pos + 1;
         List [])
       else
         let rec elems acc =
           let v = parse_value c in
           skip_ws c;
-          match peek c with
-          | Some ',' ->
+          match cur c with
+          | ',' ->
               c.pos <- c.pos + 1;
               elems (v :: acc)
-          | Some ']' ->
+          | ']' ->
               c.pos <- c.pos + 1;
               List (List.rev (v :: acc))
           | _ -> fail c "expected ',' or ']'"
         in
         elems []
-  | Some '"' -> String (parse_string c)
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c (Printf.sprintf "unexpected character %C" ch)
+  | '"' -> String (parse_string c)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c (Printf.sprintf "unexpected character %C" ch)
 
-let parse s =
-  let c = { src = s; pos = 0 } in
+(** Parse the document [s], or its first [len] bytes: a caller reading
+    frames into a reused buffer parses them in place (no decoded value
+    shares [s] or [scratch]; strings are copied out).  A string with
+    escapes is decoded in [scratch] when given, so a long one costs one
+    allocation, its own. *)
+let parse ?len ?scratch s =
+  let stop = match len with Some n -> n | None -> String.length s in
+  if stop < 0 || stop > String.length s then invalid_arg "Json.parse";
+  let c = { src = s; stop; scratch; pos = 0 } in
   let v = parse_value c in
   skip_ws c;
-  if c.pos <> String.length s then fail c "trailing garbage after document";
+  if c.pos <> stop then fail c "trailing garbage after document";
   v
 
-let parse_result s =
-  match parse s with
+let parse_result ?len ?scratch s =
+  match parse ?len ?scratch s with
   | v -> Ok v
   | exception Parse_error (msg, pos) ->
       Error (Printf.sprintf "offset %d: %s" pos msg)

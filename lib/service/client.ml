@@ -9,7 +9,7 @@
     string — so callers can distinguish "slow daemon" from "daemon said
     no".  Unset means the historical fully-blocking behaviour. *)
 
-type conn = { fd : Unix.file_descr }
+type conn = Protocol.conn
 
 exception Client_error of string
 
@@ -65,7 +65,7 @@ let connect ?timeout_ms (addr : Protocol.addr) : conn =
   | Protocol_failure _ as pf ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise pf);
-  { fd }
+  Protocol.conn fd
 
 let close (c : conn) = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
@@ -75,8 +75,8 @@ let with_conn ?timeout_ms addr f =
 
 (** One request/response exchange on an open connection. *)
 let request (c : conn) (req : Protocol.request) : Protocol.response =
-  Protocol.write_request c.fd req;
-  match Protocol.read_response c.fd with
+  Protocol.write_request c req;
+  match Protocol.read_response c with
   | None -> fail "server closed the connection"
   | Some (Error e) -> fail "cannot decode response: %s" (Protocol.error_message e)
   | Some (Ok resp) -> resp

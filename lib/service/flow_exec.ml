@@ -118,12 +118,18 @@ let run_outcome (s : Protocol.submission) (ctx : Psa.Context.t) =
 (** Resolve a submission.  Benchmark lookup and inline MiniC
     parsing/typechecking happen here so the errors surface immediately
     as typed responses; the returned [run] thunk only re-executes work
-    already known to succeed up to flow level. *)
+    already known to succeed up to flow level.
+
+    An inline source is digested once: the digest keys the AST memo
+    lookup here, the store key, and the job's own AST lookup when it
+    starts.  Its typecheck runs once per memoized parse (the verdict
+    rides the AST entry), so a repeat costs the digest, one memo lookup
+    and the store key. *)
 let resolve (s : Protocol.submission) : (resolved, Protocol.error_kind) result =
-  let make ~label ~source ~workload (mk_ctx : unit -> Psa.Context.t) =
+  let make ~label ~source_digest ~workload (mk_ctx : unit -> Psa.Context.t) =
     let workload = if s.trace then workload ^ ";trace" else workload in
     let key =
-      Store.key ~source
+      Store.key ~source_digest
         ~mode:(Protocol.mode_to_string s.mode)
         ~strategy:(Protocol.strategy_to_string s.strategy)
         ~x_threshold:s.x_threshold ~budget:s.budget ~workload
@@ -174,7 +180,7 @@ let resolve (s : Protocol.submission) : (resolved, Protocol.error_kind) result =
       | app ->
           Ok
             (make ~label:id
-               ~source:(app.source ~n:app.profile_n)
+               ~source_digest:(Digest.string (app.source ~n:app.profile_n))
                ~workload:
                  (Printf.sprintf "bench;profile=%d;secondary=%d;eval=%d"
                     app.profile_n app.secondary_n app.eval_n)
@@ -185,25 +191,23 @@ let resolve (s : Protocol.submission) : (resolved, Protocol.error_kind) result =
   | Protocol.Inline src -> (
       (* validation and context construction share one memoized parse,
          so a variant submission of the same source skips re-parsing *)
-      match Psa.Stage_memo.parse src with
+      let digest = Digest.string src in
+      let located m loc = Format.asprintf "%s at %a" m Minic.Loc.pp_short loc in
+      match Psa.Stage_memo.parsed ~digest src with
       | exception Minic.Lexer.Lex_error (m, loc) ->
-          Error
-            (Protocol.Minic_parse_error
-               (Format.asprintf "%s at %a" m Minic.Loc.pp_short loc))
+          Error (Protocol.Minic_parse_error (located m loc))
       | exception Minic.Parser.Parse_error (m, loc) ->
-          Error
-            (Protocol.Minic_parse_error
-               (Format.asprintf "%s at %a" m Minic.Loc.pp_short loc))
-      | program -> (
-          match Minic.Typecheck.check_program program with
+          Error (Protocol.Minic_parse_error (located m loc))
+      | parsed -> (
+          match Psa.Stage_memo.typecheck parsed with
           | exception Minic.Typecheck.Type_error (m, loc) ->
-              Error
-                (Protocol.Minic_type_error
-                   (Format.asprintf "%s at %a" m Minic.Loc.pp_short loc))
+              Error (Protocol.Minic_type_error (located m loc))
           | () ->
               Ok
-                (make ~label:"inline" ~source:src ~workload:"inline"
+                (make ~label:"inline" ~source_digest:digest ~workload:"inline"
                    (fun () ->
+                     let p = Psa.Stage_memo.parsed ~digest src in
                      Psa.Context.make ~benchmark:"inline"
                        ~x_threshold:s.x_threshold ?budget:s.budget
-                       (Psa.Stage_memo.parse src)))))
+                       ~digest:(Psa.Stage_memo.program_digest p)
+                       p.program))))

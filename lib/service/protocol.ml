@@ -1,7 +1,7 @@
 (** Wire protocol of the flow service.
 
     Messages are length-prefixed JSON: a 4-byte big-endian payload length
-    followed by one JSON document encoded with {!Json.to_string}.  Both
+    followed by one JSON document in {!Json.to_string}'s encoding.  Both
     directions carry a protocol version field ["v"]; a server answering a
     request of an unknown version replies with a [Bad_version] error
     instead of guessing.
@@ -707,8 +707,6 @@ let unframe ?(pos = 0) (s : string) : (string * int) option =
     else if pos + 4 + n > len then raise (Frame_error Truncated)
     else Some (String.sub s (pos + 4) n, pos + 4 + n)
 
-(* --- channel I/O (used by both the server and the blocking client) --- *)
-
 let really_read fd buf off len =
   let rec go off len =
     if len > 0 then
@@ -717,50 +715,83 @@ let really_read fd buf off len =
   in
   go off len
 
-(** Read one frame from [fd]; [None] on a clean EOF at a frame boundary.
-    @raise Frame_error on truncation or oversized declarations. *)
-let read_frame fd : string option =
-  let hdr = Bytes.create 4 in
-  match Unix.read fd hdr 0 4 with
+let write_all fd b len =
+  let rec go off =
+    if off < len then go (off + Unix.write fd b off (len - off))
+  in
+  go 0
+
+(* --- connections (the server's and the blocking client's I/O) --- *)
+
+(** One end of a connection.  Frames are encoded into [out], with the
+    4-byte header slot reserved up front, and pass through [io] in both
+    directions; a received frame is parsed in place, with [out] as the
+    scratch for strings that hold escapes.  Once the two buffers have
+    grown to the connection's largest frame, a frame costs one blit and
+    no heap allocation beyond the values decoded from it. *)
+type conn = { fd : Unix.file_descr; out : Buffer.t; mutable io : Bytes.t }
+
+let conn fd = { fd; out = Buffer.create 1024; io = Bytes.create 1024 }
+
+(* Buffers past this size go back to their initial size after use, so
+   one huge frame does not pin its memory for the connection's life. *)
+let keep_bytes = 1 lsl 20
+
+let reserve c n =
+  if Bytes.length c.io < n then
+    c.io <- Bytes.create (max n (2 * Bytes.length c.io))
+
+let shrink c =
+  if Bytes.length c.io > keep_bytes then c.io <- Bytes.create 1024;
+  if Buffer.length c.out > keep_bytes then Buffer.reset c.out
+
+(** Send [j] as one frame.  @raise Frame_error if the payload is
+    oversized, before anything is written. *)
+let send c j =
+  let b = c.out in
+  Buffer.clear b;
+  Buffer.add_string b "\000\000\000\000";
+  Json.encode b j;
+  let n = Buffer.length b - 4 in
+  if n > max_frame_bytes then (
+    Buffer.reset b;
+    raise (Frame_error (Oversized n)));
+  reserve c (n + 4);
+  Buffer.blit b 0 c.io 0 (n + 4);
+  Bytes.set_int32_be c.io 0 (Int32.of_int n);
+  Fun.protect ~finally:(fun () -> shrink c) @@ fun () ->
+  write_all c.fd c.io (n + 4)
+
+(** Receive one frame and parse it in place; [None] on a clean EOF at a
+    frame boundary.  @raise Frame_error on truncation or an oversized
+    declaration. *)
+let recv c : (Json.t, string) result option =
+  match Unix.read c.fd c.io 0 4 with
   | 0 -> None
   | n ->
-      if n < 4 then really_read fd hdr n (4 - n);
-      let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
+      if n < 4 then really_read c.fd c.io n (4 - n);
+      let len = Int32.to_int (Bytes.get_int32_be c.io 0) in
       if len < 0 || len > max_frame_bytes then
         raise (Frame_error (Oversized len));
-      let body = Bytes.create len in
-      really_read fd body 0 len;
-      Some (Bytes.unsafe_to_string body)
-
-let write_frame fd payload =
-  let data = frame payload in
-  let b = Bytes.unsafe_of_string data in
-  let rec go off len =
-    if len > 0 then
-      let n = Unix.write fd b off len in
-      go (off + n) (len - n)
-  in
-  go 0 (Bytes.length b)
+      reserve c len;
+      Fun.protect ~finally:(fun () -> shrink c) @@ fun () ->
+      really_read c.fd c.io 0 len;
+      Some
+        (Json.parse_result ~len ~scratch:c.out (Bytes.unsafe_to_string c.io))
 
 (* --- top-level helpers --- *)
 
-let write_request fd r = write_frame fd (Json.to_string (request_to_json r))
-let write_response fd r = write_frame fd (Json.to_string (response_to_json r))
+let write_request c r = send c (request_to_json r)
+let write_response c r = send c (response_to_json r)
 
-let read_request fd : (request, error_kind) result option =
-  match read_frame fd with
+let decode of_json = function
   | None -> None
-  | Some payload ->
-      Some
-        (match Json.parse_result payload with
-        | Error e -> Error (Bad_request ("invalid JSON: " ^ e))
-        | Ok j -> request_of_json j)
+  | Some (Stdlib.Error e) ->
+      Some (Stdlib.Error (Bad_request ("invalid JSON: " ^ e)))
+  | Some (Stdlib.Ok j) -> Some (of_json j)
 
-let read_response fd : (response, error_kind) result option =
-  match read_frame fd with
-  | None -> None
-  | Some payload ->
-      Some
-        (match Json.parse_result payload with
-        | Error e -> Error (Bad_request ("invalid JSON: " ^ e))
-        | Ok j -> response_of_json j)
+let read_request c : (request, error_kind) result option =
+  decode request_of_json (recv c)
+
+let read_response c : (response, error_kind) result option =
+  decode response_of_json (recv c)

@@ -87,8 +87,9 @@ let default_workers () =
     ~default:(max 2 (min 8 (Domain.recommended_domain_count ())))
     ~min:1 ()
 
-(** Finished jobs kept fetchable: 16 full batches. *)
-let max_finished = 16 * Protocol.max_batch_jobs
+(** Finished jobs kept fetchable: 4 full batches.  Each one pins its
+    result, so this bound is most of the daemon's retained memory. *)
+let max_finished = 4 * Protocol.max_batch_jobs
 
 let with_lock t f =
   Mutex.lock t.lock;

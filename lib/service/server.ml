@@ -178,17 +178,18 @@ let handle_request t (req : Protocol.request) : Protocol.response =
   resp
 
 let handle_connection t fd =
+  let c = Protocol.conn fd in
   let rec loop () =
-    match Protocol.read_request fd with
+    match Protocol.read_request c with
     | None -> ()
     | Some (Error e) ->
         Metrics.incr t.metrics "requests_total";
         Metrics.incr t.metrics "requests_malformed";
-        Protocol.write_response fd (Protocol.Error e);
+        Protocol.write_response c (Protocol.Error e);
         loop ()
     | Some (Ok req) ->
         let resp = handle_request t req in
-        Protocol.write_response fd resp;
+        Protocol.write_response c resp;
         if req = Protocol.Shutdown then begin_shutdown t else loop ()
   in
   (* the slot and the socket are released whatever the handler raises *)
@@ -205,7 +206,7 @@ let handle_connection t fd =
   | Protocol.Frame_error fe -> (
       Metrics.incr t.metrics "requests_malformed";
       try
-        Protocol.write_response fd
+        Protocol.write_response c
           (Protocol.Error
              (Protocol.Bad_request (Protocol.frame_error_message fe)))
       with _ -> ())
@@ -216,9 +217,10 @@ let handle_connection t fd =
 let reject_connection t fd =
   Metrics.incr t.metrics "connections_rejected";
   (try
-     match Protocol.read_request fd with
+     let c = Protocol.conn fd in
+     match Protocol.read_request c with
      | None -> ()
-     | Some _ -> Protocol.write_response fd (Protocol.Error Protocol.Server_busy)
+     | Some _ -> Protocol.write_response c (Protocol.Error Protocol.Server_busy)
    with Protocol.Frame_error _ | Unix.Unix_error _ | Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 

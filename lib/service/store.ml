@@ -30,22 +30,23 @@ let create ?shards ~capacity () : 'a t =
 let find = Flow_memo.Cache.find
 let add = Flow_memo.Cache.add
 
-(** Digest of the determining inputs of one flow execution.  [source] is
-    the full MiniC text (content, not benchmark name); [workload]
-    canonicalises the profile/secondary/eval sizes. *)
-let key ~source ~mode ~strategy ~x_threshold ~budget ~workload =
-  let buf = Buffer.create (String.length source + 64) in
-  Buffer.add_string buf source;
-  Buffer.add_char buf '\000';
+(** Digest of the determining inputs of one flow execution.
+    [source_digest] is [Digest.string] of the full MiniC text (content,
+    not benchmark name), which the resolver computes once per
+    submission; floats enter as their raw bits; [workload] canonicalises
+    the profile/secondary/eval sizes. *)
+let key ~source_digest ~mode ~strategy ~x_threshold ~budget ~workload =
+  let buf = Buffer.create 96 in
+  Buffer.add_string buf source_digest;
   Buffer.add_string buf mode;
   Buffer.add_char buf '\000';
   Buffer.add_string buf strategy;
   Buffer.add_char buf '\000';
-  Buffer.add_string buf (Printf.sprintf "%.17g" x_threshold);
-  Buffer.add_char buf '\000';
+  Buffer.add_int64_le buf (Int64.bits_of_float x_threshold);
   (match budget with
-  | Some b -> Buffer.add_string buf (Printf.sprintf "%.17g" b)
-  | None -> Buffer.add_string buf "-");
-  Buffer.add_char buf '\000';
+  | Some b ->
+      Buffer.add_char buf '+';
+      Buffer.add_int64_le buf (Int64.bits_of_float b)
+  | None -> Buffer.add_char buf '-');
   Buffer.add_string buf workload;
   Digest.to_hex (Digest.string (Buffer.contents buf))

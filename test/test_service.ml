@@ -486,19 +486,80 @@ let test_framing_errors () =
 
 let test_framing_fd () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Protocol.write_frame a "over the wire";
-  Protocol.write_frame a "";
-  check "fd frame 1" true (Protocol.read_frame b = Some "over the wire");
-  check "fd frame 2" true (Protocol.read_frame b = Some "");
+  let ca = Protocol.conn a and cb = Protocol.conn b in
+  let write_raw s = ignore (Unix.write_substring a s 0 (String.length s)) in
+  Protocol.send ca (Json.String "over the wire");
+  Protocol.send ca (Json.Obj []);
+  check "fd frame 1" true
+    (Protocol.recv cb = Some (Ok (Json.String "over the wire")));
+  check "fd frame 2" true (Protocol.recv cb = Some (Ok (Json.Obj [])));
+  (* [frame]'s wire form is what [recv] reads; a payload that is not
+     JSON is a typed decode error, not an exception *)
+  write_raw (Protocol.frame "[1,2]");
+  check "framed by [frame]" true
+    (Protocol.recv cb = Some (Ok (Json.List [ Json.Int 1; Json.Int 2 ])));
+  write_raw (Protocol.frame "{oops");
+  check "bad payload" true
+    (match Protocol.recv cb with Some (Error _) -> true | _ -> false);
   (* a truncated write: header promising 100 bytes, then EOF *)
   let hdr = Bytes.create 4 in
   Bytes.set_int32_be hdr 0 100l;
   ignore (Unix.write a hdr 0 4);
   Unix.close a;
   check "fd truncation detected" true
-    (match Protocol.read_frame b with
+    (match Protocol.recv cb with
     | exception Protocol.Frame_error Protocol.Truncated -> true
     | _ -> false);
+  Unix.close b
+
+(* Frames through per-connection buffers: a large frame grows them and
+   a later small one still decodes exactly; an oversized payload is
+   refused before a byte is written; a frame past the buffers' keep size
+   round-trips too. *)
+let test_conn_frames () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ca = Protocol.conn a and cb = Protocol.conn b in
+  (* the writer runs on its own thread: a frame larger than the socket
+     buffer blocks until the reader drains it *)
+  let through write read x =
+    let w = Thread.create (fun () -> write x) () in
+    let got = read () in
+    Thread.join w;
+    got = Some (Ok x)
+  in
+  let roundtrip_request r =
+    check "request through conn" true
+      (through (Protocol.write_request ca) (fun () -> Protocol.read_request cb) r)
+  in
+  let roundtrip_response r =
+    check "response through conn" true
+      (through (Protocol.write_response cb)
+         (fun () -> Protocol.read_response ca)
+         r)
+  in
+  let big_src = String.concat "\n" (List.init 2000 (fun i -> Printf.sprintf "x%d = \"%d\";" i i)) in
+  List.iter roundtrip_request
+    (sample_requests
+    @ [
+        Protocol.Submit_flow (Protocol.submission (Protocol.Inline big_src));
+        Protocol.Job_status 1;
+      ]);
+  List.iter roundtrip_response sample_responses;
+  (* a frame beyond the keep size (1 MiB): buffers shrink afterwards *)
+  let huge = String.make (1 lsl 21) 'h' ^ "\n\"" in
+  roundtrip_response (Protocol.Metrics_data (Json.String huge));
+  roundtrip_request Protocol.Metrics;
+  check "oversized payload refused on send" true
+    (match
+       Protocol.send ca
+         (Json.String (String.make (Protocol.max_frame_bytes + 1) 'a'))
+     with
+    | exception Protocol.Frame_error (Protocol.Oversized _) -> true
+    | _ -> false);
+  (* nothing of the refused frame reached the peer *)
+  Unix.close a;
+  check "nothing written before the size check" true
+    (Protocol.read_request cb = None);
   Unix.close b
 
 (* ------------------------------------------------------------------ *)
@@ -508,7 +569,8 @@ let test_framing_fd () =
 let test_store_dedup_key () =
   let k ?(source = "int main() { return 0; }") ?(mode = "informed")
       ?(strategy = "fig3") ?(x = 2.0) ?budget ?(workload = "inline") () =
-    Store.key ~source ~mode ~strategy ~x_threshold:x ~budget ~workload
+    Store.key ~source_digest:(Digest.string source) ~mode ~strategy
+      ~x_threshold:x ~budget ~workload
   in
   check "same inputs same key" true (k () = k ());
   check "source changes key" true (k () <> k ~source:"int main() { return 1; }" ());
@@ -2017,21 +2079,31 @@ let test_fuzz_sources () =
   fuzz ~seed:7 ~count:2_000 ~tokens corpus (fun src ->
       ignore (Flow_exec.resolve (Protocol.submission (Protocol.Inline src))))
 
+let frame_corpus () =
+  Array.of_list
+    (List.map
+       (fun r -> Protocol.frame (Json.to_string (Protocol.request_to_json r)))
+       sample_requests
+    @ List.map
+        (fun r -> Protocol.frame (Json.to_string (Protocol.response_to_json r)))
+        sample_responses)
+
+let frame_tokens =
+  [| "{"; "}"; "["; "]"; "\""; "\\u"; "\\ud800"; ":"; ","; "1e999";
+     "-"; "null"; "true"; "\"v\":"; "\"type\":"; "\xff\xff\xff\xff" |]
+
+(* The payload of a mutated frame, if its header frames one, and its
+   bytes past the header whatever the header says. *)
+let frame_payloads bytes =
+  (match Protocol.unframe bytes with
+  | Some (payload, _) -> [ payload ]
+  | None | (exception Protocol.Frame_error _) -> [])
+  @
+  if String.length bytes > 4 then
+    [ String.sub bytes 4 (String.length bytes - 4) ]
+  else []
+
 let test_fuzz_frames () =
-  let corpus =
-    Array.of_list
-      (List.map
-         (fun r -> Protocol.frame (Json.to_string (Protocol.request_to_json r)))
-         sample_requests
-      @ List.map
-          (fun r ->
-            Protocol.frame (Json.to_string (Protocol.response_to_json r)))
-          sample_responses)
-  in
-  let tokens =
-    [| "{"; "}"; "["; "]"; "\""; "\\u"; "\\ud800"; ":"; ","; "1e999";
-       "-"; "null"; "true"; "\"v\":"; "\"type\":"; "\xff\xff\xff\xff" |]
-  in
   let decode payload =
     match Json.parse_result payload with
     | Error _ -> ()
@@ -2039,13 +2111,260 @@ let test_fuzz_frames () =
         ignore (Protocol.request_of_json j);
         ignore (Protocol.response_of_json j)
   in
-  fuzz ~seed:11 ~count:20_000 ~tokens corpus (fun bytes ->
-      (match Protocol.unframe bytes with
-      | Some (payload, _) -> decode payload
-      | None | (exception Protocol.Frame_error _) -> ());
-      (* the payload bytes alone, whatever the header says *)
-      if String.length bytes > 4 then
-        decode (String.sub bytes 4 (String.length bytes - 4)))
+  fuzz ~seed:11 ~count:20_000 ~tokens:frame_tokens (frame_corpus ())
+    (fun bytes -> List.iter decode (frame_payloads bytes))
+
+(* ------------------------------------------------------------------ *)
+(* Json: the codec against its character-at-a-time oracle             *)
+(* ------------------------------------------------------------------ *)
+
+(* A parse as the differential tests compare it: the value, or the
+   error message and offset (any other exception by its name). *)
+let parse_outcome parse s =
+  match parse s with
+  | v -> Ok v
+  | exception Json.Parse_error (m, o) -> Error (Printf.sprintf "%d: %s" o m)
+  | exception e -> Error ("raised " ^ Printexc.to_string e)
+
+let same_parse s =
+  match (parse_outcome Json.parse s, parse_outcome Json_oracle.parse s) with
+  | Ok a, Ok b when Json.equal a b -> ()
+  | Error a, Error b when String.equal a b -> ()
+  | got, want ->
+      let show = function
+        | Ok v -> Json_oracle.to_string v
+        | Error e -> "error " ^ e
+      in
+      Alcotest.failf "parse %S: got %s, oracle %s" s (show got) (show want)
+
+let same_encoding v =
+  check_str "compact bytes" (Json_oracle.to_string v) (Json.to_string v);
+  check_str "pretty bytes" (Json_oracle.to_string_pretty v)
+    (Json.to_string_pretty v)
+
+(* Both encodings, and prefixes of the compact one (each a truncated
+   document with its own error offset): all of them for a short
+   document, every 37th and the last 40 for a long one. *)
+let same_codec v =
+  same_encoding v;
+  let s = Json.to_string v in
+  let len = String.length s in
+  same_parse (Json.to_string_pretty v);
+  for n = 0 to len do
+    if len <= 400 || n mod 37 = 0 || n > len - 40 then
+      same_parse (String.sub s 0 n)
+  done
+
+let codec_matches_oracle =
+  Helpers.qtest ~count:500 "codec = oracle on generated values" arb_json
+    (fun v ->
+      same_codec v;
+      true)
+
+let test_codec_protocol_frames () =
+  let rand = Random.State.make [| 26 |] in
+  let batches =
+    List.init 100 (fun _ ->
+        Protocol.Submit_batch
+          (QCheck.Gen.generate1 ~rand
+             QCheck.Gen.(list_size (int_range 1 20) gen_submission)))
+  in
+  let fetches =
+    List.init 50 (fun _ ->
+        Protocol.Fetch_batch
+          (QCheck.Gen.generate1 ~rand
+             QCheck.Gen.(list_size (int_range 1 50) (int_range 1 10_000))))
+  in
+  List.iter
+    (fun r -> same_codec (Protocol.request_to_json r))
+    (sample_requests @ batches @ fetches);
+  List.iter (fun r -> same_codec (Protocol.response_to_json r)) sample_responses;
+  (* in place: a document's prefix of a longer buffer, escaped strings
+     decoded in a lent scratch buffer *)
+  let scratch = Buffer.create 16 in
+  List.iter
+    (fun r ->
+      let s = Json.to_string (Protocol.response_to_json r) in
+      List.iter
+        (fun n ->
+          let want = parse_outcome Json_oracle.parse (String.sub s 0 n) in
+          let got =
+            parse_outcome (Json.parse ~len:n ~scratch) (s ^ "\"\\u00 trailing")
+          in
+          check "parse ~len ~scratch = oracle on the prefix" true
+            (match (got, want) with
+            | Ok a, Ok b -> Json.equal a b
+            | Error a, Error b -> a = b
+            | _ -> false))
+        [ String.length s; String.length s / 2; 0 ])
+    sample_responses;
+  (* a submit frame as the daemon sees it: a benchmark-sized source *)
+  List.iter
+    (fun (app : Benchmarks.Bench_app.t) ->
+      same_codec
+        (Protocol.request_to_json
+           (Protocol.Submit_flow
+              (Protocol.submission
+                 (Protocol.Inline (app.source ~n:app.profile_n))))))
+    Benchmarks.Registry.all
+
+let test_codec_fuzzed_frames () =
+  fuzz ~seed:11 ~count:20_000 ~tokens:frame_tokens (frame_corpus ())
+    (fun bytes -> List.iter same_parse (bytes :: frame_payloads bytes))
+
+let test_codec_edge_cases () =
+  List.iter same_parse
+    [ ""; " "; "\""; "\"\""; "\"abc"; "\"abc\\"; "\"abc\\\""; "\"abc\\\"\"";
+      "\"\\\\\""; "\"\\\\"; "\"a\\nb\\tc\\r\\b\\f\\/\""; "\"\\q\"";
+      "\"\\u\""; "\"\\u0\""; "\"\\u00\""; "\"\\u004\""; "\"\\u0041\"";
+      "\"\\u00e9\""; "\"\\u20AC\""; "\"\\ud83d\\ude00\"";
+      "\"\\uD83D\\uDE00\""; "\"\\ud83d\""; "\"\\ud83d\\\""; "\"\\ud83d\\u\"";
+      "\"\\ud83d\\ude0\""; "\"\\ud83d\\ud83d\""; "\"\\ud83dx\"";
+      "\"\\ude00\""; "\"\\ud83d\\n\""; "\"\\u0_41\""; "\"\\u_041\"";
+      "\"\\u00_1\""; "\"\\u004g\""; "\"\\u-041\""; "\"\\u+041\"";
+      "\"a\001b\""; "\"\031\""; "\"\127\""; "\"\000\""; "\"\xff\xfe\"";
+      "\"x\\u0000y\""; "[\"a\",\"b\\\"\",\"\\\\\"]"; "{\"k\\u0041\":1}";
+      "{\"a\":\"\\\"}"; "{\"a\" :\"b\\\\\"}"; "0"; "-0"; "-"; "--1"; "1-";
+      "01"; "1.5"; "1e5"; "1E-5"; "-1.5e+3"; "1e999"; "-1e999"; "1.";
+      ".5"; "4611686018427387903"; "4611686018427387904";
+      "-4611686018427387904"; "-4611686018427387905";
+      "123456789012345678"; "1234567890123456789"; "99999999999999999999";
+      "000000000000000000001"; "1+2"; "tru"; "true"; "truex"; "nul";
+      "null "; "fals"; "[1,]"; "[,1]"; "[1 2]"; "{\"a\"}"; "{\"a\":}";
+      "{,}"; "{\"a\":1,}"; "{1:2}"; "\000"; "[\000]"; "{} x"; "  [ ] " ];
+  (* every byte, alone and at both ends of a longer string *)
+  for b = 0 to 255 do
+    let c = String.make 1 (Char.chr b) in
+    same_encoding (Json.String c);
+    same_encoding (Json.List [ Json.String (c ^ "mid" ^ c); Json.String c ]);
+    same_encoding (Json.Obj [ (c, Json.String ("\\" ^ c ^ "\"")) ]);
+    same_parse ("\"" ^ c ^ "\"");
+    same_parse ("\"ab" ^ c);
+    same_parse ("\"\\" ^ c ^ "\"")
+  done
+
+let test_float_repr_oracle () =
+  let same f =
+    let outcome repr =
+      match repr f with s -> s | exception Invalid_argument m -> "invalid " ^ m
+    in
+    let got = outcome Json.float_repr and want = outcome Json_oracle.float_repr in
+    if got <> want then
+      Alcotest.failf "float_repr %h: %S, Printf oracle %S" f got want
+  in
+  let rng = Random.State.make [| 2026 |] in
+  for _ = 1 to 100_000 do
+    same (Int64.float_of_bits (Random.State.bits64 rng))
+  done;
+  (* subnormals *)
+  for _ = 1 to 10_000 do
+    same
+      (Int64.float_of_bits
+         (Int64.logand (Random.State.bits64 rng) 0x800F_FFFF_FFFF_FFFFL))
+  done;
+  List.iter same
+    [ 0.0; -0.0; 1.0; -1.0; 0.1; 1e-7; 1e15; 1e16; 1e17; 1e21; 1e22;
+      max_float; -.max_float; min_float; -.min_float; epsilon_float;
+      Int64.float_of_bits 1L; Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL;
+      Float.nan; Float.infinity; Float.neg_infinity ];
+  (* integers up to 2^53 *)
+  for i = 0 to 10_000 do
+    same (float_of_int i);
+    same (float_of_int (-i))
+  done;
+  for k = 0 to 53 do
+    let p = Float.ldexp 1.0 k in
+    List.iter same [ p -. 1.0; p; p +. 1.0; -.p ]
+  done;
+  for _ = 1 to 10_000 do
+    same (Int64.to_float (Random.State.int64 rng 0x20_0000_0000_0000L))
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Resolve: one digest and one typecheck per submitted source          *)
+(* ------------------------------------------------------------------ *)
+
+let test_resolve_repeats () =
+  Psa.Stage_memo.clear ();
+  let counter = Metrics.counter_value Metrics.global in
+  let src = Flow_load.Workload.kernel_source 5_000_000 in
+  let sub = Protocol.submission (Protocol.Inline src) in
+  let resolve () =
+    match Flow_exec.resolve sub with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "resolve: %s" (Protocol.error_message e)
+  in
+  let misses0 = counter "memo_ast_misses" and hits0 = counter "memo_ast_hits" in
+  let r1 = resolve () in
+  let r2 = resolve () in
+  check_int "first resolve misses the AST memo" 1
+    (counter "memo_ast_misses" - misses0);
+  check_int "the repeat hits it" 1 (counter "memo_ast_hits" - hits0);
+  check_str "same store key" r1.key r2.key;
+  check_str "store key of the source digest" r1.key
+    (Store.key ~source_digest:(Digest.string src) ~mode:"informed"
+       ~strategy:"fig3" ~x_threshold:2.0 ~budget:None ~workload:"inline");
+  check "typecheck verdict kept with the AST" true
+    (Atomic.get (Psa.Stage_memo.parsed src).typed);
+  let bytes (r : Flow_exec.resolved) =
+    let res = r.run ~request_id:None () in
+    (res.Protocol.report, Json.to_string res.Protocol.data)
+  in
+  check "byte-identical results" true (bytes r1 = bytes r2);
+  check "equal to memo-off execution" true
+    (bytes r1 = Helpers.memo_off_bytes sub);
+  (* failures: typed every time, and nothing recorded *)
+  let ill_typed = "int main() { x = 1; return 0; }" in
+  let unparseable = "int main( {" in
+  let counters () =
+    List.map counter [ "memo_ast_misses"; "memo_ast_hits" ]
+  in
+  let before = counters () in
+  List.iter
+    (fun (src, tag) ->
+      for round = 1 to 2 do
+        match Flow_exec.resolve (Protocol.submission (Protocol.Inline src)) with
+        | Ok _ -> Alcotest.failf "%S accepted (round %d)" src round
+        | Error e ->
+            check_str (Printf.sprintf "%S round %d" src round) tag
+              (Protocol.error_kind_tag e)
+      done)
+    [ (ill_typed, "minic_type_error"); (unparseable, "minic_parse_error") ];
+  (* the ill-typed AST is memoized (a hit on its repeat) without a
+     verdict; the unparseable source is not memoized at all *)
+  check "ast memo: 3 misses, 1 hit" true
+    (List.map2 ( - ) (counters ()) before = [ 3; 1 ]);
+  check "no verdict for the ill-typed source" false
+    (Atomic.get (Psa.Stage_memo.parsed ill_typed).typed);
+  check "unparseable source not memoized" false
+    (Flow_memo.Cache.mem Psa.Stage_memo.parse_cache
+       ("ast:" ^ Digest.string unparseable));
+  (* through the daemon: the same answers, and no store traffic *)
+  with_daemon (fun addr ->
+      let c = Client.connect addr in
+      let metric name =
+        match Client.request c Protocol.Metrics with
+        | Protocol.Metrics_data m ->
+            Option.value ~default:0 (Option.bind (Json.member name m) Json.to_int_opt)
+        | _ -> Alcotest.fail "metrics request not answered with metrics"
+      in
+      let store0 = metric "store_misses" + metric "store_hits" in
+      List.iter
+        (fun (src, tag) ->
+          for round = 1 to 2 do
+            match
+              Client.request c
+                (Protocol.Submit_flow (Protocol.submission (Protocol.Inline src)))
+            with
+            | Protocol.Error e ->
+                check_str (Printf.sprintf "daemon %S round %d" src round) tag
+                  (Protocol.error_kind_tag e)
+            | _ -> Alcotest.failf "daemon accepted %S (round %d)" src round
+          done)
+        [ (ill_typed, "minic_type_error"); (unparseable, "minic_parse_error") ];
+      check_int "no store lookup" store0
+        (metric "store_misses" + metric "store_hits");
+      Client.close c)
 
 let () =
   Alcotest.run "service"
@@ -2057,6 +2376,15 @@ let () =
           Alcotest.test_case "encode" `Quick test_json_encode;
           json_roundtrip;
           json_roundtrip_pretty;
+          codec_matches_oracle;
+          Alcotest.test_case "codec = oracle on protocol frames" `Quick
+            test_codec_protocol_frames;
+          Alcotest.test_case "codec = oracle on fuzzed frames" `Quick
+            test_codec_fuzzed_frames;
+          Alcotest.test_case "codec = oracle on edge cases" `Quick
+            test_codec_edge_cases;
+          Alcotest.test_case "float_repr = Printf ladder" `Quick
+            test_float_repr_oracle;
         ] );
       ( "protocol",
         [
@@ -2070,6 +2398,12 @@ let () =
           Alcotest.test_case "framing round-trip" `Quick test_framing_roundtrip;
           Alcotest.test_case "framing errors" `Quick test_framing_errors;
           Alcotest.test_case "framing over fds" `Quick test_framing_fd;
+          Alcotest.test_case "frames through connection buffers" `Quick
+            test_conn_frames;
+        ] );
+      ( "resolve",
+        [
+          Alcotest.test_case "repeats and failures" `Quick test_resolve_repeats;
         ] );
       ( "store",
         [
