@@ -7,13 +7,10 @@
     - Fig. 6: relative FPGA-vs-GPU cost across resource price ratios and
       the crossover points;
     - Table II: qualitative comparison of design approaches;
-    - an ablation of the PSA strategy's X threshold;
-    - bechamel micro-benchmarks (one [Test.make] per experiment, timing
-      the regeneration of each table from the profiled features, plus
-      toolchain micro-benchmarks).
+    - an ablation of the PSA strategy's X threshold.
 
     Usage: [main.exe] runs everything; [main.exe fig5|table1|fig6|table2|
-    ablation|strategies|energy|micro] runs one part.  Every measured
+    ablation|strategies|energy] runs one part.  Every measured
     number comes from {!Benchmarks.Evaluation}, the collector that
     [psaflow report] renders too.
 
@@ -306,108 +303,6 @@ let print_table2 () =
   Format.printf "%a" Psa.Report.pp_table2 ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let data = Lazy.force evaluation in
-  let find id =
-    List.find (fun (e : Evaluation.t) -> e.app.id = id) data
-  in
-  let nbody = find "nbody" and kmeans = find "kmeans" in
-  let src = nbody.app.source ~n:64 in
-  let parsed = Minic.Parser.parse_program src in
-  let gpu_design = Option.get (Evaluation.result nbody "hip_rtx2080ti") in
-  let fpga_design = Option.get (Evaluation.result kmeans "oneapi_stratix10") in
-  [
-    (* one Test.make per table/figure: time regenerating it from the
-       profiled features *)
-    Test.make ~name:"fig5_regenerate"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun (c : Evaluation.t) ->
-               List.iter
-                 (fun (r : Devices.Simulate.result) ->
-                   ignore (Devices.Simulate.run r.design c.features))
-                 c.results)
-             data));
-    Test.make ~name:"table1_regenerate"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun (c : Evaluation.t) ->
-               List.iter
-                 (fun (r : Devices.Simulate.result) ->
-                   ignore
-                     (Codegen.Design.loc_delta ~reference:c.reference r.design))
-                 c.results)
-             data));
-    Test.make ~name:"fig6_regenerate"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun pr ->
-               ignore
-                 (Psa.Cost.relative_cost ~price_ratio:pr ~seconds_a:1.0
-                    ~seconds_b:2.0))
-             [ 0.25; 0.5; 1.0; 2.0; 4.0 ]));
-    Test.make ~name:"table2_regenerate"
-      (Staged.stage (fun () ->
-           ignore (Format.asprintf "%a" Psa.Report.pp_table2 ())));
-    (* toolchain micro-benchmarks *)
-    Test.make ~name:"minic_parse_nbody"
-      (Staged.stage (fun () -> ignore (Minic.Parser.parse_program src)));
-    Test.make ~name:"minic_pretty_nbody"
-      (Staged.stage (fun () -> ignore (Minic.Pretty.program_to_string parsed)));
-    Test.make ~name:"query_outermost_loops"
-      (Staged.stage (fun () ->
-           ignore
-             Artisan.Query.(stmts ~where:(is_for &&& is_outermost_loop) parsed)));
-    Test.make ~name:"dependence_analysis"
-      (Staged.stage (fun () ->
-           ignore (Analysis.Dependence.analyze_function parsed "main")));
-    Test.make ~name:"gpu_model_eval"
-      (Staged.stage (fun () ->
-           ignore
-             (Devices.Gpu_model.time Devices.Spec.rtx2080ti gpu_design.design
-                nbody.features)));
-    Test.make ~name:"fpga_model_eval"
-      (Staged.stage (fun () ->
-           ignore
-             (Devices.Fpga_model.time Devices.Spec.stratix10 fpga_design.design
-                kmeans.features)));
-    Test.make ~name:"blocksize_dse"
-      (Staged.stage (fun () ->
-           ignore (Dse.Blocksize_dse.run gpu_design.design nbody.features)));
-    Test.make ~name:"unroll_dse"
-      (Staged.stage (fun () ->
-           ignore (Dse.Unroll_dse.run fpga_design.design kmeans.features)));
-  ]
-
-let run_bechamel () =
-  print_endline "";
-  print_endline "== bechamel micro-benchmarks (ns per run, OLS estimate) ==";
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let est = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ t ] -> Printf.printf "  %-24s %12.1f ns/run\n" name t
-          | _ -> Printf.printf "  %-24s (no estimate)\n" name)
-        est)
-    (List.map
-       (fun t -> Test.make_grouped ~name:"" ~fmt:"%s%s" [ t ])
-       (bechamel_tests ()))
-
-(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -421,7 +316,6 @@ let () =
   | "ablation" -> print_ablation ()
   | "energy" -> print_energy ()
   | "strategies" -> print_strategies ()
-  | "micro" -> run_bechamel ()
   | "perf" ->
       Perf.run
         ~quick:(Array.exists (fun a -> a = "--quick") Sys.argv)
@@ -444,8 +338,7 @@ let () =
       print_table2 ();
       print_ablation ();
       print_strategies ();
-      print_energy ();
-      run_bechamel ()
+      print_energy ()
   | other ->
       Printf.eprintf "bench: unknown command %s\n" other;
       exit 2);

@@ -10,7 +10,7 @@
     - interpreter throughput on the heaviest benchmark, before (slot-IR
       tree walker, {!Minic_interp.Eval.run_ir}) and after (the bytecode
       VM, {!Minic_interp.Eval.run_vm}) — the VM both on the raw slot IR
-      and on the optimized IR, so the optimizer's share shows — checking
+      and on the optimized IR, so kernel specialization's share shows — checking
       that all of them produce bit-identical profiles;
     - the repeated-analysis path, cold (cache disabled, every analysis
       re-interprets) vs cached (all analyses project one fused run);
@@ -115,9 +115,9 @@ let run ~quick () =
     cores;
 
   (* -- interpreter throughput: walker vs unoptimized vs optimized VM - *)
-  (* --quick runs every leg below — including the per-pass optimizer
-     identity checks — with fewer timing repetitions, never skipping a
-     section: a partial rerun must overwrite every BENCH field. *)
+  (* --quick runs every leg below with fewer timing repetitions, never
+     skipping a section: a partial rerun must overwrite every BENCH
+     field. *)
   (* best-of-N: the lowered engines finish nbody in ~1.5 ms, so the
      full run needs enough repetitions to shake scheduler noise on a
      shared 1-core container *)
@@ -136,16 +136,11 @@ let run ~quick () =
   let heavy_p = Benchmarks.Bench_app.program heavy ~n:heavy.profile_n in
   let heavy_ir = Minic_interp.Resolve.compile heavy_p in
   (* the production path ([Eval.compile] = resolve + optimize + lower);
-     compiled first so the published opt_* pass counters are its own *)
+     compiled first so the published kernel count is its own *)
   let compiled = Minic_interp.Eval.compile heavy_p in
-  let opt_counters =
-    List.map
-      (fun name ->
-        (name, Flow_obs.Metrics.counter_value Flow_obs.Metrics.global name))
-      [
-        "opt_ops_strength_reduced";
-        "opt_kernels_specialized";
-      ]
+  let kernels_specialized =
+    Flow_obs.Metrics.counter_value Flow_obs.Metrics.global
+      "opt_kernels_specialized"
   in
   let unoptimized = Minic_interp.Eval.compile_resolved heavy_ir in
   let before_s, before_run = best (fun () -> Minic_interp.Eval.run_ir heavy_ir) in
@@ -175,31 +170,8 @@ let run ~quick () =
       r.return_value )
   in
   let walker_fp = fingerprint before_run in
-  (* per-pass bit-identity legs: each optimizer pass alone, then all
-     composed, against the reference walker on the raw slot IR *)
-  let no_p = Minic_interp.Opt.no_passes in
-  let pass_legs =
-    [
-      ("strength", { no_p with Minic_interp.Opt.strength = true });
-      ("specialize", { no_p with Minic_interp.Opt.specialize = true });
-      ("composed", Minic_interp.Opt.all_passes);
-    ]
-  in
-  let pass_identical =
-    List.map
-      (fun (name, config) ->
-        let r =
-          Minic_interp.Eval.run_vm
-            (Minic_interp.Eval.compile_resolved
-               (Minic_interp.Opt.optimize ~config heavy_ir))
-        in
-        (name, fingerprint r = walker_fp))
-      pass_legs
-  in
   let interp_identical =
-    fingerprint unopt_run = walker_fp
-    && fingerprint vm_run = walker_fp
-    && List.for_all snd pass_identical
+    fingerprint unopt_run = walker_fp && fingerprint vm_run = walker_fp
   in
   let mcycles = vm_run.profile.cycles /. 1e6 in
   let before_rate = mcycles /. before_s
@@ -219,12 +191,7 @@ let run ~quick () =
      outputs identical: %b\n%!"
     heavy.id before_s before_rate unopt_s unopt_rate vm_s vm_rate
     (before_s /. vm_s) interp_identical;
-  Printf.printf "         passes: %s   bulk %.1f of %.1f Mcycles\n%!"
-    (String.concat "  "
-       (List.map
-          (fun (n, ok) -> Printf.sprintf "%s=%s" n (if ok then "ok" else "DIVERGES"))
-          pass_identical))
-    bulk_mcycles mcycles;
+  Printf.printf "         bulk %.1f of %.1f Mcycles\n%!" bulk_mcycles mcycles;
   if not interp_identical then
     prerr_endline "ERROR: an engine's profile diverges from the IR walker!";
 
@@ -320,22 +287,18 @@ let run ~quick () =
                     ("run_s", Float before_s);
                     ("mcycles_per_s", Float before_rate);
                   ] );
-              (* the optimizer's share: the VM on the raw slot IR; the
-                 optimized side is the "bytecode" leg below *)
+              (* kernel specialization's share: the VM on the raw slot
+                 IR, which lowers to typed instructions too; the
+                 specialized side is the "bytecode" leg below *)
               ( "optimized",
                 Obj
-                  ([
-                     ("unoptimized_run_s", Float unopt_s);
-                     ("unoptimized_mcycles_per_s", Float unopt_rate);
-                     ("speedup_vs_unoptimized", Float (unopt_s /. vm_s));
-                     ("bulk_mcycles_charged", Float bulk_mcycles);
-                     ( "passes_identical",
-                       Obj
-                         (List.map
-                            (fun (n, ok) -> (n, Bool ok))
-                            pass_identical) );
-                   ]
-                  @ List.map (fun (n, v) -> (n, Int v)) opt_counters) );
+                  [
+                    ("unoptimized_run_s", Float unopt_s);
+                    ("unoptimized_mcycles_per_s", Float unopt_rate);
+                    ("speedup_vs_unoptimized", Float (unopt_s /. vm_s));
+                    ("bulk_mcycles_charged", Float bulk_mcycles);
+                    ("opt_kernels_specialized", Int kernels_specialized);
+                  ] );
               (* the register-bytecode VM (production engine) on the
                  optimized IR: flat instruction arrays + fused kernel
                  micro-ops *)

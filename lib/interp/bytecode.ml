@@ -10,8 +10,11 @@
     operand names its bank in its two low bits ({!reg}).  A local slot
     goes into the float (int) bank when {!Opt.type_program} types it
     [TFloat] ([TInt]) and {!Opt.read_before_write} finds no read of its
-    initial [VUnit]; every other slot stays boxed.  Results of the
-    statically typed instructions ([IArithF], [IDivF], [IMath*],
+    initial [VUnit]; every other slot stays boxed.  Arithmetic, division
+    and comparison take their typed form from the operand types
+    {!Opt.ety} gives ({!operand_kind}): float when either operand is a
+    float, int when neither can be, operand-dynamic otherwise.  Results
+    of the statically typed instructions ([IArithF], [IDivF], [IMath*],
     [ICastF], [IRand01], ... and their int twins) land in the matching
     bank, and a float region's element loads straight into the float
     bank.  Operands are read through the conversion the reference walker
@@ -168,7 +171,7 @@ type kprog = {
 (* ================================================================== *)
 
 (** Comparison kind: operand-dynamic, statically float, statically
-    int — mirrors [ECmp]/[ECmpF]/[ECmpI]. *)
+    int — the lowering's choice for [ECmp] (see {!operand_kind}). *)
 type ckind = KDyn | KFlt | KInt
 
 (** One VM instruction.  Every register field is a bank-tagged
@@ -746,16 +749,7 @@ let rec scan_e f (e : R.expr) =
   | R.EVar (R.Unbound _) -> f Value.VUnit  (* dummy result register *)
   | R.EVar _ -> ()
   | R.ENeg a | R.ENot a | R.ECast (_, a) -> scan_e f a
-  | R.EArith (_, _, a, b) | R.EArithF (_, _, a, b) ->
-      scan_e f a;
-      scan_e f b
-  | R.EArithI (_, a, b)
-  | R.ECmp (_, a, b)
-  | R.ECmpF (_, a, b)
-  | R.ECmpI (_, a, b) ->
-      scan_e f a;
-      scan_e f b
-  | R.EDiv (a, b) | R.EDivF (a, b) | R.EDivI (a, b) | R.EMod (a, b)
+  | R.EArith (_, _, a, b) | R.ECmp (_, a, b) | R.EDiv (a, b) | R.EMod (a, b)
   | R.EAnd (a, b) | R.EOr (a, b) | R.EIndex (a, b) ->
       scan_e f a;
       scan_e f b
@@ -797,6 +791,15 @@ and scan_b f (b : R.block) =
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* The path of arithmetic, division or comparison on [a] and [b] when
+   their static types decide it: float when either is a float, int when
+   neither can be, else operand-dynamic (a user call's result, say). *)
+let operand_kind ctx a b =
+  let ta = Opt.ety ctx.env ctx.lt a and tb = Opt.ety ctx.env ctx.lt b in
+  if Opt.is_f ta || Opt.is_f tb then KFlt
+  else if Opt.not_f ta && Opt.not_f tb then KInt
+  else KDyn
 
 (* [lx] lowers an expression and returns the register holding its
    result.  Literals resolve to constant registers (no code): in their
@@ -845,21 +848,22 @@ let rec lx ?(v = false) ?dst ctx (e : R.expr) : int =
       let d = dest ctx dst boxed in
       emit ctx (INot (d, ra));
       d
-  | R.EArith (op, fresid, a, b) ->
-      bin ~boxed_ops:true boxed a b (fun d a b -> IArith { op; fresid; d; a; b })
-  | R.EArithF (op, fresid, a, b) ->
-      bin fbank a b (fun d a b -> IArithF { op; fresid; d; a; b })
-  | R.EArithI (op, a, b) -> bin ibank a b (fun d a b -> IArithI { op; d; a; b })
-  | R.EDiv (a, b) -> bin ~boxed_ops:true boxed a b (fun d a b -> IDiv (d, a, b))
-  | R.EDivF (a, b) -> bin fbank a b (fun d a b -> IDivF (d, a, b))
-  | R.EDivI (a, b) -> bin ibank a b (fun d a b -> IDivI (d, a, b))
+  | R.EArith (op, fresid, a, b) -> (
+      match operand_kind ctx a b with
+      | KFlt -> bin fbank a b (fun d a b -> IArithF { op; fresid; d; a; b })
+      | KInt -> bin ibank a b (fun d a b -> IArithI { op; d; a; b })
+      | KDyn ->
+          bin ~boxed_ops:true boxed a b (fun d a b ->
+              IArith { op; fresid; d; a; b }))
+  | R.EDiv (a, b) -> (
+      match operand_kind ctx a b with
+      | KFlt -> bin fbank a b (fun d a b -> IDivF (d, a, b))
+      | KInt -> bin ibank a b (fun d a b -> IDivI (d, a, b))
+      | KDyn -> bin ~boxed_ops:true boxed a b (fun d a b -> IDiv (d, a, b)))
   | R.EMod (a, b) -> bin ibank a b (fun d a b -> IMod (d, a, b))
   | R.ECmp (op, a, b) ->
-      bin boxed a b (fun d a b -> ICmp { op; kind = KDyn; d; a; b })
-  | R.ECmpF (op, a, b) ->
-      bin boxed a b (fun d a b -> ICmp { op; kind = KFlt; d; a; b })
-  | R.ECmpI (op, a, b) ->
-      bin boxed a b (fun d a b -> ICmp { op; kind = KInt; d; a; b })
+      let kind = operand_kind ctx a b in
+      bin boxed a b (fun d a b -> ICmp { op; kind; d; a; b })
   | R.EAnd (a, b) ->
       let d = tmp ctx boxed in
       let ra = lx ctx a in
@@ -1126,16 +1130,13 @@ and ls ctx (s : R.stmt) =
   | R.SIf (c, b1, b2) -> (
       emit ctx IFuel;
       let lelse = fresh_lab ctx in
-      let brcmp kind op a b =
-        let ra = lx ctx a in
-        let rb = lx ctx b in
-        Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_fused_cmp_branch";
-        emit ctx (IBrCmp { op; kind; a = ra; b = rb; tgt = lelse })
-      in
       (match c.R.e with
-      | R.ECmp (op, a, b) -> brcmp KDyn op a b
-      | R.ECmpF (op, a, b) -> brcmp KFlt op a b
-      | R.ECmpI (op, a, b) -> brcmp KInt op a b
+      | R.ECmp (op, a, b) ->
+          let kind = operand_kind ctx a b in
+          let ra = lx ctx a in
+          let rb = lx ctx b in
+          Flow_obs.Metrics.incr Flow_obs.Metrics.global "vm_fused_cmp_branch";
+          emit ctx (IBrCmp { op; kind; a = ra; b = rb; tgt = lelse })
       | _ ->
           let rc = lx ctx c in
           emit ctx (IJmpFalse (rc, lelse)));

@@ -572,49 +572,6 @@ module Ir_walk = struct
             Profile.timer_stop st.prof (to_int (List.hd args));
             VUnit
         | Unknown fname -> err "call to unknown function '%s'" fname)
-    | EArithF (op, fresid, a, b) ->
-        let va = eval_expr st frame a in
-        let vb = eval_expr st frame b in
-        if fresid <> 0.0 then charge st fresid;
-        st.prof.flops <- st.prof.flops + 1;
-        VFloat
-          (match op with
-          | Minic.Ast.Add -> to_float va +. to_float vb
-          | Minic.Ast.Sub -> to_float va -. to_float vb
-          | Minic.Ast.Mul -> to_float va *. to_float vb
-          | _ -> assert false)
-    | EArithI (op, a, b) ->
-        let va = eval_expr st frame a in
-        let vb = eval_expr st frame b in
-        st.prof.int_ops <- st.prof.int_ops + 1;
-        VInt
-          (match op with
-          | Minic.Ast.Add -> to_int va + to_int vb
-          | Minic.Ast.Sub -> to_int va - to_int vb
-          | Minic.Ast.Mul -> to_int va * to_int vb
-          | _ -> assert false)
-    | EDivF (a, b) ->
-        let va = eval_expr st frame a in
-        let vb = eval_expr st frame b in
-        charge st Profile.Cost.float_div;
-        st.prof.flops <- st.prof.flops + 1;
-        VFloat (to_float va /. to_float vb)
-    | EDivI (a, b) ->
-        let va = eval_expr st frame a in
-        let vb = eval_expr st frame b in
-        charge st Profile.Cost.int_op;
-        st.prof.int_ops <- st.prof.int_ops + 1;
-        let d = to_int vb in
-        if d = 0 then err "integer division by zero";
-        VInt (to_int va / d)
-    | ECmpF (op, a, b) ->
-        let va = eval_expr st frame a in
-        let vb = eval_expr st frame b in
-        VBool (do_cmp op true va vb)
-    | ECmpI (op, a, b) ->
-        let va = eval_expr st frame a in
-        let vb = eval_expr st frame b in
-        VBool (do_cmp op false va vb)
 
   and eval_user_call st idx args =
     (* the call's [Cost.call] cycles were batched by the caller's group
@@ -1739,8 +1696,8 @@ type run = {
 type compiled = { cp : Resolve.t; vm : Bytecode.program }
 
 (** Compile an already-resolved slot IR, without running the
-    optimizer — the entry point for per-pass identity tests that supply
-    their own (partially) optimized IR. *)
+    optimizer — the entry point for identity tests that supply the raw
+    or their own optimized IR. *)
 let compile_resolved (cp : Resolve.t) : compiled =
   { cp; vm = Bytecode.lower cp }
 

@@ -58,15 +58,16 @@ val run :
 
 (** Compile a program once; the result can be executed many times with
     {!run_vm} without re-resolving or re-compiling.  One pipeline:
-    resolve, optimize with {!Opt.optimize} (strength reduction and
-    kernel specialization), lower to bytecode with every kernel fused.
+    resolve, specialize kernels with {!Opt.optimize}, lower to bytecode
+    with typed instructions where operand types allow and every kernel
+    fused.
     A compiled value is never mutated after this returns, so it may be
     shared across domains. *)
 val compile : Minic.Ast.program -> compiled
 
 (** Compile an already-resolved slot IR without invoking the optimizer
-    stage.  The entry point for per-pass bit-identity tests, which
-    optimize with an explicit {!Opt.config} and compare against
+    stage.  The entry point for tests that run the VM on the raw IR (no
+    kernels) or on IR they optimized themselves, and compare against
     {!run_ir} on the raw IR. *)
 val compile_resolved : Resolve.t -> compiled
 

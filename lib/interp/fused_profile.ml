@@ -26,12 +26,13 @@
     service jobs process-wide.
 
     The run behind a fused profile executes on the production engine —
-    slot IR optimized by {!Opt} (strength reduction and kernel
-    specialization), then lowered to register bytecode
-    ({!Eval.compile}) and run by the VM on the calling domain.  Every
-    optimizer pass preserves bit-identity with the reference walker
-    ({!Eval.run_ir}), so the projections are unaffected by which passes
-    ran — asserted per benchmark and per pass by the test suite. *)
+    slot IR whose kernel-shaped loops {!Opt} specializes, lowered to
+    register bytecode with typed instructions where {!Opt.ety} decides
+    an operand's path ({!Eval.compile}), run by the VM on the calling
+    domain.  Specialization and typed lowering preserve bit-identity
+    with the reference walker ({!Eval.run_ir}), so the projections are
+    unaffected by them — asserted per benchmark and on generated
+    programs by the test suite. *)
 
 type t = {
   source : Minic.Ast.program;  (** the program that was executed *)

@@ -1,42 +1,32 @@
 (** Slot-IR optimizer: the stage between {!Resolve} and the bytecode
     lowering of {!Bytecode}.
 
-    Two passes, each individually toggleable (the per-pass bit-identity
-    tests select them with a {!config}) and each carrying a bit-identity
-    obligation against the reference walker ([Eval.run_ir] over the
-    {e unoptimized} IR): same virtual-cycle totals, same counter values,
-    same memory effects and tracked ranges, same output, same error
-    points, same fuel accounting.
+    Two parts:
 
-    - {b strength reduction}: arithmetic/comparison/division nodes whose
-      int-vs-float path is statically known lose their runtime
-      [is_float] dispatch ([EArithF]/[EArithI]/...).
-    - {b kernel specialization}: innermost counted loops whose bodies
-      are straight-line float arithmetic over affine memory sites
-      (elementwise maps, scaled accumulates/reductions, stencil reads)
-      compile to {!Resolve.kernel}s — flat float-register programs whose
-      per-iteration virtual costs are charged in bulk.
+    - {b type analysis} ({!type_program}, {!ety}): a static value type
+      for every slot and expression.  The lowering reads it to put slots
+      in the unboxed register banks and to pick typed arithmetic,
+      division and comparison instructions where an operand's int-vs-
+      float path is statically known.
+    - {b kernel specialization} ({!optimize}): innermost counted loops
+      whose bodies are straight-line float arithmetic over affine memory
+      sites (elementwise maps, scaled accumulates/reductions, stencil
+      reads) compile to {!Resolve.kernel}s — flat float-register
+      programs whose per-iteration virtual costs are charged in bulk.
 
-    Cycle-exactness of bulk charging rests on every {!Profile.Cost}
-    constant being an integer-valued float: sums and products of
-    integer-valued doubles below 2{^53} are exact, so [n] bulk-charged
-    iterations equal [n] individually charged ones bit-for-bit. *)
+    Specialization carries a bit-identity obligation against the
+    reference walker ([Eval.run_ir] over the unoptimized IR): same
+    virtual-cycle totals, same counter values, same memory effects and
+    tracked ranges, same output, same error points, same fuel
+    accounting.  Cycle-exactness of bulk charging rests on every
+    {!Profile.Cost} constant being an integer-valued float: sums and
+    products of integer-valued doubles below 2{^53} are exact, so [n]
+    bulk-charged iterations equal [n] individually charged ones
+    bit-for-bit. *)
 
 module R = Resolve
 module C = Profile.Cost
 open Value
-
-type config = { strength : bool; specialize : bool }
-
-let all_passes = { strength = true; specialize = true }
-let no_passes = { strength = false; specialize = false }
-
-(** Per-[optimize] pass statistics, also published to
-    {!Flow_obs.Metrics.global} as [opt_*] counters. *)
-type stats = {
-  mutable ops_strength_reduced : int;
-  mutable kernels_specialized : int;
-}
 
 (* ------------------------------------------------------------------ *)
 (* Static value types                                                  *)
@@ -95,12 +85,9 @@ let rec ety (env : tenv) (lt : ty array) (e : R.expr) : ty =
   | R.ENeg a -> (
       match ety env lt a with TFloat -> TFloat | TInt -> TInt | _ -> Top)
   | R.ENot _ -> TBool
-  | R.EArith (_, _, a, b) | R.EArithF (_, _, a, b) | R.EArithI (_, a, b) ->
-      arith_ty (ety env lt a) (ety env lt b)
-  | R.EDiv (a, b) | R.EDivF (a, b) | R.EDivI (a, b) ->
-      arith_ty (ety env lt a) (ety env lt b)
+  | R.EArith (_, _, a, b) | R.EDiv (a, b) -> arith_ty (ety env lt a) (ety env lt b)
   | R.EMod _ -> TInt
-  | R.ECmp _ | R.ECmpF _ | R.ECmpI _ -> TBool
+  | R.ECmp _ -> TBool
   | R.EAnd _ | R.EOr _ -> TBool
   | R.EIndex (a, _) -> (
       (* a region holds only values of its element type: allocation
@@ -153,15 +140,9 @@ let rec iter_expr f (e : R.expr) =
   | R.ELit _ | R.EVar _ -> ()
   | R.ENeg a | R.ENot a | R.ECast (_, a) -> iter_expr f a
   | R.EArith (_, _, a, b)
-  | R.EArithF (_, _, a, b)
-  | R.EArithI (_, a, b)
   | R.EDiv (a, b)
-  | R.EDivF (a, b)
-  | R.EDivI (a, b)
   | R.EMod (a, b)
   | R.ECmp (_, a, b)
-  | R.ECmpF (_, a, b)
-  | R.ECmpI (_, a, b)
   | R.EAnd (a, b)
   | R.EOr (a, b)
   | R.EIndex (a, b) ->
@@ -181,10 +162,10 @@ let rec iter_stmts f (b : R.block) =
 
 (** One fixpoint over the whole program: slot writes join value types
     into slots seeded with each parameter's declared type (a bound
-    argument converts to it).  The strength-reduction and
-    kernel passes below consume it, and so does the register-bank
-    assignment of {!Bytecode}: a slot typed [TFloat] ([TInt]) is only
-    ever written a [VFloat] ([VInt]). *)
+    argument converts to it).  Kernel specialization below consumes
+    it, and so does {!Bytecode}: its register-bank assignment (a slot
+    typed [TFloat] ([TInt]) is only ever written a [VFloat] ([VInt]))
+    and its choice of typed instructions. *)
 let type_program (cp : R.t) : tenv =
   let env =
     {
@@ -308,117 +289,9 @@ let read_before_write (f : R.cfunc) : bool array =
   let params = Array.fold_left (fun da s -> IS.add s da) IS.empty f.cf_param_slots in
   ignore (block params f.cf_body);
   bad
-(* ------------------------------------------------------------------ *)
-
-(* Rewrite every top-level expression and statement of a function body,
-   preserving group structure and group costs (no pass changes any
-   static cost). *)
-let map_block ~(fe : R.expr -> R.expr) ~(fs : R.stmt -> R.stmt option) :
-    R.block -> R.block =
-  let rec go_stmt (s : R.stmt) : R.stmt =
-    let s =
-      match s with
-      | R.SDeclVar d -> R.SDeclVar { d with init = Option.map fe d.init }
-      | R.SDeclArr d -> R.SDeclArr { d with size = fe d.size }
-      | R.SAssign a -> R.SAssign { a with rhs = fe a.rhs }
-      | R.SStore st ->
-          R.SStore { st with rhs = fe st.rhs; arr = fe st.arr; idx = fe st.idx }
-      | R.SExpr e -> R.SExpr (fe e)
-      | R.SIf (c, b1, b2) -> R.SIf (fe c, go_block b1, Option.map go_block b2)
-      | R.SWhile w -> R.SWhile { w with cond = fe w.cond; body = go_block w.body }
-      | R.SFor f ->
-          R.SFor
-            {
-              f with
-              init = fe f.init;
-              bound = fe f.bound;
-              step = fe f.step;
-              body = go_block f.body;
-            }
-      | R.SReturn eo -> R.SReturn (Option.map fe eo)
-      | R.SBlock b -> R.SBlock (go_block b)
-      | R.SFused f -> R.SFused { f with forig = go_stmt f.forig }
-    in
-    match fs s with Some s' -> s' | None -> s
-  and go_block (b : R.block) : R.block =
-    List.map
-      (fun (g : R.group) -> { g with R.gstmts = List.map go_stmt g.gstmts })
-      b
-  in
-  go_block
-
-let keep (_ : R.stmt) : R.stmt option = None
 
 (* ------------------------------------------------------------------ *)
-(* Pass 1: strength reduction                                          *)
-(* ------------------------------------------------------------------ *)
-
-let strength_pass (stats : stats) (cp : R.t) : R.t =
-  let env = type_program cp in
-  let rewrite_body lt =
-    let rec fe (e : R.expr) : R.expr =
-      let mk en = { e with R.e = en } in
-      match e.e with
-      | R.EArith (op, fresid, a, b) ->
-          let a = fe a and b = fe b in
-          let ta = ety env lt a and tb = ety env lt b in
-          if is_f ta || is_f tb then (
-            stats.ops_strength_reduced <- stats.ops_strength_reduced + 1;
-            mk (R.EArithF (op, fresid, a, b)))
-          else if not_f ta && not_f tb then (
-            stats.ops_strength_reduced <- stats.ops_strength_reduced + 1;
-            mk (R.EArithI (op, a, b)))
-          else mk (R.EArith (op, fresid, a, b))
-      | R.EDiv (a, b) ->
-          let a = fe a and b = fe b in
-          let ta = ety env lt a and tb = ety env lt b in
-          if is_f ta || is_f tb then (
-            stats.ops_strength_reduced <- stats.ops_strength_reduced + 1;
-            mk (R.EDivF (a, b)))
-          else if not_f ta && not_f tb then (
-            stats.ops_strength_reduced <- stats.ops_strength_reduced + 1;
-            mk (R.EDivI (a, b)))
-          else mk (R.EDiv (a, b))
-      | R.ECmp (op, a, b) ->
-          let a = fe a and b = fe b in
-          let ta = ety env lt a and tb = ety env lt b in
-          if is_f ta || is_f tb then (
-            stats.ops_strength_reduced <- stats.ops_strength_reduced + 1;
-            mk (R.ECmpF (op, a, b)))
-          else if not_f ta && not_f tb then (
-            stats.ops_strength_reduced <- stats.ops_strength_reduced + 1;
-            mk (R.ECmpI (op, a, b)))
-          else mk (R.ECmp (op, a, b))
-      | R.ELit _ | R.EVar _ -> e
-      | R.ENeg a -> mk (R.ENeg (fe a))
-      | R.ENot a -> mk (R.ENot (fe a))
-      | R.ECast (t, a) -> mk (R.ECast (t, fe a))
-      | R.EMod (a, b) -> mk (R.EMod (fe a, fe b))
-      | R.EAnd (a, b) -> mk (R.EAnd (fe a, fe b))
-      | R.EOr (a, b) -> mk (R.EOr (fe a, fe b))
-      | R.EIndex (a, b) -> mk (R.EIndex (fe a, fe b))
-      | R.ECall c -> mk (R.ECall { c with cargs = List.map fe c.cargs })
-      | R.EArithF (op, fr, a, b) -> mk (R.EArithF (op, fr, fe a, fe b))
-      | R.EArithI (op, a, b) -> mk (R.EArithI (op, fe a, fe b))
-      | R.EDivF (a, b) -> mk (R.EDivF (fe a, fe b))
-      | R.EDivI (a, b) -> mk (R.EDivI (fe a, fe b))
-      | R.ECmpF (op, a, b) -> mk (R.ECmpF (op, fe a, fe b))
-      | R.ECmpI (op, a, b) -> mk (R.ECmpI (op, fe a, fe b))
-    in
-    map_block ~fe ~fs:keep
-  in
-  {
-    cp with
-    R.cglobals = (rewrite_body env.globals) cp.cglobals;
-    cfuncs =
-      Array.mapi
-        (fun i (f : R.cfunc) ->
-          { f with R.cf_body = (rewrite_body env.locals.(i)) f.cf_body })
-        cp.cfuncs;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Pass 2: kernel specialization                                       *)
+(* Kernel specialization                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Statically counted per-iteration effects of a kernel body: counter
@@ -449,10 +322,7 @@ let rec affine env lt ~idx_slot (e : R.expr) : R.iexpr * int * int =
       | _ -> raise Not_kernel)
   | R.EArith ((Minic.Ast.Add as op), _, a, b)
   | R.EArith ((Minic.Ast.Sub as op), _, a, b)
-  | R.EArith ((Minic.Ast.Mul as op), _, a, b)
-  | R.EArithI ((Minic.Ast.Add as op), a, b)
-  | R.EArithI ((Minic.Ast.Sub as op), a, b)
-  | R.EArithI ((Minic.Ast.Mul as op), a, b) -> (
+  | R.EArith ((Minic.Ast.Mul as op), _, a, b) -> (
       let ta = ety env lt a and tb = ety env lt b in
       if not (not_f ta && not_f tb) then raise Not_kernel;
       let ia, na, da = affine env lt ~idx_slot a in
@@ -500,7 +370,11 @@ type ktrans = {
   mutable c : counted;  (* accumulated per-iteration body counts *)
 }
 
-let specialize_pass (stats : stats) (cp : R.t) : R.t =
+(** Specialize every kernel-shaped innermost loop of [cp].  The number
+    specialized is published to {!Flow_obs.Metrics.global} as
+    [opt_kernels_specialized]. *)
+let optimize (cp : R.t) : R.t =
+  let nkernels = ref 0 in
   let env = type_program cp in
   let rewrite_func fi (f : R.cfunc) : R.cfunc =
     let lt = env.locals.(fi) in
@@ -612,7 +486,7 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                       if Hashtbl.mem k.slot_reg i then raise Not_kernel;
                       read_slot i
                   | _ -> raise Not_kernel)
-              | R.EArith (op, fresid, a, b) | R.EArithF (op, fresid, a, b) ->
+              | R.EArith (op, fresid, a, b) ->
                   let ta = ety env lt a and tb = ety env lt b in
                   if not (is_f ta || is_f tb) then raise Not_kernel;
                   let ra = cf a in
@@ -625,7 +499,7 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                   | _ -> raise Not_kernel);
                   bump { n_flops = 1; n_sfu = 0; n_dyn = fresid };
                   rd
-              | R.EDiv (a, b) | R.EDivF (a, b) ->
+              | R.EDiv (a, b) ->
                   let ta = ety env lt a and tb = ety env lt b in
                   if not (is_f ta || is_f tb) then raise Not_kernel;
                   let ra = cf a in
@@ -837,7 +711,7 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
                 k.slot_reg []
               |> List.sort compare
             in
-            stats.kernels_specialized <- stats.kernels_specialized + 1;
+            incr nkernels;
             Some
               {
                 R.k_body = Array.of_list (List.rev k.instrs);
@@ -908,22 +782,8 @@ let specialize_pass (stats : stats) (cp : R.t) : R.t =
     in
     { f with R.cf_body = go_block f.cf_body }
   in
-  { cp with R.cfuncs = Array.mapi rewrite_func cp.cfuncs }
-
-(* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let publish (s : stats) =
-  let m = Flow_obs.Metrics.global in
-  let bump name v = if v > 0 then Flow_obs.Metrics.incr ~by:v m name in
-  bump "opt_ops_strength_reduced" s.ops_strength_reduced;
-  bump "opt_kernels_specialized" s.kernels_specialized
-
-let optimize ?(config = all_passes) (cp : R.t) : R.t =
-  let stats = { ops_strength_reduced = 0; kernels_specialized = 0 } in
-  let cp = if config.strength then strength_pass stats cp else cp in
-  let cp = if config.specialize then specialize_pass stats cp else cp in
-  publish stats;
+  let cp = { cp with R.cfuncs = Array.mapi rewrite_func cp.cfuncs } in
+  if !nkernels > 0 then
+    Flow_obs.Metrics.incr ~by:!nkernels Flow_obs.Metrics.global
+      "opt_kernels_specialized";
   cp
-

@@ -64,15 +64,15 @@ type callee =
   | Unknown of string  (** unknown function: runtime error when called *)
 
 (* ------------------------------------------------------------------ *)
-(* Optimizer extensions                                                *)
+(* Specialized kernels                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The constructors and kernel types below are never produced by
-   [compile]; only the slot-IR optimizer ({!Opt}) builds them.  Both
-   execution engines (the bytecode VM and the reference walker in
-   {!Eval}) interpret them, and every one carries enough statically
-   counted information to replay the exact counter bumps and dynamic
-   cycle charges of the unoptimized form — see DESIGN.md §13. *)
+(* The kernel types below and the [SFused] statement are never produced
+   by [compile]; only kernel specialization ({!Opt}) builds them.  The
+   bytecode VM runs a kernel, the reference walker in {!Eval} runs its
+   original loop, and a kernel carries enough statically counted
+   information to replay the exact counter bumps and dynamic cycle
+   charges of that loop — see DESIGN.md §13. *)
 
 (** Silent integer expression, evaluated by the specialized-kernel entry
     protocol without charging cycles or bumping counters (those are
@@ -168,14 +168,6 @@ and enode =
   | EIndex of expr * expr
   | ECast of Minic.Ast.typ * expr
   | ECall of { callee : callee; cargs : expr list }
-  | EArithF of Minic.Ast.binop * float * expr * expr
-      (** [EArith] whose float path is statically known to be taken *)
-  | EArithI of Minic.Ast.binop * expr * expr
-      (** [EArith] whose int path is statically known to be taken *)
-  | EDivF of expr * expr
-  | EDivI of expr * expr
-  | ECmpF of Minic.Ast.binop * expr * expr
-  | ECmpI of Minic.Ast.binop * expr * expr
 
 type stmt =
   | SDeclVar of { slot : var_ref; typ : Minic.Ast.typ; init : expr option }
@@ -292,15 +284,9 @@ let rec expr_may_time mt (e : expr) =
   | ELit _ | EVar _ -> false
   | ENeg a | ENot a | ECast (_, a) -> expr_may_time mt a
   | EArith (_, _, a, b)
-  | EArithF (_, _, a, b)
-  | EArithI (_, a, b)
   | EDiv (a, b)
-  | EDivF (a, b)
-  | EDivI (a, b)
   | EMod (a, b)
   | ECmp (_, a, b)
-  | ECmpF (_, a, b)
-  | ECmpI (_, a, b)
   | EAnd (a, b)
   | EOr (a, b)
   | EIndex (a, b) ->

@@ -29,13 +29,12 @@ type typ =
   | Tfloat  (** single precision *)
   | Tdouble  (** double precision *)
   | Tptr of typ
-[@@deriving show { with_path = false }, eq, ord]
 
 (** Floating-point literal precision. [Single] literals print with an 'f'
     suffix, as produced by the "employ SP numeric literals" transform. *)
-type fkind = Single | Double [@@deriving show { with_path = false }, eq, ord]
+type fkind = Single | Double
 
-type unop = Neg | Not [@@deriving show { with_path = false }, eq, ord]
+type unop = Neg | Not
 
 type binop =
   | Add
@@ -51,11 +50,9 @@ type binop =
   | Ne
   | LAnd
   | LOr
-[@@deriving show { with_path = false }, eq, ord]
 
 (** Compound-assignment operators: [x = e], [x += e], ... *)
 type assign_op = Set | AddEq | SubEq | MulEq | DivEq
-[@@deriving show { with_path = false }, eq, ord]
 
 type expr = { eid : int; enode : enode; eloc : Loc.t }
 
@@ -69,16 +66,13 @@ and enode =
   | Index of expr * expr  (** [a[i]] *)
   | Call of string * expr list
   | Cast of typ * expr
-[@@deriving show { with_path = false }]
 
 (** Assignment targets: a scalar variable or an array element. *)
 type lvalue = Lvar of string | Lindex of expr * expr
-[@@deriving show { with_path = false }]
 
 (** A pragma annotation attached to a statement, e.g.
     [#pragma omp parallel for] is [{ pname = "omp"; pargs = ["parallel"; "for"] }]. *)
 type pragma = { pname : string; pargs : string list }
-[@@deriving show { with_path = false }, eq, ord]
 
 (** Canonical [for]-loop header: [for (int index = init; index < bound; index += step)].
     The comparison is [<] when [inclusive] is false and [<=] otherwise.
@@ -92,7 +86,6 @@ type for_header = {
   inclusive : bool;
   step : expr;
 }
-[@@deriving show { with_path = false }]
 
 type stmt = { sid : int; snode : snode; sloc : Loc.t; pragmas : pragma list }
 
@@ -113,11 +106,10 @@ and decl = {
   dinit : expr option;
 }
 
-and block = stmt list [@@deriving show { with_path = false }]
+and block = stmt list
 
 (** Function parameter. *)
 type param = { ptyp : typ; pname_ : string }
-[@@deriving show { with_path = false }]
 
 type func = {
   fname : string;
@@ -126,12 +118,10 @@ type func = {
   fbody : block;
   floc : Loc.t;
 }
-[@@deriving show { with_path = false }]
 
 (** A whole translation unit: global declarations followed by functions.
     Execution starts at the function named ["main"]. *)
 type program = { globals : stmt list; funcs : func list }
-[@@deriving show { with_path = false }]
 
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)

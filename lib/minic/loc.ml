@@ -8,7 +8,6 @@ type t = {
   line : int;  (** 1-based line number *)
   col : int;  (** 0-based column *)
 }
-[@@deriving show, eq, ord]
 
 (** Location used for synthesised nodes (inserted by transforms). *)
 let none = { line = 0; col = 0 }

@@ -31,7 +31,7 @@ let error st msg =
        (Printf.sprintf "%s (found %s)" msg (Token.describe tok), l))
 
 let expect st tok msg =
-  if Token.equal (peek_tok st) tok then advance st else error st msg
+  if peek_tok st = tok then advance st else error st msg
 
 let expect_ident st msg =
   match peek st with
@@ -61,7 +61,7 @@ let parse_typ st =
   | Some base ->
       advance st;
       let rec stars t =
-        if Token.equal (peek_tok st) Token.STAR then (
+        if peek_tok st = Token.STAR then (
           advance st;
           stars (Ast.Tptr t))
         else t
@@ -174,7 +174,7 @@ and parse_unary st =
   | _ -> parse_postfix st
 
 and starts_typ_after_lparen st =
-  Token.equal (peek_tok st) Token.LPAREN
+  peek_tok st = Token.LPAREN
   && base_typ_of_tok (peek2_tok st) <> None
 
 and parse_postfix st =
@@ -205,14 +205,14 @@ and parse_primary st =
       Ast.mk_expr ~loc (Ast.Bool_lit false)
   | Token.IDENT name, loc ->
       advance st;
-      if Token.equal (peek_tok st) Token.LPAREN then (
+      if peek_tok st = Token.LPAREN then (
         advance st;
         let args =
-          if Token.equal (peek_tok st) Token.RPAREN then []
+          if peek_tok st = Token.RPAREN then []
           else
             let rec go acc =
               let a = parse_expr st in
-              if Token.equal (peek_tok st) Token.COMMA then (
+              if peek_tok st = Token.COMMA then (
                 advance st;
                 go (a :: acc))
               else List.rev (a :: acc)
@@ -289,7 +289,7 @@ and parse_core_stmt st : Ast.stmt =
       Ast.mk_stmt ~loc (Ast.For (header, b))
   | Token.KW_RETURN, loc ->
       advance st;
-      if Token.equal (peek_tok st) Token.SEMI then (
+      if peek_tok st = Token.SEMI then (
         advance st;
         Ast.mk_stmt ~loc (Ast.Return None))
       else
@@ -310,7 +310,7 @@ and parse_decl st : Ast.decl =
   let dtyp = parse_typ st in
   let dname = expect_ident st "expected a name in declaration" in
   let dsize =
-    if Token.equal (peek_tok st) Token.LBRACKET then (
+    if peek_tok st = Token.LBRACKET then (
       advance st;
       let e = parse_expr st in
       expect st Token.RBRACKET "expected ']' in array declaration";
@@ -318,7 +318,7 @@ and parse_decl st : Ast.decl =
     else None
   in
   let dinit =
-    if Token.equal (peek_tok st) Token.ASSIGN then (
+    if peek_tok st = Token.ASSIGN then (
       advance st;
       Some (parse_expr st))
     else None
@@ -402,16 +402,16 @@ and parse_for_header st : Ast.for_header =
   { Ast.index; init; bound; inclusive; step }
 
 and parse_stmt_as_block st : Ast.block =
-  if Token.equal (peek_tok st) Token.LBRACE then parse_block st
+  if peek_tok st = Token.LBRACE then parse_block st
   else [ parse_stmt st ]
 
 and parse_block st : Ast.block =
   expect st Token.LBRACE "expected '{'";
   let rec go acc =
-    if Token.equal (peek_tok st) Token.RBRACE then (
+    if peek_tok st = Token.RBRACE then (
       advance st;
       List.rev acc)
-    else if Token.equal (peek_tok st) Token.EOF then
+    else if peek_tok st = Token.EOF then
       error st "unexpected end of input in block"
     else go (parse_stmt st :: acc)
   in
@@ -423,7 +423,7 @@ and parse_block st : Ast.block =
 
 let parse_params st =
   expect st Token.LPAREN "expected '(' in function definition";
-  if Token.equal (peek_tok st) Token.RPAREN then (
+  if peek_tok st = Token.RPAREN then (
     advance st;
     [])
   else
@@ -431,7 +431,7 @@ let parse_params st =
       let ptyp = parse_typ st in
       let pname_ = expect_ident st "expected parameter name" in
       let acc = { Ast.ptyp; pname_ } :: acc in
-      if Token.equal (peek_tok st) Token.COMMA then (
+      if peek_tok st = Token.COMMA then (
         advance st;
         go acc)
       else (
@@ -451,7 +451,7 @@ let parse_program_tokens toks : Ast.program =
     | _, loc when starts_typ st ->
         let t = parse_typ st in
         let name = expect_ident st "expected a top-level name" in
-        if Token.equal (peek_tok st) Token.LPAREN then (
+        if peek_tok st = Token.LPAREN then (
           let fparams = parse_params st in
           let fbody = parse_block st in
           funcs :=
@@ -460,7 +460,7 @@ let parse_program_tokens toks : Ast.program =
           go ())
         else
           let dsize =
-            if Token.equal (peek_tok st) Token.LBRACKET then (
+            if peek_tok st = Token.LBRACKET then (
               advance st;
               let e = parse_expr st in
               expect st Token.RBRACKET "expected ']'";
@@ -468,7 +468,7 @@ let parse_program_tokens toks : Ast.program =
             else None
           in
           let dinit =
-            if Token.equal (peek_tok st) Token.ASSIGN then (
+            if peek_tok st = Token.ASSIGN then (
               advance st;
               Some (parse_expr st))
             else None

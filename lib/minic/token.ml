@@ -47,13 +47,54 @@ type t =
   | BAR_BAR
   | BANG
   | EOF
-[@@deriving show { with_path = false }, eq]
 
-(** Human-readable token name for parse-error messages. *)
+(** Human-readable token name for parse-error messages: literals,
+    identifiers and pragmas with their text, every other token by its
+    constructor name. *)
 let describe = function
   | INT_LIT n -> Printf.sprintf "integer literal %d" n
   | FLOAT_LIT (f, _) -> Printf.sprintf "float literal %g" f
   | IDENT s -> Printf.sprintf "identifier '%s'" s
   | PRAGMA ws -> Printf.sprintf "#pragma %s" (String.concat " " ws)
   | EOF -> "end of input"
-  | t -> show t
+  | KW_VOID -> "KW_VOID"
+  | KW_BOOL -> "KW_BOOL"
+  | KW_INT -> "KW_INT"
+  | KW_FLOAT -> "KW_FLOAT"
+  | KW_DOUBLE -> "KW_DOUBLE"
+  | KW_IF -> "KW_IF"
+  | KW_ELSE -> "KW_ELSE"
+  | KW_FOR -> "KW_FOR"
+  | KW_WHILE -> "KW_WHILE"
+  | KW_RETURN -> "KW_RETURN"
+  | KW_TRUE -> "KW_TRUE"
+  | KW_FALSE -> "KW_FALSE"
+  | LPAREN -> "LPAREN"
+  | RPAREN -> "RPAREN"
+  | LBRACE -> "LBRACE"
+  | RBRACE -> "RBRACE"
+  | LBRACKET -> "LBRACKET"
+  | RBRACKET -> "RBRACKET"
+  | SEMI -> "SEMI"
+  | COMMA -> "COMMA"
+  | STAR -> "STAR"
+  | PLUS -> "PLUS"
+  | MINUS -> "MINUS"
+  | SLASH -> "SLASH"
+  | PERCENT -> "PERCENT"
+  | ASSIGN -> "ASSIGN"
+  | PLUS_EQ -> "PLUS_EQ"
+  | MINUS_EQ -> "MINUS_EQ"
+  | STAR_EQ -> "STAR_EQ"
+  | SLASH_EQ -> "SLASH_EQ"
+  | PLUS_PLUS -> "PLUS_PLUS"
+  | MINUS_MINUS -> "MINUS_MINUS"
+  | LT -> "LT"
+  | LE -> "LE"
+  | GT -> "GT"
+  | GE -> "GE"
+  | EQ_EQ -> "EQ_EQ"
+  | NE -> "NE"
+  | AMP_AMP -> "AMP_AMP"
+  | BAR_BAR -> "BAR_BAR"
+  | BANG -> "BANG"

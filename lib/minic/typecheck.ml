@@ -35,7 +35,7 @@ let join loc a b =
 
 (** [b] is assignable to a location of type [a]. *)
 let assignable a b =
-  equal_typ a b || (is_numeric a && is_numeric b)
+  a = b || (is_numeric a && is_numeric b)
   || (match (a, b) with Tbool, Tint -> true | _ -> false)
 
 let rec type_expr env (e : expr) : typ =
@@ -68,7 +68,7 @@ let rec type_expr env (e : expr) : typ =
           if is_numeric ta && is_numeric tb then Tbool
           else err e.eloc "comparison of non-numeric operands"
       | Eq | Ne ->
-          if (is_numeric ta && is_numeric tb) || equal_typ ta tb then Tbool
+          if (is_numeric ta && is_numeric tb) || ta = tb then Tbool
           else err e.eloc "equality between incompatible types"
       | LAnd | LOr ->
           let ok t = t = Tbool || t = Tint in
@@ -83,7 +83,7 @@ let rec type_expr env (e : expr) : typ =
   | Cast (t, a) ->
       let ta = type_expr env a in
       if is_numeric t && is_numeric ta then t
-      else if equal_typ t ta then t
+      else if t = ta then t
       else err e.eloc "invalid cast from %s to %s" (string_of_typ ta) (string_of_typ t)
   | Call (f, args) -> (
       let arg_types = List.map (type_expr env) args in

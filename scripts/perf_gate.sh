@@ -7,7 +7,7 @@
 #
 # Fails when:
 #   - any outputs_identical check in the fresh BENCH_psaflow.json is
-#     false (an engine, an optimizer pass or the cached flow diverged
+#     false (an engine, the optimized VM or the cached flow diverged
 #     from the reference bytes), or
 #   - interp.bytecode.mcycles_per_s fell below 70% of the rolling
 #     median of the last K comparable (quick-scale, other-commit)

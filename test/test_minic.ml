@@ -7,7 +7,7 @@ let check_tokens src expected () =
   let toks = Lexer.tokenize src |> List.map fst in
   Alcotest.(check int) "token count" (List.length expected) (List.length toks);
   List.iter2
-    (fun a b -> Alcotest.(check bool) (Token.describe a) true (Token.equal a b))
+    (fun a b -> Alcotest.(check bool) (Token.describe a) true (a = b))
     expected toks
 
 (* ------------------------------------------------------------------ *)
@@ -82,6 +82,83 @@ let lexer_tests =
 let parse_main_body src =
   let p = Parser.parse_program ("int main() {" ^ src ^ "}") in
   (Ast.find_func p "main").fbody
+
+(* The text a parse error names the offending token with, for every
+   token the lexer makes: a literal, an identifier, each keyword and
+   punctuation token, a pragma line and the end of input.  A token that
+   cannot start a top-level declaration fails there; a type keyword
+   fails after a global's name. *)
+let parse_error_texts () =
+  let top = "expected a type at top level (found " in
+  let global = "expected ';' after global declaration (found " in
+  let cases =
+    [
+      ("42", top ^ "integer literal 42)");
+      ("1.5", top ^ "float literal 1.5)");
+      ("2.5f", top ^ "float literal 2.5)");
+      ("foo", top ^ "identifier 'foo')");
+      ("#pragma omp parallel for\n", top ^ "#pragma omp parallel for)");
+      ("int", "expected a top-level name (found end of input)");
+      ("int main() { int x = 1;", "unexpected end of input in block (found end of input)");
+      ("int main() { int x = 1 }", "expected ';' after declaration (found RBRACE)");
+    ]
+    @ List.map
+        (fun (src, name) -> ("int x " ^ src, global ^ name ^ ")"))
+        [
+          ("void", "KW_VOID");
+          ("bool", "KW_BOOL");
+          ("int", "KW_INT");
+          ("float", "KW_FLOAT");
+          ("double", "KW_DOUBLE");
+        ]
+    @ List.map
+        (fun (src, name) -> (src, top ^ name ^ ")"))
+        [
+          ("if", "KW_IF");
+          ("else", "KW_ELSE");
+          ("for", "KW_FOR");
+          ("while", "KW_WHILE");
+          ("return", "KW_RETURN");
+          ("true", "KW_TRUE");
+          ("false", "KW_FALSE");
+          ("(", "LPAREN");
+          (")", "RPAREN");
+          ("{", "LBRACE");
+          ("}", "RBRACE");
+          ("[", "LBRACKET");
+          ("]", "RBRACKET");
+          (";", "SEMI");
+          (",", "COMMA");
+          ("*", "STAR");
+          ("+", "PLUS");
+          ("-", "MINUS");
+          ("/", "SLASH");
+          ("%", "PERCENT");
+          ("=", "ASSIGN");
+          ("+=", "PLUS_EQ");
+          ("-=", "MINUS_EQ");
+          ("*=", "STAR_EQ");
+          ("/=", "SLASH_EQ");
+          ("++", "PLUS_PLUS");
+          ("--", "MINUS_MINUS");
+          ("<", "LT");
+          ("<=", "LE");
+          (">", "GT");
+          (">=", "GE");
+          ("==", "EQ_EQ");
+          ("!=", "NE");
+          ("&&", "AMP_AMP");
+          ("||", "BAR_BAR");
+          ("!", "BANG");
+        ]
+  in
+  List.iter
+    (fun (src, expected) ->
+      match Parser.parse_program src with
+      | exception Parser.Parse_error (msg, _) ->
+          Alcotest.(check string) (String.escaped src) expected msg
+      | _ -> Alcotest.failf "%S: expected a parse error" src)
+    cases
 
 let parser_tests =
   [
@@ -194,6 +271,8 @@ let parser_tests =
     Alcotest.test_case "node ids are unique" `Quick (fun () ->
         let p = Parser.parse_program Helpers.vec_scale_src in
         Alcotest.(check bool) "no duplicate ids" false (Ast.has_duplicate_ids p));
+    Alcotest.test_case "parse-error text for every token class" `Quick
+      parse_error_texts;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -490,7 +490,10 @@ let fused_tests =
    [/=] on int slots and int elements, float-to-int casts as indices,
    and float/int/pointer call arguments — and every kind of region: a
    [double] and a 4-byte [float] array (unboxed elements of both
-   sizes), an [int] and a [bool] array (boxed elements).  Loop
+   sizes), an [int] and a [bool] array (boxed elements).  The result of
+   the int function [pick] (always 1..5) has no static type, so where
+   it meets an int operand in [+ - * /], a comparison or an [if]
+   condition the lowering keeps the operand-dynamic instructions.  Loop
    variables index the 64-element arrays as [i + 7*j], which stays in
    bounds for any pair of in-scope loop variables (bounds at most 7). *)
 let program_gen =
@@ -524,6 +527,14 @@ let program_gen =
           ( 1,
             let* f = fexpr (depth - 1) vars in
             return (Printf.sprintf "(int)(%s)" f) );
+          ( 1,
+            let* a = iexpr (depth - 1) vars
+            and* b = iexpr (depth - 1) vars
+            and* op = oneofl [ "+"; "-"; "*"; "/" ]
+            and* call_left = bool in
+            return
+              (if call_left then Printf.sprintf "(pick(%s) %s %s)" a op b
+               else Printf.sprintf "(%s %s pick(%s))" b op a) );
         ]
   and fexpr depth vars =
     let leaves =
@@ -600,6 +611,11 @@ let program_gen =
           ( 1,
             let* i = idx vars in
             return (Printf.sprintf "e[%s]" i) );
+          ( 1,
+            let* a = iexpr 1 vars
+            and* b = iexpr 1 vars
+            and* op = oneofl [ "<"; "<="; "=="; "!="; ">" ] in
+            return (Printf.sprintf "pick(%s) %s %s" a op b) );
         ]
     in
     if depth = 0 then cmp
@@ -726,6 +742,10 @@ let program_gen =
   return
     (Printf.sprintf
        {|
+int pick(int q) {
+  return (q %% 5 + 5) %% 5 + 1;
+}
+
 double mix(double p, int q, double* r, int k) {
   double t = p * 0.5 + (double)q;
   return t + r[k];
@@ -936,91 +956,41 @@ let cold_flow_interp_runs () =
   cold ()
 
 (* ------------------------------------------------------------------ *)
-(* Slot-IR optimizer: per-pass bit-identity vs the reference walker    *)
+(* Slot-IR optimizer: bit-identity vs the reference walker             *)
 (* ------------------------------------------------------------------ *)
 
-let pass_configs =
-  let no_p = I.Opt.no_passes in
-  [
-    ("strength", { no_p with I.Opt.strength = true });
-    ("specialize", { no_p with I.Opt.specialize = true });
-    ("composed", I.Opt.all_passes);
-  ]
-
-(* Every pass alone, and all composed, must leave every observable of a
-   run untouched — profile totals, per-loop stats, kernel observations,
-   output, return value — bare and with the hotspot-reachable loops
-   tracked, vs the reference walker on the un-optimized slot IR. *)
+(* Kernel specialization must leave every observable of a run untouched
+   — profile totals, per-loop stats, kernel observations, output, return
+   value — bare and with the hotspot-reachable loops tracked, vs the
+   reference walker on the un-optimized slot IR.  Generated programs
+   are covered by [engine_equivalence_prop]. *)
 let check_opt_identity (b : Benchmarks.Bench_app.t) () =
   let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
   let ir = I.Resolve.compile p in
-  let walker = run_fingerprint (I.Eval.run_ir ir) in
   let track = Analysis.Hotspot.tracked p in
-  let fwalker = run_fingerprint (I.Eval.run_ir ~track ir) in
-  List.iter
-    (fun (name, config) ->
-      let bare =
-        I.Eval.run_vm
-          (I.Eval.compile_resolved (I.Opt.optimize ~config ir))
-      in
-      Alcotest.(check bool)
-        (name ^ ": bare run identical") true
-        (run_fingerprint bare = walker);
-      let tracked =
-        I.Eval.run_vm ~track
-          (I.Eval.compile_resolved (I.Opt.optimize ~config ir))
-      in
-      Alcotest.(check bool)
-        (name ^ ": tracked run identical") true
-        (run_fingerprint tracked = fwalker))
-    pass_configs
-
-(* The per-pass identity obligation, over generated programs. *)
-let opt_equivalence_prop =
-  QCheck.Test.make ~count:15
-    ~name:"optimizer passes = walker on generated programs" program_arb
-    (fun src ->
-      let p = Minic.Parser.parse_program src in
-      let ir = I.Resolve.compile p in
-      let walker = outcome (fun () -> I.Eval.run_ir ir) in
-      let tracks = gen_tracks p in
-      let fwalkers =
-        List.map (fun track -> outcome (fun () -> I.Eval.run_ir ~track ir)) tracks
-      in
-      List.for_all
-        (fun (name, config) ->
-          let compiled =
-            I.Eval.compile_resolved (I.Opt.optimize ~config ir)
-          in
-          if outcome (fun () -> I.Eval.run_vm compiled) <> walker then
-            QCheck.Test.fail_reportf "%s: bare run diverges" name;
-          List.iter2
-            (fun track fwalker ->
-              if outcome (fun () -> I.Eval.run_vm ~track compiled) <> fwalker
-              then QCheck.Test.fail_reportf "%s: tracked run diverges" name)
-            tracks fwalkers;
-          true)
-        pass_configs)
+  let compiled = I.Eval.compile_resolved (I.Opt.optimize ir) in
+  Alcotest.(check bool)
+    "bare run identical" true
+    (run_fingerprint (I.Eval.run_vm compiled) = run_fingerprint (I.Eval.run_ir ir));
+  Alcotest.(check bool)
+    "tracked run identical" true
+    (run_fingerprint (I.Eval.run_vm ~track compiled)
+    = run_fingerprint (I.Eval.run_ir ~track ir))
 
 let opt_tests =
   List.map
     (fun (b : Benchmarks.Bench_app.t) ->
       Alcotest.test_case b.id `Slow (check_opt_identity b))
     Benchmarks.Registry.all
-  @ [
-      QCheck_alcotest.to_alcotest
-        ~rand:(Random.State.make [| 2123 |])
-        opt_equivalence_prop;
-    ]
 
 (* ================================================================== *)
 (* Register-bytecode VM (Eval.run_vm / Bytecode)                       *)
 (* ================================================================== *)
 
-(* The VM obligation over generated programs, on the raw slot IR (the
-   optimized path is covered by [engine_equivalence_prop]): the bytecode
-   VM must match the reference walker on every observable, bare and
-   tracked. *)
+(* The VM obligation over generated programs, on the raw slot IR (no
+   kernel specialization; the optimized path is covered by
+   [engine_equivalence_prop]): the bytecode VM must match the reference
+   walker on every observable, bare and tracked. *)
 let vm_equivalence_prop =
   QCheck.Test.make ~count:30
     ~name:"bytecode VM = walker on generated programs" program_arb
@@ -1049,12 +1019,13 @@ let check_vm_identity (b : Benchmarks.Bench_app.t) () =
     "vm = walker" true
     (run_fingerprint (I.Eval.run_vm (I.Eval.compile p)) = walker)
 
+(* The bytecode [Eval.compile] runs: the optimized IR, lowered. *)
+let lower_optimized p = I.Bytecode.lower (I.Opt.optimize (I.Resolve.compile p))
+
 (* Lowered kernels of a fixed data-parallel source, for selector unit
    tests. *)
 let vm_lowered_kernels src =
-  let p = Minic.Parser.parse_program src in
-  let ir_opt = I.Opt.optimize (I.Resolve.compile p) in
-  let bp = I.Bytecode.lower ir_opt in
+  let bp = lower_optimized (Minic.Parser.parse_program src) in
   let kps = ref [] in
   Array.iter
     (fun (f : I.Bytecode.fn) ->
@@ -1098,6 +1069,76 @@ let vm_selector_fuses () =
       Alcotest.(check bool) "kernel marked fused" true kp.I.Bytecode.kp_fused;
       Alcotest.(check bool) "fusion shrank the body" true (after < before))
     kps
+
+(* The typed-arithmetic mix of a lowered program, over every function
+   and the globals block: for arith, div, cmp and fused compare-branch
+   (rows, in that order), how many instructions are operand-dynamic,
+   float and int (columns). *)
+let instr_mix (bp : I.Bytecode.program) =
+  let m = Array.make_matrix 4 3 0 in
+  let bump c k = m.(c).(k) <- m.(c).(k) + 1 in
+  let kind = function I.Bytecode.KDyn -> 0 | KFlt -> 1 | KInt -> 2 in
+  Array.iter
+    (fun (f : I.Bytecode.fn) ->
+      Array.iter
+        (function
+          | I.Bytecode.IArith _ -> bump 0 0
+          | IArithF _ -> bump 0 1
+          | IArithI _ -> bump 0 2
+          | IDiv _ -> bump 1 0
+          | IDivF _ -> bump 1 1
+          | IDivI _ -> bump 1 2
+          | ICmp { kind = k; _ } -> bump 2 (kind k)
+          | IBrCmp { kind = k; _ } -> bump 3 (kind k)
+          | _ -> ())
+        f.I.Bytecode.bc_code)
+    (Array.append bp.I.Bytecode.bc_funcs [| bp.I.Bytecode.bc_globals |]);
+  m
+
+let mix_rows = [ "arith"; "div"; "cmp"; "brcmp" ]
+
+let show_mix m =
+  String.concat " "
+    (List.mapi
+       (fun c row -> Printf.sprintf "%s %d/%d/%d" row m.(c).(0) m.(c).(1) m.(c).(2))
+       mix_rows)
+
+(* An exact counter: the production lowering of every paper benchmark at
+   its profiling size, as dynamic/float/int instruction counts.  A move
+   in any count means the lowering now picks a different instruction for
+   some operation, which changes what the VM runs. *)
+let lowered_mix_pinned () =
+  List.iter
+    (fun (id, expected) ->
+      let b = Benchmarks.Registry.find id in
+      let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
+      Alcotest.(check string)
+        (id ^ " lowered mix") expected
+        (show_mix (instr_mix (lower_optimized p))))
+    [
+      ("rush_larsen", "arith 0/159/1 div 0/28/0 cmp 0/2/0 brcmp 0/0/0");
+      ("nbody", "arith 0/66/0 div 0/4/0 cmp 0/0/0 brcmp 0/0/0");
+      ("bezier", "arith 0/31/27 div 0/4/1 cmp 0/0/0 brcmp 0/0/0");
+      ("adpredictor", "arith 0/74/5 div 0/5/0 cmp 0/0/0 brcmp 0/0/1");
+      ("kmeans", "arith 0/10/18 div 0/2/0 cmp 0/0/0 brcmp 0/2/2");
+    ]
+
+(* The operand-dynamic instructions stay live in production: a user
+   call's result has no static type, so the programs the "bytecode VM =
+   walker" property draws (seed 2124) lower each dynamic kind at least
+   once with the optimizer on. *)
+let generated_programs_lower_dynamic () =
+  let sources =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 2124 |]) ~n:30 program_gen
+  in
+  let mixes =
+    List.map (fun src -> instr_mix (lower_optimized (Minic.Parser.parse_program src))) sources
+  in
+  List.iteri
+    (fun c row ->
+      if List.for_all (fun m -> m.(c).(0) = 0) mixes then
+        Alcotest.failf "no operand-dynamic %s lowered in 30 programs" row)
+    mix_rows
 
 (* Runtime errors, raised from banked registers: the VM (on the raw and
    the optimized IR) raises the walker's message at the walker's fault
@@ -1207,6 +1248,10 @@ let vm_tests =
       QCheck_alcotest.to_alcotest
         ~rand:(Random.State.make [| 2124 |])
         vm_equivalence_prop;
+      Alcotest.test_case "lowered instruction mix per benchmark" `Quick
+        lowered_mix_pinned;
+      Alcotest.test_case "generated programs lower dynamic instructions"
+        `Quick generated_programs_lower_dynamic;
     ]
   @ List.map
       (fun ((name, _, _, _) as case) ->
