@@ -44,16 +44,18 @@ let commit_id () =
           else "unknown"
       | exception Unix.Unix_error _ -> "unknown")
 
-(** The gate-relevant scalars of [BENCH_psaflow.json], flattened to
-    dotted names.  Fields missing from the file are simply absent
-    from the datapoint. *)
+(** The scalars of [BENCH_psaflow.json] a history datapoint records,
+    flattened to dotted names; {!gate_specs} gates some of them.
+    Fields missing from the file are simply absent from the
+    datapoint. *)
 let gated_paths =
   [ "interp"; "bytecode"; "mcycles_per_s" ]
   :: List.concat_map
       (fun (app : Benchmarks.Bench_app.t) ->
-        List.map
-          (fun m -> [ "interp"; "benchmarks"; app.id; "run"; m ])
-          [ "virtual_mcycles"; "vm_run_s"; "minor_words_per_cycle" ])
+        [ "interp"; "benchmarks"; app.id; "compile_s" ]
+        :: List.map
+             (fun m -> [ "interp"; "benchmarks"; app.id; "run"; m ])
+             [ "virtual_mcycles"; "vm_run_s"; "minor_words_per_cycle" ])
       Benchmarks.Registry.all
 
 let extract_metrics (sections : (string * Json.t) list) : (string * float) list

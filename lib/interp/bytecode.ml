@@ -1,9 +1,10 @@
 (** Flat register-bytecode lowering of the slot IR.
 
-    {!lower} compiles a resolved (and usually {!Opt}-optimized) program
-    into dense instruction arrays with integer-register operands — the
-    VM executor in {!Eval} dispatches over them with a single [match]
-    per instruction.
+    {!lower} compiles a resolved program into dense instruction arrays
+    with integer-register operands — the VM executor in {!Eval}
+    dispatches over them with a single [match] per instruction.  It is
+    the only stage between {!Resolve} and the VM, and it reads one
+    {!Opt.type_program} environment for every decision below.
 
     {b Register banks.}  A frame has three banks: a boxed [Value.t
     array], an unboxed [float array] and an [int array].  Every register
@@ -27,16 +28,21 @@
     blitted from per-bank constant pools at call entry, and expression
     temporaries are allocated monotonically per statement.
 
-    Specialized loop kernels ({!Resolve.kernel}) are lowered a second
-    time into micro-programs of {!kop}s, and a superinstruction selector
-    rewrites every one of them:
+    {b Kernels.}  An innermost counted loop whose body is straight-line
+    float arithmetic over affine memory sites translates to a {!kernel}
+    ({!kernel_of_loop}): plain {!kop}s over a float-register bank plus
+    statically counted per-iteration costs, which the VM charges in
+    bulk.  The loop lowers to an [IKernel] followed by its generic code,
+    which runs when the kernel's entry checks fail.  A superinstruction
+    selector then rewrites every kernel:
 
-    - [KLit] constants and loop-invariant loads are hoisted out of the
+    - [OLit] constants and loop-invariant loads are hoisted out of the
       body into entry banks ([kp_lits]/[kp_prefetch]);
     - adjacent producer/consumer pairs whose link register is written
       and read exactly once are fused into single opcodes
       (load+arith, arith+arith, arith+store, math+div/mul, and the
-      dot-product step [(a*b)+(c*d)]), repeated to fixpoint.
+      dot-product step [(a*b)+(c*d)]), in one left-to-right pass
+      ({!fuse}).
 
     Fusion never re-associates floating-point arithmetic and never
     reorders memory accesses (only strictly adjacent ops fuse), so the
@@ -68,26 +74,77 @@ let index_of r = r lsr 2
 (* Kernel micro-programs                                               *)
 (* ================================================================== *)
 
-(** One micro-op of a specialized loop body.  Plain ops mirror
-    {!Resolve.kinstr} one-to-one; the fused ops each replace an
-    adjacent pair (or triple, built by repeated pairing) whose link
-    register died immediately.  [A]/[B] suffixes say whether the first
-    op's result feeds the {e left} or {e right} operand of the second —
-    float arithmetic is never commuted. *)
+(** Silent integer expression of a kernel's entry protocol, evaluated
+    without charging cycles or bumping counters (those are charged in
+    bulk from statically counted totals).  [XIdx] is the current loop
+    index; [XSlot] reads a local slot with [Value.to_int] semantics and
+    aborts to the generic loop on a non-numeric value. *)
+type iexpr =
+  | XLit of int
+  | XIdx
+  | XSlot of int
+  | XAdd of iexpr * iexpr
+  | XSub of iexpr * iexpr
+  | XMul of iexpr * iexpr
+  | XNeg of iexpr
+
+(** One memory-access site: base-pointer slot plus an element index
+    affine in the loop variable. *)
+type ksite = { ks_base : int; ks_idx : iexpr }
+
+(** A specialized innermost counted loop: straight-line float body over
+    a float-register bank and affine sites.  All per-iteration virtual
+    costs are pre-counted so the executor can charge [n] iterations in
+    bulk, bit-identically to the generic loop. *)
+type kernel = {
+  k_nfregs : int;
+  k_sites : ksite array;
+  k_site_loads : int array;  (** per-iteration load accesses, per site *)
+  k_site_stores : int array;  (** per-iteration store accesses, per site *)
+  k_in : (int * int) array;  (** (slot, freg) read at loop entry *)
+  k_out : (int * int) array;  (** (slot, freg) written back at loop exit *)
+  k_idx_slot : int;
+  k_fsid : int;
+  k_inclusive : bool;
+  k_init : iexpr;
+  k_bound : iexpr;
+  k_step : iexpr;
+  k_nstmts : int;  (** body statements: fuel per iteration is [1 + k_nstmts] *)
+  k_flops : int;  (** per-iteration flop bumps of the body *)
+  k_sfu : int;  (** per-iteration SFU-op bumps *)
+  k_int_ops : int;  (** per-iteration int-op bumps (body + index exprs) *)
+  k_init_int_ops : int;
+  k_bound_int_ops : int;  (** bumped [n+1] times, once per bound check *)
+  k_step_int_ops : int;
+  k_dyn_cycles : float;  (** per-iteration dynamic cycle charges *)
+  k_gcost : float;  (** body group's static cost *)
+  k_icost : float;  (** init expression's static cost *)
+  k_bcost : float;  (** branch + bound cost, charged [n+1] times *)
+  k_scost : float;  (** step expression's static cost *)
+}
+
+(** One micro-op of a specialized loop body.  Registers index a
+    per-invocation [float array]; memory accesses go through numbered
+    {!ksite}s whose element offsets advance by a constant stride per
+    iteration.  The kernel translation emits the plain ops; the fused
+    ops each replace an adjacent pair (or triple, built by repeated
+    pairing) whose link register died immediately.  [A]/[B] suffixes
+    say whether the first op's result feeds the {e left} or {e right}
+    operand of the second — float arithmetic is never commuted. *)
 type kop =
-  | OLit of int * float
+  | OLit of int * float  (** dst <- constant *)
   | OMov of int * int
   | OAdd of int * int * int
   | OSub of int * int * int
   | OMul of int * int * int
   | ODiv of int * int * int
   | ONeg of int * int
-  | OItoF of int
+  | OItoF of int  (** dst <- float of the current loop index *)
   | OMath1 of int * R.math1 * int
   | OMath2 of int * R.math2 * int * int
   | OLoad of int * int  (** dst <- site *)
   | OStore of int * int  (** site <- src *)
-  | OStoreAdd of int * int
+  | OStoreAdd of int * int  (** site (+)= src *)
   | OStoreSub of int * int
   | OStoreMul of int * int
   | OStoreDiv of int * int
@@ -137,14 +194,14 @@ type kop =
   | ODot3Add of int * int * int * int * int * int * int * int
       (** d <- (((a*b) + (p*q)) + (x*y)) + e *)
 
-(** A lowered kernel: the original {!Resolve.kernel} (whose statically
-    counted totals drive the bulk accounting) plus the fused micro-ops,
+(** A lowered kernel: its {!kernel} (whose statically counted totals
+    drive the bulk accounting) plus the fused micro-ops,
     their hoisted entry banks, the frame registers its slots live in,
     and what loop tracking needs of one iteration's accesses.  A kernel
     input or output in the float bank is a plain float copy; only boxed
     (or int-bank) slots convert. *)
 type kprog = {
-  kp_kern : R.kernel;
+  kp_kern : kernel;
   kp_site_order : int array;
       (** the tracking sites in the order of their first access.  Sites
           with the same base slot and index expression touch the same
@@ -269,7 +326,7 @@ type instr =
     }
   | IForStepI of { slot : int; src : int; tgt : int }
   | ILoopExit of { lidx : int; sid : int; t0 : int; trips : int }
-  | IKernel of { glob : bool; lidx : int; kp : kprog; tgt : int }
+  | IKernel of { lidx : int; kp : kprog; tgt : int }
       (** specialized loop: on kernel success jump [tgt]; on
           [Kernel_unfit] fall through to the generic loop code *)
 
@@ -299,33 +356,352 @@ type program = {
 }
 
 (* ================================================================== *)
-(* Kernel lift and the superinstruction selector                       *)
+(* Kernel translation                                                  *)
+(* ================================================================== *)
+
+(* An innermost counted loop whose body is straight-line float
+   arithmetic over affine memory sites (elementwise maps, scaled
+   accumulates and reductions, stencil reads) translates to a {!kernel}
+   and its plain micro-ops, from the slot and expression types of
+   {!Opt}.  Anything whose bulk accounting could differ from the
+   generic loop raises [Not_kernel]. *)
+
+exception Not_kernel
+
+(* Affine integer expression in the loop index: conversion + static
+   int-op count (one bump per Add/Sub/Mul evaluation; Neg of an int and
+   literal/variable reads bump nothing) + affinity degree. *)
+let rec affine env lt ~idx_slot (e : R.expr) : iexpr * int * int =
+  match e.R.e with
+  | R.ELit (Value.VInt n) -> (XLit n, 0, 0)
+  | R.EVar (R.Local i) when i = idx_slot -> (XIdx, 0, 1)
+  | R.EVar (R.Local i) -> (
+      match lt.(i) with
+      | Opt.TInt | Opt.TBool -> (XSlot i, 0, 0)
+      | _ -> raise Not_kernel)
+  | R.EArith (((Minic.Ast.Add | Minic.Ast.Sub | Minic.Ast.Mul) as op), _, a, b)
+    when Opt.not_f (Opt.ety env lt a) && Opt.not_f (Opt.ety env lt b) -> (
+      let ia, na, da = affine env lt ~idx_slot a in
+      let ib, nb, db = affine env lt ~idx_slot b in
+      let n = na + nb + 1 in
+      match op with
+      | Minic.Ast.Add -> (XAdd (ia, ib), n, max da db)
+      | Minic.Ast.Sub -> (XSub (ia, ib), n, max da db)
+      | _ ->
+          if da + db > 1 then raise Not_kernel;
+          (XMul (ia, ib), n, da + db))
+  | R.ENeg a when Opt.ety env lt a = Opt.TInt ->
+      let ia, na, da = affine env lt ~idx_slot a in
+      (XNeg ia, na, da)
+  | _ -> raise Not_kernel
+
+(* Degree-0 affine expressions for init/bound/step: may not reference
+   the loop's own index. *)
+let invariant_int env lt ~idx_slot (e : R.expr) =
+  let ie, nops, deg = affine env lt ~idx_slot e in
+  if deg <> 0 then raise Not_kernel;
+  (ie, nops)
+
+let rec iexpr_slots acc = function
+  | XLit _ | XIdx -> acc
+  | XSlot i -> i :: acc
+  | XAdd (a, b) | XSub (a, b) | XMul (a, b) -> iexpr_slots (iexpr_slots acc a) b
+  | XNeg a -> iexpr_slots acc a
+
+let has_loop (b : R.block) =
+  let found = ref false in
+  Opt.iter_stmts (function R.SFor _ | R.SWhile _ -> found := true | _ -> ()) b;
+  !found
+
+(* Translation state for one candidate loop body. *)
+type ktrans = {
+  mutable ops : kop list;  (* reversed *)
+  mutable nregs : int;
+  mutable sites : ksite list;  (* reversed: site [n] is the [n]th made *)
+  mutable nsites : int;
+  loads : (int, int) Hashtbl.t;  (* site -> per-iteration loads *)
+  stores : (int, int) Hashtbl.t;
+  slot_reg : (int, int) Hashtbl.t;  (* float slot -> dedicated register *)
+  mutable entry : (int * int) list;  (* (slot, reg) entry loads, reversed *)
+  written : (int, unit) Hashtbl.t;  (* written so far, body order *)
+  mutable flops : int;  (* per-iteration counts of the body *)
+  mutable sfu : int;
+  mutable dyn : float;
+  mutable int_ops : int;
+}
+
+(* [kernel_of_loop env lt s]: the kernel and plain micro-ops of [s], an
+   innermost [for] loop of a frame typed [lt], or [None]. *)
+let kernel_of_loop env lt (s : R.stmt) =
+  match s with
+  | R.SFor
+      {
+        fsid;
+        slot = R.Local idx_slot;
+        init;
+        bound;
+        inclusive;
+        step;
+        body = [ group ];
+      }
+    when not (has_loop [ group ]) -> (
+      let k =
+        {
+          ops = [];
+          nregs = 0;
+          sites = [];
+          nsites = 0;
+          loads = Hashtbl.create 8;
+          stores = Hashtbl.create 8;
+          slot_reg = Hashtbl.create 8;
+          entry = [];
+          written = Hashtbl.create 8;
+          flops = 0;
+          sfu = 0;
+          dyn = 0.0;
+          int_ops = 0;
+        }
+      in
+      let emit op = k.ops <- op :: k.ops in
+      (* [def mk]: emit [mk d] into a fresh register [d] *)
+      let def mk =
+        let d = k.nregs in
+        k.nregs <- d + 1;
+        emit (mk d);
+        d
+      in
+      let flop dyn =
+        k.flops <- k.flops + 1;
+        k.dyn <- k.dyn +. dyn
+      in
+      let count tbl n =
+        Hashtbl.replace tbl n
+          (1 + Option.value (Hashtbl.find_opt tbl n) ~default:0)
+      in
+      let reg_of_slot s =
+        match Hashtbl.find_opt k.slot_reg s with
+        | Some r -> r
+        | None ->
+            let r = k.nregs in
+            k.nregs <- r + 1;
+            Hashtbl.add k.slot_reg s r;
+            r
+      in
+      let mark s = Hashtbl.replace k.written s () in
+      (* reading a float slot: entry-load it unless the body has already
+         written it (straight-line order) *)
+      let read_slot s =
+        let r = reg_of_slot s in
+        if not (Hashtbl.mem k.written s || List.mem_assoc s k.entry) then
+          k.entry <- (s, r) :: k.entry;
+        r
+      in
+      (* an invariant int slot: the body writes only floats, so its value
+         is fixed — entry-convert it once *)
+      let int_slot s =
+        if Hashtbl.mem k.slot_reg s then raise Not_kernel;
+        read_slot s
+      in
+      let float_base (a : R.expr) =
+        match a.R.e with
+        | R.EVar (R.Local b) -> (
+            match lt.(b) with
+            | Opt.TPtr (Minic.Ast.Tfloat | Minic.Ast.Tdouble) -> b
+            | _ -> raise Not_kernel)
+        | _ -> raise Not_kernel
+      in
+      let new_site base idx_e =
+        let ie, nops, _deg = affine env lt ~idx_slot idx_e in
+        (* invariant int slots read silently at entry must not be written
+           by the body — the body writes only float slots and the
+           (rejected) index, so a clash means rejection *)
+        List.iter
+          (fun s ->
+            if s <> idx_slot && not (Opt.not_f lt.(s)) then raise Not_kernel)
+          (iexpr_slots [] ie);
+        k.int_ops <- k.int_ops + nops;
+        k.sites <- { ks_base = base; ks_idx = ie } :: k.sites;
+        k.nsites <- k.nsites + 1;
+        k.nsites - 1
+      in
+      let is_f e = Opt.is_f (Opt.ety env lt e) in
+      let lit x = def (fun d -> OLit (d, x)) in
+      (* compile a float-valued expression into a register *)
+      let rec cf (e : R.expr) : int =
+        match e.R.e with
+        | R.ELit (Value.VFloat x) -> lit x
+        (* consumed via [to_float] in every float context *)
+        | R.ELit (Value.VInt n) -> lit (float_of_int n)
+        | R.ELit (Value.VBool b) -> lit (if b then 1.0 else 0.0)
+        | R.EVar (R.Local i) when i = idx_slot -> def (fun d -> OItoF d)
+        | R.EVar (R.Local i) -> (
+            match lt.(i) with
+            | Opt.TFloat -> read_slot i
+            | Opt.TInt | Opt.TBool -> int_slot i
+            | _ -> raise Not_kernel)
+        | R.EArith (op, fresid, a, b) when is_f a || is_f b ->
+            let ra = cf a in
+            let rb = cf b in
+            let d =
+              def (fun d ->
+                  match op with
+                  | Minic.Ast.Add -> OAdd (d, ra, rb)
+                  | Minic.Ast.Sub -> OSub (d, ra, rb)
+                  | Minic.Ast.Mul -> OMul (d, ra, rb)
+                  | _ -> raise Not_kernel)
+            in
+            flop fresid;
+            d
+        | R.EDiv (a, b) when is_f a || is_f b ->
+            let ra = cf a in
+            let rb = cf b in
+            let d = def (fun d -> ODiv (d, ra, rb)) in
+            flop C.float_div;
+            d
+        | R.ENeg a when is_f a ->
+            let ra = cf a in
+            let d = def (fun d -> ONeg (d, ra)) in
+            flop 0.0;
+            d
+        (* the cast is the [to_float] [cf] applies to every operand *)
+        | R.ECast ((Minic.Ast.Tfloat | Minic.Ast.Tdouble), a) -> cf a
+        | R.ECall { callee = R.Math { mimpl = R.M1 g; mflops }; cargs = [ a ] }
+          ->
+            let ra = cf a in
+            let d = def (fun d -> OMath1 (d, g, ra)) in
+            k.flops <- k.flops + mflops;
+            k.sfu <- k.sfu + 1;
+            d
+        | R.ECall
+            { callee = R.Math { mimpl = R.M2 g; mflops }; cargs = [ a; b ] } ->
+            let ra = cf a in
+            let rb = cf b in
+            let d = def (fun d -> OMath2 (d, g, ra, rb)) in
+            k.flops <- k.flops + mflops;
+            k.sfu <- k.sfu + 1;
+            d
+        | R.EIndex (a, idx_e) ->
+            let n = new_site (float_base a) idx_e in
+            count k.loads n;
+            def (fun d -> OLoad (d, n))
+        | _ -> raise Not_kernel
+      in
+      let do_stmt (s : R.stmt) =
+        match s with
+        | R.SDeclVar
+            {
+              slot = R.Local s;
+              typ = Minic.Ast.Tfloat | Minic.Ast.Tdouble;
+              init = Some e;
+            }
+          when s <> idx_slot ->
+            let r = cf e in
+            emit (OMov (reg_of_slot s, r));
+            mark s
+        | R.SAssign { slot = R.Local s; aop; rhs; _ }
+          when s <> idx_slot && Opt.is_f lt.(s) && is_f rhs -> (
+            let r = cf rhs in
+            match aop with
+            | Minic.Ast.Set ->
+                emit (OMov (reg_of_slot s, r));
+                mark s
+            | _ ->
+                let d = read_slot s in
+                emit
+                  (match aop with
+                  | Minic.Ast.AddEq -> OAdd (d, d, r)
+                  | Minic.Ast.SubEq -> OSub (d, d, r)
+                  | Minic.Ast.MulEq -> OMul (d, d, r)
+                  | _ -> ODiv (d, d, r));
+                flop (if aop = Minic.Ast.DivEq then C.float_div else 0.0);
+                mark s)
+        | R.SStore { arr; idx; aop; rhs } when is_f rhs -> (
+            let b = float_base arr in
+            (* evaluation order: rhs, then arr/idx *)
+            let r = cf rhs in
+            let n = new_site b idx in
+            match aop with
+            | Minic.Ast.Set ->
+                emit (OStore (n, r));
+                count k.stores n
+            | _ ->
+                emit
+                  (match aop with
+                  | Minic.Ast.AddEq -> OStoreAdd (n, r)
+                  | Minic.Ast.SubEq -> OStoreSub (n, r)
+                  | Minic.Ast.MulEq -> OStoreMul (n, r)
+                  | _ -> OStoreDiv (n, r));
+                count k.loads n;
+                count k.stores n;
+                flop (if aop = Minic.Ast.DivEq then C.float_div else 0.0))
+        | _ -> raise Not_kernel
+      in
+      try
+        List.iter do_stmt group.R.gstmts;
+        let ie_init, init_ops = invariant_int env lt ~idx_slot init in
+        let ie_bound, bound_ops = invariant_int env lt ~idx_slot bound in
+        let ie_step, step_ops = invariant_int env lt ~idx_slot step in
+        (* bound/step slots must be loop-invariant: the body writes only
+           float slots, and silent slots are int-typed, so any overlap
+           was already rejected; the index slot itself may not appear
+           (checked by [invariant_int]) *)
+        List.iter
+          (fun s -> if Hashtbl.mem k.written s then raise Not_kernel)
+          (iexpr_slots
+             (iexpr_slots (iexpr_slots [] ie_init) ie_bound)
+             ie_step);
+        let per_site tbl =
+          Array.init k.nsites (fun n ->
+              Option.value (Hashtbl.find_opt tbl n) ~default:0)
+        in
+        let out =
+          Hashtbl.fold
+            (fun s r acc ->
+              if Hashtbl.mem k.written s then (s, r) :: acc else acc)
+            k.slot_reg []
+          |> List.sort compare
+        in
+        Some
+          ( {
+              k_nfregs = k.nregs;
+              k_sites = Array.of_list (List.rev k.sites);
+              k_site_loads = per_site k.loads;
+              k_site_stores = per_site k.stores;
+              k_in = Array.of_list (List.rev k.entry);
+              k_out = Array.of_list out;
+              k_idx_slot = idx_slot;
+              k_fsid = fsid;
+              k_inclusive = inclusive;
+              k_init = ie_init;
+              k_bound = ie_bound;
+              k_step = ie_step;
+              k_nstmts = List.length group.R.gstmts;
+              k_flops = k.flops;
+              k_sfu = k.sfu;
+              k_int_ops = k.int_ops;
+              k_init_int_ops = init_ops;
+              k_bound_int_ops = bound_ops;
+              k_step_int_ops = step_ops;
+              k_dyn_cycles = k.dyn;
+              k_gcost = group.R.gcost;
+              k_icost = init.R.ecost;
+              k_bcost = C.branch +. bound.R.ecost;
+              k_scost = step.R.ecost;
+            },
+            Array.of_list (List.rev k.ops) )
+      with Not_kernel -> None)
+  | _ -> None
+
+(* ================================================================== *)
+(* The superinstruction selector                                       *)
 (* ================================================================== *)
 
 let rec invariant_idx = function
-  | R.ILit _ | R.ISlot _ -> true
-  | R.IIdx -> false
-  | R.IAdd (a, b) | R.ISub (a, b) | R.IMul (a, b) ->
+  | XLit _ | XSlot _ -> true
+  | XIdx -> false
+  | XAdd (a, b) | XSub (a, b) | XMul (a, b) ->
       invariant_idx a && invariant_idx b
-  | R.INeg a -> invariant_idx a
-
-let kop_of_kinstr = function
-  | R.KLit (d, x) -> OLit (d, x)
-  | R.KMov (d, a) -> OMov (d, a)
-  | R.KAdd (d, a, b) -> OAdd (d, a, b)
-  | R.KSub (d, a, b) -> OSub (d, a, b)
-  | R.KMul (d, a, b) -> OMul (d, a, b)
-  | R.KDiv (d, a, b) -> ODiv (d, a, b)
-  | R.KNeg (d, a) -> ONeg (d, a)
-  | R.KItoF d -> OItoF d
-  | R.KMath1 (d, g, a) -> OMath1 (d, g, a)
-  | R.KMath2 (d, g, a, b) -> OMath2 (d, g, a, b)
-  | R.KLoad (d, si) -> OLoad (d, si)
-  | R.KStore (si, r) -> OStore (si, r)
-  | R.KStoreAdd (si, r) -> OStoreAdd (si, r)
-  | R.KStoreSub (si, r) -> OStoreSub (si, r)
-  | R.KStoreMul (si, r) -> OStoreMul (si, r)
-  | R.KStoreDiv (si, r) -> OStoreDiv (si, r)
+  | XNeg a -> invariant_idx a
 
 let kop_writes = function
   | OLit (d, _) | OMov (d, _) | ONeg (d, _) | OItoF d
@@ -505,56 +881,40 @@ let fuse_pair t x y =
       Some (if p = t then OGMul (d, g, a, q) else OMulG (d, p, g, a))
   | _ -> None
 
-(* One fusion pass over [ops]: greedy leftmost adjacent pair whose link
-   register is written once, read once, and is not a kernel output.
-   Returns [None] when no pair fused. *)
-let fuse_once ~out ops =
-  let nregs = Array.fold_left (fun acc op ->
-      let acc = match kop_writes op with Some d -> max acc (d + 1) | None -> acc in
-      List.fold_left (fun acc r -> max acc (r + 1)) acc (kop_reads op))
-      0 ops
-  in
-  let writes = Array.make (max 1 nregs) 0 in
-  let reads = Array.make (max 1 nregs) 0 in
+(* One left-to-right pass over a stack of ops: each incoming op fuses
+   with the top while {!fuse_pair} accepts, the top's result being the
+   link register.  A link register is written once, read once (by the
+   incoming op) and is not a kernel output ([out]).  The counts are
+   taken once, up front: a fusion removes only its link register's one
+   write and one read, so every other register keeps its counts, and
+   the stack meets pairs in the order a leftmost scan restarted after
+   every fusion would.  Returns the ops and whether any pair fused. *)
+let fuse ~out ops =
+  let writes = Array.make (Array.length out) 0 in
+  let reads = Array.make (Array.length out) 0 in
   Array.iter
     (fun op ->
-      (match kop_writes op with Some d -> writes.(d) <- writes.(d) + 1 | None -> ());
+      Option.iter (fun d -> writes.(d) <- writes.(d) + 1) (kop_writes op);
       List.iter (fun r -> reads.(r) <- reads.(r) + 1) (kop_reads op))
     ops;
-  let n = Array.length ops in
-  let rec scan i =
-    if i + 1 >= n then None
-    else
-      let x = ops.(i) and y = ops.(i + 1) in
-      match kop_writes x with
-      | Some t
-        when t < Array.length out
-             && (not out.(t))
-             && writes.(t) = 1 && reads.(t) = 1
-             && List.mem t (kop_reads y) -> (
-          match fuse_pair t x y with
-          | Some fused ->
-              let ops' =
-                Array.concat
-                  [
-                    Array.sub ops 0 i;
-                    [| fused |];
-                    Array.sub ops (i + 2) (n - i - 2);
-                  ]
-              in
-              Some ops'
-          | None -> scan (i + 1))
-      | _ -> scan (i + 1)
+  let fused = ref false in
+  let rec push stack y =
+    match stack with
+    | x :: below -> (
+        match kop_writes x with
+        | Some t
+          when (not out.(t)) && writes.(t) = 1 && reads.(t) = 1
+               && List.mem t (kop_reads y) -> (
+            match fuse_pair t x y with
+            | Some xy ->
+                fused := true;
+                push below xy
+            | None -> y :: stack)
+        | _ -> y :: stack)
+    | [] -> [ y ]
   in
-  scan 0
-
-let fuse ~out ops =
-  let rec go ops changed =
-    match fuse_once ~out ops with
-    | Some ops' -> go ops' true
-    | None -> (ops, changed)
-  in
-  go ops false
+  let stack = Array.fold_left push [] ops in
+  (Array.of_list (List.rev stack), !fused)
 
 (* Hoist single-assignment literal registers (and, in store-free
    kernels, loads through loop-invariant sites) out of the body: they
@@ -562,8 +922,8 @@ let fuse ~out ops =
    only when the register is written exactly once in the body and never
    read before that write (so the entry value is the value every
    iteration sees). *)
-let hoist_entry (k : R.kernel) ops =
-  let nregs = k.R.k_nfregs in
+let hoist_entry (k : kernel) ops =
+  let nregs = k.k_nfregs in
   let writes = Array.make (max 1 nregs) 0 in
   Array.iter
     (fun op ->
@@ -571,7 +931,7 @@ let hoist_entry (k : R.kernel) ops =
       | Some d -> writes.(d) <- writes.(d) + 1
       | None -> ())
     ops;
-  let any_stores = Array.exists (fun c -> c > 0) k.R.k_site_stores in
+  let any_stores = Array.exists (fun c -> c > 0) k.k_site_stores in
   let read_before = Array.make (max 1 nregs) false in
   let lits = ref [] and pref = ref [] in
   let keep = ref [] in
@@ -584,7 +944,7 @@ let hoist_entry (k : R.kernel) ops =
             true
         | OLoad (d, si)
           when (not any_stores) && writes.(d) = 1 && not read_before.(d)
-               && invariant_idx k.R.k_sites.(si).R.ks_idx ->
+               && invariant_idx k.k_sites.(si).ks_idx ->
             pref := (d, si) :: !pref;
             true
         | _ -> false
@@ -598,11 +958,12 @@ let hoist_entry (k : R.kernel) ops =
     Array.of_list (List.rev !lits),
     Array.of_list (List.rev !pref) )
 
-(* The tracking sites of [k] in the order of their first access in the
-   body, and their access kinds (see {!kprog}).  A load after a store of
-   the same element changes no first-access state, so [2] absorbs it. *)
-let site_accesses (k : R.kernel) =
-  let sites = k.R.k_sites in
+(* The tracking sites of [k] in the order of their first access in its
+   plain ops, and their access kinds (see {!kprog}).  A load after a
+   store of the same element changes no first-access state, so [2]
+   absorbs it. *)
+let site_accesses (k : kernel) plain =
+  let sites = k.k_sites in
   let kinds = Array.make (Array.length sites) 0 in
   let order = ref [] in
   let touch si kind =
@@ -615,40 +976,38 @@ let site_accesses (k : R.kernel) =
   in
   Array.iter
     (function
-      | R.KLoad (_, si) -> touch si 1
-      | R.KStore (si, _) -> touch si 2
-      | R.KStoreAdd (si, _) | R.KStoreSub (si, _) | R.KStoreMul (si, _)
-      | R.KStoreDiv (si, _) ->
+      | OLoad (_, si) -> touch si 1
+      | OStore (si, _) -> touch si 2
+      | OStoreAdd (si, _) | OStoreSub (si, _) | OStoreMul (si, _)
+      | OStoreDiv (si, _) ->
           touch si 3
       | _ -> ())
-    k.R.k_body;
+    plain;
   (Array.of_list (List.rev !order), kinds)
 
-(** Lift one kernel into a micro-program: hoist its entry banks, then
-    fuse adjacent pairs to fixpoint.  [slots] maps each frame slot to
+(** Lift one kernel's plain ops into a micro-program: hoist its entry
+    banks, then fuse adjacent pairs.  [slots] maps each frame slot to
     its register. *)
-let lift_kernel ~(slots : int array) (k : R.kernel) : kprog =
+let lift_kernel ~(slots : int array) (k : kernel) (plain : kop array) : kprog =
   let m = Flow_obs.Metrics.global in
   Flow_obs.Metrics.incr m "vm_kernels";
-  let plain = Array.map kop_of_kinstr k.R.k_body in
-  let before = Array.length plain in
   let ops, lits, pref = hoist_entry k plain in
-  let out = Array.make (max 1 k.R.k_nfregs) false in
-  Array.iter (fun (_, freg) -> out.(freg) <- true) k.R.k_out;
+  let out = Array.make (max 1 k.k_nfregs) false in
+  Array.iter (fun (_, freg) -> out.(freg) <- true) k.k_out;
   let ops, fused_any = fuse ~out ops in
   let fused = fused_any || Array.length lits > 0 || Array.length pref > 0 in
   if fused then Flow_obs.Metrics.incr m "vm_kernels_fused";
-  Flow_obs.Metrics.incr m "vm_kernel_ops_before" ~by:before;
+  Flow_obs.Metrics.incr m "vm_kernel_ops_before" ~by:(Array.length plain);
   Flow_obs.Metrics.incr m "vm_kernel_ops_after" ~by:(Array.length ops);
   Flow_obs.Metrics.incr m "vm_kernel_lits" ~by:(Array.length lits);
   Flow_obs.Metrics.incr m "vm_kernel_prefetch" ~by:(Array.length pref);
   let in_f (s, _) = bank_of slots.(s) = fbank in
-  let fin, vin = List.partition in_f (Array.to_list k.R.k_in) in
+  let fin, vin = List.partition in_f (Array.to_list k.k_in) in
   (* kernel outputs are float slots: float bank or (when their type is
      not provable) boxed, never the int bank *)
-  let fout, bout = List.partition in_f (Array.to_list k.R.k_out) in
+  let fout, bout = List.partition in_f (Array.to_list k.k_out) in
   let idx (s, f) = (index_of slots.(s), f) in
-  let order, kinds = site_accesses k in
+  let order, kinds = site_accesses k plain in
   {
     kp_kern = k;
     kp_site_order = order;
@@ -676,7 +1035,8 @@ type temps = { base : int; mutable n : int; mutable hi : int }
 
 type lctx = {
   cp : R.t;
-  glob : bool;  (** lowering the globals block: the frame is [garray] *)
+  glob : bool;  (** lowering the globals block: [return] raises *)
+  kernels : bool;  (** translate innermost counted loops to kernels *)
   nloops : int list ref;
       (** node ids by dense loop number, newest first; the numbering is
           shared across functions *)
@@ -719,12 +1079,6 @@ let fresh_loop ctx sid =
   let l = List.length !(ctx.nloops) in
   ctx.nloops := sid :: !(ctx.nloops);
   l
-
-(* In the globals block the running frame IS the global frame, so the
-   optimizer's [Local] references (kernel slots) resolve
-   through [garray]. *)
-let eff ctx vr =
-  if ctx.glob then match vr with R.Local i -> R.Global i | x -> x else vr
 
 let arith_of_assign = function
   | Minic.Ast.AddEq -> (Minic.Ast.Add, C.float_add -. C.int_op)
@@ -783,7 +1137,6 @@ let rec scan_s f = function
       scan_b f body
   | R.SReturn eo -> Option.iter (scan_e f) eo
   | R.SBlock b -> scan_b f b
-  | R.SFused { forig; _ } -> scan_s f forig
 
 and scan_b f (b : R.block) =
   List.iter (fun (g : R.group) -> List.iter (scan_s f) g.R.gstmts) b
@@ -824,16 +1177,14 @@ let rec lx ?(v = false) ?dst ctx (e : R.expr) : int =
   | R.ELit (Value.VFloat x) when not v -> ctx.coff x
   | R.ELit (Value.VInt n) when not v -> ctx.cofi n
   | R.ELit lit -> ctx.cof lit
-  | R.EVar vr -> (
-      match eff ctx vr with
-      | R.Local i -> ctx.slots.(i)
-      | R.Global g ->
-          let t = dest ctx dst boxed in
-          emit ctx (IGetG (t, g));
-          t
-      | R.Unbound n ->
-          emit ctx (IErrVar n);
-          ctx.cof Value.VUnit)
+  | R.EVar (R.Local i) -> ctx.slots.(i)
+  | R.EVar (R.Global g) ->
+      let t = dest ctx dst boxed in
+      emit ctx (IGetG (t, g));
+      t
+  | R.EVar (R.Unbound n) ->
+      emit ctx (IErrVar n);
+      ctx.cof Value.VUnit
   | R.ENeg a ->
       let ra = lx ctx a in
       let bank = bank_of ra in
@@ -1014,7 +1365,7 @@ and lcall ctx dst callee cargs : int =
 (* ------------------------------------------------------------------ *)
 
 and store_slot ctx vr src =
-  match eff ctx vr with
+  match vr with
   | R.Local i ->
       let d = ctx.slots.(i) in
       if d <> src then emit ctx (IMov (d, src))
@@ -1024,7 +1375,7 @@ and store_slot ctx vr src =
 (* Lower [e] for an uncoerced store into [vr]: straight into a local
    slot when the producer's bank allows, as a value otherwise. *)
 and lx_for_slot ctx vr e =
-  match eff ctx vr with
+  match vr with
   | R.Local i ->
       let d = ctx.slots.(i) in
       lx ~v:(bank_of d = boxed) ~dst:d ctx e
@@ -1046,7 +1397,7 @@ and store_coerced ctx vr typ e =
   | None -> store_slot ctx vr (lx_for_slot ctx vr e)
   | Some want ->
       let target =
-        match eff ctx vr with
+        match vr with
         | R.Local i when bank_of ctx.slots.(i) = want -> Some ctx.slots.(i)
         | _ -> None
       in
@@ -1081,7 +1432,6 @@ and ls ctx (s : R.stmt) =
       | Minic.Ast.Set, Some typ -> store_coerced ctx slot typ rhs
       | Minic.Ast.Set, None -> store_slot ctx slot (lx_for_slot ctx slot rhs)
       | aop, _ -> (
-          let slot = eff ctx slot in
           let banked =
             match slot with
             | R.Local i -> bank_of ctx.slots.(i) <> boxed
@@ -1164,8 +1514,23 @@ and ls ctx (s : R.stmt) =
       place ctx lexit;
       emit ctx (ILoopExit { lidx; sid = wsid; t0; trips })
   | R.SFor { fsid; slot; init; bound; inclusive; step; body } ->
-      lfor ctx (fresh_loop ctx fsid) ~fsid ~slot ~init ~bound ~inclusive ~step
-        ~body
+      (* a kernel runs first; on [Kernel_unfit] the generic loop below
+         runs instead, under the same loop number *)
+      let lidx = fresh_loop ctx fsid in
+      let kernel =
+        if ctx.kernels then kernel_of_loop ctx.env ctx.lt s else None
+      in
+      let ldone =
+        Option.map
+          (fun (k, ops) ->
+            let l = fresh_lab ctx in
+            let kp = lift_kernel ~slots:ctx.slots k ops in
+            emit ctx (IKernel { lidx; kp; tgt = l });
+            l)
+          kernel
+      in
+      lfor ctx lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body;
+      Option.iter (place ctx) ldone
   | R.SReturn eo ->
       emit ctx IFuel;
       let rv =
@@ -1174,17 +1539,7 @@ and ls ctx (s : R.stmt) =
       emit ctx (if ctx.glob then IRetRaise rv else IRet rv)
   | R.SBlock b ->
       emit ctx IFuel;
-      lb ctx b
-  | R.SFused { forig; kern } -> (
-      match forig with
-      | R.SFor { fsid; slot; init; bound; inclusive; step; body } ->
-          let lidx = fresh_loop ctx fsid in
-          let ldone = fresh_lab ctx in
-          let kp = lift_kernel ~slots:ctx.slots kern in
-          emit ctx (IKernel { glob = ctx.glob; lidx; kp; tgt = ldone });
-          lfor ctx lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body;
-          place ctx ldone
-      | s -> ls ctx s));
+      lb ctx b);
   ctx.tb.n <- b0;
   ctx.tf.n <- f0;
   ctx.ti.n <- i0
@@ -1197,7 +1552,6 @@ and lfor ctx lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body =
   emit ctx
     (ILoopEnterF { lidx; sid = fsid; t0; trips; icost = init.R.ecost });
   let ri = lx ctx init in
-  let slot = eff ctx slot in
   let islot =
     match slot with
     | R.Local i when bank_of ctx.slots.(i) = ibank -> Some ctx.slots.(i)
@@ -1216,7 +1570,7 @@ and lfor ctx lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body =
   let folded =
     match bound.R.e with
     | R.ELit _ -> true
-    | R.EVar vr -> ( match eff ctx vr with R.Local _ -> true | _ -> false)
+    | R.EVar (R.Local _) -> true
     | _ -> false
   in
   if not folded then emit ctx (ICharge tcost);
@@ -1285,8 +1639,8 @@ let bank_slots (f : R.cfunc) (lt : Opt.ty array) =
   in
   (slots, !nf, !ni)
 
-let lower_fn (cp : R.t) ~env ~lt ~glob ~nloops ~slots ~nslots ~nfslots
-    ~nislots ~params (body : R.block) : fn =
+let lower_fn (cp : R.t) ~env ~lt ~glob ~kernels ~nloops ~slots ~nslots
+    ~nfslots ~nislots ~params (body : R.block) : fn =
   (* constant-pool prescan first so every register index is final: each
      literal gets a boxed constant, numeric ones also a banked one *)
   let pool () = (Hashtbl.create 16, ref []) in
@@ -1314,6 +1668,7 @@ let lower_fn (cp : R.t) ~env ~lt ~glob ~nloops ~slots ~nslots ~nfslots
     {
       cp;
       glob;
+      kernels;
       nloops;
       env;
       lt;
@@ -1362,9 +1717,11 @@ let lower_fn (cp : R.t) ~env ~lt ~glob ~nloops ~slots ~nslots ~nfslots
     bc_slots = slots;
   }
 
-(** Lower a resolved (optionally optimized) program.  Bank assignment
-    reads the slot types of {!Opt.type_program} on [cp] itself. *)
-let lower (cp : R.t) : program =
+(** Lower a resolved program, with every innermost loop that fits
+    translated to a kernel unless [kernels] is [false].  Bank
+    assignment, typed instructions and the kernel translation read the
+    one {!Opt.type_program} environment of [cp]. *)
+let lower ?(kernels = true) (cp : R.t) : program =
   let env = Opt.type_program cp in
   let nloops = ref [] in
   let funcs =
@@ -1372,14 +1729,14 @@ let lower (cp : R.t) : program =
       (fun fi (cf : R.cfunc) ->
         let lt = env.Opt.locals.(fi) in
         let slots, nfslots, nislots = bank_slots cf lt in
-        lower_fn cp ~env ~lt ~glob:false ~nloops ~slots
+        lower_fn cp ~env ~lt ~glob:false ~kernels ~nloops ~slots
           ~nslots:cf.R.cf_nslots ~nfslots ~nislots
           ~params:(Array.map (fun s -> slots.(s)) cf.R.cf_param_slots)
           cf.R.cf_body)
       cp.R.cfuncs
   in
   let globals =
-    lower_fn cp ~env ~lt:env.Opt.globals ~glob:true ~nloops
+    lower_fn cp ~env ~lt:env.Opt.globals ~glob:true ~kernels ~nloops
       ~slots:(Array.init cp.R.nglobals (reg boxed))
       ~nslots:0 ~nfslots:0 ~nislots:0 ~params:[||] cp.R.cglobals
   in

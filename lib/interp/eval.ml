@@ -9,11 +9,11 @@
 
     Programs are first lowered to the slot IR of {!Resolve} (array-indexed
     variable slots, pre-resolved callees, per-group batched static cycle
-    charges), optimized by {!Opt}, and lowered once more to the flat
-    register bytecode of {!Bytecode}, which {!run_vm} executes over
-    frames of boxed, float and int register banks.  The VM's memory
-    accessors are chosen per run: a run that tracks no loop pays nothing
-    for the offload instrumentation.
+    charges), and lowered once more to the flat register bytecode of
+    {!Bytecode}, with its specialized loop kernels, which {!run_vm}
+    executes over frames of boxed, float and int register banks.  The
+    VM's memory accessors are chosen per run: a run that tracks no loop
+    pays nothing for the offload instrumentation.
 
     The tree walker over the slot IR is kept as {!run_ir}: a reference
     implementation the test suite (and the perf harness's before/after
@@ -587,13 +587,6 @@ module Ir_walk = struct
     with Return_exc v -> v
 
   and exec_stmt st frame (s : Resolve.stmt) =
-    match s with
-    | SFused { forig; _ } ->
-        (* the walker is the semantic reference: always run the loop *)
-        exec_stmt st frame forig
-    | s -> exec_plain_stmt st frame s
-
-  and exec_plain_stmt st frame (s : Resolve.stmt) =
     spend_fuel st;
     match s with
     | SDeclVar { slot; typ; init } ->
@@ -686,9 +679,6 @@ module Ir_walk = struct
         in
         raise (Return_exc v)
     | SBlock b -> exec_block st frame b
-    | SFused _ ->
-        (* dispatched fuel-free by [exec_stmt] *)
-        assert false
 
   and exec_group st frame (g : Resolve.group) =
     if g.gcost <> 0.0 then charge st g.gcost;
@@ -960,14 +950,14 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
     iv := !iv + step
   done
 
-(* A kernel's silent integer expression at loop index [iv]: [ISlot]
+(* A kernel's silent integer expression at loop index [iv]: [XSlot]
    reads the slot's register ([to_int] semantics; a float or non-numeric
    slot is unfit). *)
-let rec kieval slots fr ib iv (ie : Resolve.iexpr) =
+let rec kieval slots fr ib iv (ie : B.iexpr) =
   match ie with
-  | Resolve.ILit n -> n
-  | Resolve.IIdx -> iv
-  | Resolve.ISlot i -> (
+  | B.XLit n -> n
+  | B.XIdx -> iv
+  | B.XSlot i -> (
       let r = Array.unsafe_get slots i in
       match r land 3 with
       | 2 -> Array.unsafe_get ib (r lsr 2)
@@ -977,10 +967,10 @@ let rec kieval slots fr ib iv (ie : Resolve.iexpr) =
           | VBool b -> if b then 1 else 0
           | VFloat _ | VUnit | VPtr _ -> raise Kernel_unfit)
       | _ -> raise Kernel_unfit)
-  | Resolve.IAdd (a, b) -> kieval slots fr ib iv a + kieval slots fr ib iv b
-  | Resolve.ISub (a, b) -> kieval slots fr ib iv a - kieval slots fr ib iv b
-  | Resolve.IMul (a, b) -> kieval slots fr ib iv a * kieval slots fr ib iv b
-  | Resolve.INeg a -> -kieval slots fr ib iv a
+  | B.XAdd (a, b) -> kieval slots fr ib iv a + kieval slots fr ib iv b
+  | B.XSub (a, b) -> kieval slots fr ib iv a - kieval slots fr ib iv b
+  | B.XMul (a, b) -> kieval slots fr ib iv a * kieval slots fr ib iv b
+  | B.XNeg a -> -kieval slots fr ib iv a
 
 (* Tracked-loop bracketing for the VM: [regs]/[sf]/[si] are the banks
    of the frame running loop number [lidx]. *)
@@ -1083,27 +1073,26 @@ let track_sites (tk : tracker) (kp : B.kprog) ids offs deltas elems n =
    kernel's accesses are then tracked site by site ({!track_sites});
    a kernel whose stored-to region some other site also reaches
    declines instead, and the generic loop tracks it per access.  [fr],
-   [fb] and [ib] are the frame's boxed, float and int banks ([fr] is
-   [garray] in the globals block). *)
+   [fb] and [ib] are the frame's boxed, float and int banks. *)
 let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
   let k = kp.B.kp_kern in
   let slots = kp.B.kp_slots in
   let iter_cost = Profile.Cost.loop_iter +. Profile.Cost.int_op in
   let per_iter =
-    k.Resolve.k_bcost +. iter_cost +. k.Resolve.k_gcost
-    +. k.Resolve.k_dyn_cycles +. k.Resolve.k_scost
+    k.B.k_bcost +. iter_cost +. k.B.k_gcost
+    +. k.B.k_dyn_cycles +. k.B.k_scost
   in
-  let nsites = Array.length k.Resolve.k_sites in
-  let loads_per_iter = Array.fold_left ( + ) 0 k.Resolve.k_site_loads in
-  let stores_per_iter = Array.fold_left ( + ) 0 k.Resolve.k_site_stores in
-  let fuel_per_iter = 1 + k.Resolve.k_nstmts in
-  let i0 = kieval slots fr ib 0 k.Resolve.k_init in
-  let b = kieval slots fr ib 0 k.Resolve.k_bound in
-  let s = kieval slots fr ib 0 k.Resolve.k_step in
+  let nsites = Array.length k.B.k_sites in
+  let loads_per_iter = Array.fold_left ( + ) 0 k.B.k_site_loads in
+  let stores_per_iter = Array.fold_left ( + ) 0 k.B.k_site_stores in
+  let fuel_per_iter = 1 + k.B.k_nstmts in
+  let i0 = kieval slots fr ib 0 k.B.k_init in
+  let b = kieval slots fr ib 0 k.B.k_bound in
+  let s = kieval slots fr ib 0 k.B.k_step in
   let sane v = -0x4000_0000_0000 < v && v < 0x4000_0000_0000 in
   if s <= 0 || not (sane i0 && sane b && sane s) then raise Kernel_unfit;
   let n =
-    if k.Resolve.k_inclusive then if i0 <= b then ((b - i0) / s) + 1 else 0
+    if k.B.k_inclusive then if i0 <= b then ((b - i0) / s) + 1 else 0
     else if i0 < b then (b - i0 + s - 1) / s
     else 0
   in
@@ -1112,27 +1101,27 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
   if st.fuel <= fuel_used then raise Kernel_unfit;
   if n = 0 then (
     st.fuel <- st.fuel - 1;
-    let stat = cached_loop_stat st lidx k.Resolve.k_fsid in
+    let stat = cached_loop_stat st lidx k.B.k_fsid in
     stat.invocations <- stat.invocations + 1;
     if st.tracking then vtrack_enter st lidx fr fb ib;
     let t0 = cycles st in
-    charge st (k.Resolve.k_icost +. k.Resolve.k_bcost);
+    charge st (k.B.k_icost +. k.B.k_bcost);
     st.prof.int_ops <-
-      st.prof.int_ops + k.Resolve.k_init_int_ops + k.Resolve.k_bound_int_ops;
-    seti fr ib slots.(k.Resolve.k_idx_slot) i0;
+      st.prof.int_ops + k.B.k_init_int_ops + k.B.k_bound_int_ops;
+    seti fr ib slots.(k.B.k_idx_slot) i0;
     stat.min_trip <- min stat.min_trip 0;
     stat.max_trip <- max stat.max_trip 0;
     stat.cycles <- stat.cycles +. (cycles st -. t0);
     if st.tracking then vtrack_exit st lidx)
   else (
     let ks = st.ks in
-    kscratch_fit ks nsites k.Resolve.k_nfregs;
+    kscratch_fit ks nsites k.B.k_nfregs;
     let datas = ks.ks_datas and offs = ks.ks_offs and deltas = ks.ks_deltas in
     let elems = ks.ks_elems and ids = ks.ks_ids in
     let bytes_r = ref 0 and bytes_w = ref 0 in
     for si = 0 to nsites - 1 do
-      let site = k.Resolve.k_sites.(si) in
-      let base = slots.(site.Resolve.ks_base) in
+      let site = k.B.k_sites.(si) in
+      let base = slots.(site.B.ks_base) in
       match
         if base land 3 = 0 then Array.unsafe_get fr (base lsr 2) else VUnit
       with
@@ -1142,10 +1131,10 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
           let r = Array.unsafe_get st.mem.Memory.regions p.mem_id in
           if not r.Memory.flt then raise Kernel_unfit;
           let len = r.Memory.len in
-          let o0 = p.off + kieval slots fr ib i0 site.Resolve.ks_idx in
+          let o0 = p.off + kieval slots fr ib i0 site.B.ks_idx in
           let olast =
             p.off
-            + kieval slots fr ib (i0 + ((n - 1) * s)) site.Resolve.ks_idx
+            + kieval slots fr ib (i0 + ((n - 1) * s)) site.B.ks_idx
           in
           if o0 < 0 || o0 >= len || olast < 0 || olast >= len then
             raise Kernel_unfit;
@@ -1153,14 +1142,14 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
           offs.(si) <- o0;
           deltas.(si) <-
             (if n > 1 then
-               p.off + kieval slots fr ib (i0 + s) site.Resolve.ks_idx - o0
+               p.off + kieval slots fr ib (i0 + s) site.B.ks_idx - o0
              else 0);
           elems.(si) <- r.Memory.elem_bytes;
           ids.(si) <- p.mem_id;
           bytes_r :=
-            !bytes_r + (k.Resolve.k_site_loads.(si) * r.Memory.elem_bytes);
+            !bytes_r + (k.B.k_site_loads.(si) * r.Memory.elem_bytes);
           bytes_w :=
-            !bytes_w + (k.Resolve.k_site_stores.(si) * r.Memory.elem_bytes)
+            !bytes_w + (k.B.k_site_stores.(si) * r.Memory.elem_bytes)
       | _ -> raise Kernel_unfit
     done;
     if
@@ -1170,7 +1159,7 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
       && shared_store_region kp ids
     then raise Kernel_unfit;
     let fregs = ks.ks_fregs in
-    Array.fill fregs 0 k.Resolve.k_nfregs 0.0;
+    Array.fill fregs 0 k.B.k_nfregs 0.0;
     for j = 0 to Array.length kp.B.kp_fin - 1 do
       let i, reg = Array.unsafe_get kp.B.kp_fin j in
       Array.unsafe_set fregs reg (Array.unsafe_get fb i)
@@ -1189,23 +1178,23 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     (* ---- committed: bulk accounting — execution below moves no
        observable ---- *)
     st.fuel <- st.fuel - fuel_used;
-    let stat = cached_loop_stat st lidx k.Resolve.k_fsid in
+    let stat = cached_loop_stat st lidx k.B.k_fsid in
     stat.invocations <- stat.invocations + 1;
     if st.tracking then vtrack_enter st lidx fr fb ib;
     let t0 = cycles st in
     let total =
-      k.Resolve.k_icost +. k.Resolve.k_bcost +. (float_of_int n *. per_iter)
+      k.B.k_icost +. k.B.k_bcost +. (float_of_int n *. per_iter)
     in
     charge st total;
     Array.unsafe_set st.bulk_cycles 0
       (Array.unsafe_get st.bulk_cycles 0 +. total);
     st.prof.int_ops <-
-      st.prof.int_ops + k.Resolve.k_init_int_ops
-      + ((n + 1) * k.Resolve.k_bound_int_ops)
-      + (n * (k.Resolve.k_step_int_ops + k.Resolve.k_int_ops));
-    st.prof.flops <- st.prof.flops + (n * k.Resolve.k_flops);
-    if k.Resolve.k_sfu > 0 then
-      st.prof.sfu_ops <- st.prof.sfu_ops + (n * k.Resolve.k_sfu);
+      st.prof.int_ops + k.B.k_init_int_ops
+      + ((n + 1) * k.B.k_bound_int_ops)
+      + (n * (k.B.k_step_int_ops + k.B.k_int_ops));
+    st.prof.flops <- st.prof.flops + (n * k.B.k_flops);
+    if k.B.k_sfu > 0 then
+      st.prof.sfu_ops <- st.prof.sfu_ops + (n * k.B.k_sfu);
     if loads_per_iter > 0 then (
       st.prof.loads <- st.prof.loads + (n * loads_per_iter);
       st.prof.bytes_read <- st.prof.bytes_read + (n * !bytes_r));
@@ -1242,7 +1231,7 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
       let i, reg = Array.unsafe_get kp.B.kp_bout j in
       Array.unsafe_set fr i (VFloat (Array.unsafe_get fregs reg))
     done;
-    seti fr ib slots.(k.Resolve.k_idx_slot) (i0 + (n * s));
+    seti fr ib slots.(k.B.k_idx_slot) (i0 + (n * s));
     stat.min_trip <- min stat.min_trip n;
     stat.max_trip <- max stat.max_trip n;
     stat.cycles <- stat.cycles +. (cycles st -. t0);
@@ -1647,9 +1636,8 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
           stat.cycles +. (cycles st -. Array.unsafe_get sf (t0 lsr 2));
         if st.tracking then vtrack_exit st lidx;
         go (pc + 1)
-    | B.IKernel { glob; lidx; kp; tgt } -> (
-        let fr = if glob then st.garray else regs in
-        match vkernel st ~track fr sf si lidx kp with
+    | B.IKernel { lidx; kp; tgt } -> (
+        match vkernel st ~track regs sf si lidx kp with
         | () -> go tgt
         | exception Kernel_unfit -> go (pc + 1))
   in
@@ -1695,18 +1683,19 @@ type run = {
     lowering. *)
 type compiled = { cp : Resolve.t; vm : Bytecode.program }
 
-(** Compile an already-resolved slot IR, without running the
-    optimizer — the entry point for identity tests that supply the raw
-    or their own optimized IR. *)
+(** Lower an already-resolved slot IR with typed instructions and no
+    kernels, for differential tests and the kernel-free benchmark
+    leg. *)
 let compile_resolved (cp : Resolve.t) : compiled =
-  { cp; vm = Bytecode.lower cp }
+  { cp; vm = Bytecode.lower ~kernels:false cp }
 
 (** Compile a program once; the result can be executed many times with
-    {!run_vm}: resolve, optimize with {!Opt.optimize}, lower to register
-    bytecode. *)
+    {!run_vm}: resolve, then lower to register bytecode with its
+    kernels. *)
 let compile p : compiled =
   Flow_obs.Trace.with_span ~cat:"interp" "interp.compile" (fun () ->
-      compile_resolved (Opt.optimize (Resolve.compile p)))
+      let cp = Resolve.compile p in
+      { cp; vm = Bytecode.lower cp })
 
 (* Trackers of the loops named in [track] that some function of [cp]
    holds; [reg fi slot] says where the engine keeps local [slot] of

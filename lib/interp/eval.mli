@@ -5,8 +5,8 @@
     design-flow tasks consume.  Deterministic: repeated runs (including
     of instrumented variants) see identical pseudo-random inputs.
 
-    Programs are slot-compiled (see {!Resolve}), optimized (see {!Opt})
-    and lowered to a {e flat register-bytecode VM} (see {!Bytecode} and
+    Programs are slot-compiled (see {!Resolve}) and lowered to a
+    {e flat register-bytecode VM} (see {!Bytecode} and
     DESIGN.md §14) — dense instruction arrays over frames of three
     register banks (boxed values, unboxed floats, ints; a slot whose
     static type is float or int lives unboxed), with superinstructions
@@ -57,18 +57,18 @@ val run :
   ?focus:string -> ?track:track -> ?fuel:int -> Minic.Ast.program -> run
 
 (** Compile a program once; the result can be executed many times with
-    {!run_vm} without re-resolving or re-compiling.  One pipeline:
-    resolve, specialize kernels with {!Opt.optimize}, lower to bytecode
-    with typed instructions where operand types allow and every kernel
-    fused.
+    {!run_vm} without re-resolving or re-compiling.  Two stages:
+    resolve, then lower to bytecode, which types the program once and
+    picks typed instructions where operand types allow and a
+    specialized, fused kernel for every innermost loop that fits.
     A compiled value is never mutated after this returns, so it may be
     shared across domains. *)
 val compile : Minic.Ast.program -> compiled
 
-(** Compile an already-resolved slot IR without invoking the optimizer
-    stage.  The entry point for tests that run the VM on the raw IR (no
-    kernels) or on IR they optimized themselves, and compare against
-    {!run_ir} on the raw IR. *)
+(** Lower an already-resolved slot IR with typed instructions and no
+    kernels: the one kernel-free entry point.  For tests that run the
+    VM on the IR without kernels and compare against {!run_ir}, and for
+    the benchmark leg that measures what kernels contribute. *)
 val compile_resolved : Resolve.t -> compiled
 
 (** Run an already-compiled program from [main] through the register

@@ -32,7 +32,11 @@
     rejected by the type checker and exercised by no benchmark:
     use-before-declaration of a local now reads the slot's [VUnit]
     instead of falling back to a same-named global, and re-declaring a
-    [for] index inside its own loop body aliases the loop's slot. *)
+    [for] index inside its own loop body aliases the loop's slot.
+
+    No pass rewrites this IR: the reference walker ({!Eval.run_ir}) runs
+    it as it is, and {!Bytecode.lower} compiles it, choosing typed
+    instructions and specialized loop kernels itself. *)
 
 module C = Profile.Cost
 
@@ -62,89 +66,6 @@ type callee =
   | Timer_start
   | Timer_stop
   | Unknown of string  (** unknown function: runtime error when called *)
-
-(* ------------------------------------------------------------------ *)
-(* Specialized kernels                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The kernel types below and the [SFused] statement are never produced
-   by [compile]; only kernel specialization ({!Opt}) builds them.  The
-   bytecode VM runs a kernel, the reference walker in {!Eval} runs its
-   original loop, and a kernel carries enough statically counted
-   information to replay the exact counter bumps and dynamic cycle
-   charges of that loop — see DESIGN.md §13. *)
-
-(** Silent integer expression, evaluated by the specialized-kernel entry
-    protocol without charging cycles or bumping counters (those are
-    charged in bulk from statically counted totals).  [IIdx] is the
-    current loop index; [ISlot] reads a local slot with [Value.to_int]
-    semantics and aborts to the generic loop on non-numeric values. *)
-type iexpr =
-  | ILit of int
-  | IIdx
-  | ISlot of int
-  | IAdd of iexpr * iexpr
-  | ISub of iexpr * iexpr
-  | IMul of iexpr * iexpr
-  | INeg of iexpr
-
-(** One float-register instruction of a specialized loop body.
-    Registers index a per-invocation [float array]; memory accesses go
-    through numbered {!ksite}s whose element offsets advance by a
-    constant stride per iteration. *)
-type kinstr =
-  | KLit of int * float  (** dst <- constant *)
-  | KMov of int * int
-  | KAdd of int * int * int  (** dst, a, b *)
-  | KSub of int * int * int
-  | KMul of int * int * int
-  | KDiv of int * int * int
-  | KNeg of int * int
-  | KItoF of int  (** dst <- float of the current loop index *)
-  | KMath1 of int * math1 * int
-  | KMath2 of int * math2 * int * int
-  | KLoad of int * int  (** dst <- site *)
-  | KStore of int * int  (** site <- src ([Set]) *)
-  | KStoreAdd of int * int  (** site (+)= src *)
-  | KStoreSub of int * int
-  | KStoreMul of int * int
-  | KStoreDiv of int * int
-
-(** One memory-access site: base-pointer slot plus an element index
-    affine in the loop variable. *)
-type ksite = { ks_base : int; ks_idx : iexpr }
-
-(** A specialized innermost counted loop: straight-line float body over
-    register banks and affine sites.  All per-iteration virtual costs
-    are pre-counted so the executor can charge [n] iterations in bulk,
-    bit-identically to the generic loop. *)
-type kernel = {
-  k_body : kinstr array;
-  k_nfregs : int;
-  k_sites : ksite array;
-  k_site_loads : int array;  (** per-iteration load accesses, per site *)
-  k_site_stores : int array;  (** per-iteration store accesses, per site *)
-  k_in : (int * int) array;  (** (slot, freg) read at loop entry *)
-  k_out : (int * int) array;  (** (slot, freg) written back at loop exit *)
-  k_idx_slot : int;
-  k_fsid : int;
-  k_inclusive : bool;
-  k_init : iexpr;
-  k_bound : iexpr;
-  k_step : iexpr;
-  k_nstmts : int;  (** body statements: fuel per iteration is [1 + k_nstmts] *)
-  k_flops : int;  (** per-iteration flop bumps of the body *)
-  k_sfu : int;  (** per-iteration SFU-op bumps *)
-  k_int_ops : int;  (** per-iteration int-op bumps (body + index exprs) *)
-  k_init_int_ops : int;
-  k_bound_int_ops : int;  (** bumped [n+1] times, once per bound check *)
-  k_step_int_ops : int;
-  k_dyn_cycles : float;  (** per-iteration dynamic cycle charges *)
-  k_gcost : float;  (** body group's static cost *)
-  k_icost : float;  (** init expression's static cost *)
-  k_bcost : float;  (** branch + bound cost, charged [n+1] times *)
-  k_scost : float;  (** step expression's static cost *)
-}
 
 (** [ecost] is the statically-known cycle cost of evaluating the
     expression once; dynamic residues (float vs int arithmetic, division,
@@ -205,10 +126,6 @@ type stmt =
     }
   | SReturn of expr option
   | SBlock of block
-  | SFused of { forig : stmt; kern : kernel }
-      (** specialized loop: [kern] runs when its entry preconditions
-          hold, else the faithfully compiled [forig] (an {!SFor}) runs;
-          both share one loop-stat identity *)
 
 (** Straight-line run of statements whose static cost [gcost] is charged
     once at group entry. *)
