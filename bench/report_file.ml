@@ -29,20 +29,41 @@ module Perf_history = Flow_service.Perf_history
 
 let history_path = "BENCH_history.jsonl"
 
+(* Every line [cmd] prints, or [None] when it fails or cannot start. *)
+let command_lines cmd =
+  match Unix.open_process_in (cmd ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
+  | ic ->
+      let rec read acc =
+        match input_line ic with
+        | l -> read (l :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      let lines = read [] in
+      if Unix.close_process_in ic = Unix.WEXITED 0 then Some lines else None
+
 (** The commit this measurement belongs to: [PSAFLOW_COMMIT] when set
-    (CI can pin it), else [git rev-parse --short HEAD], else
-    "unknown" — benches must not fail because git is absent. *)
+    (CI can pin it), else [git rev-parse --short HEAD] — suffixed
+    [-dirty] when a tracked file other than the two files a perf run
+    rewrites ([BENCH_psaflow.json], [BENCH_history.jsonl]) differs
+    from it, so a datapoint of uncommitted code is never keyed (and
+    {!history_gate}-excluded) as the commit's own — else "unknown":
+    benches must not fail because git is absent. *)
 let commit_id () =
   match Sys.getenv_opt "PSAFLOW_COMMIT" with
   | Some c when c <> "" -> c
   | _ -> (
-      match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-      | ic ->
-          let line = try input_line ic with End_of_file -> "" in
-          let status = Unix.close_process_in ic in
-          if status = Unix.WEXITED 0 && line <> "" then String.trim line
-          else "unknown"
-      | exception Unix.Unix_error _ -> "unknown")
+      match command_lines "git rev-parse --short HEAD" with
+      | Some (id :: _) when String.trim id <> "" ->
+          let changed =
+            command_lines
+              "git status --porcelain --untracked-files=no -- ':/' \
+               ':(top,exclude)BENCH_psaflow.json' \
+               ':(top,exclude)BENCH_history.jsonl'"
+          in
+          String.trim id
+          ^ if Option.value changed ~default:[] <> [] then "-dirty" else ""
+      | _ -> "unknown")
 
 (** The scalars of [BENCH_psaflow.json] a history datapoint records,
     flattened to dotted names; {!gate_specs} gates some of them.

@@ -341,37 +341,38 @@ let socket_arg =
 
 let addr_of socket = Protocol.addr_of_string socket
 
+(* A count of at least 1: zero or a negative value is a usage error
+   (exit 124), raised before the daemon binds its socket. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let serve_cmd =
+  let d = Flow_service.Server.default_config () in
+  let count names default doc =
+    Arg.(value & opt pos_int default & info names ~docv:"N" ~doc)
+  in
   let workers =
-    Arg.(
-      value
-      & opt int (Flow_service.Scheduler.default_workers ())
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Worker threads draining the job queue (default \
-             $(b,PSAFLOW_SERVICE_WORKERS) or 2).")
+    count [ "workers" ] d.workers
+      "Worker domains draining the job queue (default: the core count, \
+       at least 2 and at most 8)."
   in
   let queue_cap =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-cap" ] ~docv:"N"
-          ~doc:"Queued-job bound; submissions beyond it get queue_full.")
+    count [ "queue-cap" ] d.queue_capacity
+      "Queued-job bound; submissions beyond it get queue_full."
   in
   let store_cap =
-    Arg.(
-      value & opt int 256
-      & info [ "store-cap" ] ~docv:"N"
-          ~doc:"Result-store capacity (LRU-evicted beyond it).")
+    count [ "store-cap" ] d.store_capacity
+      "Result-store capacity (LRU-evicted beyond it)."
   in
   let max_conns =
-    Arg.(
-      value
-      & opt int (Flow_service.Server.default_max_connections ())
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:
-            "Concurrent connection cap (default \
-             $(b,PSAFLOW_MAX_CONNECTIONS) or 64); connections beyond it are \
-             rejected with server_busy.")
+    count [ "max-conns" ] d.max_connections
+      "Concurrent connection cap; connections beyond it are rejected with \
+       server_busy."
   in
   let run () socket workers queue_cap store_cap max_conns =
     protect @@ fun () ->
@@ -382,7 +383,7 @@ let serve_cmd =
     Flow_service.Server.serve
       ~config:
         {
-          (Flow_service.Server.default_config ()) with
+          d with
           workers;
           queue_capacity = queue_cap;
           store_capacity = store_cap;
@@ -584,8 +585,8 @@ let svc_trace_cmd =
       value & flag
       & info [ "slow" ]
           ~doc:
-            "Show the slow-request exemplar ring (executions at or over \
-             $(b,PSAFLOW_SLOW_MS)) instead of the sampled ring.")
+            "Show the slow-request exemplar ring (executions of 250 ms or \
+             more) instead of the sampled ring.")
   in
   let json =
     Arg.(

@@ -370,7 +370,7 @@ let trend_json ~k history : Json.t =
     only [BENCH_history.jsonl] — no flows are executed. *)
 let run_trend ?(strict = false) ~json () =
   let history = Perf_history.load ~path:history_path in
-  let k = Perf_history.default_k () in
+  let k = Perf_history.default_k in
   if history = [] then begin
     prerr_endline
       ("psaflow report: no perf history at " ^ history_path

@@ -397,7 +397,7 @@ let of_fused (fp : Minic_interp.Fused_profile.t) ~loop_sid (p : Ast.program)
    bits, and the workload size is baked into the program.  The
    kernel program determines its source (extraction only moves the loop
    into the kernel), so the source needs no key component.  The memo
-   rides the stage hierarchy and is off under PSAFLOW_NO_MEMO; a hit
+   rides the stage hierarchy and is off under the memo kill-switch; a hit
    records no profile spans, tracing or not. *)
 let memo : t Flow_memo.Cache.t = Flow_memo.Cache.create ~name:"features" ()
 

@@ -28,9 +28,8 @@
     typechecked: a type error is raised again by every {!typecheck}.
 
     All three caches follow the hierarchy-wide rules of {!Flow_memo}:
-    disabled by [PSAFLOW_NO_MEMO], bounded by [PSAFLOW_MEMO_CAP],
-    striped over [PSAFLOW_MEMO_SHARDS], and counted in the global
-    metrics registry as
+    disabled by its kill-switch, bounded to 512 entries, striped over 8
+    locks, and counted in the global metrics registry as
     [memo_ast_*]/[memo_extract_*]/[memo_reduce_*]. *)
 
 (** A memoized parse. *)

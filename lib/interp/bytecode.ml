@@ -1090,12 +1090,20 @@ let arith_of_assign = function
 (* Constant-pool prescan                                               *)
 (* ------------------------------------------------------------------ *)
 
-let vkey = function
-  | Value.VUnit -> "u"
-  | Value.VBool b -> if b then "b1" else "b0"
-  | Value.VInt n -> "i" ^ string_of_int n
-  | Value.VFloat f -> "f" ^ Int64.to_string (Int64.bits_of_float f)
-  | Value.VPtr { mem_id; off } -> Printf.sprintf "p%d+%d" mem_id off
+(* Constant pools key on the literal itself.  Floats compare by their
+   bits: [0.0] and [-0.0] are equal as floats but must keep separate
+   constant registers. *)
+module Lits = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal a b =
+    match (a, b) with
+    | Value.VFloat x, Value.VFloat y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | _ -> a = b
+
+  let hash = Hashtbl.hash
+end)
 
 let rec scan_e f (e : R.expr) =
   match e.R.e with
@@ -1643,26 +1651,26 @@ let lower_fn (cp : R.t) ~env ~lt ~glob ~kernels ~nloops ~slots ~nslots
     ~nfslots ~nislots ~params (body : R.block) : fn =
   (* constant-pool prescan first so every register index is final: each
      literal gets a boxed constant, numeric ones also a banked one *)
-  let pool () = (Hashtbl.create 16, ref []) in
+  let pool () = (Lits.create 16, ref []) in
   let add (tbl, vals) key x =
-    if not (Hashtbl.mem tbl key) then begin
-      Hashtbl.add tbl key (Hashtbl.length tbl);
+    if not (Lits.mem tbl key) then begin
+      Lits.add tbl key (Lits.length tbl);
       vals := x :: !vals
     end
   in
   let bp = pool () and fp = pool () and ip = pool () in
   let add_lit v =
-    add bp (vkey v) v;
+    add bp v v;
     match v with
-    | Value.VFloat x -> add fp (vkey v) x
-    | Value.VInt n -> add ip (vkey v) n
+    | Value.VFloat x -> add fp v x
+    | Value.VInt n -> add ip v n
     | _ -> ()
   in
   add_lit Value.VUnit;
   scan_b add_lit body;
   let values (_, vals) = Array.of_list (List.rev !vals) in
   let cvals = values bp and fcvals = values fp and icvals = values ip in
-  let cof bank base (tbl, _) v = reg bank (base + Hashtbl.find tbl (vkey v)) in
+  let cof bank base (tbl, _) v = reg bank (base + Lits.find tbl v) in
   let temps base = { base; n = 0; hi = 0 } in
   let ctx =
     {

@@ -38,28 +38,22 @@
     The store is a single-shard {!Flow_memo.Cache}: misses are
     single-flight (concurrent domains asking for the same run block on
     one execution instead of duplicating it) and eviction is true LRU —
-    every hit re-stamps the entry.  Capacity is bounded by
-    [PSAFLOW_MEMO_CAP] (default 512 entries).  This stage is
-    exempt from [PSAFLOW_NO_MEMO] (it predates the hierarchy, and
-    disabling it would not restore pre-memoization behavior — it would
-    regress it).  Hit/miss/eviction counts are mirrored into the
-    process-wide metrics registry ({!Flow_obs.Metrics.global}) as
+    every hit re-stamps the entry.  It holds at most
+    {!Flow_memo.default_capacity} (512) entries.  This stage is exempt
+    from the memo kill-switch ({!Flow_memo.set_globally_enabled}): it
+    predates the hierarchy, and disabling it would not restore
+    pre-memoization behavior — it would regress it.  Hit/miss/eviction
+    counts are mirrored into the process-wide metrics registry
+    ({!Flow_obs.Metrics.global}) as
     [profile_cache_hits]/[profile_cache_misses]/
     [profile_cache_evictions]. *)
 
 (* Single shard on purpose: the interpreter run happens outside the
    shard lock, so striping buys nothing here, and one shard keeps the
-   LRU eviction order (and the eviction counter) globally exact — the
-   accounting the capacity tests pin down. *)
+   LRU eviction order (and the eviction counter) globally exact. *)
 let cache : Eval.run Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"profile" ~metric_prefix:"profile_cache"
     ~shards:1 ~no_memo_exempt:true ()
-
-(** Change the profile-stage entry bound (also settable via
-    [PSAFLOW_MEMO_CAP]).  Takes effect on the next insertion. *)
-let set_capacity c =
-  if c < 1 then invalid_arg "Profile_cache.set_capacity: capacity must be >= 1";
-  Flow_memo.Cache.set_capacity cache c
 
 (** Turn the cache off (analyses fall back to fresh runs) or back on
     (tests and the perf bench). *)

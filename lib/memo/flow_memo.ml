@@ -30,13 +30,14 @@
     - Tracing never changes what runs: a traced run consults the
       caches like any other, so its spans show the work actually done
       (a hit records no spans for the stage it skips).
-    - [PSAFLOW_NO_MEMO=1] disables every cache except those created
-      with [~no_memo_exempt:true] (the fused-profile stage and the
-      result store, which predate the hierarchy), restoring
-      pre-memoization behavior bit-for-bit.
-    - [PSAFLOW_MEMO_CAP] (default 512) bounds each cache's entry
-      count; [PSAFLOW_MEMO_SHARDS] (default 8) sets the lock-striping
-      width.  Both follow the hardened {!Flow_obs.Env} grammar.
+    - {!set_globally_enabled}[ false] disables every cache except
+      those created with [~no_memo_exempt:true] (the fused-profile
+      stage and the result store, which predate the hierarchy),
+      restoring pre-memoization behavior bit-for-bit.  It is the
+      memo-off reference of the identity checks, not a tuning knob.
+    - Each cache holds at most {!default_capacity} (512) entries and
+      stripes its locks over {!default_shards} (8) unless created with
+      [~cap] / [~shards].
 
     Every cache mirrors its hit/miss/eviction/single-flight counters
     into {!Flow_obs.Metrics.global} as
@@ -45,20 +46,12 @@
     [psaflow svc-metrics] and the bench reports. *)
 
 let default_capacity = 512
+let default_shards = 8
 
-let env_capacity () =
-  Flow_obs.Env.int ~name:"PSAFLOW_MEMO_CAP" ~default:default_capacity ~min:1 ()
-
-let env_shards () =
-  Flow_obs.Env.int ~name:"PSAFLOW_MEMO_SHARDS" ~default:8 ~min:1 ()
-
-(* Process-wide kill-switch: [PSAFLOW_NO_MEMO] at startup, overridable
-   at runtime for tests and identity-comparison harnesses. *)
-let globally_enabled =
-  Atomic.make (not (Flow_obs.Env.flag ~name:"PSAFLOW_NO_MEMO" ()))
-
+(* Process-wide kill-switch, on at startup; tests and the
+   identity-comparison harnesses switch it off and back on. *)
+let globally_enabled = Atomic.make true
 let set_globally_enabled b = Atomic.set globally_enabled b
-let is_globally_enabled () = Atomic.get globally_enabled
 
 module Cache = struct
   type stats = {
@@ -90,7 +83,7 @@ module Cache = struct
     name : string;
     metric_prefix : string;
     no_memo_exempt : bool;
-    mutable capacity : int; (* total across shards *)
+    capacity : int; (* total across shards *)
     mutable enabled : bool;
     shards : 'a shard array;
   }
@@ -110,15 +103,14 @@ module Cache = struct
     }
 
   (** [create ~name ()] makes a stage cache.  [cap] defaults to
-      [PSAFLOW_MEMO_CAP]; [shards] to [PSAFLOW_MEMO_SHARDS].
-      [no_memo_exempt] (default false) opts the cache out of
-      [PSAFLOW_NO_MEMO] (the fused-profile stage and the result store
+      {!default_capacity}; [shards] to {!default_shards}.
+      [no_memo_exempt] (default false) opts the cache out of the
+      global kill-switch (the fused-profile stage and the result store
       do this: switching them off would not restore pre-memoization
       behavior, it would regress it). *)
-  let create ~name ?cap ?shards ?(no_memo_exempt = false)
-      ?metric_prefix () : 'a t =
-    let cap = match cap with Some c -> max 1 c | None -> env_capacity () in
-    let n = match shards with Some s -> max 1 s | None -> env_shards () in
+  let create ~name ?(cap = default_capacity) ?(shards = default_shards)
+      ?(no_memo_exempt = false) ?metric_prefix () : 'a t =
+    let cap = max 1 cap and n = max 1 shards in
     {
       name;
       metric_prefix =
@@ -130,10 +122,6 @@ module Cache = struct
     }
 
   let set_enabled t b = t.enabled <- b
-
-  let set_capacity t c =
-    if c < 1 then invalid_arg "Flow_memo.Cache.set_capacity: capacity >= 1";
-    t.capacity <- c
 
   (** Whether a lookup right now would consult the table at all. *)
   let active t =

@@ -6,14 +6,12 @@
     maps on the pool: sweeps, branches and loop kernels run in the
     calling domain.  No external dependencies.
 
-    Sizing: the [PSAFLOW_JOBS] environment variable overrides the worker
-    count; programmatic callers (benchmarks, tests) can force it through
-    {!override}.  By default the pool uses
-    [Domain.recommended_domain_count ()], capped at 8 — flow evaluation
-    is memory-bandwidth-hungry and wider pools stop paying off.  With
-    one job the pool degrades to a plain in-place [List.map], so
-    sequential and parallel runs traverse items in the same order and
-    produce identical result lists.
+    Sizing: unless the caller passes [~jobs], [map] uses {!jobs}
+    domains: [Domain.recommended_domain_count ()], capped at 8 — flow
+    evaluation is memory-bandwidth-hungry and wider pools stop paying
+    off.  With one job the pool degrades to a plain in-place
+    [List.map], so sequential and parallel runs traverse items in the
+    same order and produce identical result lists.
 
     Work items are claimed from a shared [Atomic] counter; results land
     in a pre-sized array, so the output order always matches the input
@@ -21,22 +19,8 @@
     exception raised by any item is re-raised in the caller (remaining
     items may still have been evaluated speculatively). *)
 
-(** Forced worker count, taking precedence over [PSAFLOW_JOBS].
-    [None] = auto. *)
-let override : int option ref = ref None
-
-(* Zero/negative values clamp to 1 (sequential) with a once-per-process
-   warning instead of being silently ignored. *)
-let env_jobs () = Flow_obs.Env.int_opt ~name:"PSAFLOW_JOBS" ~min:1 ()
-
-(** The worker count a [map] will use right now. *)
-let jobs () =
-  match !override with
-  | Some j -> max 1 j
-  | None -> (
-      match env_jobs () with
-      | Some j -> j
-      | None -> min 8 (Domain.recommended_domain_count ()))
+(** The worker count a [map] without [~jobs] uses. *)
+let jobs () = min 8 (Domain.recommended_domain_count ())
 
 exception Item_error of exn
 

@@ -112,10 +112,9 @@ type verdict =
   | Fail of { value : float; median : float; used : int }
   | Skip of string  (** not enough comparable history; the notice says why *)
 
-(** Rolling window length: gate against the median of the last
-    [PSAFLOW_HISTORY_K] comparable entries (default 5, minimum 3). *)
-let default_k () =
-  Flow_obs.Env.int ~name:"PSAFLOW_HISTORY_K" ~default:5 ~min:3 ()
+(** Rolling window length: {!gate} compares against the median of the
+    last 5 comparable entries unless given [~k] (minimum 3). *)
+let default_k = 5
 
 (** Gate [value] for [metric] against the rolling median of the last
     [k] history entries that ran at the same [quick] scale, carry the
@@ -125,9 +124,9 @@ let default_k () =
     [value <= factor *. median] (e.g. [factor = 4.0] allows 4x).
     Fewer than 3 comparable values is a {!Skip}, never a failure: a
     young history cannot block a merge. *)
-let gate ?k ?(exclude_commit = "") ~history ~quick ~metric ~direction ~factor
-    value : verdict =
-  let k = match k with Some k -> max 3 k | None -> default_k () in
+let gate ?(k = default_k) ?(exclude_commit = "") ~history ~quick ~metric
+    ~direction ~factor value : verdict =
+  let k = max 3 k in
   let comparable =
     List.filter_map
       (fun (d : datapoint) ->

@@ -8,12 +8,13 @@
     recording is then {e retained} into one of two bounded rings:
 
     - the {b sampled} ring keeps every [sample_every]-th execution
-      (deterministic: the 1st, the [1+N]th, ... by executed-job
-      sequence, so the very first job of a fresh daemon is always
-      retained and a given workload always samples the same jobs);
+      (every 10th in the daemon; deterministic: the 1st, the [1+N]th,
+      ... by executed-job sequence, so the very first job of a fresh
+      daemon is always retained and a given workload always samples
+      the same jobs);
     - the {b slow} ring keeps every execution whose wall clock meets
-      [slow_ms], regardless of sampling — the exemplars you want when
-      p99 moves.
+      [slow_ms] (250 ms in the daemon), regardless of sampling — the
+      exemplars you want when p99 moves.
 
     Cached and coalesced submissions never execute, so they cost
     nothing here; the recording overhead on fresh jobs is one span
@@ -21,17 +22,6 @@
     clients by the v3 [svc_trace] protocol request. *)
 
 module Trace = Flow_obs.Trace
-
-(** Sampling rate knob: retain one in [PSAFLOW_TRACE_SAMPLE] executed
-    jobs (default 10, minimum 1 = every execution). *)
-let default_sample () =
-  Flow_obs.Env.int ~name:"PSAFLOW_TRACE_SAMPLE" ~default:10 ~min:1 ()
-
-(** Slow-exemplar threshold: executions at or over [PSAFLOW_SLOW_MS]
-    milliseconds retain their trace even when not sampled (default
-    250 ms, minimum 1). *)
-let default_slow_ms () =
-  float_of_int (Flow_obs.Env.int ~name:"PSAFLOW_SLOW_MS" ~default:250 ~min:1 ())
 
 type record = {
   request_id : string;
@@ -57,16 +47,14 @@ type t = {
   mutable retained_slow : int;
 }
 
-let create ?(capacity = 64) ?(slow_capacity = 32) ?sample ?slow_ms () =
-  let sample =
-    match sample with Some s -> max 1 s | None -> default_sample ()
-  in
-  let slow_ms =
-    match slow_ms with Some m -> m | None -> default_slow_ms ()
-  in
+(** A trace log retaining one in [sample] executed jobs (default 10;
+    values below 1 mean every execution) and every execution at or over
+    [slow_ms] milliseconds (default 250). *)
+let create ?(capacity = 64) ?(slow_capacity = 32) ?(sample = 10)
+    ?(slow_ms = 250.0) () =
   {
     lock = Mutex.create ();
-    sample_every = sample;
+    sample_every = max 1 sample;
     slow_ms;
     capacity;
     slow_capacity;

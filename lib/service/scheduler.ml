@@ -23,10 +23,10 @@
     [run] closure, which holds its parsed request, is released once the
     job starts.
 
-    Worker count defaults to [PSAFLOW_SERVICE_WORKERS] if set.  Workers
-    are OCaml 5 [Domain]s spawned through {!Flow_par.Pool}, so N jobs
-    execute truly in parallel on multi-core hosts — systhread workers
-    only ever interleaved on one runtime lock.  The scheduler's own
+    Worker count defaults to {!default_workers}.  Workers are OCaml 5
+    [Domain]s spawned through {!Flow_par.Pool}, so N jobs execute truly
+    in parallel on multi-core hosts — systhread workers only ever
+    interleaved on one runtime lock.  The scheduler's own
     state stays behind one mutex (submission bookkeeping is cheap), and
     every {!Store} lookup and insert happens under it, so store access
     is serialized with submission.  Coalescing stays here rather than
@@ -82,10 +82,7 @@ type t = {
 (* Default domain count: one worker per core up to 8 (flow execution is
    memory-bandwidth-hungry, like the DSE pool), never fewer than 2 so a
    slow job cannot starve the queue even on a 1-core container. *)
-let default_workers () =
-  Flow_obs.Env.int ~name:"PSAFLOW_SERVICE_WORKERS"
-    ~default:(max 2 (min 8 (Domain.recommended_domain_count ())))
-    ~min:1 ()
+let default_workers () = max 2 (min 8 (Domain.recommended_domain_count ()))
 
 (** Finished jobs kept fetchable: 4 full batches.  Each one pins its
     result, so this bound is most of the daemon's retained memory. *)
@@ -187,8 +184,7 @@ let worker_loop t (_worker : int) =
   next ()
 
 let create ?(workers = default_workers ()) ?(queue_capacity = 64)
-    ?(store_capacity = 256) ?store_shards ?trace_sample ?trace_slow_ms ~metrics
-    () =
+    ?(store_capacity = 256) ?store_shards ~metrics () =
   if workers <= 0 then invalid_arg "Scheduler.create: workers must be positive";
   if queue_capacity <= 0 then
     invalid_arg "Scheduler.create: queue_capacity must be positive";
@@ -204,8 +200,7 @@ let create ?(workers = default_workers ()) ?(queue_capacity = 64)
       active_by_key = Hashtbl.create 64;
       store = Store.create ?shards:store_shards ~capacity:store_capacity ();
       metrics;
-      req_log =
-        Req_trace.create ?sample:trace_sample ?slow_ms:trace_slow_ms ();
+      req_log = Req_trace.create ();
       next_id = 0;
       accepting = true;
       stopping = false;

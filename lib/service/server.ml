@@ -25,16 +25,13 @@ type config = {
           so an accept storm cannot exhaust handler threads *)
 }
 
-let default_max_connections () =
-  Flow_obs.Env.int ~name:"PSAFLOW_MAX_CONNECTIONS" ~default:64 ~min:1 ()
-
 let default_config () =
   {
     workers = Scheduler.default_workers ();
     queue_capacity = 64;
     store_capacity = 256;
-    store_shards = Flow_memo.env_shards ();
-    max_connections = default_max_connections ();
+    store_shards = Flow_memo.default_shards;
+    max_connections = 64;
   }
 
 type t = {

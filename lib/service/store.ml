@@ -11,19 +11,18 @@
 
     The store is a {!Flow_memo.Cache} read with [find] and filled with
     [add] (insert-or-replace, true LRU eviction).  Like the profile
-    cache it ignores [PSAFLOW_NO_MEMO], so dedup never switches off; its counters land in the metrics registry as
+    cache it is exempt from the memo kill-switch
+    ({!Flow_memo.set_globally_enabled}), so dedup never switches off;
+    its counters land in the metrics registry as
     [result_store_hits]/[_misses]/[_evictions]. *)
 
 type 'a t = 'a Flow_memo.Cache.t
 
 (** A store of at most [capacity] results, striped over [shards] locks
-    (default [PSAFLOW_MEMO_SHARDS]; never more than [capacity]). *)
-let create ?shards ~capacity () : 'a t =
+    (default {!Flow_memo.default_shards}; never more than [capacity]). *)
+let create ?(shards = Flow_memo.default_shards) ~capacity () : 'a t =
   if capacity <= 0 then invalid_arg "Store.create: capacity must be positive";
-  let shards =
-    min capacity
-      (match shards with Some s -> s | None -> Flow_memo.env_shards ())
-  in
+  let shards = min capacity shards in
   Flow_memo.Cache.create ~name:"result_store" ~cap:capacity ~shards
     ~no_memo_exempt:true ~metric_prefix:"result_store" ()
 

@@ -10,8 +10,8 @@
 #     false (an engine, the optimized VM or the cached flow diverged
 #     from the reference bytes), or
 #   - interp.bytecode.mcycles_per_s fell below 70% of the rolling
-#     median of the last K comparable (quick-scale, other-commit)
-#     history entries (K = PSAFLOW_HISTORY_K, default 5, min 3).
+#     median of the last 5 comparable (quick-scale, other-commit)
+#     history entries.
 #
 # No wall-time gate covers the daemon or the stage memo.  Tier-1 pins
 # their counts exactly (test_service, "mixed traffic through the
@@ -22,7 +22,11 @@
 # Fewer than 3 comparable history entries skips that metric's check
 # with a notice — a young history cannot block a merge.  After gating,
 # the fresh numbers are appended to the history as one commit-keyed
-# datapoint, so every CI run grows the baseline.
+# datapoint, so every CI run grows the baseline.  A tree with changes
+# to tracked files other than BENCH_psaflow.json and
+# BENCH_history.jsonl (which this script rewrites) is keyed
+# <commit>-dirty, so its run neither excludes nor poses as the
+# commit's own datapoints.
 #
 # Run from anywhere; operates on the repo this script lives in.
 set -eu

@@ -147,13 +147,14 @@ let pool_exception () =
            (fun x -> if x = 13 then failwith "boom" else x)
            (List.init 20 Fun.id)))
 
+(* An explicit [~jobs] overrides the default width, which is the core
+   count capped at 8. *)
 let pool_jobs_env () =
-  let saved = !Flow_par.Pool.override in
-  Flow_par.Pool.override := Some 3;
-  Fun.protect
-    ~finally:(fun () -> Flow_par.Pool.override := saved)
-    (fun () ->
-      Alcotest.(check int) "override wins" 3 (Flow_par.Pool.jobs ()))
+  Alcotest.(check int) "default width" (min 8 (Domain.recommended_domain_count ()))
+    (Flow_par.Pool.jobs ());
+  ignore (Flow_par.Pool.map ~jobs:3 Fun.id [ 1; 2; 3; 4 ]);
+  Alcotest.(check (float 0.0)) "~jobs wins" 3.0
+    (Flow_obs.Metrics.gauge_value Flow_obs.Metrics.global "pool_workers")
 
 (* ------------------------------------------------------------------ *)
 (* DSE sweeps = naive reference sweeps (qcheck)                        *)
@@ -1098,6 +1099,39 @@ int main() {
     (run_fingerprint (I.Eval.run_vm (I.Eval.compile p))
     = run_fingerprint (I.Eval.run_ir (I.Resolve.compile p)))
 
+(* Constant pools key a float literal by its bits: [0.0] and [-0.0]
+   compare equal as floats but must keep separate constant registers,
+   banked (the divisions) and boxed (the array stores) alike.  The
+   parser reads [-0.0] as a negated literal, so the program is built
+   with a [-0.0] literal node directly. *)
+let vm_signed_zero_literals () =
+  let open Minic.Builder in
+  let z = -0.0 in
+  let p =
+    Minic.Ast.number
+      (program
+         [
+           func ~ret:Minic.Ast.Tint "main" []
+             [
+               decl ~size:(int 2) Minic.Ast.Tdouble "s";
+               set_idx (var "s") (int 0) (flt 0.0);
+               set_idx (var "s") (int 1) (flt z);
+               call_stmt "print_float" [ flt 1.0 /: flt 0.0 ];
+               call_stmt "print_float" [ flt 1.0 /: flt z ];
+               call_stmt "print_float" [ flt 1.0 /: idx (var "s") (int 0) ];
+               call_stmt "print_float" [ flt 1.0 /: idx (var "s") (int 1) ];
+               return_ (int 0);
+             ];
+         ])
+  in
+  let walker = I.Eval.run_ir (I.Resolve.compile p) in
+  Alcotest.(check string)
+    "walker output" "inf\n-inf\ninf\n-inf\n" walker.I.Eval.output;
+  Alcotest.(check bool)
+    "vm = walker" true
+    (run_fingerprint (I.Eval.run_vm (I.Eval.compile p))
+    = run_fingerprint walker)
+
 (* The typed-arithmetic mix of a lowered program, over every function
    and the globals block: for arith, div, cmp and fused compare-branch
    (rows, in that order), how many instructions are operand-dynamic,
@@ -1335,6 +1369,8 @@ let vm_tests =
       Alcotest.test_case "selector fuses hot kernels" `Quick vm_selector_fuses;
       Alcotest.test_case "float cast of a bool literal in a kernel" `Quick
         vm_bool_cast_kernel;
+      Alcotest.test_case "0.0 and -0.0 literals keep separate constants"
+        `Quick vm_signed_zero_literals;
       QCheck_alcotest.to_alcotest
         ~rand:(Random.State.make [| 2124 |])
         vm_equivalence_prop;
