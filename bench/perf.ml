@@ -5,8 +5,9 @@
     [BENCH_psaflow.json]:
 
     - per paper benchmark, the compile time, and the VM's virtual
-      cycles, run time and minor-heap words per virtual cycle of the one
-      tracked profiling run a cold flow makes ({!Benchmarks.Vm_cost});
+      cycles, run time, minor-heap words per virtual cycle and bulk
+      share of the one tracked profiling run a cold flow makes
+      ({!Benchmarks.Vm_cost});
     - interpreter throughput on the heaviest benchmark, before (slot-IR
       tree walker, {!Minic_interp.Eval.run_ir}) and after (the bytecode
       VM, {!Minic_interp.Eval.run_vm}) — the VM both without kernels
@@ -203,8 +204,8 @@ let run ~quick () =
   List.iter
     (fun (c : Benchmarks.Vm_cost.t) ->
       let show (r : Benchmarks.Vm_cost.run_cost) =
-        Printf.sprintf "%6.2f Mcycles %8.2f ms %6.3f words/cycle" r.mcycles
-          (r.run_s *. 1e3) r.words_per_cycle
+        Printf.sprintf "%6.2f Mcycles %8.2f ms %6.3f words/cycle %5.3f bulk"
+          r.mcycles (r.run_s *. 1e3) r.words_per_cycle r.bulk_share
       in
       Printf.printf "vm       %-12s compile %6.3f ms run %s\n%!" c.bench
         (c.compile_s *. 1e3) (show c.run))
@@ -319,6 +320,7 @@ let run ~quick () =
                       ("virtual_mcycles", Float r.mcycles);
                       ("vm_run_s", Float r.run_s);
                       ("minor_words_per_cycle", Float r.words_per_cycle);
+                      ("bulk_share", Float r.bulk_share);
                     ]
                 in
                 Obj

@@ -76,7 +76,12 @@ let gated_paths =
         [ "interp"; "benchmarks"; app.id; "compile_s" ]
         :: List.map
              (fun m -> [ "interp"; "benchmarks"; app.id; "run"; m ])
-             [ "virtual_mcycles"; "vm_run_s"; "minor_words_per_cycle" ])
+             [
+               "virtual_mcycles";
+               "vm_run_s";
+               "minor_words_per_cycle";
+               "bulk_share";
+             ])
       Benchmarks.Registry.all
 
 let extract_metrics (sections : (string * Json.t) list) : (string * float) list

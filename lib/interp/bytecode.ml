@@ -29,7 +29,8 @@
     temporaries are allocated monotonically per statement.
 
     {b Kernels.}  An innermost counted loop whose body is straight-line
-    float arithmetic over affine memory sites translates to a {!kernel}
+    float arithmetic over affine memory sites and affine int expressions
+    of the loop index translates to a {!kernel}
     ({!kernel_of_loop}): plain {!kop}s over a float-register bank plus
     statically counted per-iteration costs, which the VM charges in
     bulk.  The loop lowers to an [IKernel] followed by its generic code,
@@ -76,9 +77,11 @@ let index_of r = r lsr 2
 
 (** Silent integer expression of a kernel's entry protocol, evaluated
     without charging cycles or bumping counters (those are charged in
-    bulk from statically counted totals).  [XIdx] is the current loop
-    index; [XSlot] reads a local slot with [Value.to_int] semantics and
-    aborts to the generic loop on a non-numeric value. *)
+    bulk from statically counted totals).  [XIdx] is the loop index;
+    [XSlot] reads a local slot with [Value.to_int] semantics and aborts
+    to the generic loop on a non-numeric value.  Every [iexpr] of a
+    kernel is affine in [XIdx], so the entry protocol evaluates it at
+    the first two iterations and advances it by their difference. *)
 type iexpr =
   | XLit of int
   | XIdx
@@ -93,14 +96,21 @@ type iexpr =
 type ksite = { ks_base : int; ks_idx : iexpr }
 
 (** A specialized innermost counted loop: straight-line float body over
-    a float-register bank and affine sites.  All per-iteration virtual
-    costs are pre-counted so the executor can charge [n] iterations in
-    bulk, bit-identically to the generic loop. *)
+    a float-register bank, affine sites and affine int counters.  All
+    per-iteration virtual costs are pre-counted so the executor can
+    charge [n] iterations in bulk, bit-identically to the generic
+    loop. *)
 type kernel = {
   k_nfregs : int;
   k_sites : ksite array;
+  k_ctrs : iexpr array;
+      (** the int expressions the body converts to float ([OItoF]);
+          counter [c] is numbered [Array.length k_sites + c], after the
+          sites, whose offset and stride buffers it shares *)
   k_site_loads : int array;  (** per-iteration load accesses, per site *)
   k_site_stores : int array;  (** per-iteration store accesses, per site *)
+  k_loads : int;  (** per-iteration loads, all sites *)
+  k_stores : int;  (** per-iteration stores, all sites *)
   k_in : (int * int) array;  (** (slot, freg) read at loop entry *)
   k_out : (int * int) array;  (** (slot, freg) written back at loop exit *)
   k_idx_slot : int;
@@ -121,6 +131,9 @@ type kernel = {
   k_icost : float;  (** init expression's static cost *)
   k_bcost : float;  (** branch + bound cost, charged [n+1] times *)
   k_scost : float;  (** step expression's static cost *)
+  k_iter_cycles : float;
+      (** cycles of one iteration: bound check, loop step, body group,
+          dynamic charges and step expression *)
 }
 
 (** One micro-op of a specialized loop body.  Registers index a
@@ -139,7 +152,7 @@ type kop =
   | OMul of int * int * int
   | ODiv of int * int * int
   | ONeg of int * int
-  | OItoF of int  (** dst <- float of the current loop index *)
+  | OItoF of int * int  (** dst <- float of counter [c]: (dst, c) *)
   | OMath1 of int * R.math1 * int
   | OMath2 of int * R.math2 * int * int
   | OLoad of int * int  (** dst <- site *)
@@ -361,7 +374,8 @@ type program = {
 
 (* An innermost counted loop whose body is straight-line float
    arithmetic over affine memory sites (elementwise maps, scaled
-   accumulates and reductions, stencil reads) translates to a {!kernel}
+   accumulates and reductions, stencil reads), converting affine int
+   expressions of the loop index to float, translates to a {!kernel}
    and its plain micro-ops, from the slot and expression types of
    {!Opt}.  Anything whose bulk accounting could differ from the
    generic loop raises [Not_kernel]. *)
@@ -419,6 +433,8 @@ type ktrans = {
   mutable nregs : int;
   mutable sites : ksite list;  (* reversed: site [n] is the [n]th made *)
   mutable nsites : int;
+  mutable ctrs : iexpr list;  (* reversed, like [sites] *)
+  mutable nctrs : int;
   loads : (int, int) Hashtbl.t;  (* site -> per-iteration loads *)
   stores : (int, int) Hashtbl.t;
   slot_reg : (int, int) Hashtbl.t;  (* float slot -> dedicated register *)
@@ -451,6 +467,8 @@ let kernel_of_loop env lt (s : R.stmt) =
           nregs = 0;
           sites = [];
           nsites = 0;
+          ctrs = [];
+          nctrs = 0;
           loads = Hashtbl.create 8;
           stores = Hashtbl.create 8;
           slot_reg = Hashtbl.create 8;
@@ -510,8 +528,10 @@ let kernel_of_loop env lt (s : R.stmt) =
             | _ -> raise Not_kernel)
         | _ -> raise Not_kernel
       in
-      let new_site base idx_e =
-        let ie, nops, _deg = affine env lt ~idx_slot idx_e in
+      (* an affine int expression of the body, evaluated silently: its
+         int ops are bumped per iteration like the generic loop's *)
+      let int_expr e =
+        let ie, nops, _deg = affine env lt ~idx_slot e in
         (* invariant int slots read silently at entry must not be written
            by the body — the body writes only float slots and the
            (rejected) index, so a clash means rejection *)
@@ -520,9 +540,19 @@ let kernel_of_loop env lt (s : R.stmt) =
             if s <> idx_slot && not (Opt.not_f lt.(s)) then raise Not_kernel)
           (iexpr_slots [] ie);
         k.int_ops <- k.int_ops + nops;
+        ie
+      in
+      let new_site base idx_e =
+        let ie = int_expr idx_e in
         k.sites <- { ks_base = base; ks_idx = ie } :: k.sites;
         k.nsites <- k.nsites + 1;
         k.nsites - 1
+      in
+      (* the counter of an int expression converted to float *)
+      let counter e =
+        k.ctrs <- int_expr e :: k.ctrs;
+        k.nctrs <- k.nctrs + 1;
+        k.nctrs - 1
       in
       let is_f e = Opt.is_f (Opt.ety env lt e) in
       let lit x = def (fun d -> OLit (d, x)) in
@@ -533,7 +563,9 @@ let kernel_of_loop env lt (s : R.stmt) =
         (* consumed via [to_float] in every float context *)
         | R.ELit (Value.VInt n) -> lit (float_of_int n)
         | R.ELit (Value.VBool b) -> lit (if b then 1.0 else 0.0)
-        | R.EVar (R.Local i) when i = idx_slot -> def (fun d -> OItoF d)
+        | R.EVar (R.Local i) when i = idx_slot ->
+            let c = counter e in
+            def (fun d -> OItoF (d, c))
         | R.EVar (R.Local i) -> (
             match lt.(i) with
             | Opt.TFloat -> read_slot i
@@ -584,6 +616,11 @@ let kernel_of_loop env lt (s : R.stmt) =
             let n = new_site (float_base a) idx_e in
             count k.loads n;
             def (fun d -> OLoad (d, n))
+        (* the loop index or an affine int expression, consumed via
+           [to_float] *)
+        | _ when Opt.not_f (Opt.ety env lt e) ->
+            let c = counter e in
+            def (fun d -> OItoF (d, c))
         | _ -> raise Not_kernel
       in
       let do_stmt (s : R.stmt) =
@@ -654,6 +691,14 @@ let kernel_of_loop env lt (s : R.stmt) =
           Array.init k.nsites (fun n ->
               Option.value (Hashtbl.find_opt tbl n) ~default:0)
         in
+        let site_loads = per_site k.loads and site_stores = per_site k.stores in
+        let bcost = C.branch +. bound.R.ecost in
+        (* counters follow the sites in the offset buffers *)
+        let ops =
+          List.rev_map
+            (function OItoF (d, c) -> OItoF (d, k.nsites + c) | op -> op)
+            k.ops
+        in
         let out =
           Hashtbl.fold
             (fun s r acc ->
@@ -665,8 +710,11 @@ let kernel_of_loop env lt (s : R.stmt) =
           ( {
               k_nfregs = k.nregs;
               k_sites = Array.of_list (List.rev k.sites);
-              k_site_loads = per_site k.loads;
-              k_site_stores = per_site k.stores;
+              k_ctrs = Array.of_list (List.rev k.ctrs);
+              k_site_loads = site_loads;
+              k_site_stores = site_stores;
+              k_loads = Array.fold_left ( + ) 0 site_loads;
+              k_stores = Array.fold_left ( + ) 0 site_stores;
               k_in = Array.of_list (List.rev k.entry);
               k_out = Array.of_list out;
               k_idx_slot = idx_slot;
@@ -685,10 +733,13 @@ let kernel_of_loop env lt (s : R.stmt) =
               k_dyn_cycles = k.dyn;
               k_gcost = group.R.gcost;
               k_icost = init.R.ecost;
-              k_bcost = C.branch +. bound.R.ecost;
+              k_bcost = bcost;
               k_scost = step.R.ecost;
+              k_iter_cycles =
+                bcost +. (C.loop_iter +. C.int_op) +. group.R.gcost +. k.dyn
+                +. step.R.ecost;
             },
-            Array.of_list (List.rev k.ops) )
+            Array.of_list ops )
       with Not_kernel -> None)
   | _ -> None
 
@@ -704,7 +755,7 @@ let rec invariant_idx = function
   | XNeg a -> invariant_idx a
 
 let kop_writes = function
-  | OLit (d, _) | OMov (d, _) | ONeg (d, _) | OItoF d
+  | OLit (d, _) | OMov (d, _) | ONeg (d, _) | OItoF (d, _)
   | OAdd (d, _, _) | OSub (d, _, _) | OMul (d, _, _) | ODiv (d, _, _)
   | OMath1 (d, _, _) | OMath2 (d, _, _, _) | OLoad (d, _)
   | OLAddA (d, _, _) | OLAddB (d, _, _) | OLSubA (d, _, _) | OLSubB (d, _, _)
@@ -774,7 +825,7 @@ let kop_retarget op d =
   | OMul (_, a, b) -> OMul (d, a, b)
   | ODiv (_, a, b) -> ODiv (d, a, b)
   | ONeg (_, a) -> ONeg (d, a)
-  | OItoF _ -> OItoF d
+  | OItoF (_, c) -> OItoF (d, c)
   | OMath1 (_, g, a) -> OMath1 (d, g, a)
   | OMath2 (_, g, a, b) -> OMath2 (d, g, a, b)
   | OLoad (_, si) -> OLoad (d, si)

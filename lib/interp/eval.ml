@@ -30,10 +30,17 @@ open Value
 
 exception Return_exc of Value.t
 
+(* An interval of elements all known to be touched, or all written; empty
+   as [0, -1].  A cover only ever claims too little: state bits are never
+   cleared within an invocation, and the per-access path leaves covers
+   as they are. *)
+type cover = { mutable clo : int; mutable chi : int }
+
 (* Per-region record of one tracked loop's active invocation.  The
    hot per-access path only bumps the lo/hi bounds and flips the
    per-element first-access state; the (allocating) range-list
-   maintenance is replayed once at loop exit. *)
+   maintenance is replayed once at loop exit.  Two covers summarise the
+   state for fused kernels ({!track_sites}). *)
 type region_track = {
   ft_idxs : int list;
       (* kernel argument indices this region is reachable from *)
@@ -41,6 +48,8 @@ type region_track = {
       (* per-element first-access state: 0 untouched, 1 read, 2 written *)
   mutable ft_lo : int;  (* min touched offset; [max_int] when untouched *)
   mutable ft_hi : int;  (* max touched offset; [-1] when untouched *)
+  ft_touched : cover;
+  ft_written : cover;
 }
 
 (* Where a tracked loop reads one kernel pointer argument at entry. *)
@@ -69,9 +78,11 @@ type tracker = {
 }
 
 (* Per-invocation buffers of a fused kernel, indexed by site (the first
-   five) or float register, reused by every kernel of a run: a kernel
+   six) or float register, reused by every kernel of a run: a kernel
    body makes no calls, so no invocation starts while another one is
-   using them.  They grow to the largest kernel entered. *)
+   using them.  [ks_offs], [ks_deltas] and [ks_adv] hold the kernel's
+   counters after its sites ({!Bytecode.kernel}).  They grow to the
+   largest kernel entered. *)
 type kscratch = {
   mutable ks_datas : float array array;  (* each site's region elements *)
   mutable ks_offs : int array;  (* each site's current element offset *)
@@ -422,6 +433,8 @@ let track_enter st (tk : tracker) (arg : int -> Value.t) =
                         Bytes.make (Memory.length st.mem p.mem_id) '\000';
                       ft_lo = max_int;
                       ft_hi = -1;
+                      ft_touched = { clo = 0; chi = -1 };
+                      ft_written = { clo = 0; chi = -1 };
                     })
         | _ -> ())
       tk.tk_args;
@@ -763,15 +776,14 @@ let seti regs si r n =
   else Array.unsafe_set regs (r lsr 2) (VInt n)
 
 (* Run [count] iterations of a fused kernel micro-program, starting at
-   loop index [iv0] with site offsets [offs] (mutated in place).  Only
-   the first [nadv] sites in [adv] (nonzero stride) advance.  Pure
-   float/array code: all observable accounting was charged in bulk by
-   the caller. *)
+   site offsets and counter values [offs] (mutated in place).  Only the
+   first [nadv] sites and counters in [adv] (nonzero stride) advance.
+   Pure float/array code: all observable accounting was charged in bulk
+   by the caller. *)
 let vkern_iters (ops : B.kop array) (fregs : float array)
     (datas : float array array) (offs : int array) (deltas : int array)
-    (adv : int array) ~nadv ~iv0 ~step ~count =
+    (adv : int array) ~nadv ~count =
   let nops = Array.length ops in
-  let iv = ref iv0 in
   for _ = 1 to count do
     for pc = 0 to nops - 1 do
       match Array.unsafe_get ops pc with
@@ -790,7 +802,8 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
           Array.unsafe_set fregs d
             (Array.unsafe_get fregs a /. Array.unsafe_get fregs b)
       | B.ONeg (d, a) -> Array.unsafe_set fregs d (-.Array.unsafe_get fregs a)
-      | B.OItoF d -> Array.unsafe_set fregs d (float_of_int !iv)
+      | B.OItoF (d, c) ->
+          Array.unsafe_set fregs d (float_of_int (Array.unsafe_get offs c))
       | B.OMath1 (d, g, a) ->
           Array.unsafe_set fregs d (math1 g (Array.unsafe_get fregs a))
       | B.OMath2 (d, g, a, b) ->
@@ -946,8 +959,7 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
       let si = Array.unsafe_get adv j in
       Array.unsafe_set offs si
         (Array.unsafe_get offs si + Array.unsafe_get deltas si)
-    done;
-    iv := !iv + step
+    done
   done
 
 (* A kernel's silent integer expression at loop index [iv]: [XSlot]
@@ -989,8 +1001,8 @@ let vtrack_exit st lidx =
   | None -> ()
   | Some tk -> track_exit st tk
 
-(* Grow the fused-kernel buffers to [nsites] sites and [nfregs] float
-   registers. *)
+(* Grow the fused-kernel buffers to [nsites] sites and counters and
+   [nfregs] float registers. *)
 let kscratch_fit ks nsites nfregs =
   if Array.length ks.ks_offs < nsites then (
     let n = max nsites (2 * Array.length ks.ks_offs) in
@@ -1017,6 +1029,16 @@ let shared_store_region (kp : B.kprog) (ids : int array) =
   done;
   !shared
 
+(* Grow cover [c] by [lo, hi]: to their union when that is an interval,
+   else to the longer of the two. *)
+let extend c lo hi =
+  if lo <= c.chi + 1 && c.clo <= hi + 1 then (
+    c.clo <- min lo c.clo;
+    c.chi <- max hi c.chi)
+  else if hi - lo > c.chi - c.clo then (
+    c.clo <- lo;
+    c.chi <- hi)
+
 (* First-access tracking of a committed fused kernel's [n] iterations,
    tracking site by tracking site in first-access order
    ({!Bytecode.kprog}).  Each element a site touches gets the site's
@@ -1026,7 +1048,15 @@ let shared_store_region (kp : B.kprog) (ids : int array) =
    state.  Exact when every stored-to region is reached by one tracking
    site ({!shared_store_region} declines the rest before commit):
    read-only sites sharing a region commute, byte attribution is a sum,
-   and iteration 0 fixes [tk_order] in body order. *)
+   and iteration 0 fixes [tk_order] in body order.
+
+   A site with stride 0 or +-1 touches the interval [lo, hi].  Inside
+   the cover its kind needs (written when it stores, else touched) it
+   changes no state; wholly outside the touched bounds every element is
+   untouched, so it fills the interval with its kind and attributes the
+   bytes in bulk.  Only the rest, and sites of other strides, visit
+   element by element.  Every element of [lo, hi] ends in the site's
+   state, so the interval joins its covers. *)
 let track_sites (tk : tracker) (kp : B.kprog) ids offs deltas elems n =
   let a = tk.tk_regions and k = tk.tk_obs in
   let order = kp.B.kp_site_order and kinds = kp.B.kp_site_kinds in
@@ -1039,31 +1069,48 @@ let track_sites (tk : tracker) (kp : B.kprog) ids offs deltas elems n =
       | Some tr ->
           let o0 = offs.(si) and d = deltas.(si) in
           let olast = o0 + ((n - 1) * d) in
-          if min o0 olast < tr.ft_lo then (
+          let lo = min o0 olast and hi = max o0 olast in
+          let fresh = hi < tr.ft_lo || lo > tr.ft_hi in
+          if lo < tr.ft_lo then (
             if tr.ft_hi < 0 then tk.tk_order <- id :: tk.tk_order;
-            tr.ft_lo <- min o0 olast);
-          if max o0 olast > tr.ft_hi then tr.ft_hi <- max o0 olast;
+            tr.ft_lo <- lo);
+          if hi > tr.ft_hi then tr.ft_hi <- hi;
           let kind = kinds.(si) and state = tr.ft_state in
-          let reads = ref 0 and writes = ref 0 in
-          for it = 0 to (if d = 0 then 0 else n - 1) do
-            let off = o0 + (it * d) in
-            let s0 = Bytes.get_uint8 state off in
-            let s1 =
-              if kind land 1 <> 0 && s0 = 0 then (
-                incr reads;
-                1)
-              else s0
-            in
-            let s2 =
-              if kind land 2 <> 0 && s1 land 2 = 0 then (
-                incr writes;
-                s1 lor 2)
-              else s1
-            in
-            if s2 <> s0 then Bytes.set_uint8 state off s2
-          done;
-          attribute k tr ~write:false (!reads * elems.(si));
-          attribute k tr ~write:true (!writes * elems.(si))
+          let dense = d >= -1 && d <= 1 in
+          let need = if kind land 2 <> 0 then tr.ft_written else tr.ft_touched in
+          if dense && need.clo <= lo && hi <= need.chi then ()
+          else (
+            if dense && fresh then (
+              let len = hi - lo + 1 in
+              Bytes.fill state lo len (Char.unsafe_chr kind);
+              if kind land 1 <> 0 then
+                attribute k tr ~write:false (len * elems.(si));
+              if kind land 2 <> 0 then
+                attribute k tr ~write:true (len * elems.(si)))
+            else (
+              let reads = ref 0 and writes = ref 0 in
+              for it = 0 to (if d = 0 then 0 else n - 1) do
+                let off = o0 + (it * d) in
+                let s0 = Bytes.get_uint8 state off in
+                let s1 =
+                  if kind land 1 <> 0 && s0 = 0 then (
+                    incr reads;
+                    1)
+                  else s0
+                in
+                let s2 =
+                  if kind land 2 <> 0 && s1 land 2 = 0 then (
+                    incr writes;
+                    s1 lor 2)
+                  else s1
+                in
+                if s2 <> s0 then Bytes.set_uint8 state off s2
+              done;
+              attribute k tr ~write:false (!reads * elems.(si));
+              attribute k tr ~write:true (!writes * elems.(si)));
+            if dense then (
+              extend tr.ft_touched lo hi;
+              if kind land 2 <> 0 then extend tr.ft_written lo hi))
   done
 
 (* Specialized-kernel execution for the VM.  The entry protocol checks
@@ -1077,14 +1124,7 @@ let track_sites (tk : tracker) (kp : B.kprog) ids offs deltas elems n =
 let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
   let k = kp.B.kp_kern in
   let slots = kp.B.kp_slots in
-  let iter_cost = Profile.Cost.loop_iter +. Profile.Cost.int_op in
-  let per_iter =
-    k.B.k_bcost +. iter_cost +. k.B.k_gcost
-    +. k.B.k_dyn_cycles +. k.B.k_scost
-  in
   let nsites = Array.length k.B.k_sites in
-  let loads_per_iter = Array.fold_left ( + ) 0 k.B.k_site_loads in
-  let stores_per_iter = Array.fold_left ( + ) 0 k.B.k_site_stores in
   let fuel_per_iter = 1 + k.B.k_nstmts in
   let i0 = kieval slots fr ib 0 k.B.k_init in
   let b = kieval slots fr ib 0 k.B.k_bound in
@@ -1115,7 +1155,8 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     if st.tracking then vtrack_exit st lidx)
   else (
     let ks = st.ks in
-    kscratch_fit ks nsites k.B.k_nfregs;
+    let nctrs = Array.length k.B.k_ctrs in
+    kscratch_fit ks (nsites + nctrs) k.B.k_nfregs;
     let datas = ks.ks_datas and offs = ks.ks_offs and deltas = ks.ks_deltas in
     let elems = ks.ks_elems and ids = ks.ks_ids in
     let bytes_r = ref 0 and bytes_w = ref 0 in
@@ -1132,18 +1173,20 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
           if not r.Memory.flt then raise Kernel_unfit;
           let len = r.Memory.len in
           let o0 = p.off + kieval slots fr ib i0 site.B.ks_idx in
-          let olast =
-            p.off
-            + kieval slots fr ib (i0 + ((n - 1) * s)) site.B.ks_idx
+          (* the index is affine in the loop index, in wrapping int
+             arithmetic too: the stride of the first step is every
+             step's *)
+          let delta =
+            if n > 1 then
+              p.off + kieval slots fr ib (i0 + s) site.B.ks_idx - o0
+            else 0
           in
+          let olast = o0 + ((n - 1) * delta) in
           if o0 < 0 || o0 >= len || olast < 0 || olast >= len then
             raise Kernel_unfit;
           datas.(si) <- r.Memory.fdata;
           offs.(si) <- o0;
-          deltas.(si) <-
-            (if n > 1 then
-               p.off + kieval slots fr ib (i0 + s) site.B.ks_idx - o0
-             else 0);
+          deltas.(si) <- delta;
           elems.(si) <- r.Memory.elem_bytes;
           ids.(si) <- p.mem_id;
           bytes_r :=
@@ -1151,6 +1194,13 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
           bytes_w :=
             !bytes_w + (k.B.k_site_stores.(si) * r.Memory.elem_bytes)
       | _ -> raise Kernel_unfit
+    done;
+    for c = 0 to nctrs - 1 do
+      let ie = Array.unsafe_get k.B.k_ctrs c in
+      let v0 = kieval slots fr ib i0 ie in
+      offs.(nsites + c) <- v0;
+      deltas.(nsites + c) <-
+        (if n > 1 then kieval slots fr ib (i0 + s) ie - v0 else 0)
     done;
     if
       track
@@ -1183,7 +1233,7 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     if st.tracking then vtrack_enter st lidx fr fb ib;
     let t0 = cycles st in
     let total =
-      k.B.k_icost +. k.B.k_bcost +. (float_of_int n *. per_iter)
+      k.B.k_icost +. k.B.k_bcost +. (float_of_int n *. k.B.k_iter_cycles)
     in
     charge st total;
     Array.unsafe_set st.bulk_cycles 0
@@ -1195,11 +1245,11 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     st.prof.flops <- st.prof.flops + (n * k.B.k_flops);
     if k.B.k_sfu > 0 then
       st.prof.sfu_ops <- st.prof.sfu_ops + (n * k.B.k_sfu);
-    if loads_per_iter > 0 then (
-      st.prof.loads <- st.prof.loads + (n * loads_per_iter);
+    if k.B.k_loads > 0 then (
+      st.prof.loads <- st.prof.loads + (n * k.B.k_loads);
       st.prof.bytes_read <- st.prof.bytes_read + (n * !bytes_r));
-    if stores_per_iter > 0 then (
-      st.prof.stores <- st.prof.stores + (n * stores_per_iter);
+    if k.B.k_stores > 0 then (
+      st.prof.stores <- st.prof.stores + (n * k.B.k_stores);
       st.prof.bytes_written <- st.prof.bytes_written + (n * !bytes_w));
     stat.iterations <- stat.iterations + n;
     (match st.active with
@@ -1216,13 +1266,12 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     done;
     let adv = ks.ks_adv in
     let nadv = ref 0 in
-    for si = 0 to nsites - 1 do
+    for si = 0 to nsites + nctrs - 1 do
       if deltas.(si) <> 0 then (
         adv.(!nadv) <- si;
         incr nadv)
     done;
-    vkern_iters kp.B.kp_ops fregs datas offs deltas adv ~nadv:!nadv ~iv0:i0
-      ~step:s ~count:n;
+    vkern_iters kp.B.kp_ops fregs datas offs deltas adv ~nadv:!nadv ~count:n;
     for j = 0 to Array.length kp.B.kp_fout - 1 do
       let i, reg = Array.unsafe_get kp.B.kp_fout j in
       Array.unsafe_set fb i (Array.unsafe_get fregs reg)

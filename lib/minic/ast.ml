@@ -204,10 +204,35 @@ let iter_program ?(fs = fun _ -> ()) ?(fe = fun _ -> ()) p =
     Locations and other node ids stay out, so equal digests mean equal
     printed text and equal loop ids.  Loop ids belong in the key because
     profile statistics and ["loop #N"] log lines are keyed by them, and
-    text does not determine them. *)
+    text does not determine them.  The encoding goes into a per-domain
+    scratch that grows to the largest program digested and is reused,
+    so a repeat digest allocates no buffer. *)
+let digest_scratch =
+  Domain.DLS.new_key (fun () -> Atomic.make (Bytes.create 4096))
+
 let digest ?loop p =
-  let buf = Buffer.create 1024 in
-  let tag c = Buffer.add_char buf c in
+  (* the scratch leaves its slot while in use: a thread of this domain
+     that digests meanwhile finds the slot empty and encodes into a
+     fresh one *)
+  let slot = Domain.DLS.get digest_scratch in
+  let scratch =
+    let b = Atomic.exchange slot Bytes.empty in
+    ref (if Bytes.length b = 0 then Bytes.create 4096 else b)
+  in
+  let pos = ref 0 in
+  (* room for [n] more bytes at [!pos] *)
+  let reserve n =
+    let b = !scratch in
+    if !pos + n > Bytes.length b then (
+      let nb = Bytes.create (max (2 * Bytes.length b) (!pos + n)) in
+      Bytes.blit b 0 nb 0 !pos;
+      scratch := nb)
+  in
+  let tag c =
+    reserve 1;
+    Bytes.unsafe_set !scratch !pos c;
+    incr pos
+  in
   (* LEB128 of the zigzag image: small ids and lengths take one byte *)
   let int n =
     let rec go z =
@@ -219,8 +244,11 @@ let digest ?loop p =
     go ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
   in
   let str s =
-    int (String.length s);
-    Buffer.add_string buf s
+    let n = String.length s in
+    int n;
+    reserve n;
+    Bytes.blit_string s 0 !scratch !pos n;
+    pos := !pos + n
   in
   let list f l =
     int (List.length l);
@@ -249,7 +277,9 @@ let digest ?loop p =
         int n
     | Float_lit (f, k) ->
         tag (match k with Single -> 'S' | Double -> 'D');
-        Buffer.add_int64_le buf (Int64.bits_of_float f)
+        reserve 8;
+        Bytes.set_int64_le !scratch !pos (Int64.bits_of_float f);
+        pos := !pos + 8
     | Bool_lit b -> tag (if b then 'T' else 'F')
     | Var v ->
         tag 'V';
@@ -349,7 +379,9 @@ let digest ?loop p =
       block fn.fbody)
     p.funcs;
   opt int loop;
-  Digest.string (Buffer.contents buf)
+  let d = Digest.subbytes !scratch 0 !pos in
+  Atomic.set slot !scratch;
+  d
 
 (** Find the function named [name]. Raises [Not_found]. *)
 let find_func p name = List.find (fun f -> f.fname = name) p.funcs

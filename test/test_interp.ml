@@ -544,7 +544,12 @@ int main() {
    path ran: the fused micro-program charges the loop in bulk, a kernel
    that declines runs the generic loop and charges nothing in bulk.
    [index] names the loop of function [func]; [args] are its pointer
-   arguments. *)
+   arguments.  A tracked loop can also hold kernels ([Inner]): then
+   every one of its invocations tracks a series of kernel runs, each
+   against the first-access state the runs and generic accesses before
+   it left, and the run charges some cycles in bulk. *)
+type kpath = Fused | Declined | Inner
+
 let bulk_cycles () =
   match
     Flow_obs.Metrics.histogram_summary Flow_obs.Metrics.global
@@ -553,7 +558,7 @@ let bulk_cycles () =
   | Some s -> (s.s_count, s.s_sum)
   | None -> (0, 0.0)
 
-let tracked_kernel_case (name, func, index, args, fused, src) =
+let tracked_kernel_case (name, func, index, args, path, src) =
   Alcotest.test_case name `Quick (fun () ->
       let p = Helpers.parse src in
       Minic.Typecheck.check_program p;
@@ -581,11 +586,16 @@ let tracked_kernel_case (name, func, index, args, fused, src) =
           Alcotest.(check int) "calls = invocations" s.invocations k.calls;
           Alcotest.(check (float 0.0)) "kernel cycles = loop window" s.cycles
             k.k_cycles;
-          if fused then (
-            Alcotest.(check int) "fused: one bulk-charged run" (n0 + 1) n1;
-            Alcotest.(check (float 1e-6)) "fused: the loop charged in bulk"
-              k.k_cycles (c1 -. c0))
-          else Alcotest.(check int) "declined: nothing charged in bulk" n0 n1
+          (match path with
+          | Fused ->
+              Alcotest.(check int) "fused: one bulk-charged run" (n0 + 1) n1;
+              Alcotest.(check (float 1e-6)) "fused: the loop charged in bulk"
+                k.k_cycles (c1 -. c0)
+          | Inner ->
+              Alcotest.(check int) "inner kernels: one bulk-charged run" (n0 + 1)
+                n1
+          | Declined ->
+              Alcotest.(check int) "declined: nothing charged in bulk" n0 n1)
       | _ -> Alcotest.fail "loop not observed");
       Alcotest.(check string) "output" walker.output vm.output)
 
@@ -596,7 +606,7 @@ let tracked_kernel_tests =
         "main",
         "k",
         [ "x"; "y" ],
-        true,
+        Fused,
         {|
 int main() {
   int n = 16;
@@ -612,7 +622,7 @@ int main() {
         "main",
         "k",
         [ "a"; "s" ],
-        true,
+        Fused,
         {|
 int main() {
   int n = 16;
@@ -628,7 +638,7 @@ int main() {
         "f",
         "k",
         [ "p"; "q"; "r" ],
-        true,
+        Fused,
         {|
 void f(double* p, double* q, double* r, int n) {
   for (int k = 0; k < n; k++) { r[k] = p[k] * q[k]; }
@@ -648,7 +658,7 @@ int main() {
         "main",
         "k",
         [ "a"; "b" ],
-        false,
+        Declined,
         {|
 int main() {
   int n = 8;
@@ -665,7 +675,7 @@ int main() {
         "main",
         "k",
         [ "a"; "b" ],
-        false,
+        Declined,
         {|
 int main() {
   int n = 16;
@@ -684,7 +694,7 @@ int main() {
         "main",
         "k",
         [ "a"; "b" ],
-        false,
+        Declined,
         {|
 int main() {
   int n = 16;
@@ -700,7 +710,7 @@ int main() {
         "main",
         "k",
         [ "a"; "b" ],
-        true,
+        Fused,
         {|
 int main() {
   int n = 16;
@@ -709,6 +719,151 @@ int main() {
   for (int i = 0; i < n; i++) { a[i] = rand01(); b[i] = rand01(); }
   for (int k = 0; k < n; k++) { a[k] = a[k] * 2.0 + b[k]; }
   print_float(a[3]);
+  return 0;
+}
+|} );
+      ( "overlapping kernel ranges on one region",
+        "main",
+        "t",
+        [ "a"; "b" ],
+        Inner,
+        {|
+int main() {
+  int n = 24;
+  double a[n];
+  double b[n];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  for (int t = 0; t < 5; t++) {
+    for (int k = 2 * t; k < 2 * t + 6; k++) { b[k] = a[k] * 0.5 + a[k + 1]; }
+  }
+  print_float(b[3] + b[9]);
+  return 0;
+}
+|} );
+      ( "adjacent and disjoint kernel ranges on one region",
+        "main",
+        "t",
+        [ "a"; "b" ],
+        Inner,
+        {|
+int main() {
+  int n = 48;
+  double a[n];
+  double b[n];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  for (int t = 0; t < 4; t++) {
+    for (int k = 4 * t; k < 4 * t + 4; k++) { b[k] += a[k]; }
+    for (int k = 9 * t + 10; k < 9 * t + 13; k++) { b[k] = a[k] - 1.0; }
+  }
+  print_float(b[3] + b[12] + b[40]);
+  return 0;
+}
+|} );
+      ( "reversed kernel ranges (stride -1)",
+        "main",
+        "t",
+        [ "a"; "b" ],
+        Inner,
+        {|
+int main() {
+  int n = 24;
+  double a[n];
+  double b[n];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  for (int t = 0; t < 4; t++) {
+    for (int k = t; k < t + 7; k++) { b[n - 1 - k] = a[n - 2 - k] * 2.0; }
+    for (int k = 0; k < 5; k++) { b[12 - k] += a[k + t]; }
+  }
+  print_float(b[3] + b[20]);
+  return 0;
+}
+|} );
+      ( "stride-2 and stride-0 sites",
+        "main",
+        "t",
+        [ "a"; "b"; "s" ],
+        Inner,
+        {|
+int main() {
+  int n = 32;
+  double a[n];
+  double b[n];
+  double s[2];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  for (int t = 0; t < 4; t++) {
+    for (int k = t; k < t + 6; k++) {
+      b[2 * k] = a[2 * k + 1] + a[t];
+      s[1] += a[k];
+    }
+  }
+  print_float(b[4] + s[1]);
+  return 0;
+}
+|} );
+      ( "per-access generic accesses between kernel runs",
+        "main",
+        "t",
+        [ "a"; "b"; "c" ],
+        Inner,
+        {|
+int main() {
+  int n = 24;
+  double a[n];
+  double b[n];
+  double c[n];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  for (int t = 0; t < 5; t++) {
+    b[3 * t] = a[t + 2] + 1.0;
+    for (int k = t; k < t + 6; k++) { b[k] += a[k] * 0.5; }
+    c[t] = b[t + 4] + a[t + 9];
+    a[t + 1] = c[t];
+  }
+  print_float(b[5] + c[2] + a[3]);
+  return 0;
+}
+|} );
+      ( "stores after reads, and written ranges one element apart",
+        "main",
+        "t",
+        [ "a"; "b"; "c"; "d" ],
+        Inner,
+        {|
+int main() {
+  int n = 24;
+  double a[n];
+  double b[n];
+  double c[n];
+  double d[n];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); b[i] = rand01(); }
+  for (int t = 0; t < 4; t++) {
+    for (int k = 4 * t; k < 4 * t + 6; k++) { d[k] = b[k] * 0.5; }
+    for (int k = 4 * t; k < 4 * t + 3; k++) { b[k] = a[k] + 1.0; }
+    for (int k = 3 * t; k < 3 * t + 2; k++) { c[k] = a[k] * 2.0; }
+    for (int k = t; k < t + 2; k++) { c[k] = a[k] - 1.0; }
+  }
+  print_float(b[2] + c[2] + d[7]);
+  return 0;
+}
+|} );
+      ( "two pointer arguments aliasing one region across kernel runs",
+        "f",
+        "t",
+        [ "p"; "q"; "r" ],
+        Inner,
+        {|
+void f(double* p, double* q, double* r, int n) {
+  for (int t = 0; t < 3; t++) {
+    for (int k = t; k < n - 3; k++) { r[k] = p[k] * q[k + t]; }
+  }
+}
+int main() {
+  int n = 16;
+  double a[n];
+  double b[n];
+  for (int i = 0; i < n; i++) { a[i] = rand01(); }
+  f(a, a, b, n);
+  f(b, b, a, n - 2);
+  print_float(a[3] + b[5]);
   return 0;
 }
 |} );

@@ -1229,7 +1229,7 @@ let kernel_table_pinned () =
     [
       ("rush_larsen", "kernels 4 ops 404->172 lits 121 prefetch 0");
       ("nbody", "kernels 4 ops 79->40 lits 2 prefetch 3");
-      ("bezier", "kernels 4 ops 32->18 lits 3 prefetch 0");
+      ("bezier", "kernels 6 ops 59->38 lits 4 prefetch 0");
       ("adpredictor", "kernels 2 ops 13->7 lits 0 prefetch 0");
       ("kmeans", "kernels 7 ops 24->14 lits 2 prefetch 0");
       ("jacobi", "kernels 2 ops 10->6 lits 1 prefetch 0");
@@ -1242,8 +1242,132 @@ let kernel_table_pinned () =
         [ b.profile_n; b.secondary_n ])
     Benchmarks.Registry.all;
   Alcotest.(check string)
-    "five-benchmark evaluation" "kernels 42 ops 1104->502 lits 256 prefetch 6"
+    "five-benchmark evaluation" "kernels 46 ops 1158->542 lits 258 prefetch 6"
     (show_table total)
+
+(* Exact counters: each benchmark's bulk share — the virtual cycles its
+   kernels charge in bulk over all cycles of its tracked profiling run —
+   at its profiling and its secondary size.  A move means some loop of
+   the profiling run now runs on the generic VM, or leaves it. *)
+let bulk_share_pinned () =
+  List.iter
+    (fun (b : Benchmarks.Bench_app.t) ->
+      let share n = (Benchmarks.Vm_cost.measure ~n b).run.bulk_share in
+      Alcotest.(check string)
+        (b.id ^ " bulk share")
+        (List.assoc b.id
+           [
+             ("rush_larsen", "0.9882 0.9882");
+             ("nbody", "0.9874 0.9929");
+             ("bezier", "0.9003 0.9004");
+             ("adpredictor", "0.0136 0.0154");
+             ("kmeans", "0.9742 0.9742");
+           ])
+        (Printf.sprintf "%.4f %.4f" (share b.profile_n) (share b.secondary_n)))
+    Benchmarks.Registry.all
+
+(* Kernels convert affine int expressions of the loop index to float
+   through counters.  Each case's loop [i] of [main] lowers to a kernel;
+   the VM equals the walker untracked and with that loop tracked over
+   [a] and [x] (output, whole profile, kernel record), and a case with
+   iterations charges its loop in bulk. *)
+let int_to_float_cases =
+  let src header body =
+    Printf.sprintf
+      {|
+int main() {
+  int n = 12;
+  int k = 3;
+  int m = 0;
+  double a[n + n];
+  double x[n + n];
+  for (int j = 0; j < n + n; j++) { x[j] = rand01() + 0.5; }
+  for (%s) { %s }
+  print_float(a[0] + a[1] + a[5] + a[11]);
+  return 0;
+}
+|}
+      header body
+  in
+  [
+    ( "(double)(n - 1 - i)",
+      true,
+      src "int i = 0; i < n; i++" "a[i] = pow(x[i], (double)(n - 1 - i));" );
+    ( "(double)(2*i + k)",
+      true,
+      src "int i = 0; i < n; i++" "a[i] = x[i] * (double)(2 * i + k);" );
+    ( "(double)(i + 1), twice, and the bare index",
+      true,
+      src "int i = 0; i < n; i++"
+        "a[i] = x[i] / (double)(i + 1) + (double)(i + 1) * 0.5 - (double)i;" );
+    ( "an uncast int operand of float arithmetic",
+      true,
+      src "int i = 0; i < n; i++" "a[i] = x[i] * (k - i) + (-i);" );
+    ( "a step of 2 and an inclusive bound",
+      true,
+      src "int i = 1; i <= n + 5; i += 2" "a[i] = (double)(3 * i - k) * x[i];" );
+    ( "a negative step",
+      false,
+      src "int i = n - 1; i < 2; i += -1" "a[i] = (double)(n - i) * x[i];" );
+    ( "zero trips",
+      false,
+      src "int i = 0; i < m; i++" "a[i] = (double)(i + 1) * x[i];" );
+    ( "one trip",
+      true,
+      src "int i = 5; i < 6; i++" "a[i] = (double)(n - 1 - i) * x[i];" );
+  ]
+
+let check_int_to_float (name, charged, src) () =
+  let p = Minic.Parser.parse_program src in
+  Minic.Typecheck.check_program p;
+  Alcotest.(check int) (name ^ ": kernels") 1 (List.length (vm_lowered_kernels src));
+  let sid =
+    (List.find
+       (fun (m : Artisan.Query.match_ctx) ->
+         match m.stmt.snode with
+         | Minic.Ast.For (h, _) -> h.index = "i"
+         | _ -> false)
+       (Artisan.Query.stmts_in p "main"))
+      .stmt
+      .sid
+  in
+  let ir = I.Resolve.compile p and c = I.Eval.compile p in
+  List.iter
+    (fun track ->
+      let n0 = Benchmarks.Vm_cost.bulk_cycles () in
+      let vm = outcome (fun () -> I.Eval.run_vm ~track c) in
+      let n1 = Benchmarks.Vm_cost.bulk_cycles () in
+      Alcotest.(check bool) (name ^ ": vm = walker") true
+        (vm = outcome (fun () -> I.Eval.run_ir ~track ir));
+      Alcotest.(check bool) (name ^ ": charged in bulk") charged (n1 > n0))
+    [ []; [ (sid, [ "a"; "x" ]) ] ]
+
+(* What stays on the generic VM: a conversion of a non-affine int
+   expression, and a body that writes an int slot. *)
+let int_to_float_shapes () =
+  let kernels body =
+    List.length
+      (vm_lowered_kernels
+         (Printf.sprintf
+            {|
+int main() {
+  int n = 8;
+  int m = 0;
+  double a[n];
+  for (int i = 0; i < n; i++) { %s }
+  print_float(a[3]);
+  return 0;
+}
+|}
+            body))
+  in
+  Alcotest.(check int) "(double)(i + 1)" 1 (kernels "a[i] = (double)(i + 1);");
+  Alcotest.(check int) "(double)(i*i)" 0 (kernels "a[i] = (double)(i * i);");
+  Alcotest.(check int) "(double)(i/2)" 0 (kernels "a[i] = (double)(i / 2);");
+  Alcotest.(check int) "int slot written" 0
+    (kernels "m = i + 1; a[i] = (double)(m + i);");
+  Alcotest.(check int) "int local declared" 0
+    (kernels "int t = i + 1; a[i] = (double)t;")
 
 (* The operand-dynamic instructions stay live in production: a user
    call's result has no static type, so the programs the "bytecode VM =
@@ -1379,7 +1503,15 @@ let vm_tests =
       Alcotest.test_case "kernel table per benchmark" `Quick kernel_table_pinned;
       Alcotest.test_case "generated programs lower dynamic instructions"
         `Quick generated_programs_lower_dynamic;
+      Alcotest.test_case "bulk share per benchmark" `Quick bulk_share_pinned;
+      Alcotest.test_case "int-to-float shapes that stay generic" `Quick
+        int_to_float_shapes;
     ]
+  @ List.map
+      (fun ((name, _, _) as case) ->
+        Alcotest.test_case ("int-to-float: " ^ name) `Quick
+          (check_int_to_float case))
+      int_to_float_cases
   @ List.map
       (fun ((name, _, _, _) as case) ->
         Alcotest.test_case ("error: " ^ name) `Quick (check_error_message case))
@@ -1583,6 +1715,46 @@ let digest_refines_text_key () =
     true
     (n > 100 && !equal_pairs >= List.length sources)
 
+(* A digest encodes into a reused per-domain scratch: once it has grown
+   to a program's size, digesting that program again allocates nothing
+   on the major heap (a growing encode buffer past the minor-heap size
+   limit would). *)
+let digest_adds_no_major_words () =
+  let b = Benchmarks.Registry.find "rush_larsen" in
+  let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
+  let d0 = digest p in
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let d1 = digest p in
+  let _, _, major1 = Gc.counters () in
+  Alcotest.(check string) "same digest" (Digest.to_hex d0) (Digest.to_hex d1);
+  Alcotest.(check (float 0.0)) "major words" 0.0 (major1 -. major0)
+
+(* Threads of one domain share its digest scratch slot (the daemon's
+   connection handlers are threads): digests taken concurrently, with
+   thread switches landing mid-encode, equal the ones taken alone. *)
+let digest_threads_agree () =
+  let progs =
+    List.map
+      (fun (b : Benchmarks.Bench_app.t) ->
+        Benchmarks.Bench_app.program b ~n:b.profile_n)
+      Benchmarks.Registry.all
+  in
+  let expected = List.map digest progs in
+  let bad = Atomic.make 0 in
+  let worker (ps, es) =
+    let deadline = Unix.gettimeofday () +. 0.25 in
+    while Unix.gettimeofday () < deadline do
+      List.iter2 (fun p e -> if digest p <> e then Atomic.incr bad) ps es
+    done
+  in
+  List.iter Thread.join
+    [
+      Thread.create worker (progs, expected);
+      Thread.create worker (List.rev progs, List.rev expected);
+    ];
+  Alcotest.(check int) "digests that differ" 0 (Atomic.get bad)
+
 let key_tests =
   [
     Alcotest.test_case "equal across parses and whitespace" `Quick
@@ -1593,6 +1765,10 @@ let key_tests =
       sweep_key_separates_inputs;
     Alcotest.test_case "digest refines the printed key" `Quick
       digest_refines_text_key;
+    Alcotest.test_case "repeat digest adds no major words" `Quick
+      digest_adds_no_major_words;
+    Alcotest.test_case "threads digesting at once agree" `Quick
+      digest_threads_agree;
   ]
 
 let () =
