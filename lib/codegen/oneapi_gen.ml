@@ -214,9 +214,9 @@ let employ_single_precision (d : Design.t) : Design.t =
     parts only; the caller (device branch) is responsible for applying it
     to the right device. *)
 let employ_zero_copy ?data (d : Design.t) : Design.t =
-  let f = find_kernel_func d.program d.device_kernel in
-  (* recover the original host signature from the device kernel *)
-  let host_sig = { f with Ast.fname = d.kernel } in
+  (* the host signature is the existing wrapper's: the device kernel's
+     may have been demoted to single precision *)
+  let host_sig = find_kernel_func d.program d.kernel in
   let wrapper =
     make_host_wrapper host_sig ~fpga_name:d.device_kernel ~usm:true ~data
   in

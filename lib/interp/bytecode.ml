@@ -3,30 +3,32 @@
     {!lower} compiles a resolved program into dense instruction arrays
     with integer-register operands — the VM executor in {!Eval}
     dispatches over them with a single [match] per instruction.  It is
-    the only stage between {!Resolve} and the VM, and it reads one
-    {!Opt.type_program} environment for every decision below.
+    the only stage between {!Resolve} and the VM.  It expects a program
+    {!Minic.Typecheck} accepts, and takes every type from declarations:
+    each slot's, global's and function result's declared type
+    ({!Resolve.cfunc}), and {!ety} for expressions.  For such a program
+    every slot holds a value of its declared type at all times, so the
+    types are exact.
 
     {b Register banks.}  A frame has three banks: a boxed [Value.t
     array], an unboxed [float array] and an [int array].  Every register
     operand names its bank in its two low bits ({!reg}).  A local slot
-    goes into the float (int) bank when {!Opt.type_program} types it
-    [TFloat] ([TInt]) and {!Opt.read_before_write} finds no read of its
-    initial [VUnit]; every other slot stays boxed.  Arithmetic, division
-    and comparison take their typed form from the operand types
-    {!Opt.ety} gives ({!operand_kind}): float when either operand is a
-    float, int when neither can be, operand-dynamic otherwise.  Results
-    of the statically typed instructions ([IArithF], [IDivF], [IMath*],
-    [ICastF], [IRand01], ... and their int twins) land in the matching
-    bank, and a float region's element loads straight into the float
-    bank.  Operands are read through the conversion the reference walker
-    applies at that consumer ([Value.to_float], [to_int], [to_bool]), so
-    a boxed operand still faults with the walker's message.  Values are
-    boxed only where they leave a bank: stores to non-float regions,
-    call arguments and returns, globals and the operand-dynamic
-    instructions.  Frames are laid out
-    [slots | constants | temporaries] in each bank; literal operands are
-    blitted from per-bank constant pools at call entry, and expression
-    temporaries are allocated monotonically per statement.
+    declared [float] or [double] lives in the float bank, one declared
+    [int] in the int bank, and a [bool] or pointer slot stays boxed.
+    Arithmetic, division, negation and comparison are typed by their
+    operands ({!operand_kind}): float when either operand is a float,
+    int otherwise.  Results of the typed instructions ([IArithF],
+    [IDivF], [IMath*], [ICastF], [IRand01], ... and their int twins)
+    land in the matching bank, and a float region's element loads
+    straight into the float bank.  Operands are read through the
+    conversion the reference walker applies at that consumer
+    ([Value.to_float], [to_int], [to_bool]).  Values are boxed only
+    where they leave a bank: stores to non-float regions, call arguments
+    and returns, globals and compound assignments to boxed targets.
+    Frames are laid out [slots | constants | temporaries] in each bank;
+    slot zeros and literal operands are blitted from per-bank images at
+    call entry, and expression temporaries are allocated monotonically
+    per statement.
 
     {b Kernels.}  An innermost counted loop whose body is straight-line
     float arithmetic over affine memory sites and affine int expressions
@@ -211,8 +213,8 @@ type kop =
     drive the bulk accounting) plus the fused micro-ops,
     their hoisted entry banks, the frame registers its slots live in,
     and what loop tracking needs of one iteration's accesses.  A kernel
-    input or output in the float bank is a plain float copy; only boxed
-    (or int-bank) slots convert. *)
+    reads float and int slots and writes float slots only: a float
+    input or output is a plain copy, an int input converts. *)
 type kprog = {
   kp_kern : kernel;
   kp_site_order : int array;
@@ -231,26 +233,27 @@ type kprog = {
   kp_fused : bool;  (** the selector hoisted or fused anything *)
   kp_slots : int array;  (** register of every frame slot *)
   kp_fin : (int * int) array;  (** entry: (float-bank index, freg) *)
-  kp_vin : (int * int) array;  (** entry: (boxed or int-bank register, freg) *)
+  kp_iin : (int * int) array;  (** entry: (int-bank index, freg) *)
   kp_fout : (int * int) array;  (** exit: (float-bank index, freg) *)
-  kp_bout : (int * int) array;  (** exit: (boxed index, freg) *)
 }
 
 (* ================================================================== *)
 (* Generic instructions                                                *)
 (* ================================================================== *)
 
-(** Comparison kind: operand-dynamic, statically float, statically
-    int — the lowering's choice for [ECmp] (see {!operand_kind}). *)
-type ckind = KDyn | KFlt | KInt
+(** Comparison kind: float or int — the lowering's choice for [ECmp]
+    (see {!operand_kind}). *)
+type ckind = KFlt | KInt
 
 (** One VM instruction.  Every register field is a bank-tagged
     {!reg}.  A destination is in the bank its instruction produces: the
     float bank for the [F] forms, [IMath*], [ICastF], [IRand01] and loop
     entry stamps; the int bank for the [I] forms, [IMod], [ICastI],
-    [IRandInt] and trip counters; the boxed bank for the
-    operand-dynamic forms, comparisons and booleans.  [IMov], [IGetG],
-    [IIndex] and [ICallUser] write any bank.  [tgt] fields hold label
+    [IRandInt], loop indexes and trip counters; the boxed bank for
+    comparisons, booleans, [IApplyAssign] and [IAlloc].  [IMov],
+    [IGetG], [IIndex] and [ICallUser] write any bank.  Each typed form
+    reads its operands through its type's conversion, so it may read a
+    boxed operand too (a global, a call's result).  [tgt] fields hold label
     ids during lowering and absolute pcs after {!lower} resolves them.
     Every instruction replays the exact charges, counter bumps, fuel
     spends and error points of the reference walker (see DESIGN.md
@@ -268,14 +271,11 @@ type instr =
   | IErrVar of string
   | IErrMsg of string  (** raise a precomputed runtime error *)
   | IFailHd  (** [List.hd []] of the reference engines' builtin paths *)
-  | INeg of int * int  (** operand-dynamic negation *)
   | INegF of int * int
   | INegI of int * int
   | INot of int * int
-  | IArith of { op : Minic.Ast.binop; fresid : float; d : int; a : int; b : int }
   | IArithF of { op : Minic.Ast.binop; fresid : float; d : int; a : int; b : int }
   | IArithI of { op : Minic.Ast.binop; d : int; a : int; b : int }
-  | IDiv of int * int * int
   | IDivF of int * int * int
   | IDivI of int * int * int
   | IMod of int * int * int
@@ -304,8 +304,9 @@ type instr =
       old : int;
       rhs : int;
     }
-      (** compound assignment to a boxed register, converted to [typ]
-          (banked slots mostly use the typed arithmetic forms) *)
+      (** compound assignment to a boxed register, converted to [typ]:
+          a global's, or an int slot's with a float operand (banked
+          slots otherwise use the typed arithmetic forms) *)
   | IStore of { arr : int; idx : int; src : int }
   | IStoreOp of { aop : Minic.Ast.assign_op; arr : int; idx : int; src : int }
   | IRet of int
@@ -313,9 +314,9 @@ type instr =
   | ILoopEnterW of { lidx : int; sid : int; t0 : int; trips : int }
   | ILoopEnterF of { lidx : int; sid : int; t0 : int; trips : int; icost : float }
   | IWhileIter of { src : int; lidx : int; sid : int; trips : int; tgt : int }
-  | IForInit of { slot : R.var_ref; src : int }  (** boxed or global index *)
-  | IForTest of {
-      slot : R.var_ref;
+  | IForInitI of { slot : int; src : int }  (** int-bank index *)
+  | IForTestI of {
+      slot : int;
       cost : float;  (** charged first: the test's static cost, when folded *)
       bound : int;
       inclusive : bool;
@@ -324,20 +325,8 @@ type instr =
       trips : int;
       tgt : int;
     }
-  | IForStep of { slot : R.var_ref; src : int; tgt : int }
-      (** step, then jump back to the loop test at [tgt] *)
-  | IForInitI of { slot : int; src : int }  (** int-bank index *)
-  | IForTestI of {
-      slot : int;
-      cost : float;
-      bound : int;
-      inclusive : bool;
-      lidx : int;
-      sid : int;
-      trips : int;
-      tgt : int;
-    }
   | IForStepI of { slot : int; src : int; tgt : int }
+      (** step, then jump back to the loop test at [tgt] *)
   | ILoopExit of { lidx : int; sid : int; t0 : int; trips : int }
   | IKernel of { lidx : int; kp : kprog; tgt : int }
       (** specialized loop: on kernel success jump [tgt]; on
@@ -348,8 +337,9 @@ type instr =
 type fn = {
   bc_code : instr array;
   bc_nregs : int;  (** boxed bank size, >= 1 *)
-  bc_cbase : int;  (** first boxed constant *)
-  bc_cvals : Value.t array;  (** blitted to [bc_cbase..] at call entry *)
+  bc_boxed : Value.t array;
+      (** blitted to the boxed bank at call entry: each slot's declared
+          type's zero, then the constants *)
   bc_nsf : int;  (** float bank size, >= 1 *)
   bc_fcbase : int;
   bc_fcvals : float array;
@@ -372,31 +362,63 @@ type program = {
 (* Kernel translation                                                  *)
 (* ================================================================== *)
 
+(* ================================================================== *)
+(* Declared types                                                      *)
+(* ================================================================== *)
+
+let is_flt = function Minic.Ast.Tfloat | Minic.Ast.Tdouble -> true | _ -> false
+
+(** The static type of [e] in a frame whose slots are declared [lt]:
+    slots, globals and user calls have their declared types, and
+    operators type as in {!Minic.Typecheck}.  For a program the checker
+    accepts, every value [e] evaluates to is of this type ([float] and
+    [double] both being a [VFloat]). *)
+let rec ety (cp : R.t) (lt : Minic.Ast.typ array) (e : R.expr) : Minic.Ast.typ =
+  let open Minic.Ast in
+  match e.R.e with
+  | R.ELit (Value.VInt _) -> Tint
+  | R.ELit (Value.VFloat _) -> Tdouble
+  | R.ELit (Value.VBool _) -> Tbool
+  | R.ELit (Value.VUnit | Value.VPtr _) | R.EVar (R.Unbound _) -> Tvoid
+  | R.EVar (R.Local i) -> lt.(i)
+  | R.EVar (R.Global i) -> cp.R.cglobal_types.(i)
+  | R.ENeg a -> ety cp lt a
+  | R.ENot _ | R.ECmp _ | R.EAnd _ | R.EOr _ -> Tbool
+  | R.EArith (_, _, a, b) | R.EDiv (a, b) ->
+      if is_flt (ety cp lt a) || is_flt (ety cp lt b) then Tdouble else Tint
+  | R.EMod _ -> Tint
+  | R.EIndex (a, _) -> ( match ety cp lt a with Tptr t -> t | _ -> Tvoid)
+  | R.ECast (t, _) -> t
+  | R.ECall { callee; _ } -> (
+      match callee with
+      | R.User f -> cp.R.cfuncs.(f).R.cf_ret
+      | R.Math _ | R.Math_unimpl _ | R.Rand01 -> Tdouble
+      | R.Rand_int -> Tint
+      | R.Print_int | R.Print_float | R.Timer_start | R.Timer_stop
+      | R.Unknown _ ->
+          Tvoid)
+
 (* An innermost counted loop whose body is straight-line float
    arithmetic over affine memory sites (elementwise maps, scaled
    accumulates and reductions, stencil reads), converting affine int
    expressions of the loop index to float, translates to a {!kernel}
-   and its plain micro-ops, from the slot and expression types of
-   {!Opt}.  Anything whose bulk accounting could differ from the
-   generic loop raises [Not_kernel]. *)
+   and its plain micro-ops.  Anything whose bulk accounting could
+   differ from the generic loop raises [Not_kernel]. *)
 
 exception Not_kernel
 
 (* Affine integer expression in the loop index: conversion + static
    int-op count (one bump per Add/Sub/Mul evaluation; Neg of an int and
    literal/variable reads bump nothing) + affinity degree. *)
-let rec affine env lt ~idx_slot (e : R.expr) : iexpr * int * int =
+let rec affine cp lt ~idx_slot (e : R.expr) : iexpr * int * int =
   match e.R.e with
   | R.ELit (Value.VInt n) -> (XLit n, 0, 0)
   | R.EVar (R.Local i) when i = idx_slot -> (XIdx, 0, 1)
-  | R.EVar (R.Local i) -> (
-      match lt.(i) with
-      | Opt.TInt | Opt.TBool -> (XSlot i, 0, 0)
-      | _ -> raise Not_kernel)
+  | R.EVar (R.Local i) when lt.(i) = Minic.Ast.Tint -> (XSlot i, 0, 0)
   | R.EArith (((Minic.Ast.Add | Minic.Ast.Sub | Minic.Ast.Mul) as op), _, a, b)
-    when Opt.not_f (Opt.ety env lt a) && Opt.not_f (Opt.ety env lt b) -> (
-      let ia, na, da = affine env lt ~idx_slot a in
-      let ib, nb, db = affine env lt ~idx_slot b in
+    when ety cp lt e = Minic.Ast.Tint -> (
+      let ia, na, da = affine cp lt ~idx_slot a in
+      let ib, nb, db = affine cp lt ~idx_slot b in
       let n = na + nb + 1 in
       match op with
       | Minic.Ast.Add -> (XAdd (ia, ib), n, max da db)
@@ -404,28 +426,17 @@ let rec affine env lt ~idx_slot (e : R.expr) : iexpr * int * int =
       | _ ->
           if da + db > 1 then raise Not_kernel;
           (XMul (ia, ib), n, da + db))
-  | R.ENeg a when Opt.ety env lt a = Opt.TInt ->
-      let ia, na, da = affine env lt ~idx_slot a in
+  | R.ENeg a when ety cp lt a = Minic.Ast.Tint ->
+      let ia, na, da = affine cp lt ~idx_slot a in
       (XNeg ia, na, da)
   | _ -> raise Not_kernel
 
 (* Degree-0 affine expressions for init/bound/step: may not reference
    the loop's own index. *)
-let invariant_int env lt ~idx_slot (e : R.expr) =
-  let ie, nops, deg = affine env lt ~idx_slot e in
+let invariant_int cp lt ~idx_slot (e : R.expr) =
+  let ie, nops, deg = affine cp lt ~idx_slot e in
   if deg <> 0 then raise Not_kernel;
   (ie, nops)
-
-let rec iexpr_slots acc = function
-  | XLit _ | XIdx -> acc
-  | XSlot i -> i :: acc
-  | XAdd (a, b) | XSub (a, b) | XMul (a, b) -> iexpr_slots (iexpr_slots acc a) b
-  | XNeg a -> iexpr_slots acc a
-
-let has_loop (b : R.block) =
-  let found = ref false in
-  Opt.iter_stmts (function R.SFor _ | R.SWhile _ -> found := true | _ -> ()) b;
-  !found
 
 (* Translation state for one candidate loop body. *)
 type ktrans = {
@@ -446,9 +457,10 @@ type ktrans = {
   mutable int_ops : int;
 }
 
-(* [kernel_of_loop env lt s]: the kernel and plain micro-ops of [s], an
-   innermost [for] loop of a frame typed [lt], or [None]. *)
-let kernel_of_loop env lt (s : R.stmt) =
+(* [kernel_of_loop cp lt s]: the kernel and plain micro-ops of [s], an
+   innermost [for] loop of a frame typed [lt], or [None].  Its body
+   holds only float declarations, assignments and stores. *)
+let kernel_of_loop cp lt (s : R.stmt) =
   match s with
   | R.SFor
       {
@@ -459,8 +471,7 @@ let kernel_of_loop env lt (s : R.stmt) =
         inclusive;
         step;
         body = [ group ];
-      }
-    when not (has_loop [ group ]) -> (
+      } -> (
       let k =
         {
           ops = [];
@@ -524,21 +535,16 @@ let kernel_of_loop env lt (s : R.stmt) =
         match a.R.e with
         | R.EVar (R.Local b) -> (
             match lt.(b) with
-            | Opt.TPtr (Minic.Ast.Tfloat | Minic.Ast.Tdouble) -> b
+            | Minic.Ast.Tptr t when is_flt t -> b
             | _ -> raise Not_kernel)
         | _ -> raise Not_kernel
       in
       (* an affine int expression of the body, evaluated silently: its
-         int ops are bumped per iteration like the generic loop's *)
+         int ops are bumped per iteration like the generic loop's.  The
+         int slots it reads are invariant: the body writes float slots
+         only. *)
       let int_expr e =
-        let ie, nops, _deg = affine env lt ~idx_slot e in
-        (* invariant int slots read silently at entry must not be written
-           by the body — the body writes only float slots and the
-           (rejected) index, so a clash means rejection *)
-        List.iter
-          (fun s ->
-            if s <> idx_slot && not (Opt.not_f lt.(s)) then raise Not_kernel)
-          (iexpr_slots [] ie);
+        let ie, nops, _deg = affine cp lt ~idx_slot e in
         k.int_ops <- k.int_ops + nops;
         ie
       in
@@ -554,7 +560,7 @@ let kernel_of_loop env lt (s : R.stmt) =
         k.nctrs <- k.nctrs + 1;
         k.nctrs - 1
       in
-      let is_f e = Opt.is_f (Opt.ety env lt e) in
+      let is_f e = is_flt (ety cp lt e) in
       let lit x = def (fun d -> OLit (d, x)) in
       (* compile a float-valued expression into a register *)
       let rec cf (e : R.expr) : int =
@@ -562,14 +568,13 @@ let kernel_of_loop env lt (s : R.stmt) =
         | R.ELit (Value.VFloat x) -> lit x
         (* consumed via [to_float] in every float context *)
         | R.ELit (Value.VInt n) -> lit (float_of_int n)
-        | R.ELit (Value.VBool b) -> lit (if b then 1.0 else 0.0)
         | R.EVar (R.Local i) when i = idx_slot ->
             let c = counter e in
             def (fun d -> OItoF (d, c))
         | R.EVar (R.Local i) -> (
             match lt.(i) with
-            | Opt.TFloat -> read_slot i
-            | Opt.TInt | Opt.TBool -> int_slot i
+            | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> read_slot i
+            | Minic.Ast.Tint -> int_slot i
             | _ -> raise Not_kernel)
         | R.EArith (op, fresid, a, b) when is_f a || is_f b ->
             let ra = cf a in
@@ -618,7 +623,7 @@ let kernel_of_loop env lt (s : R.stmt) =
             def (fun d -> OLoad (d, n))
         (* the loop index or an affine int expression, consumed via
            [to_float] *)
-        | _ when Opt.not_f (Opt.ety env lt e) ->
+        | _ when not (is_f e) ->
             let c = counter e in
             def (fun d -> OItoF (d, c))
         | _ -> raise Not_kernel
@@ -636,7 +641,7 @@ let kernel_of_loop env lt (s : R.stmt) =
             emit (OMov (reg_of_slot s, r));
             mark s
         | R.SAssign { slot = R.Local s; aop; rhs; _ }
-          when s <> idx_slot && Opt.is_f lt.(s) && is_f rhs -> (
+          when s <> idx_slot && is_flt lt.(s) && is_f rhs -> (
             let r = cf rhs in
             match aop with
             | Minic.Ast.Set ->
@@ -675,18 +680,9 @@ let kernel_of_loop env lt (s : R.stmt) =
       in
       try
         List.iter do_stmt group.R.gstmts;
-        let ie_init, init_ops = invariant_int env lt ~idx_slot init in
-        let ie_bound, bound_ops = invariant_int env lt ~idx_slot bound in
-        let ie_step, step_ops = invariant_int env lt ~idx_slot step in
-        (* bound/step slots must be loop-invariant: the body writes only
-           float slots, and silent slots are int-typed, so any overlap
-           was already rejected; the index slot itself may not appear
-           (checked by [invariant_int]) *)
-        List.iter
-          (fun s -> if Hashtbl.mem k.written s then raise Not_kernel)
-          (iexpr_slots
-             (iexpr_slots (iexpr_slots [] ie_init) ie_bound)
-             ie_step);
+        let ie_init, init_ops = invariant_int cp lt ~idx_slot init in
+        let ie_bound, bound_ops = invariant_int cp lt ~idx_slot bound in
+        let ie_step, step_ops = invariant_int cp lt ~idx_slot step in
         let per_site tbl =
           Array.init k.nsites (fun n ->
               Option.value (Hashtbl.find_opt tbl n) ~default:0)
@@ -1052,11 +1048,9 @@ let lift_kernel ~(slots : int array) (k : kernel) (plain : kop array) : kprog =
   Flow_obs.Metrics.incr m "vm_kernel_ops_after" ~by:(Array.length ops);
   Flow_obs.Metrics.incr m "vm_kernel_lits" ~by:(Array.length lits);
   Flow_obs.Metrics.incr m "vm_kernel_prefetch" ~by:(Array.length pref);
-  let in_f (s, _) = bank_of slots.(s) = fbank in
-  let fin, vin = List.partition in_f (Array.to_list k.k_in) in
-  (* kernel outputs are float slots: float bank or (when their type is
-     not provable) boxed, never the int bank *)
-  let fout, bout = List.partition in_f (Array.to_list k.k_out) in
+  let fin, iin =
+    List.partition (fun (s, _) -> bank_of slots.(s) = fbank) (Array.to_list k.k_in)
+  in
   let idx (s, f) = (index_of slots.(s), f) in
   let order, kinds = site_accesses k plain in
   {
@@ -1069,9 +1063,8 @@ let lift_kernel ~(slots : int array) (k : kernel) (plain : kop array) : kprog =
     kp_fused = fused;
     kp_slots = slots;
     kp_fin = Array.of_list (List.map idx fin);
-    kp_vin = Array.of_list (List.map (fun (s, f) -> (slots.(s), f)) vin);
-    kp_fout = Array.of_list (List.map idx fout);
-    kp_bout = Array.of_list (List.map idx bout);
+    kp_iin = Array.of_list (List.map idx iin);
+    kp_fout = Array.map idx k.k_out;
   }
 
 (* ================================================================== *)
@@ -1091,8 +1084,7 @@ type lctx = {
   nloops : int list ref;
       (** node ids by dense loop number, newest first; the numbering is
           shared across functions *)
-  env : Opt.tenv;
-  lt : Opt.ty array;  (** slot types of the frame *)
+  lt : Minic.Ast.typ array;  (** declared slot types of the frame *)
   slots : int array;  (** register of each local slot *)
   cof : Value.t -> int;  (** boxed constant register of a literal *)
   coff : float -> int;  (** float-bank constant register *)
@@ -1204,14 +1196,12 @@ and scan_b f (b : R.block) =
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The path of arithmetic, division or comparison on [a] and [b] when
-   their static types decide it: float when either is a float, int when
-   neither can be, else operand-dynamic (a user call's result, say). *)
+let is_float_expr ctx e = is_flt (ety ctx.cp ctx.lt e)
+
+(* The path of arithmetic, division or comparison on [a] and [b]: float
+   when either is a float, int otherwise. *)
 let operand_kind ctx a b =
-  let ta = Opt.ety ctx.env ctx.lt a and tb = Opt.ety ctx.env ctx.lt b in
-  if Opt.is_f ta || Opt.is_f tb then KFlt
-  else if Opt.not_f ta && Opt.not_f tb then KInt
-  else KDyn
+  if is_float_expr ctx a || is_float_expr ctx b then KFlt else KInt
 
 (* [lx] lowers an expression and returns the register holding its
    result.  Literals resolve to constant registers (no code): in their
@@ -1224,10 +1214,9 @@ let operand_kind ctx a b =
    producer writes [dst] directly when [dst] is in its bank: its
    operands are all read before the write. *)
 let rec lx ?(v = false) ?dst ctx (e : R.expr) : int =
-  (* [boxed_ops]: the instruction consumes its operands as values *)
-  let bin ?(boxed_ops = false) bank a b mk =
-    let ra = lx ~v:boxed_ops ctx a in
-    let rb = lx ~v:boxed_ops ctx b in
+  let bin bank a b mk =
+    let ra = lx ctx a in
+    let rb = lx ctx b in
     let d = dest ctx dst bank in
     emit ctx (mk d ra rb);
     d
@@ -1246,13 +1235,14 @@ let rec lx ?(v = false) ?dst ctx (e : R.expr) : int =
       ctx.cof Value.VUnit
   | R.ENeg a ->
       let ra = lx ctx a in
-      let bank = bank_of ra in
-      let d = dest ctx dst bank in
-      emit ctx
-        (if bank = fbank then INegF (d, ra)
-         else if bank = ibank then INegI (d, ra)
-         else INeg (d, ra));
-      d
+      if is_float_expr ctx a then (
+        let d = dest ctx dst fbank in
+        emit ctx (INegF (d, ra));
+        d)
+      else
+        let d = dest ctx dst ibank in
+        emit ctx (INegI (d, ra));
+        d
   | R.ENot a ->
       let ra = lx ctx a in
       let d = dest ctx dst boxed in
@@ -1261,15 +1251,11 @@ let rec lx ?(v = false) ?dst ctx (e : R.expr) : int =
   | R.EArith (op, fresid, a, b) -> (
       match operand_kind ctx a b with
       | KFlt -> bin fbank a b (fun d a b -> IArithF { op; fresid; d; a; b })
-      | KInt -> bin ibank a b (fun d a b -> IArithI { op; d; a; b })
-      | KDyn ->
-          bin ~boxed_ops:true boxed a b (fun d a b ->
-              IArith { op; fresid; d; a; b }))
+      | KInt -> bin ibank a b (fun d a b -> IArithI { op; d; a; b }))
   | R.EDiv (a, b) -> (
       match operand_kind ctx a b with
       | KFlt -> bin fbank a b (fun d a b -> IDivF (d, a, b))
-      | KInt -> bin ibank a b (fun d a b -> IDivI (d, a, b))
-      | KDyn -> bin ~boxed_ops:true boxed a b (fun d a b -> IDiv (d, a, b)))
+      | KInt -> bin ibank a b (fun d a b -> IDivI (d, a, b)))
   | R.EMod (a, b) -> bin ibank a b (fun d a b -> IMod (d, a, b))
   | R.ECmp (op, a, b) ->
       let kind = operand_kind ctx a b in
@@ -1300,9 +1286,8 @@ let rec lx ?(v = false) ?dst ctx (e : R.expr) : int =
         match dst with
         | Some d -> d
         | None -> (
-            match Opt.ety ctx.env ctx.lt a with
-            | Opt.TPtr (Minic.Ast.Tfloat | Minic.Ast.Tdouble) when not v ->
-                tmp ctx fbank
+            match ety ctx.cp ctx.lt a with
+            | Minic.Ast.Tptr t when is_flt t && not v -> tmp ctx fbank
             | _ -> tmp ctx boxed)
       in
       emit ctx (IIndex { d; a = ra; i = ri });
@@ -1499,7 +1484,7 @@ and ls ctx (s : R.stmt) =
           let rv = lx ~v:(not banked) ctx rhs in
           (* an int slot takes the int path only for an operand that is
              never a float: a float one converts the float result back *)
-          let int_rhs = Opt.not_f (Opt.ety ctx.env ctx.lt rhs) in
+          let int_rhs = not (is_float_expr ctx rhs) in
           match slot with
           | R.Local i when bank_of ctx.slots.(i) = ibank && not int_rhs ->
               let d = ctx.slots.(i) and t = tmp ctx boxed in
@@ -1577,7 +1562,7 @@ and ls ctx (s : R.stmt) =
          runs instead, under the same loop number *)
       let lidx = fresh_loop ctx fsid in
       let kernel =
-        if ctx.kernels then kernel_of_loop ctx.env ctx.lt s else None
+        if ctx.kernels then kernel_of_loop ctx.cp ctx.lt s else None
       in
       let ldone =
         Option.map
@@ -1603,23 +1588,20 @@ and ls ctx (s : R.stmt) =
   ctx.tf.n <- f0;
   ctx.ti.n <- i0
 
-(* A counted loop.  An int-bank index runs the typed [IFor*I] forms;
-   a boxed or global index keeps the [Value.t] forms. *)
+(* A counted loop.  Its index is an int local: the checker puts loops
+   in functions only and types every index [int]. *)
 and lfor ctx lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body =
+  let islot =
+    match slot with
+    | R.Local i when bank_of ctx.slots.(i) = ibank -> ctx.slots.(i)
+    | _ -> invalid_arg "Bytecode.lower: a for index that is not an int local"
+  in
   emit ctx IFuel;
   let t0 = tmp ctx fbank and trips = tmp ctx ibank in
   emit ctx
     (ILoopEnterF { lidx; sid = fsid; t0; trips; icost = init.R.ecost });
   let ri = lx ctx init in
-  let islot =
-    match slot with
-    | R.Local i when bank_of ctx.slots.(i) = ibank -> Some ctx.slots.(i)
-    | _ -> None
-  in
-  emit ctx
-    (match islot with
-    | Some s -> IForInitI { slot = s; src = ri }
-    | None -> IForInit { slot; src = ri });
+  emit ctx (IForInitI { slot = islot; src = ri });
   let ltest = fresh_lab ctx and lexit = fresh_lab ctx in
   place ctx ltest;
   (* a bound that lowers to no code (a literal or a local) lets the test
@@ -1636,20 +1618,12 @@ and lfor ctx lidx ~fsid ~slot ~init ~bound ~inclusive ~step ~body =
   let cost = if folded then tcost else 0.0 in
   let rb = lx ctx bound in
   emit ctx
-    (match islot with
-    | Some s ->
-        IForTestI
-          { slot = s; cost; bound = rb; inclusive; lidx; sid = fsid; trips; tgt = lexit }
-    | None ->
-        IForTest
-          { slot; cost; bound = rb; inclusive; lidx; sid = fsid; trips; tgt = lexit });
+    (IForTestI
+       { slot = islot; cost; bound = rb; inclusive; lidx; sid = fsid; trips; tgt = lexit });
   lb ctx body;
   if step.R.ecost <> 0.0 then emit ctx (ICharge step.R.ecost);
   let rs = lx ctx step in
-  emit ctx
-    (match islot with
-    | Some s -> IForStepI { slot = s; src = rs; tgt = ltest }
-    | None -> IForStep { slot; src = rs; tgt = ltest });
+  emit ctx (IForStepI { slot = islot; src = rs; tgt = ltest });
   place ctx lexit;
   emit ctx (ILoopExit { lidx; sid = fsid; t0; trips })
 
@@ -1670,19 +1644,16 @@ let patch lp = function
   | IAndTest r -> IAndTest { r with tgt = lp.(r.tgt) }
   | IOrTest r -> IOrTest { r with tgt = lp.(r.tgt) }
   | IWhileIter r -> IWhileIter { r with tgt = lp.(r.tgt) }
-  | IForTest r -> IForTest { r with tgt = lp.(r.tgt) }
   | IForTestI r -> IForTestI { r with tgt = lp.(r.tgt) }
-  | IForStep r -> IForStep { r with tgt = lp.(r.tgt) }
   | IForStepI r -> IForStepI { r with tgt = lp.(r.tgt) }
   | IKernel r -> IKernel { r with tgt = lp.(r.tgt) }
   | i -> i
 
-(* Slot registers of one frame: a slot typed [TFloat] ([TInt]) whose
-   initial [VUnit] is never read goes into the float (int) bank; every
-   other slot stays boxed at its own index.  Returns the registers and
-   the float and int bank slot counts. *)
-let bank_slots (f : R.cfunc) (lt : Opt.ty array) =
-  let unset = Opt.read_before_write f in
+(* Slot registers of one frame: a slot declared [float] or [double]
+   ([int]) goes into the float (int) bank; a [bool] or pointer slot
+   stays boxed at its own index.  Returns the registers and the float
+   and int bank slot counts. *)
+let bank_slots (f : R.cfunc) =
   let nf = ref 0 and ni = ref 0 in
   let next bank n =
     let r = reg bank !n in
@@ -1691,14 +1662,14 @@ let bank_slots (f : R.cfunc) (lt : Opt.ty array) =
   in
   let slots =
     Array.init f.R.cf_nslots (fun s ->
-        match lt.(s) with
-        | Opt.TFloat when not unset.(s) -> next fbank nf
-        | Opt.TInt when not unset.(s) -> next ibank ni
+        match f.R.cf_slot_types.(s) with
+        | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> next fbank nf
+        | Minic.Ast.Tint -> next ibank ni
         | _ -> reg boxed s)
   in
   (slots, !nf, !ni)
 
-let lower_fn (cp : R.t) ~env ~lt ~glob ~kernels ~nloops ~slots ~nslots
+let lower_fn (cp : R.t) ~lt ~ret ~glob ~kernels ~nloops ~slots ~nslots
     ~nfslots ~nislots ~params (body : R.block) : fn =
   (* constant-pool prescan first so every register index is final: each
      literal gets a boxed constant, numeric ones also a banked one *)
@@ -1717,7 +1688,9 @@ let lower_fn (cp : R.t) ~env ~lt ~glob ~kernels ~nloops ~slots ~nslots
     | Value.VInt n -> add ip v n
     | _ -> ()
   in
+  let fall_off = Value.zero_of_typ ret in
   add_lit Value.VUnit;
+  add_lit fall_off;
   scan_b add_lit body;
   let values (_, vals) = Array.of_list (List.rev !vals) in
   let cvals = values bp and fcvals = values fp and icvals = values ip in
@@ -1729,7 +1702,6 @@ let lower_fn (cp : R.t) ~env ~lt ~glob ~kernels ~nloops ~slots ~nslots
       glob;
       kernels;
       nloops;
-      env;
       lt;
       slots;
       cof = cof boxed nslots bp;
@@ -1743,8 +1715,8 @@ let lower_fn (cp : R.t) ~env ~lt ~glob ~kernels ~nloops ~slots ~nslots
     }
   in
   lb ctx body;
-  (* fall off the end: both engines return VUnit *)
-  emit ctx (IRet (ctx.cof Value.VUnit));
+  (* fall off the end: both engines return the result type's zero *)
+  emit ctx (IRet (ctx.cof fall_off));
   let items = List.rev ctx.rev in
   let lp = Array.make (max 1 ctx.nlab) 0 in
   let n = ref 0 in
@@ -1764,8 +1736,7 @@ let lower_fn (cp : R.t) ~env ~lt ~glob ~kernels ~nloops ~slots ~nslots
   {
     bc_code = code;
     bc_nregs = size ctx.tb;
-    bc_cbase = nslots;
-    bc_cvals = cvals;
+    bc_boxed = Array.append (Array.map Value.zero_of_typ lt) cvals;
     bc_nsf = size ctx.tf;
     bc_fcbase = nfslots;
     bc_fcvals = fcvals;
@@ -1776,26 +1747,25 @@ let lower_fn (cp : R.t) ~env ~lt ~glob ~kernels ~nloops ~slots ~nslots
     bc_slots = slots;
   }
 
-(** Lower a resolved program, with every innermost loop that fits
-    translated to a kernel unless [kernels] is [false].  Bank
-    assignment, typed instructions and the kernel translation read the
-    one {!Opt.type_program} environment of [cp]. *)
+(** Lower a resolved program that {!Minic.Typecheck} accepts, with
+    every innermost loop that fits translated to a kernel unless
+    [kernels] is [false].  Bank assignment, typed instructions and the
+    kernel translation read declared types only.
+    @raise Invalid_argument on a [for] loop outside a function *)
 let lower ?(kernels = true) (cp : R.t) : program =
-  let env = Opt.type_program cp in
   let nloops = ref [] in
   let funcs =
-    Array.mapi
-      (fun fi (cf : R.cfunc) ->
-        let lt = env.Opt.locals.(fi) in
-        let slots, nfslots, nislots = bank_slots cf lt in
-        lower_fn cp ~env ~lt ~glob:false ~kernels ~nloops ~slots
-          ~nslots:cf.R.cf_nslots ~nfslots ~nislots
+    Array.map
+      (fun (cf : R.cfunc) ->
+        let slots, nfslots, nislots = bank_slots cf in
+        lower_fn cp ~lt:cf.R.cf_slot_types ~ret:cf.R.cf_ret ~glob:false
+          ~kernels ~nloops ~slots ~nslots:cf.R.cf_nslots ~nfslots ~nislots
           ~params:(Array.map (fun s -> slots.(s)) cf.R.cf_param_slots)
           cf.R.cf_body)
       cp.R.cfuncs
   in
   let globals =
-    lower_fn cp ~env ~lt:env.Opt.globals ~glob:true ~kernels ~nloops
+    lower_fn cp ~lt:[||] ~ret:Minic.Ast.Tvoid ~glob:true ~kernels ~nloops
       ~slots:(Array.init cp.R.nglobals (reg boxed))
       ~nslots:0 ~nfslots:0 ~nislots:0 ~params:[||] cp.R.cglobals
   in

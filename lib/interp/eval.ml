@@ -480,7 +480,7 @@ let track_exit st (tk : tracker) =
   | _ -> ()
 
 (* Raised by a specialized kernel's entry protocol — strictly before any
-   state mutation — when a precondition fails (non-numeric bounds,
+   state mutation — when a precondition fails (out-of-range bounds,
    non-float region, out-of-range access, insufficient fuel, or under a
    tracked loop a stored-to region two tracking sites reach).  The
    fused statement then falls back to its generic loop. *)
@@ -592,11 +592,11 @@ module Ir_walk = struct
     let f = st.cprog.cfuncs.(idx) in
     if List.length args <> List.length f.cf_params then
       err "call to '%s' with wrong arity" f.cf_name;
-    let frame = Array.make (max 1 f.cf_nslots) VUnit in
+    let frame = Array.map zero_of_typ f.cf_slot_types in
     List.iteri (fun i v -> frame.(f.cf_param_slots.(i)) <- v) args;
     try
       exec_block st frame f.cf_body;
-      VUnit
+      zero_of_typ f.cf_ret
     with Return_exc v -> v
 
   and exec_stmt st frame (s : Resolve.stmt) =
@@ -751,14 +751,6 @@ let[@inline] getb regs sf si r =
   | 1 -> Array.unsafe_get sf i <> 0.0
   | _ -> Array.unsafe_get si i <> 0
 
-(* [Value.is_float] of an operand: the int/float dispatch of the
-   operand-dynamic instructions. *)
-let[@inline] isf regs r =
-  match r land 3 with
-  | 0 -> is_float (Array.unsafe_get regs (r lsr 2))
-  | 1 -> true
-  | _ -> false
-
 (* Write a value into a register of any bank.  The lowering targets a
    bank only with values its static type proves to be of that kind, so
    the conversion unboxes without changing the value. *)
@@ -768,12 +760,6 @@ let[@inline] setv regs sf si r v =
   | 0 -> Array.unsafe_set regs i v
   | 1 -> Array.unsafe_set sf i (match v with VFloat f -> f | v -> to_float v)
   | _ -> Array.unsafe_set si i (match v with VInt n -> n | v -> to_int v)
-
-(* Write a kernel's loop index: its slot is typed int, so it lives in
-   the int bank or (when the type is not provable) boxed. *)
-let seti regs si r n =
-  if r land 3 = 2 then Array.unsafe_set si (r lsr 2) n
-  else Array.unsafe_set regs (r lsr 2) (VInt n)
 
 (* Run [count] iterations of a fused kernel micro-program, starting at
    site offsets and counter values [offs] (mutated in place).  Only the
@@ -963,26 +949,16 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
   done
 
 (* A kernel's silent integer expression at loop index [iv]: [XSlot]
-   reads the slot's register ([to_int] semantics; a float or non-numeric
-   slot is unfit). *)
-let rec kieval slots fr ib iv (ie : B.iexpr) =
+   reads an int slot's register in the int bank [ib]. *)
+let rec kieval slots ib iv (ie : B.iexpr) =
   match ie with
   | B.XLit n -> n
   | B.XIdx -> iv
-  | B.XSlot i -> (
-      let r = Array.unsafe_get slots i in
-      match r land 3 with
-      | 2 -> Array.unsafe_get ib (r lsr 2)
-      | 0 -> (
-          match Array.unsafe_get fr (r lsr 2) with
-          | VInt n -> n
-          | VBool b -> if b then 1 else 0
-          | VFloat _ | VUnit | VPtr _ -> raise Kernel_unfit)
-      | _ -> raise Kernel_unfit)
-  | B.XAdd (a, b) -> kieval slots fr ib iv a + kieval slots fr ib iv b
-  | B.XSub (a, b) -> kieval slots fr ib iv a - kieval slots fr ib iv b
-  | B.XMul (a, b) -> kieval slots fr ib iv a * kieval slots fr ib iv b
-  | B.XNeg a -> -kieval slots fr ib iv a
+  | B.XSlot i -> Array.unsafe_get ib (Array.unsafe_get slots i lsr 2)
+  | B.XAdd (a, b) -> kieval slots ib iv a + kieval slots ib iv b
+  | B.XSub (a, b) -> kieval slots ib iv a - kieval slots ib iv b
+  | B.XMul (a, b) -> kieval slots ib iv a * kieval slots ib iv b
+  | B.XNeg a -> -kieval slots ib iv a
 
 (* Tracked-loop bracketing for the VM: [regs]/[sf]/[si] are the banks
    of the frame running loop number [lidx]. *)
@@ -1126,9 +1102,9 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
   let slots = kp.B.kp_slots in
   let nsites = Array.length k.B.k_sites in
   let fuel_per_iter = 1 + k.B.k_nstmts in
-  let i0 = kieval slots fr ib 0 k.B.k_init in
-  let b = kieval slots fr ib 0 k.B.k_bound in
-  let s = kieval slots fr ib 0 k.B.k_step in
+  let i0 = kieval slots ib 0 k.B.k_init in
+  let b = kieval slots ib 0 k.B.k_bound in
+  let s = kieval slots ib 0 k.B.k_step in
   let sane v = -0x4000_0000_0000 < v && v < 0x4000_0000_0000 in
   if s <= 0 || not (sane i0 && sane b && sane s) then raise Kernel_unfit;
   let n =
@@ -1148,7 +1124,7 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     charge st (k.B.k_icost +. k.B.k_bcost);
     st.prof.int_ops <-
       st.prof.int_ops + k.B.k_init_int_ops + k.B.k_bound_int_ops;
-    seti fr ib slots.(k.B.k_idx_slot) i0;
+    Array.unsafe_set ib (slots.(k.B.k_idx_slot) lsr 2) i0;
     stat.min_trip <- min stat.min_trip 0;
     stat.max_trip <- max stat.max_trip 0;
     stat.cycles <- stat.cycles +. (cycles st -. t0);
@@ -1162,23 +1138,21 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     let bytes_r = ref 0 and bytes_w = ref 0 in
     for si = 0 to nsites - 1 do
       let site = k.B.k_sites.(si) in
-      let base = slots.(site.B.ks_base) in
-      match
-        if base land 3 = 0 then Array.unsafe_get fr (base lsr 2) else VUnit
-      with
+      (* a site's base is a pointer slot: boxed *)
+      match Array.unsafe_get fr (slots.(site.B.ks_base) lsr 2) with
       | VPtr p ->
           if p.mem_id < 0 || p.mem_id >= st.mem.Memory.next_id then
             raise Kernel_unfit;
           let r = Array.unsafe_get st.mem.Memory.regions p.mem_id in
           if not r.Memory.flt then raise Kernel_unfit;
           let len = r.Memory.len in
-          let o0 = p.off + kieval slots fr ib i0 site.B.ks_idx in
+          let o0 = p.off + kieval slots ib i0 site.B.ks_idx in
           (* the index is affine in the loop index, in wrapping int
              arithmetic too: the stride of the first step is every
              step's *)
           let delta =
             if n > 1 then
-              p.off + kieval slots fr ib (i0 + s) site.B.ks_idx - o0
+              p.off + kieval slots ib (i0 + s) site.B.ks_idx - o0
             else 0
           in
           let olast = o0 + ((n - 1) * delta) in
@@ -1197,10 +1171,10 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
     done;
     for c = 0 to nctrs - 1 do
       let ie = Array.unsafe_get k.B.k_ctrs c in
-      let v0 = kieval slots fr ib i0 ie in
+      let v0 = kieval slots ib i0 ie in
       offs.(nsites + c) <- v0;
       deltas.(nsites + c) <-
-        (if n > 1 then kieval slots fr ib (i0 + s) ie - v0 else 0)
+        (if n > 1 then kieval slots ib (i0 + s) ie - v0 else 0)
     done;
     if
       track
@@ -1214,16 +1188,9 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
       let i, reg = Array.unsafe_get kp.B.kp_fin j in
       Array.unsafe_set fregs reg (Array.unsafe_get fb i)
     done;
-    for j = 0 to Array.length kp.B.kp_vin - 1 do
-      let r, reg = Array.unsafe_get kp.B.kp_vin j in
-      Array.unsafe_set fregs reg
-        (if r land 3 = 2 then float_of_int (Array.unsafe_get ib (r lsr 2))
-         else
-           match Array.unsafe_get fr (r lsr 2) with
-           | VFloat f -> f
-           | VInt n -> float_of_int n
-           | VBool b -> if b then 1.0 else 0.0
-           | VUnit | VPtr _ -> raise Kernel_unfit)
+    for j = 0 to Array.length kp.B.kp_iin - 1 do
+      let i, reg = Array.unsafe_get kp.B.kp_iin j in
+      Array.unsafe_set fregs reg (float_of_int (Array.unsafe_get ib i))
     done;
     (* ---- committed: bulk accounting — execution below moves no
        observable ---- *)
@@ -1276,57 +1243,46 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
       let i, reg = Array.unsafe_get kp.B.kp_fout j in
       Array.unsafe_set fb i (Array.unsafe_get fregs reg)
     done;
-    for j = 0 to Array.length kp.B.kp_bout - 1 do
-      let i, reg = Array.unsafe_get kp.B.kp_bout j in
-      Array.unsafe_set fr i (VFloat (Array.unsafe_get fregs reg))
-    done;
-    seti fr ib slots.(k.B.k_idx_slot) (i0 + (n * s));
+    Array.unsafe_set ib (slots.(k.B.k_idx_slot) lsr 2) (i0 + (n * s));
     stat.min_trip <- min stat.min_trip n;
     stat.max_trip <- max stat.max_trip n;
     stat.cycles <- stat.cycles +. (cycles st -. t0);
     if st.tracking then vtrack_exit st lidx)
 
 (* {!do_mod}, {!do_cmp} and {!coerce} over bank-tagged operands, with
-   the same counter bumps, conversions and errors: a modulo of int-bank
-   operands, a typed comparison and a store of a banked value box
-   nothing.  The other operand-dynamic instructions box a banked
-   operand and call the walker's helper. *)
+   the same counter bumps, conversions and errors: a modulo (of int
+   operands, as the checker requires), a typed comparison and a store of
+   a banked value box nothing. *)
 
 let mod_o st regs sf si a b =
-  if isf regs a || isf regs b then st.prof.flops <- st.prof.flops + 1
-  else st.prof.int_ops <- st.prof.int_ops + 1;
+  st.prof.int_ops <- st.prof.int_ops + 1;
   let d = geti regs sf si b in
   if d = 0 then err "integer modulo by zero";
   geti regs sf si a mod d
 
 let cmp_o regs sf si op kind a b =
   let open Minic.Ast in
-  let fl =
-    match kind with
-    | B.KDyn -> isf regs a || isf regs b
-    | B.KFlt -> true
-    | B.KInt -> false
-  in
-  if fl then
-    let x = getf regs sf si a and y = getf regs sf si b in
-    match op with
-    | Lt -> x < y
-    | Le -> x <= y
-    | Gt -> x > y
-    | Ge -> x >= y
-    | Eq -> x = y
-    | Ne -> x <> y
-    | _ -> assert false
-  else
-    let x = geti regs sf si a and y = geti regs sf si b in
-    match op with
-    | Lt -> x < y
-    | Le -> x <= y
-    | Gt -> x > y
-    | Ge -> x >= y
-    | Eq -> x = y
-    | Ne -> x <> y
-    | _ -> assert false
+  match kind with
+  | B.KFlt -> (
+      let x = getf regs sf si a and y = getf regs sf si b in
+      match op with
+      | Lt -> x < y
+      | Le -> x <= y
+      | Gt -> x > y
+      | Ge -> x >= y
+      | Eq -> x = y
+      | Ne -> x <> y
+      | _ -> assert false)
+  | B.KInt -> (
+      let x = geti regs sf si a and y = geti regs sf si b in
+      match op with
+      | Lt -> x < y
+      | Le -> x <= y
+      | Gt -> x > y
+      | Ge -> x >= y
+      | Eq -> x = y
+      | Ne -> x <> y
+      | _ -> assert false)
 
 let coerce_o typ regs sf si src =
   match typ with
@@ -1343,10 +1299,11 @@ let[@inline] xmov dregs dsf dsi d sregs ssf ssi s =
   | 2 -> Array.unsafe_set dsi (d lsr 2) (geti sregs ssf ssi s)
   | _ -> Array.unsafe_set dregs (d lsr 2) (getv sregs ssf ssi s)
 
-(* A fresh frame for [fn]: its three banks with their constants. *)
+(* A fresh frame for [fn]: its three banks, each slot at its declared
+   type's zero, with their constants. *)
 let new_frame (fn : B.fn) =
   let regs = Array.make fn.B.bc_nregs VUnit in
-  Array.blit fn.B.bc_cvals 0 regs fn.B.bc_cbase (Array.length fn.B.bc_cvals);
+  Array.blit fn.B.bc_boxed 0 regs 0 (Array.length fn.B.bc_boxed);
   let sf = Array.make fn.B.bc_nsf 0.0 in
   Array.blit fn.B.bc_fcvals 0 sf fn.B.bc_fcbase (Array.length fn.B.bc_fcvals);
   let si = Array.make fn.B.bc_nsi 0 in
@@ -1358,18 +1315,6 @@ let new_frame (fn : B.fn) =
    bank [si].  Every arm replays the reference walker's charges,
    counter bumps, fuel spends and error points for the matching IR node
    — the test suite asserts fingerprint identity against {!run_ir}. *)
-
-let vset_slot st regs (slot : Resolve.var_ref) v =
-  match slot with
-  | Resolve.Local i -> Array.unsafe_set regs i v
-  | Resolve.Global g -> Array.unsafe_set st.garray g v
-  | Resolve.Unbound n -> err "undefined variable '%s'" n
-
-let vget_slot st regs (slot : Resolve.var_ref) =
-  match slot with
-  | Resolve.Local i -> Array.unsafe_get regs i
-  | Resolve.Global g -> Array.unsafe_get st.garray g
-  | Resolve.Unbound n -> err "undefined variable '%s'" n
 
 let rec vrun st (bp : B.program) ~track (code : B.instr array)
     (regs : Value.t array) (sf : float array) (si : int array) : Value.t =
@@ -1400,14 +1345,6 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
     | B.IErrVar n -> err "undefined variable '%s'" n
     | B.IErrMsg m -> raise (Value.Runtime_error m)
     | B.IFailHd -> raise (Failure "hd")
-    | B.INeg (d, a) ->
-        (match getv regs sf si a with
-        | VInt n -> Array.unsafe_set regs (d lsr 2) (VInt (-n))
-        | VFloat f ->
-            st.prof.flops <- st.prof.flops + 1;
-            Array.unsafe_set regs (d lsr 2) (VFloat (-.f))
-        | _ -> err "negation of a non-numeric value");
-        go (pc + 1)
     | B.INegF (d, a) ->
         st.prof.flops <- st.prof.flops + 1;
         Array.unsafe_set sf (d lsr 2) (-.getf regs sf si a);
@@ -1417,10 +1354,6 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
         go (pc + 1)
     | B.INot (d, a) ->
         Array.unsafe_set regs (d lsr 2) (vbool (not (getb regs sf si a)));
-        go (pc + 1)
-    | B.IArith { op; fresid; d; a; b } ->
-        Array.unsafe_set regs (d lsr 2)
-          (do_arith st op fresid (getv regs sf si a) (getv regs sf si b));
         go (pc + 1)
     | B.IArithF { op; fresid; d; a; b } ->
         let x = getf regs sf si a and y = getf regs sf si b in
@@ -1442,10 +1375,6 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
           | Minic.Ast.Sub -> x - y
           | Minic.Ast.Mul -> x * y
           | _ -> assert false);
-        go (pc + 1)
-    | B.IDiv (d, a, b) ->
-        Array.unsafe_set regs (d lsr 2)
-          (do_div st (getv regs sf si a) (getv regs sf si b));
         go (pc + 1)
     | B.IDivF (d, a, b) ->
         let x = getf regs sf si a and y = getf regs sf si b in
@@ -1634,27 +1563,6 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
           charge st while_iter_cost;
           go (pc + 1))
         else go tgt
-    | B.IForInit { slot; src } ->
-        vset_slot st regs slot (VInt (geti regs sf si src));
-        go (pc + 1)
-    | B.IForTest { slot; cost; bound; inclusive; lidx; sid; trips; tgt } ->
-        if cost <> 0.0 then charge st cost;
-        let b = geti regs sf si bound in
-        let i = to_int (vget_slot st regs slot) in
-        if if inclusive then i <= b else i < b then (
-          let t = trips lsr 2 in
-          Array.unsafe_set si t (Array.unsafe_get si t + 1);
-          let stat = cached_loop_stat st lidx sid in
-          stat.iterations <- stat.iterations + 1;
-          spend_fuel st;
-          charge st for_iter_cost;
-          go (pc + 1))
-        else go tgt
-    | B.IForStep { slot; src; tgt } ->
-        let stepv = geti regs sf si src in
-        vset_slot st regs slot
-          (VInt (to_int (vget_slot st regs slot) + stepv));
-        go tgt
     | B.IForInitI { slot; src } ->
         Array.unsafe_set si (slot lsr 2) (geti regs sf si src);
         go (pc + 1)
@@ -1734,15 +1642,17 @@ type compiled = { cp : Resolve.t; vm : Bytecode.program }
 
 (** Lower an already-resolved slot IR with typed instructions and no
     kernels, for differential tests and the kernel-free benchmark
-    leg. *)
+    leg.  Refuses an ill-typed source. *)
 let compile_resolved (cp : Resolve.t) : compiled =
+  Minic.Typecheck.check_program cp.source;
   { cp; vm = Bytecode.lower ~kernels:false cp }
 
 (** Compile a program once; the result can be executed many times with
-    {!run_vm}: resolve, then lower to register bytecode with its
-    kernels. *)
+    {!run_vm}: type-check, resolve, then lower to register bytecode with
+    its kernels. *)
 let compile p : compiled =
   Flow_obs.Trace.with_span ~cat:"interp" "interp.compile" (fun () ->
+      Minic.Typecheck.check_program p;
       let cp = Resolve.compile p in
       { cp; vm = Bytecode.lower cp })
 
@@ -1798,7 +1708,7 @@ let make_state ~fuel ~trackers (cp : Resolve.t) =
     cprog = cp;
     mem = Memory.create ();
     prof = Profile.create ();
-    garray = Array.make (max 1 cp.nglobals) VUnit;
+    garray = Array.map zero_of_typ cp.cglobal_types;
     out = Buffer.create 256;
     rng = 123456789;
     tracking = Hashtbl.length trackers > 0;

@@ -8,9 +8,9 @@
     Programs are slot-compiled (see {!Resolve}) and lowered to a
     {e flat register-bytecode VM} (see {!Bytecode} and
     DESIGN.md §14) — dense instruction arrays over frames of three
-    register banks (boxed values, unboxed floats, ints; a slot whose
-    static type is float or int lives unboxed), with superinstructions
-    inside every specialized loop kernel.
+    register banks (boxed values, unboxed floats, ints; a slot declared
+    float or int lives unboxed), with superinstructions inside every
+    specialized loop kernel.
     The VM is the one production engine and runs on the calling
     domain.
 
@@ -18,7 +18,9 @@
     reference.  The VM is bit-identical to it in every observable:
     printed output, return value, the full virtual-cycle profile, loop
     stats, error messages and error points.  The test suite asserts
-    this. *)
+    this.  Both engines start a frame with every slot at its declared
+    type's zero, and a non-void function that ends without [return]
+    returns its type's zero. *)
 
 (** Result of running a program. *)
 type run = {
@@ -52,31 +54,37 @@ type track = (int * string list) list
     @param fuel statement/iteration budget guarding against hangs
       (default 200 million)
     @raise Value.Runtime_error on runtime faults (out-of-bounds access,
-      integer division by zero, fuel exhaustion, missing [main], ...) *)
+      integer division by zero, fuel exhaustion, missing [main], ...)
+    @raise Minic.Typecheck.Type_error on an ill-typed program
+      (see {!compile}) *)
 val run :
   ?focus:string -> ?track:track -> ?fuel:int -> Minic.Ast.program -> run
 
 (** Compile a program once; the result can be executed many times with
-    {!run_vm} without re-resolving or re-compiling.  Two stages:
-    resolve, then lower to bytecode, which types the program once and
-    picks typed instructions where operand types allow and a
-    specialized, fused kernel for every innermost loop that fits.
-    A compiled value is never mutated after this returns, so it may be
-    shared across domains. *)
+    {!run_vm} without re-resolving or re-compiling.  Three stages:
+    type-check, resolve, then lower to bytecode, which takes every type
+    from declarations and picks typed instructions and a specialized,
+    fused kernel for every innermost loop that fits.  A compiled value
+    is never mutated after this returns, so it may be shared across
+    domains.
+    @raise Minic.Typecheck.Type_error when the program is ill-typed:
+      the VM runs well-typed programs only ({!run_ir} runs anything) *)
 val compile : Minic.Ast.program -> compiled
 
 (** Lower an already-resolved slot IR with typed instructions and no
     kernels: the one kernel-free entry point.  For tests that run the
     VM on the IR without kernels and compare against {!run_ir}, and for
-    the benchmark leg that measures what kernels contribute. *)
+    the benchmark leg that measures what kernels contribute.
+    @raise Minic.Typecheck.Type_error when its source is ill-typed *)
 val compile_resolved : Resolve.t -> compiled
 
 (** Run an already-compiled program from [main] through the register
     bytecode VM.  Equivalent to {!run} on the source program. *)
 val run_vm : ?track:track -> ?fuel:int -> compiled -> run
 
-(** Run the slot IR through the reference tree walker.  Profiles,
-    outputs and error points are bit-identical to {!run_vm}; counted
+(** Run the slot IR through the reference tree walker, ill-typed or
+    not.  Profiles, outputs and error points are bit-identical to
+    {!run_vm} on a well-typed program; counted
     under the [interp_ir_runs] metric instead of [interp_runs].  Exists
     for bit-identity testing and before/after benchmarking. *)
 val run_ir : ?focus:string -> ?track:track -> ?fuel:int -> Resolve.t -> run

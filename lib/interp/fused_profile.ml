@@ -26,10 +26,10 @@
     service jobs process-wide.
 
     The run behind a fused profile executes on the production engine —
-    slot IR lowered to register bytecode with typed instructions where
-    {!Opt.ety} decides an operand's path and a kernel for every
-    kernel-shaped innermost loop ({!Eval.compile}), run by the VM on the
-    calling domain.  Specialization and typed lowering preserve bit-identity
+    slot IR lowered to register bytecode with instructions typed by the
+    program's declarations and a kernel for every kernel-shaped
+    innermost loop ({!Eval.compile}), run by the VM on the calling
+    domain.  Specialization and typed lowering preserve bit-identity
     with the reference walker ({!Eval.run_ir}), so the projections are
     unaffected by them — asserted per benchmark and on generated
     programs by the test suite. *)

@@ -28,11 +28,14 @@
     resulting profiles are bit-identical to the per-statement charging
     scheme.
 
-    Known (intentional) divergences from the old tree walker, both
-    rejected by the type checker and exercised by no benchmark:
-    use-before-declaration of a local now reads the slot's [VUnit]
-    instead of falling back to a same-named global, and re-declaring a
-    [for] index inside its own loop body aliases the loop's slot.
+    Every slot carries its declared type ({!cfunc.cf_slot_types},
+    {!t.cglobal_types}), as does every function's result
+    ({!cfunc.cf_ret}): {!Minic.Typecheck} gives each name of a function
+    one type, and every value a slot receives converts to it.  A frame
+    starts with each slot at its type's zero, so a read that runs before
+    the slot's declaration has executed reads zero, in both engines.  A
+    name a function declares is that local everywhere in the function,
+    before its declaration too, as {!Minic.Typecheck} types it.
 
     No pass rewrites this IR: the reference walker ({!Eval.run_ir}) runs
     it as it is, and {!Bytecode.lower} compiles it, choosing typed
@@ -101,7 +104,7 @@ type stmt =
   | SAssign of {
       slot : var_ref;
       typ : Minic.Ast.typ option;
-          (** the target's declared type, which the assigned value
+          (** the slot's declared type, which the assigned value
               converts to as in C; [None] for an undeclared name *)
       aop : Minic.Ast.assign_op;
       rhs : expr;
@@ -137,7 +140,11 @@ type cfunc = {
   cf_name : string;
   cf_params : Minic.Ast.param list;
   cf_param_slots : int array;  (** slot of the i-th parameter *)
+  cf_locals : (string, int) Hashtbl.t;  (** slot of each local name *)
   cf_nslots : int;  (** frame size *)
+  cf_slot_types : Minic.Ast.typ array;
+      (** declared type of each slot: its first declaration's *)
+  cf_ret : Minic.Ast.typ;  (** declared return type *)
   cf_body : block;
 }
 
@@ -147,6 +154,8 @@ type t = {
   cfuncs : cfunc array;
   cglobals : block;  (** global declarations, run in the global frame *)
   nglobals : int;
+  global_index : (string, int) Hashtbl.t;  (** slot of each global name *)
+  cglobal_types : Minic.Ast.typ array;  (** declared type of each global *)
   main_idx : int;  (** index of [main], [-1] if absent *)
   func_index : (string, int) Hashtbl.t;  (** first function of each name *)
 }
@@ -254,13 +263,11 @@ let math_impl = function
 
 type scope = {
   sc_locals : (string, int) Hashtbl.t option;  (* None for the globals block *)
+  sc_local_types : Minic.Ast.typ array;  (* declared type of each local slot *)
   sc_globals : (string, int) Hashtbl.t;
+  sc_global_types : Minic.Ast.typ array;
   sc_funcs : (string, int) Hashtbl.t;
   sc_may_time : bool array;
-  sc_types : (string, Minic.Ast.typ) Hashtbl.t;
-      (* declared type of each name seen so far, scoped like
-         {!Minic.Typecheck}: globals, then parameters, then declarations
-         and loop indices in pre-order, a block popping none *)
   sc_params : Minic.Ast.param list array;  (* parameters of each function *)
   sc_ret : Minic.Ast.typ;  (* return type; [Tvoid] in the globals block *)
 }
@@ -274,18 +281,16 @@ let convert_to (t : Minic.Ast.typ) (e : expr) =
       { ecost = e.ecost; e = ECast (t, e) }
   | Minic.Ast.Tptr _ | Minic.Ast.Tvoid -> e
 
-let resolve_var sc name =
-  let global () =
-    match Hashtbl.find_opt sc.sc_globals name with
-    | Some i -> Global i
-    | None -> Unbound name
-  in
-  match sc.sc_locals with
-  | None -> global ()
-  | Some locals -> (
-      match Hashtbl.find_opt locals name with
-      | Some i -> Local i
-      | None -> global ())
+(* The slot [name] resolves to: a local of [locals], else a global. *)
+let lookup_var locals globals name =
+  match Option.bind locals (fun l -> Hashtbl.find_opt l name) with
+  | Some i -> Local i
+  | None -> (
+      match Hashtbl.find_opt globals name with
+      | Some i -> Global i
+      | None -> Unbound name)
+
+let resolve_var sc = lookup_var sc.sc_locals sc.sc_globals
 
 let rec compile_expr sc (e : Minic.Ast.expr) : expr =
   let open Minic.Ast in
@@ -379,8 +384,6 @@ let rec compile_stmt sc (s : Minic.Ast.stmt) : stmt * float * bool =
   match s.snode with
   | Decl d -> (
       let slot = resolve_var sc d.dname in
-      Hashtbl.replace sc.sc_types d.dname
-        (if d.dsize = None then d.dtyp else Tptr d.dtyp);
       match d.dsize with
       | Some size_e ->
           let size = compile_expr sc size_e in
@@ -402,13 +405,14 @@ let rec compile_stmt sc (s : Minic.Ast.stmt) : stmt * float * bool =
         | AddEq | SubEq | MulEq -> C.int_op
         | Set | DivEq -> 0.0
       in
-      ( SAssign
-          {
-            slot = resolve_var sc v;
-            typ = Hashtbl.find_opt sc.sc_types v;
-            aop;
-            rhs;
-          },
+      let slot = resolve_var sc v in
+      let typ =
+        match slot with
+        | Local i -> Some sc.sc_local_types.(i)
+        | Global i -> Some sc.sc_global_types.(i)
+        | Unbound _ -> None
+      in
+      ( SAssign { slot; typ; aop; rhs },
         rhs.ecost +. opc,
         expr_may_time mt rhs )
   | Assign (Lindex (a, i), aop, e) ->
@@ -439,7 +443,6 @@ let rec compile_stmt sc (s : Minic.Ast.stmt) : stmt * float * bool =
         0.0,
         true )
   | For (h, b) ->
-      Hashtbl.replace sc.sc_types h.index Tint;
       ( SFor
           {
             fsid = s.sid;
@@ -477,38 +480,42 @@ and compile_block sc (b : Minic.Ast.block) : block =
   flush ();
   List.rev !groups
 
-(* One slot per distinct name: parameters first, then declarations and
-   loop indices in pre-order. *)
-let func_locals (f : Minic.Ast.func) =
-  let locals = Hashtbl.create 16 in
-  let add name =
-    if not (Hashtbl.mem locals name) then
-      Hashtbl.add locals name (Hashtbl.length locals)
+(* A slot table: one slot per distinct name, in the order [add] meets
+   them, typed by the first declaration of the name. *)
+let slot_table () =
+  let slots = Hashtbl.create 16 and types = ref [] in
+  let add name t =
+    if not (Hashtbl.mem slots name) then (
+      Hashtbl.add slots name (Hashtbl.length slots);
+      types := t :: !types)
   in
-  List.iter (fun (p : Minic.Ast.param) -> add p.pname_) f.fparams;
+  (slots, add, fun () -> Array.of_list (List.rev !types))
+
+(* The slots of [f]: parameters first, then declarations and loop
+   indices in pre-order. *)
+let func_locals (f : Minic.Ast.func) =
+  let locals, add, types = slot_table () in
+  List.iter (fun (p : Minic.Ast.param) -> add p.pname_ p.ptyp) f.fparams;
   Minic.Ast.iter_func
     (fun s ->
       match s.snode with
-      | Decl d -> add d.dname
-      | For (h, _) -> add h.index
+      | Decl d -> add d.dname (Minic.Typecheck.declared_type d)
+      | For (h, _) -> add h.index Minic.Ast.Tint
       | _ -> ())
     f;
-  locals
+  (locals, types ())
 
-let compile_func sc_globals sc_funcs sc_params mt gtypes (f : Minic.Ast.func) :
-    cfunc =
-  let locals = func_locals f in
-  let sc_types = Hashtbl.copy gtypes in
-  List.iter
-    (fun (p : Minic.Ast.param) -> Hashtbl.replace sc_types p.pname_ p.ptyp)
-    f.fparams;
+let compile_func sc_globals sc_global_types sc_funcs sc_params mt
+    (f : Minic.Ast.func) : cfunc =
+  let locals, types = func_locals f in
   let sc =
     {
       sc_locals = Some locals;
+      sc_local_types = types;
       sc_globals;
+      sc_global_types;
       sc_funcs;
       sc_may_time = mt;
-      sc_types;
       sc_params;
       sc_ret = f.fret;
     }
@@ -521,24 +528,23 @@ let compile_func sc_globals sc_funcs sc_params mt gtypes (f : Minic.Ast.func) :
         (List.map
            (fun (p : Minic.Ast.param) -> Hashtbl.find locals p.pname_)
            f.fparams);
+    cf_locals = locals;
     cf_nslots = Hashtbl.length locals;
+    cf_slot_types = types;
+    cf_ret = f.fret;
     cf_body = compile_block sc f.fbody;
   }
 
 let global_slots (p : Minic.Ast.program) =
-  let sc_globals = Hashtbl.create 16 in
-  let addg name =
-    if not (Hashtbl.mem sc_globals name) then
-      Hashtbl.add sc_globals name (Hashtbl.length sc_globals)
-  in
+  let globals, add, types = slot_table () in
   List.iter
     (Minic.Ast.iter_stmt (fun s ->
          match s.snode with
-         | Decl d -> addg d.dname
-         | For (h, _) -> addg h.index
+         | Decl d -> add d.dname (Minic.Typecheck.declared_type d)
+         | For (h, _) -> add h.index Minic.Ast.Tint
          | _ -> ()))
     p.globals;
-  sc_globals
+  (globals, types ())
 
 (** [track_slots cp ~loop_sid names]: the function holding loop
     [loop_sid] and the slots [names] resolve to in it, or [None] when no
@@ -554,23 +560,15 @@ let track_slots (cp : t) ~loop_sid (names : string list) =
   in
   let rec find i = function
     | [] -> None
-    | f :: rest -> if has_loop f then Some (i, f) else find (i + 1) rest
+    | f :: rest -> if has_loop f then Some i else find (i + 1) rest
   in
-  match find 0 cp.source.funcs with
-  | None -> None
-  | Some (fi, f) ->
-      let sc =
-        {
-          sc_locals = Some (func_locals f);
-          sc_globals = global_slots cp.source;
-          sc_funcs = cp.func_index;
-          sc_may_time = [||];
-          sc_types = Hashtbl.create 1;
-          sc_params = [||];
-          sc_ret = Minic.Ast.Tvoid;
-        }
-      in
-      Some (fi, List.map (resolve_var sc) names)
+  Option.map
+    (fun fi ->
+      ( fi,
+        List.map
+          (lookup_var (Some cp.cfuncs.(fi).cf_locals) cp.global_index)
+          names ))
+    (find 0 cp.source.funcs)
 
 let compile (p : Minic.Ast.program) : t =
   let sc_funcs = Hashtbl.create 16 in
@@ -580,14 +578,15 @@ let compile (p : Minic.Ast.program) : t =
       if not (Hashtbl.mem sc_funcs f.fname) then Hashtbl.add sc_funcs f.fname i)
     p.funcs;
   let mt = timer_reach p sc_funcs in
-  let sc_globals = global_slots p in
+  let sc_globals, sc_global_types = global_slots p in
   let gsc =
     {
       sc_locals = None;
+      sc_local_types = [||];
       sc_globals;
+      sc_global_types;
       sc_funcs;
       sc_may_time = mt;
-      sc_types = Hashtbl.create 16;
       sc_params =
         Array.of_list (List.map (fun (f : Minic.Ast.func) -> f.fparams) p.funcs);
       sc_ret = Minic.Ast.Tvoid;
@@ -597,7 +596,7 @@ let compile (p : Minic.Ast.program) : t =
   let cfuncs =
     Array.of_list
       (List.map
-         (compile_func sc_globals sc_funcs gsc.sc_params mt gsc.sc_types)
+         (compile_func sc_globals sc_global_types sc_funcs gsc.sc_params mt)
          p.funcs)
   in
   {
@@ -605,6 +604,8 @@ let compile (p : Minic.Ast.program) : t =
     cfuncs;
     cglobals;
     nglobals = Hashtbl.length sc_globals;
+    global_index = sc_globals;
+    cglobal_types = sc_global_types;
     main_idx =
       (match Hashtbl.find_opt sc_funcs "main" with Some i -> i | None -> -1);
     func_index = sc_funcs;

@@ -6,6 +6,16 @@
     arithmetic only combines numeric operands (with the usual C widening
     int -> float -> double).
 
+    One name has one type.  A function may not declare a name twice
+    with different types, and the globals may not declare a name twice;
+    parameters and [for] indexes count as declarations, and a global
+    block holds declarations only.  A local may shadow a global of
+    another type: as in the interpreter's resolver, it is that local
+    throughout the function, before its declaration too.  So each
+    interpreter slot has one declared type, the type of every value it
+    holds, and the bytecode lowering types slots from declarations
+    alone.
+
     Generated designs contain calls to target-runtime management functions
     (e.g. [hipMemcpy]) that MiniC does not model; pass
     [~allow_unknown_calls:true] when checking those. *)
@@ -19,6 +29,9 @@ type env = {
   funcs : (string, typ list * typ) Hashtbl.t;
   allow_unknown_calls : bool;
   ret : typ;
+  decls : (string, typ) Hashtbl.t;
+      (** the names the function (or the global block) has declared *)
+  global : bool;  (** checking the global block *)
 }
 
 let err loc fmt = Printf.ksprintf (fun m -> raise (Type_error (m, loc))) fmt
@@ -124,6 +137,17 @@ let type_cond env e =
 let declared_type d =
   match d.dsize with Some _ -> Tptr d.dtyp | None -> d.dtyp
 
+(* Declare [name] with type [t], enforcing one type per name. *)
+let declare env loc name t =
+  (match Hashtbl.find_opt env.decls name with
+  | Some _ when env.global -> err loc "global '%s' is declared twice" name
+  | Some t0 when t0 <> t ->
+      err loc "'%s' is redeclared as %s (declared %s)" name (string_of_typ t)
+        (string_of_typ t0)
+  | _ -> ());
+  Hashtbl.replace env.decls name t;
+  Hashtbl.replace env.vars name t
+
 let rec check_stmt env (s : stmt) =
   match s.snode with
   | Decl d ->
@@ -139,7 +163,7 @@ let rec check_stmt env (s : stmt) =
             err s.sloc "initialiser of '%s': expected %s, got %s" d.dname
               (string_of_typ d.dtyp) (string_of_typ t)
       | None -> ());
-      Hashtbl.replace env.vars d.dname (declared_type d)
+      declare env s.sloc d.dname (declared_type d)
   | Assign (lv, op, e) ->
       let tl =
         match lv with
@@ -173,7 +197,7 @@ let rec check_stmt env (s : stmt) =
         if type_expr env e <> Tint then
           err s.sloc "for-loop %s must be an int" name
       in
-      Hashtbl.replace env.vars h.index Tint;
+      declare env s.sloc h.index Tint;
       check_int "initialiser" h.init;
       check_int "bound" h.bound;
       check_int "step" h.step;
@@ -187,9 +211,10 @@ let rec check_stmt env (s : stmt) =
           (string_of_typ env.ret) (string_of_typ t)
   | Block b -> check_block env b
 
-(* Scoping is simplified: a block does not pop declarations.  Benchmark
-   sources never reuse a name in sibling scopes, and the transforms only
-   generate fresh names, so this does not affect any analysis. *)
+(* Scoping is simplified: a block does not pop declarations, as a
+   function has one slot per name.  One type per name makes the
+   simplification exact: a name redeclared in a sibling scope has the
+   same type. *)
 and check_block env b = List.iter (check_stmt env) b
 
 (** Type-check a whole program.
@@ -203,14 +228,38 @@ let check_program ?(allow_unknown_calls = false) (p : program) =
     p.funcs;
   let global_vars = Hashtbl.create 16 in
   let genv =
-    { vars = global_vars; funcs; allow_unknown_calls; ret = Tvoid }
+    {
+      vars = global_vars;
+      funcs;
+      allow_unknown_calls;
+      ret = Tvoid;
+      decls = Hashtbl.create 16;
+      global = true;
+    }
   in
-  List.iter (check_stmt genv) p.globals;
+  List.iter
+    (fun s ->
+      match s.snode with
+      | Decl _ -> check_stmt genv s
+      | _ -> err s.sloc "only declarations may appear outside a function")
+    p.globals;
   List.iter
     (fun f ->
       let vars = Hashtbl.copy global_vars in
-      List.iter (fun (pr : param) -> Hashtbl.replace vars pr.pname_ pr.ptyp) f.fparams;
-      let env = { genv with vars; ret = f.fret } in
+      (* a global a local shadows is that local throughout the function *)
+      iter_func
+        (fun s ->
+          match s.snode with
+          | Decl d when Hashtbl.mem global_vars d.dname ->
+              Hashtbl.replace vars d.dname (declared_type d)
+          | For (h, _) when Hashtbl.mem global_vars h.index ->
+              Hashtbl.replace vars h.index Tint
+          | _ -> ())
+        f;
+      let env =
+        { genv with vars; ret = f.fret; decls = Hashtbl.create 16; global = false }
+      in
+      List.iter (fun (pr : param) -> declare env f.floc pr.pname_ pr.ptyp) f.fparams;
       check_block env f.fbody)
     p.funcs
 

@@ -1,4 +1,11 @@
-(** Static type checker for MiniC programs. *)
+(** Static type checker for MiniC programs.
+
+    Besides the C typing rules it gives every name one type: a function
+    may not declare a name twice with different types (parameters and
+    [for] indexes count as declarations), the globals may not declare a
+    name twice, and a global block holds declarations only.  A local
+    may shadow a global of another type; it is then that local
+    throughout the function. *)
 
 (** Raised on the first violation found, with a message and location. *)
 exception Type_error of string * Loc.t
@@ -10,6 +17,10 @@ exception Type_error of string * Loc.t
       default false
     @raise Type_error on the first violation *)
 val check_program : ?allow_unknown_calls:bool -> Ast.program -> unit
+
+(** The type a declaration gives its name: a pointer to the element
+    type for an array. *)
+val declared_type : Ast.decl -> Ast.typ
 
 (** [true] iff the program type-checks. *)
 val is_well_typed : ?allow_unknown_calls:bool -> Ast.program -> bool

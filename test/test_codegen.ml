@@ -280,11 +280,34 @@ let design_tests =
           (Design.target_framework Design.Fpga_oneapi));
   ]
 
+(* Every design the five paper benchmarks' uninformed flows generate is
+   well-formed, the zero-copy Stratix10 one included: its host wrapper
+   keeps the host signature while the device kernel is demoted to single
+   precision. *)
+let flow_designs_well_formed () =
+  let zero_copy =
+    List.fold_left
+      (fun n (app : Benchmarks.Bench_app.t) ->
+        let o = Psa.Std_flow.run_uninformed (Benchmarks.Bench_app.context app) in
+        List.fold_left
+          (fun n (r : Devices.Simulate.result) ->
+            well_formed r.design;
+            if r.design.zero_copy then n + 1 else n)
+          n o.results)
+      0 Benchmarks.Registry.all
+  in
+  Alcotest.(check int) "zero-copy designs" 5 zero_copy
+
 let () =
   Alcotest.run "codegen"
     [
       ("openmp", openmp_tests);
       ("hip", hip_tests);
       ("oneapi", oneapi_tests);
-      ("design", design_tests);
+      ( "design",
+        design_tests
+        @ [
+            Alcotest.test_case "uninformed flow designs are well-formed" `Quick
+              flow_designs_well_formed;
+          ] );
     ]

@@ -332,6 +332,52 @@ let pretty_tests =
 
 let well_typed src = Typecheck.is_well_typed (Parser.parse_program src)
 
+(* [src] is rejected with a message containing [needle]. *)
+let rejected_with needle src () =
+  match Typecheck.check_program (Parser.parse_program src) with
+  | () -> Alcotest.failf "accepted: %s" src
+  | exception Typecheck.Type_error (m, _) ->
+      if not (Astring_contains.contains m needle) then
+        Alcotest.failf "message %S lacks %S" m needle
+
+let accepted src () =
+  Alcotest.(check bool) "well typed" true (well_typed src)
+
+(* One type per name: the redeclaration rule. *)
+let redeclaration_tests =
+  [
+    Alcotest.test_case "local redeclared with another type" `Quick
+      (rejected_with "'x' is redeclared as double (declared int)"
+         "int main() { int x = 1; if (x > 0) { double x = 2.0; } return 0; }");
+    Alcotest.test_case "global redeclared" `Quick
+      (rejected_with "global 'g' is declared twice"
+         "int g = 1; int g = 1; int main() { return g; }");
+    Alcotest.test_case "parameter redeclared as another type" `Quick
+      (rejected_with "'q' is redeclared as double (declared int)"
+         "int f(int q) { double q = 1.5; return 0; } int main() { return f(1); }");
+    Alcotest.test_case "for index also declared double" `Quick
+      (rejected_with "'i' is redeclared as int (declared double)"
+         "int main() { double i = 0.5; for (int i = 0; i < 3; i++) { } return 0; }");
+    Alcotest.test_case "same type in sibling loops accepted" `Quick
+      (accepted
+         {|
+int main() {
+  double s = 0.0;
+  for (int i = 0; i < 3; i++) { double t = 1.0; s += t; }
+  for (int i = 0; i < 2; i++) { double t = 2.0; s += t; }
+  return 0;
+}
+|});
+    Alcotest.test_case "local shadowing a global of another type accepted" `Quick
+      (accepted "double g = 1.5; int main() { int g = 2; return g; }");
+    (* the shadowing local is the name throughout the function, as the
+       interpreter resolves it: [g = a] assigns the [double] local *)
+    Alcotest.test_case "a use before the shadowing declaration is the local"
+      `Quick
+      (rejected_with "assignment: expected double, got int*"
+         "int g[4]; int main() { int a[4]; g = a; double g = 0.5; return 0; }");
+  ]
+
 let typecheck_tests =
   [
     Alcotest.test_case "benchmark fixtures are well-typed" `Quick (fun () ->
@@ -432,5 +478,6 @@ let () =
       ("parser", parser_tests);
       ("pretty", pretty_tests);
       ("typecheck", typecheck_tests);
+      ("redecl", redeclaration_tests);
       ("misc", misc_tests);
     ]

@@ -491,12 +491,15 @@ let fused_tests =
    [/=] on int slots and int elements, float-to-int casts as indices,
    and float/int/pointer call arguments — and every kind of region: a
    [double] and a 4-byte [float] array (unboxed elements of both
-   sizes), an [int] and a [bool] array (boxed elements).  The result of
-   the int function [pick] (always 1..5) has no static type, so where
-   it meets an int operand in [+ - * /], a comparison or an [if]
-   condition the lowering keeps the operand-dynamic instructions.  Loop
-   variables index the 64-element arrays as [i + 7*j], which stays in
-   bounds for any pair of in-scope loop variables (bounds at most 7). *)
+   sizes), an [int] and a [bool] array (boxed elements).  User calls
+   have their declared result types: [pick] (always 1..5) meets int
+   operands in [+ - * /], comparisons and [if] conditions.  The helpers
+   [clip] and [half] may fall off their end and return zero, [half]'s
+   double result meeting an int operand; locals declared inside an
+   [if] are read after it, whether or not their declaration ran (they
+   read zero); call results are negated.  Loop variables index the
+   64-element arrays as [i + 7*j], which stays in bounds for any pair
+   of in-scope loop variables (bounds at most 7). *)
 let program_gen =
   let open QCheck.Gen in
   let fresh = ref 0 in
@@ -536,6 +539,20 @@ let program_gen =
             return
               (if call_left then Printf.sprintf "(pick(%s) %s %s)" a op b
                else Printf.sprintf "(%s %s pick(%s))" b op a) );
+          ( 1,
+            let* a = iexpr (depth - 1) vars
+            and* b = iexpr (depth - 1) vars
+            and* op = oneofl [ "+"; "-"; "*" ] in
+            return (Printf.sprintf "(clip(%s) %s %s)" a op b) );
+          ( 1,
+            let* a = iexpr (depth - 1) vars
+            and* b = iexpr (depth - 1) vars
+            and* op = oneofl [ "+"; "-"; "*"; "/" ] in
+            return (Printf.sprintf "(int)(half(%s) %s %s)" a op b) );
+          ( 1,
+            let* a = iexpr (depth - 1) vars
+            and* f = oneofl [ "pick"; "clip" ] in
+            return (Printf.sprintf "(-%s(%s))" f a) );
         ]
   and fexpr depth vars =
     let leaves =
@@ -574,6 +591,9 @@ let program_gen =
           ( 1,
             let* i = iexpr (depth - 1) vars in
             return (Printf.sprintf "(double)(%s)" i) );
+          ( 1,
+            let* i = iexpr (depth - 1) vars in
+            return (Printf.sprintf "(-half(%s))" i) );
         ]
   and idx vars =
     let open QCheck.Gen in
@@ -696,6 +716,20 @@ let program_gen =
                  "double f%d;\nint g%d = 0;\nif (%s) {\nf%d = %s;\ng%d = %s;\n} else \
                   {\nf%d = %s;\ng%d = %s;\n}\nx += f%d;\nu += g%d;"
                  n n c n f1 n i1 n f2 n i2 n n) );
+          (* an int and a float local read after the [if] that declares
+             them, whether or not their declarations ran *)
+          ( 1,
+            let n =
+              incr fresh;
+              !fresh
+            in
+            let* c = cond 0 vars
+            and* i = iexpr 1 vars
+            and* f = fexpr 1 vars in
+            return
+              (Printf.sprintf
+                 "if (%s) {\nint t%d = %s;\ndouble h%d = %s;\n}\nu += t%d;\nx += h%d;"
+                 c n i n f n n) );
         ]
     in
     if depth = 0 then simple
@@ -745,6 +779,18 @@ let program_gen =
        {|
 int pick(int q) {
   return (q %% 5 + 5) %% 5 + 1;
+}
+
+int clip(int q) {
+  if (q < 4) {
+    return q;
+  }
+}
+
+double half(int q) {
+  if (q > 2) {
+    return (double)q * 0.5;
+  }
 }
 
 double mix(double p, int q, double* r, int k) {
@@ -1077,8 +1123,9 @@ let vm_selector_fuses () =
   in
   Alcotest.(check bool) "fusion shrank the bodies" true (after < before)
 
-(* A float cast of a bool literal converts as every kernel operand does,
-   so its loop runs as a kernel, identical to the walker. *)
+(* A float cast of a bool literal is ill-typed: the production compile
+   refuses it with the checker's error, and the reference walker still
+   runs it. *)
 let vm_bool_cast_kernel () =
   let src =
     {|
@@ -1092,12 +1139,14 @@ int main() {
 }
 |}
   in
-  Alcotest.(check int) "kernels" 1 (List.length (vm_lowered_kernels src));
   let p = Minic.Parser.parse_program src in
-  Alcotest.(check bool)
-    "vm = walker" true
-    (run_fingerprint (I.Eval.run_vm (I.Eval.compile p))
-    = run_fingerprint (I.Eval.run_ir (I.Resolve.compile p)))
+  (match I.Eval.compile p with
+  | _ -> Alcotest.fail "an ill-typed program compiled"
+  | exception Minic.Typecheck.Type_error (m, _) ->
+      Alcotest.(check string) "refusal" "invalid cast from bool to double" m);
+  Alcotest.(check string)
+    "walker output" "3.5\n"
+    (I.Eval.run_ir (I.Resolve.compile p)).I.Eval.output
 
 (* Constant pools key a float literal by its bits: [0.0] and [-0.0]
    compare equal as floats but must keep separate constant registers,
@@ -1134,22 +1183,20 @@ let vm_signed_zero_literals () =
 
 (* The typed-arithmetic mix of a lowered program, over every function
    and the globals block: for arith, div, cmp and fused compare-branch
-   (rows, in that order), how many instructions are operand-dynamic,
-   float and int (columns). *)
+   (rows, in that order), how many instructions are float and int
+   (columns). *)
 let instr_mix (bp : I.Bytecode.program) =
-  let m = Array.make_matrix 4 3 0 in
+  let m = Array.make_matrix 4 2 0 in
   let bump c k = m.(c).(k) <- m.(c).(k) + 1 in
-  let kind = function I.Bytecode.KDyn -> 0 | KFlt -> 1 | KInt -> 2 in
+  let kind = function I.Bytecode.KFlt -> 0 | KInt -> 1 in
   Array.iter
     (fun (f : I.Bytecode.fn) ->
       Array.iter
         (function
-          | I.Bytecode.IArith _ -> bump 0 0
-          | IArithF _ -> bump 0 1
-          | IArithI _ -> bump 0 2
-          | IDiv _ -> bump 1 0
-          | IDivF _ -> bump 1 1
-          | IDivI _ -> bump 1 2
+          | I.Bytecode.IArithF _ -> bump 0 0
+          | IArithI _ -> bump 0 1
+          | IDivF _ -> bump 1 0
+          | IDivI _ -> bump 1 1
           | ICmp { kind = k; _ } -> bump 2 (kind k)
           | IBrCmp { kind = k; _ } -> bump 3 (kind k)
           | _ -> ())
@@ -1162,11 +1209,11 @@ let mix_rows = [ "arith"; "div"; "cmp"; "brcmp" ]
 let show_mix m =
   String.concat " "
     (List.mapi
-       (fun c row -> Printf.sprintf "%s %d/%d/%d" row m.(c).(0) m.(c).(1) m.(c).(2))
+       (fun c row -> Printf.sprintf "%s %d/%d" row m.(c).(0) m.(c).(1))
        mix_rows)
 
 (* An exact counter: the production lowering of every paper benchmark at
-   its profiling size, as dynamic/float/int instruction counts.  A move
+   its profiling size, as float/int instruction counts.  A move
    in any count means the lowering now picks a different instruction for
    some operation, which changes what the VM runs. *)
 let lowered_mix_pinned () =
@@ -1178,11 +1225,11 @@ let lowered_mix_pinned () =
         (id ^ " lowered mix") expected
         (show_mix (instr_mix (lowered p))))
     [
-      ("rush_larsen", "arith 0/159/1 div 0/28/0 cmp 0/2/0 brcmp 0/0/0");
-      ("nbody", "arith 0/66/0 div 0/4/0 cmp 0/0/0 brcmp 0/0/0");
-      ("bezier", "arith 0/31/27 div 0/4/1 cmp 0/0/0 brcmp 0/0/0");
-      ("adpredictor", "arith 0/74/5 div 0/5/0 cmp 0/0/0 brcmp 0/0/1");
-      ("kmeans", "arith 0/10/18 div 0/2/0 cmp 0/0/0 brcmp 0/2/2");
+      ("rush_larsen", "arith 159/1 div 28/0 cmp 2/0 brcmp 0/0");
+      ("nbody", "arith 66/0 div 4/0 cmp 0/0 brcmp 0/0");
+      ("bezier", "arith 31/27 div 4/1 cmp 0/0 brcmp 0/0");
+      ("adpredictor", "arith 74/5 div 5/0 cmp 0/0 brcmp 0/1");
+      ("kmeans", "arith 10/18 div 2/0 cmp 0/0 brcmp 2/2");
     ]
 
 (* The kernel table of a program's production lowering: kernels, their
@@ -1369,22 +1416,36 @@ int main() {
   Alcotest.(check int) "int local declared" 0
     (kernels "int t = i + 1; a[i] = (double)t;")
 
-(* The operand-dynamic instructions stay live in production: a user
-   call's result has no static type, so the programs the "bytecode VM =
-   walker" property draws (seed 2124) lower each dynamic kind at least
-   once with kernels on. *)
-let generated_programs_lower_dynamic () =
+(* How many of the 30 programs the "bytecode VM = walker" property
+   draws (seed 2124) hold each shape the typing rules govern: a call of
+   the int helper that may fall off its end, the double one meeting an
+   int operand, a local read after the [if] that declares it, and a
+   negated call result.  A generator change that drops a shape shows
+   here. *)
+let generated_program_shapes () =
   let sources =
     QCheck.Gen.generate ~rand:(Random.State.make [| 2124 |]) ~n:30 program_gen
   in
-  let mixes =
-    List.map (fun src -> instr_mix (lowered (Minic.Parser.parse_program src))) sources
+  let count needles =
+    List.length
+      (List.filter
+         (fun src -> List.exists (Astring_contains.contains src) needles)
+         sources)
   in
-  List.iteri
-    (fun c row ->
-      if List.for_all (fun m -> m.(c).(0) = 0) mixes then
-        Alcotest.failf "no operand-dynamic %s lowered in 30 programs" row)
-    mix_rows
+  Alcotest.(check (list (pair string int)))
+    "programs per shape"
+    [
+      ("int helper may fall off", 17);
+      ("double helper meets an int", 15);
+      ("local read after its block", 12);
+      ("negated call", 22);
+    ]
+    [
+      ("int helper may fall off", count [ "(clip("; "-clip(" ]);
+      ("double helper meets an int", count [ "(int)(half(" ]);
+      ("local read after its block", count [ "}\nu += t" ]);
+      ("negated call", count [ "(-pick("; "(-clip("; "(-half(" ]);
+    ]
 
 (* Runtime errors, raised from banked registers: the VM (without and
    with kernels) raises the walker's message at the walker's fault
@@ -1431,11 +1492,15 @@ int main() {
 }
 |},
       "execution budget exhausted (infinite loop?)" );
-    (* the type checker keeps a declaration visible after its block, so
-       the else arm reads [t]'s initial [VUnit] on the first iteration:
-       [t] must stay boxed *)
-    ( "a float local read before its first write",
-      200_000_000,
+  ]
+
+(* A frame starts with every slot at its declared type's zero: the
+   checker keeps a declaration visible after its block, so the else arm
+   reads [t] before any write on the first iteration, and reads 0.0 in
+   the walker and the VM (without and with kernels) alike. *)
+let vm_read_before_write () =
+  let p =
+    Minic.Parser.parse_program
       {|
 int main() {
   double s = 0.0;
@@ -1450,9 +1515,17 @@ int main() {
   print_float(s);
   return 0;
 }
-|},
-      "expected a numeric value" );
-  ]
+|}
+  in
+  let ir = I.Resolve.compile p in
+  let walker = I.Eval.run_ir ir in
+  Alcotest.(check string) "walker output" "3\n" walker.I.Eval.output;
+  List.iter
+    (fun (engine, c) ->
+      Alcotest.(check bool)
+        (engine ^ " = walker") true
+        (run_fingerprint (I.Eval.run_vm c) = run_fingerprint walker))
+    [ ("VM without kernels", I.Eval.compile_resolved ir); ("VM", I.Eval.compile p) ]
 
 let check_error_message (_, fuel, src, expected) () =
   let p = Minic.Parser.parse_program src in
@@ -1501,8 +1574,8 @@ let vm_tests =
       Alcotest.test_case "lowered instruction mix per benchmark" `Quick
         lowered_mix_pinned;
       Alcotest.test_case "kernel table per benchmark" `Quick kernel_table_pinned;
-      Alcotest.test_case "generated programs lower dynamic instructions"
-        `Quick generated_programs_lower_dynamic;
+      Alcotest.test_case "generated programs reach each typing shape"
+        `Quick generated_program_shapes;
       Alcotest.test_case "bulk share per benchmark" `Quick bulk_share_pinned;
       Alcotest.test_case "int-to-float shapes that stay generic" `Quick
         int_to_float_shapes;
@@ -1516,6 +1589,11 @@ let vm_tests =
       (fun ((name, _, _, _) as case) ->
         Alcotest.test_case ("error: " ^ name) `Quick (check_error_message case))
       error_cases
+  @ [
+      (* in the slot of the error case it replaced *)
+      Alcotest.test_case "a float local read before its first write reads zero"
+        `Quick vm_read_before_write;
+    ]
   @ List.map
       (fun (b : Benchmarks.Bench_app.t) ->
         Alcotest.test_case (b.id ^ " minor words per cycle") `Slow

@@ -1871,6 +1871,46 @@ let test_malformed_literals_are_parse_errors () =
       check "every connection released its slot" true
         (wait_until (fun () -> active () = Some 1.0)))
 
+(* A source that declares one name with two types is refused at submit
+   time: answered [minic_type_error], counted under that error kind,
+   and nothing is queued or looked up in the result store. *)
+let test_redeclaration_refused () =
+  let src =
+    "int main() {\n  int x = 1;\n  if (x > 0) {\n    double x = 2.0;\n  }\n  return 0;\n}"
+  in
+  with_daemon (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let metric path =
+        match Client.request c Protocol.Metrics with
+        | Protocol.Metrics_data m ->
+            Option.value ~default:0
+              (Option.bind
+                 (List.fold_left
+                    (fun j k -> Option.bind j (Json.member k))
+                    (Some m) path)
+                 Json.to_int_opt)
+        | _ -> Alcotest.fail "metrics request not answered with metrics"
+      in
+      let errors () = metric [ "req_ms_error_minic_type_error"; "count" ] in
+      let store () = metric [ "store_hits" ] + metric [ "store_misses" ] in
+      let errors0 = errors () and store0 = store () in
+      (match
+         Client.request c
+           (Protocol.Submit_flow (Protocol.submission (Protocol.Inline src)))
+       with
+      | Protocol.Error (Protocol.Minic_type_error m) ->
+          check "names the redeclaration" true
+            (Astring_contains.contains m "'x' is redeclared as double")
+      | other ->
+          Alcotest.failf "accepted: %s"
+            (Json.to_string (Protocol.response_to_json other)));
+      check_int "counted under minic_type_error" 1 (errors () - errors0);
+      check_int "no store lookup" store0 (store ());
+      match Client.request c Protocol.List_jobs with
+      | Protocol.Jobs [] -> ()
+      | _ -> Alcotest.fail "a job was queued")
+
 let test_job_listing_and_unknown_job () =
   with_daemon (fun addr ->
       (match Client.rpc addr (Protocol.Job_status 42) with
@@ -2458,6 +2498,8 @@ let () =
             `Quick test_mixed_traffic;
           Alcotest.test_case "malformed literals are parse errors" `Quick
             test_malformed_literals_are_parse_errors;
+          Alcotest.test_case "a redeclared name is a type error" `Quick
+            test_redeclaration_refused;
           Alcotest.test_case "pruned job is unknown" `Quick
             test_pruned_job_is_unknown;
           Alcotest.test_case "client receive timeout" `Quick test_client_timeout;
