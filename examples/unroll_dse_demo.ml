@@ -47,18 +47,19 @@ let () =
       Printf.printf "\n=== unroll_until_overmap on the %s ===\n"
         (Devices.Spec.name (Devices.Spec.find device_id));
       let d = { design with Codegen.Design.device_id } in
-      let result = Dse.Unroll_dse.run d features in
+      let result = Dse.Sweep.run Dse.Sweep.unroll d features in
       Printf.printf "%8s %14s %10s %10s\n" "factor" "utilisation" "ALM" "DSP";
       List.iter
-        (fun (s : Dse.Unroll_dse.step) ->
-          Printf.printf "%8d %13.1f%% %9.1f%% %9.1f%%  %s\n" s.factor
-            (100.0 *. s.utilization)
-            (100.0 *. s.alm_util)
-            (100.0 *. s.dsp_util)
-            (if s.overmapped then "<- overmapped, stop" else ""))
+        (fun (s : _ Dse.Sweep.step) ->
+          let r : Devices.Fpga_model.resources = s.model in
+          Printf.printf "%8d %13.1f%% %9.1f%% %9.1f%%  %s\n" s.knob
+            (100.0 *. r.utilization)
+            (100.0 *. r.alm_util)
+            (100.0 *. r.dsp_util)
+            (if r.overmapped then "<- overmapped, stop" else ""))
         result.steps;
-      if result.synthesizable then (
-        Printf.printf "chosen factor: %d\n" result.chosen_factor;
+      if result.design.synthesizable then (
+        Printf.printf "chosen factor: %d\n" result.chosen;
         (* the exported design still carries the pragma, human-readable *)
         let src = Codegen.Design.export result.design in
         String.split_on_char '\n' src
@@ -96,11 +97,11 @@ let () =
   List.iter
     (fun device_id ->
       let d = { rl_design with Codegen.Design.device_id } in
-      let r = Dse.Unroll_dse.run d rl_features in
+      let r = Dse.Sweep.run Dse.Sweep.unroll d rl_features in
       let first = List.hd r.steps in
       Printf.printf "  %-12s factor 1 already at %.0f%% utilisation -> %s\n"
         device_id
-        (100.0 *. first.utilization)
-        (if r.synthesizable then "ships without unroll"
+        (100.0 *. first.model.utilization)
+        (if r.design.synthesizable then "ships without unroll"
          else "not synthesizable (matches the paper)"))
     [ "arria10"; "stratix10" ]

@@ -141,6 +141,19 @@ let current_exn ctx =
 
 let with_current ctx d = { ctx with current = Some d }
 
+let retarget prefix device_id (d : Codegen.Design.t) =
+  { d with device_id; name = prefix ^ device_id }
+
+(* A device-specific Optimisation task: run [sweep] on the current
+   design, [retarget]ed to the task's device, keep the swept design and
+   its provenance record, and log [describe] of the result. *)
+let dse_task name sweep retarget describe =
+  Task.make name Task.Optimisation (fun ctx ->
+      let d = retarget (current_exn ctx) in
+      let r = Dse.Sweep.run sweep d (Context.eval_features_exn ctx) in
+      Context.log (describe r)
+        (Context.record_decision r.decision (with_current ctx r.design)))
+
 (* ------------------------------------------------------------------ *)
 (* Task repository (Fig. 4, left)                                      *)
 (* ------------------------------------------------------------------ *)
@@ -230,13 +243,8 @@ module Repository = struct
             raise (Flow_error ("cannot generate an OpenMP design: " ^ m)))
 
   let omp_threads_dse =
-    Task.make "OMP Num. Threads DSE" Task.Optimisation (fun ctx ->
-        let d = current_exn ctx in
-        let r = Dse.Threads_dse.run d (Context.eval_features_exn ctx) in
-        let ctx =
-          Context.record_decision r.decision (with_current ctx r.design)
-        in
-        logf ctx "threads DSE chose %d threads" r.chosen_threads)
+    dse_task "OMP Num. Threads DSE" Dse.Sweep.threads Fun.id (fun r ->
+        Printf.sprintf "threads DSE chose %d threads" r.chosen)
 
   (* ---------------- GPU path ---------------- *)
 
@@ -282,16 +290,9 @@ module Repository = struct
         with_current ctx (Codegen.Hip_gen.employ_intrinsics (current_exn ctx)))
 
   let blocksize_dse device_id label =
-    Task.make (label ^ " Blocksize DSE") Task.Optimisation (fun ctx ->
-        let d = current_exn ctx in
-        let d =
-          { d with Codegen.Design.device_id; name = "hip_" ^ device_id }
-        in
-        let r = Dse.Blocksize_dse.run d (Context.eval_features_exn ctx) in
-        let ctx =
-          Context.record_decision r.decision (with_current ctx r.design)
-        in
-        logf ctx "%s blocksize DSE chose %d" label r.chosen_blocksize)
+    dse_task (label ^ " Blocksize DSE") Dse.Sweep.blocksize
+      (retarget "hip_" device_id) (fun r ->
+        Printf.sprintf "%s blocksize DSE chose %d" label r.chosen)
 
   (* ---------------- FPGA path ---------------- *)
 
@@ -336,21 +337,13 @@ module Repository = struct
           (Codegen.Oneapi_gen.employ_zero_copy ~data (current_exn ctx)))
 
   let unroll_dse device_id label =
-    Task.make (label ^ " Unroll Until Overmap DSE") Task.Optimisation
-      (fun ctx ->
-        let d = current_exn ctx in
-        let d =
-          { d with Codegen.Design.device_id; name = "oneapi_" ^ device_id }
-        in
-        let r = Dse.Unroll_dse.run d (Context.eval_features_exn ctx) in
-        let ctx =
-          Context.record_decision r.decision (with_current ctx r.design)
-        in
-        if r.synthesizable then
-          logf ctx "%s unroll DSE chose factor %d (%d steps)" label
-            r.chosen_factor (List.length r.steps)
+    dse_task (label ^ " Unroll Until Overmap DSE") Dse.Sweep.unroll
+      (retarget "oneapi_" device_id) (fun r ->
+        if r.design.synthesizable then
+          Printf.sprintf "%s unroll DSE chose factor %d (%d steps)" label
+            r.chosen (List.length r.steps)
         else
-          logf ctx
+          Printf.sprintf
             "%s unroll DSE: design overmaps the device even at factor 1 \
              (unsynthesizable)"
             label)

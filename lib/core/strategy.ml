@@ -175,28 +175,18 @@ let probe_targets (ctx : Context.t) :
                  zero_copy = fp.supports_usm }
   in
   let cpu =
-    (* sweep the CPU model directly (no source edits: probes may run
-       before any design exists) *)
-    let c = Devices.Spec.find_cpu "epyc7543" in
-    let best_threads =
-      List.fold_left
-        (fun (bt, bs) t ->
-          let r = Devices.Cpu_model.time c f ~threads:t in
-          if r.t_parallel < bs then (t, r.t_parallel) else (bt, bs))
-        (1, infinity)
-        [ 1; 2; 4; 8; 16; 32 ]
-      |> fst
-    in
+    (* the threads sweep's choice alone: probes may run before any
+       design exists, so they edit no source *)
     let d = probe_design Codegen.Design.Cpu_openmp "epyc7543" in
-    { d with Codegen.Design.num_threads = best_threads }
+    { d with num_threads = (Dse.Sweep.choose Dse.Sweep.threads d f).chosen }
   in
   let gpu device_id =
     let d = probe_design Codegen.Design.Gpu_hip device_id in
-    (Dse.Blocksize_dse.run d f).design
+    (Dse.Sweep.run Dse.Sweep.blocksize d f).design
   in
   let fpga device_id =
     let d = probe_design Codegen.Design.Fpga_oneapi device_id in
-    (Dse.Unroll_dse.run d f).design
+    (Dse.Sweep.run Dse.Sweep.unroll d f).design
   in
   let best path ds =
     let results = List.map (fun d -> Devices.Simulate.run d f) ds in

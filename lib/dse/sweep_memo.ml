@@ -9,42 +9,26 @@
     digests the model inputs' raw float bits: a hit formats no
     number.
 
-    Only the {!outcome} — knob choice, steps and decision — is cached,
-    never the design itself.  Each sweep's [run] is one {!run} call
-    plus one rebuild that applies the chosen knob to the *incoming*
-    design, for hits and misses alike, so the returned design is built
-    from the caller's artifacts, not a previous request's.
+    Only a sweep's outcome — knob choice, steps and decision — is
+    cached, never the design itself: {!Sweep.run} applies the chosen
+    knob to the *incoming* design, for hits and misses alike, so the
+    returned design is built from the caller's artifacts, not a
+    previous request's.
 
-    The caches follow the hierarchy rules of {!Flow_memo} (kill-switch,
-    512 entries, 8 lock stripes, metrics under [memo_dse_*]).  A hit skips the analytic model calls of the
-    sweep, so [dse_simulate_calls] advances only on misses — harnesses
-    that *measure* sweep cost (the perf bench's DSE section, the
-    simulate-call tests) disable the sweep memo via {!set_enabled} so
-    their counter arithmetic keeps measuring the model, not the cache. *)
+    The caches follow the hierarchy rules of {!Flow_memo} (the global
+    kill-switch, 512 entries, 8 lock stripes, metrics under
+    [memo_dse_*]).  A hit skips the analytic model calls of the sweep,
+    so [dse_simulate_calls] advances only on misses — harnesses that
+    *measure* sweep cost switch the memo off with
+    [Flow_memo.set_globally_enabled false]. *)
 
-(** What a sweep decides: the chosen knob, the exploration trajectory
-    and the provenance record. *)
-type ('knob, 'step) outcome = {
-  chosen : 'knob;
-  steps : 'step list;
-  decision : Flow_obs.Provenance.decision;
-}
-
-type ('knob, 'step) cache = ('knob, 'step) outcome Flow_memo.Cache.t
-
-let switches : (bool -> unit) list ref = ref []
 let clearers : (unit -> unit) list ref = ref []
 
-(** Create one sweep cache and register it for {!set_enabled}/{!clear}. *)
-let create ~name () : (_, _) cache =
+(** Create one sweep cache and register it for {!clear}. *)
+let create ~name () : 'a Flow_memo.Cache.t =
   let c = Flow_memo.Cache.create ~name () in
-  switches := Flow_memo.Cache.set_enabled c :: !switches;
   clearers := (fun () -> Flow_memo.Cache.clear c) :: !clearers;
   c
-
-(** Enable or disable every sweep cache (bench and test harnesses that
-    measure simulate-call counts turn them off). *)
-let set_enabled b = List.iter (fun f -> f b) !switches
 
 (** Drop all sweep entries. *)
 let clear () = List.iter (fun f -> f ()) !clearers
@@ -123,9 +107,8 @@ let key ~sweep ~(design : Codegen.Design.t) inputs ~candidates =
 
 (** [run cache ~sweep ~design features ~candidates sweep_fn] is
     [sweep_fn ()], memoized under {!key} of the {!model_inputs}. *)
-let run (cache : ('k, 's) cache) ~sweep ~(design : Codegen.Design.t)
-    features ~candidates (sweep_fn : unit -> ('k, 's) outcome) :
-    ('k, 's) outcome =
+let run cache ~sweep ~(design : Codegen.Design.t) features ~candidates
+    sweep_fn =
   Flow_memo.Cache.find_or_compute cache
     ~key:(key ~sweep ~design (model_inputs design features) ~candidates)
     sweep_fn

@@ -448,7 +448,7 @@ type ktrans = {
   mutable nctrs : int;
   loads : (int, int) Hashtbl.t;  (* site -> per-iteration loads *)
   stores : (int, int) Hashtbl.t;
-  slot_reg : (int, int) Hashtbl.t;  (* float slot -> dedicated register *)
+  slot_reg : (int, int) Hashtbl.t;  (* slot -> dedicated float register *)
   mutable entry : (int * int) list;  (* (slot, reg) entry loads, reversed *)
   written : (int, unit) Hashtbl.t;  (* written so far, body order *)
   mutable flops : int;  (* per-iteration counts of the body *)
@@ -518,18 +518,14 @@ let kernel_of_loop cp lt (s : R.stmt) =
       in
       let mark s = Hashtbl.replace k.written s () in
       (* reading a float slot: entry-load it unless the body has already
-         written it (straight-line order) *)
+         written it (straight-line order).  An int slot is invariant —
+         the body writes float slots only — so it is entry-converted
+         once and every read shares its register. *)
       let read_slot s =
         let r = reg_of_slot s in
         if not (Hashtbl.mem k.written s || List.mem_assoc s k.entry) then
           k.entry <- (s, r) :: k.entry;
         r
-      in
-      (* an invariant int slot: the body writes only floats, so its value
-         is fixed — entry-convert it once *)
-      let int_slot s =
-        if Hashtbl.mem k.slot_reg s then raise Not_kernel;
-        read_slot s
       in
       let float_base (a : R.expr) =
         match a.R.e with
@@ -573,8 +569,8 @@ let kernel_of_loop cp lt (s : R.stmt) =
             def (fun d -> OItoF (d, c))
         | R.EVar (R.Local i) -> (
             match lt.(i) with
-            | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> read_slot i
-            | Minic.Ast.Tint -> int_slot i
+            | Minic.Ast.Tfloat | Minic.Ast.Tdouble | Minic.Ast.Tint ->
+                read_slot i
             | _ -> raise Not_kernel)
         | R.EArith (op, fresid, a, b) when is_f a || is_f b ->
             let ra = cf a in

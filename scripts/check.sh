@@ -22,6 +22,29 @@ if [ "$KNOBS" != "$ALLOWED" ]; then
 fi
 echo "knobs: $(printf '%s' "$KNOBS" | tr '\n' ' ')"
 
+echo "== module table (DESIGN.md section 3) =="
+# Every module the inventory table names must have its source in the
+# row's directory: lib/<dir>/<module>.ml.  A deleted or renamed module
+# fails here by name until the table follows.
+MISSING=$(awk -F'|' '
+  /^## 3\./ { in3 = 1; next }
+  /^## / { in3 = 0 }
+  in3 && $3 ~ /`lib\/[a-z_]+`/ {
+    dir = $3; gsub(/[ `]/, "", dir); rest = $4
+    while (match(rest, /`[A-Z][A-Za-z0-9_]*`/)) {
+      m = substr(rest, RSTART + 1, RLENGTH - 2)
+      rest = substr(rest, RSTART + RLENGTH)
+      print m, dir "/" tolower(substr(m, 1, 1)) substr(m, 2) ".ml"
+    }
+  }' DESIGN.md | while read -r mod file; do
+  [ -f "$file" ] || echo "FAIL: DESIGN.md section 3 names $mod, but $file does not exist"
+done)
+if [ -n "$MISSING" ]; then
+  printf '%s\n' "$MISSING"
+  exit 1
+fi
+echo "every module in the table has its source file"
+
 echo "== dune build =="
 dune build @all
 

@@ -5,10 +5,10 @@
 let cache = Minic_interp.Profile_cache.clear
 let set_cache = Minic_interp.Profile_cache.set_enabled
 
-(* This binary counts simulate calls; the cross-request sweep memo
+(* This binary counts simulate calls; the cross-request stage memo
    would serve repeated sweeps from cache and zero those counters out.
    The memo's own behavior is covered by test_memo. *)
-let () = Dse.Sweep_memo.set_enabled false
+let () = Flow_memo.set_globally_enabled false
 
 let with_cache_off f =
   cache ();
@@ -182,7 +182,7 @@ let features_arb =
 (* The candidate ladders, restated independently of the sweeps. *)
 let unroll_ladder =
   let rec go n =
-    if n > Dse.Unroll_dse.max_factor then [ n ] else n :: go (2 * n)
+    if n > Dse.Sweep.max_factor then [ n ] else n :: go (2 * n)
   in
   go 1
 
@@ -193,7 +193,10 @@ let thread_ladder (cpu : Devices.Spec.cpu) =
 let blocksize_ladder (gpu : Devices.Spec.gpu) =
   List.filter
     (fun bs -> bs <= gpu.max_blocksize)
-    Dse.Blocksize_dse.candidate_blocksizes
+    Dse.Sweep.candidate_blocksizes
+
+type gpu_step = Devices.Gpu_model.breakdown Dse.Sweep.step
+type cpu_step = Devices.Cpu_model.t Dse.Sweep.step
 
 (* First-best argmin: the earliest candidate among the fastest. *)
 let argmin seconds steps =
@@ -219,24 +222,15 @@ let fpga_design () =
 let unroll_prop =
   dse_prop "unroll"
     (fun f ->
-      let r = Dse.Unroll_dse.run (fpga_design ()) f in
-      (r.chosen_factor, r.synthesizable, r.steps, r.design.unroll_factor))
+      let r = Dse.Sweep.(run unroll) (fpga_design ()) f in
+      (r.chosen, r.design.synthesizable, r.steps, r.design.unroll_factor))
     (fun f ->
       let d = fpga_design () in
       let fpga = Devices.Spec.find_fpga d.device_id in
       let rec walk n best steps =
         let r = Devices.Fpga_model.resources fpga d f ~unroll:n in
-        let steps =
-          {
-            Dse.Unroll_dse.factor = n;
-            utilization = r.utilization;
-            alm_util = r.alm_util;
-            dsp_util = r.dsp_util;
-            overmapped = r.overmapped;
-          }
-          :: steps
-        in
-        if r.overmapped || n > Dse.Unroll_dse.max_factor then
+        let steps = { Dse.Sweep.knob = n; model = r } :: steps in
+        if r.overmapped || n > Dse.Sweep.max_factor then
           (best, List.rev steps)
         else walk (2 * n) (Some n) steps
       in
@@ -254,35 +248,27 @@ let gpu_design () =
 let blocksize_prop =
   dse_prop "blocksize"
     (fun f ->
-      let r = Dse.Blocksize_dse.run (gpu_design ()) f in
-      (r.chosen_blocksize, r.steps, r.design.blocksize))
+      let r = Dse.Sweep.(run blocksize) (gpu_design ()) f in
+      (r.chosen, r.steps, r.design.blocksize))
     (fun f ->
       let d = gpu_design () in
       let gpu = Devices.Spec.find_gpu d.device_id in
       let steps =
         List.map
           (fun bs ->
-            let r =
-              Devices.Gpu_model.time gpu
-                { d with Codegen.Design.blocksize = bs }
-                f
-            in
             {
-              Dse.Blocksize_dse.blocksize = bs;
-              occupancy = r.occupancy;
-              seconds = r.total;
-              feasible = r.feasible;
+              Dse.Sweep.knob = bs;
+              model =
+                Devices.Gpu_model.time gpu
+                  { d with Codegen.Design.blocksize = bs }
+                  f;
             })
           (blocksize_ladder gpu)
       in
-      let feasible =
-        List.filter (fun (s : Dse.Blocksize_dse.step) -> s.feasible) steps
-      in
+      let feasible = List.filter (fun (s : gpu_step) -> s.model.feasible) steps in
       let bs =
-        match
-          argmin (fun (s : Dse.Blocksize_dse.step) -> s.seconds) feasible
-        with
-        | Some s -> s.blocksize
+        match argmin (fun (s : gpu_step) -> s.model.total) feasible with
+        | Some s -> s.knob
         | None -> d.blocksize
       in
       (bs, steps, bs))
@@ -294,27 +280,41 @@ let cpu_design () =
 let threads_prop =
   dse_prop "threads"
     (fun f ->
-      let r = Dse.Threads_dse.run (cpu_design ()) f in
-      (r.chosen_threads, r.steps, r.design.num_threads))
+      let r = Dse.Sweep.(run threads) (cpu_design ()) f in
+      (r.chosen, r.steps, r.design.num_threads))
     (fun f ->
       let cpu = Devices.Spec.find_cpu (cpu_design ()).device_id in
       let steps =
         List.map
           (fun t ->
-            let r = Devices.Cpu_model.time cpu f ~threads:t in
             {
-              Dse.Threads_dse.threads = t;
-              seconds = r.t_parallel;
-              speedup = r.speedup;
+              Dse.Sweep.knob = t;
+              model = Devices.Cpu_model.time cpu f ~threads:t;
             })
           (thread_ladder cpu)
       in
       let t =
-        match argmin (fun (s : Dse.Threads_dse.step) -> s.seconds) steps with
-        | Some s -> s.threads
+        match argmin (fun (s : cpu_step) -> s.model.t_parallel) steps with
+        | Some s -> s.knob
         | None -> cpu.cores
       in
       (t, steps, t))
+
+(* A PSA probe edits no source: its CPU design is the probe design with
+   the threads sweep's choice set, and nothing else. *)
+let probe_threads_prop =
+  QCheck.Test.make ~count:25 ~name:"probe threads" features_arb (fun f ->
+      let d = cpu_design () in
+      let ctx =
+        {
+          (Psa.Context.make d.program) with
+          kernel = Some d.kernel;
+          eval_features = Some f;
+        }
+      in
+      let cpu = (List.assoc "cpu" (Psa.Strategy.probe_targets ctx)).design in
+      cpu.num_threads = (Dse.Sweep.(choose threads) d f).chosen
+      && cpu.program == ctx.program)
 
 (* ------------------------------------------------------------------ *)
 (* Fused single-pass profile = legacy per-analysis interpreter runs    *)
@@ -1362,6 +1362,11 @@ int main() {
     ( "one trip",
       true,
       src "int i = 5; i < 6; i++" "a[i] = (double)(n - 1 - i) * x[i];" );
+    (* an int slot is never a kernel output, so both reads share one
+       entry-converted register *)
+    ( "an int slot read twice",
+      true,
+      src "int i = 0; i < n; i++" "a[i] = (double)k * 2.0 + (double)k;" );
   ]
 
 let check_int_to_float (name, charged, src) () =
@@ -1886,6 +1891,7 @@ let () =
           QCheck_alcotest.to_alcotest unroll_prop;
           QCheck_alcotest.to_alcotest blocksize_prop;
           QCheck_alcotest.to_alcotest threads_prop;
+          QCheck_alcotest.to_alcotest probe_threads_prop;
           Alcotest.test_case "flow spawns no domains" `Slow
             flow_spawns_no_domains;
           Alcotest.test_case "one interpreter run per cold flow" `Slow
