@@ -1,5 +1,7 @@
-(** Calibration introspection: per-design model breakdowns and the kernel
-    feature vector at evaluation scale. *)
+(** Calibration introspection: per-design model breakdowns, the kernel
+    feature vector at evaluation scale, and the loop table of the
+    profiling run: each innermost loop, whether the VM runs it as a
+    kernel or why not, and its cycles. *)
 
 let pp_ops fmt (o : Analysis.Opcount.t) =
   Format.fprintf fmt
@@ -60,8 +62,17 @@ let pp_detail fmt (r : Devices.Simulate.result) =
         (100.0 *. f.res.utilization)
         f.ii_effective f.t_pipe f.t_mem f.t_transfer f.t_call f.total
 
+(* The loop table comes first: it needs only the profiling run, so it
+   prints for a benchmark whose flow fails too (jacobi). *)
 let run bench =
-  let e = Benchmarks.Evaluation.collect_one (Benchmarks.Registry.find bench) in
+  let app = Benchmarks.Registry.find bench in
+  Format.printf "=== innermost loops (profiling run, n=%d) ===@.%5s  %-22s %12s@."
+    app.profile_n "sid" "kernel or reason" "cycles";
+  List.iter
+    (fun l -> Format.printf "%s@." (Benchmarks.Vm_cost.show_loop_row l))
+    (Benchmarks.Vm_cost.loop_table app);
+  Format.printf "@.";
+  let e = Benchmarks.Evaluation.collect_one app in
   Format.printf "=== features (eval scale) ===@.%a@.@." pp_features e.features;
   Format.printf "=== designs ===@.";
   List.iter

@@ -80,3 +80,43 @@ let measure ?(reps = 1) ?n (app : Bench_app.t) : t =
     compile_s = !compile_s;
     run = measure_run ~reps ~track:(Analysis.Hotspot.tracked p) compiled;
   }
+
+(** One innermost [for] loop of a profiling program: its node id,
+    whether the lowering made it a kernel ([None]) or why not, and its
+    inclusive virtual cycles in the tracked profiling run (0 for a loop
+    that never ran). *)
+type loop_row = {
+  sid : int;
+  decision : Minic_interp.Bytecode.decline option;
+  cycles : float;
+}
+
+(** The loop table of [app] at its profiling size: every innermost
+    [for] loop, in source order. *)
+let loop_table (app : Bench_app.t) : loop_row list =
+  let p = Bench_app.program app ~n:app.profile_n in
+  let r =
+    Minic_interp.Eval.run_vm ~track:(Analysis.Hotspot.tracked p)
+      (Minic_interp.Eval.compile p)
+  in
+  let bp = Minic_interp.Bytecode.lower (Minic_interp.Resolve.compile p) in
+  List.filter_map
+    (fun (sid, decision) ->
+      if decision = Some Minic_interp.Bytecode.Nested_loop then None
+      else
+        let cycles =
+          match Minic_interp.Profile.loop_stat_opt r.profile sid with
+          | Some s -> s.cycles
+          | None -> 0.0
+        in
+        Some { sid; decision; cycles })
+    (Array.to_list bp.Minic_interp.Bytecode.bc_decisions)
+
+(** A loop table row as text: node id, [kernel] or the decline reason,
+    and cycles. *)
+let show_loop_row (l : loop_row) =
+  Printf.sprintf "%5d  %-22s %12.0f" l.sid
+    (match l.decision with
+    | None -> "kernel"
+    | Some d -> "declined " ^ Minic_interp.Bytecode.decline_name d)
+    l.cycles

@@ -19,24 +19,33 @@
     operands ({!operand_kind}): float when either operand is a float,
     int otherwise.  Results of the typed instructions ([IArithF],
     [IDivF], [IMath*], [ICastF], [IRand01], ... and their int twins)
-    land in the matching bank, and a float region's element loads
-    straight into the float bank.  Operands are read through the
+    land in the matching bank, and a float (int) region's element loads
+    straight into the float (int) bank.  Operands are read through the
     conversion the reference walker applies at that consumer
     ([Value.to_float], [to_int], [to_bool]).  Values are boxed only
-    where they leave a bank: stores to non-float regions, call arguments
+    where they leave a bank: stores to pointer regions, call arguments
     and returns, globals and compound assignments to boxed targets.
     Frames are laid out [slots | constants | temporaries] in each bank;
     slot zeros and literal operands are blitted from per-bank images at
     call entry, and expression temporaries are allocated monotonically
     per statement.
 
-    {b Kernels.}  An innermost counted loop whose body is straight-line
-    float arithmetic over affine memory sites and affine int expressions
-    of the loop index translates to a {!kernel}
-    ({!kernel_of_loop}): plain {!kop}s over a float-register bank plus
-    statically counted per-iteration costs, which the VM charges in
-    bulk.  The loop lowers to an [IKernel] followed by its generic code,
-    which runs when the kernel's entry checks fail.  A superinstruction
+    {b Kernels.}  An innermost counted loop whose body is a straight
+    line of float and int declarations, assignments and stores
+    translates to a {!kernel} ({!kernel_of_loop}): plain {!kop}s over a
+    float-register and an int-register bank plus statically counted
+    per-iteration costs, which the VM charges in bulk.  The body may
+    read and write float and int regions at sites affine in the loop
+    index (range-checked once, at kernel entry), read them at gather
+    sites (an index the body computes into an int register,
+    bounds-checked on each access with the walker's error), keep the
+    int slots it writes before it reads them in int registers (written
+    back at exit), convert between float and int, and call [rand01] and
+    [rand_int], which draw from the run's generator in body order.  A
+    loop that does not fit is declined with a {!decline} reason, counted
+    as [vm_kernel_declined_<reason>] and kept in {!program.bc_decisions}.
+    The loop lowers to an [IKernel] followed by its generic code, which
+    runs when the kernel's entry checks fail.  A superinstruction
     selector then rewrites every kernel:
 
     - [OLit] constants and loop-invariant loads are hoisted out of the
@@ -93,28 +102,40 @@ type iexpr =
   | XMul of iexpr * iexpr
   | XNeg of iexpr
 
-(** One memory-access site: base-pointer slot plus an element index
-    affine in the loop variable. *)
-type ksite = { ks_base : int; ks_idx : iexpr }
+(** One affine memory-access site: base-pointer slot plus an element
+    index affine in the loop variable, on a float region or, when
+    [ks_int], an int region. *)
+type ksite = { ks_base : int; ks_idx : iexpr; ks_int : bool }
 
-(** A specialized innermost counted loop: straight-line float body over
-    a float-register bank, affine sites and affine int counters.  All
-    per-iteration virtual costs are pre-counted so the executor can
-    charge [n] iterations in bulk, bit-identically to the generic
-    loop. *)
+(** One gather site: a base-pointer slot, on a float region or, when
+    [kg_int], an int region, read at an index the body computes into an
+    int register.  Each access is bounds-checked as it runs. *)
+type kgather = { kg_base : int; kg_int : bool }
+
+(** A specialized innermost counted loop: a straight-line body over a
+    float-register and an int-register bank, affine sites, gather sites
+    and affine int counters.  All per-iteration virtual costs are
+    pre-counted so the executor can charge [n] iterations in bulk,
+    bit-identically to the generic loop. *)
 type kernel = {
   k_nfregs : int;
+  k_niregs : int;
   k_sites : ksite array;
+  k_gathers : kgather array;
   k_ctrs : iexpr array;
-      (** the int expressions the body converts to float ([OItoF]);
-          counter [c] is numbered [Array.length k_sites + c], after the
-          sites, whose offset and stride buffers it shares *)
+      (** the affine int expressions the body reads ([OItoF] as a
+          float, [OICtr] as an int); counter [c] is numbered
+          [Array.length k_sites + c], after the sites, whose offset and
+          stride buffers it shares *)
   k_site_loads : int array;  (** per-iteration load accesses, per site *)
   k_site_stores : int array;  (** per-iteration store accesses, per site *)
-  k_loads : int;  (** per-iteration loads, all sites *)
+  k_loads : int;  (** per-iteration loads, all sites and gathers *)
   k_stores : int;  (** per-iteration stores, all sites *)
   k_in : (int * int) array;  (** (slot, freg) read at loop entry *)
   k_out : (int * int) array;  (** (slot, freg) written back at loop exit *)
+  k_iout : (int * int) array;
+      (** (int slot, ireg) written back at loop exit: the int slots the
+          body writes before it reads them *)
   k_idx_slot : int;
   k_fsid : int;
   k_inclusive : bool;
@@ -139,12 +160,15 @@ type kernel = {
 }
 
 (** One micro-op of a specialized loop body.  Registers index a
-    per-invocation [float array]; memory accesses go through numbered
-    {!ksite}s whose element offsets advance by a constant stride per
-    iteration.  The kernel translation emits the plain ops; the fused
-    ops each replace an adjacent pair (or triple, built by repeated
-    pairing) whose link register died immediately.  [A]/[B] suffixes
-    say whether the first op's result feeds the {e left} or {e right}
+    per-invocation [float array] and, for the [OI*] ops, [OFtoI],
+    [ORandInt] and the int operands of [OIntF] and the gathers, a
+    per-invocation [int array]; affine memory accesses go through
+    numbered {!ksite}s whose element offsets advance by a constant
+    stride per iteration, gathers through numbered {!kgather}s.  The
+    kernel translation emits the plain ops; the fused ops each replace
+    an adjacent pair (or triple, built by repeated pairing) of float
+    ops whose link register died immediately.  [A]/[B] suffixes say
+    whether the first op's result feeds the {e left} or {e right}
     operand of the second — float arithmetic is never commuted. *)
 type kop =
   | OLit of int * float  (** dst <- constant *)
@@ -155,14 +179,32 @@ type kop =
   | ODiv of int * int * int
   | ONeg of int * int
   | OItoF of int * int  (** dst <- float of counter [c]: (dst, c) *)
+  | OIntF of int * int  (** dst <- float of int register: (dst, ireg) *)
+  | ORand01 of int  (** dst <- [rand01 ()] *)
   | OMath1 of int * R.math1 * int
   | OMath2 of int * R.math2 * int * int
   | OLoad of int * int  (** dst <- site *)
+  | OGather of int * int * int
+      (** dst <- gather [g] at the index in int register [r]: (dst, g, r) *)
   | OStore of int * int  (** site <- src *)
   | OStoreAdd of int * int  (** site (+)= src *)
   | OStoreSub of int * int
   | OStoreMul of int * int
   | OStoreDiv of int * int
+  (* int registers: every register operand below is an int one, except
+     [OFtoI]'s source *)
+  | OILit of int * int  (** idst <- constant *)
+  | OIMov of int * int
+  | OICtr of int * int  (** idst <- counter [c] *)
+  | OIAdd of int * int * int
+  | OISub of int * int * int
+  | OIMul of int * int * int
+  | OINeg of int * int
+  | OFtoI of int * int  (** idst <- [int_of_float] of float register *)
+  | ORandInt of int * int  (** idst <- [rand_int] of int register *)
+  | OILoad of int * int  (** idst <- int site *)
+  | OIGather of int * int * int  (** idst <- int gather [g] at index [r] *)
+  | OIStore of int * int  (** int site <- isrc *)
   (* load + arith *)
   | OLAddA of int * int * int  (** d <- [s] + b *)
   | OLAddB of int * int * int  (** d <- a + [s] *)
@@ -213,8 +255,9 @@ type kop =
     drive the bulk accounting) plus the fused micro-ops,
     their hoisted entry banks, the frame registers its slots live in,
     and what loop tracking needs of one iteration's accesses.  A kernel
-    reads float and int slots and writes float slots only: a float
-    input or output is a plain copy, an int input converts. *)
+    reads float and int slots and writes float slots and the int slots
+    its body writes before it reads them: a float input or output and
+    an int output are plain copies, an int input converts. *)
 type kprog = {
   kp_kern : kernel;
   kp_site_order : int array;
@@ -235,7 +278,38 @@ type kprog = {
   kp_fin : (int * int) array;  (** entry: (float-bank index, freg) *)
   kp_iin : (int * int) array;  (** entry: (int-bank index, freg) *)
   kp_fout : (int * int) array;  (** exit: (float-bank index, freg) *)
+  kp_iout : (int * int) array;  (** exit: (int-bank index, ireg) *)
 }
+
+(** Why {!kernel_of_loop} declines a loop.  The lowering counts each as
+    the metric [vm_kernel_declined_<name>] ({!decline_name}). *)
+type decline =
+  | Nested_loop  (** a loop in the body: not innermost *)
+  | Control_flow  (** an [if], [while], block or [return] in the body *)
+  | Nonaffine_int
+      (** an int expression the kernel cannot compute: loop bounds or a
+          step that are not invariant, or an int division or modulo *)
+  | Call
+      (** a call the kernel cannot run: a user function, a printing or
+          timer builtin *)
+  | Region  (** an access to a region that is neither float nor int *)
+  | Index_write  (** the body writes the loop index *)
+  | Int_update
+      (** an int slot read before the body writes it, or an int slot or
+          element updated in place *)
+  | Gather_store  (** a store at an index the body computes *)
+  | Other  (** globals, comparisons, bool values, arrays, empty body *)
+
+let decline_name = function
+  | Nested_loop -> "nested_loop"
+  | Control_flow -> "control_flow"
+  | Nonaffine_int -> "nonaffine_int"
+  | Call -> "call"
+  | Region -> "region"
+  | Index_write -> "index_write"
+  | Int_update -> "int_update"
+  | Gather_store -> "gather_store"
+  | Other -> "other"
 
 (* ================================================================== *)
 (* Generic instructions                                                *)
@@ -356,6 +430,10 @@ type program = {
   bc_globals : fn;
   bc_nloops : int;  (** dense loop count, sizes the per-run stat cache *)
   bc_loop_sids : int array;  (** node id of each dense loop number *)
+  bc_decisions : (int * decline option) array;
+      (** every [for] loop's node id and kernel decision, in lowering
+          order: [None] for a kernel, else why the loop stays generic;
+          empty when lowered without kernels *)
 }
 
 (* ================================================================== *)
@@ -398,57 +476,81 @@ let rec ety (cp : R.t) (lt : Minic.Ast.typ array) (e : R.expr) : Minic.Ast.typ =
       | R.Unknown _ ->
           Tvoid)
 
-(* An innermost counted loop whose body is straight-line float
-   arithmetic over affine memory sites (elementwise maps, scaled
-   accumulates and reductions, stencil reads), converting affine int
-   expressions of the loop index to float, translates to a {!kernel}
-   and its plain micro-ops.  Anything whose bulk accounting could
-   differ from the generic loop raises [Not_kernel]. *)
+(* An innermost counted loop whose body is a straight line of float and
+   int declarations, assignments and stores translates to a {!kernel}
+   and its plain micro-ops: float arithmetic and math calls, affine
+   sites on float and int regions, gathers at indices the body
+   computes, affine int expressions of the loop index (counters), int
+   arithmetic, float<->int conversions and [rand01]/[rand_int], all in
+   body order.  Every other loop is declined with the first reason its
+   body gives ({!decline}): anything whose bulk accounting could differ
+   from the generic loop's. *)
 
-exception Not_kernel
+exception Decline of decline
+
+let decline r = raise (Decline r)
 
 (* Affine integer expression in the loop index: conversion + static
    int-op count (one bump per Add/Sub/Mul evaluation; Neg of an int and
-   literal/variable reads bump nothing) + affinity degree. *)
-let rec affine cp lt ~idx_slot (e : R.expr) : iexpr * int * int =
+   literal/variable reads bump nothing) + affinity degree.  [inv i]
+   says int slot [i] is invariant in the loop. *)
+let rec affine cp lt ~idx_slot ~inv (e : R.expr) : iexpr * int * int =
   match e.R.e with
   | R.ELit (Value.VInt n) -> (XLit n, 0, 0)
   | R.EVar (R.Local i) when i = idx_slot -> (XIdx, 0, 1)
-  | R.EVar (R.Local i) when lt.(i) = Minic.Ast.Tint -> (XSlot i, 0, 0)
+  | R.EVar (R.Local i) when lt.(i) = Minic.Ast.Tint && inv i -> (XSlot i, 0, 0)
   | R.EArith (((Minic.Ast.Add | Minic.Ast.Sub | Minic.Ast.Mul) as op), _, a, b)
     when ety cp lt e = Minic.Ast.Tint -> (
-      let ia, na, da = affine cp lt ~idx_slot a in
-      let ib, nb, db = affine cp lt ~idx_slot b in
+      let ia, na, da = affine cp lt ~idx_slot ~inv a in
+      let ib, nb, db = affine cp lt ~idx_slot ~inv b in
       let n = na + nb + 1 in
       match op with
       | Minic.Ast.Add -> (XAdd (ia, ib), n, max da db)
       | Minic.Ast.Sub -> (XSub (ia, ib), n, max da db)
       | _ ->
-          if da + db > 1 then raise Not_kernel;
+          if da + db > 1 then decline Nonaffine_int;
           (XMul (ia, ib), n, da + db))
   | R.ENeg a when ety cp lt a = Minic.Ast.Tint ->
-      let ia, na, da = affine cp lt ~idx_slot a in
+      let ia, na, da = affine cp lt ~idx_slot ~inv a in
       (XNeg ia, na, da)
-  | _ -> raise Not_kernel
+  | _ -> decline Nonaffine_int
 
 (* Degree-0 affine expressions for init/bound/step: may not reference
-   the loop's own index. *)
-let invariant_int cp lt ~idx_slot (e : R.expr) =
-  let ie, nops, deg = affine cp lt ~idx_slot e in
-  if deg <> 0 then raise Not_kernel;
+   the loop's own index, nor an int slot the body writes. *)
+let invariant_int cp lt ~idx_slot ~inv (e : R.expr) =
+  let ie, nops, deg = affine cp lt ~idx_slot ~inv e in
+  if deg <> 0 then decline Nonaffine_int;
   (ie, nops)
+
+(* A loop anywhere in [b]. *)
+let rec has_loop (b : R.block) =
+  List.exists
+    (fun (g : R.group) ->
+      List.exists
+        (function
+          | R.SFor _ | R.SWhile _ -> true
+          | R.SIf (_, b1, b2) ->
+              has_loop b1 || Option.fold ~none:false ~some:has_loop b2
+          | R.SBlock b -> has_loop b
+          | _ -> false)
+        g.R.gstmts)
+    b
 
 (* Translation state for one candidate loop body. *)
 type ktrans = {
   mutable ops : kop list;  (* reversed *)
   mutable nregs : int;
+  mutable niregs : int;
   mutable sites : ksite list;  (* reversed: site [n] is the [n]th made *)
   mutable nsites : int;
+  mutable gathers : kgather list;  (* reversed, like [sites] *)
+  mutable ngathers : int;
   mutable ctrs : iexpr list;  (* reversed, like [sites] *)
   mutable nctrs : int;
   loads : (int, int) Hashtbl.t;  (* site -> per-iteration loads *)
   stores : (int, int) Hashtbl.t;
   slot_reg : (int, int) Hashtbl.t;  (* slot -> dedicated float register *)
+  islot_reg : (int, int) Hashtbl.t;  (* int slot -> dedicated int register *)
   mutable entry : (int * int) list;  (* (slot, reg) entry loads, reversed *)
   written : (int, unit) Hashtbl.t;  (* written so far, body order *)
   mutable flops : int;  (* per-iteration counts of the body *)
@@ -457,32 +559,43 @@ type ktrans = {
   mutable int_ops : int;
 }
 
-(* [kernel_of_loop cp lt s]: the kernel and plain micro-ops of [s], an
-   innermost [for] loop of a frame typed [lt], or [None].  Its body
-   holds only float declarations, assignments and stores. *)
-let kernel_of_loop cp lt (s : R.stmt) =
+(* The int slots a body of straight-line statements assigns. *)
+let int_targets lt (b : R.block) =
+  let t = Hashtbl.create 8 in
+  List.iter
+    (fun (g : R.group) ->
+      List.iter
+        (function
+          | R.SDeclVar { slot = R.Local s; _ } | R.SAssign { slot = R.Local s; _ }
+            when lt.(s) = Minic.Ast.Tint ->
+              Hashtbl.replace t s ()
+          | _ -> ())
+        g.R.gstmts)
+    b;
+  t
+
+(* [kernel_of_loop cp lt s]: the kernel and plain micro-ops of [s], a
+   [for] loop of a frame typed [lt], or why it stays on the generic
+   VM. *)
+let kernel_of_loop cp lt (s : R.stmt) : (kernel * kop array, decline) result =
   match s with
-  | R.SFor
-      {
-        fsid;
-        slot = R.Local idx_slot;
-        init;
-        bound;
-        inclusive;
-        step;
-        body = [ group ];
-      } -> (
+  | R.SFor { fsid; slot = R.Local idx_slot; init; bound; inclusive; step; body }
+    -> (
       let k =
         {
           ops = [];
           nregs = 0;
+          niregs = 0;
           sites = [];
           nsites = 0;
+          gathers = [];
+          ngathers = 0;
           ctrs = [];
           nctrs = 0;
           loads = Hashtbl.create 8;
           stores = Hashtbl.create 8;
           slot_reg = Hashtbl.create 8;
+          islot_reg = Hashtbl.create 8;
           entry = [];
           written = Hashtbl.create 8;
           flops = 0;
@@ -491,11 +604,29 @@ let kernel_of_loop cp lt (s : R.stmt) =
           int_ops = 0;
         }
       in
+      (* the int slots the body writes live in int registers; every
+         other int slot is invariant *)
+      let itargets = int_targets lt body in
+      let inv i = not (Hashtbl.mem itargets i) in
       let emit op = k.ops <- op :: k.ops in
-      (* [def mk]: emit [mk d] into a fresh register [d] *)
+      (* [def mk]: emit [mk d] into a fresh float register [d] *)
       let def mk =
         let d = k.nregs in
         k.nregs <- d + 1;
+        emit (mk d);
+        d
+      in
+      (* [idef ?dst mk]: emit [mk d] into int register [dst], or a fresh
+         one *)
+      let idef ?dst mk =
+        let d =
+          match dst with
+          | Some d -> d
+          | None ->
+              let d = k.niregs in
+              k.niregs <- d + 1;
+              d
+        in
         emit (mk d);
         d
       in
@@ -507,178 +638,295 @@ let kernel_of_loop cp lt (s : R.stmt) =
         Hashtbl.replace tbl n
           (1 + Option.value (Hashtbl.find_opt tbl n) ~default:0)
       in
-      let reg_of_slot s =
-        match Hashtbl.find_opt k.slot_reg s with
+      let dedicated tbl next s =
+        match Hashtbl.find_opt tbl s with
         | Some r -> r
         | None ->
-            let r = k.nregs in
-            k.nregs <- r + 1;
-            Hashtbl.add k.slot_reg s r;
+            let r = next () in
+            Hashtbl.add tbl s r;
             r
+      in
+      let reg_of_slot =
+        dedicated k.slot_reg (fun () ->
+            k.nregs <- k.nregs + 1;
+            k.nregs - 1)
+      in
+      let ireg_of_slot =
+        dedicated k.islot_reg (fun () ->
+            k.niregs <- k.niregs + 1;
+            k.niregs - 1)
       in
       let mark s = Hashtbl.replace k.written s () in
       (* reading a float slot: entry-load it unless the body has already
-         written it (straight-line order).  An int slot is invariant —
-         the body writes float slots only — so it is entry-converted
-         once and every read shares its register. *)
+         written it (straight-line order).  An invariant int slot is
+         entry-converted once and every float-context read shares its
+         register. *)
       let read_slot s =
         let r = reg_of_slot s in
         if not (Hashtbl.mem k.written s || List.mem_assoc s k.entry) then
           k.entry <- (s, r) :: k.entry;
         r
       in
-      let float_base (a : R.expr) =
+      (* the int register of an int slot the body writes: valid only
+         once this iteration has written it *)
+      let read_islot s =
+        if not (Hashtbl.mem k.written s) then decline Int_update;
+        ireg_of_slot s
+      in
+      (* the base slot of an access and whether its region is int *)
+      let base (a : R.expr) =
         match a.R.e with
         | R.EVar (R.Local b) -> (
             match lt.(b) with
-            | Minic.Ast.Tptr t when is_flt t -> b
-            | _ -> raise Not_kernel)
-        | _ -> raise Not_kernel
+            | Minic.Ast.Tptr t when is_flt t -> (b, false)
+            | Minic.Ast.Tptr Minic.Ast.Tint -> (b, true)
+            | _ -> decline Region)
+        | _ -> decline Other
       in
-      (* an affine int expression of the body, evaluated silently: its
-         int ops are bumped per iteration like the generic loop's.  The
-         int slots it reads are invariant: the body writes float slots
-         only. *)
-      let int_expr e =
-        let ie, nops, _deg = affine cp lt ~idx_slot e in
-        k.int_ops <- k.int_ops + nops;
-        ie
+      (* an affine int expression of the body, evaluated silently, or
+         [None]: its int ops are bumped per iteration like the generic
+         loop's *)
+      let affine_opt e =
+        match affine cp lt ~idx_slot ~inv e with
+        | ie, nops, _ ->
+            k.int_ops <- k.int_ops + nops;
+            Some ie
+        | exception Decline _ -> None
       in
-      let new_site base idx_e =
-        let ie = int_expr idx_e in
-        k.sites <- { ks_base = base; ks_idx = ie } :: k.sites;
+      let new_site (b, is_int) ie =
+        k.sites <- { ks_base = b; ks_idx = ie; ks_int = is_int } :: k.sites;
         k.nsites <- k.nsites + 1;
         k.nsites - 1
       in
+      let new_gather (b, is_int) =
+        k.gathers <- { kg_base = b; kg_int = is_int } :: k.gathers;
+        k.ngathers <- k.ngathers + 1;
+        k.ngathers - 1
+      in
       (* the counter of an int expression converted to float *)
-      let counter e =
-        k.ctrs <- int_expr e :: k.ctrs;
+      let counter ie =
+        k.ctrs <- ie :: k.ctrs;
         k.nctrs <- k.nctrs + 1;
         k.nctrs - 1
       in
       let is_f e = is_flt (ety cp lt e) in
       let lit x = def (fun d -> OLit (d, x)) in
-      (* compile a float-valued expression into a register *)
+      (* compile a float-valued expression into a float register; an int
+         operand is consumed via [to_float] in every float context *)
       let rec cf (e : R.expr) : int =
-        match e.R.e with
-        | R.ELit (Value.VFloat x) -> lit x
-        (* consumed via [to_float] in every float context *)
-        | R.ELit (Value.VInt n) -> lit (float_of_int n)
-        | R.EVar (R.Local i) when i = idx_slot ->
-            let c = counter e in
-            def (fun d -> OItoF (d, c))
-        | R.EVar (R.Local i) -> (
-            match lt.(i) with
-            | Minic.Ast.Tfloat | Minic.Ast.Tdouble | Minic.Ast.Tint ->
-                read_slot i
-            | _ -> raise Not_kernel)
-        | R.EArith (op, fresid, a, b) when is_f a || is_f b ->
-            let ra = cf a in
-            let rb = cf b in
-            let d =
-              def (fun d ->
-                  match op with
-                  | Minic.Ast.Add -> OAdd (d, ra, rb)
-                  | Minic.Ast.Sub -> OSub (d, ra, rb)
-                  | Minic.Ast.Mul -> OMul (d, ra, rb)
-                  | _ -> raise Not_kernel)
-            in
-            flop fresid;
-            d
-        | R.EDiv (a, b) when is_f a || is_f b ->
-            let ra = cf a in
-            let rb = cf b in
-            let d = def (fun d -> ODiv (d, ra, rb)) in
-            flop C.float_div;
-            d
-        | R.ENeg a when is_f a ->
-            let ra = cf a in
-            let d = def (fun d -> ONeg (d, ra)) in
-            flop 0.0;
-            d
-        (* the cast is the [to_float] [cf] applies to every operand *)
-        | R.ECast ((Minic.Ast.Tfloat | Minic.Ast.Tdouble), a) -> cf a
-        | R.ECall { callee = R.Math { mimpl = R.M1 g; mflops }; cargs = [ a ] }
-          ->
-            let ra = cf a in
-            let d = def (fun d -> OMath1 (d, g, ra)) in
-            k.flops <- k.flops + mflops;
-            k.sfu <- k.sfu + 1;
-            d
-        | R.ECall
-            { callee = R.Math { mimpl = R.M2 g; mflops }; cargs = [ a; b ] } ->
-            let ra = cf a in
-            let rb = cf b in
-            let d = def (fun d -> OMath2 (d, g, ra, rb)) in
-            k.flops <- k.flops + mflops;
-            k.sfu <- k.sfu + 1;
-            d
-        | R.EIndex (a, idx_e) ->
-            let n = new_site (float_base a) idx_e in
-            count k.loads n;
-            def (fun d -> OLoad (d, n))
-        (* the loop index or an affine int expression, consumed via
-           [to_float] *)
-        | _ when not (is_f e) ->
-            let c = counter e in
-            def (fun d -> OItoF (d, c))
-        | _ -> raise Not_kernel
+        if not (is_f e) then
+          match e.R.e with
+          | R.ELit (Value.VInt n) -> lit (float_of_int n)
+          | R.EVar (R.Local i) when i <> idx_slot && lt.(i) = Minic.Ast.Tint && inv i
+            ->
+              read_slot i
+          | _ -> (
+              match affine_opt e with
+              | Some ie ->
+                  let c = counter ie in
+                  def (fun d -> OItoF (d, c))
+              | None ->
+                  let r = ci e in
+                  def (fun d -> OIntF (d, r)))
+        else
+          match e.R.e with
+          | R.ELit (Value.VFloat x) -> lit x
+          | R.EVar (R.Local i) -> read_slot i
+          | R.EArith (op, fresid, a, b) ->
+              let ra = cf a in
+              let rb = cf b in
+              let d =
+                def (fun d ->
+                    match op with
+                    | Minic.Ast.Add -> OAdd (d, ra, rb)
+                    | Minic.Ast.Sub -> OSub (d, ra, rb)
+                    | Minic.Ast.Mul -> OMul (d, ra, rb)
+                    | _ -> decline Other)
+              in
+              flop fresid;
+              d
+          | R.EDiv (a, b) ->
+              let ra = cf a in
+              let rb = cf b in
+              let d = def (fun d -> ODiv (d, ra, rb)) in
+              flop C.float_div;
+              d
+          | R.ENeg a ->
+              let ra = cf a in
+              let d = def (fun d -> ONeg (d, ra)) in
+              flop 0.0;
+              d
+          (* the cast is the [to_float] [cf] applies to every operand *)
+          | R.ECast (_, a) -> cf a
+          | R.ECall { callee = R.Math { mimpl = R.M1 g; mflops }; cargs = [ a ] }
+            ->
+              let ra = cf a in
+              let d = def (fun d -> OMath1 (d, g, ra)) in
+              k.flops <- k.flops + mflops;
+              k.sfu <- k.sfu + 1;
+              d
+          | R.ECall
+              { callee = R.Math { mimpl = R.M2 g; mflops }; cargs = [ a; b ] }
+            ->
+              let ra = cf a in
+              let rb = cf b in
+              let d = def (fun d -> OMath2 (d, g, ra, rb)) in
+              k.flops <- k.flops + mflops;
+              k.sfu <- k.sfu + 1;
+              d
+          | R.ECall { callee = R.Rand01; cargs = [] } -> def (fun d -> ORand01 d)
+          | R.ECall _ -> decline Call
+          | R.EIndex (a, idx_e) -> (
+              let b = base a in
+              if snd b then decline Other;
+              match affine_opt idx_e with
+              | Some ie ->
+                  let n = new_site b ie in
+                  count k.loads n;
+                  def (fun d -> OLoad (d, n))
+              | None ->
+                  let r = ci idx_e in
+                  let g = new_gather b in
+                  def (fun d -> OGather (d, g, r)))
+          | _ -> decline Other
+      (* compile an int-valued expression into an int register ([dst]
+         when given); a float operand is consumed via [to_int] *)
+      and ci ?dst (e : R.expr) : int =
+        if is_f e then
+          let r = cf e in
+          idef ?dst (fun d -> OFtoI (d, r))
+        else
+          match e.R.e with
+          | R.ELit (Value.VInt n) -> idef ?dst (fun d -> OILit (d, n))
+          | R.EVar (R.Local i) when i <> idx_slot && not (inv i) -> (
+              let r = read_islot i in
+              match dst with
+              | Some d when d <> r -> idef ~dst:d (fun d -> OIMov (d, r))
+              | _ -> r)
+          | _ -> (
+              match affine_opt e with
+              | Some ie ->
+                  let c = counter ie in
+                  idef ?dst (fun d -> OICtr (d, c))
+              | None -> (
+                  match e.R.e with
+                  | R.EArith (op, _, a, b) ->
+                      let ra = ci a in
+                      let rb = ci b in
+                      k.int_ops <- k.int_ops + 1;
+                      idef ?dst (fun d ->
+                          match op with
+                          | Minic.Ast.Add -> OIAdd (d, ra, rb)
+                          | Minic.Ast.Sub -> OISub (d, ra, rb)
+                          | _ -> OIMul (d, ra, rb))
+                  | R.ENeg a ->
+                      let ra = ci a in
+                      idef ?dst (fun d -> OINeg (d, ra))
+                  | R.ECast (Minic.Ast.Tint, a) -> ci ?dst a
+                  | R.EIndex (a, idx_e) -> (
+                      let b = base a in
+                      if not (snd b) then decline Other;
+                      match affine_opt idx_e with
+                      | Some ie ->
+                          let n = new_site b ie in
+                          count k.loads n;
+                          idef ?dst (fun d -> OILoad (d, n))
+                      | None ->
+                          let r = ci idx_e in
+                          let g = new_gather b in
+                          idef ?dst (fun d -> OIGather (d, g, r)))
+                  | R.ECall { callee = R.Rand_int; cargs = [ a ] } ->
+                      let r = ci a in
+                      idef ?dst (fun d -> ORandInt (d, r))
+                  | R.ECall _ -> decline Call
+                  | R.EDiv _ | R.EMod _ -> decline Nonaffine_int
+                  | _ -> decline Other))
       in
       let do_stmt (s : R.stmt) =
         match s with
-        | R.SDeclVar
-            {
-              slot = R.Local s;
-              typ = Minic.Ast.Tfloat | Minic.Ast.Tdouble;
-              init = Some e;
-            }
-          when s <> idx_slot ->
-            let r = cf e in
-            emit (OMov (reg_of_slot s, r));
-            mark s
-        | R.SAssign { slot = R.Local s; aop; rhs; _ }
-          when s <> idx_slot && is_flt lt.(s) && is_f rhs -> (
-            let r = cf rhs in
-            match aop with
-            | Minic.Ast.Set ->
+        | R.SDeclVar { slot = R.Local s; _ } | R.SAssign { slot = R.Local s; _ }
+          when s = idx_slot ->
+            decline Index_write
+        | R.SDeclVar { slot = R.Local s; typ; init } -> (
+            match typ with
+            | Minic.Ast.Tfloat | Minic.Ast.Tdouble ->
+                let r = match init with Some e -> cf e | None -> lit 0.0 in
                 emit (OMov (reg_of_slot s, r));
                 mark s
-            | _ ->
-                let d = read_slot s in
-                emit
-                  (match aop with
-                  | Minic.Ast.AddEq -> OAdd (d, d, r)
-                  | Minic.Ast.SubEq -> OSub (d, d, r)
-                  | Minic.Ast.MulEq -> OMul (d, d, r)
-                  | _ -> ODiv (d, d, r));
-                flop (if aop = Minic.Ast.DivEq then C.float_div else 0.0);
-                mark s)
-        | R.SStore { arr; idx; aop; rhs } when is_f rhs -> (
-            let b = float_base arr in
+            | Minic.Ast.Tint ->
+                let dst = ireg_of_slot s in
+                (match init with
+                | Some e -> ignore (ci ~dst e)
+                | None -> emit (OILit (dst, 0)));
+                mark s
+            | _ -> decline Other)
+        | R.SAssign { slot = R.Local s; aop; rhs; _ } -> (
+            match lt.(s) with
+            | Minic.Ast.Tfloat | Minic.Ast.Tdouble -> (
+                let r = cf rhs in
+                match aop with
+                | Minic.Ast.Set ->
+                    emit (OMov (reg_of_slot s, r));
+                    mark s
+                | _ ->
+                    let d = read_slot s in
+                    emit
+                      (match aop with
+                      | Minic.Ast.AddEq -> OAdd (d, d, r)
+                      | Minic.Ast.SubEq -> OSub (d, d, r)
+                      | Minic.Ast.MulEq -> OMul (d, d, r)
+                      | _ -> ODiv (d, d, r));
+                    flop (if aop = Minic.Ast.DivEq then C.float_div else 0.0);
+                    mark s)
+            | Minic.Ast.Tint ->
+                if aop <> Minic.Ast.Set then decline Int_update;
+                ignore (ci ~dst:(ireg_of_slot s) rhs);
+                mark s
+            | _ -> decline Other)
+        | R.SStore { arr; idx; aop; rhs } -> (
+            let b = base arr in
             (* evaluation order: rhs, then arr/idx *)
-            let r = cf rhs in
-            let n = new_site b idx in
-            match aop with
-            | Minic.Ast.Set ->
-                emit (OStore (n, r));
-                count k.stores n
-            | _ ->
-                emit
-                  (match aop with
-                  | Minic.Ast.AddEq -> OStoreAdd (n, r)
-                  | Minic.Ast.SubEq -> OStoreSub (n, r)
-                  | Minic.Ast.MulEq -> OStoreMul (n, r)
-                  | _ -> OStoreDiv (n, r));
-                count k.loads n;
-                count k.stores n;
-                flop (if aop = Minic.Ast.DivEq then C.float_div else 0.0))
-        | _ -> raise Not_kernel
+            if snd b then (
+              let r = ci rhs in
+              match affine_opt idx with
+              | None -> decline Gather_store
+              | Some _ when aop <> Minic.Ast.Set -> decline Int_update
+              | Some ie ->
+                  let n = new_site b ie in
+                  emit (OIStore (n, r));
+                  count k.stores n)
+            else
+              let r = cf rhs in
+              match affine_opt idx with
+              | None -> decline Gather_store
+              | Some ie -> (
+                  let n = new_site b ie in
+                  match aop with
+                  | Minic.Ast.Set ->
+                      emit (OStore (n, r));
+                      count k.stores n
+                  | _ ->
+                      emit
+                        (match aop with
+                        | Minic.Ast.AddEq -> OStoreAdd (n, r)
+                        | Minic.Ast.SubEq -> OStoreSub (n, r)
+                        | Minic.Ast.MulEq -> OStoreMul (n, r)
+                        | _ -> OStoreDiv (n, r));
+                      count k.loads n;
+                      count k.stores n;
+                      flop (if aop = Minic.Ast.DivEq then C.float_div else 0.0)))
+        | R.SExpr { e = R.ECall _; _ } -> decline Call
+        | R.SIf _ | R.SWhile _ | R.SBlock _ | R.SReturn _ -> decline Control_flow
+        | R.SFor _ -> decline Nested_loop
+        | _ -> decline Other
       in
       try
-        List.iter do_stmt group.R.gstmts;
-        let ie_init, init_ops = invariant_int cp lt ~idx_slot init in
-        let ie_bound, bound_ops = invariant_int cp lt ~idx_slot bound in
-        let ie_step, step_ops = invariant_int cp lt ~idx_slot step in
+        if has_loop body then decline Nested_loop;
+        List.iter (fun (g : R.group) -> List.iter do_stmt g.R.gstmts) body;
+        let group = match body with [ g ] -> g | _ -> decline Other in
+        let ie_init, init_ops = invariant_int cp lt ~idx_slot ~inv init in
+        let ie_bound, bound_ops = invariant_int cp lt ~idx_slot ~inv bound in
+        let ie_step, step_ops = invariant_int cp lt ~idx_slot ~inv step in
         let per_site tbl =
           Array.init k.nsites (fun n ->
               Option.value (Hashtbl.find_opt tbl n) ~default:0)
@@ -688,27 +936,32 @@ let kernel_of_loop cp lt (s : R.stmt) =
         (* counters follow the sites in the offset buffers *)
         let ops =
           List.rev_map
-            (function OItoF (d, c) -> OItoF (d, k.nsites + c) | op -> op)
+            (function
+              | OItoF (d, c) -> OItoF (d, k.nsites + c)
+              | OICtr (d, c) -> OICtr (d, k.nsites + c)
+              | op -> op)
             k.ops
         in
-        let out =
+        let written tbl =
           Hashtbl.fold
-            (fun s r acc ->
-              if Hashtbl.mem k.written s then (s, r) :: acc else acc)
-            k.slot_reg []
-          |> List.sort compare
+            (fun s r acc -> if Hashtbl.mem k.written s then (s, r) :: acc else acc)
+            tbl []
+          |> List.sort compare |> Array.of_list
         in
-        Some
+        Ok
           ( {
               k_nfregs = k.nregs;
+              k_niregs = k.niregs;
               k_sites = Array.of_list (List.rev k.sites);
+              k_gathers = Array.of_list (List.rev k.gathers);
               k_ctrs = Array.of_list (List.rev k.ctrs);
               k_site_loads = site_loads;
               k_site_stores = site_stores;
-              k_loads = Array.fold_left ( + ) 0 site_loads;
+              k_loads = Array.fold_left ( + ) k.ngathers site_loads;
               k_stores = Array.fold_left ( + ) 0 site_stores;
               k_in = Array.of_list (List.rev k.entry);
-              k_out = Array.of_list out;
+              k_out = written k.slot_reg;
+              k_iout = written k.islot_reg;
               k_idx_slot = idx_slot;
               k_fsid = fsid;
               k_inclusive = inclusive;
@@ -732,8 +985,8 @@ let kernel_of_loop cp lt (s : R.stmt) =
                 +. step.R.ecost;
             },
             Array.of_list ops )
-      with Not_kernel -> None)
-  | _ -> None
+      with Decline r -> Error r)
+  | _ -> Error Other
 
 (* ================================================================== *)
 (* The superinstruction selector                                       *)
@@ -746,8 +999,11 @@ let rec invariant_idx = function
       invariant_idx a && invariant_idx b
   | XNeg a -> invariant_idx a
 
+(* The float register an op writes; int-register and store ops write
+   none. *)
 let kop_writes = function
-  | OLit (d, _) | OMov (d, _) | ONeg (d, _) | OItoF (d, _)
+  | OLit (d, _) | OMov (d, _) | ONeg (d, _) | OItoF (d, _) | OIntF (d, _)
+  | ORand01 d | OGather (d, _, _)
   | OAdd (d, _, _) | OSub (d, _, _) | OMul (d, _, _) | ODiv (d, _, _)
   | OMath1 (d, _, _) | OMath2 (d, _, _, _) | OLoad (d, _)
   | OLAddA (d, _, _) | OLAddB (d, _, _) | OLSubA (d, _, _) | OLSubB (d, _, _)
@@ -768,12 +1024,18 @@ let kop_writes = function
   | ODot3Add (d, _, _, _, _, _, _, _) ->
       Some d
   | OStore _ | OStoreAdd _ | OStoreSub _ | OStoreMul _ | OStoreDiv _
-  | OAddStore _ | OSubStore _ | OMulStore _ | ODivStore _ ->
+  | OAddStore _ | OSubStore _ | OMulStore _ | ODivStore _ | OILit _ | OIMov _
+  | OICtr _ | OIAdd _ | OISub _ | OIMul _ | OINeg _ | OFtoI _ | ORandInt _
+  | OILoad _ | OIGather _ | OIStore _ ->
       None
 
+(* The float registers an op reads. *)
 let kop_reads = function
-  | OLit _ | OItoF _ | OLoad _ -> []
-  | OMov (_, a) | ONeg (_, a) | OMath1 (_, _, a) -> [ a ]
+  | OLit _ | OItoF _ | OIntF _ | ORand01 _ | OLoad _ | OGather _ | OILit _
+  | OIMov _ | OICtr _ | OIAdd _ | OISub _ | OIMul _ | OINeg _ | ORandInt _
+  | OILoad _ | OIGather _ | OIStore _ ->
+      []
+  | OMov (_, a) | ONeg (_, a) | OMath1 (_, _, a) | OFtoI (_, a) -> [ a ]
   | OAdd (_, a, b) | OSub (_, a, b) | OMul (_, a, b) | ODiv (_, a, b)
   | OMath2 (_, _, a, b) ->
       [ a; b ]
@@ -818,6 +1080,9 @@ let kop_retarget op d =
   | ODiv (_, a, b) -> ODiv (d, a, b)
   | ONeg (_, a) -> ONeg (d, a)
   | OItoF (_, c) -> OItoF (d, c)
+  | OIntF (_, r) -> OIntF (d, r)
+  | ORand01 _ -> ORand01 d
+  | OGather (_, g, r) -> OGather (d, g, r)
   | OMath1 (_, g, a) -> OMath1 (d, g, a)
   | OMath2 (_, g, a, b) -> OMath2 (d, g, a, b)
   | OLoad (_, si) -> OLoad (d, si)
@@ -855,7 +1120,9 @@ let kop_retarget op d =
   | ODot3 (_, a, b, p, q, x, y) -> ODot3 (d, a, b, p, q, x, y)
   | ODot3Add (_, a, b, p, q, x, y, e) -> ODot3Add (d, a, b, p, q, x, y, e)
   | OStore _ | OStoreAdd _ | OStoreSub _ | OStoreMul _ | OStoreDiv _
-  | OAddStore _ | OSubStore _ | OMulStore _ | ODivStore _ ->
+  | OAddStore _ | OSubStore _ | OMulStore _ | ODivStore _ | OILit _ | OIMov _
+  | OICtr _ | OIAdd _ | OISub _ | OIMul _ | OINeg _ | OFtoI _ | ORandInt _
+  | OILoad _ | OIGather _ | OIStore _ ->
       op
 
 (* [fuse_pair t x y]: [x] writes link register [t] (write-once,
@@ -1019,8 +1286,8 @@ let site_accesses (k : kernel) plain =
   in
   Array.iter
     (function
-      | OLoad (_, si) -> touch si 1
-      | OStore (si, _) -> touch si 2
+      | OLoad (_, si) | OILoad (_, si) -> touch si 1
+      | OStore (si, _) | OIStore (si, _) -> touch si 2
       | OStoreAdd (si, _) | OStoreSub (si, _) | OStoreMul (si, _)
       | OStoreDiv (si, _) ->
           touch si 3
@@ -1061,6 +1328,7 @@ let lift_kernel ~(slots : int array) (k : kernel) (plain : kop array) : kprog =
     kp_fin = Array.of_list (List.map idx fin);
     kp_iin = Array.of_list (List.map idx iin);
     kp_fout = Array.map idx k.k_out;
+    kp_iout = Array.map idx k.k_iout;
   }
 
 (* ================================================================== *)
@@ -1080,6 +1348,8 @@ type lctx = {
   nloops : int list ref;
       (** node ids by dense loop number, newest first; the numbering is
           shared across functions *)
+  decisions : (int * decline option) list ref;
+      (** each [for] loop's kernel decision, newest first *)
   lt : Minic.Ast.typ array;  (** declared slot types of the frame *)
   slots : int array;  (** register of each local slot *)
   cof : Value.t -> int;  (** boxed constant register of a literal *)
@@ -1277,13 +1547,15 @@ let rec lx ?(v = false) ?dst ctx (e : R.expr) : int =
   | R.EIndex (a, i) ->
       let ra = lx ~v:true ctx a in
       let ri = lx ctx i in
-      (* a float region's element loads straight into the float bank *)
+      (* a float (int) region's element loads straight into the float
+         (int) bank *)
       let d =
         match dst with
         | Some d -> d
         | None -> (
             match ety ctx.cp ctx.lt a with
             | Minic.Ast.Tptr t when is_flt t && not v -> tmp ctx fbank
+            | Minic.Ast.Tptr Minic.Ast.Tint when not v -> tmp ctx ibank
             | _ -> tmp ctx boxed)
       in
       emit ctx (IIndex { d; a = ra; i = ri });
@@ -1558,7 +1830,18 @@ and ls ctx (s : R.stmt) =
          runs instead, under the same loop number *)
       let lidx = fresh_loop ctx fsid in
       let kernel =
-        if ctx.kernels then kernel_of_loop ctx.cp ctx.lt s else None
+        if not ctx.kernels then None
+        else
+          let d = kernel_of_loop ctx.cp ctx.lt s in
+          ctx.decisions :=
+            (fsid, Result.fold ~ok:(fun _ -> None) ~error:Option.some d)
+            :: !(ctx.decisions);
+          match d with
+          | Ok k -> Some k
+          | Error r ->
+              Flow_obs.Metrics.incr Flow_obs.Metrics.global
+                ("vm_kernel_declined_" ^ decline_name r);
+              None
       in
       let ldone =
         Option.map
@@ -1665,7 +1948,7 @@ let bank_slots (f : R.cfunc) =
   in
   (slots, !nf, !ni)
 
-let lower_fn (cp : R.t) ~lt ~ret ~glob ~kernels ~nloops ~slots ~nslots
+let lower_fn (cp : R.t) ~lt ~ret ~glob ~kernels ~nloops ~decisions ~slots ~nslots
     ~nfslots ~nislots ~params (body : R.block) : fn =
   (* constant-pool prescan first so every register index is final: each
      literal gets a boxed constant, numeric ones also a banked one *)
@@ -1698,6 +1981,7 @@ let lower_fn (cp : R.t) ~lt ~ret ~glob ~kernels ~nloops ~slots ~nslots
       glob;
       kernels;
       nloops;
+      decisions;
       lt;
       slots;
       cof = cof boxed nslots bp;
@@ -1749,19 +2033,19 @@ let lower_fn (cp : R.t) ~lt ~ret ~glob ~kernels ~nloops ~slots ~nslots
     kernel translation read declared types only.
     @raise Invalid_argument on a [for] loop outside a function *)
 let lower ?(kernels = true) (cp : R.t) : program =
-  let nloops = ref [] in
+  let nloops = ref [] and decisions = ref [] in
   let funcs =
     Array.map
       (fun (cf : R.cfunc) ->
         let slots, nfslots, nislots = bank_slots cf in
         lower_fn cp ~lt:cf.R.cf_slot_types ~ret:cf.R.cf_ret ~glob:false
-          ~kernels ~nloops ~slots ~nslots:cf.R.cf_nslots ~nfslots ~nislots
+          ~kernels ~nloops ~decisions ~slots ~nslots:cf.R.cf_nslots ~nfslots ~nislots
           ~params:(Array.map (fun s -> slots.(s)) cf.R.cf_param_slots)
           cf.R.cf_body)
       cp.R.cfuncs
   in
   let globals =
-    lower_fn cp ~lt:[||] ~ret:Minic.Ast.Tvoid ~glob:true ~kernels ~nloops
+    lower_fn cp ~lt:[||] ~ret:Minic.Ast.Tvoid ~glob:true ~kernels ~nloops ~decisions
       ~slots:(Array.init cp.R.nglobals (reg boxed))
       ~nslots:0 ~nfslots:0 ~nislots:0 ~params:[||] cp.R.cglobals
   in
@@ -1773,4 +2057,5 @@ let lower ?(kernels = true) (cp : R.t) : program =
     bc_globals = globals;
     bc_nloops = Array.length sids;
     bc_loop_sids = sids;
+    bc_decisions = Array.of_list (List.rev !decisions);
   }

@@ -78,19 +78,23 @@ type tracker = {
 }
 
 (* Per-invocation buffers of a fused kernel, indexed by site (the first
-   six) or float register, reused by every kernel of a run: a kernel
-   body makes no calls, so no invocation starts while another one is
-   using them.  [ks_offs], [ks_deltas] and [ks_adv] hold the kernel's
-   counters after its sites ({!Bytecode.kernel}).  They grow to the
-   largest kernel entered. *)
+   seven), gather site, or float or int register, reused by every kernel
+   of a run: a kernel body makes no calls, so no invocation starts while
+   another one is using them.  [ks_offs], [ks_deltas] and [ks_adv] hold
+   the kernel's counters after its sites ({!Bytecode.kernel}).  They
+   grow to the largest kernel entered. *)
 type kscratch = {
-  mutable ks_datas : float array array;  (* each site's region elements *)
+  mutable ks_datas : float array array;  (* each float site's elements *)
+  mutable ks_idatas : int array array;  (* each int site's elements *)
   mutable ks_offs : int array;  (* each site's current element offset *)
   mutable ks_deltas : int array;  (* each site's per-iteration stride *)
   mutable ks_elems : int array;  (* each site's element size in bytes *)
   mutable ks_ids : int array;  (* each site's region id *)
   mutable ks_adv : int array;  (* the sites with a nonzero stride *)
-  mutable ks_fregs : float array;  (* the micro-program's registers *)
+  mutable ks_gregs : Memory.region array;  (* each gather site's region *)
+  mutable ks_goffs : int array;  (* each gather site's base offset *)
+  mutable ks_fregs : float array;  (* the micro-program's float registers *)
+  mutable ks_iregs : int array;  (* and its int registers *)
 }
 
 type state = {
@@ -179,8 +183,8 @@ let lcg_next st =
   st.rng <- ((1103515245 * st.rng) + 12345) land 0x3FFFFFFF;
   st.rng
 
-let rand01 st = float_of_int (lcg_next st) /. 1073741824.0
-let rand_int st n = if n <= 0 then 0 else lcg_next st mod n
+let[@inline] rand01 st = float_of_int (lcg_next st) /. 1073741824.0
+let[@inline] rand_int st n = if n <= 0 then 0 else lcg_next st mod n
 
 (* ------------------------------------------------------------------ *)
 (* Loop tracking: per-access                                           *)
@@ -236,8 +240,9 @@ let track_one (tk : tracker) ~write mem_id off elem =
    first-access classification — one region fetch per access.  The
    [Cost.load]/[Cost.store] cycles themselves are statically known and
    batched by the resolver.  [load_r]/[store_r] take any region and box
-   or unbox a float element; [load_f]/[store_f] move a float region's
-   element as a float. *)
+   or unbox its element; [load_f]/[store_f] move a float region's
+   element as a float, [load_i]/[store_i] an int or bool region's as an
+   int. *)
 
 let oob_read (r : Memory.region) off =
   err "out-of-bounds read of '%s' at index %d (size %d)" r.name off r.len
@@ -257,23 +262,45 @@ let[@inline] store_f st (r : Memory.region) off x =
   st.prof.stores <- st.prof.stores + 1;
   st.prof.bytes_written <- st.prof.bytes_written + r.elem_bytes
 
-let load_r st (r : Memory.region) off =
-  if r.flt then VFloat (load_f st r off)
-  else (
-    if off < 0 || off >= r.len then oob_read r off;
-    st.prof.loads <- st.prof.loads + 1;
-    st.prof.bytes_read <- st.prof.bytes_read + r.elem_bytes;
-    Array.unsafe_get r.data off)
+let[@inline] load_i st (r : Memory.region) off =
+  if off < 0 || off >= r.len then oob_read r off;
+  st.prof.loads <- st.prof.loads + 1;
+  st.prof.bytes_read <- st.prof.bytes_read + r.elem_bytes;
+  Array.unsafe_get r.idata off
 
-(* A float region receives only floats: every store converts to the
-   element type first. *)
+let[@inline] store_i st (r : Memory.region) off n =
+  if off < 0 || off >= r.len then oob_write r off;
+  Array.unsafe_set r.idata off n;
+  st.prof.stores <- st.prof.stores + 1;
+  st.prof.bytes_written <- st.prof.bytes_written + r.elem_bytes
+
+let vtrue = VBool true
+let vfalse = VBool false
+let vbool b = if b then vtrue else vfalse
+
+let load_r st (r : Memory.region) off =
+  match r.rep with
+  | Memory.Flt -> VFloat (load_f st r off)
+  | Memory.Int -> VInt (load_i st r off)
+  | Memory.Bool -> vbool (load_i st r off <> 0)
+  | Memory.Boxed ->
+      if off < 0 || off >= r.len then oob_read r off;
+      st.prof.loads <- st.prof.loads + 1;
+      st.prof.bytes_read <- st.prof.bytes_read + r.elem_bytes;
+      Array.unsafe_get r.data off
+
+(* A region receives only values of its element type: every store
+   converts to it first. *)
 let store_r st (r : Memory.region) off v =
-  if r.flt then store_f st r off (match v with VFloat f -> f | v -> to_float v)
-  else (
-    if off < 0 || off >= r.len then oob_write r off;
-    Array.unsafe_set r.data off v;
-    st.prof.stores <- st.prof.stores + 1;
-    st.prof.bytes_written <- st.prof.bytes_written + r.elem_bytes)
+  match r.rep with
+  | Memory.Flt -> store_f st r off (match v with VFloat f -> f | v -> to_float v)
+  | Memory.Int -> store_i st r off (match v with VInt n -> n | v -> to_int v)
+  | Memory.Bool -> store_i st r off (if to_bool v then 1 else 0)
+  | Memory.Boxed ->
+      if off < 0 || off >= r.len then oob_write r off;
+      Array.unsafe_set r.data off v;
+      st.prof.stores <- st.prof.stores + 1;
+      st.prof.bytes_written <- st.prof.bytes_written + r.elem_bytes
 
 let[@inline] track_load st (r : Memory.region) off =
   match st.active with
@@ -485,10 +512,6 @@ let track_exit st (tk : tracker) =
    tracked loop a stored-to region two tracking sites reach).  The
    fused statement then falls back to its generic loop. *)
 exception Kernel_unfit
-
-let vtrue = VBool true
-let vfalse = VBool false
-let vbool b = if b then vtrue else vfalse
 
 (* ================================================================== *)
 (* Reference tree walker over the slot IR                              *)
@@ -761,14 +784,28 @@ let[@inline] setv regs sf si r v =
   | 1 -> Array.unsafe_set sf i (match v with VFloat f -> f | v -> to_float v)
   | _ -> Array.unsafe_set si i (match v with VInt n -> n | v -> to_int v)
 
-(* Run [count] iterations of a fused kernel micro-program, starting at
-   site offsets and counter values [offs] (mutated in place).  Only the
-   first [nadv] sites and counters in [adv] (nonzero stride) advance.
-   Pure float/array code: all observable accounting was charged in bulk
-   by the caller. *)
-let vkern_iters (ops : B.kop array) (fregs : float array)
-    (datas : float array array) (offs : int array) (deltas : int array)
-    (adv : int array) ~nadv ~count =
+(* One gather access of a kernel: the walker's bounds check and error,
+   then, under an active tracked loop, the walker's per-access
+   tracking.  Its load counters were charged in bulk. *)
+let[@inline] gather_at st (r : Memory.region) off =
+  if off < 0 || off >= r.len then oob_read r off;
+  match st.active with
+  | None -> ()
+  | Some tk -> track_one tk ~write:false r.id off r.elem_bytes
+
+(* Run [count] iterations of a fused kernel micro-program over the
+   buffers of [ks], starting at site offsets and counter values
+   [ks_offs] (mutated in place).  Only the first [nadv] sites and
+   counters in [ks_adv] (nonzero stride) advance.  All observable
+   accounting was charged in bulk by the caller; the ops run in body
+   order, so [rand01]/[rand_int] draw from [st]'s generator in program
+   order and a gather out of bounds raises at the walker's fault
+   point. *)
+let vkern_iters st (ks : kscratch) (ops : B.kop array) ~nadv ~count =
+  let fregs = ks.ks_fregs and iregs = ks.ks_iregs in
+  let datas = ks.ks_datas and idatas = ks.ks_idatas in
+  let offs = ks.ks_offs and deltas = ks.ks_deltas and adv = ks.ks_adv in
+  let gregs = ks.ks_gregs and goffs = ks.ks_goffs in
   let nops = Array.length ops in
   for _ = 1 to count do
     for pc = 0 to nops - 1 do
@@ -790,6 +827,45 @@ let vkern_iters (ops : B.kop array) (fregs : float array)
       | B.ONeg (d, a) -> Array.unsafe_set fregs d (-.Array.unsafe_get fregs a)
       | B.OItoF (d, c) ->
           Array.unsafe_set fregs d (float_of_int (Array.unsafe_get offs c))
+      | B.OIntF (d, r) ->
+          Array.unsafe_set fregs d (float_of_int (Array.unsafe_get iregs r))
+      | B.ORand01 d -> Array.unsafe_set fregs d (rand01 st)
+      | B.OGather (d, g, r) ->
+          let reg = Array.unsafe_get gregs g in
+          let off = Array.unsafe_get goffs g + Array.unsafe_get iregs r in
+          gather_at st reg off;
+          Array.unsafe_set fregs d (Array.unsafe_get reg.Memory.fdata off)
+      | B.OILit (d, n) -> Array.unsafe_set iregs d n
+      | B.OIMov (d, a) -> Array.unsafe_set iregs d (Array.unsafe_get iregs a)
+      | B.OICtr (d, c) -> Array.unsafe_set iregs d (Array.unsafe_get offs c)
+      | B.OIAdd (d, a, b) ->
+          Array.unsafe_set iregs d
+            (Array.unsafe_get iregs a + Array.unsafe_get iregs b)
+      | B.OISub (d, a, b) ->
+          Array.unsafe_set iregs d
+            (Array.unsafe_get iregs a - Array.unsafe_get iregs b)
+      | B.OIMul (d, a, b) ->
+          Array.unsafe_set iregs d
+            (Array.unsafe_get iregs a * Array.unsafe_get iregs b)
+      | B.OINeg (d, a) -> Array.unsafe_set iregs d (-Array.unsafe_get iregs a)
+      | B.OFtoI (d, a) ->
+          Array.unsafe_set iregs d (int_of_float (Array.unsafe_get fregs a))
+      | B.ORandInt (d, a) ->
+          Array.unsafe_set iregs d (rand_int st (Array.unsafe_get iregs a))
+      | B.OILoad (d, si) ->
+          Array.unsafe_set iregs d
+            (Array.unsafe_get
+               (Array.unsafe_get idatas si)
+               (Array.unsafe_get offs si))
+      | B.OIGather (d, g, r) ->
+          let reg = Array.unsafe_get gregs g in
+          let off = Array.unsafe_get goffs g + Array.unsafe_get iregs r in
+          gather_at st reg off;
+          Array.unsafe_set iregs d (Array.unsafe_get reg.Memory.idata off)
+      | B.OIStore (si, r) ->
+          Array.unsafe_set
+            (Array.unsafe_get idatas si)
+            (Array.unsafe_get offs si) (Array.unsafe_get iregs r)
       | B.OMath1 (d, g, a) ->
           Array.unsafe_set fregs d (math1 g (Array.unsafe_get fregs a))
       | B.OMath2 (d, g, a, b) ->
@@ -977,31 +1053,45 @@ let vtrack_exit st lidx =
   | None -> ()
   | Some tk -> track_exit st tk
 
-(* Grow the fused-kernel buffers to [nsites] sites and counters and
-   [nfregs] float registers. *)
-let kscratch_fit ks nsites nfregs =
+(* Grow the fused-kernel buffers to the sites and counters, gather
+   sites and registers of [k]. *)
+let kscratch_fit ks (k : B.kernel) =
+  let grow a n = max n (2 * Array.length a) in
+  let nsites = Array.length k.B.k_sites + Array.length k.B.k_ctrs in
   if Array.length ks.ks_offs < nsites then (
-    let n = max nsites (2 * Array.length ks.ks_offs) in
+    let n = grow ks.ks_offs nsites in
     ks.ks_datas <- Array.make n [||];
+    ks.ks_idatas <- Array.make n [||];
     ks.ks_offs <- Array.make n 0;
     ks.ks_deltas <- Array.make n 0;
     ks.ks_elems <- Array.make n 0;
     ks.ks_ids <- Array.make n 0;
     ks.ks_adv <- Array.make n 0);
-  if Array.length ks.ks_fregs < nfregs then
-    ks.ks_fregs <- Array.make (max nfregs (2 * Array.length ks.ks_fregs)) 0.0
+  let ng = Array.length k.B.k_gathers in
+  if Array.length ks.ks_goffs < ng then (
+    let n = grow ks.ks_goffs ng in
+    ks.ks_gregs <- Array.make n Memory.none;
+    ks.ks_goffs <- Array.make n 0);
+  if Array.length ks.ks_fregs < k.B.k_nfregs then
+    ks.ks_fregs <- Array.make (grow ks.ks_fregs k.B.k_nfregs) 0.0;
+  if Array.length ks.ks_iregs < k.B.k_niregs then
+    ks.ks_iregs <- Array.make (grow ks.ks_iregs k.B.k_niregs) 0
 
 (* Some tracking site that stores shares its region with another
-   tracking site. *)
-let shared_store_region (kp : B.kprog) (ids : int array) =
+   tracking site or with a gather site ([gregs]). *)
+let shared_store_region (kp : B.kprog) (ids : int array)
+    (gregs : Memory.region array) =
   let order = kp.B.kp_site_order and kinds = kp.B.kp_site_kinds in
   let shared = ref false in
   for a = 0 to Array.length order - 1 do
     let i = order.(a) in
-    if kinds.(i) land 2 <> 0 then
+    if kinds.(i) land 2 <> 0 then (
       for b = 0 to Array.length order - 1 do
         if b <> a && ids.(order.(b)) = ids.(i) then shared := true
-      done
+      done;
+      for g = 0 to Array.length kp.B.kp_kern.B.k_gathers - 1 do
+        if gregs.(g).Memory.id = ids.(i) then shared := true
+      done)
   done;
   !shared
 
@@ -1089,12 +1179,30 @@ let track_sites (tk : tracker) (kp : B.kprog) ids offs deltas elems n =
               if kind land 2 <> 0 then extend tr.ft_written lo hi))
   done
 
+(* The pointer a kernel site's or gather's base slot holds (a pointer
+   slot: boxed), and the region it points to when its elements are of
+   the kind the site's ops move. *)
+let[@inline] kbase st (fr : Value.t array) (slots : int array) base :
+    Value.ptr =
+  match Array.unsafe_get fr (slots.(base) lsr 2) with
+  | VPtr p when p.mem_id >= 0 && p.mem_id < st.mem.Memory.next_id -> p
+  | _ -> raise Kernel_unfit
+
+let[@inline] kregion st (p : Value.ptr) is_int =
+  let r = Array.unsafe_get st.mem.Memory.regions p.mem_id in
+  (match r.Memory.rep with
+  | Memory.Int when is_int -> ()
+  | Memory.Flt when not is_int -> ()
+  | _ -> raise Kernel_unfit);
+  r
+
 (* Specialized-kernel execution for the VM.  The entry protocol checks
    every precondition and aborts with [Kernel_unfit] strictly before any
    state mutation; the committed body charges the whole loop in bulk and
    runs the fused micro-program.  Under an active tracked loop the
-   kernel's accesses are then tracked site by site ({!track_sites});
-   a kernel whose stored-to region some other site also reaches
+   kernel's affine accesses are then tracked site by site
+   ({!track_sites}) and its gathers per access as they run; a kernel
+   whose stored-to region some other site or a gather also reaches
    declines instead, and the generic loop tracks it per access.  [fr],
    [fb] and [ib] are the frame's boxed, float and int banks. *)
 let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
@@ -1132,42 +1240,42 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
   else (
     let ks = st.ks in
     let nctrs = Array.length k.B.k_ctrs in
-    kscratch_fit ks (nsites + nctrs) k.B.k_nfregs;
+    kscratch_fit ks k;
     let datas = ks.ks_datas and offs = ks.ks_offs and deltas = ks.ks_deltas in
     let elems = ks.ks_elems and ids = ks.ks_ids in
     let bytes_r = ref 0 and bytes_w = ref 0 in
     for si = 0 to nsites - 1 do
       let site = k.B.k_sites.(si) in
-      (* a site's base is a pointer slot: boxed *)
-      match Array.unsafe_get fr (slots.(site.B.ks_base) lsr 2) with
-      | VPtr p ->
-          if p.mem_id < 0 || p.mem_id >= st.mem.Memory.next_id then
-            raise Kernel_unfit;
-          let r = Array.unsafe_get st.mem.Memory.regions p.mem_id in
-          if not r.Memory.flt then raise Kernel_unfit;
-          let len = r.Memory.len in
-          let o0 = p.off + kieval slots ib i0 site.B.ks_idx in
-          (* the index is affine in the loop index, in wrapping int
-             arithmetic too: the stride of the first step is every
-             step's *)
-          let delta =
-            if n > 1 then
-              p.off + kieval slots ib (i0 + s) site.B.ks_idx - o0
-            else 0
-          in
-          let olast = o0 + ((n - 1) * delta) in
-          if o0 < 0 || o0 >= len || olast < 0 || olast >= len then
-            raise Kernel_unfit;
-          datas.(si) <- r.Memory.fdata;
-          offs.(si) <- o0;
-          deltas.(si) <- delta;
-          elems.(si) <- r.Memory.elem_bytes;
-          ids.(si) <- p.mem_id;
-          bytes_r :=
-            !bytes_r + (k.B.k_site_loads.(si) * r.Memory.elem_bytes);
-          bytes_w :=
-            !bytes_w + (k.B.k_site_stores.(si) * r.Memory.elem_bytes)
-      | _ -> raise Kernel_unfit
+      let p = kbase st fr slots site.B.ks_base in
+      let r = kregion st p site.B.ks_int in
+      let len = r.Memory.len in
+      let o0 = p.off + kieval slots ib i0 site.B.ks_idx in
+      (* the index is affine in the loop index, in wrapping int
+         arithmetic too: the stride of the first step is every step's *)
+      let delta =
+        if n > 1 then p.off + kieval slots ib (i0 + s) site.B.ks_idx - o0
+        else 0
+      in
+      let olast = o0 + ((n - 1) * delta) in
+      if o0 < 0 || o0 >= len || olast < 0 || olast >= len then
+        raise Kernel_unfit;
+      if site.B.ks_int then ks.ks_idatas.(si) <- r.Memory.idata
+      else datas.(si) <- r.Memory.fdata;
+      offs.(si) <- o0;
+      deltas.(si) <- delta;
+      elems.(si) <- r.Memory.elem_bytes;
+      ids.(si) <- p.mem_id;
+      bytes_r := !bytes_r + (k.B.k_site_loads.(si) * r.Memory.elem_bytes);
+      bytes_w := !bytes_w + (k.B.k_site_stores.(si) * r.Memory.elem_bytes)
+    done;
+    (* a gather loads once per iteration *)
+    for g = 0 to Array.length k.B.k_gathers - 1 do
+      let kg = k.B.k_gathers.(g) in
+      let p = kbase st fr slots kg.B.kg_base in
+      let r = kregion st p kg.B.kg_int in
+      ks.ks_gregs.(g) <- r;
+      ks.ks_goffs.(g) <- p.off;
+      bytes_r := !bytes_r + r.Memory.elem_bytes
     done;
     for c = 0 to nctrs - 1 do
       let ie = Array.unsafe_get k.B.k_ctrs c in
@@ -1180,10 +1288,11 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
       track
       && (Option.is_some st.active
          || Option.is_some (Array.unsafe_get st.track_lidx lidx))
-      && shared_store_region kp ids
+      && shared_store_region kp ids ks.ks_gregs
     then raise Kernel_unfit;
     let fregs = ks.ks_fregs in
     Array.fill fregs 0 k.B.k_nfregs 0.0;
+    if k.B.k_niregs > 0 then Array.fill ks.ks_iregs 0 k.B.k_niregs 0;
     for j = 0 to Array.length kp.B.kp_fin - 1 do
       let i, reg = Array.unsafe_get kp.B.kp_fin j in
       Array.unsafe_set fregs reg (Array.unsafe_get fb i)
@@ -1238,10 +1347,14 @@ let vkernel st ~track fr fb ib lidx (kp : B.kprog) =
         adv.(!nadv) <- si;
         incr nadv)
     done;
-    vkern_iters kp.B.kp_ops fregs datas offs deltas adv ~nadv:!nadv ~count:n;
+    vkern_iters st ks kp.B.kp_ops ~nadv:!nadv ~count:n;
     for j = 0 to Array.length kp.B.kp_fout - 1 do
       let i, reg = Array.unsafe_get kp.B.kp_fout j in
       Array.unsafe_set fb i (Array.unsafe_get fregs reg)
+    done;
+    for j = 0 to Array.length kp.B.kp_iout - 1 do
+      let i, reg = Array.unsafe_get kp.B.kp_iout j in
+      Array.unsafe_set ib i (Array.unsafe_get ks.ks_iregs reg)
     done;
     Array.unsafe_set ib (slots.(k.B.k_idx_slot) lsr 2) (i0 + (n * s));
     stat.min_trip <- min stat.min_trip n;
@@ -1408,11 +1521,17 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
         let p = to_ptr (getv regs sf si a) in
         let ii = geti regs sf si i in
         let r = Memory.region st.mem p.mem_id in
-        (* a float region's element moves into the float bank unboxed *)
-        if d land 3 = 1 && r.flt then (
-          Array.unsafe_set sf (d lsr 2) (load_f st r (p.off + ii));
-          if track then track_load st r (p.off + ii))
-        else setv regs sf si d (load_at st r (p.off + ii));
+        let off = p.off + ii in
+        (* a float or int element moves into either bank unboxed *)
+        (match (r.rep, d land 3) with
+        | Memory.Flt, 1 -> Array.unsafe_set sf (d lsr 2) (load_f st r off)
+        | Memory.Flt, 2 ->
+            Array.unsafe_set si (d lsr 2) (int_of_float (load_f st r off))
+        | Memory.Int, 2 -> Array.unsafe_set si (d lsr 2) (load_i st r off)
+        | Memory.Int, 1 ->
+            Array.unsafe_set sf (d lsr 2) (float_of_int (load_i st r off))
+        | _ -> setv regs sf si d (load_r st r off));
+        if track then track_load st r off;
         go (pc + 1)
     | B.IAndTest { d; src; bcost; tgt } ->
         if getb regs sf si src then (
@@ -1494,46 +1613,70 @@ let rec vrun st (bp : B.program) ~track (code : B.instr array)
         let p = to_ptr (getv regs sf si arr) in
         let i = geti regs sf si idx in
         let r = Memory.region st.mem p.mem_id in
-        (if r.flt then (
-           let x = getf regs sf si src in
-           store_f st r (p.off + i) x;
-           if track then track_store st r (p.off + i))
-         else store_at st r (p.off + i) (coerce_o r.elem_typ regs sf si src));
+        let off = p.off + i in
+        (match r.rep with
+        | Memory.Flt ->
+            let x = getf regs sf si src in
+            store_f st r off x
+        | Memory.Int -> store_i st r off (geti regs sf si src)
+        | Memory.Bool -> store_i st r off (if getb regs sf si src then 1 else 0)
+        | Memory.Boxed -> store_r st r off (coerce_o r.elem_typ regs sf si src));
+        if track then track_store st r off;
         go (pc + 1)
     | B.IStoreOp { aop; arr; idx; src } ->
         let p = to_ptr (getv regs sf si arr) in
         let i = geti regs sf si idx in
         let r = Memory.region st.mem p.mem_id in
         let off = p.off + i in
-        (if r.flt then (
-           (* [apply_assign] on a float old value: always the float path *)
-           let old = load_f st r off in
-           if track then track_load st r off;
-           let y = getf regs sf si src in
-           let x =
-             match aop with
-             | Minic.Ast.AddEq ->
-                 charge st arith_fresid;
-                 old +. y
-             | Minic.Ast.SubEq ->
-                 charge st arith_fresid;
-                 old -. y
-             | Minic.Ast.MulEq ->
-                 charge st mul_fresid;
-                 old *. y
-             | Minic.Ast.DivEq ->
-                 charge st Profile.Cost.float_div;
-                 old /. y
-             | Minic.Ast.Set -> assert false
-           in
-           st.prof.flops <- st.prof.flops + 1;
-           store_f st r off x;
-           if track then track_store st r off)
-         else
-           let v =
-             apply_assign st aop (load_at st r off) (getv regs sf si src)
-           in
-           store_at st r off (coerce r.elem_typ v));
+        (match r.rep with
+        | Memory.Flt ->
+            (* [apply_assign] on a float old value: always the float path *)
+            let old = load_f st r off in
+            if track then track_load st r off;
+            let y = getf regs sf si src in
+            let x =
+              match aop with
+              | Minic.Ast.AddEq ->
+                  charge st arith_fresid;
+                  old +. y
+              | Minic.Ast.SubEq ->
+                  charge st arith_fresid;
+                  old -. y
+              | Minic.Ast.MulEq ->
+                  charge st mul_fresid;
+                  old *. y
+              | Minic.Ast.DivEq ->
+                  charge st Profile.Cost.float_div;
+                  old /. y
+              | Minic.Ast.Set -> assert false
+            in
+            st.prof.flops <- st.prof.flops + 1;
+            store_f st r off x;
+            if track then track_store st r off
+        | Memory.Int when src land 3 = 2 ->
+            (* [apply_assign] on int operands: always the int path *)
+            let old = load_i st r off in
+            if track then track_load st r off;
+            let y = Array.unsafe_get si (src lsr 2) in
+            st.prof.int_ops <- st.prof.int_ops + 1;
+            let x =
+              match aop with
+              | Minic.Ast.AddEq -> old + y
+              | Minic.Ast.SubEq -> old - y
+              | Minic.Ast.MulEq -> old * y
+              | Minic.Ast.DivEq ->
+                  charge st Profile.Cost.int_op;
+                  if y = 0 then err "integer division by zero";
+                  old / y
+              | Minic.Ast.Set -> assert false
+            in
+            store_i st r off x;
+            if track then track_store st r off
+        | _ ->
+            let v =
+              apply_assign st aop (load_at st r off) (getv regs sf si src)
+            in
+            store_at st r off (coerce r.elem_typ v));
         go (pc + 1)
     | B.IRet src -> getv regs sf si src
     | B.IRetRaise src -> raise (Return_exc (getv regs sf si src))
@@ -1722,12 +1865,16 @@ let make_state ~fuel ~trackers (cp : Resolve.t) =
     ks =
       {
         ks_datas = [||];
+        ks_idatas = [||];
         ks_offs = [||];
         ks_deltas = [||];
         ks_elems = [||];
         ks_ids = [||];
         ks_adv = [||];
+        ks_gregs = [||];
+        ks_goffs = [||];
         ks_fregs = [||];
+        ks_iregs = [||];
       };
   }
 

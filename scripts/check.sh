@@ -97,6 +97,33 @@ awk -v ceil=0.05 '
   }' BENCH_psaflow.json
 echo "minor words per virtual cycle <= 0.05 on all 5 benchmarks' profiling runs"
 
+echo "== VM bulk-share floor (cycles kernels charge in bulk) =="
+# Every paper benchmark's tracked profiling run must charge at least
+# 0.85 of its virtual cycles in bulk, inside kernels: a loop that falls
+# back to the generic VM shows up here as a deterministic share, not as
+# wall-time noise.
+awk -v floor=0.85 '
+  /"[a-z_0-9]+": \{/ {
+    match($0, /"[a-z_0-9]+"/)
+    key = substr($0, RSTART + 1, RLENGTH - 2)
+    if (key != "run") bench = key
+  }
+  /"bulk_share"/ {
+    v = $2; sub(/,$/, "", v); n++
+    if (v + 0 < floor) {
+      printf "FAIL: %s profiling run charges %s of its cycles in bulk (floor %s)\n", bench, v, floor
+      bad = 1
+    }
+  }
+  END {
+    if (n != 5) {
+      printf "FAIL: BENCH_psaflow.json reports %d bulk_share values (want 5)\n", n
+      exit 1
+    }
+    exit bad
+  }' BENCH_psaflow.json
+echo "bulk share >= 0.85 on all 5 benchmarks' profiling runs"
+
 echo "== report smoke (psaflow report --json --strict) =="
 # The freshly written BENCH_psaflow.json must satisfy the strict report:
 # no missing/stale perf fields degraded to null.

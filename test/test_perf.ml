@@ -1274,12 +1274,12 @@ let kernel_table_pinned () =
         (id ^ " kernel table") expected
         (show_table (table b b.profile_n)))
     [
-      ("rush_larsen", "kernels 4 ops 404->172 lits 121 prefetch 0");
-      ("nbody", "kernels 4 ops 79->40 lits 2 prefetch 3");
-      ("bezier", "kernels 6 ops 59->38 lits 4 prefetch 0");
-      ("adpredictor", "kernels 2 ops 13->7 lits 0 prefetch 0");
-      ("kmeans", "kernels 7 ops 24->14 lits 2 prefetch 0");
-      ("jacobi", "kernels 2 ops 10->6 lits 1 prefetch 0");
+      ("rush_larsen", "kernels 5 ops 430->185 lits 130 prefetch 0");
+      ("nbody", "kernels 5 ops 119->60 lits 15 prefetch 3");
+      ("bezier", "kernels 7 ops 69->45 lits 6 prefetch 0");
+      ("adpredictor", "kernels 10 ops 117->63 lits 27 prefetch 0");
+      ("kmeans", "kernels 10 ops 33->21 lits 3 prefetch 0");
+      ("jacobi", "kernels 3 ops 16->10 lits 2 prefetch 0");
     ];
   let total = Array.make 5 0 in
   List.iter
@@ -1289,7 +1289,7 @@ let kernel_table_pinned () =
         [ b.profile_n; b.secondary_n ])
     Benchmarks.Registry.all;
   Alcotest.(check string)
-    "five-benchmark evaluation" "kernels 46 ops 1158->542 lits 258 prefetch 6"
+    "five-benchmark evaluation" "kernels 74 ops 1536->748 lits 362 prefetch 6"
     (show_table total)
 
 (* Exact counters: each benchmark's bulk share — the virtual cycles its
@@ -1304,11 +1304,11 @@ let bulk_share_pinned () =
         (b.id ^ " bulk share")
         (List.assoc b.id
            [
-             ("rush_larsen", "0.9882 0.9882");
-             ("nbody", "0.9874 0.9929");
-             ("bezier", "0.9003 0.9004");
-             ("adpredictor", "0.0136 0.0154");
-             ("kmeans", "0.9742 0.9742");
+             ("rush_larsen", "0.9969 0.9969");
+             ("nbody", "0.9936 0.9964");
+             ("bezier", "0.9006 0.9005");
+             ("adpredictor", "0.9439 0.9366");
+             ("kmeans", "0.9910 0.9910");
            ])
         (Printf.sprintf "%.4f %.4f" (share b.profile_n) (share b.secondary_n)))
     Benchmarks.Registry.all
@@ -1369,20 +1369,39 @@ int main() {
       src "int i = 0; i < n; i++" "a[i] = (double)k * 2.0 + (double)k;" );
   ]
 
-let check_int_to_float (name, charged, src) () =
-  let p = Minic.Parser.parse_program src in
-  Minic.Typecheck.check_program p;
-  Alcotest.(check int) (name ^ ": kernels") 1 (List.length (vm_lowered_kernels src));
-  let sid =
-    (List.find
-       (fun (m : Artisan.Query.match_ctx) ->
-         match m.stmt.snode with
-         | Minic.Ast.For (h, _) -> h.index = "i"
-         | _ -> false)
-       (Artisan.Query.stmts_in p "main"))
-      .stmt
-      .sid
-  in
+(* The node id of the [for] loop over [index] in [main]. *)
+let loop_sid p index =
+  (List.find
+     (fun (m : Artisan.Query.match_ctx) ->
+       match m.stmt.snode with
+       | Minic.Ast.For (h, _) -> h.index = index
+       | _ -> false)
+     (Artisan.Query.stmts_in p "main"))
+    .stmt
+    .sid
+
+(* The kernel decision of loop [sid] in the production lowering of
+   [p]: [None] for a kernel. *)
+let decision p sid =
+  List.assoc sid (Array.to_list (lowered p).I.Bytecode.bc_decisions)
+
+(* The cycles run [r] of [p] charged in bulk in kernel-lowered loops
+   other than [sid]: a committed kernel charges its whole loop window in
+   bulk, so this is their windows' sum (the [rand01] init loops). *)
+let other_kernel_cycles p (r : I.Eval.run) sid =
+  Array.fold_left
+    (fun acc (l, d) ->
+      match (d, I.Profile.loop_stat_opt r.profile l) with
+      | None, Some s when l <> sid -> acc +. s.I.Profile.cycles
+      | _ -> acc)
+    0.0 (lowered p).I.Bytecode.bc_decisions
+
+(* Loop [sid] of [p] lowers to a kernel; the VM equals the walker under
+   each of [tracks] (output, whole profile, kernel records, or the
+   error message); and, when [charged], the loop charges cycles in bulk
+   beyond the other kernel loops' windows. *)
+let check_kernel_loop name p sid ~charged tracks =
+  Alcotest.(check bool) (name ^ ": a kernel") true (decision p sid = None);
   let ir = I.Resolve.compile p and c = I.Eval.compile p in
   List.iter
     (fun track ->
@@ -1391,35 +1410,242 @@ let check_int_to_float (name, charged, src) () =
       let n1 = Benchmarks.Vm_cost.bulk_cycles () in
       Alcotest.(check bool) (name ^ ": vm = walker") true
         (vm = outcome (fun () -> I.Eval.run_ir ~track ir));
-      Alcotest.(check bool) (name ^ ": charged in bulk") charged (n1 > n0))
-    [ []; [ (sid, [ "a"; "x" ]) ] ]
+      match vm with
+      | Ok _ ->
+          let others = other_kernel_cycles p (I.Eval.run_vm ~track c) sid in
+          Alcotest.(check bool) (name ^ ": charged in bulk") charged
+            (n1 -. n0 -. others > 0.0)
+      | Error _ -> ())
+    tracks
 
-(* What stays on the generic VM: a conversion of a non-affine int
-   expression, and a body that writes an int slot. *)
+let check_int_to_float (name, charged, src) () =
+  let p = Minic.Parser.parse_program src in
+  Minic.Typecheck.check_program p;
+  let sid = loop_sid p "i" in
+  check_kernel_loop name p sid ~charged [ []; [ (sid, [ "a"; "x" ]) ] ]
+
+(* What stays on the generic VM, and why: the decline reason the
+   lowering gives each shape (["kernel"] when it is one). *)
 let int_to_float_shapes () =
-  let kernels body =
-    List.length
-      (vm_lowered_kernels
-         (Printf.sprintf
-            {|
+  let shape body =
+    let p =
+      Minic.Parser.parse_program
+        (Printf.sprintf
+           {|
 int main() {
   int n = 8;
   int m = 0;
   double a[n];
+  bool e[n];
   for (int i = 0; i < n; i++) { %s }
   print_float(a[3]);
   return 0;
 }
 |}
-            body))
+           body)
+    in
+    match decision p (loop_sid p "i") with
+    | None -> "kernel"
+    | Some d -> I.Bytecode.decline_name d
   in
-  Alcotest.(check int) "(double)(i + 1)" 1 (kernels "a[i] = (double)(i + 1);");
-  Alcotest.(check int) "(double)(i*i)" 0 (kernels "a[i] = (double)(i * i);");
-  Alcotest.(check int) "(double)(i/2)" 0 (kernels "a[i] = (double)(i / 2);");
-  Alcotest.(check int) "int slot written" 0
-    (kernels "m = i + 1; a[i] = (double)(m + i);");
-  Alcotest.(check int) "int local declared" 0
-    (kernels "int t = i + 1; a[i] = (double)t;")
+  Alcotest.(check (list (pair string string)))
+    "decision per shape"
+    [
+      ("(double)(i + 1)", "kernel");
+      ("(double)(i/2)", "nonaffine_int");
+      ("(double)(i%3)", "nonaffine_int");
+      ("int slot updated in place", "int_update");
+      ("int slot read before its write", "int_update");
+      ("store at a computed index", "gather_store");
+      ("an if in the body", "control_flow");
+      ("a call with effects", "call");
+      ("the body writes the index", "index_write");
+      ("a bool region", "region");
+    ]
+    (List.map
+       (fun (name, body) -> (name, shape body))
+       [
+         ("(double)(i + 1)", "a[i] = (double)(i + 1);");
+         ("(double)(i/2)", "a[i] = (double)(i / 2);");
+         ("(double)(i%3)", "a[i] = (double)(i % 3);");
+         ("int slot updated in place", "m += i; a[i] = (double)m;");
+         ("int slot read before its write", "a[i] = (double)m; m = i;");
+         ("store at a computed index", "a[(int)(a[i] * 2.0)] = 1.0;");
+         ("an if in the body", "if (i > 2) { a[i] = 1.0; }");
+         ("a call with effects", "print_float(a[i]);");
+         ("the body writes the index", "a[i] = 1.0; i = i + 1;");
+         ("a bool region", "e[i] = i > 2;");
+       ])
+
+(* The kernel shapes of typed int regions, kernel int registers,
+   gathers and in-order [rand01]/[rand_int], each in loop [i] of [main],
+   which runs three times inside loop [t] between generic code that
+   draws from the same generator.  Each case lowers loop [i] to a
+   kernel, and the VM equals the walker untracked, with loop [i]
+   tracked and with loop [t] tracked (output, whole profile, kernel
+   records, or the error message).  [charged] says, per run, whether
+   loop [i] charges in bulk: a kernel whose gather reads a region it
+   stores to declines under tracking.  [fails]: the run raises the
+   walker's out-of-bounds error from inside the kernel. *)
+let kernel_shape_cases =
+  [
+    ( "int-region affine loads and stores",
+      "c[i] = b[i] + 2 * b[i + 1] - k; a[i] = (double)c[i] * x[i];",
+      [ true; true; true ],
+      false );
+    ( "int temporaries written back at exit",
+      "int q = b[i] + i; last = q * 2 - k; a[i] = (double)last + x[i];",
+      [ true; true; true ],
+      false );
+    ( "an int slot written, then read",
+      "m = i + 1; a[i] = (double)(m + i);",
+      [ true; true; true ],
+      false );
+    ( "an int local declared",
+      "int q = i + 1; a[i] = (double)q;",
+      [ true; true; true ],
+      false );
+    ( "non-affine int arithmetic",
+      "a[i] = (double)(i * i - k) * x[i];",
+      [ true; true; true ],
+      false );
+    ( "a float gather at an int-region index",
+      "int ix = b[i]; a[i] = x[ix] * 2.0 + x[i];",
+      [ true; true; true ],
+      false );
+    ( "a float gather at a float-to-int index",
+      "int ix = (int)(x[i] * 10.0); a[i] = x[ix] + 1.0;",
+      [ true; true; true ],
+      false );
+    ("an int gather", "c[i] = b[b[i]] + 1;", [ true; true; true ], false);
+    ( "a gather from a region the loop stores to",
+      "int ix = b[i]; a[i] = a[ix] + x[i];",
+      [ true; false; false ],
+      false );
+    ( "rand01 and rand_int in body order",
+      "a[i] = rand01() * x[i] - rand01(); c[i] = rand_int(k + i) + rand_int(7);",
+      [ true; true; true ],
+      false );
+    ( "an out-of-bounds gather",
+      "int ix = b[i] * 3; a[i] = x[ix];",
+      [ true; true; true ],
+      true );
+  ]
+
+let check_kernel_shape (name, body, charged, fails) () =
+  let src =
+    Printf.sprintf
+      {|
+int main() {
+  int n = 12;
+  int k = 3;
+  int m = 0;
+  int last = 0;
+  double s = 0.0;
+  double a[n + n];
+  double x[n + n];
+  int b[n + n];
+  int c[n + n];
+  for (int j = 0; j < n + n; j++) { x[j] = rand01() + 0.5; b[j] = rand_int(n + n); }
+  for (int t = 0; t < 3; t++) {
+    s = s + rand01();
+    for (int i = 0; i < n; i++) { %s }
+    s = s + (double)rand_int(5);
+  }
+  print_float(a[0] + a[1] + a[5] + a[11] + s);
+  print_int(c[0] + c[3] + c[11] + m + last);
+  return 0;
+}
+|}
+      body
+  in
+  let p = Minic.Parser.parse_program src in
+  Minic.Typecheck.check_program p;
+  let args = [ "a"; "x"; "b"; "c" ] in
+  let tracks = [ []; [ (loop_sid p "i", args) ]; [ (loop_sid p "t", args) ] ] in
+  List.iter2
+    (fun track charged ->
+      check_kernel_loop name p (loop_sid p "i") ~charged [ track ])
+    tracks charged;
+  let c = I.Eval.compile p in
+  List.iter
+    (fun track ->
+      match I.Eval.run_vm ~track c with
+      | _ -> if fails then Alcotest.failf "%s: no runtime error" name
+      | exception I.Value.Runtime_error m ->
+          if not fails then Alcotest.failf "%s: %s" name m;
+          Alcotest.(check bool)
+            (name ^ ": the walker's out-of-bounds read") true
+            (Astring_contains.contains m "out-of-bounds read of 'x'"))
+    tracks
+
+(* The loop table of adpredictor's profiling run: every innermost loop,
+   kernel or the reason it stays generic, and its inclusive cycles. *)
+let adpredictor_loop_table () =
+  Alcotest.(check (list string))
+    "adpredictor loop table"
+    [
+      "   19  kernel                      1835009";
+      "   39  kernel                         3841";
+      "   49  kernel                       720002";
+      "   68  kernel                      1107000";
+      "  152  kernel                      1299000";
+      "  205  kernel                      1299000";
+      "  249  kernel                      1107000";
+      "  306  kernel                        30001";
+      "  325  kernel                        78001";
+      "  353  kernel                           91";
+      "  361  declined gather_store         66001";
+      "  380  declined control_flow           161";
+    ]
+    (List.map Benchmarks.Vm_cost.show_loop_row
+       (Benchmarks.Vm_cost.loop_table (Benchmarks.Registry.find "adpredictor")))
+
+(* How many of 600 generated programs (seed 4242) lower at least one
+   kernel, and how many reach each decline reason.  The "VM = walker"
+   properties check kernels only where generated programs have them. *)
+let generated_kernel_programs () =
+  let sources =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 4242 |]) ~n:600 program_gen
+  in
+  let decisions =
+    List.map
+      (fun src ->
+        Array.to_list
+          (lowered (Minic.Parser.parse_program src)).I.Bytecode.bc_decisions
+        |> List.map snd)
+      sources
+  in
+  let reaching f = List.length (List.filter (List.exists f) decisions) in
+  Alcotest.(check (list (pair string int)))
+    "programs"
+    [
+      ("kernel", 97);
+      ("nested_loop", 229);
+      ("control_flow", 140);
+      ("nonaffine_int", 15);
+      ("call", 600);
+      ("region", 600);
+      ("index_write", 0);
+      ("int_update", 124);
+      ("gather_store", 75);
+      ("other", 0);
+    ]
+    (("kernel", reaching (( = ) None))
+    :: List.map
+         (fun r -> (I.Bytecode.decline_name r, reaching (( = ) (Some r))))
+         I.Bytecode.
+           [
+             Nested_loop;
+             Control_flow;
+             Nonaffine_int;
+             Call;
+             Region;
+             Index_write;
+             Int_update;
+             Gather_store;
+             Other;
+           ])
 
 (* How many of the 30 programs the "bytecode VM = walker" property
    draws (seed 2124) hold each shape the typing rules govern: a call of
@@ -1604,6 +1830,17 @@ let vm_tests =
         Alcotest.test_case (b.id ^ " minor words per cycle") `Slow
           (check_alloc_ceiling b))
       Benchmarks.Registry.all
+  (* appended, so that the ids above stay stable *)
+  @ [
+      Alcotest.test_case "adpredictor loop table" `Quick adpredictor_loop_table;
+      Alcotest.test_case "generated programs lowering a kernel" `Quick
+        generated_kernel_programs;
+    ]
+  @ List.map
+      (fun ((name, _, _, _) as case) ->
+        Alcotest.test_case ("kernel shape: " ^ name) `Quick
+          (check_kernel_shape case))
+      kernel_shape_cases
 
 (* ------------------------------------------------------------------ *)
 (* Content keys                                                        *)
