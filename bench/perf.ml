@@ -10,11 +10,8 @@
       ({!Benchmarks.Vm_cost});
     - interpreter throughput on the heaviest benchmark, before (slot-IR
       tree walker, {!Minic_interp.Eval.run_ir}) and after (the bytecode
-      VM, {!Minic_interp.Eval.run_vm}) — the VM both without kernels
-      and with them, so kernel specialization's share shows — checking
-      that all of them produce bit-identical profiles;
-    - the repeated-analysis path, cold (cache disabled, every analysis
-      re-interprets) vs cached (all analyses project one fused run);
+      VM, {!Minic_interp.Eval.run_vm}), checking that both produce
+      bit-identical profiles;
     - the uninformed 5-benchmark evaluation, cold (cache cleared) and
       warm — checking that the Fig. 5 / Table I / Fig. 6 inputs are
       bit-identical across both — and once more to count the exhaustive
@@ -35,35 +32,9 @@ let time f =
   let r = f () in
   (now () -. t0, r)
 
-let repeat n f =
-  for _ = 1 to n do
-    ignore (f ())
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
 (* ------------------------------------------------------------------ *)
-
-(* One round of the flow's dynamic analyses on a prepared benchmark:
-   hotspot + trip counts + data in/out + alias on the full program,
-   features of the extracted kernel.  Uncached, every one of these
-   re-interprets the program; cached, all five project one fused run
-   (the original program, hotspot loop tracked). *)
-let analysis_round (p, ex_program, kernel, loop_sid) () =
-  ignore (Analysis.Hotspot.detect p);
-  ignore (Analysis.Trip_count.analyze p);
-  ignore
-    (Analysis.Data_inout.of_fused (Analysis.Hotspot.fused ~loop_sid p)
-       ~loop_sid ~kernel);
-  ignore
-    (Analysis.Alias.of_fused (Analysis.Hotspot.fused ~loop_sid p) ~loop_sid
-       ~kernel);
-  ignore (Analysis.Features.analyze ~source:p ~loop_sid ex_program ~kernel)
-
-let prepare (app : Benchmarks.Bench_app.t) =
-  let p = Benchmarks.Bench_app.program app ~n:app.profile_n in
-  let ex_program, kernel, h = Psa.Std_flow.prepare_kernel p in
-  (p, ex_program, kernel, h.Analysis.Hotspot.loop_sid)
 
 (* Fingerprint of everything Fig. 5, Table I and Fig. 6 read from an
    uninformed run: design identity, knobs, timing, feasibility and the
@@ -96,13 +67,12 @@ let uninformed_all contexts () =
 let json_out = "BENCH_psaflow.json"
 
 let run ~quick () =
-  let reps = if quick then 2 else 5 in
   (* The stage-memo hierarchy would serve parses, features and DSE
      sweeps from cache across the repeated legs below, turning the
      deliberately *cold* measurements (cold flow cost, exhaustive
-     sweep calls, cache speedup baselines) into warm ones and breaking
+     sweep calls, cached-flow baselines) into warm ones and breaking
      their comparability with the recorded history.  The profile cache
-     is exempt (its cold/warm pair is measured explicitly).  The memo
+     is exempt (its cold/warm flow pair is measured explicitly).  The memo
      win itself is measured end to end by perfbench's [variant_sweep]
      workload, and its per-stage hits and misses are pinned by
      [test_memo]'s "variant schedule: exact per-stage counts".  *)
@@ -115,7 +85,7 @@ let run ~quick () =
     (if quick then "quick" else "full")
     cores;
 
-  (* -- interpreter throughput: walker vs VM without vs with kernels -- *)
+  (* -- interpreter throughput: walker vs VM ------------------------ *)
   (* --quick runs every leg below with fewer timing repetitions, never
      skipping a section: a partial rerun must overwrite every BENCH
      field. *)
@@ -137,16 +107,9 @@ let run ~quick () =
   let heavy_p = Benchmarks.Bench_app.program heavy ~n:heavy.profile_n in
   let heavy_ir = Minic_interp.Resolve.compile heavy_p in
   (* the production path ([Eval.compile] = resolve + lower with
-     kernels); compiled first so the published kernel count is its own *)
+     kernels) *)
   let compiled = Minic_interp.Eval.compile heavy_p in
-  let kernels_specialized =
-    Flow_obs.Metrics.counter_value Flow_obs.Metrics.global "vm_kernels"
-  in
-  let unoptimized = Minic_interp.Eval.compile_resolved heavy_ir in
   let before_s, before_run = best (fun () -> Minic_interp.Eval.run_ir heavy_ir) in
-  let unopt_s, unopt_run =
-    best (fun () -> Minic_interp.Eval.run_vm unoptimized)
-  in
   let vm_s, vm_run = best (fun () -> Minic_interp.Eval.run_vm compiled) in
   let vm_counters =
     List.map
@@ -170,13 +133,9 @@ let run ~quick () =
       r.return_value )
   in
   let walker_fp = fingerprint before_run in
-  let interp_identical =
-    fingerprint unopt_run = walker_fp && fingerprint vm_run = walker_fp
-  in
+  let interp_identical = fingerprint vm_run = walker_fp in
   let mcycles = vm_run.profile.cycles /. 1e6 in
-  let before_rate = mcycles /. before_s
-  and unopt_rate = mcycles /. unopt_s
-  and vm_rate = mcycles /. vm_s in
+  let before_rate = mcycles /. before_s and vm_rate = mcycles /. vm_s in
   let bulk_mcycles =
     match
       Flow_obs.Metrics.histogram_summary Flow_obs.Metrics.global
@@ -186,14 +145,13 @@ let run ~quick () =
     | None -> 0.0
   in
   Printf.printf
-    "interp   %-12s ir-walker %8.4f s (%.1f Mcycles/s)   unoptimized %8.4f \
-     s (%.1f Mcycles/s)   bytecode %8.4f s (%.1f Mcycles/s)   speedup %.1fx   \
-     outputs identical: %b\n%!"
-    heavy.id before_s before_rate unopt_s unopt_rate vm_s vm_rate
-    (before_s /. vm_s) interp_identical;
+    "interp   %-12s ir-walker %8.4f s (%.1f Mcycles/s)   bytecode %8.4f s \
+     (%.1f Mcycles/s)   speedup %.1fx   outputs identical: %b\n%!"
+    heavy.id before_s before_rate vm_s vm_rate (before_s /. vm_s)
+    interp_identical;
   Printf.printf "         bulk %.1f of %.1f Mcycles\n%!" bulk_mcycles mcycles;
   if not interp_identical then
-    prerr_endline "ERROR: an engine's profile diverges from the IR walker!";
+    prerr_endline "ERROR: the VM's profile diverges from the IR walker!";
 
   (* -- per-benchmark VM cost: the one tracked profiling run --------- *)
   let vm_costs =
@@ -211,29 +169,13 @@ let run ~quick () =
         (c.compile_s *. 1e3) (show c.run))
     vm_costs;
 
-  (* -- repeated-analysis path: cold vs cached ---------------------- *)
-  let prepared = prepare heavy in
-  Minic_interp.Profile_cache.set_enabled false;
-  let cold_s, () = time (fun () -> repeat reps (analysis_round prepared)) in
-  Minic_interp.Profile_cache.set_enabled true;
-  Minic_interp.Profile_cache.clear ();
-  Minic_interp.Profile_cache.reset_stats ();
-  let warm_s, () = time (fun () -> repeat reps (analysis_round prepared)) in
-  let cstats = Minic_interp.Profile_cache.stats () in
-  let hits, misses = (cstats.hits, cstats.misses) in
-  let cache_speedup = cold_s /. warm_s in
-  Printf.printf
-    "analyses %-12s cold %.4f s   cached %.4f s   speedup %.1fx   (%d hits, \
-     %d misses, %d evictions)\n%!"
-    heavy.id cold_s warm_s cache_speedup hits misses cstats.evictions;
-
   (* -- uninformed 5-benchmark evaluation --------------------------- *)
   (* Fresh registry + cache from here on: the report's "engine" section
      covers exactly the three flow legs, so [engine.interp_runs] is the
      per-cold-flow interpreter execution count the ISSUE bounds. *)
   Flow_obs.Metrics.reset Flow_obs.Metrics.global;
   Minic_interp.Profile_cache.clear ();
-  Minic_interp.Profile_cache.reset_stats ();
+  Flow_memo.Cache.reset_stats Minic_interp.Profile_cache.cache;
   let contexts =
     List.map
       (fun (app : Benchmarks.Bench_app.t) ->
@@ -247,7 +189,7 @@ let run ~quick () =
   let warm_flow_s, warm_fp = time (uninformed_all contexts) in
   let identical = cold_fp = warm_fp in
   let cached_speedup = cold_flow_s /. warm_flow_s in
-  let fstats = Minic_interp.Profile_cache.stats () in
+  let fstats = Flow_memo.Cache.stats Minic_interp.Profile_cache.cache in
   Printf.printf
     "flow     5 benchmarks  cold %.4f s   cached %.4f s (%.1fx)   outputs \
      identical: %b\n%!"
@@ -288,25 +230,15 @@ let run ~quick () =
                     ("run_s", Float before_s);
                     ("mcycles_per_s", Float before_rate);
                   ] );
-              (* kernel specialization's share: the VM on the slot IR
-                 lowered without kernels, with typed instructions too;
-                 the specialized side is the "bytecode" leg below.  The
-                 kernel count keeps its historic field name; it is
-                 [vm_kernels] of the production compile. *)
-              ( "optimized",
-                Obj
-                  [
-                    ("unoptimized_run_s", Float unopt_s);
-                    ("unoptimized_mcycles_per_s", Float unopt_rate);
-                    ("speedup_vs_unoptimized", Float (unopt_s /. vm_s));
-                    ("bulk_mcycles_charged", Float bulk_mcycles);
-                    ("opt_kernels_specialized", Int kernels_specialized);
-                  ] );
               (* the register-bytecode VM (production engine): flat
                  instruction arrays + fused kernel micro-ops *)
               ( "bytecode",
                 Obj
-                  ([ ("run_s", Float vm_s); ("mcycles_per_s", Float vm_rate) ]
+                  ([
+                     ("run_s", Float vm_s);
+                     ("mcycles_per_s", Float vm_rate);
+                     ("bulk_mcycles_charged", Float bulk_mcycles);
+                   ]
                   @ List.map (fun (n, v) -> (n, Int v)) vm_counters) );
               ("speedup", Float (before_s /. vm_s));
               ("outputs_identical", Bool interp_identical);
@@ -333,18 +265,6 @@ let run ~quick () =
                              ("run", run c.run);
                            ] ))
                      vm_costs) );
-            ] );
-        ( "cache",
-          Obj
-            [
-              ("benchmark", String heavy.id);
-              ("rounds", Int reps);
-              ("cold_s", Float cold_s);
-              ("cached_s", Float warm_s);
-              ("speedup", Float cache_speedup);
-              ("hits", Int hits);
-              ("misses", Int misses);
-              ("evictions", Int cstats.evictions);
             ] );
         ( "flow",
           Obj

@@ -88,9 +88,8 @@ let opt_float = function Some v -> Json.Float v | None -> Json.Null
 (** The committed performance numbers ([BENCH_psaflow.json], written by
     [bench/main.exe perf]), distilled to what a report consumer needs:
     the core count the numbers were measured on, the cached-vs-uncached
-    wall-clock flow pair, the interpreter throughput incl. the slot-IR
-    optimizer's contribution ([interp.optimized]) and the exhaustive
-    DSE call count.
+    wall-clock flow pair, the bytecode VM's throughput and the
+    exhaustive DSE call count.
 
     Degrades rather than raises: an absent/unreadable file, or any
     missing or stale field, yields [Json.Null] for that field and a
@@ -158,7 +157,6 @@ let perf_section () : Json.t * string list =
         ("sequential_uncached_s", pick bench [ "flow"; "sequential_uncached_s" ]);
         ("cached_vs_uncached_flow", pick bench [ "flow"; "cached_vs_uncached_flow" ]);
         ("outputs_identical", pick bench [ "flow"; "outputs_identical" ]);
-        ("interp_optimized", pick bench [ "interp"; "optimized" ]);
         ( "interp_bytecode_mcycles_per_s",
           pick bench [ "interp"; "bytecode"; "mcycles_per_s" ] );
         (* exhaustive DSE: analytic-model calls of the perf bench's

@@ -69,16 +69,6 @@ let scale k a =
     cheap_math = k *. a.cheap_math;
   }
 
-(** Total floating-point operations (weighted as in {!Minic.Builtins}). *)
-let total_flops t =
-  t.fadd +. t.fmul +. (4.0 *. t.fdiv) +. (4.0 *. t.sqrt)
-  +. (8.0 *. t.exp_log) +. (8.0 *. t.trig) +. (16.0 *. t.power)
-  +. t.cheap_math
-
-(** Special-function operations (use dedicated units on GPUs, large cores
-    on FPGAs). *)
-let total_sfu t = t.sqrt +. t.exp_log +. t.trig +. t.power +. t.fdiv
-
 let rec count_expr vars (e : Ast.expr) : t =
   match e.enode with
   | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ | Ast.Var _ -> zero

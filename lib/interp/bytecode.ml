@@ -432,8 +432,7 @@ type program = {
   bc_loop_sids : int array;  (** node id of each dense loop number *)
   bc_decisions : (int * decline option) array;
       (** every [for] loop's node id and kernel decision, in lowering
-          order: [None] for a kernel, else why the loop stays generic;
-          empty when lowered without kernels *)
+          order: [None] for a kernel, else why the loop stays generic *)
 }
 
 (* ================================================================== *)
@@ -1344,7 +1343,6 @@ type temps = { base : int; mutable n : int; mutable hi : int }
 type lctx = {
   cp : R.t;
   glob : bool;  (** lowering the globals block: [return] raises *)
-  kernels : bool;  (** translate innermost counted loops to kernels *)
   nloops : int list ref;
       (** node ids by dense loop number, newest first; the numbering is
           shared across functions *)
@@ -1830,18 +1828,16 @@ and ls ctx (s : R.stmt) =
          runs instead, under the same loop number *)
       let lidx = fresh_loop ctx fsid in
       let kernel =
-        if not ctx.kernels then None
-        else
-          let d = kernel_of_loop ctx.cp ctx.lt s in
-          ctx.decisions :=
-            (fsid, Result.fold ~ok:(fun _ -> None) ~error:Option.some d)
-            :: !(ctx.decisions);
-          match d with
-          | Ok k -> Some k
-          | Error r ->
-              Flow_obs.Metrics.incr Flow_obs.Metrics.global
-                ("vm_kernel_declined_" ^ decline_name r);
-              None
+        let d = kernel_of_loop ctx.cp ctx.lt s in
+        ctx.decisions :=
+          (fsid, Result.fold ~ok:(fun _ -> None) ~error:Option.some d)
+          :: !(ctx.decisions);
+        match d with
+        | Ok k -> Some k
+        | Error r ->
+            Flow_obs.Metrics.incr Flow_obs.Metrics.global
+              ("vm_kernel_declined_" ^ decline_name r);
+            None
       in
       let ldone =
         Option.map
@@ -1948,7 +1944,7 @@ let bank_slots (f : R.cfunc) =
   in
   (slots, !nf, !ni)
 
-let lower_fn (cp : R.t) ~lt ~ret ~glob ~kernels ~nloops ~decisions ~slots ~nslots
+let lower_fn (cp : R.t) ~lt ~ret ~glob ~nloops ~decisions ~slots ~nslots
     ~nfslots ~nislots ~params (body : R.block) : fn =
   (* constant-pool prescan first so every register index is final: each
      literal gets a boxed constant, numeric ones also a banked one *)
@@ -1979,7 +1975,6 @@ let lower_fn (cp : R.t) ~lt ~ret ~glob ~kernels ~nloops ~decisions ~slots ~nslot
     {
       cp;
       glob;
-      kernels;
       nloops;
       decisions;
       lt;
@@ -2028,24 +2023,24 @@ let lower_fn (cp : R.t) ~lt ~ret ~glob ~kernels ~nloops ~decisions ~slots ~nslot
   }
 
 (** Lower a resolved program that {!Minic.Typecheck} accepts, with
-    every innermost loop that fits translated to a kernel unless
-    [kernels] is [false].  Bank assignment, typed instructions and the
-    kernel translation read declared types only.
+    every innermost loop that fits translated to a kernel.  Bank
+    assignment, typed instructions and the kernel translation read
+    declared types only.
     @raise Invalid_argument on a [for] loop outside a function *)
-let lower ?(kernels = true) (cp : R.t) : program =
+let lower (cp : R.t) : program =
   let nloops = ref [] and decisions = ref [] in
   let funcs =
     Array.map
       (fun (cf : R.cfunc) ->
         let slots, nfslots, nislots = bank_slots cf in
         lower_fn cp ~lt:cf.R.cf_slot_types ~ret:cf.R.cf_ret ~glob:false
-          ~kernels ~nloops ~decisions ~slots ~nslots:cf.R.cf_nslots ~nfslots ~nislots
+          ~nloops ~decisions ~slots ~nslots:cf.R.cf_nslots ~nfslots ~nislots
           ~params:(Array.map (fun s -> slots.(s)) cf.R.cf_param_slots)
           cf.R.cf_body)
       cp.R.cfuncs
   in
   let globals =
-    lower_fn cp ~lt:[||] ~ret:Minic.Ast.Tvoid ~glob:true ~kernels ~nloops ~decisions
+    lower_fn cp ~lt:[||] ~ret:Minic.Ast.Tvoid ~glob:true ~nloops ~decisions
       ~slots:(Array.init cp.R.nglobals (reg boxed))
       ~nslots:0 ~nfslots:0 ~nislots:0 ~params:[||] cp.R.cglobals
   in

@@ -1783,13 +1783,6 @@ type run = {
     lowering. *)
 type compiled = { cp : Resolve.t; vm : Bytecode.program }
 
-(** Lower an already-resolved slot IR with typed instructions and no
-    kernels, for differential tests and the kernel-free benchmark
-    leg.  Refuses an ill-typed source. *)
-let compile_resolved (cp : Resolve.t) : compiled =
-  Minic.Typecheck.check_program cp.source;
-  { cp; vm = Bytecode.lower ~kernels:false cp }
-
 (** Compile a program once; the result can be executed many times with
     {!run_vm}: type-check, resolve, then lower to register bytecode with
     its kernels. *)

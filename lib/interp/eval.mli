@@ -71,13 +71,6 @@ val run :
       the VM runs well-typed programs only ({!run_ir} runs anything) *)
 val compile : Minic.Ast.program -> compiled
 
-(** Lower an already-resolved slot IR with typed instructions and no
-    kernels: the one kernel-free entry point.  For tests that run the
-    VM on the IR without kernels and compare against {!run_ir}, and for
-    the benchmark leg that measures what kernels contribute.
-    @raise Minic.Typecheck.Type_error when its source is ill-typed *)
-val compile_resolved : Resolve.t -> compiled
-
 (** Run an already-compiled program from [main] through the register
     bytecode VM.  Equivalent to {!run} on the source program. *)
 val run_vm : ?track:track -> ?fuel:int -> compiled -> run

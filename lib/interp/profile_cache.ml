@@ -40,11 +40,12 @@
     one execution instead of duplicating it) and eviction is true LRU —
     every hit re-stamps the entry.  It holds at most
     {!Flow_memo.default_capacity} (512) entries.  This stage is exempt
-    from the memo kill-switch ({!Flow_memo.set_globally_enabled}): it
-    predates the hierarchy, and disabling it would not restore
-    pre-memoization behavior — it would regress it.  Hit/miss/eviction
-    counts are mirrored into the process-wide metrics registry
-    ({!Flow_obs.Metrics.global}) as
+    from the memo kill-switch ({!Flow_memo.set_globally_enabled}) and
+    has no switch of its own: it predates the hierarchy, and disabling
+    it would not restore pre-memoization behavior — it would regress
+    it.  An uncached analysis is one run after {!clear}.  Its counts
+    are [Flow_memo.Cache.stats cache]; they are mirrored into the
+    process-wide metrics registry ({!Flow_obs.Metrics.global}) as
     [profile_cache_hits]/[profile_cache_misses]/
     [profile_cache_evictions]. *)
 
@@ -55,22 +56,5 @@ let cache : Eval.run Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"profile" ~metric_prefix:"profile_cache"
     ~shards:1 ~no_memo_exempt:true ()
 
-(** Turn the cache off (analyses fall back to fresh runs) or back on
-    (tests and the perf bench). *)
-let set_enabled b = Flow_memo.Cache.set_enabled cache b
-
 (** Drop all entries, keeping the hit/miss/eviction counters. *)
 let clear () = Flow_memo.Cache.clear cache
-
-type snapshot = { hits : int; misses : int; evictions : int }
-
-(** Cumulative profile-stage counts since start or {!reset_stats}. *)
-let stats () =
-  let s = Flow_memo.Cache.stats cache in
-  {
-    hits = s.Flow_memo.Cache.hits;
-    misses = s.Flow_memo.Cache.misses;
-    evictions = s.Flow_memo.Cache.evictions;
-  }
-
-let reset_stats () = Flow_memo.Cache.reset_stats cache

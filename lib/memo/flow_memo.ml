@@ -34,7 +34,8 @@
       those created with [~no_memo_exempt:true] (the fused-profile
       stage and the result store, which predate the hierarchy),
       restoring pre-memoization behavior bit-for-bit.  It is the
-      memo-off reference of the identity checks, not a tuning knob.
+      memo-off reference of the identity checks, not a tuning knob,
+      and the only switch: no cache has one of its own.
     - Each cache holds at most {!default_capacity} (512) entries and
       stripes its locks over {!default_shards} (8) unless created with
       [~cap] / [~shards].
@@ -84,7 +85,6 @@ module Cache = struct
     metric_prefix : string;
     no_memo_exempt : bool;
     capacity : int; (* total across shards *)
-    mutable enabled : bool;
     shards : 'a shard array;
   }
 
@@ -117,15 +117,11 @@ module Cache = struct
         (match metric_prefix with Some p -> p | None -> "memo_" ^ name);
       no_memo_exempt;
       capacity = cap;
-      enabled = true;
       shards = Array.init n (fun _ -> make_shard ());
     }
 
-  let set_enabled t b = t.enabled <- b
-
   (** Whether a lookup right now would consult the table at all. *)
-  let active t =
-    t.enabled && (t.no_memo_exempt || Atomic.get globally_enabled)
+  let active t = t.no_memo_exempt || Atomic.get globally_enabled
 
   let gincr ?by name = Flow_obs.Metrics.incr ?by Flow_obs.Metrics.global name
 

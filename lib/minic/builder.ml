@@ -26,18 +26,12 @@ let decl ?size ?init typ name =
 let assign ?(op = Set) lv e = mk_stmt (Assign (lv, op, e))
 let set v e = assign (Lvar v) e
 let set_idx a i e = assign (Lindex (a, i)) e
-let add_eq v e = assign ~op:AddEq (Lvar v) e
 let expr_stmt e = mk_stmt (Expr_stmt e)
 let call_stmt f args = expr_stmt (call f args)
 let return_ e = mk_stmt (Return (Some e))
 let return_void = mk_stmt (Return None)
 let if_ c b1 b2 = mk_stmt (If (c, b1, b2))
-let while_ c b = mk_stmt (While (c, b))
 let block b = mk_stmt (Block b)
-
-(** Canonical counted loop [for (int index = init; index < bound; index += step)]. *)
-let for_ ?(inclusive = false) ?(step = int 1) index ~init ~bound body =
-  mk_stmt (For ({ index; init; bound; inclusive; step }, body))
 
 let pragma ?(args = []) name = { pname = name; pargs = args }
 

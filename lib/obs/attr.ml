@@ -1,7 +1,6 @@
 (** Attribute values attached to trace spans, provenance records and log
-    lines.  A tiny closed universe keeps the observability layer
-    stdlib-only: richer consumers (the service's JSON module) convert
-    these into their own value types. *)
+    lines: a tiny closed universe, rendered for people by {!to_display}
+    and as JSON by {!to_json}. *)
 
 type value =
   | Bool of bool
@@ -16,58 +15,11 @@ let to_display = function
   | Float f -> Printf.sprintf "%.6g" f
   | String s -> s
 
-(* Shortest float representation that round-trips, always re-parseable
-   as a JSON number.  Non-finite floats have no JSON representation and
-   are emitted as strings. *)
-let float_repr f =
-  let shortest =
-    let s15 = Printf.sprintf "%.15g" f in
-    if float_of_string s15 = f then s15
-    else
-      let s16 = Printf.sprintf "%.16g" f in
-      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
-  in
-  if
-    String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') shortest
-  then shortest
-  else shortest ^ ".0"
-
-let escape_json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-(** One value as a JSON token. *)
-let to_json_token = function
-  | Bool b -> if b then "true" else "false"
-  | Int i -> string_of_int i
-  | Float f when Float.is_finite f -> float_repr f
-  | Float f -> escape_json_string (Printf.sprintf "%h" f)
-  | String s -> escape_json_string s
-
-(** A [(key, value)] list as a JSON object. *)
-let list_to_json_object kvs =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (escape_json_string k);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (to_json_token v))
-    kvs;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+(** The one JSON form of a value.  JSON has no nan or infinity, so a
+    non-finite float travels as its display string: "inf", "nan". *)
+let to_json = function
+  | Bool b -> Json.Bool b
+  | Int i -> Json.Int i
+  | Float f when Float.is_finite f -> Json.Float f
+  | Float f -> Json.String (to_display (Float f))
+  | String s -> Json.String s

@@ -190,42 +190,49 @@ let value = function
 
 let micros f = f *. 1e6
 
+(* Chrome reads microseconds; three decimals keep nanoseconds. *)
+let three_decimals x = Json.Float (float_of_string (Printf.sprintf "%.3f" x))
+
 (** An explicit span list (e.g. from {!record}) as a Chrome
     trace-event JSON document.  Events appear in span-open order.  With
     [~normalize:true], timestamps and durations are replaced by the
     recording's open/close sequence numbers (one tick per event
     boundary): the output depends only on the order of instrumented
-    operations, so a deterministic execution exports byte-identical
+    operations, so a deterministic execution exports identical
     documents on every run. *)
-let export_spans ?(normalize = false) spans =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let ts, dur =
-        if normalize then
-          (float_of_int sp.sp_begin, float_of_int (sp.sp_end - sp.sp_begin))
-        else (micros sp.sp_ts, micros sp.sp_dur)
-      in
-      Buffer.add_string buf "{\"name\":";
-      Buffer.add_string buf (Attr.escape_json_string sp.sp_name);
-      Buffer.add_string buf ",\"cat\":";
-      Buffer.add_string buf (Attr.escape_json_string sp.sp_cat);
-      Buffer.add_string buf
-        (match sp.sp_kind with
-        | Span -> ",\"ph\":\"X\""
-        | Instant -> ",\"ph\":\"i\",\"s\":\"t\"");
-      Buffer.add_string buf (Printf.sprintf ",\"pid\":1,\"tid\":%d" sp.sp_tid);
-      Buffer.add_string buf (Printf.sprintf ",\"ts\":%.3f" ts);
-      (match sp.sp_kind with
-      | Span -> Buffer.add_string buf (Printf.sprintf ",\"dur\":%.3f" dur)
-      | Instant -> ());
-      if sp.sp_args <> [] then begin
-        Buffer.add_string buf ",\"args\":";
-        Buffer.add_string buf (Attr.list_to_json_object sp.sp_args)
-      end;
-      Buffer.add_char buf '}')
-    spans;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+let export_spans ?(normalize = false) spans : Json.t =
+  let event sp =
+    let ts, dur =
+      if normalize then
+        (float_of_int sp.sp_begin, float_of_int (sp.sp_end - sp.sp_begin))
+      else (micros sp.sp_ts, micros sp.sp_dur)
+    in
+    let phase, dur =
+      match sp.sp_kind with
+      | Span -> ([ ("ph", Json.String "X") ], [ ("dur", three_decimals dur) ])
+      | Instant -> ([ ("ph", Json.String "i"); ("s", Json.String "t") ], [])
+    in
+    let args =
+      if sp.sp_args = [] then []
+      else
+        [
+          ( "args",
+            Json.Obj (List.map (fun (k, v) -> (k, Attr.to_json v)) sp.sp_args)
+          );
+        ]
+    in
+    Json.Obj
+      ([ ("name", Json.String sp.sp_name); ("cat", Json.String sp.sp_cat) ]
+      @ phase
+      @ [
+          ("pid", Json.Int 1);
+          ("tid", Json.Int sp.sp_tid);
+          ("ts", three_decimals ts);
+        ]
+      @ dur @ args)
+  in
+  Json.Obj
+    [
+      ("traceEvents", Json.List (List.map event spans));
+      ("displayTimeUnit", Json.String "ms");
+    ]

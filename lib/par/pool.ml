@@ -52,8 +52,6 @@ let spawn_workers n loop : workers =
     worker that never exits. *)
 let join_workers (w : workers) = Array.iter Domain.join w.domains
 
-let worker_count (w : workers) = Array.length w.domains
-
 (** [map f xs]: like [List.map f xs], evaluated by {!jobs} domains.
     Result order matches input order; with one job this is exactly
     [List.map]. *)

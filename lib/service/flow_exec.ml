@@ -30,19 +30,6 @@ let render_report (results : Devices.Simulate.result list) : string =
   in
   table ^ best
 
-(* JSON has no nan or infinity (the encoder refuses them), so a
-   non-finite float travels as its display string: "inf", "nan". *)
-let float_json f =
-  if Float.is_finite f then Json.Float f
-  else Json.String (Flow_obs.Attr.to_display (Flow_obs.Attr.Float f))
-
-let attr_json (v : Flow_obs.Attr.value) : Json.t =
-  match v with
-  | Flow_obs.Attr.Bool b -> Json.Bool b
-  | Flow_obs.Attr.Int i -> Json.Int i
-  | Flow_obs.Attr.Float f -> float_json f
-  | Flow_obs.Attr.String s -> Json.String s
-
 let decision_json (d : Flow_obs.Provenance.decision) : Json.t =
   Json.Obj
     ([
@@ -55,7 +42,9 @@ let decision_json (d : Flow_obs.Provenance.decision) : Json.t =
       | None -> [])
     @ [
         ( "evidence",
-          Json.Obj (List.map (fun (k, v) -> (k, attr_json v)) d.evidence) );
+          Json.Obj
+            (List.map (fun (k, v) -> (k, Flow_obs.Attr.to_json v)) d.evidence)
+        );
       ])
 
 (** The decision provenance of an outcome, as served in the [explain]
@@ -71,8 +60,8 @@ let result_json (r : Devices.Simulate.result) : Json.t =
       ( "device",
         Json.String (Devices.Spec.name (Devices.Spec.find r.design.device_id)) );
       ("target", Json.String (Codegen.Design.target_framework r.design.target));
-      ("seconds", float_json r.seconds);
-      ("speedup", float_json r.speedup);
+      ("seconds", Flow_obs.Attr.(to_json (Float r.seconds)));
+      ("speedup", Flow_obs.Attr.(to_json (Float r.speedup)));
       ("feasible", Json.Bool r.feasible);
       ("synthesizable", Json.Bool r.design.synthesizable);
     ]
@@ -162,9 +151,7 @@ let resolve (s : Protocol.submission) : (resolved, Protocol.error_kind) result =
               (fun () -> run_outcome s (mk_ctx ())))
       in
       let outcome = Flow_obs.Trace.value outcome in
-      let trace =
-        Json.parse (Flow_obs.Trace.export_spans ~normalize:true spans)
-      in
+      let trace = Flow_obs.Trace.export_spans ~normalize:true spans in
       let data =
         match outcome_json ~label s outcome with
         | Json.Obj fields -> Json.Obj (fields @ [ ("trace", trace) ])

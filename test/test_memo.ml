@@ -331,11 +331,12 @@ let test_add_replaces () =
   Cache.add c "l" 4;
   check "j evicted" false (Cache.mem c "j");
   check "k kept" true (Cache.mem c "k");
-  (* a switched-off cache misses and stores nothing *)
-  Cache.set_enabled c false;
-  Cache.add c "m" 5;
-  check "disabled find misses" true (Cache.find c "k" = None);
-  Cache.set_enabled c true;
+  (* with the memo switched off, a cache misses and stores nothing *)
+  Fun.protect ~finally:(fun () -> Flow_memo.set_globally_enabled true)
+    (fun () ->
+      Flow_memo.set_globally_enabled false;
+      Cache.add c "m" 5;
+      check "disabled find misses" true (Cache.find c "k" = None));
   check "disabled add stored nothing" false (Cache.mem c "m")
 
 (* Every hit pushes an LRU stamp; hit-only traffic must not grow the

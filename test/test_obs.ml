@@ -259,8 +259,8 @@ let test_request_recording_without_global () =
     && inner.Trace.sp_end < outer.Trace.sp_end);
   check "add_args lands on the recorded open span" true
     (List.mem_assoc "k" outer.Trace.sp_args);
-  (* the recording export is valid Chrome JSON *)
-  match Json.member "traceEvents" (Json.parse (Trace.export_spans ~normalize:true spans)) with
+  (* the recording export is a Chrome trace document *)
+  match Json.member "traceEvents" (Trace.export_spans ~normalize:true spans) with
   | Some (Json.List evs) -> check_int "exported events" 3 (List.length evs)
   | _ -> Alcotest.fail "recording export is not a Chrome trace document"
 
@@ -311,12 +311,14 @@ let test_export_shape () =
         Trace.with_span ~cat:"t" ~args:[ ("q", Attr.String "a\"b") ] "e1"
           (fun () -> Trace.instant ~cat:"t" "m1"))
   in
-  let doc = Json.parse (Trace.export_spans spans) in
+  let doc = Trace.export_spans spans in
   (match Json.member "traceEvents" doc with
   | Some (Json.List evs) -> check_int "two events" 2 (List.length evs)
   | _ -> Alcotest.fail "no traceEvents array");
+  check "export survives its own encoder and parser" true
+    (Json.parse (Json.to_string doc) = doc);
   (* normalized export: timestamps are the recording's sequence numbers *)
-  let doc = Json.parse (Trace.export_spans ~normalize:true spans) in
+  let doc = Trace.export_spans ~normalize:true spans in
   match Json.member "traceEvents" doc with
   | Some (Json.List (first :: _)) ->
       check "normalized ts is the open seq" true
@@ -324,6 +326,28 @@ let test_export_shape () =
       check "normalized dur spans the child instant" true
         (Json.member "dur" first = Some (Json.Float 2.0))
   | _ -> Alcotest.fail "no traceEvents array"
+
+(* JSON has no nan or infinity: a non-finite span arg exports as its
+   display string, the same spelling a result's [explain] field uses,
+   and the document still round-trips through the encoder and parser. *)
+let test_export_non_finite () =
+  let inf = Attr.Float infinity and nan = Attr.Float Float.nan in
+  let (), spans =
+    recorded (fun () ->
+        Trace.with_span ~args:[ ("seconds", inf); ("share", nan) ] "e"
+          (fun () -> ()))
+  in
+  let doc = Trace.export_spans ~normalize:true spans in
+  (match Json.member "traceEvents" doc with
+  | Some (Json.List [ ev ]) ->
+      let arg k = Option.bind (Json.member "args" ev) (Json.member k) in
+      check "infinity exports as its display string" true
+        (arg "seconds" = Some (Json.String (Attr.to_display inf)));
+      check "nan exports as its display string" true
+        (arg "share" = Some (Json.String (Attr.to_display nan)))
+  | _ -> Alcotest.fail "expected one event");
+  check "export round-trips through Json" true
+    (Json.parse (Json.to_string doc) = doc)
 
 (* ------------------------------------------------------------------ *)
 (* Tracer: spans are properly nested (qcheck)                          *)
@@ -389,7 +413,7 @@ let traced_informed_run ctx =
   Dse.Sweep_memo.clear ();
   Minic_interp.Profile_cache.clear ();
   let outcome, spans = recorded (fun () -> Psa.Std_flow.run_informed ctx) in
-  (Trace.export_spans ~normalize:true spans, spans, outcome)
+  (Json.to_string (Trace.export_spans ~normalize:true spans), spans, outcome)
 
 let test_trace_golden_deterministic () =
   let ctx = Benchmarks.Bench_app.context bezier in
@@ -591,6 +615,8 @@ let () =
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing;
           Alcotest.test_case "export shape" `Quick test_export_shape;
+          Alcotest.test_case "non-finite args export as display strings"
+            `Quick test_export_non_finite;
           nesting_prop;
           Alcotest.test_case "request recording without global tracer" `Quick
             test_request_recording_without_global;

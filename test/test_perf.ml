@@ -3,17 +3,21 @@
     and a flow must run in the calling domain. *)
 
 let cache = Minic_interp.Profile_cache.clear
-let set_cache = Minic_interp.Profile_cache.set_enabled
+let profile_stats () : Flow_memo.Cache.stats =
+  Flow_memo.Cache.stats Minic_interp.Profile_cache.cache
+let reset_profile_stats () =
+  Flow_memo.Cache.reset_stats Minic_interp.Profile_cache.cache
 
 (* This binary counts simulate calls; the cross-request stage memo
    would serve repeated sweeps from cache and zero those counters out.
    The memo's own behavior is covered by test_memo. *)
 let () = Flow_memo.set_globally_enabled false
 
-let with_cache_off f =
+(* [f] on an emptied profile cache: every profile it reads is a fresh
+   interpreter run. *)
+let uncached f =
   cache ();
-  set_cache false;
-  Fun.protect ~finally:(fun () -> set_cache true; cache ()) f
+  f ()
 
 (* ------------------------------------------------------------------ *)
 (* Cached vs uncached analyses                                         *)
@@ -24,8 +28,8 @@ let trip_list (t : Analysis.Trip_count.t) =
   |> List.sort compare
 
 (* Every observation the flow's dynamic tasks consume, computed once
-   with the cache disabled and twice with it enabled (second pass all
-   hits), must be structurally identical. *)
+   on an emptied cache and twice more on the filled one (all hits),
+   must be structurally identical. *)
 let check_benchmark (b : Benchmarks.Bench_app.t) () =
   let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
   let analyses () =
@@ -39,14 +43,12 @@ let check_benchmark (b : Benchmarks.Bench_app.t) () =
     let feats = Analysis.Features.analyze ~source:p ~loop_sid ex ~kernel in
     (hot, trips, dio, alias, feats)
   in
-  let uncached = with_cache_off analyses in
+  let uncached = uncached analyses in
   cache ();
-  Minic_interp.Profile_cache.reset_stats ();
+  reset_profile_stats ();
   let cached1 = analyses () in
   let cached2 = analyses () in
-  let { Minic_interp.Profile_cache.hits; misses; _ } =
-    Minic_interp.Profile_cache.stats ()
-  in
+  let ({ hits; misses; _ } : Flow_memo.Cache.stats) = profile_stats () in
   Alcotest.(check bool) "cached pass 1 = uncached" true (uncached = cached1);
   Alcotest.(check bool) "cached pass 2 = uncached" true (uncached = cached2);
   Alcotest.(check bool)
@@ -83,7 +85,7 @@ int main() {
     "same text" (Minic.Pretty.program_to_string p1)
     (Minic.Pretty.program_to_string p2);
   cache ();
-  Minic_interp.Profile_cache.reset_stats ();
+  reset_profile_stats ();
   let r1 = (Analysis.Hotspot.fused p1).run in
   let r2 = (Analysis.Hotspot.fused p2).run in
   let sids t = Hashtbl.fold (fun sid _ acc -> sid :: acc) t [] in
@@ -92,7 +94,7 @@ int main() {
     (List.sort compare (sids r1.profile.loops)
     = List.sort compare (sids r2.profile.loops));
   Alcotest.(check int)
-    "two entries" 2 (Minic_interp.Profile_cache.stats ()).misses;
+    "two entries" 2 (profile_stats ()).misses;
   Alcotest.(check (float 0.0))
     "identical cycles" r1.profile.cycles r2.profile.cycles;
   cache ()
@@ -112,12 +114,10 @@ int main() {
 |}
   in
   cache ();
-  Minic_interp.Profile_cache.reset_stats ();
+  reset_profile_stats ();
   let r1 = (Analysis.Hotspot.fused p).run in
   let r2 = (Analysis.Hotspot.fused p).run in
-  let { Minic_interp.Profile_cache.hits; misses; _ } =
-    Minic_interp.Profile_cache.stats ()
-  in
+  let ({ hits; misses; _ } : Flow_memo.Cache.stats) = profile_stats () in
   Alcotest.(check int) "one miss" 1 misses;
   Alcotest.(check int) "one hit" 1 hits;
   Alcotest.(check string) "same output" r1.output r2.output;
@@ -419,20 +419,20 @@ let check_fused_focus (b : Benchmarks.Bench_app.t) () =
   let of_legacy = I.Fused_profile.of_run p legacy in
   let fused () = Analysis.Hotspot.fused ~loop_sid p in
   let dio =
-    with_cache_off (fun () ->
+    uncached (fun () ->
         Analysis.Data_inout.of_fused (fused ()) ~loop_sid ~kernel)
   in
   Alcotest.(check bool)
     "data in/out projection" true
     (dio = Analysis.Data_inout.of_fused of_legacy ~loop_sid ~kernel);
   let al =
-    with_cache_off (fun () -> Analysis.Alias.of_fused (fused ()) ~loop_sid ~kernel)
+    uncached (fun () -> Analysis.Alias.of_fused (fused ()) ~loop_sid ~kernel)
   in
   Alcotest.(check bool)
     "alias projection" true
     (al = Analysis.Alias.of_fused of_legacy ~loop_sid ~kernel);
   let fe =
-    with_cache_off (fun () ->
+    uncached (fun () ->
         Analysis.Features.analyze ~source:p ~loop_sid ex ~kernel)
   in
   Alcotest.(check bool)
@@ -454,7 +454,7 @@ let check_extracted_kernel (b : Benchmarks.Bench_app.t) () =
   Alcotest.(check bool)
     "features" true
     (bits (Analysis.Features.of_fused extracted ~loop_sid ex ~kernel)
-    = bits (with_cache_off (fun () ->
+    = bits (uncached (fun () ->
                 Analysis.Features.analyze ~source:p ~loop_sid ex ~kernel)));
   Alcotest.(check bool)
     "alias" true
@@ -1034,10 +1034,9 @@ let opt_tests =
 (* Register-bytecode VM (Eval.run_vm / Bytecode)                       *)
 (* ================================================================== *)
 
-(* The VM obligation over generated programs, lowered without kernels
-   (the production path is covered by [engine_equivalence_prop]): the
-   bytecode VM must match the reference walker on every observable,
-   bare and tracked. *)
+(* The VM obligation over generated programs, on one compile run many
+   times: the bytecode VM must match the reference walker on every
+   observable, bare and tracked. *)
 let vm_equivalence_prop =
   QCheck.Test.make ~count:30
     ~name:"bytecode VM = walker on generated programs" program_arb
@@ -1045,7 +1044,7 @@ let vm_equivalence_prop =
       let p = Minic.Parser.parse_program src in
       let ir = I.Resolve.compile p in
       let walker = outcome (fun () -> I.Eval.run_ir ir) in
-      let c = I.Eval.compile_resolved ir in
+      let c = I.Eval.compile p in
       if outcome (fun () -> I.Eval.run_vm c) <> walker then
         QCheck.Test.fail_report "vm: bare run diverges";
       List.iter
@@ -1728,7 +1727,7 @@ int main() {
 (* A frame starts with every slot at its declared type's zero: the
    checker keeps a declaration visible after its block, so the else arm
    reads [t] before any write on the first iteration, and reads 0.0 in
-   the walker and the VM (without and with kernels) alike. *)
+   the walker and the VM alike. *)
 let vm_read_before_write () =
   let p =
     Minic.Parser.parse_program
@@ -1748,15 +1747,12 @@ int main() {
 }
 |}
   in
-  let ir = I.Resolve.compile p in
-  let walker = I.Eval.run_ir ir in
+  let walker = I.Eval.run_ir (I.Resolve.compile p) in
   Alcotest.(check string) "walker output" "3\n" walker.I.Eval.output;
-  List.iter
-    (fun (engine, c) ->
-      Alcotest.(check bool)
-        (engine ^ " = walker") true
-        (run_fingerprint (I.Eval.run_vm c) = run_fingerprint walker))
-    [ ("VM without kernels", I.Eval.compile_resolved ir); ("VM", I.Eval.compile p) ]
+  Alcotest.(check bool)
+    "VM = walker" true
+    (run_fingerprint (I.Eval.run_vm (I.Eval.compile p))
+    = run_fingerprint walker)
 
 let check_error_message (_, fuel, src, expected) () =
   let p = Minic.Parser.parse_program src in
@@ -1767,10 +1763,6 @@ let check_error_message (_, fuel, src, expected) () =
   in
   let walker = message "walker" (fun () -> I.Eval.run_ir ~fuel (I.Resolve.compile p)) in
   Alcotest.(check string) "walker message" expected walker;
-  Alcotest.(check string)
-    "VM without kernels" walker
-    (message "raw VM" (fun () ->
-         I.Eval.run_vm ~fuel (I.Eval.compile_resolved (I.Resolve.compile p))));
   Alcotest.(check string)
     "VM with kernels" walker
     (message "VM" (fun () -> I.Eval.run_vm ~fuel (I.Eval.compile p)))
